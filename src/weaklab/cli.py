@@ -25,7 +25,7 @@ import scipy
 from . import __version__, qm
 from .errors import InputError, NumericError, UnknownParameter, UnknownScenario, WeakLabError
 from .optimize import minimize_pointer_product, minimize_weak_value_real
-from .pointer import PointerOperatorKind, weak_regime_check
+from .pointer import PointerOperatorKind
 from .scenario_io import load_scenario
 from .scenarios import (
     build_common_cause,
@@ -42,19 +42,12 @@ from .simulator import (
     exact_moment,
     recover_weak_value,
     sample_outcomes,
+    steps_outside_weak_regime,
     weak_prediction,
 )
 from .weak_values import MeasurementSequence, norm_product_bound, projector_pair_report, seq_weak_value
 
 SCENARIO_NAMES = ("illustrative", "pauli-xy", "chain-n", "common-cause")
-
-
-def _workers() -> int:
-    raw = os.environ.get("WEAKLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputError(f"WEAKLAB_THREADS must be an integer, got {raw!r}") from None
 
 
 def _builtin_scenario(name: str, args) -> Scenario:
@@ -82,14 +75,6 @@ def _resolve_scenario(spec: str, args) -> tuple[Scenario, str]:
         return load_scenario(spec), spec
     raise UnknownScenario(
         f"{spec!r} is neither a built-in scenario ({', '.join(SCENARIO_NAMES)}) nor a file"
-    )
-
-
-def _regime_ok(scn: Scenario, ratio: float) -> bool:
-    magnitude = abs(seq_weak_value(scn.initial, scn.post, scn.sequence()).value)
-    return all(
-        weak_regime_check(step.pointer, step.observable.decomposition.eigenvalues, magnitude, ratio)
-        for step in scn.steps
     )
 
 
@@ -156,7 +141,7 @@ def _cmd_scenario(args) -> None:
         warnings.simplefilter("ignore", WeakRegimeWarning)
         from_exact = recover_weak_value(scn, EvaluationMethod.EXACT)
         from_weak = recover_weak_value(scn, EvaluationMethod.WEAK_REGIME)
-    ok = _regime_ok(scn, args.weak_ratio)
+    ok = not steps_outside_weak_regime(scn, args.weak_ratio)
     config = {
         "scenario": args.name,
         "steps": scn.n_steps,
@@ -253,7 +238,6 @@ def _cmd_optimize(args) -> None:
         restarts=args.restarts,
         seed=args.seed,
         budget=args.budget,
-        workers=_workers(),
     )
     config = {
         "objective": args.objective,
@@ -262,7 +246,6 @@ def _cmd_optimize(args) -> None:
         "restarts": args.restarts,
         "seed": args.seed,
         "budget": args.budget,
-        "workers": _workers(),
     }
     summary = {
         "best_value": result.best_value,

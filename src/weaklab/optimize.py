@@ -19,7 +19,6 @@ and independent of execution order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,7 +162,6 @@ def _search(
     seed: int,
     budget: int,
     initial_point: SearchSpacePoint | None,
-    workers: int,
 ) -> OptimizationResult:
     if n < 2 or d < 2:
         raise InvalidDimensions(f"need n >= 2 and d >= 2, got n={n}, d={d}")
@@ -178,14 +176,7 @@ def _search(
         rng = np.random.default_rng(seeds[index])
         return rng.uniform(0.0, 2.0 * math.pi, size=dim)
 
-    def run(index: int):
-        return _run_restart(objective, start_for(index), budget)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(restarts)))
-    else:
-        outcomes = [run(index) for index in range(restarts)]
+    outcomes = [_run_restart(objective, start_for(index), budget) for index in range(restarts)]
 
     evaluations = sum(nfev for _, _, nfev in outcomes)
     trace = tuple((index, value) for index, (value, _, _) in enumerate(outcomes))
@@ -208,7 +199,6 @@ def minimize_pointer_product(
     budget: int,
     initial_point: SearchSpacePoint | None = None,
     sigma: float | None = None,
-    workers: int = 1,
 ) -> OptimizationResult:
     """Minimize the weak-limit mean product of the pointer positions over
     projector sequences of length ``n`` in dimension ``d``.
@@ -221,7 +211,7 @@ def minimize_pointer_product(
         objective = lambda flat: _pointer_product_objective(flat, n, d)
     else:
         objective = lambda flat: _finite_sigma_objective(flat, n, d, sigma)
-    return _search(objective, n, d, restarts, seed, budget, initial_point, workers)
+    return _search(objective, n, d, restarts, seed, budget, initial_point)
 
 
 def minimize_weak_value_real(
@@ -231,12 +221,11 @@ def minimize_weak_value_real(
     seed: int,
     budget: int,
     initial_point: SearchSpacePoint | None = None,
-    workers: int = 1,
 ) -> OptimizationResult:
     """Minimize Re of the no-post-selection sequential weak value over
     projector sequences of length ``n`` in dimension ``d``."""
     objective = lambda flat: _weak_value_real_objective(flat, n, d)
-    return _search(objective, n, d, restarts, seed, budget, initial_point, workers)
+    return _search(objective, n, d, restarts, seed, budget, initial_point)
 
 
 def chain_point(n: int) -> SearchSpacePoint:

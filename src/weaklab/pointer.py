@@ -57,30 +57,35 @@ def wavefunction(ptr: GaussianPointer, center: float, x: float) -> complex:
 def matrix_element(
     ptr: GaussianPointer,
     kind: PointerOperatorKind,
-    left_center: float,
-    right_center: float,
-) -> complex:
+    left_center: float | np.ndarray,
+    right_center: float | np.ndarray,
+) -> complex | np.ndarray:
     """Exact <phi(left)| O |phi(right)> for displaced copies of the packet.
 
-    Swapping the centers conjugates the result (Hermiticity).
+    Centers may be numpy arrays, which broadcast into a complex array of
+    elements; scalar centers give a Python complex. Swapping the centers
+    conjugates the result (Hermiticity).
     """
     s2 = ptr.sigma**2
-    mean = 0.5 * (left_center + right_center)
+    mean = 0.5 * np.add(left_center, right_center)
     # "right minus left" so that a momentum element between |phi(a_k)> on
     # the right and <phi(a_l)| on the left carries (a_k - a_l)/(2i).
-    gap = right_center - left_center
-    ov = math.exp(-(gap**2) / (8.0 * s2))
+    gap = np.subtract(right_center, left_center)
+    ov = np.exp(-(gap**2) / (8.0 * s2))
     if kind is PointerOperatorKind.IDENTITY:
-        return complex(ov)
-    if kind is PointerOperatorKind.POSITION:
-        return complex(mean * ov)
-    if kind is PointerOperatorKind.POSITION_SQUARED:
-        return complex((s2 + mean**2) * ov)
-    if kind is PointerOperatorKind.MOMENTUM:
-        return -1j * gap / (4.0 * s2) * ov
-    if kind is PointerOperatorKind.MOMENTUM_SQUARED:
-        return complex((s2 - (gap / 2.0) ** 2) / (4.0 * s2**2) * ov)
-    raise InputError(f"unknown pointer operator kind {kind!r}")
+        value = ov
+    elif kind is PointerOperatorKind.POSITION:
+        value = mean * ov
+    elif kind is PointerOperatorKind.POSITION_SQUARED:
+        value = (s2 + mean**2) * ov
+    elif kind is PointerOperatorKind.MOMENTUM:
+        value = -1j * gap / (4.0 * s2) * ov
+    elif kind is PointerOperatorKind.MOMENTUM_SQUARED:
+        value = (s2 - (gap / 2.0) ** 2) / (4.0 * s2**2) * ov
+    else:
+        raise InputError(f"unknown pointer operator kind {kind!r}")
+    value = np.asarray(value, dtype=complex)
+    return complex(value) if value.ndim == 0 else value
 
 
 def displaced_norm(ptr: GaussianPointer, shift: complex) -> float:

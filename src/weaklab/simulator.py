@@ -1,21 +1,26 @@
 """Joint pointer moments for sequences of weak measurements.
 
-Two engines evaluate the same scenarios:
+Both analytic engines contract one chain of per-step linear maps on a
+d x d operator, Tr(E T_n(... T_1(rho))), with E the post-selection
+effect; Tr(eta), the chain whose every slot reads the identity, runs
+stacked beside it as the normalization. Only the step maps differ:
 
 * ``exact_moment`` works in the eigenbases of the measured observables.
   After each coupling the pointers' reduced state is a combination of
   displaced-Gaussian dyads whose moments have closed forms, so the joint
   moment is an exact finite sum over eigenindex pairs; no approximation
-  and no discretization enters. The sum is evaluated as one sandwich
-  transform per step: X -> V (F o (V* X V)) V*, with F the table of
-  pointer matrix elements for that step's readout kind.
+  and no discretization enters. Step j is the sandwich transform
+  X -> V (F o (V* X V)) V*, with F the table of pointer matrix elements
+  for that step's readout kind.
 
-* ``weak_prediction`` evaluates the first-order formula valid when
-  pointers are wide: a signed combination of 2^(n-1) operator-ordering
-  traces, with momentum slots contributing 1/(2 sigma^2) weights.
+* ``weak_prediction`` keeps the first order in 1/sigma, valid when
+  pointers are wide: step j is X -> (AX + XA)/2 for a position readout,
+  X -> (AX - XA)/(4i sigma^2) for momentum and X -> X for identity.
 
 Their difference is a measurable weak-regime error, which is the point:
 the exact engine never borrows the approximation it is used to test.
+Because moments are linear in each slot's readout, ``recover_weak_value``
+sums its momentum-subset combination of moments as a single chain.
 
 ``sample_outcomes`` draws i.i.d. pointer-position tuples from the exact
 joint density (a signed mixture of Gaussian products) by rejection
@@ -26,7 +31,6 @@ against a nonnegative envelope mixture, so Monte-Carlo runs agree with
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -44,7 +48,7 @@ from .errors import (
     ZeroPostSelectionProbability,
 )
 from .pointer import GaussianPointer, PointerOperatorKind, matrix_element, weak_regime_check
-from .weak_values import MeasurementSequence, ZERO_PROBABILITY_TOL
+from .weak_values import MeasurementSequence, ZERO_PROBABILITY_TOL, seq_weak_value
 
 MOMENT_IMAG_TOL = 1e-10
 
@@ -156,26 +160,76 @@ def _check_pattern(scn: Scenario, pat: MomentPattern) -> None:
         )
 
 
-def _pointer_factor_table(step: MeasurementStep, kind: PointerOperatorKind) -> np.ndarray:
-    """F[k, l] = <phi(a_l)| O |phi(a_k)>, the weight of the P_k X P_l dyad."""
-    a = step.observable.decomposition.eigenvalues
-    d = a.size
-    table = np.empty((d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            table[k, l] = matrix_element(step.pointer, kind, a[l], a[k])
-    return table
-
-
-def _apply_step(x: np.ndarray, step: MeasurementStep, kind: PointerOperatorKind) -> np.ndarray:
-    """Sum over eigenindex pairs of f(k,l) P_k X P_l, as a sandwich transform."""
-    v = step.observable.decomposition.eigenvectors
-    factors = _pointer_factor_table(step, kind)
-    return v @ (factors * (v.conj().T @ x @ v)) @ v.conj().T
-
-
 def _effect_matrix(scn: Scenario) -> np.ndarray:
     return np.eye(scn.dim, dtype=complex) if scn.post is None else scn.post.matrix
+
+
+# An engine is a pair (readout, step_map). ``readout(step, kind)`` is a
+# step's readout as an array that is linear in the pointer operator, so
+# readouts can be added, scaled and stacked; ``step_map(step, readout, x)``
+# applies the map T_j that a readout (or a stack of them) defines.
+
+def _factor_table(step: MeasurementStep, kind: PointerOperatorKind) -> np.ndarray:
+    """F[k, l] = <phi(a_l)| O |phi(a_k)>, the weight of the P_k X P_l dyad."""
+    a = step.observable.decomposition.eigenvalues
+    return matrix_element(step.pointer, kind, a[np.newaxis, :], a[:, np.newaxis])
+
+
+def _sandwich(step: MeasurementStep, table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Exact step map X -> V (F o (V* X V)) V*, the sum of F[k, l] P_k X P_l."""
+    v = step.observable.decomposition.eigenvectors
+    vh = v.conj().T
+    return v @ (table * (vh @ x @ v)) @ vh
+
+
+def _weak_readout(step: MeasurementStep, kind: PointerOperatorKind) -> np.ndarray:
+    """(L, R) of the first-order step map X -> L X + X R.
+
+    These are the exact tables' leading terms in 1/sigma: i reads X,
+    x reads (AX + XA)/2 and p reads (AX - XA)/(4i sigma^2). An identity
+    slot thus drops out, as its observable sums back to the identity.
+    """
+    a = step.observable.matrix
+    if kind is PointerOperatorKind.POSITION:
+        return np.array([a, a]) / 2.0
+    if kind is PointerOperatorKind.MOMENTUM:
+        return np.array([a, -a]) / (4j * step.pointer.sigma**2)
+    if kind is PointerOperatorKind.IDENTITY:
+        half = np.eye(a.shape[0]) / 2.0
+        return np.array([half, half])
+    raise UnsupportedKind(
+        "the weak-regime engine covers first-order x/p moments only; "
+        "use the exact engine for squared readouts"
+    )
+
+
+def _weak_map(step: MeasurementStep, readout: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return readout[..., 0, :, :] @ x + x @ readout[..., 1, :, :]
+
+
+_ENGINES = {
+    EvaluationMethod.EXACT: (_factor_table, _sandwich),
+    EvaluationMethod.WEAK_REGIME: (_weak_readout, _weak_map),
+}
+
+
+def _chain(scn: Scenario, method: EvaluationMethod, readouts) -> tuple[complex, float]:
+    """Tr(E T_n(... T_1(rho))) with T_j the map of ``readouts[j]``, and
+    Tr(eta), the chain whose every slot reads the identity.
+
+    This is the transfer-operator core of every analytic engine; the two
+    chains run as one stack.
+    """
+    readout, step_map = _ENGINES[method]
+    state = scn.initial.matrix
+    for step, chosen in zip(scn.steps, readouts):
+        state = step_map(step, np.array([chosen, readout(step, PointerOperatorKind.IDENTITY)]), state)
+    numerator, probability = (_effect_matrix(scn).T * state).sum(axis=(-2, -1))
+    if probability.real <= ZERO_PROBABILITY_TOL:
+        raise ZeroPostSelectionProbability(
+            f"{method.value} post-selection probability {probability.real:.3e} below threshold"
+        )
+    return complex(numerator), float(probability.real)
 
 
 def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
@@ -185,131 +239,69 @@ def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     post-selection probability Tr(eta), not its weak-limit stand-in.
     """
     _check_pattern(scn, pat)
-    effect = _effect_matrix(scn)
-    numerator_state = scn.initial.matrix
-    norm_state = scn.initial.matrix
-    for step, kind in zip(scn.steps, pat.kinds):
-        numerator_state = _apply_step(numerator_state, step, kind)
-        norm_state = _apply_step(norm_state, step, PointerOperatorKind.IDENTITY)
-    numerator = complex(np.trace(effect @ numerator_state))
-    probability = float(np.trace(effect @ norm_state).real)
-    if probability <= ZERO_PROBABILITY_TOL:
-        raise ZeroPostSelectionProbability(
-            f"exact post-selection probability {probability:.3e} below threshold"
-        )
+    tables = [_factor_table(step, kind) for step, kind in zip(scn.steps, pat.kinds)]
+    numerator, probability = _chain(scn, EvaluationMethod.EXACT, tables)
     value = numerator / probability
-    if abs(value.imag) > MOMENT_IMAG_TOL:
-        raise NumericError(f"moment has imaginary residue {value.imag:.3e}")
+    # Rounding leaves an imaginary residue relative to the chain's terms,
+    # which reach prod_j max|F_j| / Tr(eta) (about sigma^2n for X readouts).
+    scale = max(1.0, math.prod(float(np.abs(table).max()) for table in tables) / probability)
+    if abs(value.imag) > MOMENT_IMAG_TOL * scale:
+        raise NumericError(f"moment has imaginary residue {value.imag:.3e} at scale {scale:.3e}")
     return MomentResult(value.real, probability, EvaluationMethod.EXACT)
-
-
-def _effective_slots(scn: Scenario, pat: MomentPattern):
-    """Drop identity slots: at first order their observable sums back to
-    the completeness relation and disappears from the operator string."""
-    slots = []
-    for step, kind in zip(scn.steps, pat.kinds):
-        if kind is PointerOperatorKind.IDENTITY:
-            continue
-        if kind in (PointerOperatorKind.POSITION_SQUARED, PointerOperatorKind.MOMENTUM_SQUARED):
-            raise UnsupportedKind(
-                "the weak-regime engine covers first-order x/p moments only; "
-                "use the exact engine for squared readouts"
-            )
-        slots.append((step.observable.matrix, step.pointer.sigma, kind))
-    return slots
 
 
 def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
     """First-order weak-regime value of the requested moment.
 
     Identity slots are marginalized out; remaining slots must read
-    position or momentum. The result is the signed combination of
-    operator-ordering traces with one factor 1/(2 sigma^2) per momentum
-    slot, normalized by Tr(E rho).
+    position or momentum. Each momentum slot carries a factor
+    1/(2 sigma^2); the result is normalized by Tr(E rho).
     """
     _check_pattern(scn, pat)
-    effect = _effect_matrix(scn)
-    rho = scn.initial.matrix
-    probability = float(np.trace(effect @ rho).real)
-    if probability <= ZERO_PROBABILITY_TOL:
-        raise ZeroPostSelectionProbability(
-            f"post-selection probability {probability:.3e} below threshold"
-        )
-    slots = _effective_slots(scn, pat)
-    m = len(slots)
-    if m == 0:
-        return MomentResult(1.0, probability, EvaluationMethod.WEAK_REGIME)
-
-    momentum_slots = [j for j, (_, _, kind) in enumerate(slots) if kind is PointerOperatorKind.MOMENTUM]
-    use_imag = len(momentum_slots) % 2 == 1
-    prefactor = (-1.0) ** (len(momentum_slots) // 2) / 2.0 ** (m - 1)
-    for j in momentum_slots:
-        prefactor /= 2.0 * slots[j][1] ** 2
-
-    matrices = [matrix for matrix, _, _ in slots]
-    total = 0.0
-    for exponents in itertools.product((0, 1), repeat=m - 1):
-        # exponents[j-1] is s_j for slot j >= 1 (0-based); slot 0 always
-        # sits immediately left of rho.
-        left = matrices[0]
-        for j in range(1, m):
-            if exponents[j - 1] == 0:
-                left = matrices[j] @ left
-        right = rho
-        for j in range(1, m):
-            if exponents[j - 1] == 1:
-                right = right @ matrices[j]
-        term = complex(np.trace(effect @ left @ right))
-        sign = (-1.0) ** sum(exponents[j - 1] for j in momentum_slots if j >= 1)
-        total += sign * (term.imag if use_imag else term.real)
-    return MomentResult(prefactor * total / probability, probability, EvaluationMethod.WEAK_REGIME)
+    readouts = [_weak_readout(step, kind) for step, kind in zip(scn.steps, pat.kinds)]
+    numerator, probability = _chain(scn, EvaluationMethod.WEAK_REGIME, readouts)
+    return MomentResult(numerator.real / probability, probability, EvaluationMethod.WEAK_REGIME)
 
 
-def _warn_if_not_weak(scn: Scenario) -> None:
-    from .weak_values import seq_weak_value
-
+def steps_outside_weak_regime(scn: Scenario, ratio: float = 10.0) -> tuple[int, ...]:
+    """Indices of the steps whose pointer fails ``weak_regime_check`` at
+    ``ratio``, judged against the scenario's sequential weak value."""
     magnitude = abs(seq_weak_value(scn.initial, scn.post, scn.sequence()).value)
-    for index, step in enumerate(scn.steps):
-        eigenvalues = step.observable.decomposition.eigenvalues
-        if not weak_regime_check(step.pointer, eigenvalues, magnitude):
-            warnings.warn(
-                f"step {index + 1} width sigma={step.pointer.sigma:g} is not in the weak "
-                "regime; recovered values may be biased",
-                WeakRegimeWarning,
-                stacklevel=3,
-            )
+    return tuple(
+        index
+        for index, step in enumerate(scn.steps)
+        if not weak_regime_check(step.pointer, step.observable.decomposition.eigenvalues, magnitude, ratio)
+    )
 
 
 def recover_weak_value(scn: Scenario, source: EvaluationMethod = EvaluationMethod.EXACT) -> complex:
     """Reassemble the sequential weak value from joint pointer moments.
 
-    Even-size momentum subsets weighted by (-1)^(|P|/2) prod 2 sigma^2
-    give the real part, odd-size subsets the imaginary part. Without
-    post-selection the final slot is excluded from momentum subsets
-    (those moments vanish at first order and carry no information).
+    The weak value is the sum over momentum subsets P of
+    prod_{j in P} (2i sigma_j^2) m_P, where m_P reads p on the slots in P
+    and x on the others: even subsets give the real part, odd ones the
+    imaginary part. Every m_P is linear in each slot's readout and shares
+    the denominator Tr(eta), so the sum is one chain whose step j reads
+    x + 2i sigma_j^2 p. Without post-selection the final slot reads x only
+    (momentum there vanishes at first order and carries no information).
     """
-    _warn_if_not_weak(scn)
-    evaluate = exact_moment if source is EvaluationMethod.EXACT else weak_prediction
-    n = scn.n_steps
-    sigmas = scn.sigmas()
-    candidates = range(n - 1) if scn.post is None else range(n)
-    real_part = 0.0
-    imag_part = 0.0
-    for size in range(len(candidates) + 1):
-        for subset in itertools.combinations(candidates, size):
-            kinds = [
-                PointerOperatorKind.MOMENTUM if j in subset else PointerOperatorKind.POSITION
-                for j in range(n)
-            ]
-            moment = evaluate(scn, MomentPattern(kinds)).value
-            weight = (-1.0) ** (size // 2) * moment
-            for j in subset:
-                weight *= 2.0 * sigmas[j] ** 2
-            if size % 2 == 0:
-                real_part += weight
-            else:
-                imag_part += weight
-    return complex(real_part, imag_part)
+    for index in steps_outside_weak_regime(scn):
+        warnings.warn(
+            f"step {index + 1} width sigma={scn.steps[index].pointer.sigma:g} is not in the weak "
+            "regime; recovered values may be biased",
+            WeakRegimeWarning,
+            stacklevel=2,
+        )
+    readout = _ENGINES[source][0]
+    gains = [2j * sigma**2 for sigma in scn.sigmas()]
+    if scn.post is None:
+        gains[-1] = 0.0
+    readouts = [
+        readout(step, PointerOperatorKind.POSITION) + gain * readout(step, PointerOperatorKind.MOMENTUM)
+        for step, gain in zip(scn.steps, gains)
+    ]
+    numerator, probability = _chain(scn, source, readouts)
+    return numerator / probability
 
 
 def nested_anticommutator_value(rho: qm.MixedState, seq: MeasurementSequence) -> float:
@@ -319,12 +311,9 @@ def nested_anticommutator_value(rho: qm.MixedState, seq: MeasurementSequence) ->
     """
     if rho.dim != seq.dim:
         raise DimensionMismatch(f"state dimension {rho.dim} != sequence dimension {seq.dim}")
-    matrices = [obs.matrix for obs in seq.observables]
-    nested = matrices[-1]
-    for matrix in matrices[-2::-1]:
-        nested = matrix @ nested + nested @ matrix
-    n = len(matrices)
-    return float(2.0 ** (1 - n) * np.trace(nested @ rho.matrix).real)
+    # position readouts do not depend on the pointer width
+    scn = Scenario(rho, (MeasurementStep(obs, GaussianPointer(1.0)) for obs in seq.observables))
+    return weak_prediction(scn, MomentPattern.all_position(len(seq))).value
 
 
 @dataclass(frozen=True)

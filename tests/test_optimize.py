@@ -73,12 +73,6 @@ class TestPointerProductSearch:
         assert first.trace == second.trace
         assert np.array_equal(first.best_point.flatten(), second.best_point.flatten())
 
-    def test_workers_do_not_change_result(self):
-        serial = wl.minimize_pointer_product(n=2, d=2, restarts=6, seed=2, budget=4000)
-        threaded = wl.minimize_pointer_product(n=2, d=2, restarts=6, seed=2, budget=4000, workers=3)
-        assert serial.trace == threaded.trace
-        assert serial.best_value == threaded.best_value
-
     def test_finite_sigma_objective(self):
         result = wl.minimize_pointer_product(
             n=2, d=2, restarts=1, seed=0, budget=300, sigma=1.0, initial_point=illustrative_point()

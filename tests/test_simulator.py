@@ -4,7 +4,8 @@ The exact engine is cross-checked by a literal double sum over
 eigenindex tuples (built here from explicit eigenprojector products, a
 different code path from the engine's sandwich transforms), the
 weak-regime engine by directly transcribed two-measurement trace
-formulas, and the sampler by the exact engine itself.
+formulas and by the operator-ordering sum, weak-value recovery by the
+sum over momentum subsets, and the sampler by the exact engine itself.
 """
 
 import itertools
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 
 import weaklab as wl
+from weaklab import simulator
 from weaklab.errors import (
+    NumericError,
     PatternLengthMismatch,
     UnsupportedKind,
     ZeroPostSelectionProbability,
@@ -97,6 +100,73 @@ def brute_force_moment(scn, pattern):
             numerator += term(k_tuple, l_tuple, pattern.kinds)
             denominator += term(k_tuple, l_tuple, identity_kinds)
     return (numerator / denominator).real
+
+
+def ordering_sum_weak(scn, pattern):
+    """Weak-regime moment as the signed sum over 2^(m-1) operator orderings
+    of the m non-identity slots (Mitchison, Jozsa & Popescu, "Sequential
+    weak measurement", PRA 76, 062105 (2007)), one 1/(2 sigma^2) per
+    momentum slot."""
+    effect = np.eye(scn.dim, dtype=complex) if scn.post is None else scn.post.matrix
+    rho = scn.initial.matrix
+    slots = []
+    for step, kind in zip(scn.steps, pattern.kinds):
+        if kind is I:
+            continue
+        if kind not in (X, P):
+            raise UnsupportedKind(str(kind))
+        slots.append((step.observable.matrix, step.pointer.sigma, kind))
+    if not slots:
+        return 1.0
+    m = len(slots)
+    momentum = [j for j, (_, _, kind) in enumerate(slots) if kind is P]
+    prefactor = (-1.0) ** (len(momentum) // 2) / 2.0 ** (m - 1)
+    for j in momentum:
+        prefactor /= 2.0 * slots[j][1] ** 2
+    total = 0.0
+    for exponents in itertools.product((0, 1), repeat=m - 1):
+        # exponents[j-1] puts slot j >= 1 left of the running product (0)
+        # or right of rho (1); slot 0 always sits immediately left of rho.
+        left = slots[0][0]
+        right = rho
+        for j in range(1, m):
+            if exponents[j - 1] == 0:
+                left = slots[j][0] @ left
+            else:
+                right = right @ slots[j][0]
+        term = complex(np.trace(effect @ left @ right))
+        sign = (-1.0) ** sum(exponents[j - 1] for j in momentum if j >= 1)
+        total += sign * (term.imag if len(momentum) % 2 else term.real)
+    return prefactor * total / np.trace(effect @ rho).real
+
+
+def subset_sum_recovery(scn, moment):
+    """Weak value as the sum over momentum subsets P of
+    prod_{j in P} (2i sigma_j^2) m_P, one moment per subset; without
+    post-selection the final slot never reads momentum."""
+    n = scn.n_steps
+    candidates = range(n - 1) if scn.post is None else range(n)
+    total = 0j
+    for size in range(len(candidates) + 1):
+        for subset in itertools.combinations(candidates, size):
+            weight = complex(moment(scn, wl.MomentPattern(P if j in subset else X for j in range(n))))
+            for j in subset:
+                weight *= 2j * scn.steps[j].pointer.sigma ** 2
+            total += weight
+    return total
+
+
+def operator_scale(scn, kinds):
+    """Size of the terms a moment sums: prod ||A_j|| over read slots, with
+    1/(2 sigma_j^2) per momentum slot, over Tr(E rho)."""
+    effect = np.eye(scn.dim) if scn.post is None else scn.post.matrix
+    scale = 1.0 / np.trace(effect @ scn.initial.matrix).real
+    for step, kind in zip(scn.steps, kinds):
+        if kind is not I:
+            scale *= wl.spectral_norm(step.observable)
+            if kind is P:
+                scale /= 2.0 * step.pointer.sigma**2
+    return scale
 
 
 class TestScenarioTypes:
@@ -205,6 +275,33 @@ class TestExactEngine:
         )
         result = wl.exact_moment(scn, wl.MomentPattern([X]))
         assert result.postselection_probability == pytest.approx(0.5, abs=1e-3)
+
+    def test_wide_squared_readouts_are_finite(self):
+        # the imaginary residue grows with the sigma^2n size of XXX moments
+        rng = np.random.default_rng(20)
+        for sigma in (100.0, 1e4, 1e6):
+            for _ in range(20):
+                scn = random_scenario(rng, 3, 3, with_post=False, sigma_range=(sigma, sigma))
+                value = wl.exact_moment(scn, wl.MomentPattern.from_string("XXX")).value
+                assert np.isfinite(value)
+
+    def test_imaginary_residue_check_fires(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        scn = random_scenario(rng, 3, 3, with_post=False, sigma_range=(100.0, 100.0))
+        original = simulator.matrix_element
+        tampered = []
+
+        def leaky(ptr, kind, left, right):
+            table = original(ptr, kind, left, right)
+            if kind is PointerOperatorKind.POSITION_SQUARED and not tampered:
+                tampered.append(kind)
+                return table + 1e-6j * np.abs(table).max()
+            return table
+
+        monkeypatch.setattr(simulator, "matrix_element", leaky)
+        with pytest.raises(NumericError):
+            wl.exact_moment(scn, wl.MomentPattern.from_string("XXX"))
+        assert tampered
 
     def test_orthogonal_postselection_raises(self):
         scn = wl.Scenario(
@@ -451,6 +548,53 @@ class TestRecovery:
         scn = wl.build_illustrative(0.5, 0.5)
         with pytest.warns(wl.WeakRegimeWarning):
             wl.recover_weak_value(scn, wl.EvaluationMethod.EXACT)
+
+
+class TestChainAgainstReferences:
+    def test_weak_engine_matches_ordering_sum(self):
+        rng = np.random.default_rng(30)
+        checked = 0
+        for index in range(200):
+            d = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 6))
+            scn = random_scenario(rng, d, n, with_post=index % 2 == 1)
+            kinds = list(rng.choice([I, X, P], size=n))
+            try:
+                got = wl.weak_prediction(scn, wl.MomentPattern(kinds)).value
+            except ZeroPostSelectionProbability:
+                continue
+            want = ordering_sum_weak(scn, wl.MomentPattern(kinds))
+            assert abs(got - want) <= 1e-12 * max(abs(want), operator_scale(scn, kinds))
+            checked += 1
+        assert checked >= 180
+
+    def test_recovery_matches_subset_sum(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        for index in range(60):
+            d = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 6))
+            scn = random_scenario(rng, d, n, with_post=index % 2 == 1)
+            try:
+                exact_want = subset_sum_recovery(scn, lambda s, p: wl.exact_moment(s, p).value)
+            except ZeroPostSelectionProbability:
+                continue
+            weak_want = subset_sum_recovery(scn, ordering_sum_weak)
+            scale = operator_scale(scn, [X] * n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", wl.WeakRegimeWarning)
+                exact_got = wl.recover_weak_value(scn, wl.EvaluationMethod.EXACT)
+                weak_got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
+            assert abs(exact_got - exact_want) <= 1e-12 * max(abs(exact_want), scale)
+            assert abs(weak_got - weak_want) <= 1e-12 * max(abs(weak_want), scale)
+            checked += 1
+        assert checked >= 50
+
+    def test_weak_recovery_of_ten_step_chain(self):
+        scn = wl.build_projector_chain(10, 100.0)
+        got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
+        want = wl.chain_weak_value(10)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestNestedAnticommutator:
