@@ -280,7 +280,6 @@ def _cmd_sample(args) -> None:
     summary = {
         "retained_shots": stats.retained_shots,
         "postselection_probability": stats.postselection_probability,
-        "envelope_mass": stats.envelope_mass,
         "acceptance_rate": stats.acceptance_rate,
         "sampling_method": stats.method,
     }

@@ -68,7 +68,3 @@ class ScenarioFileError(InputError):
 
 class ZeroPostSelectionProbability(NumericError):
     """Post-selection probability below threshold; weak value undefined."""
-
-
-class EnvelopeConstructionFailure(NumericError):
-    """No valid rejection-sampling envelope could be bounded."""

@@ -22,10 +22,11 @@ the exact engine never borrows the approximation it is used to test.
 Because moments are linear in each slot's readout, ``recover_weak_value``
 sums its momentum-subset combination of moments as a single chain.
 
-``sample_outcomes`` draws i.i.d. pointer-position tuples from the exact
-joint density (a signed mixture of Gaussian products) by rejection
-against a nonnegative envelope mixture, so Monte-Carlo runs agree with
-``exact_moment`` up to shot noise.
+``sample_outcomes`` simulates shots one Kraus update at a time: each
+shot carries a system ket, and each pointer is read right after its
+coupling, from the positive mixture of d Gaussians that the ket's
+populations define. No envelope and no rejection is needed, and
+Monte-Carlo runs agree with ``exact_moment`` up to shot noise.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import numpy as np
 from . import qm
 from .errors import (
     DimensionMismatch,
-    EnvelopeConstructionFailure,
     InputError,
     NumericError,
     PatternLengthMismatch,
@@ -357,224 +357,22 @@ def single_measurement_stats(
 
 @dataclass(frozen=True)
 class SampleStatistics:
-    """Bookkeeping for one sampling run."""
+    """Bookkeeping for one sampling run.
+
+    Every draw is kept, so ``acceptance_rate`` is always 1.0 and
+    ``method`` always reads "sequential".
+    """
 
     requested_shots: int
     retained_shots: int
     postselection_probability: float
-    envelope_mass: float
     acceptance_rate: float
     method: str
     seed: int
 
 
-@dataclass(frozen=True)
-class _JointDensity:
-    """Exact joint pointer-position density as a signed Gaussian mixture.
-
-    Term t picks one eigenindex pair (k, l) per step; its weight is the
-    system coefficient times the per-step overlap factors, and its shape
-    is a product of Gaussians centered at the midpoints (a_k + a_l)/2.
-    """
-
-    weights: np.ndarray          # (d^2,) * n, signed term weights W
-    pair_means: list[np.ndarray]     # per step: (d^2,) Gaussian centers
-    sigmas: np.ndarray           # (n,)
-    eigenvalues: list[np.ndarray]    # per step: (d,) diagonal centers
-    envelope_weights: np.ndarray     # (d,) * n, nonnegative
-    total_mass: float            # Tr(eta), the exact retention probability
-
-    @property
-    def n_steps(self) -> int:
-        return self.sigmas.size
-
-
-def _joint_density(scn: Scenario) -> _JointDensity:
-    """Enumerate the signed mixture and its dominating envelope.
-
-    The envelope distributes each term's |coefficient| over the 2^n
-    corner tuples of its eigenindex pairs, using the pointwise bound
-    N(x; (a+b)/2) <= exp((a-b)^2 / (8 s^2)) (N(x; a) + N(x; b)) / 2,
-    whose inflation factor exactly cancels the term's overlap factor.
-    """
-    n = scn.n_steps
-    d = scn.dim
-    decomps = [step.observable.decomposition for step in scn.steps]
-    effect = _effect_matrix(scn)
-
-    # Chain amplitudes amp[k_1, ..., k_n] = prod <v_{j+1, k_{j+1}} | v_j, k_j>.
-    amp = np.ones((d,), dtype=complex)
-    for j in range(n - 1):
-        overlap = decomps[j + 1].eigenvectors.conj().T @ decomps[j].eigenvectors  # [k_{j+1}, k_j]
-        amp = amp[..., :, None] * overlap.T[(None,) * j + (slice(None), slice(None))]
-    # amp now has shape (d,) * n with axes ordered k_1 ... k_n.
-
-    v_first = decomps[0].eigenvectors
-    v_last = decomps[-1].eigenvectors
-    rho_elements = v_first.conj().T @ scn.initial.matrix @ v_first
-    effect_elements = v_last.conj().T @ effect @ v_last
-
-    # Coefficients C[k_vec, l_vec] = amp(k) conj(amp(l)) <v_k1|rho|v_l1> <v_ln|E|v_kn>.
-    c = amp.reshape(amp.shape + (1,) * n) * amp.conj().reshape((1,) * n + amp.shape)
-    k1 = np.arange(d).reshape((d,) + (1,) * (2 * n - 1))
-    l1 = np.arange(d).reshape((1,) * n + (d,) + (1,) * (n - 1))
-    kn = np.arange(d).reshape((1,) * (n - 1) + (d,) + (1,) * n)
-    ln = np.arange(d).reshape((1,) * (2 * n - 1) + (d,))
-    c = c * rho_elements[k1, l1] * effect_elements[ln, kn]
-
-    # Reorder axes to pairs (k_j, l_j) per step and flatten each pair axis.
-    order = []
-    for j in range(n):
-        order.extend([j, n + j])
-    c = np.transpose(c, order).reshape((d * d,) * n)
-
-    pair_means, overlaps = [], []
-    for j in range(n):
-        a = decomps[j].eigenvalues
-        right, left = np.meshgrid(a, a, indexing="ij")  # pair index = k * d + l
-        right = right.reshape(-1)
-        left = left.reshape(-1)
-        pair_means.append(0.5 * (right + left))
-        overlaps.append(np.exp(-((right - left) ** 2) / (8.0 * scn.steps[j].pointer.sigma ** 2)))
-
-    weights = c
-    for j in range(n):
-        shape = [1] * n
-        shape[j] = d * d
-        weights = weights * overlaps[j].reshape(shape)
-
-    total_mass = float(weights.sum().real)
-    if total_mass <= ZERO_PROBABILITY_TOL:
-        raise ZeroPostSelectionProbability(
-            f"exact post-selection probability {total_mass:.3e} below threshold"
-        )
-
-    # Envelope: contract |C| with the per-step corner-splitting matrix.
-    split = np.zeros((d * d, d))
-    for k in range(d):
-        for l in range(d):
-            split[k * d + l, k] += 0.5
-            split[k * d + l, l] += 0.5
-    envelope = np.abs(c)
-    for _ in range(n):
-        # Contracting axis 0 each round cycles the axes, so after n rounds
-        # the envelope axes are back in step order.
-        envelope = np.tensordot(envelope, split, axes=([0], [0]))
-
-    if not np.all(np.isfinite(envelope)) or envelope.sum() <= 0:
-        raise EnvelopeConstructionFailure("envelope weights are not finite and positive")
-
-    return _JointDensity(
-        weights=weights,
-        pair_means=pair_means,
-        sigmas=np.array(scn.sigmas()),
-        eigenvalues=[dec.eigenvalues for dec in decomps],
-        envelope_weights=envelope,
-        total_mass=total_mass,
-    )
-
-
-def _gaussian_pdf(x: np.ndarray, mean: np.ndarray, sigma: float) -> np.ndarray:
-    return np.exp(-((x - mean) ** 2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
-
-
-def _density_at(density: _JointDensity, points: np.ndarray) -> np.ndarray:
-    """Unnormalized exact density at each row of ``points``."""
-    n = density.n_steps
-    acc = np.broadcast_to(density.weights, (points.shape[0],) + density.weights.shape)
-    for j in range(n):
-        g = _gaussian_pdf(points[:, j:j + 1], density.pair_means[j][None, :], density.sigmas[j])
-        shape = (points.shape[0],) + tuple(
-            g.shape[1] if axis == 0 else 1 for axis in range(n - j)
-        )
-        acc = acc * g.reshape(shape)
-        acc = acc.sum(axis=1)
-    return acc.real
-
-
-def _envelope_at(density: _JointDensity, points: np.ndarray) -> np.ndarray:
-    """Envelope mixture (unnormalized) at each row of ``points``."""
-    n = density.n_steps
-    acc = np.broadcast_to(density.envelope_weights, (points.shape[0],) + density.envelope_weights.shape)
-    for j in range(n):
-        g = _gaussian_pdf(points[:, j:j + 1], density.eigenvalues[j][None, :], density.sigmas[j])
-        shape = (points.shape[0],) + tuple(
-            g.shape[1] if axis == 0 else 1 for axis in range(n - j)
-        )
-        acc = acc * g.reshape(shape)
-        acc = acc.sum(axis=1)
-    return acc
-
-
-_REJECTION_BATCH = 8192
-
-
-def _sample_rejection(
-    density: _JointDensity,
-    count: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, int]:
-    """Draw ``count`` tuples by rejection; returns (samples, proposals used)."""
-    n = density.n_steps
-    flat_weights = density.envelope_weights.reshape(-1)
-    mixture = flat_weights / flat_weights.sum()
-    shape = density.envelope_weights.shape
-    out = np.empty((count, n))
-    filled = 0
-    proposals = 0
-    while filled < count:
-        batch = min(_REJECTION_BATCH, max(256, 2 * (count - filled)))
-        component = rng.choice(mixture.size, size=batch, p=mixture)
-        centers = np.column_stack(
-            [density.eigenvalues[j][idx] for j, idx in enumerate(np.unravel_index(component, shape))]
-        )
-        points = centers + rng.standard_normal((batch, n)) * density.sigmas[None, :]
-        target = _density_at(density, points)
-        envelope = _envelope_at(density, points)
-        # far tails can underflow both densities to 0; treat 0/0 as reject
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(envelope > 0.0, target / envelope, 0.0)
-        if np.any(ratio > 1.0 + 1e-6):
-            raise EnvelopeConstructionFailure(
-                f"density exceeded its envelope by {np.max(ratio) - 1.0:.3e}"
-            )
-        accept = rng.random(batch) < np.clip(ratio, 0.0, 1.0)
-        proposals += batch
-        accepted = points[accept]
-        take = min(accepted.shape[0], count - filled)
-        out[filled:filled + take] = accepted[:take]
-        filled += take
-    return out, proposals
-
-
-_GRID_TOTAL_CELLS = 2**18
-_GRID_PAD_SIGMAS = 10.0
-
-
-def _sample_grid(
-    density: _JointDensity,
-    count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Fallback: inverse-CDF sampling on a dense product grid."""
-    n = density.n_steps
-    per_axis = max(16, int(round(_GRID_TOTAL_CELLS ** (1.0 / n))))
-    axes = []
-    for j in range(n):
-        a = density.eigenvalues[j]
-        pad = _GRID_PAD_SIGMAS * density.sigmas[j]
-        axes.append(np.linspace(a.min() - pad, a.max() + pad, per_axis))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.column_stack([m.reshape(-1) for m in mesh])
-    cell_density = np.clip(_density_at(density, points), 0.0, None)
-    cdf = np.cumsum(cell_density)
-    if cdf[-1] <= 0:
-        raise EnvelopeConstructionFailure("grid fallback found no probability mass")
-    cdf /= cdf[-1]
-    cells = np.searchsorted(cdf, rng.random(count))
-    sample = points[cells]
-    half_widths = np.array([(axis[1] - axis[0]) / 2.0 for axis in axes])
-    return sample + rng.uniform(-1.0, 1.0, size=sample.shape) * half_widths[None, :]
+# Largest working set sample_outcomes may allocate, in bytes.
+SAMPLE_MEMORY_LIMIT = 2 * 1024**3
 
 
 def sample_outcomes(
@@ -584,39 +382,58 @@ def sample_outcomes(
 ) -> tuple[np.ndarray, SampleStatistics]:
     """Simulate ``shots`` runs; returns retained pointer-position tuples.
 
-    Post-selection retains each shot with the exact probability Tr(eta);
+    Each shot carries one system ket, drawn from the eigen-ensemble of the
+    initial state. Pointer j is never touched after step j, so it is read
+    right after its coupling: the eigenindex k is drawn from the ket's
+    populations in that step's eigenbasis, x = a_k + sigma_j z, and the
+    ket is updated by the Kraus operator K(x) = sum_k phi(x - a_k) P_k and
+    renormalized. Post-selection keeps a shot with probability
+    <psi|E|psi>, so the retained count is Binomial(shots, Tr(eta)) and
     retained shots are i.i.d. draws from the conditional joint density.
-    The stream is deterministic in ``seed``.
+    Cost is O(shots n d^2) time and O(shots (n + d)) memory. The stream
+    is deterministic in ``seed``.
     """
     if shots < 1:
         raise InputError(f"shots must be at least 1, got {shots}")
-    rng = np.random.default_rng(seed)
-    density = _joint_density(scn)
-    probability = density.total_mass
-    if scn.post is None:
-        retained = shots
-    else:
-        retained = int(np.count_nonzero(rng.random(shots) < probability))
-    if retained == 0:
-        empty = np.empty((0, scn.n_steps))
-        stats = SampleStatistics(shots, 0, probability, float(density.envelope_weights.sum()), 0.0, "rejection", seed)
-        return empty, stats
+    footprint = shots * (scn.n_steps + 4 * scn.dim) * 8
+    if footprint > SAMPLE_MEMORY_LIMIT:
+        raise InputError(
+            f"{shots} shots need about {footprint / 1024**3:.1f} GiB, "
+            f"over the {SAMPLE_MEMORY_LIMIT / 1024**3:.0f} GiB limit"
+        )
+    identity = [_factor_table(step, PointerOperatorKind.IDENTITY) for step in scn.steps]
+    _, probability = _chain(scn, EvaluationMethod.EXACT, identity)
 
-    try:
-        samples, proposals = _sample_rejection(density, retained, rng)
-        method = "rejection"
-        acceptance = retained / proposals
-    except EnvelopeConstructionFailure:
-        samples = _sample_grid(density, retained, rng)
-        method = "grid"
-        acceptance = float("nan")
+    rng = np.random.default_rng(seed)
+    weights, basis = np.linalg.eigh(scn.initial.matrix)
+    weights = np.clip(weights, 0.0, None)
+    # Row s holds shot s's ket in the columns of ``basis``.
+    amplitudes = np.eye(scn.dim, dtype=complex)[rng.choice(scn.dim, size=shots, p=weights / weights.sum())]
+    samples = np.empty((shots, scn.n_steps))
+    for j, step in enumerate(scn.steps):
+        decomposition = step.observable.decomposition
+        a, sigma = decomposition.eigenvalues, step.pointer.sigma
+        amplitudes = amplitudes @ (basis.T @ decomposition.eigenvectors.conj())
+        basis = decomposition.eigenvectors
+        cumulative = np.cumsum(np.abs(amplitudes) ** 2, axis=1)
+        threshold = rng.random(shots) * cumulative[:, -1]
+        k = (cumulative[:, :-1] <= threshold[:, np.newaxis]).sum(axis=1)
+        x = a[k] + sigma * rng.standard_normal(shots)
+        samples[:, j] = x
+        gap = (x[:, np.newaxis] - a) ** 2
+        amplitudes = amplitudes * np.exp(-(gap - gap.min(axis=1, keepdims=True)) / (4.0 * sigma**2))
+        amplitudes /= np.linalg.norm(amplitudes, axis=1, keepdims=True)
+
+    if scn.post is not None:
+        effect = basis.conj().T @ scn.post.matrix @ basis
+        kept = (amplitudes.conj() * (amplitudes @ effect.T)).sum(axis=1).real
+        samples = samples[rng.random(shots) < kept]
     stats = SampleStatistics(
         requested_shots=shots,
-        retained_shots=retained,
+        retained_shots=samples.shape[0],
         postselection_probability=probability,
-        envelope_mass=float(density.envelope_weights.sum()),
-        acceptance_rate=acceptance,
-        method=method,
+        acceptance_rate=1.0,
+        method="sequential",
         seed=seed,
     )
     return samples, stats

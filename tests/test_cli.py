@@ -207,6 +207,11 @@ class TestSampleCommand:
         _, second = run_cli(capsys, "sample", "illustrative", "--shots", "2000", "--seed", "3")
         assert first == second
 
+    def test_shots_over_memory_limit_exit_code(self, capsys):
+        code, out = run_cli(capsys, "sample", "illustrative", "--shots", str(10**12), "--seed", "1")
+        assert code == 2
+        assert out == ""
+
 
 class TestBoundsCommand:
     def test_no_violations(self, capsys):

@@ -18,13 +18,13 @@ import pytest
 import weaklab as wl
 from weaklab import simulator
 from weaklab.errors import (
+    InputError,
     NumericError,
     PatternLengthMismatch,
     UnsupportedKind,
     ZeroPostSelectionProbability,
 )
 from weaklab.pointer import PointerOperatorKind, matrix_element
-from weaklab.simulator import _joint_density, _sample_grid
 
 X = PointerOperatorKind.POSITION
 P = PointerOperatorKind.MOMENTUM
@@ -311,6 +311,8 @@ class TestExactEngine:
         )
         with pytest.raises(ZeroPostSelectionProbability):
             wl.exact_moment(scn, wl.MomentPattern([X]))
+        with pytest.raises(ZeroPostSelectionProbability):
+            wl.sample_outcomes(scn, 100, seed=1)
 
 
 def two_step_weak_oracle(scn, kinds):
@@ -708,7 +710,6 @@ class TestSampler:
         se = product.std(ddof=1) / math.sqrt(product.size)
         exact = wl.exact_moment(scn, wl.MomentPattern.from_string("xx")).value
         assert abs(product.mean() - exact) < 4.0 * se
-        assert stats.method == "rejection"
         assert 0.0 < stats.acceptance_rate <= 1.0
 
     def test_deterministic_stream(self):
@@ -741,16 +742,53 @@ class TestSampler:
         exact = wl.exact_moment(scn, wl.MomentPattern.all_position(3)).value
         assert abs(product.mean() - exact) < 4.0 * se
 
-    def test_grid_fallback_agrees(self):
-        scn = wl.build_illustrative(1.5, 0.8)
-        density = _joint_density(scn)
-        rng = np.random.default_rng(17)
-        samples = _sample_grid(density, 40000, rng)
-        product = samples[:, 0] * samples[:, 1]
+    def test_random_scenarios_match_exact(self):
+        # Mixed states, d <= 4, n <= 4, half of them post-selected: every
+        # position mean the sampler can show, and the retained count.
+        rng = np.random.default_rng(20)
+        shots = 20000
+        checked = 0
+        for trial in range(20):
+            d = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 5))
+            scn = random_scenario(rng, d, n, with_post=trial % 2 == 1)
+            try:
+                samples, stats = wl.sample_outcomes(scn, shots, seed=trial)
+            except ZeroPostSelectionProbability:
+                continue
+            checked += 1
+            p = stats.postselection_probability
+            if scn.post is None:
+                assert stats.retained_shots == shots
+            else:
+                assert abs(stats.retained_shots - shots * p) < 4.0 * math.sqrt(shots * p * (1.0 - p))
+            readings = {"x" * n: samples.prod(axis=1), "X" + "i" * (n - 1): samples[:, 0] ** 2}
+            for j in range(n):
+                readings["i" * j + "x" + "i" * (n - j - 1)] = samples[:, j]
+            for pattern, values in readings.items():
+                exact = wl.exact_moment(scn, wl.MomentPattern.from_string(pattern)).value
+                se = values.std(ddof=1) / math.sqrt(values.size)
+                assert abs(values.mean() - exact) < 4.0 * se, (trial, pattern)
+        assert checked >= 18
+
+    def test_six_step_chain_sampling(self):
+        scn = wl.build_projector_chain(6, 2.0)
+        samples, _ = wl.sample_outcomes(scn, 20000, seed=13)
+        product = samples.prod(axis=1)
         se = product.std(ddof=1) / math.sqrt(product.size)
-        exact = wl.exact_moment(scn, wl.MomentPattern.from_string("xx")).value
-        # grid discretization adds a small bias on top of shot noise
-        assert abs(product.mean() - exact) < 4.0 * se + 1e-2
+        exact = wl.exact_moment(scn, wl.MomentPattern.all_position(6)).value
+        assert abs(product.mean() - exact) < 4.0 * se
+
+    def test_shots_over_memory_limit_raise_before_work(self, monkeypatch):
+        scn = wl.build_illustrative(5.0, 1.0)
+
+        def untouched(*args):
+            raise AssertionError("sampler started work before checking its memory bound")
+
+        monkeypatch.setattr(simulator, "_chain", untouched)
+        shots = simulator.SAMPLE_MEMORY_LIMIT // ((scn.n_steps + 4 * scn.dim) * 8) + 1
+        with pytest.raises(InputError, match="GiB"):
+            wl.sample_outcomes(scn, shots, seed=1)
 
     def test_moment_reality_random(self):
         rng = np.random.default_rng(18)
