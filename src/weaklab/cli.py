@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -25,7 +26,7 @@ import scipy
 from . import __version__, qm
 from .errors import InputError, NumericError, UnknownParameter, UnknownScenario, WeakLabError
 from .optimize import minimize_pointer_product, minimize_weak_value_real
-from .pointer import PointerOperatorKind
+from .pointer import GaussianPointer, PointerOperatorKind
 from .scenario_io import load_scenario
 from .scenarios import (
     build_common_cause,
@@ -141,13 +142,12 @@ def _cmd_scenario(args) -> None:
         warnings.simplefilter("ignore", WeakRegimeWarning)
         from_exact = recover_weak_value(scn, EvaluationMethod.EXACT)
         from_weak = recover_weak_value(scn, EvaluationMethod.WEAK_REGIME)
-    ok = not steps_outside_weak_regime(scn, args.weak_ratio)
+    ok = not steps_outside_weak_regime(scn)
     config = {
         "scenario": args.name,
         "steps": scn.n_steps,
         "dimension": scn.dim,
         "sigmas": ",".join(repr(s) for s in scn.sigmas()),
-        "weak_ratio": args.weak_ratio,
     }
     results = [
         {"quantity": "exact_all_position_moment", "value": exact.value},
@@ -181,15 +181,6 @@ def _cmd_simulate(args) -> None:
     _emit(args, _command_echo(args), config, results)
 
 
-def _replace_sigma(scn: Scenario, index: int, value: float) -> Scenario:
-    from .pointer import GaussianPointer
-    from .simulator import MeasurementStep
-
-    steps = list(scn.steps)
-    steps[index] = MeasurementStep(steps[index].observable, GaussianPointer(value))
-    return Scenario(initial=scn.initial, steps=tuple(steps), post=scn.post)
-
-
 def _cmd_sweep(args) -> None:
     scn, source = _resolve_scenario(args.file, args)
     if not args.param.startswith("sigma"):
@@ -204,11 +195,14 @@ def _cmd_sweep(args) -> None:
         )
     if not (args.start > 0 and args.stop > 0):
         raise InputError("sweep endpoints must be positive for geometric spacing")
+    _require_count("--steps", args.steps)
     grid = np.geomspace(args.start, args.stop, args.steps)
     pattern = MomentPattern.from_string(args.pattern)
     results = []
+    swept, varied_steps = scn.steps[step_index], list(scn.steps)
     for value in grid:
-        varied = _replace_sigma(scn, step_index, float(value))
+        varied_steps[step_index] = dataclasses.replace(swept, pointer=GaussianPointer(float(value)))
+        varied = dataclasses.replace(scn, steps=varied_steps)
         exact = exact_moment(varied, pattern).value
         weak = weak_prediction(varied, pattern).value
         results.append(
@@ -250,7 +244,6 @@ def _cmd_optimize(args) -> None:
     summary = {
         "best_value": result.best_value,
         "evaluations": result.evaluations,
-        "restarts_used": result.restarts_used,
         "conjecture_floor": -0.125,
         "below_floor": result.best_value < -0.125 - 1e-9,
     }
@@ -264,14 +257,6 @@ def _cmd_optimize(args) -> None:
 def _cmd_sample(args) -> None:
     scn, source = _resolve_scenario(args.file, args)
     samples, stats = sample_outcomes(scn, args.shots, args.seed)
-    pattern = MomentPattern.all_position(scn.n_steps)
-    exact = exact_moment(scn, pattern).value
-    if samples.shape[0] >= 2:
-        product = samples.prod(axis=1)
-        mean = float(product.mean())
-        stderr = float(product.std(ddof=1) / math.sqrt(product.size))
-    else:
-        mean, stderr = float("nan"), float("nan")
     config = {
         "scenario": source,
         "shots": args.shots,
@@ -280,39 +265,33 @@ def _cmd_sample(args) -> None:
     summary = {
         "retained_shots": stats.retained_shots,
         "postselection_probability": stats.postselection_probability,
-        "acceptance_rate": stats.acceptance_rate,
-        "sampling_method": stats.method,
     }
-    results = [
-        {
-            "quantity": "mean_position_product",
-            "sample_mean": mean,
-            "stderr": stderr,
-            "exact": exact,
-            "abs_difference": abs(mean - exact),
-        }
-    ]
-    for j in range(scn.n_steps):
-        column = samples[:, j]
+    n = scn.n_steps
+    results = [_sample_row("mean_position_product", samples.prod(axis=1), scn, MomentPattern.all_position(n))]
+    for j in range(n):
         single = MomentPattern(
-            PointerOperatorKind.POSITION if k == j else PointerOperatorKind.IDENTITY
-            for k in range(scn.n_steps)
+            PointerOperatorKind.POSITION if k == j else PointerOperatorKind.IDENTITY for k in range(n)
         )
-        single_exact = exact_moment(scn, single).value
-        single_mean = float(column.mean()) if column.size else float("nan")
-        results.append(
-            {
-                "quantity": f"mean_position_{j + 1}",
-                "sample_mean": single_mean,
-                "stderr": float(column.std(ddof=1) / math.sqrt(column.size)) if column.size >= 2 else float("nan"),
-                "exact": single_exact,
-                "abs_difference": abs(single_mean - single_exact),
-            }
-        )
+        results.append(_sample_row(f"mean_position_{j + 1}", samples[:, j], scn, single))
     _emit(args, _command_echo(args), config, results, summary)
 
 
+def _sample_row(quantity: str, values: np.ndarray, scn: Scenario, pattern: MomentPattern) -> dict:
+    """Sample mean and standard error of ``values`` beside the exact moment."""
+    mean = float(values.mean()) if values.size else float("nan")
+    stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size >= 2 else float("nan")
+    exact = exact_moment(scn, pattern).value
+    return {
+        "quantity": quantity,
+        "sample_mean": mean,
+        "stderr": stderr,
+        "exact": exact,
+        "abs_difference": abs(mean - exact),
+    }
+
+
 def _cmd_bounds(args) -> None:
+    _require_count("--trials", args.trials)
     rng = np.random.default_rng(args.seed)
     trials = args.trials
 
@@ -321,11 +300,11 @@ def _cmd_bounds(args) -> None:
     pair_violations = 0
     for _ in range(trials):
         d = int(rng.integers(2, 4))
-        psi = _random_ket(rng, d)
+        psi = qm.random_ket(rng, d)
         report = projector_pair_report(
             psi,
-            qm.projector_from_ket(_random_ket(rng, d)),
-            qm.projector_from_ket(_random_ket(rng, d)),
+            qm.projector_from_ket(qm.random_ket(rng, d)),
+            qm.projector_from_ket(qm.random_ket(rng, d)),
         )
         worst_pair = min(worst_pair, report.re_value)
         pair_violations += not report.bound_satisfied
@@ -336,8 +315,8 @@ def _cmd_bounds(args) -> None:
     for _ in range(trials):
         d = int(rng.integers(2, 5))
         n = int(rng.integers(1, 6))
-        rho = _random_density(rng, d)
-        seq = MeasurementSequence(_random_observable(rng, d) for _ in range(n))
+        rho = qm.random_density(rng, d)
+        seq = MeasurementSequence(qm.random_observable(rng, d) for _ in range(n))
         excess = abs(seq_weak_value(rho, None, seq).value) - norm_product_bound(seq)
         worst_excess = max(worst_excess, excess)
         magnitude_violations += excess > 1e-12
@@ -347,11 +326,11 @@ def _cmd_bounds(args) -> None:
     hull_violations = 0
     hull_trials = max(1, trials // 10)  # each trial runs the exact engine in d = 4
     for _ in range(hull_trials):
-        shared = _random_ket(rng, 4)
+        shared = qm.random_ket(rng, 4)
         scn = build_common_cause(
             shared,
-            qm.projector_from_ket(_random_ket(rng, 2)),
-            qm.projector_from_ket(_random_ket(rng, 2)),
+            qm.projector_from_ket(qm.random_ket(rng, 2)),
+            qm.projector_from_ket(qm.random_ket(rng, 2)),
             sigma1=float(rng.uniform(0.5, 5.0)),
             sigma2=float(rng.uniform(0.5, 5.0)),
         )
@@ -389,20 +368,9 @@ def _cmd_bounds(args) -> None:
     _emit(args, _command_echo(args), config, results, summary)
 
 
-def _random_ket(rng: np.random.Generator, d: int) -> qm.PureState:
-    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return qm.PureState(vec / np.linalg.norm(vec))
-
-
-def _random_density(rng: np.random.Generator, d: int) -> qm.MixedState:
-    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    mat = raw @ raw.conj().T
-    return qm.MixedState(mat / mat.trace().real)
-
-
-def _random_observable(rng: np.random.Generator, d: int) -> qm.Observable:
-    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return qm.Observable((raw + raw.conj().T) / 2.0)
+def _require_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise InputError(f"{flag} must be at least 1, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scn = sub.add_parser("scenario", help="evaluate a built-in scenario")
     p_scn.add_argument("name", choices=SCENARIO_NAMES)
     _add_sigma_options(p_scn)
-    p_scn.add_argument("--weak-ratio", type=float, default=10.0, help="weak-regime width ratio")
     p_scn.set_defaults(handler=_cmd_scenario)
 
     p_sim = sub.add_parser("simulate", help="evaluate one moment of a scenario file")

@@ -51,7 +51,7 @@ class UnsupportedKind(InputError):
 
 
 class InvalidDimensions(InputError):
-    """Optimizer called with out-of-range sequence length or dimension."""
+    """Optimizer called with an out-of-range length, dimension, restart count or budget."""
 
 
 class UnknownScenario(InputError):

@@ -99,7 +99,6 @@ class OptimizationResult:
     best_value: float
     best_point: SearchSpacePoint
     evaluations: int
-    restarts_used: int
     trace: tuple[tuple[int, float], ...]
 
 
@@ -167,6 +166,8 @@ def _search(
         raise InvalidDimensions(f"need n >= 2 and d >= 2, got n={n}, d={d}")
     if restarts < 1:
         raise InvalidDimensions(f"need at least one restart, got {restarts}")
+    if budget < 1:
+        raise InvalidDimensions(f"need a budget of at least one evaluation, got {budget}")
     dim = 2 * (d - 1) * (n + 1)
     seeds = np.random.SeedSequence(seed).spawn(restarts)
 
@@ -186,7 +187,6 @@ def _search(
         best_value=best_value,
         best_point=SearchSpacePoint.from_flat(best_x, n, d),
         evaluations=evaluations,
-        restarts_used=restarts,
         trace=trace,
     )
 

@@ -26,6 +26,10 @@ import numpy as np
 
 from .errors import InputError
 
+# A pointer counts as weak when its width is this many times the largest
+# eigenvalue and weak-value magnitudes. A convention, not a sharp boundary.
+WEAK_REGIME_RATIO = 10.0
+
 
 class PointerOperatorKind(enum.Enum):
     """Which pointer operator a joint moment reads out on one slot."""
@@ -109,19 +113,8 @@ def linearization_error(ptr: GaussianPointer, eigenvalue: float) -> float:
     return 2.0 * (1.0 - decay) + 0.25 * ratio2 * (1.0 - 2.0 * decay)
 
 
-def weak_regime_check(
-    ptr: GaussianPointer,
-    eigenvalues,
-    wv_magnitude: float,
-    ratio: float = 10.0,
-) -> bool:
-    """True iff sigma exceeds ``ratio`` times both the largest eigenvalue
-    magnitude and the weak-value magnitude (boundary inclusive).
-
-    The threshold is a convention, not a sharp boundary; callers may tune
-    ``ratio``.
-    """
-    if not ratio > 0:
-        raise InputError(f"ratio must be positive, got {ratio!r}")
+def weak_regime_check(ptr: GaussianPointer, eigenvalues, wv_magnitude: float) -> bool:
+    """True iff sigma is at least ``WEAK_REGIME_RATIO`` times both the
+    largest eigenvalue magnitude and the weak-value magnitude."""
     scale = max((abs(float(a)) for a in eigenvalues), default=0.0)
-    return ptr.sigma >= ratio * scale and ptr.sigma >= ratio * abs(wv_magnitude)
+    return ptr.sigma >= WEAK_REGIME_RATIO * scale and ptr.sigma >= WEAK_REGIME_RATIO * abs(wv_magnitude)

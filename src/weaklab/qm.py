@@ -233,3 +233,25 @@ def identity_povm(dim: int) -> PovmElement:
 def qubit_ket(theta: float, phi: float = 0.0) -> PureState:
     """cos(theta)|0> + e^{i phi} sin(theta)|1>."""
     return PureState(np.array([np.cos(theta), np.exp(1j * phi) * np.sin(theta)]))
+
+
+# Random instances. Each draws its real parts, then its imaginary parts,
+# from ``rng.standard_normal``, so a seed fixes the instances exactly.
+
+def random_ket(rng: np.random.Generator, d: int) -> PureState:
+    """Haar-random pure state."""
+    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return PureState(vec / np.linalg.norm(vec))
+
+
+def random_density(rng: np.random.Generator, d: int) -> MixedState:
+    """Density matrix G G* / Tr(G G*) with G complex Ginibre."""
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    mat = raw @ raw.conj().T
+    return MixedState(mat / mat.trace().real)
+
+
+def random_observable(rng: np.random.Generator, d: int) -> Observable:
+    """Hermitian part of a complex Ginibre matrix."""
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return Observable((raw + raw.conj().T) / 2.0)

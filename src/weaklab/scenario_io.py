@@ -17,6 +17,7 @@ name the offending field.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,17 @@ def _parse_matrix(data, dim: int, where: str) -> np.ndarray:
     return np.array(rows)
 
 
+@contextmanager
+def _field(where: str):
+    """Re-raise a library error from the block as a ScenarioFileError naming ``where``."""
+    try:
+        yield
+    except ScenarioFileError:
+        raise
+    except WeakLabError as exc:
+        raise ScenarioFileError(f"{where}: {exc}") from exc
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a validated Scenario from a parsed JSON document."""
     if not isinstance(doc, dict):
@@ -73,15 +85,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if not (isinstance(initial_data, list) and initial_data and isinstance(initial_data[0], list) and initial_data[0]):
         raise ScenarioFileError("initial: expected a ket or a matrix")
     is_matrix = isinstance(initial_data[0][0], list)
-    try:
+    with _field("initial"):
         if is_matrix:
             initial = qm.MixedState(_parse_matrix(initial_data, dim, "initial"))
         else:
             initial = qm.PureState(_parse_ket(initial_data, dim, "initial")).to_density()
-    except WeakLabError as exc:
-        if isinstance(exc, ScenarioFileError):
-            raise
-        raise ScenarioFileError(f"initial: {exc}") from exc
 
     steps_data = doc.get("steps")
     if not isinstance(steps_data, list) or not steps_data:
@@ -93,12 +101,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ScenarioFileError(f"{where}: expected an object")
         if "observable" not in step_doc:
             raise ScenarioFileError(f"{where}.observable: field is required")
-        try:
+        with _field(f"{where}.observable"):
             observable = qm.Observable(_parse_matrix(step_doc["observable"], dim, f"{where}.observable"))
-        except WeakLabError as exc:
-            if isinstance(exc, ScenarioFileError):
-                raise
-            raise ScenarioFileError(f"{where}.observable: {exc}") from exc
         sigma = step_doc.get("sigma")
         if not isinstance(sigma, (int, float)) or isinstance(sigma, bool) or not sigma > 0:
             raise ScenarioFileError(f"{where}.sigma: expected a positive number, got {sigma!r}")
@@ -107,21 +111,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
     post_data = doc.get("postselect")
     post = None
     if post_data is not None:
-        try:
+        with _field("postselect"):
             post = qm.PovmElement(_parse_matrix(post_data, dim, "postselect"))
-        except WeakLabError as exc:
-            if isinstance(exc, ScenarioFileError):
-                raise
-            raise ScenarioFileError(f"postselect: {exc}") from exc
 
-    try:
+    with _field("steps"):
         return Scenario(initial=initial, steps=tuple(steps), post=post)
-    except WeakLabError as exc:
-        raise ScenarioFileError(f"steps: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioFileError(f"cannot read {str(path)!r}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

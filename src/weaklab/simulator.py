@@ -150,7 +150,6 @@ class EvaluationMethod(enum.Enum):
 class MomentResult:
     value: float
     postselection_probability: float
-    method: EvaluationMethod
 
 
 def _check_pattern(scn: Scenario, pat: MomentPattern) -> None:
@@ -247,7 +246,7 @@ def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     scale = max(1.0, math.prod(float(np.abs(table).max()) for table in tables) / probability)
     if abs(value.imag) > MOMENT_IMAG_TOL * scale:
         raise NumericError(f"moment has imaginary residue {value.imag:.3e} at scale {scale:.3e}")
-    return MomentResult(value.real, probability, EvaluationMethod.EXACT)
+    return MomentResult(value.real, probability)
 
 
 def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
@@ -260,17 +259,17 @@ def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
     _check_pattern(scn, pat)
     readouts = [_weak_readout(step, kind) for step, kind in zip(scn.steps, pat.kinds)]
     numerator, probability = _chain(scn, EvaluationMethod.WEAK_REGIME, readouts)
-    return MomentResult(numerator.real / probability, probability, EvaluationMethod.WEAK_REGIME)
+    return MomentResult(numerator.real / probability, probability)
 
 
-def steps_outside_weak_regime(scn: Scenario, ratio: float = 10.0) -> tuple[int, ...]:
-    """Indices of the steps whose pointer fails ``weak_regime_check`` at
-    ``ratio``, judged against the scenario's sequential weak value."""
+def steps_outside_weak_regime(scn: Scenario) -> tuple[int, ...]:
+    """Indices of the steps whose pointer fails ``weak_regime_check``,
+    judged against the scenario's sequential weak value."""
     magnitude = abs(seq_weak_value(scn.initial, scn.post, scn.sequence()).value)
     return tuple(
         index
         for index, step in enumerate(scn.steps)
-        if not weak_regime_check(step.pointer, step.observable.decomposition.eigenvalues, magnitude, ratio)
+        if not weak_regime_check(step.pointer, step.observable.decomposition.eigenvalues, magnitude)
     )
 
 

@@ -30,24 +30,8 @@ def report(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
-def random_ket(rng, d):
-    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return wl.PureState(vec / np.linalg.norm(vec))
-
-
 def random_projector(rng, d):
-    return wl.projector_from_ket(random_ket(rng, d))
-
-
-def random_density(rng, d):
-    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    mat = raw @ raw.conj().T
-    return wl.MixedState(mat / mat.trace().real)
-
-
-def random_observable(rng, d):
-    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return wl.Observable((raw + raw.conj().T) / 2.0)
+    return wl.projector_from_ket(wl.random_ket(rng, d))
 
 
 def test_criterion_1_illustrative_closed_form():
@@ -156,7 +140,7 @@ def test_criterion_6_bound_suites():
     for index in range(pair_trials):
         d = 2 + index % 2
         report_pair = wl.projector_pair_report(
-            random_ket(rng, d), random_projector(rng, d), random_projector(rng, d)
+            wl.random_ket(rng, d), random_projector(rng, d), random_projector(rng, d)
         )
         worst_pair = min(worst_pair, report_pair.re_value)
 
@@ -165,8 +149,8 @@ def test_criterion_6_bound_suites():
     for _ in range(seq_trials):
         d = int(rng.integers(2, 5))
         n = int(rng.integers(1, 6))
-        rho = random_density(rng, d)
-        seq = wl.MeasurementSequence(random_observable(rng, d) for _ in range(n))
+        rho = wl.random_density(rng, d)
+        seq = wl.MeasurementSequence(wl.random_observable(rng, d) for _ in range(n))
         excess = abs(wl.seq_weak_value(rho, None, seq).value) - wl.norm_product_bound(seq)
         worst_excess = max(worst_excess, excess)
 
@@ -189,10 +173,10 @@ def test_criterion_7_exact_engine_structural_invariants():
     for _ in range(trials):
         n = int(rng.integers(1, 4))
         steps = tuple(
-            wl.MeasurementStep(random_observable(rng, 2), wl.GaussianPointer(float(rng.uniform(0.3, 5.0))))
+            wl.MeasurementStep(wl.random_observable(rng, 2), wl.GaussianPointer(float(rng.uniform(0.3, 5.0))))
             for _ in range(n)
         )
-        scn = wl.Scenario(initial=random_density(rng, 2), steps=steps, post=None)
+        scn = wl.Scenario(initial=wl.random_density(rng, 2), steps=steps, post=None)
         kinds = [X] * (n - 1) + [P]
         worst_momentum = max(worst_momentum, abs(wl.exact_moment(scn, wl.MomentPattern(kinds)).value))
 
@@ -200,10 +184,10 @@ def test_criterion_7_exact_engine_structural_invariants():
     for _ in range(trials):
         n = int(rng.integers(1, 4))
         steps = tuple(
-            wl.MeasurementStep(random_observable(rng, 2), wl.GaussianPointer(float(rng.uniform(0.3, 5.0))))
+            wl.MeasurementStep(wl.random_observable(rng, 2), wl.GaussianPointer(float(rng.uniform(0.3, 5.0))))
             for _ in range(n)
         )
-        scn = wl.Scenario(initial=random_density(rng, 2), steps=steps, post=None)
+        scn = wl.Scenario(initial=wl.random_density(rng, 2), steps=steps, post=None)
         final_kind = X if rng.integers(2) else I
         kinds = [X] * (n - 1) + [final_kind]
         values = []
@@ -217,8 +201,8 @@ def test_criterion_7_exact_engine_structural_invariants():
 
     worst_mean_gap = 0.0
     for _ in range(trials):
-        rho = random_density(rng, 2)
-        obs = random_observable(rng, 2)
+        rho = wl.random_density(rng, 2)
+        obs = wl.random_observable(rng, 2)
         sigma = float(rng.uniform(0.02, 80.0))
         scn = wl.Scenario(initial=rho, steps=(wl.MeasurementStep(obs, wl.GaussianPointer(sigma)),))
         got = wl.exact_moment(scn, wl.MomentPattern([X])).value
@@ -240,7 +224,7 @@ def test_criterion_8_common_cause_hull_and_witness():
     witnessed = 0
     for _ in range(1000):
         scn = wl.build_common_cause(
-            random_ket(rng, 4),
+            wl.random_ket(rng, 4),
             random_projector(rng, 2),
             random_projector(rng, 2),
             float(rng.uniform(0.2, 8.0)),

@@ -113,6 +113,18 @@ class TestSimulateCommand:
         code, _ = run_cli(capsys, "simulate", str(path), "--pattern", "xx")
         assert code == 2
 
+    def test_directory_exit_code(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "simulate", str(tmp_path), "--pattern", "x")
+        assert code == 2
+        assert out == ""
+
+    def test_non_utf8_file_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dimension": 2, "note": "\xe9"}')
+        code, out = run_cli(capsys, "simulate", str(path), "--pattern", "x")
+        assert code == 2
+        assert out == ""
+
 
 class TestSweepCommand:
     def test_illustrative_limits(self, capsys):
@@ -209,6 +221,26 @@ class TestSampleCommand:
 
     def test_shots_over_memory_limit_exit_code(self, capsys):
         code, out = run_cli(capsys, "sample", "illustrative", "--shots", str(10**12), "--seed", "1")
+        assert code == 2
+        assert out == ""
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "illustrative", "--param", "sigma1", "--from", "1", "--to", "2", "--steps", "-1",
+             "--pattern", "xx"),
+            ("sweep", "illustrative", "--param", "sigma1", "--from", "1", "--to", "2", "--steps", "0",
+             "--pattern", "xx"),
+            ("optimize", "--n", "2", "--restarts", "1", "--budget", "0"),
+            ("optimize", "--n", "2", "--restarts", "1", "--budget", "-3"),
+            ("bounds", "--trials", "0"),
+            ("bounds", "--trials", "-5"),
+        ],
+    )
+    def test_count_below_one_exit_code(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
 

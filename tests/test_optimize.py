@@ -43,7 +43,6 @@ class TestPointerProductSearch:
     def test_two_measurements_reach_floor(self):
         result = wl.minimize_pointer_product(n=2, d=2, restarts=16, seed=7, budget=20000)
         assert result.best_value == pytest.approx(-0.125, abs=1e-6)
-        assert result.restarts_used == 16
         assert result.best_value == min(value for _, value in result.trace)
 
     def test_start_from_known_optimum(self):
@@ -88,6 +87,8 @@ class TestPointerProductSearch:
             wl.minimize_pointer_product(n=2, d=1, restarts=4, seed=0, budget=100)
         with pytest.raises(InvalidDimensions):
             wl.minimize_pointer_product(n=2, d=2, restarts=0, seed=0, budget=100)
+        with pytest.raises(InvalidDimensions):
+            wl.minimize_pointer_product(n=2, d=2, restarts=1, seed=0, budget=0)
 
 
 class TestWeakValueSearch:

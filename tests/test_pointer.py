@@ -169,14 +169,10 @@ class TestLinearizationError:
 
 class TestWeakRegimeCheck:
     def test_wide_pointer_passes(self):
-        assert wl.weak_regime_check(wl.GaussianPointer(100.0), [0.0, 1.0], 0.125, 10.0)
+        assert wl.weak_regime_check(wl.GaussianPointer(100.0), [0.0, 1.0], 0.125)
 
     def test_narrow_pointer_fails(self):
-        assert not wl.weak_regime_check(wl.GaussianPointer(1.0), [0.0, 1.0], 0.125, 10.0)
+        assert not wl.weak_regime_check(wl.GaussianPointer(1.0), [0.0, 1.0], 0.125)
 
     def test_boundary_inclusive(self):
-        assert wl.weak_regime_check(wl.GaussianPointer(10.0), [-1.0, 1.0], 1.0, 10.0)
-
-    def test_ratio_must_be_positive(self):
-        with pytest.raises(InputError):
-            wl.weak_regime_check(wl.GaussianPointer(1.0), [1.0], 1.0, 0.0)
+        assert wl.weak_regime_check(wl.GaussianPointer(10.0), [-1.0, 1.0], 1.0)

@@ -12,16 +12,6 @@ from weaklab.errors import (
 )
 
 
-def random_hermitian(rng, d):
-    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (raw + raw.conj().T) / 2.0
-
-
-def random_ket(rng, d):
-    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return wl.PureState(vec / np.linalg.norm(vec))
-
-
 class TestStates:
     def test_pure_state_norm_enforced(self):
         with pytest.raises(UnnormalizedKet):
@@ -73,7 +63,7 @@ class TestSpectralDecompose:
         rng = np.random.default_rng(7)
         for d in (2, 3, 5, 8):
             for _ in range(20):
-                obs = wl.Observable(random_hermitian(rng, d))
+                obs = wl.random_observable(rng, d)
                 dec = obs.decomposition
                 assert np.max(np.abs(dec.reconstruct() - obs.matrix)) < 1e-10
                 gram = dec.eigenvectors.conj().T @ dec.eigenvectors
@@ -98,7 +88,7 @@ class TestSpectralNorm:
     def test_matches_singleton_hull(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
-            obs = wl.Observable(random_hermitian(rng, 4))
+            obs = wl.random_observable(rng, 4)
             lo, hi = wl.spectrum_hull([obs])
             assert wl.spectral_norm(obs) == pytest.approx(max(abs(lo), abs(hi)))
 
@@ -125,7 +115,7 @@ class TestSpectrumHull:
         import itertools
 
         for _ in range(20):
-            observables = [wl.Observable(random_hermitian(rng, 3)) for _ in range(3)]
+            observables = [wl.random_observable(rng, 3) for _ in range(3)]
             lo, hi = wl.spectrum_hull(observables)
             spectra = [obs.decomposition.eigenvalues for obs in observables]
             products = [np.prod(choice) for choice in itertools.product(*spectra)]
@@ -148,7 +138,7 @@ class TestProjectorFromKet:
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         for d in (2, 3, 4):
-            proj = wl.projector_from_ket(random_ket(rng, d)).matrix
+            proj = wl.projector_from_ket(wl.random_ket(rng, d)).matrix
             assert np.max(np.abs(proj @ proj - proj)) < 1e-12
 
 
@@ -172,8 +162,8 @@ class TestTensor:
     def test_projector_tensor_stays_projector(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            left = wl.projector_from_ket(random_ket(rng, 2))
-            right = wl.projector_from_ket(random_ket(rng, 3))
+            left = wl.projector_from_ket(wl.random_ket(rng, 2))
+            right = wl.projector_from_ket(wl.random_ket(rng, 3))
             product = wl.tensor(left, right).matrix
             assert np.max(np.abs(product @ product - product)) < 1e-10
 

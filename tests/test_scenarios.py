@@ -11,11 +11,6 @@ from weaklab.scenarios import (
 )
 
 
-def random_ket(rng, d):
-    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return wl.PureState(vec / np.linalg.norm(vec))
-
-
 class TestIllustrative:
     def test_step_states(self):
         scn = wl.build_illustrative(1.0, 1.0)
@@ -112,9 +107,9 @@ class TestCommonCause:
         rng = np.random.default_rng(23)
         pattern = wl.MomentPattern.from_string("xx")
         for _ in range(25):
-            shared = random_ket(rng, 4)
-            first = wl.projector_from_ket(random_ket(rng, 2))
-            second = wl.projector_from_ket(random_ket(rng, 2))
+            shared = wl.random_ket(rng, 4)
+            first = wl.projector_from_ket(wl.random_ket(rng, 2))
+            second = wl.projector_from_ket(wl.random_ket(rng, 2))
             scn = wl.build_common_cause(
                 shared, first, second, float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0))
             )
@@ -157,11 +152,11 @@ class TestCausalWitness:
         rng = np.random.default_rng(29)
         pattern = wl.MomentPattern.from_string("xx")
         for _ in range(50):
-            shared = random_ket(rng, 4)
+            shared = wl.random_ket(rng, 4)
             scn = wl.build_common_cause(
                 shared,
-                wl.projector_from_ket(random_ket(rng, 2)),
-                wl.projector_from_ket(random_ket(rng, 2)),
+                wl.projector_from_ket(wl.random_ket(rng, 2)),
+                wl.projector_from_ket(wl.random_ket(rng, 2)),
                 1.0,
                 1.0,
             )

@@ -31,38 +31,22 @@ P = PointerOperatorKind.MOMENTUM
 I = PointerOperatorKind.IDENTITY
 
 
-def random_hermitian(rng, d, scale=1.0):
-    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return wl.Observable(scale * (raw + raw.conj().T) / 2.0)
-
-
 def random_unit_hermitian(rng, d):
     """Random Hermitian rescaled so its spectrum sits in [-1, 1]."""
-    obs = random_hermitian(rng, d)
+    obs = wl.random_observable(rng, d)
     return wl.Observable(obs.matrix / wl.spectral_norm(obs))
-
-
-def random_density(rng, d):
-    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    mat = raw @ raw.conj().T
-    return wl.MixedState(mat / mat.trace().real)
-
-
-def random_ket(rng, d):
-    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return wl.PureState(vec / np.linalg.norm(vec))
 
 
 def random_scenario(rng, d, n, with_post, sigma_range=(0.5, 5.0)):
     steps = tuple(
-        wl.MeasurementStep(random_hermitian(rng, d), wl.GaussianPointer(float(rng.uniform(*sigma_range))))
+        wl.MeasurementStep(wl.random_observable(rng, d), wl.GaussianPointer(float(rng.uniform(*sigma_range))))
         for _ in range(n)
     )
     post = None
     if with_post:
-        ket = random_ket(rng, d)
+        ket = wl.random_ket(rng, d)
         post = wl.PovmElement(np.outer(ket.amplitudes, ket.amplitudes.conj()))
-    return wl.Scenario(initial=random_density(rng, d), steps=steps, post=post)
+    return wl.Scenario(initial=wl.random_density(rng, d), steps=steps, post=post)
 
 
 def brute_force_moment(scn, pattern):
@@ -257,8 +241,8 @@ class TestExactEngine:
         rng = np.random.default_rng(3)
         for _ in range(40):
             d = int(rng.integers(2, 5))
-            rho = random_density(rng, d)
-            obs = random_hermitian(rng, d)
+            rho = wl.random_density(rng, d)
+            obs = wl.random_observable(rng, d)
             sigma = float(rng.uniform(0.05, 50.0))
             scn = wl.Scenario(
                 initial=rho,
@@ -397,12 +381,12 @@ class TestWeakEngine:
         # weak (x, x) = (Re[(BA)] + Re[A B*]) / 2 for pure pre/post states
         rng = np.random.default_rng(7)
         for _ in range(20):
-            psi = random_ket(rng, 2)
-            phi = random_ket(rng, 2)
+            psi = wl.random_ket(rng, 2)
+            phi = wl.random_ket(rng, 2)
             if abs(psi.amplitudes.conj() @ phi.amplitudes) < 1e-3:
                 continue
-            first = random_hermitian(rng, 2)
-            second = random_hermitian(rng, 2)
+            first = wl.random_observable(rng, 2)
+            second = wl.random_observable(rng, 2)
             scn = wl.Scenario(
                 initial=psi.to_density(),
                 steps=(
@@ -429,9 +413,9 @@ class TestWeakEngine:
                 wl.MeasurementStep(random_unit_hermitian(rng, 2), wl.GaussianPointer(sigma))
                 for _ in range(3)
             )
-            ket = random_ket(rng, 2)
+            ket = wl.random_ket(rng, 2)
             scn = wl.Scenario(
-                initial=random_density(rng, 2),
+                initial=wl.random_density(rng, 2),
                 steps=steps,
                 post=wl.PovmElement(np.outer(ket.amplitudes, ket.amplitudes.conj())),
             )
@@ -466,7 +450,7 @@ class TestWeakEngine:
                 wl.MeasurementStep(random_unit_hermitian(rng, 2), wl.GaussianPointer(5.0))
                 for _ in range(2)
             )
-            scn = wl.Scenario(initial=random_density(rng, 2), steps=steps, post=None)
+            scn = wl.Scenario(initial=wl.random_density(rng, 2), steps=steps, post=None)
             errors = []
             for factor in (1.0, 2.0, 4.0):
                 scaled = wl.Scenario(
@@ -506,8 +490,8 @@ class TestRecovery:
     def test_single_step_exact_is_expectation(self):
         rng = np.random.default_rng(9)
         for sigma in (0.1, 1.0, 25.0):
-            rho = random_density(rng, 3)
-            obs = random_hermitian(rng, 3)
+            rho = wl.random_density(rng, 3)
+            obs = wl.random_observable(rng, 3)
             scn = wl.Scenario(
                 initial=rho, steps=(wl.MeasurementStep(obs, wl.GaussianPointer(sigma)),)
             )
@@ -603,9 +587,9 @@ class TestNestedAnticommutator:
     def test_pair_identity(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            first = random_hermitian(rng, 3)
-            second = random_hermitian(rng, 3)
-            rho = random_density(rng, 3)
+            first = wl.random_observable(rng, 3)
+            second = wl.random_observable(rng, 3)
+            rho = wl.random_density(rng, 3)
             got = wl.nested_anticommutator_value(rho, wl.MeasurementSequence([first, second]))
             want = np.trace(second.matrix @ first.matrix @ rho.matrix).real
             assert got == pytest.approx(want, abs=1e-12)
@@ -634,8 +618,8 @@ class TestSingleMeasurementStats:
     def test_no_post_variance(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
-            rho = random_density(rng, 3)
-            obs = random_hermitian(rng, 3)
+            rho = wl.random_density(rng, 3)
+            obs = wl.random_observable(rng, 3)
             sigma = float(rng.uniform(0.5, 10.0))
             stats = wl.single_measurement_stats(rho, None, obs, wl.GaussianPointer(sigma))
             mean = np.trace(obs.matrix @ rho.matrix).real
@@ -655,12 +639,12 @@ class TestSingleMeasurementStats:
         # For pure pre/post states the sandwich term equals |weak value|^2.
         rng = np.random.default_rng(15)
         for _ in range(20):
-            psi = random_ket(rng, 2)
-            phi = random_ket(rng, 2)
+            psi = wl.random_ket(rng, 2)
+            phi = wl.random_ket(rng, 2)
             overlap = phi.amplitudes.conj() @ psi.amplitudes
             if abs(overlap) < 1e-2:
                 continue
-            obs = random_hermitian(rng, 2)
+            obs = wl.random_observable(rng, 2)
             sigma = 3.0
             post = wl.PovmElement(np.outer(phi.amplitudes, phi.amplitudes.conj()))
             stats = wl.single_measurement_stats(psi.to_density(), post, obs, wl.GaussianPointer(sigma))
@@ -675,9 +659,9 @@ class TestSingleMeasurementStats:
         rng = np.random.default_rng(16)
         sigma = 200.0
         for _ in range(10):
-            rho = random_density(rng, 2)
-            obs = random_hermitian(rng, 2)
-            ket = random_ket(rng, 2)
+            rho = wl.random_density(rng, 2)
+            obs = wl.random_observable(rng, 2)
+            ket = wl.random_ket(rng, 2)
             post = wl.PovmElement(np.outer(ket.amplitudes, ket.amplitudes.conj()))
             try:
                 stats = wl.single_measurement_stats(rho, post, obs, wl.GaussianPointer(sigma))
@@ -809,7 +793,7 @@ class TestProductVariance:
         for _ in range(10):
             first = random_unit_hermitian(rng, 2)
             second = random_unit_hermitian(rng, 2)
-            rho = random_density(rng, 2)
+            rho = wl.random_density(rng, 2)
             s1, s2 = 30.0, 45.0
             scn = wl.Scenario(
                 initial=rho,

@@ -12,22 +12,6 @@ from weaklab.errors import (
 )
 
 
-def random_hermitian(rng, d):
-    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return wl.Observable((raw + raw.conj().T) / 2.0)
-
-
-def random_ket(rng, d):
-    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return wl.PureState(vec / np.linalg.norm(vec))
-
-
-def random_density(rng, d):
-    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    mat = raw @ raw.conj().T
-    return wl.MixedState(mat / mat.trace().real)
-
-
 def illustrative_pair():
     psi_1 = wl.PureState(np.array([0.5, math.sqrt(3.0) / 2.0]))
     psi_2 = wl.PureState(np.array([0.5, -math.sqrt(3.0) / 2.0]))
@@ -100,8 +84,8 @@ class TestSeqWeakValue:
     def test_no_postselection_value_is_expectation_in_spectrum(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            obs = random_hermitian(rng, 3)
-            rho = random_density(rng, 3)
+            obs = wl.random_observable(rng, 3)
+            rho = wl.random_density(rng, 3)
             wv = wl.seq_weak_value(rho, None, wl.MeasurementSequence([obs]))
             assert abs(wv.value.imag) < 1e-12
             expectation = np.trace(obs.matrix @ rho.matrix).real
@@ -133,16 +117,16 @@ class TestBounds:
         for _ in range(250):
             d = int(rng.integers(2, 5))
             n = int(rng.integers(1, 6))
-            rho = random_density(rng, d)
-            seq = wl.MeasurementSequence(random_hermitian(rng, d) for _ in range(n))
+            rho = wl.random_density(rng, d)
+            seq = wl.MeasurementSequence(wl.random_observable(rng, d) for _ in range(n))
             wv = wl.seq_weak_value(rho, None, seq)
             assert abs(wv.value) <= wl.norm_product_bound(seq) + 1e-12
 
     def test_linearity_in_preparation(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            seq = wl.MeasurementSequence(random_hermitian(rng, 3) for _ in range(3))
-            kets = [random_ket(rng, 3) for _ in range(3)]
+            seq = wl.MeasurementSequence(wl.random_observable(rng, 3) for _ in range(3))
+            kets = [wl.random_ket(rng, 3) for _ in range(3)]
             q = rng.dirichlet(np.ones(3))
             mixed = wl.MixedState(sum(w * k.to_density().matrix for w, k in zip(q, kets)))
             direct = wl.seq_weak_value(mixed, None, seq).value
@@ -154,8 +138,8 @@ class TestBounds:
     def test_reselection_matches_no_postselection(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            psi = random_ket(rng, 3)
-            seq = wl.MeasurementSequence(random_hermitian(rng, 3) for _ in range(2))
+            psi = wl.random_ket(rng, 3)
+            seq = wl.MeasurementSequence(wl.random_observable(rng, 3) for _ in range(2))
             no_post = wl.seq_weak_value(psi.to_density(), None, seq).value
             reselect = wl.seq_weak_value(
                 psi.to_density(),
@@ -173,7 +157,7 @@ class TestBounds:
                 wl.Observable(basis @ np.diag(rng.uniform(-1.5, 1.5, 3)) @ basis.conj().T)
                 for _ in range(3)
             ]
-            rho = random_density(rng, 3)
+            rho = wl.random_density(rng, 3)
             wv = wl.seq_weak_value(rho, None, wl.MeasurementSequence(observables))
             lo, hi = wl.spectrum_hull(observables)
             assert lo - 1e-12 <= wv.value.real <= hi + 1e-12
@@ -185,7 +169,7 @@ class TestBounds:
             for _ in range(2):
                 basis = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
                 pair.append(wl.Observable(basis @ np.diag([1.0, -1.0]) @ basis.conj().T))
-            psi = random_ket(rng, 2)
+            psi = wl.random_ket(rng, 2)
             wv = wl.seq_weak_value(psi.to_density(), None, wl.MeasurementSequence(pair))
             assert abs(wv.value) <= 1.0 + 1e-12
 
@@ -234,8 +218,8 @@ class TestProjectorPairReport:
         rng = np.random.default_rng(14)
         for _ in range(300):
             report = wl.projector_pair_report(
-                random_ket(rng, 2),
-                wl.projector_from_ket(random_ket(rng, 2)),
-                wl.projector_from_ket(random_ket(rng, 2)),
+                wl.random_ket(rng, 2),
+                wl.projector_from_ket(wl.random_ket(rng, 2)),
+                wl.projector_from_ket(wl.random_ket(rng, 2)),
             )
             assert report.bound_satisfied
