@@ -655,6 +655,30 @@ class TestSingleMeasurementStats:
             assert stats.mean_x == pytest.approx(wv.real, abs=1e-12)
             assert stats.mean_p == pytest.approx(wv.imag / (2 * sigma**2), abs=1e-12)
 
+    def test_momentum_variance_closed_form(self):
+        # Var(p) = (sigma^2 - (Re <A^2>_w - cross)/2 - (Im A_w)^2) / (4 sigma^4),
+        # with cross = Tr(E A rho A) / Tr(E rho).
+        rng = np.random.default_rng(17)
+        for with_post in (False, True):
+            for _ in range(20):
+                rho = wl.random_density(rng, 3)
+                obs = wl.random_observable(rng, 3)
+                sigma = float(rng.uniform(0.5, 10.0))
+                effect, post = np.eye(3), None
+                if with_post:
+                    ket = wl.random_ket(rng, 3)
+                    effect = np.outer(ket.amplitudes, ket.amplitudes.conj())
+                    post = wl.PovmElement(effect)
+                a, r = obs.matrix, rho.matrix
+                norm = np.trace(effect @ r).real
+                wv = np.trace(effect @ a @ r) / norm
+                wv_sq = np.trace(effect @ a @ a @ r) / norm
+                cross = np.trace(effect @ a @ r @ a).real / norm
+                want = (sigma**2 - 0.5 * (wv_sq.real - cross) - wv.imag**2) / (4.0 * sigma**4)
+                scale = (sigma**2 + abs(wv_sq) + abs(cross) + abs(wv) ** 2) / (4.0 * sigma**4)
+                stats = wl.single_measurement_stats(rho, post, obs, wl.GaussianPointer(sigma))
+                assert stats.var_p == pytest.approx(want, abs=1e-12 * scale)
+
     def test_exact_engine_agrees_in_weak_regime(self):
         rng = np.random.default_rng(16)
         sigma = 200.0
