@@ -165,7 +165,7 @@ def _cmd_scenario(args) -> None:
 def _cmd_simulate(args) -> None:
     scn, source = _resolve_scenario(args.file, args)
     pattern = MomentPattern.from_string(args.pattern)
-    method = EvaluationMethod.EXACT if args.method == "exact" else EvaluationMethod.WEAK_REGIME
+    method = EvaluationMethod(args.method)
     result = exact_moment(scn, pattern) if method is EvaluationMethod.EXACT else weak_prediction(scn, pattern)
     config = {
         "scenario": source,
@@ -193,8 +193,8 @@ def _cmd_sweep(args) -> None:
         raise UnknownParameter(
             f"{args.param!r} is out of range for a {scn.n_steps}-step scenario"
         )
-    if not (args.start > 0 and args.stop > 0):
-        raise InputError("sweep endpoints must be positive for geometric spacing")
+    if not (0 < args.start < math.inf and 0 < args.stop < math.inf):
+        raise InputError("sweep endpoints must be positive and finite for geometric spacing")
     _require_count("--steps", args.steps)
     grid = np.geomspace(args.start, args.stop, args.steps)
     pattern = MomentPattern.from_string(args.pattern)

@@ -13,6 +13,8 @@ closed forms: with ov = exp(-(a_k - a_l)^2 / (8 sigma^2)),
     <phi(a_l)| p   |phi(a_k)> = (1/(2 sigma^2)) ((a_k - a_l)/(2i)) ov
     <phi(a_l)| p^2 |phi(a_k)> = (1/(4 sigma^4)) (sigma^2 - ((a_k - a_l)/2)^2) ov
 
+The same elements with ov set to 1 are the weak-regime ones: ov tends to
+1 for wide pointers while the x and p elements keep their 1/sigma scaling.
 All functions here are pure.
 """
 
@@ -43,19 +45,36 @@ class PointerOperatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class GaussianPointer:
-    """Gaussian pointer fully described by its width ``sigma`` > 0."""
+    """Gaussian pointer fully described by its finite width ``sigma`` > 0."""
 
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise InputError(f"pointer width must be positive, got {self.sigma!r}")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise InputError(f"pointer width must be positive and finite, got {self.sigma!r}")
 
 
 def wavefunction(ptr: GaussianPointer, center: float, x: float) -> complex:
     """Position-space amplitude of the packet displaced to ``center``."""
     s2 = ptr.sigma**2
     return complex((2.0 * math.pi * s2) ** -0.25 * math.exp(-((x - center) ** 2) / (4.0 * s2)))
+
+
+def _factor(kind: PointerOperatorKind, s2: float, mean, gap):
+    """``matrix_element`` without its overlap ov, from sigma^2 and the
+    centers' mean and gap (right minus left): the element in the weak
+    limit, where ov goes to 1 while x and p keep their 1/sigma scaling."""
+    if kind is PointerOperatorKind.IDENTITY:
+        return np.ones_like(gap)
+    if kind is PointerOperatorKind.POSITION:
+        return mean
+    if kind is PointerOperatorKind.POSITION_SQUARED:
+        return s2 + mean * mean
+    if kind is PointerOperatorKind.MOMENTUM:
+        return -0.25j * gap / s2
+    if kind is PointerOperatorKind.MOMENTUM_SQUARED:
+        return (s2 - 0.25 * gap * gap) / (4.0 * s2 * s2)
+    raise InputError(f"unknown pointer operator kind {kind!r}")
 
 
 def matrix_element(
@@ -75,20 +94,7 @@ def matrix_element(
     # "right minus left" so that a momentum element between |phi(a_k)> on
     # the right and <phi(a_l)| on the left carries (a_k - a_l)/(2i).
     gap = np.subtract(right_center, left_center)
-    ov = np.exp(-(gap**2) / (8.0 * s2))
-    if kind is PointerOperatorKind.IDENTITY:
-        value = ov
-    elif kind is PointerOperatorKind.POSITION:
-        value = mean * ov
-    elif kind is PointerOperatorKind.POSITION_SQUARED:
-        value = (s2 + mean**2) * ov
-    elif kind is PointerOperatorKind.MOMENTUM:
-        value = -1j * gap / (4.0 * s2) * ov
-    elif kind is PointerOperatorKind.MOMENTUM_SQUARED:
-        value = (s2 - (gap / 2.0) ** 2) / (4.0 * s2**2) * ov
-    else:
-        raise InputError(f"unknown pointer operator kind {kind!r}")
-    value = np.asarray(value, dtype=complex)
+    value = np.asarray(_factor(kind, s2, mean, gap) * np.exp(gap * gap / (-8.0 * s2)), dtype=complex)
     return complex(value) if value.ndim == 0 else value
 
 

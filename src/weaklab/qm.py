@@ -29,8 +29,6 @@ from .errors import (
 HERMITICITY_TOL = 1e-12   # absolute, max entry deviation; inputs are unit-scale
 NORM_TOL = 1e-12
 PSD_TOL = 1e-12           # eigenvalue floor for states / POVM elements
-ORTHONORMALITY_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-10
 
 
 def _as_complex_matrix(matrix, name: str) -> np.ndarray:

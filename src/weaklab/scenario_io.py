@@ -104,9 +104,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         with _field(f"{where}.observable"):
             observable = qm.Observable(_parse_matrix(step_doc["observable"], dim, f"{where}.observable"))
         sigma = step_doc.get("sigma")
-        if not isinstance(sigma, (int, float)) or isinstance(sigma, bool) or not sigma > 0:
-            raise ScenarioFileError(f"{where}.sigma: expected a positive number, got {sigma!r}")
-        steps.append(MeasurementStep(observable, GaussianPointer(float(sigma))))
+        if not isinstance(sigma, (int, float)) or isinstance(sigma, bool):
+            raise ScenarioFileError(f"{where}.sigma: expected a number, got {sigma!r}")
+        with _field(f"{where}.sigma"):
+            steps.append(MeasurementStep(observable, GaussianPointer(float(sigma))))
 
     post_data = doc.get("postselect")
     post = None

@@ -25,17 +25,10 @@ from .pointer import GaussianPointer
 from .simulator import MeasurementStep, Scenario
 
 
-def _check_sigma(value: float, name: str) -> None:
-    if not value > 0:
-        raise InputError(f"{name} must be positive, got {value!r}")
-
-
 def build_illustrative(sigma1: float, sigma2: float) -> Scenario:
     """Two qubit projectors measured on |0>, 120 degrees apart on the
     Bloch sphere; the joint x1*x2 reading dips to -1/8 for wide first
     pointers."""
-    _check_sigma(sigma1, "sigma1")
-    _check_sigma(sigma2, "sigma2")
     half = 0.5
     root3_half = math.sqrt(3.0) / 2.0
     psi_1 = qm.PureState(np.array([half, root3_half]))
@@ -62,8 +55,6 @@ def illustrative_second_pointer_mean(sigma1: float) -> float:
 
 def build_pauli_xy(sigma1: float, sigma2: float) -> Scenario:
     """sigma_y then sigma_x on |0>: weak value i, visible in p1*x2."""
-    _check_sigma(sigma1, "sigma1")
-    _check_sigma(sigma2, "sigma2")
     return Scenario(
         initial=qm.KET_0.to_density(),
         steps=(
@@ -85,7 +76,6 @@ def build_projector_chain(n: int, sigma: float) -> Scenario:
     the same pointer width, measured on |0>."""
     if n < 1:
         raise InputError(f"chain length must be at least 1, got {n}")
-    _check_sigma(sigma, "sigma")
     steps = tuple(
         MeasurementStep(qm.projector_from_ket(chain_ket(j, n)), GaussianPointer(sigma))
         for j in range(1, n + 1)
@@ -111,8 +101,6 @@ def build_common_cause(
     observables A (x) 1 and 1 (x) B; ordering is then immaterial and the
     joint reading is an honest expectation value.
     """
-    _check_sigma(sigma1, "sigma1")
-    _check_sigma(sigma2, "sigma2")
     if psi_ab.dim != first.dim * second.dim:
         raise DimensionMismatch(
             f"shared state dimension {psi_ab.dim} != {first.dim} * {second.dim}"

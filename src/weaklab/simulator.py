@@ -1,26 +1,30 @@
 """Joint pointer moments for sequences of weak measurements.
 
-Both analytic engines contract one chain of per-step linear maps on a
+Every analytic engine contracts one chain of per-step linear maps on a
 d x d operator, Tr(E T_n(... T_1(rho))), with E the post-selection
-effect; Tr(eta), the chain whose every slot reads the identity, runs
-stacked beside it as the normalization. Only the step maps differ:
+effect. Step j is the sandwich X -> sum_kl F[k, l] P_k X P_l over the
+eigenprojectors P_k of the measured observable, with F the table of
+pointer matrix elements for that step's readout kind. The state is
+carried in each step's eigenbasis, where the sandwich is the entrywise
+product F o X. Tr(eta), the chain whose every slot reads the identity,
+runs stacked beside it as the normalization. Only the tables differ:
 
-* ``exact_moment`` works in the eigenbases of the measured observables.
-  After each coupling the pointers' reduced state is a combination of
-  displaced-Gaussian dyads whose moments have closed forms, so the joint
-  moment is an exact finite sum over eigenindex pairs; no approximation
-  and no discretization enters. Step j is the sandwich transform
-  X -> V (F o (V* X V)) V*, with F the table of pointer matrix elements
-  for that step's readout kind.
+* ``exact_moment`` uses the exact tables. After each coupling the
+  pointers' reduced state is a combination of displaced-Gaussian dyads
+  whose moments have closed forms, so the joint moment is an exact
+  finite sum over eigenindex pairs; no approximation and no
+  discretization enters.
 
-* ``weak_prediction`` keeps the first order in 1/sigma, valid when
-  pointers are wide: step j is X -> (AX + XA)/2 for a position readout,
-  X -> (AX - XA)/(4i sigma^2) for momentum and X -> X for identity.
+* ``weak_prediction`` uses the same tables with the Gaussian overlap set
+  to 1, the first order in 1/sigma that holds for wide pointers: a
+  position slot then maps X to (AX + XA)/2, a momentum slot to
+  (AX - XA)/(4i sigma^2), and an identity slot leaves X alone.
 
 Their difference is a measurable weak-regime error, which is the point:
 the exact engine never borrows the approximation it is used to test.
 Because moments are linear in each slot's readout, ``recover_weak_value``
-sums its momentum-subset combination of moments as a single chain.
+sums its momentum-subset combination of moments as a single chain, and
+``single_measurement_stats`` reads x, p, x^2 and p^2 off one weak chain.
 
 ``sample_outcomes`` simulates shots one Kraus update at a time: each
 shot carries a system ket, and each pointer is read right after its
@@ -47,18 +51,10 @@ from .errors import (
     UnsupportedKind,
     ZeroPostSelectionProbability,
 )
-from .pointer import GaussianPointer, PointerOperatorKind, matrix_element, weak_regime_check
+from .pointer import GaussianPointer, PointerOperatorKind, _factor, matrix_element, weak_regime_check
 from .weak_values import MeasurementSequence, ZERO_PROBABILITY_TOL, seq_weak_value
 
 MOMENT_IMAG_TOL = 1e-10
-
-_KIND_CODES = {
-    "i": PointerOperatorKind.IDENTITY,
-    "x": PointerOperatorKind.POSITION,
-    "X": PointerOperatorKind.POSITION_SQUARED,
-    "p": PointerOperatorKind.MOMENTUM,
-    "P": PointerOperatorKind.MOMENTUM_SQUARED,
-}
 
 
 class WeakRegimeWarning(UserWarning):
@@ -126,9 +122,9 @@ class MomentPattern:
     def from_string(cls, text: str) -> "MomentPattern":
         """Parse one character per step: i, x, X, p, P."""
         try:
-            return cls(_KIND_CODES[ch] for ch in text)
-        except KeyError as exc:
-            raise InputError(f"unknown pattern character {exc.args[0]!r}; use i/x/X/p/P") from None
+            return cls([PointerOperatorKind(ch) for ch in text])
+        except ValueError as exc:
+            raise InputError(f"bad pattern {text!r}: {exc}; use i/x/X/p/P") from None
 
     @classmethod
     def all_position(cls, n: int) -> "MomentPattern":
@@ -159,76 +155,41 @@ def _check_pattern(scn: Scenario, pat: MomentPattern) -> None:
         )
 
 
-def _effect_matrix(scn: Scenario) -> np.ndarray:
-    return np.eye(scn.dim, dtype=complex) if scn.post is None else scn.post.matrix
-
-
-# An engine is a pair (readout, step_map). ``readout(step, kind)`` is a
-# step's readout as an array that is linear in the pointer operator, so
-# readouts can be added, scaled and stacked; ``step_map(step, readout, x)``
-# applies the map T_j that a readout (or a stack of them) defines.
-
-def _factor_table(step: MeasurementStep, kind: PointerOperatorKind) -> np.ndarray:
-    """F[k, l] = <phi(a_l)| O |phi(a_k)>, the weight of the P_k X P_l dyad."""
+def _tables(step: MeasurementStep, kinds, exact: bool = True) -> np.ndarray:
+    """Stacked F[k, l] = <phi(a_l)| O |phi(a_k)>, the weights of the
+    P_k X P_l dyads, one table per kind; at overlap 1 unless ``exact``."""
     a = step.observable.decomposition.eigenvalues
-    return matrix_element(step.pointer, kind, a[np.newaxis, :], a[:, np.newaxis])
+    left, right = a[np.newaxis, :], a[:, np.newaxis]
+    if exact:
+        return np.array([matrix_element(step.pointer, kind, left, right) for kind in kinds])
+    mean, gap, s2 = 0.5 * (left + right), right - left, step.pointer.sigma**2
+    return np.array([_factor(kind, s2, mean, gap) for kind in kinds])
 
 
-def _sandwich(step: MeasurementStep, table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact step map X -> V (F o (V* X V)) V*, the sum of F[k, l] P_k X P_l."""
-    v = step.observable.decomposition.eigenvectors
-    vh = v.conj().T
-    return v @ (table * (vh @ x @ v)) @ vh
+def _chain(scn: Scenario, tables) -> tuple[np.ndarray, float]:
+    """Tr(E T_n(... T_1(rho))) for each chain of a stack, with
+    T_j(X) = sum_kl F[k, l] P_k X P_l and F the matching table of the
+    stack ``tables[j]``. The last chain must read the identity on every
+    slot; its trace, Tr(eta), is returned apart as the probability.
 
-
-def _weak_readout(step: MeasurementStep, kind: PointerOperatorKind) -> np.ndarray:
-    """(L, R) of the first-order step map X -> L X + X R.
-
-    These are the exact tables' leading terms in 1/sigma: i reads X,
-    x reads (AX + XA)/2 and p reads (AX - XA)/(4i sigma^2). An identity
-    slot thus drops out, as its observable sums back to the identity.
+    This is the transfer-operator core of every analytic engine.
     """
-    a = step.observable.matrix
-    if kind is PointerOperatorKind.POSITION:
-        return np.array([a, a]) / 2.0
-    if kind is PointerOperatorKind.MOMENTUM:
-        return np.array([a, -a]) / (4j * step.pointer.sigma**2)
-    if kind is PointerOperatorKind.IDENTITY:
-        half = np.eye(a.shape[0]) / 2.0
-        return np.array([half, half])
-    raise UnsupportedKind(
-        "the weak-regime engine covers first-order x/p moments only; "
-        "use the exact engine for squared readouts"
-    )
-
-
-def _weak_map(step: MeasurementStep, readout: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return readout[..., 0, :, :] @ x + x @ readout[..., 1, :, :]
-
-
-_ENGINES = {
-    EvaluationMethod.EXACT: (_factor_table, _sandwich),
-    EvaluationMethod.WEAK_REGIME: (_weak_readout, _weak_map),
-}
-
-
-def _chain(scn: Scenario, method: EvaluationMethod, readouts) -> tuple[complex, float]:
-    """Tr(E T_n(... T_1(rho))) with T_j the map of ``readouts[j]``, and
-    Tr(eta), the chain whose every slot reads the identity.
-
-    This is the transfer-operator core of every analytic engine; the two
-    chains run as one stack.
-    """
-    readout, step_map = _ENGINES[method]
-    state = scn.initial.matrix
-    for step, chosen in zip(scn.steps, readouts):
-        state = step_map(step, np.array([chosen, readout(step, PointerOperatorKind.IDENTITY)]), state)
-    numerator, probability = (_effect_matrix(scn).T * state).sum(axis=(-2, -1))
-    if probability.real <= ZERO_PROBABILITY_TOL:
-        raise ZeroPostSelectionProbability(
-            f"{method.value} post-selection probability {probability.real:.3e} below threshold"
-        )
-    return complex(numerator), float(probability.real)
+    state, basis = scn.initial.matrix, None
+    for step, table in zip(scn.steps, tables):
+        vectors = step.observable.decomposition.eigenvectors
+        turn = vectors.conj().T if basis is None else vectors.conj().T @ basis
+        state = table * (turn @ state @ turn.conj().T)
+        basis = vectors
+    if scn.post is None:
+        traces = np.trace(state, axis1=-2, axis2=-1)
+    else:
+        traces = ((basis.conj().T @ scn.post.matrix @ basis).T * state).sum(axis=(-2, -1))
+    if not np.isfinite(traces).all():
+        raise NumericError("moment chain is not finite; a pointer width is too extreme for floating point")
+    probability = float(traces[-1].real)
+    if probability <= ZERO_PROBABILITY_TOL:
+        raise ZeroPostSelectionProbability(f"post-selection probability {probability:.3e} below threshold")
+    return traces[:-1], probability
 
 
 def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
@@ -238,12 +199,12 @@ def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     post-selection probability Tr(eta), not its weak-limit stand-in.
     """
     _check_pattern(scn, pat)
-    tables = [_factor_table(step, kind) for step, kind in zip(scn.steps, pat.kinds)]
-    numerator, probability = _chain(scn, EvaluationMethod.EXACT, tables)
-    value = numerator / probability
+    tables = [_tables(step, (kind, PointerOperatorKind.IDENTITY)) for step, kind in zip(scn.steps, pat.kinds)]
+    (numerator,), probability = _chain(scn, tables)
+    value = complex(numerator) / probability
     # Rounding leaves an imaginary residue relative to the chain's terms,
     # which reach prod_j max|F_j| / Tr(eta) (about sigma^2n for X readouts).
-    scale = max(1.0, math.prod(float(np.abs(table).max()) for table in tables) / probability)
+    scale = max(1.0, math.prod(float(np.abs(table[0]).max()) for table in tables) / probability)
     if abs(value.imag) > MOMENT_IMAG_TOL * scale:
         raise NumericError(f"moment has imaginary residue {value.imag:.3e} at scale {scale:.3e}")
     return MomentResult(value.real, probability)
@@ -257,8 +218,16 @@ def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
     1/(2 sigma^2); the result is normalized by Tr(E rho).
     """
     _check_pattern(scn, pat)
-    readouts = [_weak_readout(step, kind) for step, kind in zip(scn.steps, pat.kinds)]
-    numerator, probability = _chain(scn, EvaluationMethod.WEAK_REGIME, readouts)
+    squared = (PointerOperatorKind.POSITION_SQUARED, PointerOperatorKind.MOMENTUM_SQUARED)
+    if any(kind in squared for kind in pat.kinds):
+        raise UnsupportedKind(
+            "the weak-regime engine covers first-order x/p moments only; "
+            "use the exact engine for squared readouts"
+        )
+    tables = [
+        _tables(step, (kind, PointerOperatorKind.IDENTITY), exact=False) for step, kind in zip(scn.steps, pat.kinds)
+    ]
+    (numerator,), probability = _chain(scn, tables)
     return MomentResult(numerator.real / probability, probability)
 
 
@@ -291,16 +260,16 @@ def recover_weak_value(scn: Scenario, source: EvaluationMethod = EvaluationMetho
             WeakRegimeWarning,
             stacklevel=2,
         )
-    readout = _ENGINES[source][0]
     gains = [2j * sigma**2 for sigma in scn.sigmas()]
     if scn.post is None:
         gains[-1] = 0.0
-    readouts = [
-        readout(step, PointerOperatorKind.POSITION) + gain * readout(step, PointerOperatorKind.MOMENTUM)
-        for step, gain in zip(scn.steps, gains)
-    ]
-    numerator, probability = _chain(scn, source, readouts)
-    return numerator / probability
+    kinds = [PointerOperatorKind(code) for code in "xpi"]
+    tables = []
+    for step, gain in zip(scn.steps, gains):
+        x, p, identity = _tables(step, kinds, exact=source is EvaluationMethod.EXACT)
+        tables.append(np.array([x + gain * p, identity]))
+    (numerator,), probability = _chain(scn, tables)
+    return complex(numerator) / probability
 
 
 def nested_anticommutator_value(rho: qm.MixedState, seq: MeasurementSequence) -> float:
@@ -329,25 +298,15 @@ def single_measurement_stats(
     observable: qm.Observable,
     ptr: GaussianPointer,
 ) -> PointerStats:
-    """Weak-regime mean and variance of one pointer's position and momentum."""
+    """Weak-regime mean and variance of one pointer's position and momentum,
+    read off one chain whose x, p, x^2 and p^2 tables are taken at overlap 1."""
     if rho.dim != observable.dim:
         raise DimensionMismatch(f"state dimension {rho.dim} != observable dimension {observable.dim}")
-    effect = np.eye(rho.dim, dtype=complex) if post is None else post.matrix
-    probability = float(np.trace(effect @ rho.matrix).real)
-    if probability <= ZERO_PROBABILITY_TOL:
-        raise ZeroPostSelectionProbability(
-            f"post-selection probability {probability:.3e} below threshold"
-        )
-    a = observable.matrix
-    wv = complex(np.trace(effect @ a @ rho.matrix)) / probability
-    wv_sq = complex(np.trace(effect @ a @ a @ rho.matrix)) / probability
-    cross = float(np.trace(effect @ a @ rho.matrix @ a).real) / probability
-    s2 = ptr.sigma**2
-    mean_x = wv.real
-    mean_p = wv.imag / (2.0 * s2)
-    var_x = s2 + 0.5 * (wv_sq.real + cross) - mean_x**2
-    var_p = (s2 - 0.5 * (wv_sq.real - cross) - wv.imag**2) / (4.0 * s2**2)
-    return PointerStats(mean_x, mean_p, var_x, var_p)
+    step = MeasurementStep(observable, ptr)
+    kinds = [PointerOperatorKind(code) for code in "xpXPi"]
+    moments, probability = _chain(Scenario(rho, (step,), post), [_tables(step, kinds, exact=False)])
+    mean_x, mean_p, second_x, second_p = (moments.real / probability).tolist()
+    return PointerStats(mean_x, mean_p, second_x - mean_x**2, second_p - mean_p**2)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +359,7 @@ def sample_outcomes(
             f"{shots} shots need about {footprint / 1024**3:.1f} GiB, "
             f"over the {SAMPLE_MEMORY_LIMIT / 1024**3:.0f} GiB limit"
         )
-    identity = [_factor_table(step, PointerOperatorKind.IDENTITY) for step in scn.steps]
-    _, probability = _chain(scn, EvaluationMethod.EXACT, identity)
+    _, probability = _chain(scn, [_tables(step, (PointerOperatorKind.IDENTITY,)) for step in scn.steps])
 
     rng = np.random.default_rng(seed)
     weights, basis = np.linalg.eigh(scn.initial.matrix)

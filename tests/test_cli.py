@@ -258,3 +258,33 @@ class TestBoundsCommand:
         assert all(int(row["violations"]) == 0 for row in rows)
         floor_row = [r for r in rows if r["suite"] == "projector_pair_floor"][0]
         assert float(floor_row["worst"]) >= -0.125 - 1e-12
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scenario", "illustrative", "--sigma", "inf"),
+            ("scenario", "illustrative", "--sigma1", "nan"),
+            ("sweep", "illustrative", "--param", "sigma1", "--from", "1", "--to", "inf", "--steps", "3",
+             "--pattern", "xx"),
+        ],
+    )
+    def test_non_finite_width_exit_code(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "illustrative", "--pattern", "xx", "--sigma", "1e-300"),
+            ("simulate", "pauli-xy", "--pattern", "px", "--method", "weak", "--sigma", "1e-300"),
+            ("sample", "illustrative", "--sigma", "1e-300", "--shots", "100"),
+        ],
+    )
+    def test_non_finite_moment_exit_code(self, capsys, argv):
+        with np.errstate(all="ignore"):
+            code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""

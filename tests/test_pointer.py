@@ -78,6 +78,11 @@ class TestWavefunction:
         with pytest.raises(InputError):
             wl.GaussianPointer(0.0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_finite_width_enforced(self, sigma):
+        with pytest.raises(InputError):
+            wl.GaussianPointer(sigma)
+
 
 class TestMatrixElement:
     def test_identity_overlap(self):
