@@ -37,14 +37,14 @@ for trial in range(5):
     )
     moment = wl.exact_moment(scn, pattern).value
     verdict = wl.causal_witness(moment, hull, margin)
-    print(f"  trial {trial}: mean x1*x2 = {moment:+.6f} -> {verdict.verdict.value}")
+    print(f"  trial {trial}: mean x1*x2 = {moment:+.6f} -> {verdict.value}")
 
 print()
 print("direct-cause run (sequential measurement of the same qubit):")
 scn = wl.build_illustrative(100.0, 1.0)
 moment = wl.exact_moment(scn, pattern).value
 verdict = wl.causal_witness(moment, hull, margin)
-print(f"  mean x1*x2 = {moment:+.6f} -> {verdict.verdict.value}")
+print(f"  mean x1*x2 = {moment:+.6f} -> {verdict.value}")
 print()
 print("Inside the hull the witness stays silent (a direct cause can mimic")
 print("a common cause); only an escape from the hull is conclusive.")

@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-import warnings
 
 import numpy as np
 import scipy
@@ -29,6 +28,7 @@ from .optimize import minimize_pointer_product, minimize_weak_value_real
 from .pointer import GaussianPointer, PointerOperatorKind
 from .scenario_io import load_scenario
 from .scenarios import (
+    CausalStructure,
     build_common_cause,
     build_illustrative,
     build_pauli_xy,
@@ -39,7 +39,6 @@ from .simulator import (
     EvaluationMethod,
     MomentPattern,
     Scenario,
-    WeakRegimeWarning,
     exact_moment,
     recover_weak_value,
     sample_outcomes,
@@ -84,9 +83,7 @@ def _resolve_scenario(spec: str, args) -> tuple[Scenario, str]:
 # ---------------------------------------------------------------------------
 
 def _fmt(value):
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, float):
+    if isinstance(value, (bool, int, float, str)) or value is None:
         return value
     if isinstance(value, (np.floating,)):
         return float(value)
@@ -138,10 +135,8 @@ def _cmd_scenario(args) -> None:
     pattern = MomentPattern.all_position(scn.n_steps)
     exact = exact_moment(scn, pattern)
     weak = weak_prediction(scn, pattern)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakRegimeWarning)
-        from_exact = recover_weak_value(scn, EvaluationMethod.EXACT)
-        from_weak = recover_weak_value(scn, EvaluationMethod.WEAK_REGIME)
+    from_exact = recover_weak_value(scn, EvaluationMethod.EXACT)
+    from_weak = recover_weak_value(scn, EvaluationMethod.WEAK_REGIME)
     ok = not steps_outside_weak_regime(scn)
     config = {
         "scenario": args.name,
@@ -337,8 +332,7 @@ def _cmd_bounds(args) -> None:
         value = exact_moment(scn, MomentPattern.all_position(2)).value
         worst_low = min(worst_low, value)
         worst_high = max(worst_high, value)
-        verdict = causal_witness(value, (0.0, 1.0), margin=1e-9)
-        hull_violations += verdict.verdict.value != "inconclusive"
+        hull_violations += causal_witness(value, (0.0, 1.0), margin=1e-9) is not CausalStructure.INCONCLUSIVE
 
     config = {"trials": trials, "seed": args.seed}
     results = [

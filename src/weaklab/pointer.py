@@ -45,19 +45,14 @@ class PointerOperatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class GaussianPointer:
-    """Gaussian pointer fully described by its finite width ``sigma`` > 0."""
+    """Gaussian pointer fully described by its width ``sigma`` > 0, whose
+    square must be a finite float (sigma up to about 1.3e154)."""
 
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise InputError(f"pointer width must be positive and finite, got {self.sigma!r}")
-
-
-def wavefunction(ptr: GaussianPointer, center: float, x: float) -> complex:
-    """Position-space amplitude of the packet displaced to ``center``."""
-    s2 = ptr.sigma**2
-    return complex((2.0 * math.pi * s2) ** -0.25 * math.exp(-((x - center) ** 2) / (4.0 * s2)))
+        if not (self.sigma > 0 and math.isfinite(self.sigma * self.sigma)):
+            raise InputError(f"pointer width must be positive with a finite square, got {self.sigma!r}")
 
 
 def _factor(kind: PointerOperatorKind, s2: float, mean, gap):
@@ -96,27 +91,6 @@ def matrix_element(
     gap = np.subtract(right_center, left_center)
     value = np.asarray(_factor(kind, s2, mean, gap) * np.exp(gap * gap / (-8.0 * s2)), dtype=complex)
     return complex(value) if value.ndim == 0 else value
-
-
-def displaced_norm(ptr: GaussianPointer, shift: complex) -> float:
-    """Norm of the packet displaced by a possibly complex ``shift``.
-
-    Real shifts preserve normalization; an imaginary component inflates
-    the norm to exp(Im(shift)^2 / (4 sigma^2)).
-    """
-    return math.exp(np.imag(shift) ** 2 / (4.0 * ptr.sigma**2))
-
-
-def linearization_error(ptr: GaussianPointer, eigenvalue: float) -> float:
-    """Squared norm of the defect between the exact displacement and its
-    first-order (1 - i a p) truncation.
-
-    Scales as (3/64) (a/sigma)^4 for small a/sigma, which is what makes
-    large widths "weak".
-    """
-    ratio2 = eigenvalue**2 / ptr.sigma**2
-    decay = math.exp(-ratio2 / 8.0)
-    return 2.0 * (1.0 - decay) + 0.25 * ratio2 * (1.0 - 2.0 * decay)
 
 
 def weak_regime_check(ptr: GaussianPointer, eigenvalues, wv_magnitude: float) -> bool:

@@ -105,11 +105,6 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", _freeze(np.array(self.eigenvalues, dtype=float)))
         object.__setattr__(self, "eigenvectors", _freeze(np.array(self.eigenvectors, dtype=complex)))
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue-weighted projectors onto the eigenvectors."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 @dataclass(frozen=True)
 class Observable:
@@ -203,14 +198,6 @@ def tensor(a, b):
     raise KindMismatch(f"cannot tensor objects of type {type(a).__name__}")
 
 
-def commutes(a: Observable, b: Observable, tol: float = 1e-10) -> bool:
-    """True iff the commutator norm is within ``tol``."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    commutator = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return bool(np.linalg.norm(commutator, ord=2) <= tol)
-
-
 # Shared qubit constants.
 KET_0 = PureState(np.array([1.0, 0.0]))
 KET_1 = PureState(np.array([0.0, 1.0]))
@@ -222,10 +209,6 @@ SIGMA_Z = Observable(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 def identity_observable(dim: int) -> Observable:
     return Observable(np.eye(dim))
-
-
-def identity_povm(dim: int) -> PovmElement:
-    return PovmElement(np.eye(dim))
 
 
 def qubit_ket(theta: float, phi: float = 0.0) -> PureState:

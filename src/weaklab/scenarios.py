@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,14 +121,7 @@ class CausalStructure(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class CausalVerdict:
-    verdict: CausalStructure
-    moment: float
-    hull: tuple[float, float]
-
-
-def causal_witness(moment: float, hull: tuple[float, float], margin: float) -> CausalVerdict:
+def causal_witness(moment: float, hull: tuple[float, float], margin: float) -> CausalStructure:
     """Flag a direct causal link when the moment escapes the product hull.
 
     A value inside the hull proves nothing (both structures can produce
@@ -140,5 +132,4 @@ def causal_witness(moment: float, hull: tuple[float, float], margin: float) -> C
         raise InputError(f"margin must be nonnegative, got {margin!r}")
     lo, hi = hull
     outside = moment < lo - margin or moment > hi + margin
-    verdict = CausalStructure.DIRECT_CAUSE_WITNESSED if outside else CausalStructure.INCONCLUSIVE
-    return CausalVerdict(verdict, moment, (lo, hi))
+    return CausalStructure.DIRECT_CAUSE_WITNESSED if outside else CausalStructure.INCONCLUSIVE

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +54,6 @@ from .pointer import GaussianPointer, PointerOperatorKind, _factor, matrix_eleme
 from .weak_values import MeasurementSequence, ZERO_PROBABILITY_TOL, seq_weak_value
 
 MOMENT_IMAG_TOL = 1e-10
-
-
-class WeakRegimeWarning(UserWarning):
-    """Weak-regime formula requested outside its validity region."""
 
 
 @dataclass(frozen=True)
@@ -252,14 +247,11 @@ def recover_weak_value(scn: Scenario, source: EvaluationMethod = EvaluationMetho
     the denominator Tr(eta), so the sum is one chain whose step j reads
     x + 2i sigma_j^2 p. Without post-selection the final slot reads x only
     (momentum there vanishes at first order and carries no information).
+
+    Exact-source recovery is biased at finite widths; nothing here judges
+    that. ``steps_outside_weak_regime`` names the steps whose pointers are
+    too narrow for the result to be read as the weak value.
     """
-    for index in steps_outside_weak_regime(scn):
-        warnings.warn(
-            f"step {index + 1} width sigma={scn.steps[index].pointer.sigma:g} is not in the weak "
-            "regime; recovered values may be biased",
-            WeakRegimeWarning,
-            stacklevel=2,
-        )
     gains = [2j * sigma**2 for sigma in scn.sigmas()]
     if scn.post is None:
         gains[-1] = 0.0
@@ -326,7 +318,6 @@ class SampleStatistics:
     postselection_probability: float
     acceptance_rate: float
     method: str
-    seed: int
 
 
 # Largest working set sample_outcomes may allocate, in bytes.
@@ -391,6 +382,5 @@ def sample_outcomes(
         postselection_probability=probability,
         acceptance_rate=1.0,
         method="sequential",
-        seed=seed,
     )
     return samples, stats

@@ -10,7 +10,6 @@ projectors its real part can reach, but never beat, -1/8.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,23 +22,12 @@ IDEMPOTENCE_TOL = 1e-10
 PROJECTOR_PAIR_FLOOR = -0.125
 
 
-class WeakValueKind(enum.Enum):
-    PURE_POST_SELECTED = "pure-post-selected"
-    GENERALIZED_POVM = "generalized-povm"
-    NO_POST_SELECTION = "no-post-selection"
-
-
 @dataclass(frozen=True)
 class WeakValue:
-    """A weak value with the definition used and the post-selection odds."""
+    """A weak value with its post-selection odds (exactly 1 without post-selection)."""
 
     value: complex
-    definition: WeakValueKind
     postselection_probability: float
-
-    def __post_init__(self):
-        if self.definition is WeakValueKind.NO_POST_SELECTION and self.postselection_probability != 1.0:
-            raise ValueError("no post-selection implies success probability exactly 1")
 
 
 @dataclass(frozen=True)
@@ -88,7 +76,7 @@ def seq_weak_value(
     product = seq.ordered_product()
     if post is None:
         value = complex(np.trace(product @ rho.matrix))
-        return WeakValue(value, WeakValueKind.NO_POST_SELECTION, 1.0)
+        return WeakValue(value, 1.0)
     if post.dim != rho.dim:
         raise DimensionMismatch(f"post-selection dimension {post.dim} != state dimension {rho.dim}")
     # Tr(E rho) is real for Hermitian E, rho; drop the float residue.
@@ -98,20 +86,7 @@ def seq_weak_value(
             f"Tr(E rho) = {probability:.3e} is below {ZERO_PROBABILITY_TOL:g}"
         )
     value = complex(np.trace(post.matrix @ product @ rho.matrix)) / probability
-    return WeakValue(value, WeakValueKind.GENERALIZED_POVM, probability)
-
-
-def pure_weak_value(
-    psi: qm.PureState,
-    phi: qm.PureState | None,
-    seq: MeasurementSequence,
-) -> WeakValue:
-    """Pure-state convenience wrapper: <phi|A_n...A_1|psi> / <phi|psi>."""
-    rho = psi.to_density()
-    if phi is None:
-        return seq_weak_value(rho, None, seq)
-    wv = seq_weak_value(rho, qm.PovmElement(np.outer(phi.amplitudes, phi.amplitudes.conj())), seq)
-    return WeakValue(wv.value, WeakValueKind.PURE_POST_SELECTED, wv.postselection_probability)
+    return WeakValue(value, probability)
 
 
 def norm_product_bound(seq: MeasurementSequence) -> float:

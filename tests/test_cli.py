@@ -56,6 +56,12 @@ class TestScenarioCommand:
         assert document["config"]["scenario"] == "pauli-xy"
         assert any(r["quantity"] == "recovered_from_weak_im" for r in document["results"])
 
+    @pytest.mark.parametrize("sigma,ok", [("0.5", "False"), ("100", "True")])
+    def test_weak_regime_row(self, capsys, sigma, ok):
+        code, out = run_cli(capsys, "scenario", "illustrative", "--sigma", sigma)
+        assert code == 0
+        assert value_of(csv_rows(out), "weak_regime_ok")["value"] == ok
+
 
 class TestSimulateCommand:
     def test_illustrative_file_exact(self, capsys, tmp_path):
@@ -268,6 +274,8 @@ class TestNonFiniteInputs:
             ("scenario", "illustrative", "--sigma1", "nan"),
             ("sweep", "illustrative", "--param", "sigma1", "--from", "1", "--to", "inf", "--steps", "3",
              "--pattern", "xx"),
+            ("simulate", "illustrative", "--pattern", "xX", "--sigma", "1e200"),
+            ("sample", "illustrative", "--sigma", "1e200", "--shots", "100"),
         ],
     )
     def test_non_finite_width_exit_code(self, capsys, argv):

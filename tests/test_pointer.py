@@ -1,6 +1,5 @@
 """Pointer closed forms checked against direct numerical quadrature."""
 
-import cmath
 import math
 
 import numpy as np
@@ -19,15 +18,21 @@ sigmas = st.floats(min_value=0.2, max_value=20.0, allow_nan=False)
 centers = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
+def wavefunction(ptr, center, x):
+    """Position-space amplitude of the packet displaced to ``center``."""
+    s2 = ptr.sigma**2
+    return (2.0 * math.pi * s2) ** -0.25 * math.exp(-((x - center) ** 2) / (4.0 * s2))
+
+
 def quad_element(sigma, kind, left, right):
     """Independent oracle: integrate the defining matrix-element integral."""
     ptr = wl.GaussianPointer(sigma)
 
     def left_amp(x):
-        return wl.wavefunction(ptr, left, x).real
+        return wavefunction(ptr, left, x)
 
     def right_amp(x):
-        return wl.wavefunction(ptr, right, x).real
+        return wavefunction(ptr, right, x)
 
     def d_right(x):
         return -(x - right) / (2.0 * sigma**2) * right_amp(x)
@@ -61,24 +66,24 @@ def quad_element(sigma, kind, left, right):
 class TestWavefunction:
     def test_peak_value(self):
         expected = (2.0 * math.pi) ** -0.25
-        assert wl.wavefunction(wl.GaussianPointer(1.0), 0.0, 0.0) == pytest.approx(expected)
+        assert wavefunction(wl.GaussianPointer(1.0), 0.0, 0.0) == pytest.approx(expected)
 
     @given(centers)
     def test_translation_invariance(self, a):
         ptr = wl.GaussianPointer(1.0)
-        assert wl.wavefunction(ptr, a, a) == pytest.approx(wl.wavefunction(ptr, 0.0, 0.0))
+        assert wavefunction(ptr, a, a) == pytest.approx(wavefunction(ptr, 0.0, 0.0))
 
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 4.0])
     def test_normalized(self, sigma):
         ptr = wl.GaussianPointer(sigma)
-        total, _ = quad(lambda x: abs(wl.wavefunction(ptr, 0.7, x)) ** 2, -12 * sigma, 12 * sigma + 1)
+        total, _ = quad(lambda x: abs(wavefunction(ptr, 0.7, x)) ** 2, -12 * sigma, 12 * sigma + 1)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_positive_width_enforced(self):
         with pytest.raises(InputError):
             wl.GaussianPointer(0.0)
 
-    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 1e200])
     def test_finite_width_enforced(self, sigma):
         with pytest.raises(InputError):
             wl.GaussianPointer(sigma)
@@ -122,54 +127,6 @@ class TestMatrixElement:
             forward = wl.matrix_element(ptr, kind, a, b)
             backward = wl.matrix_element(ptr, kind, b, a)
             assert forward == pytest.approx(backward.conjugate(), abs=1e-12)
-
-
-class TestDisplacedNorm:
-    def test_real_shift(self):
-        assert wl.displaced_norm(wl.GaussianPointer(1.0), 2.5) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize(
-        "sigma,shift,expected",
-        [(1.0, 1.0j, math.exp(0.25)), (0.5, 1.0j, math.e)],
-    )
-    def test_imaginary_shift(self, sigma, shift, expected):
-        got = wl.displaced_norm(wl.GaussianPointer(sigma), shift)
-        assert got == pytest.approx(expected)
-        # oracle: numerically integrate |phi(x - shift)|^2 over real x
-        norm_factor = (2.0 * math.pi * sigma**2) ** -0.25
-
-        def intensity(x):
-            return abs(norm_factor * cmath.exp(-((x - shift) ** 2) / (4.0 * sigma**2))) ** 2
-
-        total, _ = quad(intensity, -14 * sigma, 14 * sigma)
-        assert got**2 == pytest.approx(total, rel=1e-9)
-
-
-class TestLinearizationError:
-    def test_zero_eigenvalue(self):
-        assert wl.linearization_error(wl.GaussianPointer(3.0), 0.0) == 0.0
-
-    def test_leading_order_coefficient(self):
-        got = wl.linearization_error(wl.GaussianPointer(10.0), 1.0)
-        assert got == pytest.approx(3.0 / 64.0 * 1e-4, rel=0.1)
-
-    def test_asymptotic_ratio(self):
-        ratio = 1e-2
-        got = wl.linearization_error(wl.GaussianPointer(1.0), ratio) / ratio**4
-        assert got == pytest.approx(3.0 / 64.0, rel=0.01)
-
-    @pytest.mark.parametrize("sigma,a", [(1.0, 1.0), (0.7, 0.4), (2.5, 3.0)])
-    def test_quadrature_oracle(self, sigma, a):
-        # defect amplitude: phi(x - a) - [phi(x) - a phi'(x)]
-        ptr = wl.GaussianPointer(sigma)
-
-        def defect(x):
-            base = wl.wavefunction(ptr, 0.0, x).real
-            d_base = -x / (2.0 * sigma**2) * base
-            return wl.wavefunction(ptr, a, x).real - (base - a * d_base)
-
-        total, _ = quad(lambda x: defect(x) ** 2, -abs(a) - 14 * sigma, abs(a) + 14 * sigma, limit=200)
-        assert wl.linearization_error(ptr, a) == pytest.approx(total, abs=1e-10)
 
 
 class TestWeakRegimeCheck:

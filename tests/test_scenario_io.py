@@ -69,6 +69,7 @@ class TestParsing:
             (lambda d: d["steps"][0].update(sigma=-2.0), "steps[0].sigma"),
             (lambda d: d["steps"][1].update(sigma=float("inf")), "steps[1].sigma"),
             (lambda d: d["steps"][1].update(sigma=float("nan")), "steps[1].sigma"),
+            (lambda d: d["steps"][1].update(sigma=1e200), "steps[1].sigma"),
             (lambda d: d["steps"][1]["observable"][0].__setitem__(1, [0.3, 0.0]), "steps[1].observable"),
             (lambda d: d.update(postselect=matrix_doc(np.diag([2.0, 0.0]))), "postselect"),
         ],

@@ -10,7 +10,6 @@ sum over momentum subsets, and the sampler by the exact engine itself.
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -436,9 +435,7 @@ class TestWeakEngine:
                 wv = wl.seq_weak_value(scn.initial, scn.post, scn.sequence()).value
             except ZeroPostSelectionProbability:
                 continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", wl.WeakRegimeWarning)
-                got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
+            got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
             assert got == pytest.approx(wv, abs=1e-10)
 
     def test_exact_converges_to_weak(self):
@@ -477,9 +474,7 @@ class TestWeakEngine:
 class TestRecovery:
     def test_pauli_weak_source_is_exactly_i(self):
         scn = wl.build_pauli_xy(3.0, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", wl.WeakRegimeWarning)
-            got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
+        got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
         assert got == pytest.approx(1.0j, abs=1e-14)
 
     def test_illustrative_exact_source_wide(self):
@@ -495,9 +490,7 @@ class TestRecovery:
             scn = wl.Scenario(
                 initial=rho, steps=(wl.MeasurementStep(obs, wl.GaussianPointer(sigma)),)
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", wl.WeakRegimeWarning)
-                got = wl.recover_weak_value(scn, wl.EvaluationMethod.EXACT)
+            got = wl.recover_weak_value(scn, wl.EvaluationMethod.EXACT)
             assert got == pytest.approx(
                 complex(np.trace(obs.matrix @ rho.matrix).real), abs=1e-12
             )
@@ -512,9 +505,7 @@ class TestRecovery:
                 wv = wl.seq_weak_value(scn.initial, scn.post, scn.sequence()).value
             except ZeroPostSelectionProbability:
                 continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", wl.WeakRegimeWarning)
-                got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
+            got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
             assert got == pytest.approx(wv, abs=1e-10)
             count += 1
         assert count >= 15
@@ -525,15 +516,14 @@ class TestRecovery:
             n = int(rng.integers(1, 4))
             scn = random_scenario(rng, 2, n, with_post=False)
             wv = wl.seq_weak_value(scn.initial, None, scn.sequence()).value
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", wl.WeakRegimeWarning)
-                got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
+            got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
             assert got == pytest.approx(wv, abs=1e-10)
 
-    def test_narrow_pointer_warns(self):
-        scn = wl.build_illustrative(0.5, 0.5)
-        with pytest.warns(wl.WeakRegimeWarning):
-            wl.recover_weak_value(scn, wl.EvaluationMethod.EXACT)
+
+class TestWeakRegime:
+    @pytest.mark.parametrize("sigma,outside", [(0.5, (0, 1)), (100.0, ())])
+    def test_steps_outside_weak_regime(self, sigma, outside):
+        assert wl.steps_outside_weak_regime(wl.build_illustrative(sigma, sigma)) == outside
 
 
 class TestChainAgainstReferences:
@@ -567,10 +557,8 @@ class TestChainAgainstReferences:
                 continue
             weak_want = subset_sum_recovery(scn, ordering_sum_weak)
             scale = operator_scale(scn, [X] * n)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", wl.WeakRegimeWarning)
-                exact_got = wl.recover_weak_value(scn, wl.EvaluationMethod.EXACT)
-                weak_got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
+            exact_got = wl.recover_weak_value(scn, wl.EvaluationMethod.EXACT)
+            weak_got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
             assert abs(exact_got - exact_want) <= 1e-12 * max(abs(exact_want), scale)
             assert abs(weak_got - weak_want) <= 1e-12 * max(abs(weak_want), scale)
             checked += 1

@@ -18,12 +18,6 @@ def illustrative_pair():
     return wl.projector_from_ket(psi_1), wl.projector_from_ket(psi_2)
 
 
-class TestWeakValueRecord:
-    def test_no_postselection_forces_unit_probability(self):
-        with pytest.raises(ValueError):
-            wl.WeakValue(1.0 + 0.0j, wl.WeakValueKind.NO_POST_SELECTION, 0.5)
-
-
 class TestSequence:
     def test_empty_rejected(self):
         with pytest.raises(EmptyList):
@@ -44,7 +38,6 @@ class TestSeqWeakValue:
         wv = wl.seq_weak_value(wl.KET_0.to_density(), None, wl.MeasurementSequence([first, second]))
         assert wv.value == pytest.approx(-0.125, abs=1e-15)
         assert wv.postselection_probability == 1.0
-        assert wv.definition is wl.WeakValueKind.NO_POST_SELECTION
 
     def test_pauli_pair_imaginary(self):
         wv = wl.seq_weak_value(wl.KET_0.to_density(), None, wl.MeasurementSequence([wl.SIGMA_Y, wl.SIGMA_X]))
@@ -60,7 +53,6 @@ class TestSeqWeakValue:
         wv = wl.seq_weak_value(wl.KET_PLUS.to_density(), post, wl.MeasurementSequence([wl.SIGMA_Z]))
         assert wv.value == pytest.approx(1.0)
         assert wv.postselection_probability == pytest.approx(0.5)
-        assert wv.definition is wl.WeakValueKind.GENERALIZED_POVM
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
     def test_amplification_scaling(self, eps):
