@@ -6,7 +6,7 @@ n = 2 the floor -1/8 is provably tight; for longer sequences the search
 keeps landing on exactly the same floor, which is the evidence behind
 conjecturing it holds for every n.
 
-Run:  python demos/conjecture_search.py        (about half a minute)
+Run:  python demos/conjecture_search.py        (a few seconds)
 """
 
 import weaklab as wl

@@ -20,7 +20,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__, qm
 from .errors import InputError, NumericError, UnknownParameter, UnknownScenario, WeakLabError
@@ -96,7 +95,7 @@ def _emit(args, command: str, config: dict, results: list[dict], summary: dict |
     config = {key: _fmt(value) for key, value in config.items()}
     summary = {key: _fmt(value) for key, value in (summary or {}).items()}
     results = [{key: _fmt(value) for key, value in row.items()} for row in results]
-    versions = {"weaklab": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    versions = {"weaklab": __version__, "numpy": np.__version__}
     if args.format == "json":
         document = {
             "command": command,

@@ -11,9 +11,11 @@ local method to fight). Two objectives are offered:
 * the real part of the sequential weak value itself, which projector
   chains push toward -1.
 
-Local descent is Nelder-Mead (scipy) from seeded uniform starts; each
-restart's seed derives from the master seed, so results are reproducible
-and independent of execution order.
+Local descent is Nelder-Mead from seeded uniform starts. All restarts
+move in lockstep: each iteration evaluates every restart's trial point in
+one batched objective call. Each restart's seed derives from the master
+seed, and no restart's path depends on the others, so results are
+reproducible and do not change with the number of restarts beside it.
 """
 
 from __future__ import annotations
@@ -22,29 +24,30 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from . import qm
-from .errors import InvalidDimensions
-from .pointer import GaussianPointer
-from .simulator import MeasurementStep, MomentPattern, Scenario, exact_moment
+from .errors import InputError, InvalidDimensions
+from .pointer import GaussianPointer, PointerOperatorKind
+from .simulator import _chain, _tables
 
 SIMPLEX_DIAMETER_TOL = 1e-10
+VALUE_SPREAD_TOL = 1e-14
+
+# Largest working set a search may allocate, in bytes.
+SEARCH_MEMORY_LIMIT = 2 * 1024**3
 
 
 def decode_state(params: np.ndarray) -> np.ndarray:
-    """Hyperspherical angles + phases -> normalized complex amplitudes."""
+    """Hyperspherical angles + phases -> normalized complex amplitudes,
+    over the last axis: (..., 2(d-1)) -> (..., d)."""
     params = np.asarray(params, dtype=float)
-    d = params.size // 2 + 1
-    thetas = params[: d - 1]
-    phases = params[d - 1 :]
-    amplitudes = np.empty(d, dtype=complex)
-    radial = 1.0
-    for j in range(d - 1):
-        phase = 1.0 if j == 0 else np.exp(1j * phases[j - 1])
-        amplitudes[j] = radial * math.cos(thetas[j]) * phase
-        radial *= math.sin(thetas[j])
-    amplitudes[d - 1] = radial * np.exp(1j * phases[d - 2])
+    d = params.shape[-1] // 2 + 1
+    # cos + i sin of every angle, and the phase factor of every phase
+    unit = np.exp(1j * params)
+    amplitudes = np.empty(params.shape[:-1] + (d,), dtype=complex)
+    amplitudes[..., 0] = unit[..., 0].real
+    amplitudes[..., 1:] = np.cumprod(unit[..., : d - 1].imag, axis=-1) * unit[..., d - 1 :]
+    amplitudes[..., 1:-1] *= unit[..., 1 : d - 1].real
     return amplitudes
 
 
@@ -102,55 +105,132 @@ class OptimizationResult:
     trace: tuple[tuple[int, float], ...]
 
 
-def _decode_raw(flat: np.ndarray, n: int, d: int):
-    width = 2 * (d - 1)
-    psi = decode_state(flat[:width])
-    kets = [decode_state(flat[width * (j + 1) : width * (j + 2)]) for j in range(n)]
-    return psi, kets
+def _decode_points(points: np.ndarray, n: int, d: int) -> np.ndarray:
+    """(B, 2(d-1)(n+1)) search points -> (B, n+1, d) kets: the state, then
+    the ket of each projector."""
+    return decode_state(points.reshape(points.shape[0], n + 1, 2 * (d - 1)))
 
 
-def _pointer_product_objective(flat: np.ndarray, n: int, d: int) -> float:
-    """Weak-limit all-position moment: 2^(1-n) <psi|{A_1,{...,A_n}...}|psi>."""
-    psi, kets = _decode_raw(flat, n, d)
-    nested = np.outer(kets[-1], kets[-1].conj())
-    for ket in kets[-2::-1]:
-        projected = np.outer(ket, ket.conj() @ nested)
-        nested = projected + projected.conj().T
-    return float(2.0 ** (1 - n) * (psi.conj() @ nested @ psi).real)
+def _pointer_products(points: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Weak-limit all-position moment 2^(1-n) <psi|{A_1,{...,A_n}...}|psi>
+    of each point, built as the nested product of rank-1 projectors."""
+    kets = _decode_points(points, n, d)
+    projectors = (kets[:, :, :, np.newaxis] * kets[:, :, np.newaxis, :].conj()).swapaxes(0, 1)
+    nested = projectors[n]
+    for projector in projectors[n - 1 : 0 : -1]:
+        product = projector @ nested
+        nested = product + product.conj().swapaxes(1, 2)
+    moment = kets[:, 0, np.newaxis, :].conj() @ nested @ kets[:, 0, :, np.newaxis]
+    return 2.0 ** (1 - n) * moment[:, 0, 0].real
 
 
-def _weak_value_real_objective(flat: np.ndarray, n: int, d: int) -> float:
-    """Re <psi| A_n ... A_1 |psi> for rank-1 projectors."""
-    psi, kets = _decode_raw(flat, n, d)
-    vec = psi
-    for ket in kets:
-        vec = ket * (ket.conj() @ vec)
-    return float((psi.conj() @ vec).real)
+def _weak_value_reals(points: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Re <psi| A_n ... A_1 |psi> of each point for rank-1 projectors,
+    the product of overlaps <psi|k_n> <k_n|k_(n-1)> ... <k_1|psi>."""
+    kets = _decode_points(points, n, d)
+    chain = np.concatenate([kets, kets[:, :1]], axis=1)
+    overlaps = (chain[:, 1:].conj() * chain[:, :-1]).sum(axis=2)
+    return overlaps.prod(axis=1).real
 
 
-def _finite_sigma_objective(flat: np.ndarray, n: int, d: int, sigma: float) -> float:
-    point = SearchSpacePoint.from_flat(flat, n, d)
-    state, projectors = point.decode()
-    scn = Scenario(
-        initial=state.to_density(),
-        steps=tuple(MeasurementStep(proj, GaussianPointer(sigma)) for proj in projectors),
-        post=None,
-    )
-    return exact_moment(scn, MomentPattern.all_position(n)).value
+def _projector_bases(kets: np.ndarray) -> np.ndarray:
+    """Eigenbases of the projectors |k><k| for eigenvalues (0, ..., 0, 1):
+    the Householder reflections that map e_d to each ket up to a phase,
+    so their last column is the ket and the others span its complement."""
+    mirror = kets.copy()
+    mirror[..., -1] += np.exp(1j * np.angle(kets[..., -1]))
+    outer = mirror[..., :, np.newaxis] * mirror[..., np.newaxis, :].conj()
+    return np.eye(kets.shape[-1]) - 2.0 * outer / (np.abs(mirror) ** 2).sum(axis=-1)[..., np.newaxis, np.newaxis]
 
 
-def _run_restart(objective, x0: np.ndarray, budget: int):
-    result = _scipy_minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxfev": budget,
-            "xatol": SIMPLEX_DIAMETER_TOL,
-            "fatol": 1e-14,
-        },
-    )
-    return float(result.fun), np.asarray(result.x, dtype=float), int(result.nfev)
+def _finite_sigma_products(points: np.ndarray, n: int, d: int, tables: np.ndarray) -> np.ndarray:
+    """Exact all-position moment of each point at one pointer width, one
+    batched chain whose every step reads the (x, identity) ``tables``."""
+    kets = _decode_points(points, n, d)
+    bases = _projector_bases(kets[:, 1:])
+    initial = kets[:, 0, :, np.newaxis] * kets[:, 0, np.newaxis, :].conj()
+    moment, norm = _chain(initial, bases.swapaxes(0, 1), [tables] * n).real
+    return moment / norm
+
+
+def _nelder_mead(objective, starts: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nelder-Mead from every row of ``starts`` at once.
+
+    Each restart follows Nelder & Mead, Comput. J. 7, 308 (1965), with
+    the ordering and tie rules of Lagarias, Reeds, Wright & Wright, SIAM
+    J. Optim. 9, 112 (1998): coefficients 1, 2, 1/2 and 1/2; an initial
+    simplex that steps each coordinate by 5 % (to 0.00025 where it is 0);
+    at most ``budget`` evaluations, even part way through a shrink; and a
+    stop once every vertex is within ``SIMPLEX_DIAMETER_TOL`` and every
+    value within ``VALUE_SPREAD_TOL`` of the best. Simplices are sorted
+    stably, so ties keep their order.
+
+    ``objective`` maps (B, dim) points to B values. Each iteration makes
+    one batched call for the reflections, one for the expansions and
+    contractions the restarts need, and one for the points of those that
+    shrink. Restarts that stop leave the batch, and no restart's path
+    depends on the others. Returns the best values, the best points and
+    the evaluations of each restart.
+    """
+    count, dim = starts.shape
+    sim = np.repeat(starts[:, np.newaxis], dim + 1, axis=1)
+    steps = np.arange(dim)
+    sim[:, steps + 1, steps] = np.where(starts != 0, 1.05 * starts, 0.00025)
+    first = min(dim + 1, budget)
+    fsim = np.full((count, dim + 1), np.inf)
+    fsim[:, :first] = objective(sim[:, :first].reshape(-1, dim)).reshape(count, first)
+    nfev = np.full(count, first)
+    best_values, best_points, evaluations = np.empty(count), np.empty((count, dim)), np.empty(count, dtype=int)
+    live = np.arange(count)
+    rows = live[:, np.newaxis]
+    while True:
+        order = fsim.argsort(axis=1, kind="stable")
+        fsim, sim = fsim[rows, order], sim[rows, order]
+        done = nfev >= budget
+        flat = fsim[:, -1] - fsim[:, 0] <= VALUE_SPREAD_TOL
+        if flat.any():
+            done |= flat & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= SIMPLEX_DIAMETER_TOL)
+        if done.any():
+            ids = live[done]
+            best_values[ids], best_points[ids], evaluations[ids] = fsim[done, 0], sim[done, 0], nfev[done]
+            live, sim, fsim, nfev = live[~done], sim[~done], fsim[~done], nfev[~done]
+            if not live.size:
+                return best_values, best_points, evaluations
+            rows = rows[: live.size]
+
+        centroid, worst = sim[:, :-1].sum(axis=1) / dim, sim[:, -1]
+        reflected = 2.0 * centroid - worst
+        freflected = objective(reflected)
+        nfev += 1
+        expand = freflected < fsim[:, 0]
+        keep = ~expand & (freflected < fsim[:, -2])
+        # The restarts that need a second point and still have budget for
+        # it; a restart whose budget ran out first changes nothing.
+        probe = (~keep & (nfev < budget)).nonzero()[0]
+        shrink = probe[:0]
+        if probe.size:
+            grow, fr, fworst = expand[probe], freflected[probe], fsim[probe, -1]
+            outside = fr < fworst
+            # expansion 3c - 2w, outside contraction 1.5c - 0.5w, inside 0.5c + 0.5w
+            coefficient = np.where(grow, 2.0, np.where(outside, 0.5, -0.5))[:, np.newaxis]
+            trial = (1.0 + coefficient) * centroid[probe] - coefficient * worst[probe]
+            ftrial = objective(trial)
+            nfev[probe] += 1
+            better = np.where(grow, ftrial < fr, np.where(outside, ftrial <= fr, ftrial < fworst))
+            sim[probe[better], -1], fsim[probe[better], -1] = trial[better], ftrial[better]
+            keep[probe[grow & ~better]] = True
+            shrink = probe[~grow & ~better]
+        sim[keep, -1], fsim[keep, -1] = reflected[keep], freflected[keep]
+
+        if shrink.size:
+            # Vertex j of a shrinking restart moves halfway to its best
+            # vertex if the restart has an evaluation left for it.
+            room = np.arange(1, dim + 1) <= (budget - nfev[shrink])[:, np.newaxis]
+            at, vertices = room.nonzero()
+            at, vertices = shrink[at], vertices + 1
+            moved = sim[at, 0] + 0.5 * (sim[at, vertices] - sim[at, 0])
+            sim[at, vertices], fsim[at, vertices] = moved, objective(moved)
+            nfev[shrink] += room.sum(axis=1)
 
 
 def _search(
@@ -169,25 +249,26 @@ def _search(
     if budget < 1:
         raise InvalidDimensions(f"need a budget of at least one evaluation, got {budget}")
     dim = 2 * (d - 1) * (n + 1)
+    # Every simplex, plus one objective call over all their vertices at
+    # once, as the first evaluation and a shrink of every restart make.
+    footprint = restarts * (dim + 1) * (dim + 4 * (n + 1) * d * d) * 16
+    if footprint > SEARCH_MEMORY_LIMIT:
+        raise InputError(
+            f"{restarts} restarts at n={n}, d={d} need about {footprint / 1024**3:.1f} GiB, "
+            f"over the {SEARCH_MEMORY_LIMIT / 1024**3:.0f} GiB limit"
+        )
     seeds = np.random.SeedSequence(seed).spawn(restarts)
+    starts = np.array([np.random.default_rng(s).uniform(0.0, 2.0 * math.pi, size=dim) for s in seeds])
+    if initial_point is not None:
+        starts[0] = initial_point.flatten()
 
-    def start_for(index: int) -> np.ndarray:
-        if index == 0 and initial_point is not None:
-            return initial_point.flatten()
-        rng = np.random.default_rng(seeds[index])
-        return rng.uniform(0.0, 2.0 * math.pi, size=dim)
-
-    outcomes = [_run_restart(objective, start_for(index), budget) for index in range(restarts)]
-
-    evaluations = sum(nfev for _, _, nfev in outcomes)
-    trace = tuple((index, value) for index, (value, _, _) in enumerate(outcomes))
-    best_index = min(range(restarts), key=lambda index: (outcomes[index][0], index))
-    best_value, best_x, _ = outcomes[best_index]
+    values, points, evaluations = _nelder_mead(objective, starts, budget)
+    best = int(np.argmin(values))
     return OptimizationResult(
-        best_value=best_value,
-        best_point=SearchSpacePoint.from_flat(best_x, n, d),
-        evaluations=evaluations,
-        trace=trace,
+        best_value=float(values[best]),
+        best_point=SearchSpacePoint.from_flat(points[best], n, d),
+        evaluations=int(evaluations.sum()),
+        trace=tuple(enumerate(values.tolist())),
     )
 
 
@@ -208,9 +289,13 @@ def minimize_pointer_product(
     -1/8 conjecture is about.
     """
     if sigma is None:
-        objective = lambda flat: _pointer_product_objective(flat, n, d)
+        objective = lambda points: _pointer_products(points, n, d)
     else:
-        objective = lambda flat: _finite_sigma_objective(flat, n, d, sigma)
+        # Every rank-1 projector has eigenvalues (0, ..., 0, 1), so one
+        # (x, identity) stack serves every step of every point.
+        kinds = (PointerOperatorKind.POSITION, PointerOperatorKind.IDENTITY)
+        tables = _tables(np.eye(d)[-1], GaussianPointer(sigma), kinds)[:, np.newaxis]
+        objective = lambda points: _finite_sigma_products(points, n, d, tables)
     return _search(objective, n, d, restarts, seed, budget, initial_point)
 
 
@@ -224,7 +309,7 @@ def minimize_weak_value_real(
 ) -> OptimizationResult:
     """Minimize Re of the no-post-selection sequential weak value over
     projector sequences of length ``n`` in dimension ``d``."""
-    objective = lambda flat: _weak_value_real_objective(flat, n, d)
+    objective = lambda points: _weak_value_reals(points, n, d)
     return _search(objective, n, d, restarts, seed, budget, initial_point)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError
 
 # A pointer counts as weak when its width is this many times the largest
 # eigenvalue and weak-value magnitudes. A convention, not a sharp boundary.
@@ -59,6 +59,8 @@ def _factor(kind: PointerOperatorKind, s2: float, mean, gap):
     """``matrix_element`` without its overlap ov, from sigma^2 and the
     centers' mean and gap (right minus left): the element in the weak
     limit, where ov goes to 1 while x and p keep their 1/sigma scaling."""
+    if s2 == 0.0:
+        raise NumericError("pointer width squared underflows to 0; the width is too narrow for floating point")
     if kind is PointerOperatorKind.IDENTITY:
         return np.ones_like(gap)
     if kind is PointerOperatorKind.POSITION:

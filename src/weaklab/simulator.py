@@ -7,7 +7,9 @@ eigenprojectors P_k of the measured observable, with F the table of
 pointer matrix elements for that step's readout kind. The state is
 carried in each step's eigenbasis, where the sandwich is the entrywise
 product F o X. Tr(eta), the chain whose every slot reads the identity,
-runs stacked beside it as the normalization. Only the tables differ:
+runs stacked beside it as the normalization. The chain also takes a
+leading batch axis, which the optimizer uses to evaluate many projector
+sequences in one call. Only the tables differ:
 
 * ``exact_moment`` uses the exact tables. After each coupling the
   pointers' reduced state is a combination of displaced-Gaussian dyads
@@ -150,37 +152,55 @@ def _check_pattern(scn: Scenario, pat: MomentPattern) -> None:
         )
 
 
-def _tables(step: MeasurementStep, kinds, exact: bool = True) -> np.ndarray:
+def _tables(eigenvalues, ptr: GaussianPointer, kinds, exact: bool = True) -> np.ndarray:
     """Stacked F[k, l] = <phi(a_l)| O |phi(a_k)>, the weights of the
     P_k X P_l dyads, one table per kind; at overlap 1 unless ``exact``."""
-    a = step.observable.decomposition.eigenvalues
-    left, right = a[np.newaxis, :], a[:, np.newaxis]
+    left, right = eigenvalues[np.newaxis, :], eigenvalues[:, np.newaxis]
     if exact:
-        return np.array([matrix_element(step.pointer, kind, left, right) for kind in kinds])
-    mean, gap, s2 = 0.5 * (left + right), right - left, step.pointer.sigma**2
+        return np.array([matrix_element(ptr, kind, left, right) for kind in kinds])
+    mean, gap, s2 = 0.5 * (left + right), right - left, ptr.sigma**2
     return np.array([_factor(kind, s2, mean, gap) for kind in kinds])
 
 
-def _chain(scn: Scenario, tables) -> tuple[np.ndarray, float]:
+def _step_tables(step: MeasurementStep, kinds, exact: bool = True) -> np.ndarray:
+    return _tables(step.observable.decomposition.eigenvalues, step.pointer, kinds, exact)
+
+
+def _chain(initial, bases, tables, post=None) -> np.ndarray:
     """Tr(E T_n(... T_1(rho))) for each chain of a stack, with
-    T_j(X) = sum_kl F[k, l] P_k X P_l and F the matching table of the
-    stack ``tables[j]``. The last chain must read the identity on every
-    slot; its trace, Tr(eta), is returned apart as the probability.
+    T_j(X) = sum_kl F[k, l] P_k X P_l, the P_k read off the columns of
+    the eigenbasis ``bases[j]`` and F the matching table of the stack
+    ``tables[j]``. ``post`` is the effect E, or None for E = I.
+
+    ``initial`` (..., d, d) and every basis (..., d, d) may carry leading
+    batch axes; a table stack is (K, ..., d, d), so one (K, 1, d, d) stack
+    serves a whole batch. Returns the (K, ...) traces.
 
     This is the transfer-operator core of every analytic engine.
     """
-    state, basis = scn.initial.matrix, None
-    for step, table in zip(scn.steps, tables):
-        vectors = step.observable.decomposition.eigenvectors
-        turn = vectors.conj().T if basis is None else vectors.conj().T @ basis
-        state = table * (turn @ state @ turn.conj().T)
+    state, basis = initial, None
+    for vectors, table in zip(bases, tables):
+        turn = vectors.conj().swapaxes(-1, -2)
+        if basis is not None:
+            turn = turn @ basis
+        state = table * (turn @ state @ turn.conj().swapaxes(-1, -2))
         basis = vectors
-    if scn.post is None:
+    if post is None:
         traces = np.trace(state, axis1=-2, axis2=-1)
     else:
-        traces = ((basis.conj().T @ scn.post.matrix @ basis).T * state).sum(axis=(-2, -1))
+        effect = basis.conj().swapaxes(-1, -2) @ post @ basis
+        traces = (effect.swapaxes(-1, -2) * state).sum(axis=(-2, -1))
     if not np.isfinite(traces).all():
         raise NumericError("moment chain is not finite; a pointer width is too extreme for floating point")
+    return traces
+
+
+def _scenario_chain(scn: Scenario, tables) -> tuple[np.ndarray, float]:
+    """``_chain`` on one scenario. The last chain of each stack must read
+    the identity on every slot; its trace, Tr(eta), is returned apart as
+    the post-selection probability."""
+    bases = [step.observable.decomposition.eigenvectors for step in scn.steps]
+    traces = _chain(scn.initial.matrix, bases, tables, None if scn.post is None else scn.post.matrix)
     probability = float(traces[-1].real)
     if probability <= ZERO_PROBABILITY_TOL:
         raise ZeroPostSelectionProbability(f"post-selection probability {probability:.3e} below threshold")
@@ -194,8 +214,8 @@ def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     post-selection probability Tr(eta), not its weak-limit stand-in.
     """
     _check_pattern(scn, pat)
-    tables = [_tables(step, (kind, PointerOperatorKind.IDENTITY)) for step, kind in zip(scn.steps, pat.kinds)]
-    (numerator,), probability = _chain(scn, tables)
+    tables = [_step_tables(step, (kind, PointerOperatorKind.IDENTITY)) for step, kind in zip(scn.steps, pat.kinds)]
+    (numerator,), probability = _scenario_chain(scn, tables)
     value = complex(numerator) / probability
     # Rounding leaves an imaginary residue relative to the chain's terms,
     # which reach prod_j max|F_j| / Tr(eta) (about sigma^2n for X readouts).
@@ -220,9 +240,9 @@ def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
             "use the exact engine for squared readouts"
         )
     tables = [
-        _tables(step, (kind, PointerOperatorKind.IDENTITY), exact=False) for step, kind in zip(scn.steps, pat.kinds)
+        _step_tables(step, (kind, PointerOperatorKind.IDENTITY), exact=False) for step, kind in zip(scn.steps, pat.kinds)
     ]
-    (numerator,), probability = _chain(scn, tables)
+    (numerator,), probability = _scenario_chain(scn, tables)
     return MomentResult(numerator.real / probability, probability)
 
 
@@ -258,9 +278,9 @@ def recover_weak_value(scn: Scenario, source: EvaluationMethod = EvaluationMetho
     kinds = [PointerOperatorKind(code) for code in "xpi"]
     tables = []
     for step, gain in zip(scn.steps, gains):
-        x, p, identity = _tables(step, kinds, exact=source is EvaluationMethod.EXACT)
+        x, p, identity = _step_tables(step, kinds, exact=source is EvaluationMethod.EXACT)
         tables.append(np.array([x + gain * p, identity]))
-    (numerator,), probability = _chain(scn, tables)
+    (numerator,), probability = _scenario_chain(scn, tables)
     return complex(numerator) / probability
 
 
@@ -296,7 +316,7 @@ def single_measurement_stats(
         raise DimensionMismatch(f"state dimension {rho.dim} != observable dimension {observable.dim}")
     step = MeasurementStep(observable, ptr)
     kinds = [PointerOperatorKind(code) for code in "xpXPi"]
-    moments, probability = _chain(Scenario(rho, (step,), post), [_tables(step, kinds, exact=False)])
+    moments, probability = _scenario_chain(Scenario(rho, (step,), post), [_step_tables(step, kinds, exact=False)])
     mean_x, mean_p, second_x, second_p = (moments.real / probability).tolist()
     return PointerStats(mean_x, mean_p, second_x - mean_x**2, second_p - mean_p**2)
 
@@ -350,7 +370,7 @@ def sample_outcomes(
             f"{shots} shots need about {footprint / 1024**3:.1f} GiB, "
             f"over the {SAMPLE_MEMORY_LIMIT / 1024**3:.0f} GiB limit"
         )
-    _, probability = _chain(scn, [_tables(step, (PointerOperatorKind.IDENTITY,)) for step in scn.steps])
+    _, probability = _scenario_chain(scn, [_step_tables(step, (PointerOperatorKind.IDENTITY,)) for step in scn.steps])
 
     rng = np.random.default_rng(seed)
     weights, basis = np.linalg.eigh(scn.initial.matrix)

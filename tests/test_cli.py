@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,16 @@ class TestOptimizeCommand:
         best = min(float(row["converged_value"]) for row in csv_rows(out))
         assert best == pytest.approx(-0.125, abs=1e-5)
 
+    def test_restarts_over_memory_limit_exit_code(self, capsys, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("search spawned seeds before checking its memory bound")
+
+        # Without the bound, 10^8 restarts would first spawn 10^8 seed sequences.
+        monkeypatch.setattr(np.random, "SeedSequence", untouched)
+        code, out = run_cli(capsys, "optimize", "--n", "2", "--restarts", str(10**8), "--budget", "10")
+        assert code == 2
+        assert out == ""
+
 
 class TestSampleCommand:
     def test_mean_within_four_stderr(self, capsys):
@@ -296,3 +307,21 @@ class TestNonFiniteInputs:
             code, out = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "illustrative", "--pattern", "xx", "--sigma", "1e-200"),
+            ("simulate", "pauli-xy", "--pattern", "px", "--sigma", "1e-200"),
+            ("scenario", "illustrative", "--sigma", "1e-200"),
+        ],
+    )
+    def test_width_squared_underflow_fails_cleanly(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("numeric failure: ")

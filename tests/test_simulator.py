@@ -570,6 +570,26 @@ class TestChainAgainstReferences:
         want = wl.chain_weak_value(10)
         assert abs(got - want) <= 1e-12 * abs(want)
 
+    def test_batched_chain_matches_serial(self):
+        # One chain over a batch of scenarios against each engine run alone.
+        rng = np.random.default_rng(32)
+        for d, n, with_post in ((2, 2, False), (2, 5, True), (3, 3, True), (4, 4, False), (4, 5, True)):
+            batch = [random_scenario(rng, d, n, with_post) for _ in range(5)]
+            initial = np.stack([scn.initial.matrix for scn in batch])
+            bases = [np.stack([scn.steps[j].observable.decomposition.eigenvectors for scn in batch]) for j in range(n)]
+            post = np.stack([scn.post.matrix for scn in batch]) if with_post else None
+            for letters, engine, exact in (("ixp", wl.weak_prediction, False), ("ixXpP", wl.exact_moment, True)):
+                kinds = [PointerOperatorKind(code) for code in rng.choice(list(letters), size=n)]
+                tables = [
+                    np.stack([simulator._step_tables(scn.steps[j], (kind, I), exact) for scn in batch], axis=1)
+                    for j, kind in enumerate(kinds)
+                ]
+                moments, probability = simulator._chain(initial, bases, tables, post).real
+                for scn, moment, prob in zip(batch, moments, probability):
+                    want = engine(scn, wl.MomentPattern(kinds))
+                    assert abs(moment / prob - want.value) <= 1e-13 * max(1.0, abs(want.value))
+                    assert abs(prob - want.postselection_probability) <= 1e-13
+
 
 class TestNestedAnticommutator:
     def test_pair_identity(self):
