@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__, qm
-from .errors import InputError, NumericError, UnknownParameter, UnknownScenario, WeakLabError
+from .errors import InputError, NumericError, WeakLabError
 from .optimize import minimize_pointer_product, minimize_weak_value_real
 from .pointer import GaussianPointer, PointerOperatorKind
 from .scenario_io import load_scenario
@@ -49,32 +49,38 @@ from .weak_values import MeasurementSequence, norm_product_bound, projector_pair
 SCENARIO_NAMES = ("illustrative", "pauli-xy", "chain-n", "common-cause")
 
 
+def _reject_flags(args, flags, target: str) -> None:
+    """Refuse width or length flags that ``target`` would not read."""
+    for flag in flags:
+        if getattr(args, flag, None) is not None:
+            raise InputError(f"--{flag} does not apply to {target}")
+
+
 def _builtin_scenario(name: str, args) -> Scenario:
-    sigma1 = args.sigma1 if args.sigma1 is not None else args.sigma
-    sigma2 = args.sigma2 if args.sigma2 is not None else args.sigma
+    _reject_flags(args, ("sigma1", "sigma2") if name == "chain-n" else ("n",), f"the {name} scenario")
+    sigma = 1.0 if args.sigma is None else args.sigma
+    sigma1 = args.sigma1 if args.sigma1 is not None else sigma
+    sigma2 = args.sigma2 if args.sigma2 is not None else sigma
     if name == "illustrative":
         return build_illustrative(sigma1, sigma2)
     if name == "pauli-xy":
         return build_pauli_xy(sigma1, sigma2)
     if name == "chain-n":
-        return build_projector_chain(args.n, args.sigma)
-    if name == "common-cause":
-        # Default instance: maximally entangled qubit pair, both parties
-        # measuring the |0><0| projector on their half.
-        shared = qm.PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
-        proj = qm.projector_from_ket(qm.KET_0)
-        return build_common_cause(shared, proj, proj, sigma1, sigma2)
-    raise UnknownScenario(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
+        return build_projector_chain(2 if args.n is None else args.n, sigma)
+    # common-cause: a maximally entangled qubit pair, both parties
+    # measuring the |0><0| projector on their half.
+    shared = qm.PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+    proj = qm.projector_from_ket(qm.KET_0)
+    return build_common_cause(shared, proj, proj, sigma1, sigma2)
 
 
 def _resolve_scenario(spec: str, args) -> tuple[Scenario, str]:
     if spec in SCENARIO_NAMES:
         return _builtin_scenario(spec, args), spec
     if os.path.exists(spec):
+        _reject_flags(args, ("sigma", "sigma1", "sigma2", "n"), "a scenario file")
         return load_scenario(spec), spec
-    raise UnknownScenario(
-        f"{spec!r} is neither a built-in scenario ({', '.join(SCENARIO_NAMES)}) nor a file"
-    )
+    raise InputError(f"{spec!r} is neither a built-in scenario ({', '.join(SCENARIO_NAMES)}) nor a file")
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +184,14 @@ def _cmd_simulate(args) -> None:
 def _cmd_sweep(args) -> None:
     scn, source = _resolve_scenario(args.file, args)
     if not args.param.startswith("sigma"):
-        raise UnknownParameter(f"sweep parameter must name a step width (sigmaK), got {args.param!r}")
+        raise InputError(f"sweep parameter must name a step width (sigmaK), got {args.param!r}")
     try:
         step_index = int(args.param[len("sigma"):]) - 1
     except ValueError:
-        raise UnknownParameter(f"sweep parameter must look like sigma1, got {args.param!r}") from None
+        raise InputError(f"sweep parameter must look like sigma1, got {args.param!r}") from None
     if not 0 <= step_index < scn.n_steps:
-        raise UnknownParameter(
-            f"{args.param!r} is out of range for a {scn.n_steps}-step scenario"
-        )
+        raise InputError(f"{args.param!r} is out of range for a {scn.n_steps}-step scenario")
+    _reject_flags(args, (f"sigma{step_index + 1}",), f"a sweep of {args.param}")
     if not (0 < args.start < math.inf and 0 < args.stop < math.inf):
         raise InputError("sweep endpoints must be positive and finite for geometric spacing")
     _require_count("--steps", args.steps)
@@ -371,10 +376,10 @@ def _require_count(flag: str, value: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _add_sigma_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sigma", type=float, default=1.0, help="default pointer width")
+    parser.add_argument("--sigma", type=float, default=None, help="default pointer width (1)")
     parser.add_argument("--sigma1", type=float, default=None, help="first pointer width override")
     parser.add_argument("--sigma2", type=float, default=None, help="second pointer width override")
-    parser.add_argument("--n", type=int, default=2, help="chain length for chain-n")
+    parser.add_argument("--n", type=int, default=None, help="chain length for chain-n (2)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

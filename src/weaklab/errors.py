@@ -26,10 +26,6 @@ class UnnormalizedKet(InputError):
     """State vector norm deviates from 1 beyond tolerance."""
 
 
-class KindMismatch(InputError):
-    """Tensor product of objects of different kinds."""
-
-
 class DimensionMismatch(InputError):
     """Operands act on Hilbert spaces of different dimension."""
 
@@ -52,14 +48,6 @@ class UnsupportedKind(InputError):
 
 class InvalidDimensions(InputError):
     """Optimizer called with an out-of-range length, dimension, restart count or budget."""
-
-
-class UnknownScenario(InputError):
-    """Scenario name not in the built-in catalogue."""
-
-
-class UnknownParameter(InputError):
-    """Sweep parameter does not name a step width."""
 
 
 class ScenarioFileError(InputError):

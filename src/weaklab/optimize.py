@@ -51,23 +51,6 @@ def decode_state(params: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
-def encode_state(amplitudes: np.ndarray) -> np.ndarray:
-    """Inverse of ``decode_state`` up to global phase."""
-    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    vec = vec / np.linalg.norm(vec)
-    if abs(vec[0]) > 0:
-        vec = vec * (vec[0].conj() / abs(vec[0]))
-    d = vec.size
-    thetas = np.zeros(d - 1)
-    radial = 1.0
-    for j in range(d - 1):
-        cosine = abs(vec[j]) / radial if radial > 1e-300 else 1.0
-        thetas[j] = math.acos(min(1.0, max(-1.0, cosine)))
-        radial *= math.sin(thetas[j])
-    phases = np.angle(vec[1:])
-    return np.concatenate([thetas, phases])
-
-
 @dataclass(frozen=True)
 class SearchSpacePoint:
     """Angles for the initial state and for each measured projector."""

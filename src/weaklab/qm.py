@@ -1,9 +1,8 @@
 """Finite-dimensional complex Hilbert-space algebra.
 
 States, observables and POVM elements are thin immutable wrappers around
-numpy arrays. All heavy lifting (eigendecomposition, Kronecker products)
-is delegated to numpy; this module adds validation, canonical ordering
-and a cached spectral decomposition.
+numpy arrays. The eigendecomposition is delegated to numpy; this module
+adds validation, canonical ordering and a cached spectral decomposition.
 
 Values are immutable after construction and safe to share across
 threads; the lazy decomposition cache is compute-equal (a race recomputes
@@ -21,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     EmptyList,
     InputError,
-    KindMismatch,
     NonHermitianInput,
     UnnormalizedKet,
 )
@@ -187,17 +185,6 @@ def projector_from_ket(ket: PureState) -> Observable:
     return Observable(np.outer(ket.amplitudes, ket.amplitudes.conj()))
 
 
-def tensor(a, b):
-    """Kronecker product of two objects of the same kind."""
-    if type(a) is not type(b):
-        raise KindMismatch(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-    if isinstance(a, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, (Observable, MixedState, PovmElement)):
-        return type(a)(np.kron(a.matrix, b.matrix))
-    raise KindMismatch(f"cannot tensor objects of type {type(a).__name__}")
-
-
 # Shared qubit constants.
 KET_0 = PureState(np.array([1.0, 0.0]))
 KET_1 = PureState(np.array([0.0, 1.0]))
@@ -205,10 +192,6 @@ KET_PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
 SIGMA_X = Observable(np.array([[0.0, 1.0], [1.0, 0.0]]))
 SIGMA_Y = Observable(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
 SIGMA_Z = Observable(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-def identity_observable(dim: int) -> Observable:
-    return Observable(np.eye(dim))
 
 
 def qubit_ket(theta: float, phi: float = 0.0) -> PureState:

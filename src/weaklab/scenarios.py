@@ -104,8 +104,8 @@ def build_common_cause(
         raise DimensionMismatch(
             f"shared state dimension {psi_ab.dim} != {first.dim} * {second.dim}"
         )
-    lifted_first = qm.tensor(first, qm.identity_observable(second.dim))
-    lifted_second = qm.tensor(qm.identity_observable(first.dim), second)
+    lifted_first = qm.Observable(np.kron(first.matrix, np.eye(second.dim)))
+    lifted_second = qm.Observable(np.kron(np.eye(first.dim), second.matrix))
     return Scenario(
         initial=psi_ab.to_density(),
         steps=(

@@ -25,8 +25,7 @@ sequences in one call. Only the tables differ:
 Their difference is a measurable weak-regime error, which is the point:
 the exact engine never borrows the approximation it is used to test.
 Because moments are linear in each slot's readout, ``recover_weak_value``
-sums its momentum-subset combination of moments as a single chain, and
-``single_measurement_stats`` reads x, p, x^2 and p^2 off one weak chain.
+sums its momentum-subset combination of moments as a single chain.
 
 ``sample_outcomes`` simulates shots one Kraus update at a time: each
 shot carries a system ket, and each pointer is read right after its
@@ -207,6 +206,10 @@ def _scenario_chain(scn: Scenario, tables) -> tuple[np.ndarray, float]:
     return traces[:-1], probability
 
 
+# Very narrow widths overflow table entries: the overlap reads exp(-inf) = 0,
+# its right limit, and an inf or nan that reaches a trace makes ``_chain``
+# raise NumericError, so the analytic engines run with numpy's warnings off.
+@np.errstate(all="ignore")
 def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     """Exact joint moment Tr(M eta) / Tr(eta) for the requested pattern.
 
@@ -225,6 +228,7 @@ def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     return MomentResult(value.real, probability)
 
 
+@np.errstate(all="ignore")
 def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
     """First-order weak-regime value of the requested moment.
 
@@ -257,6 +261,7 @@ def steps_outside_weak_regime(scn: Scenario) -> tuple[int, ...]:
     )
 
 
+@np.errstate(all="ignore")
 def recover_weak_value(scn: Scenario, source: EvaluationMethod = EvaluationMethod.EXACT) -> complex:
     """Reassemble the sequential weak value from joint pointer moments.
 
@@ -284,43 +289,6 @@ def recover_weak_value(scn: Scenario, source: EvaluationMethod = EvaluationMetho
     return complex(numerator) / probability
 
 
-def nested_anticommutator_value(rho: qm.MixedState, seq: MeasurementSequence) -> float:
-    """2^(1-n) Tr[{A_1, {A_2, ..., {A_{n-1}, A_n}...}} rho].
-
-    Equals the weak-limit all-position moment without post-selection.
-    """
-    if rho.dim != seq.dim:
-        raise DimensionMismatch(f"state dimension {rho.dim} != sequence dimension {seq.dim}")
-    # position readouts do not depend on the pointer width
-    scn = Scenario(rho, (MeasurementStep(obs, GaussianPointer(1.0)) for obs in seq.observables))
-    return weak_prediction(scn, MomentPattern.all_position(len(seq))).value
-
-
-@dataclass(frozen=True)
-class PointerStats:
-    mean_x: float
-    mean_p: float
-    var_x: float
-    var_p: float
-
-
-def single_measurement_stats(
-    rho: qm.MixedState,
-    post: qm.PovmElement | None,
-    observable: qm.Observable,
-    ptr: GaussianPointer,
-) -> PointerStats:
-    """Weak-regime mean and variance of one pointer's position and momentum,
-    read off one chain whose x, p, x^2 and p^2 tables are taken at overlap 1."""
-    if rho.dim != observable.dim:
-        raise DimensionMismatch(f"state dimension {rho.dim} != observable dimension {observable.dim}")
-    step = MeasurementStep(observable, ptr)
-    kinds = [PointerOperatorKind(code) for code in "xpXPi"]
-    moments, probability = _scenario_chain(Scenario(rho, (step,), post), [_step_tables(step, kinds, exact=False)])
-    mean_x, mean_p, second_x, second_p = (moments.real / probability).tolist()
-    return PointerStats(mean_x, mean_p, second_x - mean_x**2, second_p - mean_p**2)
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo sampling of pointer positions
 # ---------------------------------------------------------------------------
@@ -344,6 +312,8 @@ class SampleStatistics:
 SAMPLE_MEMORY_LIMIT = 2 * 1024**3
 
 
+# The Kraus weights of a very narrow pointer overflow to exp(-inf) = 0.
+@np.errstate(over="ignore")
 def sample_outcomes(
     scn: Scenario,
     shots: int,

@@ -303,8 +303,7 @@ class TestNonFiniteInputs:
         ],
     )
     def test_non_finite_moment_exit_code(self, capsys, argv):
-        with np.errstate(all="ignore"):
-            code, out = run_cli(capsys, *argv)
+        code, out = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
 
@@ -314,6 +313,10 @@ class TestNonFiniteInputs:
             ("simulate", "illustrative", "--pattern", "xx", "--sigma", "1e-200"),
             ("simulate", "pauli-xy", "--pattern", "px", "--sigma", "1e-200"),
             ("scenario", "illustrative", "--sigma", "1e-200"),
+            # sigma^2 is subnormal, so 1/sigma^2 and 1/sigma^4 overflow
+            ("simulate", "pauli-xy", "--pattern", "px", "--sigma", "1e-160"),
+            ("simulate", "pauli-xy", "--pattern", "PX", "--sigma", "1e-80"),
+            ("scenario", "illustrative", "--sigma", "1e-160"),
         ],
     )
     def test_width_squared_underflow_fails_cleanly(self, capsys, argv):
@@ -325,3 +328,68 @@ class TestNonFiniteInputs:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("numeric failure: ")
+
+    @pytest.mark.parametrize(
+        "argv,key,column",
+        [
+            (("simulate", "illustrative", "--pattern", "xx", "--sigma", "1e-160"), "moment", "value"),
+            (("sample", "illustrative", "--sigma", "1e-160", "--shots", "100"), "mean_position_product", "exact"),
+            (("sweep", "illustrative", "--param", "sigma1", "--from", "1e-160", "--to", "1", "--steps", "3",
+              "--pattern", "xx"), "1e-160", "exact"),
+        ],
+    )
+    def test_narrow_width_prints_no_warning(self, capsys, argv, key, column):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 0
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("# elapsed ")
+        # the overlap of so narrow a first pointer is exp(-inf) = 0, so x1*x2 reads 1/16
+        row = next(row for row in csv_rows(captured.out) if next(iter(row.values())) == key)
+        assert float(row[column]) == pytest.approx(1.0 / 16.0, abs=1e-12)
+
+
+class TestUnreadFlags:
+    """A width or length flag that the run would not read is refused."""
+
+    SWEEP = ("--from", "1", "--to", "2", "--steps", "2", "--pattern", "xx")
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("simulate", "FILE", "--pattern", "xx", "--sigma1", "0.3"), "--sigma1"),
+            (("simulate", "FILE", "--pattern", "xx", "--sigma", "2"), "--sigma"),
+            (("sample", "FILE", "--shots", "10", "--sigma2", "2"), "--sigma2"),
+            (("sweep", "FILE", "--param", "sigma1", *SWEEP, "--n", "3"), "--n"),
+            (("scenario", "chain-n", "--n", "3", "--sigma1", "0.2"), "--sigma1"),
+            (("simulate", "chain-n", "--pattern", "xx", "--sigma2", "0.2"), "--sigma2"),
+            (("scenario", "illustrative", "--n", "5"), "--n"),
+            (("simulate", "pauli-xy", "--pattern", "xx", "--n", "3"), "--n"),
+            (("sample", "common-cause", "--shots", "10", "--n", "3"), "--n"),
+            (("sweep", "illustrative", "--param", "sigma1", *SWEEP, "--sigma1", "0.3"), "--sigma1"),
+            (("sweep", "pauli-xy", "--param", "sigma2", *SWEEP, "--sigma2", "0.3"), "--sigma2"),
+        ],
+    )
+    def test_unread_flag_exit_code(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "illustrative.json"
+        wl.save_scenario(wl.build_illustrative(1.0, 1.0), path)
+        code = main([str(path) if arg == "FILE" else arg for arg in argv])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"input error: {flag} ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "illustrative", "--param", "sigma1", *SWEEP, "--sigma2", "0.3"),
+            ("sweep", "chain-n", "--param", "sigma1", *SWEEP, "--n", "2", "--sigma", "0.5"),
+            ("scenario", "chain-n", "--n", "3", "--sigma", "0.5"),
+        ],
+    )
+    def test_read_flags_accepted(self, capsys, argv):
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0

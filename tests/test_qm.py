@@ -6,7 +6,6 @@ from weaklab.errors import (
     DimensionMismatch,
     EmptyList,
     InputError,
-    KindMismatch,
     NonHermitianInput,
     UnnormalizedKet,
 )
@@ -143,35 +142,8 @@ class TestProjectorFromKet:
             assert np.max(np.abs(proj @ proj - proj)) < 1e-12
 
 
-class TestTensor:
-    def test_identity_identity(self):
-        eye = wl.Observable(np.eye(2))
-        assert np.allclose(wl.tensor(eye, eye).matrix, np.eye(4))
-
-    def test_basis_kets(self):
-        combined = wl.tensor(wl.KET_0, wl.KET_1)
-        assert np.allclose(combined.amplitudes, [0.0, 1.0, 0.0, 0.0])
-
-    def test_sigma_z_pair_spectrum(self):
-        zz = wl.tensor(wl.SIGMA_Z, wl.SIGMA_Z)
-        assert np.allclose(np.sort(zz.decomposition.eigenvalues), [-1.0, -1.0, 1.0, 1.0])
-
-    def test_kind_mismatch(self):
-        with pytest.raises(KindMismatch):
-            wl.tensor(wl.KET_0, wl.SIGMA_Z)
-
-    def test_projector_tensor_stays_projector(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            left = wl.projector_from_ket(wl.random_ket(rng, 2))
-            right = wl.projector_from_ket(wl.random_ket(rng, 3))
-            product = wl.tensor(left, right).matrix
-            assert np.max(np.abs(product @ product - product)) < 1e-10
-
-
 class TestCommutes:
     def test_disjoint_supports_commute(self):
-        eye = wl.Observable(np.eye(2))
-        a = wl.tensor(wl.SIGMA_X, eye).matrix
-        b = wl.tensor(eye, wl.SIGMA_Y).matrix
+        a = np.kron(wl.SIGMA_X.matrix, np.eye(2))
+        b = np.kron(np.eye(2), wl.SIGMA_Y.matrix)
         assert np.linalg.norm(a @ b - b @ a, ord=2) <= 1e-12

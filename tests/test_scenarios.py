@@ -89,7 +89,7 @@ class TestProjectorChain:
 
 class TestCommonCause:
     def test_product_state_aligned_projectors(self):
-        shared = wl.tensor(wl.KET_0, wl.KET_0)
+        shared = wl.PureState(np.kron(wl.KET_0.amplitudes, wl.KET_0.amplitudes))
         proj = wl.projector_from_ket(wl.KET_0)
         scn = wl.build_common_cause(shared, proj, proj, 1.0, 1.0)
         got = wl.exact_moment(scn, wl.MomentPattern.from_string("xx")).value
@@ -114,7 +114,7 @@ class TestCommonCause:
                 shared, first, second, float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0))
             )
             got = wl.exact_moment(scn, pattern).value
-            joint = wl.tensor(first, second).matrix
+            joint = np.kron(first.matrix, second.matrix)
             want = (shared.amplitudes.conj() @ joint @ shared.amplitudes).real
             assert got == pytest.approx(want, abs=1e-12)
             assert -1e-12 <= got <= 1.0 + 1e-12

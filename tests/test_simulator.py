@@ -8,11 +8,14 @@ formulas and by the operator-ordering sum, weak-value recovery by the
 sum over momentum subsets, and the sampler by the exact engine itself.
 """
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weaklab as wl
 from weaklab import simulator
@@ -591,121 +594,75 @@ class TestChainAgainstReferences:
                     assert abs(prob - want.postselection_probability) <= 1e-13
 
 
+@st.composite
+def random_cases(draw, with_post):
+    """A scenario with d 2-4, n 1-4, widths log-uniform in [0.3, 300] and
+    random states and observables, plus any i/x/X/p/P pattern. With
+    ``with_post`` it may carry a full-rank effect whose largest eigenvalue is 1."""
+    d, n = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    pattern = wl.MomentPattern.from_string(draw(st.text("ixXpP", min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = np.exp(rng.uniform(math.log(0.3), math.log(300.0), size=n))
+    steps = tuple(wl.MeasurementStep(wl.random_observable(rng, d), wl.GaussianPointer(float(w))) for w in widths)
+    post = None
+    if with_post and draw(st.booleans()):
+        effect = wl.random_density(rng, d).matrix
+        post = wl.PovmElement(effect / np.linalg.eigvalsh(effect).max())
+    return wl.Scenario(wl.random_density(rng, d), steps, post), pattern
+
+
+def term_scale(scn, pattern):
+    """max(1, prod_j max|F_j|): the size of the chain's terms, which the
+    engine's imaginary-residue check also uses."""
+    scale = 1.0
+    for step, kind in zip(scn.steps, pattern.kinds):
+        a = step.observable.decomposition.eigenvalues
+        scale *= np.abs(matrix_element(step.pointer, kind, a[np.newaxis, :], a[:, np.newaxis])).max()
+    return max(1.0, scale)
+
+
+class TestEngineProperties:
+    @given(random_cases(with_post=False))
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    def test_identity_effect_is_no_postselection(self, case):
+        scn, pattern = case
+        plain = wl.exact_moment(scn, pattern)
+        identity = wl.exact_moment(dataclasses.replace(scn, post=wl.PovmElement(np.eye(scn.dim))), pattern)
+        # Cancellation can leave the value far below its terms, so the
+        # difference is measured against the terms, not the value.
+        assert abs(identity.value - plain.value) <= 1e-12 * term_scale(scn, pattern)
+        assert abs(identity.postselection_probability - plain.postselection_probability) <= 1e-12
+
+    @given(random_cases(with_post=True))
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    def test_imaginary_residue_stays_below_check(self, case):
+        scn, pattern = case
+        wl.exact_moment(scn, pattern)  # raises NumericError if the check trips
+
+
 class TestNestedAnticommutator:
+    """The weak-limit all-position moment without post-selection is
+    2^(1-n) Tr[{A_1, {A_2, ..., {A_{n-1}, A_n}...}} rho]."""
+
     def test_pair_identity(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            first = wl.random_observable(rng, 3)
-            second = wl.random_observable(rng, 3)
-            rho = wl.random_density(rng, 3)
-            got = wl.nested_anticommutator_value(rho, wl.MeasurementSequence([first, second]))
-            want = np.trace(second.matrix @ first.matrix @ rho.matrix).real
+            steps = [wl.MeasurementStep(wl.random_observable(rng, 3), wl.GaussianPointer(1.0)) for _ in range(2)]
+            scn = wl.Scenario(wl.random_density(rng, 3), steps)
+            got = wl.weak_prediction(scn, wl.MomentPattern.all_position(2)).value
+            first, second = (step.observable.matrix for step in steps)
+            want = np.trace(second @ first @ scn.initial.matrix).real
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_illustrative_value(self):
         scn = wl.build_illustrative(1.0, 1.0)
-        got = wl.nested_anticommutator_value(scn.initial, scn.sequence())
+        got = wl.weak_prediction(scn, wl.MomentPattern.all_position(2)).value
         assert got == pytest.approx(-0.125, abs=1e-14)
 
     def test_chain_three(self):
         scn = wl.build_projector_chain(3, 1.0)
-        got = wl.nested_anticommutator_value(scn.initial, scn.sequence())
+        got = wl.weak_prediction(scn, wl.MomentPattern.all_position(3)).value
         assert got == pytest.approx(-0.125, abs=1e-14)
-
-    def test_equals_weak_all_position_without_post(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            n = int(rng.integers(1, 5))
-            scn = random_scenario(rng, 2, n, with_post=False)
-            got = wl.nested_anticommutator_value(scn.initial, scn.sequence())
-            want = wl.weak_prediction(scn, wl.MomentPattern.all_position(n)).value
-            assert got == pytest.approx(want, abs=1e-12)
-
-
-class TestSingleMeasurementStats:
-    def test_no_post_variance(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            rho = wl.random_density(rng, 3)
-            obs = wl.random_observable(rng, 3)
-            sigma = float(rng.uniform(0.5, 10.0))
-            stats = wl.single_measurement_stats(rho, None, obs, wl.GaussianPointer(sigma))
-            mean = np.trace(obs.matrix @ rho.matrix).real
-            second = np.trace(obs.matrix @ obs.matrix @ rho.matrix).real
-            assert stats.mean_x == pytest.approx(mean, abs=1e-12)
-            assert stats.mean_p == pytest.approx(0.0, abs=1e-12)
-            assert stats.var_x == pytest.approx(sigma**2 + second - mean**2, abs=1e-10)
-
-    def test_symmetric_state_zero_means(self):
-        stats = wl.single_measurement_stats(
-            wl.KET_PLUS.to_density(), None, wl.SIGMA_Z, wl.GaussianPointer(2.0)
-        )
-        assert stats.mean_x == pytest.approx(0.0, abs=1e-14)
-        assert stats.mean_p == pytest.approx(0.0, abs=1e-14)
-
-    def test_pure_postselected_cross_term(self):
-        # For pure pre/post states the sandwich term equals |weak value|^2.
-        rng = np.random.default_rng(15)
-        for _ in range(20):
-            psi = wl.random_ket(rng, 2)
-            phi = wl.random_ket(rng, 2)
-            overlap = phi.amplitudes.conj() @ psi.amplitudes
-            if abs(overlap) < 1e-2:
-                continue
-            obs = wl.random_observable(rng, 2)
-            sigma = 3.0
-            post = wl.PovmElement(np.outer(phi.amplitudes, phi.amplitudes.conj()))
-            stats = wl.single_measurement_stats(psi.to_density(), post, obs, wl.GaussianPointer(sigma))
-            wv = (phi.amplitudes.conj() @ obs.matrix @ psi.amplitudes) / overlap
-            wv_sq = (phi.amplitudes.conj() @ obs.matrix @ obs.matrix @ psi.amplitudes) / overlap
-            want_var_x = sigma**2 + 0.5 * (wv_sq.real + abs(wv) ** 2) - wv.real**2
-            assert stats.var_x == pytest.approx(want_var_x, abs=1e-10)
-            assert stats.mean_x == pytest.approx(wv.real, abs=1e-12)
-            assert stats.mean_p == pytest.approx(wv.imag / (2 * sigma**2), abs=1e-12)
-
-    def test_momentum_variance_closed_form(self):
-        # Var(p) = (sigma^2 - (Re <A^2>_w - cross)/2 - (Im A_w)^2) / (4 sigma^4),
-        # with cross = Tr(E A rho A) / Tr(E rho).
-        rng = np.random.default_rng(17)
-        for with_post in (False, True):
-            for _ in range(20):
-                rho = wl.random_density(rng, 3)
-                obs = wl.random_observable(rng, 3)
-                sigma = float(rng.uniform(0.5, 10.0))
-                effect, post = np.eye(3), None
-                if with_post:
-                    ket = wl.random_ket(rng, 3)
-                    effect = np.outer(ket.amplitudes, ket.amplitudes.conj())
-                    post = wl.PovmElement(effect)
-                a, r = obs.matrix, rho.matrix
-                norm = np.trace(effect @ r).real
-                wv = np.trace(effect @ a @ r) / norm
-                wv_sq = np.trace(effect @ a @ a @ r) / norm
-                cross = np.trace(effect @ a @ r @ a).real / norm
-                want = (sigma**2 - 0.5 * (wv_sq.real - cross) - wv.imag**2) / (4.0 * sigma**4)
-                scale = (sigma**2 + abs(wv_sq) + abs(cross) + abs(wv) ** 2) / (4.0 * sigma**4)
-                stats = wl.single_measurement_stats(rho, post, obs, wl.GaussianPointer(sigma))
-                assert stats.var_p == pytest.approx(want, abs=1e-12 * scale)
-
-    def test_exact_engine_agrees_in_weak_regime(self):
-        rng = np.random.default_rng(16)
-        sigma = 200.0
-        for _ in range(10):
-            rho = wl.random_density(rng, 2)
-            obs = wl.random_observable(rng, 2)
-            ket = wl.random_ket(rng, 2)
-            post = wl.PovmElement(np.outer(ket.amplitudes, ket.amplitudes.conj()))
-            try:
-                stats = wl.single_measurement_stats(rho, post, obs, wl.GaussianPointer(sigma))
-            except ZeroPostSelectionProbability:
-                continue
-            scn = wl.Scenario(
-                initial=rho, steps=(wl.MeasurementStep(obs, wl.GaussianPointer(sigma)),), post=post
-            )
-            exact_x = wl.exact_moment(scn, wl.MomentPattern([X])).value
-            exact_p = wl.exact_moment(scn, wl.MomentPattern([P])).value
-            assert exact_x == pytest.approx(stats.mean_x, abs=1e-3)
-            assert exact_p == pytest.approx(stats.mean_p, abs=1e-3 / sigma**2)
 
 
 class TestSampler:
