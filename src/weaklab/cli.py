@@ -266,7 +266,9 @@ def _cmd_sample(args) -> None:
         "postselection_probability": stats.postselection_probability,
     }
     n = scn.n_steps
-    results = [_sample_row("mean_position_product", samples.prod(axis=1), scn, MomentPattern.all_position(n))]
+    with np.errstate(over="ignore"):
+        products = samples.prod(axis=1)
+    results = [_sample_row("mean_position_product", products, scn, MomentPattern.all_position(n))]
     for j in range(n):
         single = MomentPattern(
             PointerOperatorKind.POSITION if k == j else PointerOperatorKind.IDENTITY for k in range(n)
@@ -277,8 +279,11 @@ def _cmd_sample(args) -> None:
 
 def _sample_row(quantity: str, values: np.ndarray, scn: Scenario, pattern: MomentPattern) -> dict:
     """Sample mean and standard error of ``values`` beside the exact moment."""
-    mean = float(values.mean()) if values.size else float("nan")
-    stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size >= 2 else float("nan")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean()) if values.size else float("nan")
+        stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size >= 2 else float("nan")
+    if values.size >= 2 and not math.isfinite(stderr):
+        raise NumericError(f"sample statistics of {quantity} overflow; the pointer widths are too wide")
     exact = exact_moment(scn, pattern).value
     return {
         "quantity": quantity,

@@ -5,9 +5,9 @@ projectors, each parameterized by hyperspherical angles and phases
 (2(d-1) reals per state, norm 1 by construction, no constraints for the
 local method to fight). Two objectives are offered:
 
-* the weak-limit mean product of all pointer positions (the nested
-  anti-commutator form), whose conjectured floor is -1/8 for projector
-  sequences of any length;
+* the mean product of all pointer positions, at a finite width or in
+  the weak limit (the nested anti-commutator form), whose conjectured
+  floor is -1/8 for projector sequences of any length;
 * the real part of the sequential weak value itself, which projector
   chains push toward -1.
 
@@ -27,8 +27,7 @@ import numpy as np
 
 from . import qm
 from .errors import InputError, InvalidDimensions
-from .pointer import GaussianPointer, PointerOperatorKind
-from .simulator import _chain, _tables
+from .pointer import GaussianPointer, PointerOperatorKind, matrix_element
 
 SIMPLEX_DIAMETER_TOL = 1e-10
 VALUE_SPREAD_TOL = 1e-14
@@ -94,15 +93,20 @@ def _decode_points(points: np.ndarray, n: int, d: int) -> np.ndarray:
     return decode_state(points.reshape(points.shape[0], n + 1, 2 * (d - 1)))
 
 
-def _pointer_products(points: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Weak-limit all-position moment 2^(1-n) <psi|{A_1,{...,A_n}...}|psi>
-    of each point, built as the nested product of rank-1 projectors."""
+def _pointer_products(points: np.ndarray, n: int, d: int, overlap: float) -> np.ndarray:
+    """All-position moment 2^(1-n) <psi|Y_1|psi> of each point, built in
+    the Heisenberg picture from Y_n = A_n. For a rank-1 projector A the
+    exact position step is Y -> (c/2)(AY + YA) + (1 - c) AYA at the
+    Gaussian ``overlap`` c of its eigenvalues 0 and 1; at c = 1 it is the
+    weak limit, the nested anti-commutator {A_1,{...,A_n}...}/2^(n-1)."""
     kets = _decode_points(points, n, d)
     projectors = (kets[:, :, :, np.newaxis] * kets[:, :, np.newaxis, :].conj()).swapaxes(0, 1)
     nested = projectors[n]
     for projector in projectors[n - 1 : 0 : -1]:
         product = projector @ nested
         nested = product + product.conj().swapaxes(1, 2)
+        if overlap < 1.0:
+            nested = overlap * nested + 2 * (1 - overlap) * (product @ projector)
     moment = kets[:, 0, np.newaxis, :].conj() @ nested @ kets[:, 0, :, np.newaxis]
     return 2.0 ** (1 - n) * moment[:, 0, 0].real
 
@@ -114,26 +118,6 @@ def _weak_value_reals(points: np.ndarray, n: int, d: int) -> np.ndarray:
     chain = np.concatenate([kets, kets[:, :1]], axis=1)
     overlaps = (chain[:, 1:].conj() * chain[:, :-1]).sum(axis=2)
     return overlaps.prod(axis=1).real
-
-
-def _projector_bases(kets: np.ndarray) -> np.ndarray:
-    """Eigenbases of the projectors |k><k| for eigenvalues (0, ..., 0, 1):
-    the Householder reflections that map e_d to each ket up to a phase,
-    so their last column is the ket and the others span its complement."""
-    mirror = kets.copy()
-    mirror[..., -1] += np.exp(1j * np.angle(kets[..., -1]))
-    outer = mirror[..., :, np.newaxis] * mirror[..., np.newaxis, :].conj()
-    return np.eye(kets.shape[-1]) - 2.0 * outer / (np.abs(mirror) ** 2).sum(axis=-1)[..., np.newaxis, np.newaxis]
-
-
-def _finite_sigma_products(points: np.ndarray, n: int, d: int, tables: np.ndarray) -> np.ndarray:
-    """Exact all-position moment of each point at one pointer width, one
-    batched chain whose every step reads the (x, identity) ``tables``."""
-    kets = _decode_points(points, n, d)
-    bases = _projector_bases(kets[:, 1:])
-    initial = kets[:, 0, :, np.newaxis] * kets[:, 0, np.newaxis, :].conj()
-    moment, norm = _chain(initial, bases.swapaxes(0, 1), [tables] * n).real
-    return moment / norm
 
 
 def _nelder_mead(objective, starts: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,18 +251,17 @@ def minimize_pointer_product(
     """Minimize the weak-limit mean product of the pointer positions over
     projector sequences of length ``n`` in dimension ``d``.
 
-    ``sigma`` switches to the finite-width exact moment for landscape
-    exploration; the default (None) is the weak-limit objective the
-    -1/8 conjecture is about.
+    ``sigma`` switches to the exact moment at that pointer width, the
+    same recursion at the overlap exp(-1/(8 sigma^2)) < 1, for landscape
+    exploration; the default (None) is the weak-limit objective the -1/8
+    conjecture is about.
     """
-    if sigma is None:
-        objective = lambda points: _pointer_products(points, n, d)
-    else:
-        # Every rank-1 projector has eigenvalues (0, ..., 0, 1), so one
-        # (x, identity) stack serves every step of every point.
-        kinds = (PointerOperatorKind.POSITION, PointerOperatorKind.IDENTITY)
-        tables = _tables(np.eye(d)[-1], GaussianPointer(sigma), kinds)[:, np.newaxis]
-        objective = lambda points: _finite_sigma_products(points, n, d, tables)
+    overlap = 1.0
+    if sigma is not None:
+        # A subnormal sigma^2 overflows the exponent to -inf: overlap 0.
+        with np.errstate(over="ignore"):
+            overlap = matrix_element(GaussianPointer(sigma), PointerOperatorKind.IDENTITY, 0.0, 1.0).real
+    objective = lambda points: _pointer_products(points, n, d, overlap)
     return _search(objective, n, d, restarts, seed, budget, initial_point)
 
 

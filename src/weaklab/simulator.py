@@ -7,9 +7,9 @@ eigenprojectors P_k of the measured observable, with F the table of
 pointer matrix elements for that step's readout kind. The state is
 carried in each step's eigenbasis, where the sandwich is the entrywise
 product F o X. Tr(eta), the chain whose every slot reads the identity,
-runs stacked beside it as the normalization. The chain also takes a
-leading batch axis, which the optimizer uses to evaluate many projector
-sequences in one call. Only the tables differ:
+runs stacked beside it as the normalization. The chain also broadcasts
+over leading batch axes, so one call can carry many chains that share
+their tables. Only the tables differ:
 
 * ``exact_moment`` uses the exact tables. After each coupling the
   pointers' reduced state is a combination of displaced-Gaussian dyads
@@ -151,18 +151,15 @@ def _check_pattern(scn: Scenario, pat: MomentPattern) -> None:
         )
 
 
-def _tables(eigenvalues, ptr: GaussianPointer, kinds, exact: bool = True) -> np.ndarray:
+def _step_tables(step: MeasurementStep, kinds, exact: bool = True) -> np.ndarray:
     """Stacked F[k, l] = <phi(a_l)| O |phi(a_k)>, the weights of the
     P_k X P_l dyads, one table per kind; at overlap 1 unless ``exact``."""
+    eigenvalues = step.observable.decomposition.eigenvalues
     left, right = eigenvalues[np.newaxis, :], eigenvalues[:, np.newaxis]
     if exact:
-        return np.array([matrix_element(ptr, kind, left, right) for kind in kinds])
-    mean, gap, s2 = 0.5 * (left + right), right - left, ptr.sigma**2
+        return np.array([matrix_element(step.pointer, kind, left, right) for kind in kinds])
+    mean, gap, s2 = 0.5 * (left + right), right - left, step.pointer.sigma**2
     return np.array([_factor(kind, s2, mean, gap) for kind in kinds])
-
-
-def _step_tables(step: MeasurementStep, kinds, exact: bool = True) -> np.ndarray:
-    return _tables(step.observable.decomposition.eigenvalues, step.pointer, kinds, exact)
 
 
 def _chain(initial, bases, tables, post=None) -> np.ndarray:

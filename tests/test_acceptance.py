@@ -288,3 +288,26 @@ def test_criterion_10_sampler_consistency():
         f"sample mean {mean:+.5f} vs exact {exact:+.5f} -> {z:.2f} stderr (<4); "
         f"seed-1 rerun byte-identical: {identical}; runtime {elapsed:.1f}s (<60s)",
     )
+
+
+def test_criterion_11_conjecture_evidence_beyond_qubits_and_five_steps():
+    started = time.perf_counter()
+    results = {}
+    for n, d, restarts in ((2, 3, 64), (3, 3, 64), (2, 4, 32), (6, 2, 32), (8, 2, 16)):
+        outcome = wl.minimize_pointer_product(n=n, d=d, restarts=restarts, seed=7, budget=20_000)
+        results[n, d] = outcome.best_value
+        if outcome.best_value < -0.125 - 1e-9:
+            print(
+                f"FINDING: pointer-product minimum {outcome.best_value!r} for n={n}, d={d} lies below "
+                f"the conjectured -1/8 floor; configuration: {outcome.best_point}"
+            )
+    elapsed = time.perf_counter() - started
+    in_window = all(-0.125 - 1e-9 <= value <= -0.1245 for value in results.values())
+    ok = in_window and elapsed < 300.0
+    report(
+        11,
+        ok,
+        "best pointer-product values "
+        + ", ".join(f"n={n} d={d}: {value:.12f}" for (n, d), value in results.items())
+        + f" (each in [-0.125-1e-9, -0.1245]); runtime {elapsed:.1f}s (<300s)",
+    )

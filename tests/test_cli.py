@@ -317,6 +317,9 @@ class TestNonFiniteInputs:
             ("simulate", "pauli-xy", "--pattern", "px", "--sigma", "1e-160"),
             ("simulate", "pauli-xy", "--pattern", "PX", "--sigma", "1e-80"),
             ("scenario", "illustrative", "--sigma", "1e-160"),
+            # at the wide end the sampled products overflow their statistics
+            ("sample", "illustrative", "--sigma", "1e150", "--shots", "50"),
+            ("sample", "chain-n", "--n", "4", "--sigma", "1e150", "--shots", "50"),
         ],
     )
     def test_width_squared_underflow_fails_cleanly(self, capsys, argv):

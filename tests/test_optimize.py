@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,25 +72,17 @@ class TestBatchedObjectives:
         for d in (2, 3, 4):
             for n in (2, 3, 4, 5):
                 points = rng.uniform(0.0, 2.0 * math.pi, size=(6, 2 * (d - 1) * (n + 1)))
-                sigma = float(np.exp(rng.uniform(math.log(0.5), math.log(5.0))))
-                kinds = (wl.PointerOperatorKind.POSITION, wl.PointerOperatorKind.IDENTITY)
-                tables = optimize._tables(np.eye(d)[-1], wl.GaussianPointer(sigma), kinds)[:, np.newaxis]
+                # log-uniform widths put the overlap anywhere from about 0 to about 1
+                sigma = float(np.exp(rng.uniform(math.log(0.05), math.log(1e3))))
+                overlap = math.exp(-1.0 / (8.0 * sigma**2))
                 pairs = (
-                    (optimize._pointer_products(points, n, d), pointer_product_reference, ()),
+                    (optimize._pointer_products(points, n, d, 1.0), pointer_product_reference, ()),
                     (optimize._weak_value_reals(points, n, d), weak_value_real_reference, ()),
-                    (optimize._finite_sigma_products(points, n, d, tables), finite_sigma_reference, (sigma,)),
+                    (optimize._pointer_products(points, n, d, overlap), finite_sigma_reference, (sigma,)),
                 )
                 for got, reference, extra in pairs:
                     want = [reference(flat, n, d, *extra) for flat in points]
                     assert np.abs(got - want).max() <= 1e-13
-
-    def test_projector_bases_are_eigenbases(self):
-        kets = decode_state(np.random.default_rng(35).uniform(0.0, 2.0 * math.pi, size=(5, 2, 6)))
-        bases = optimize._projector_bases(kets)
-        for ket, basis in zip(kets.reshape(-1, 4), bases.reshape(-1, 4, 4)):
-            assert np.allclose(basis.conj().T @ basis, np.eye(4), atol=1e-14)
-            assert abs(abs(basis[:, -1].conj() @ ket) - 1.0) <= 1e-14
-            assert np.abs(basis[:, :-1].conj().T @ ket).max() <= 1e-14
 
 
 class TestLockstepNelderMead:
@@ -190,6 +183,19 @@ class TestPointerProductSearch:
         # at sigma = 1 the landscape is the exact moment, whose value at the
         # starting point is the illustrative closed form
         assert result.best_value <= (1.0 - 3.0 * math.exp(-0.125)) / 16.0 + 1e-9
+
+    def test_narrow_width_prints_no_warning(self):
+        # sigma^2 is subnormal, so 1/(8 sigma^2) overflows: the overlap is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = wl.minimize_pointer_product(n=2, d=2, restarts=2, seed=0, budget=50, sigma=1e-160)
+        assert math.isfinite(result.best_value)
+
+    def test_projective_limit_shows_no_anomaly(self):
+        # A narrow pointer measures projectively, so the positions are the
+        # eigenvalues 0 and 1 and their mean product cannot be negative.
+        result = wl.minimize_pointer_product(n=3, d=3, restarts=8, seed=0, budget=3000, sigma=1e-3)
+        assert result.best_value >= -1e-12
 
     def test_invalid_dimensions(self):
         with pytest.raises(InvalidDimensions):
