@@ -9,6 +9,7 @@ sum over momentum subsets, and the sampler by the exact engine itself.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -692,6 +693,25 @@ class TestSampler:
         assert first.tobytes() == second.tobytes()
         third, _ = wl.sample_outcomes(scn, 5000, seed=12)
         assert first.tobytes() != third.tobytes()
+
+    @pytest.mark.parametrize(
+        "case,shots,seed,digest",
+        [
+            ("illustrative", 5000, 11, "5dea6c53a956fc90c90714686b163996a319164a538ef51f830516bfe0e30e88"),
+            ("chain-5", 3000, 4, "ae5becb72e24628d997da2ca566b8244a0b3bbaf1fb1f6501c5fd103e3d5fbd2"),
+            ("random-post", 4000, 5, "1253f57167fd81d8f2a5ed7daecba8eed5aa6c83b1117b3d0086c8c27cc1c3e0"),
+        ],
+    )
+    def test_pinned_stream(self, case, shots, seed, digest):
+        # A seed names one sample set for good: a rewrite of the sampler
+        # must draw the same random numbers in the same order.
+        scn = {
+            "illustrative": lambda: wl.build_illustrative(2.0, 0.7),
+            "chain-5": lambda: wl.build_projector_chain(5, 1.0),
+            "random-post": lambda: random_scenario(np.random.default_rng(30), 3, 2, with_post=True),
+        }[case]()
+        samples, _ = wl.sample_outcomes(scn, shots, seed=seed)
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
     def test_postselection_retention(self):
         scn = wl.Scenario(
