@@ -39,6 +39,7 @@ from .simulator import (
     MomentPattern,
     Scenario,
     exact_moment,
+    exact_moments,
     recover_weak_value,
     sample_outcomes,
     steps_outside_weak_regime,
@@ -266,25 +267,26 @@ def _cmd_sample(args) -> None:
         "postselection_probability": stats.postselection_probability,
     }
     n = scn.n_steps
+    singles = [
+        MomentPattern(PointerOperatorKind.POSITION if k == j else PointerOperatorKind.IDENTITY for k in range(n))
+        for j in range(n)
+    ]
+    exact = exact_moments(scn, [MomentPattern.all_position(n), *singles])
     with np.errstate(over="ignore"):
         products = samples.prod(axis=1)
-    results = [_sample_row("mean_position_product", products, scn, MomentPattern.all_position(n))]
-    for j in range(n):
-        single = MomentPattern(
-            PointerOperatorKind.POSITION if k == j else PointerOperatorKind.IDENTITY for k in range(n)
-        )
-        results.append(_sample_row(f"mean_position_{j + 1}", samples[:, j], scn, single))
+    columns = [("mean_position_product", products)] + [(f"mean_position_{j + 1}", samples[:, j]) for j in range(n)]
+    results = [_sample_row(quantity, values, moment.value) for (quantity, values), moment in zip(columns, exact)]
     _emit(args, _command_echo(args), config, results, summary)
 
 
-def _sample_row(quantity: str, values: np.ndarray, scn: Scenario, pattern: MomentPattern) -> dict:
+def _sample_row(quantity: str, values: np.ndarray, exact: float) -> dict:
     """Sample mean and standard error of ``values`` beside the exact moment."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(values.mean()) if values.size else float("nan")
         stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size >= 2 else float("nan")
-    if values.size >= 2 and not math.isfinite(stderr):
+    # Undefined statistics read NaN; statistics that overflow are errors.
+    if values.size and not math.isfinite(mean) or values.size >= 2 and not math.isfinite(stderr):
         raise NumericError(f"sample statistics of {quantity} overflow; the pointer widths are too wide")
-    exact = exact_moment(scn, pattern).value
     return {
         "quantity": quantity,
         "sample_mean": mean,

@@ -15,7 +15,8 @@ their tables. Only the tables differ:
   pointers' reduced state is a combination of displaced-Gaussian dyads
   whose moments have closed forms, so the joint moment is an exact
   finite sum over eigenindex pairs; no approximation and no
-  discretization enters.
+  discretization enters. ``exact_moments`` stacks several patterns'
+  tables in one chain.
 
 * ``weak_prediction`` uses the same tables with the Gaussian overlap set
   to 1, the first order in 1/sigma that holds for wide pointers: a
@@ -31,7 +32,11 @@ sums its momentum-subset combination of moments as a single chain.
 shot carries a system ket, and each pointer is read right after its
 coupling, from the positive mixture of d Gaussians that the ket's
 populations define. No envelope and no rejection is needed, and
-Monte-Carlo runs agree with ``exact_moment`` up to shot noise.
+Monte-Carlo runs agree with ``exact_moment`` up to shot noise. The kets
+are held shot-contiguous, real and imaginary parts stacked as one
+(2d, shots) array, so every step is a (2d, 2d) @ (2d, shots) rotation
+and length-shots vector operations: O(shots n d^2) time, and at most
+``sample_footprint`` bytes, which is checked before any allocation.
 """
 
 from __future__ import annotations
@@ -157,9 +162,12 @@ def _step_tables(step: MeasurementStep, kinds, exact: bool = True) -> np.ndarray
     eigenvalues = step.observable.decomposition.eigenvalues
     left, right = eigenvalues[np.newaxis, :], eigenvalues[:, np.newaxis]
     if exact:
-        return np.array([matrix_element(step.pointer, kind, left, right) for kind in kinds])
-    mean, gap, s2 = 0.5 * (left + right), right - left, step.pointer.sigma**2
-    return np.array([_factor(kind, s2, mean, gap) for kind in kinds])
+        made = {kind: matrix_element(step.pointer, kind, left, right) for kind in dict.fromkeys(kinds)}
+    else:
+        mean, gap, s2 = 0.5 * (left + right), right - left, step.pointer.sigma**2
+        made = {kind: _factor(kind, s2, mean, gap) for kind in dict.fromkeys(kinds)}
+    # A stack of several patterns repeats kinds; each table is made once.
+    return np.array([made[kind] for kind in kinds])
 
 
 def _chain(initial, bases, tables, post=None) -> np.ndarray:
@@ -207,22 +215,46 @@ def _scenario_chain(scn: Scenario, tables) -> tuple[np.ndarray, float]:
 # its right limit, and an inf or nan that reaches a trace makes ``_chain``
 # raise NumericError, so the analytic engines run with numpy's warnings off.
 @np.errstate(all="ignore")
+def _exact_moments(scn: Scenario, patterns: list[MomentPattern]) -> list[MomentResult]:
+    # The body of exact_moment and exact_moments, which do not call each
+    # other, so that a profile of either counts only its own calls.
+    for pat in patterns:
+        _check_pattern(scn, pat)
+    identity = PointerOperatorKind.IDENTITY
+    tables = [
+        _step_tables(step, [pat.kinds[j] for pat in patterns] + [identity]) for j, step in enumerate(scn.steps)
+    ]
+    numerators, probability = _scenario_chain(scn, tables)
+    results = []
+    for row, numerator in enumerate(numerators):
+        value = complex(numerator) / probability
+        # Rounding leaves an imaginary residue relative to the chain's terms,
+        # which reach prod_j max|F_j| / Tr(eta) (about sigma^2n for X readouts).
+        scale = max(1.0, math.prod(float(np.abs(table[row]).max()) for table in tables) / probability)
+        if abs(value.imag) > MOMENT_IMAG_TOL * scale:
+            raise NumericError(f"moment has imaginary residue {value.imag:.3e} at scale {scale:.3e}")
+        results.append(MomentResult(value.real, probability))
+    return results
+
+
 def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     """Exact joint moment Tr(M eta) / Tr(eta) for the requested pattern.
 
     Supports all five readout kinds. Normalization uses the exact
     post-selection probability Tr(eta), not its weak-limit stand-in.
     """
-    _check_pattern(scn, pat)
-    tables = [_step_tables(step, (kind, PointerOperatorKind.IDENTITY)) for step, kind in zip(scn.steps, pat.kinds)]
-    (numerator,), probability = _scenario_chain(scn, tables)
-    value = complex(numerator) / probability
-    # Rounding leaves an imaginary residue relative to the chain's terms,
-    # which reach prod_j max|F_j| / Tr(eta) (about sigma^2n for X readouts).
-    scale = max(1.0, math.prod(float(np.abs(table[0]).max()) for table in tables) / probability)
-    if abs(value.imag) > MOMENT_IMAG_TOL * scale:
-        raise NumericError(f"moment has imaginary residue {value.imag:.3e} at scale {scale:.3e}")
-    return MomentResult(value.real, probability)
+    (result,) = _exact_moments(scn, [pat])
+    return result
+
+
+def exact_moments(scn: Scenario, patterns) -> list[MomentResult]:
+    """``exact_moment`` for each of several patterns, from one chain.
+
+    The patterns' tables ride one stack beside the identity chain, so the
+    cost is one chain of width len(patterns) + 1, not one per pattern.
+    Each value's imaginary residue is judged at that pattern's own scale.
+    """
+    return _exact_moments(scn, list(patterns))
 
 
 @np.errstate(all="ignore")
@@ -309,6 +341,62 @@ class SampleStatistics:
 SAMPLE_MEMORY_LIMIT = 2 * 1024**3
 
 
+def sample_footprint(scn: Scenario, shots: int) -> int:
+    """Bytes of per-shot arrays ``sample_outcomes`` holds at once, at most;
+    the scenario-sized arrays beside them (O(n d^2) bytes) are not counted.
+
+    Per shot: the n samples; the kets before and after a rotation, or the
+    kets beside the populations and one (d, shots) work array, 4d floats
+    either way; four per-shot vectors and a (d - 1)-row boolean mask while
+    an eigenindex is drawn. Post-selection adds the retained copy of the
+    samples.
+    """
+    n, d = scn.n_steps, scn.dim
+    return shots * (8 * (n + 4 * d + 4) + d + (8 * n if scn.post is not None else 0))
+
+
+def _draw_index(rng, populations, shots: int) -> np.ndarray:
+    """One index per shot, k with probability populations[k] / sum_k, from
+    one uniform u each: k counts the running sums at or below u * total.
+    ``populations`` is (d, shots), or (d, 1) for one law shared by all."""
+    cumulative = populations.copy()
+    for row in range(1, len(cumulative)):
+        cumulative[row] += cumulative[row - 1]
+    threshold = rng.random(shots) * cumulative[-1]
+    return (cumulative[:-1] <= threshold).sum(axis=0)
+
+
+def _realify(matrix: np.ndarray) -> np.ndarray:
+    """The real (2d, 2d) matrix acting on stacked [Re psi; Im psi] as
+    ``matrix`` acts on psi."""
+    return np.block([[matrix.real, -matrix.imag], [matrix.imag, matrix.real]])
+
+
+def _read_pointer(rng, kets: np.ndarray, a: np.ndarray, sigma: float) -> np.ndarray:
+    """Read one pointer on every shot and apply its Kraus update in place.
+
+    ``kets`` is the (2, d, shots) stack of real and imaginary parts in the
+    eigenbasis of the measured observable, whose eigenvalues are ``a``.
+    Returns the readings x = a_k + sigma z. The work arrays die on return,
+    before the next rotation allocates, as ``sample_footprint`` counts.
+    """
+    shots = kets.shape[-1]
+    populations = kets[0] ** 2
+    populations += kets[1] ** 2
+    x = a[_draw_index(rng, populations, shots)] + sigma * rng.standard_normal(shots)
+    weights = np.subtract.outer(a, x)
+    weights **= 2
+    weights -= weights.min(axis=0)
+    weights /= -4.0 * sigma**2
+    np.exp(weights, out=weights)
+    # The updated ket's squared norm is sum_k populations_k weights_k^2.
+    populations *= weights
+    populations *= weights
+    weights /= np.sqrt(populations.sum(axis=0))
+    kets *= weights
+    return x
+
+
 # The Kraus weights of a very narrow pointer overflow to exp(-inf) = 0.
 @np.errstate(over="ignore")
 def sample_outcomes(
@@ -326,12 +414,17 @@ def sample_outcomes(
     renormalized. Post-selection keeps a shot with probability
     <psi|E|psi>, so the retained count is Binomial(shots, Tr(eta)) and
     retained shots are i.i.d. draws from the conditional joint density.
-    Cost is O(shots n d^2) time and O(shots (n + d)) memory. The stream
-    is deterministic in ``seed``.
+
+    The kets are held shot-contiguous, as a (2d, shots) stack of real and
+    imaginary parts, so each step is one (2d, 2d) @ (2d, shots) rotation
+    and a few length-shots vector operations per eigenindex. Cost is
+    O(shots n d^2) time; memory is ``sample_footprint``, checked against
+    ``SAMPLE_MEMORY_LIMIT`` before anything is allocated. The stream is
+    deterministic in ``seed``.
     """
     if shots < 1:
         raise InputError(f"shots must be at least 1, got {shots}")
-    footprint = shots * (scn.n_steps + 4 * scn.dim) * 8
+    footprint = sample_footprint(scn, shots)
     if footprint > SAMPLE_MEMORY_LIMIT:
         raise InputError(
             f"{shots} shots need about {footprint / 1024**3:.1f} GiB, "
@@ -341,27 +434,23 @@ def sample_outcomes(
 
     rng = np.random.default_rng(seed)
     weights, basis = np.linalg.eigh(scn.initial.matrix)
-    weights = np.clip(weights, 0.0, None)
-    # Row s holds shot s's ket in the columns of ``basis``.
-    amplitudes = np.eye(scn.dim, dtype=complex)[rng.choice(scn.dim, size=shots, p=weights / weights.sum())]
+    weights = np.clip(weights, 0.0, None)[:, np.newaxis]
     samples = np.empty((shots, scn.n_steps))
+    kets = None
     for j, step in enumerate(scn.steps):
         decomposition = step.observable.decomposition
-        a, sigma = decomposition.eigenvalues, step.pointer.sigma
-        amplitudes = amplitudes @ (basis.T @ decomposition.eigenvectors.conj())
+        turn = _realify(decomposition.eigenvectors.conj().T @ basis)
         basis = decomposition.eigenvectors
-        cumulative = np.cumsum(np.abs(amplitudes) ** 2, axis=1)
-        threshold = rng.random(shots) * cumulative[:, -1]
-        k = (cumulative[:, :-1] <= threshold[:, np.newaxis]).sum(axis=1)
-        x = a[k] + sigma * rng.standard_normal(shots)
-        samples[:, j] = x
-        gap = (x[:, np.newaxis] - a) ** 2
-        amplitudes = amplitudes * np.exp(-(gap - gap.min(axis=1, keepdims=True)) / (4.0 * sigma**2))
-        amplitudes /= np.linalg.norm(amplitudes, axis=1, keepdims=True)
+        # Every initial ket is a column of ``basis``, so the first turn gathers.
+        kets = np.take(turn, _draw_index(rng, weights, shots), axis=1) if kets is None else turn @ kets
+        samples[:, j] = _read_pointer(
+            rng, kets.reshape(2, scn.dim, shots), decomposition.eigenvalues, step.pointer.sigma
+        )
 
     if scn.post is not None:
-        effect = basis.conj().T @ scn.post.matrix @ basis
-        kept = (amplitudes.conj() * (amplitudes @ effect.T)).sum(axis=1).real
+        projected = _realify(basis.conj().T @ scn.post.matrix @ basis) @ kets
+        projected *= kets
+        kept = projected.sum(axis=0)
         samples = samples[rng.random(shots) < kept]
     stats = SampleStatistics(
         requested_shots=shots,

@@ -320,6 +320,8 @@ class TestNonFiniteInputs:
             # at the wide end the sampled products overflow their statistics
             ("sample", "illustrative", "--sigma", "1e150", "--shots", "50"),
             ("sample", "chain-n", "--n", "4", "--sigma", "1e150", "--shots", "50"),
+            # one shot has no standard error, but its product still overflows
+            ("sample", "chain-n", "--n", "4", "--sigma", "1e150", "--shots", "1"),
         ],
     )
     def test_width_squared_underflow_fails_cleanly(self, capsys, argv):

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,49 @@ class TestExactEngine:
         monkeypatch.setattr(simulator, "matrix_element", leaky)
         with pytest.raises(NumericError):
             wl.exact_moment(scn, wl.MomentPattern.from_string("XXX"))
+        assert tampered
+
+    def test_batched_rows_match_single_moments(self):
+        # One chain carries every pattern; each row must be the value the
+        # one-pattern engine gives, to the last bit.
+        rng = np.random.default_rng(23)
+        kinds = list(PointerOperatorKind)
+        checked = 0
+        for trial in range(24):
+            d = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 6))
+            scn = random_scenario(rng, d, n, with_post=trial % 2 == 1)
+            patterns = [wl.MomentPattern(rng.choice(kinds, size=n)) for _ in range(int(rng.integers(1, 7)))]
+            try:
+                batched = wl.exact_moments(scn, patterns)
+            except ZeroPostSelectionProbability:
+                continue
+            checked += 1
+            assert len(batched) == len(patterns)
+            for pattern, got in zip(patterns, batched):
+                assert got == wl.exact_moment(scn, pattern), (trial, str(pattern))
+        assert checked >= 20
+
+    def test_batched_residue_check_is_per_row(self, monkeypatch):
+        # The XXX row's scale is about sigma^6 = 1e12; a residue planted in
+        # the xxx row's table must trip that row's check at its own scale.
+        rng = np.random.default_rng(21)
+        scn = random_scenario(rng, 3, 3, with_post=False, sigma_range=(100.0, 100.0))
+        original = simulator.matrix_element
+        tampered = []
+
+        def leaky(ptr, kind, left, right):
+            table = original(ptr, kind, left, right)
+            if kind is PointerOperatorKind.POSITION and not tampered:
+                tampered.append(kind)
+                return table + 1e-6j * np.abs(table).max()
+            return table
+
+        patterns = [wl.MomentPattern.from_string(text) for text in ("XXX", "xxx", "iii")]
+        wl.exact_moments(scn, patterns)
+        monkeypatch.setattr(simulator, "matrix_element", leaky)
+        with pytest.raises(NumericError):
+            wl.exact_moments(scn, patterns)
         assert tampered
 
     def test_orthogonal_postselection_raises(self):
@@ -779,9 +823,22 @@ class TestSampler:
             raise AssertionError("sampler started work before checking its memory bound")
 
         monkeypatch.setattr(simulator, "_chain", untouched)
-        shots = simulator.SAMPLE_MEMORY_LIMIT // ((scn.n_steps + 4 * scn.dim) * 8) + 1
+        shots = simulator.SAMPLE_MEMORY_LIMIT // simulator.sample_footprint(scn, 1) + 1
         with pytest.raises(InputError, match="GiB"):
             wl.sample_outcomes(scn, shots, seed=1)
+
+    @pytest.mark.parametrize("d,n,with_post", [(2, 2, False), (2, 6, True), (3, 4, False), (4, 2, True), (8, 3, False)])
+    def test_peak_memory_within_footprint(self, d, n, with_post):
+        scn = random_scenario(np.random.default_rng(d * 10 + n), d, n, with_post=with_post)
+        shots = 20000
+        wl.sample_outcomes(scn, 10, seed=1)  # first-call set-up stays out of the measurement
+        tracemalloc.start()
+        try:
+            wl.sample_outcomes(scn, shots, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulator.sample_footprint(scn, shots)
 
     def test_moment_reality_random(self):
         rng = np.random.default_rng(18)
