@@ -5,7 +5,6 @@ bounds, Monte-Carlo outcome sampling, anomaly searches, and a causal
 witness, for finite-dimensional systems.
 """
 
-from . import errors
 from .optimize import (
     OptimizationResult,
     SearchSpacePoint,
@@ -21,11 +20,8 @@ from .pointer import (
 )
 from .qm import (
     KET_0,
-    KET_1,
-    KET_PLUS,
     SIGMA_X,
     SIGMA_Y,
-    SIGMA_Z,
     MixedState,
     Observable,
     PovmElement,
@@ -38,9 +34,8 @@ from .qm import (
     random_observable,
     spectral_decompose,
     spectral_norm,
-    spectrum_hull,
 )
-from .scenario_io import load_scenario, save_scenario, scenario_from_dict, scenario_to_dict
+from .scenario_io import load_scenario, scenario_from_dict
 from .scenarios import (
     CausalStructure,
     build_common_cause,
@@ -66,10 +61,8 @@ from .simulator import (
 )
 from .weak_values import (
     MeasurementSequence,
-    ProjectorPairReport,
     WeakValue,
     norm_product_bound,
-    projector_pair_report,
     seq_weak_value,
 )
 
@@ -80,11 +73,8 @@ __all__ = [
     "EvaluationMethod",
     "GaussianPointer",
     "KET_0",
-    "KET_1",
-    "KET_PLUS",
     "SIGMA_X",
     "SIGMA_Y",
-    "SIGMA_Z",
     "MeasurementSequence",
     "MeasurementStep",
     "MixedState",
@@ -94,7 +84,6 @@ __all__ = [
     "OptimizationResult",
     "PointerOperatorKind",
     "PovmElement",
-    "ProjectorPairReport",
     "PureState",
     "SampleStatistics",
     "Scenario",
@@ -108,7 +97,6 @@ __all__ = [
     "causal_witness",
     "chain_point",
     "chain_weak_value",
-    "errors",
     "exact_moment",
     "exact_moments",
     "load_scenario",
@@ -117,20 +105,16 @@ __all__ = [
     "minimize_weak_value_real",
     "norm_product_bound",
     "projector_from_ket",
-    "projector_pair_report",
     "qubit_ket",
     "random_density",
     "random_ket",
     "random_observable",
     "recover_weak_value",
     "sample_outcomes",
-    "save_scenario",
     "scenario_from_dict",
-    "scenario_to_dict",
     "seq_weak_value",
     "spectral_decompose",
     "spectral_norm",
-    "spectrum_hull",
     "steps_outside_weak_regime",
     "weak_prediction",
     "weak_regime_check",

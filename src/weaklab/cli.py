@@ -45,9 +45,14 @@ from .simulator import (
     steps_outside_weak_regime,
     weak_prediction,
 )
-from .weak_values import MeasurementSequence, norm_product_bound, projector_pair_report, seq_weak_value
+from .weak_values import PROJECTOR_PAIR_FLOOR, MeasurementSequence, norm_product_bound, seq_weak_value
 
 SCENARIO_NAMES = ("illustrative", "pauli-xy", "chain-n", "common-cause")
+
+# Most points one sweep may take. A point costs at most about 1.5 kB at the
+# report's peak (tracemalloc, JSON output), so the largest sweep stays under
+# the 2 GiB that sample and optimize allow.
+SWEEP_MAX_POINTS = 1_000_000
 
 
 def _reject_flags(args, flags, target: str) -> None:
@@ -196,6 +201,8 @@ def _cmd_sweep(args) -> None:
     if not (0 < args.start < math.inf and 0 < args.stop < math.inf):
         raise InputError("sweep endpoints must be positive and finite for geometric spacing")
     _require_count("--steps", args.steps)
+    if args.steps > SWEEP_MAX_POINTS:
+        raise InputError(f"--steps must be at most {SWEEP_MAX_POINTS}, got {args.steps}")
     grid = np.geomspace(args.start, args.stop, args.steps)
     pattern = MomentPattern.from_string(args.pattern)
     results = []
@@ -244,8 +251,8 @@ def _cmd_optimize(args) -> None:
     summary = {
         "best_value": result.best_value,
         "evaluations": result.evaluations,
-        "conjecture_floor": -0.125,
-        "below_floor": result.best_value < -0.125 - 1e-9,
+        "conjecture_floor": PROJECTOR_PAIR_FLOOR,
+        "below_floor": result.best_value < PROJECTOR_PAIR_FLOOR - 1e-9,
     }
     results = [
         {"restart": index, "converged_value": value, "is_best": value == result.best_value}
@@ -307,13 +314,10 @@ def _cmd_bounds(args) -> None:
     for _ in range(trials):
         d = int(rng.integers(2, 4))
         psi = qm.random_ket(rng, d)
-        report = projector_pair_report(
-            psi,
-            qm.projector_from_ket(qm.random_ket(rng, d)),
-            qm.projector_from_ket(qm.random_ket(rng, d)),
-        )
-        worst_pair = min(worst_pair, report.re_value)
-        pair_violations += not report.bound_satisfied
+        pair = MeasurementSequence(qm.projector_from_ket(qm.random_ket(rng, d)) for _ in range(2))
+        re_value = seq_weak_value(psi.to_density(), None, pair).value.real
+        worst_pair = min(worst_pair, re_value)
+        pair_violations += re_value < PROJECTOR_PAIR_FLOOR - 1e-12
 
     # Magnitude bound on the no-post-selection weak value.
     worst_excess = -math.inf
@@ -351,7 +355,7 @@ def _cmd_bounds(args) -> None:
             "suite": "projector_pair_floor",
             "trials": trials,
             "worst": worst_pair,
-            "bound": -0.125,
+            "bound": PROJECTOR_PAIR_FLOOR,
             "violations": pair_violations,
         },
         {

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qm
-from .errors import InputError, InvalidDimensions
+from .errors import InputError
 from .pointer import GaussianPointer, PointerOperatorKind, matrix_element
 
 SIMPLEX_DIAMETER_TOL = 1e-10
@@ -210,11 +210,11 @@ def _search(
     initial_point: SearchSpacePoint | None,
 ) -> OptimizationResult:
     if n < 2 or d < 2:
-        raise InvalidDimensions(f"need n >= 2 and d >= 2, got n={n}, d={d}")
+        raise InputError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
     if restarts < 1:
-        raise InvalidDimensions(f"need at least one restart, got {restarts}")
+        raise InputError(f"need at least one restart, got {restarts}")
     if budget < 1:
-        raise InvalidDimensions(f"need a budget of at least one evaluation, got {budget}")
+        raise InputError(f"need a budget of at least one evaluation, got {budget}")
     dim = 2 * (d - 1) * (n + 1)
     # Every simplex, plus one objective call over all their vertices at
     # once, as the first evaluation and a shrink of every restart make.

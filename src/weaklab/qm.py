@@ -16,13 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyList,
-    InputError,
-    NonHermitianInput,
-    UnnormalizedKet,
-)
+from .errors import DimensionMismatch, InputError
 
 HERMITICITY_TOL = 1e-12   # absolute, max entry deviation; inputs are unit-scale
 NORM_TOL = 1e-12
@@ -33,13 +27,15 @@ def _as_complex_matrix(matrix, name: str) -> np.ndarray:
     arr = np.array(matrix, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} has a non-finite entry")
     return arr
 
 
 def _check_hermitian(matrix: np.ndarray, name: str) -> None:
     deviation = np.max(np.abs(matrix - matrix.conj().T))
     if deviation > HERMITICITY_TOL:
-        raise NonHermitianInput(f"{name} deviates from Hermiticity by {deviation:.3e}")
+        raise InputError(f"{name} deviates from Hermiticity by {deviation:.3e}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -57,9 +53,11 @@ class PureState:
         vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if vec.size < 2:
             raise DimensionMismatch("state dimension must be at least 2")
+        if not np.isfinite(vec).all():
+            raise InputError("state vector has a non-finite entry")
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > NORM_TOL:
-            raise UnnormalizedKet(f"state norm is {norm!r}, expected 1")
+            raise InputError(f"state norm is {norm!r}, expected 1")
         object.__setattr__(self, "amplitudes", _freeze(vec))
 
     @property
@@ -162,24 +160,6 @@ def spectral_norm(obs: Observable) -> float:
     return float(np.max(np.abs(obs.decomposition.eigenvalues)))
 
 
-def spectrum_hull(obs_list) -> tuple[float, float]:
-    """Range of products of one eigenvalue per observable.
-
-    Extremes of a product set are attained at per-factor extremes (the
-    product is linear in each factor), so a running (min, max) over the
-    eigenvalue ranges is exact.
-    """
-    obs_list = list(obs_list)
-    if not obs_list:
-        raise EmptyList("spectrum_hull needs at least one observable")
-    lo, hi = 1.0, 1.0
-    for obs in obs_list:
-        eigenvalues = obs.decomposition.eigenvalues
-        corners = [lo * eigenvalues[0], lo * eigenvalues[-1], hi * eigenvalues[0], hi * eigenvalues[-1]]
-        lo, hi = min(corners), max(corners)
-    return lo, hi
-
-
 def projector_from_ket(ket: PureState) -> Observable:
     """Rank-1 projector onto a normalized state."""
     return Observable(np.outer(ket.amplitudes, ket.amplitudes.conj()))
@@ -187,11 +167,8 @@ def projector_from_ket(ket: PureState) -> Observable:
 
 # Shared qubit constants.
 KET_0 = PureState(np.array([1.0, 0.0]))
-KET_1 = PureState(np.array([0.0, 1.0]))
-KET_PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
 SIGMA_X = Observable(np.array([[0.0, 1.0], [1.0, 0.0]]))
 SIGMA_Y = Observable(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
-SIGMA_Z = Observable(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
 def qubit_ket(theta: float, phi: float = 0.0) -> PureState:

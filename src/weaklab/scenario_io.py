@@ -130,27 +130,3 @@ def load_scenario(path) -> Scenario:
         raise ScenarioFileError(f"not valid JSON: {exc}") from exc
     return scenario_from_dict(doc)
 
-
-def _complex_entry(value: complex) -> list[float]:
-    return [float(value.real), float(value.imag)]
-
-
-def _matrix_doc(matrix: np.ndarray) -> list[list[list[float]]]:
-    return [[_complex_entry(cell) for cell in row] for row in np.asarray(matrix, dtype=complex)]
-
-
-def scenario_to_dict(scn: Scenario) -> dict:
-    """Serialize a Scenario to the JSON document form."""
-    return {
-        "dimension": scn.dim,
-        "initial": _matrix_doc(scn.initial.matrix),
-        "steps": [
-            {"observable": _matrix_doc(step.observable.matrix), "sigma": step.pointer.sigma}
-            for step in scn.steps
-        ],
-        "postselect": None if scn.post is None else _matrix_doc(scn.post.matrix),
-    }
-
-
-def save_scenario(scn: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scn), indent=2) + "\n")

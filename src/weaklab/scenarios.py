@@ -42,16 +42,6 @@ def build_illustrative(sigma1: float, sigma2: float) -> Scenario:
     )
 
 
-def illustrative_joint_position_moment(sigma1: float) -> float:
-    """Closed form (1 - 3 exp(-1/(8 sigma1^2))) / 16 for the scenario above."""
-    return (1.0 - 3.0 * math.exp(-1.0 / (8.0 * sigma1**2))) / 16.0
-
-
-def illustrative_second_pointer_mean(sigma1: float) -> float:
-    """Closed form (5 - 3 exp(-1/(8 sigma1^2))) / 8."""
-    return (5.0 - 3.0 * math.exp(-1.0 / (8.0 * sigma1**2))) / 8.0
-
-
 def build_pauli_xy(sigma1: float, sigma2: float) -> Scenario:
     """sigma_y then sigma_x on |0>: weak value i, visible in p1*x2."""
     return Scenario(

@@ -7,9 +7,7 @@ eigenprojectors P_k of the measured observable, with F the table of
 pointer matrix elements for that step's readout kind. The state is
 carried in each step's eigenbasis, where the sandwich is the entrywise
 product F o X. Tr(eta), the chain whose every slot reads the identity,
-runs stacked beside it as the normalization. The chain also broadcasts
-over leading batch axes, so one call can carry many chains that share
-their tables. Only the tables differ:
+runs stacked beside it as the normalization. Only the tables differ:
 
 * ``exact_moment`` uses the exact tables. After each coupling the
   pointers' reduced state is a combination of displaced-Gaussian dyads
@@ -48,14 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qm
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    NumericError,
-    PatternLengthMismatch,
-    UnsupportedKind,
-    ZeroPostSelectionProbability,
-)
+from .errors import DimensionMismatch, InputError, NumericError, ZeroPostSelectionProbability
 from .pointer import GaussianPointer, PointerOperatorKind, _factor, matrix_element, weak_regime_check
 from .weak_values import MeasurementSequence, ZERO_PROBABILITY_TOL, seq_weak_value
 
@@ -151,7 +142,7 @@ class MomentResult:
 
 def _check_pattern(scn: Scenario, pat: MomentPattern) -> None:
     if len(pat) != scn.n_steps:
-        raise PatternLengthMismatch(
+        raise InputError(
             f"pattern has {len(pat)} slots for {scn.n_steps} measurement steps"
         )
 
@@ -173,27 +164,21 @@ def _step_tables(step: MeasurementStep, kinds, exact: bool = True) -> np.ndarray
 def _chain(initial, bases, tables, post=None) -> np.ndarray:
     """Tr(E T_n(... T_1(rho))) for each chain of a stack, with
     T_j(X) = sum_kl F[k, l] P_k X P_l, the P_k read off the columns of
-    the eigenbasis ``bases[j]`` and F the matching table of the stack
-    ``tables[j]``. ``post`` is the effect E, or None for E = I.
-
-    ``initial`` (..., d, d) and every basis (..., d, d) may carry leading
-    batch axes; a table stack is (K, ..., d, d), so one (K, 1, d, d) stack
-    serves a whole batch. Returns the (K, ...) traces.
+    the eigenbasis ``bases[j]`` and F the matching table of the (K, d, d)
+    stack ``tables[j]``. ``post`` is the effect E, or None for E = I.
+    Returns the K traces.
 
     This is the transfer-operator core of every analytic engine.
     """
     state, basis = initial, None
     for vectors, table in zip(bases, tables):
-        turn = vectors.conj().swapaxes(-1, -2)
-        if basis is not None:
-            turn = turn @ basis
-        state = table * (turn @ state @ turn.conj().swapaxes(-1, -2))
+        turn = vectors.conj().T if basis is None else vectors.conj().T @ basis
+        state = table * (turn @ state @ turn.conj().T)
         basis = vectors
     if post is None:
-        traces = np.trace(state, axis1=-2, axis2=-1)
+        traces = np.trace(state, axis1=1, axis2=2)
     else:
-        effect = basis.conj().swapaxes(-1, -2) @ post @ basis
-        traces = (effect.swapaxes(-1, -2) * state).sum(axis=(-2, -1))
+        traces = ((basis.conj().T @ post @ basis).T * state).sum(axis=(1, 2))
     if not np.isfinite(traces).all():
         raise NumericError("moment chain is not finite; a pointer width is too extreme for floating point")
     return traces
@@ -268,7 +253,7 @@ def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
     _check_pattern(scn, pat)
     squared = (PointerOperatorKind.POSITION_SQUARED, PointerOperatorKind.MOMENTUM_SQUARED)
     if any(kind in squared for kind in pat.kinds):
-        raise UnsupportedKind(
+        raise InputError(
             "the weak-regime engine covers first-order x/p moments only; "
             "use the exact engine for squared readouts"
         )

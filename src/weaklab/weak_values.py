@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qm
-from .errors import DimensionMismatch, EmptyList, NotAProjector, ZeroPostSelectionProbability
+from .errors import DimensionMismatch, InputError, ZeroPostSelectionProbability
 
 ZERO_PROBABILITY_TOL = 1e-14
-IDEMPOTENCE_TOL = 1e-10
 PROJECTOR_PAIR_FLOOR = -0.125
 
 
@@ -39,7 +38,7 @@ class MeasurementSequence:
     def __init__(self, observables):
         observables = tuple(observables)
         if not observables:
-            raise EmptyList("a measurement sequence needs at least one observable")
+            raise InputError("a measurement sequence needs at least one observable")
         dims = {obs.dim for obs in observables}
         if len(dims) != 1:
             raise DimensionMismatch(f"sequence mixes dimensions {sorted(dims)}")
@@ -97,28 +96,3 @@ def norm_product_bound(seq: MeasurementSequence) -> float:
         bound *= qm.spectral_norm(obs)
     return bound
 
-
-def _check_projector(obs: qm.Observable, name: str) -> None:
-    defect = np.linalg.norm(obs.matrix @ obs.matrix - obs.matrix, ord=2)
-    if defect > IDEMPOTENCE_TOL:
-        raise NotAProjector(f"{name} is not idempotent (defect {defect:.3e})")
-
-
-@dataclass(frozen=True)
-class ProjectorPairReport:
-    re_value: float
-    bound_satisfied: bool
-
-
-def projector_pair_report(
-    psi: qm.PureState,
-    first: qm.Observable,
-    second: qm.Observable,
-) -> ProjectorPairReport:
-    """Re <psi| second * first |psi> for two projectors, checked against the
-    -1/8 floor."""
-    _check_projector(first, "first observable")
-    _check_projector(second, "second observable")
-    wv = seq_weak_value(psi.to_density(), None, MeasurementSequence([first, second]))
-    re_value = wv.value.real
-    return ProjectorPairReport(re_value, re_value >= PROJECTOR_PAIR_FLOOR - 1e-12)

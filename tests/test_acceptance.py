@@ -13,14 +13,20 @@ import pytest
 
 import weaklab as wl
 from weaklab.pointer import PointerOperatorKind
-from weaklab.scenarios import (
-    illustrative_joint_position_moment,
-    illustrative_second_pointer_mean,
-)
 
 X = PointerOperatorKind.POSITION
 P = PointerOperatorKind.MOMENTUM
 I = PointerOperatorKind.IDENTITY
+
+
+def illustrative_joint_position_moment(sigma1):
+    """Closed form (1 - 3 exp(-1/(8 sigma1^2))) / 16 of the illustrative xx moment."""
+    return (1.0 - 3.0 * math.exp(-1.0 / (8.0 * sigma1**2))) / 16.0
+
+
+def illustrative_second_pointer_mean(sigma1):
+    """Closed form (5 - 3 exp(-1/(8 sigma1^2))) / 8 of the illustrative ix moment."""
+    return (5.0 - 3.0 * math.exp(-1.0 / (8.0 * sigma1**2))) / 8.0
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -136,10 +142,9 @@ def test_criterion_6_bound_suites():
     pair_trials = 10_000
     for index in range(pair_trials):
         d = 2 + index % 2
-        report_pair = wl.projector_pair_report(
-            wl.random_ket(rng, d), random_projector(rng, d), random_projector(rng, d)
-        )
-        worst_pair = min(worst_pair, report_pair.re_value)
+        psi = wl.random_ket(rng, d)
+        pair = wl.MeasurementSequence([random_projector(rng, d), random_projector(rng, d)])
+        worst_pair = min(worst_pair, wl.seq_weak_value(psi.to_density(), None, pair).value.real)
 
     worst_excess = -math.inf
     seq_trials = 10_000

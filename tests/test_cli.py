@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import weaklab as wl
-from weaklab.cli import main
+from weaklab.cli import SWEEP_MAX_POINTS, main
+
+SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
 
 
 def run_cli(capsys, *argv):
@@ -65,25 +67,22 @@ class TestScenarioCommand:
 
 
 class TestSimulateCommand:
-    def test_illustrative_file_exact(self, capsys, tmp_path):
-        path = tmp_path / "illustrative.json"
-        wl.save_scenario(wl.build_illustrative(1.0, 1.0), path)
+    def test_illustrative_file_exact(self, capsys, write_scenario):
+        path = write_scenario(wl.build_illustrative(1.0, 1.0), "illustrative.json")
         code, out = run_cli(capsys, "simulate", str(path), "--pattern", "xx", "--method", "exact")
         assert code == 0
         got = float(value_of(csv_rows(out), "moment")["value"])
         assert got == pytest.approx((1.0 - 3.0 * math.exp(-0.125)) / 16.0, abs=1e-12)
 
-    def test_leading_position_is_expectation(self, capsys, tmp_path):
-        path = tmp_path / "pauli.json"
-        wl.save_scenario(wl.build_pauli_xy(1.3, 2.4), path)
+    def test_leading_position_is_expectation(self, capsys, write_scenario):
+        path = write_scenario(wl.build_pauli_xy(1.3, 2.4), "pauli.json")
         code, out = run_cli(capsys, "simulate", str(path), "--pattern", "xi", "--method", "exact")
         assert code == 0
         got = float(value_of(csv_rows(out), "moment")["value"])
         assert got == pytest.approx(0.0, abs=1e-12)  # Tr(sigma_y |0><0|) = 0
 
-    def test_pauli_weak_momentum_readout(self, capsys, tmp_path):
-        path = tmp_path / "pauli.json"
-        wl.save_scenario(wl.build_pauli_xy(2.0, 1.0), path)
+    def test_pauli_weak_momentum_readout(self, capsys, write_scenario):
+        path = write_scenario(wl.build_pauli_xy(2.0, 1.0), "pauli.json")
         code, out = run_cli(capsys, "simulate", str(path), "--pattern", "px", "--method", "weak")
         assert code == 0
         got = float(value_of(csv_rows(out), "moment")["value"])
@@ -103,14 +102,13 @@ class TestSimulateCommand:
         code, _ = run_cli(capsys, "simulate", "no-such-scenario", "--pattern", "xx")
         assert code == 2
 
-    def test_numeric_failure_exit_code(self, capsys, tmp_path):
+    def test_numeric_failure_exit_code(self, capsys, write_scenario):
         scn = wl.Scenario(
             initial=wl.KET_0.to_density(),
-            steps=(wl.MeasurementStep(wl.SIGMA_Z, wl.GaussianPointer(1.0)),),
+            steps=(wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(1.0)),),
             post=wl.PovmElement(np.diag([0.0, 1.0])),
         )
-        path = tmp_path / "orthogonal.json"
-        wl.save_scenario(scn, path)
+        path = write_scenario(scn, "orthogonal.json")
         code, _ = run_cli(capsys, "simulate", str(path), "--pattern", "x")
         assert code == 1
 
@@ -180,6 +178,21 @@ class TestSweepCommand:
             "--pattern", "xx",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("steps", [SWEEP_MAX_POINTS + 1, 10**18])
+    def test_steps_over_limit_exit_code(self, capsys, monkeypatch, steps):
+        def untouched(*args, **kwargs):
+            raise AssertionError("sweep built its grid before checking the point count")
+
+        monkeypatch.setattr(np, "geomspace", untouched)
+        code = main(
+            ["sweep", "illustrative", "--param", "sigma1", "--from", "1", "--to", "2", "--steps", str(steps),
+             "--pattern", "xx"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"input error: --steps must be at most {SWEEP_MAX_POINTS}, got {steps}\n"
 
 
 class TestOptimizeCommand:
@@ -294,6 +307,30 @@ class TestNonFiniteInputs:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("command", [("simulate", "--pattern", "xx"), ("sample", "--shots", "10")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "place,field",
+        [
+            (lambda doc, z: doc.update(initial=[[z, 0.0], [0.0, 0.0]]), "initial"),
+            (lambda doc, z: doc.update(initial=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [z, 0.0]]]), "initial"),
+            (lambda doc, z: doc["steps"][0]["observable"][0].__setitem__(0, [z, 0.0]), "steps[0].observable"),
+            (lambda doc, z: doc.update(postselect=[[[z, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]), "postselect"),
+        ],
+    )
+    def test_non_finite_file_entry_exit_code(self, capsys, write_scenario, command, bad, place, field):
+        # json writes these as NaN and Infinity, which json.loads reads back.
+        path = write_scenario(wl.build_illustrative(1.0, 1.0))
+        doc = json.loads(path.read_text())
+        place(doc, bad)
+        path.write_text(json.dumps(doc))
+        code = main([command[0], str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {field}: ")
+        assert "has a non-finite entry" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -377,9 +414,8 @@ class TestUnreadFlags:
             (("sweep", "pauli-xy", "--param", "sigma2", *SWEEP, "--sigma2", "0.3"), "--sigma2"),
         ],
     )
-    def test_unread_flag_exit_code(self, capsys, tmp_path, argv, flag):
-        path = tmp_path / "illustrative.json"
-        wl.save_scenario(wl.build_illustrative(1.0, 1.0), path)
+    def test_unread_flag_exit_code(self, capsys, write_scenario, argv, flag):
+        path = write_scenario(wl.build_illustrative(1.0, 1.0), "illustrative.json")
         code = main([str(path) if arg == "FILE" else arg for arg in argv])
         out, err = capsys.readouterr()
         assert code == 2

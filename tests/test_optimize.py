@@ -6,7 +6,7 @@ import pytest
 
 import weaklab as wl
 from weaklab import optimize
-from weaklab.errors import InputError, InvalidDimensions
+from weaklab.errors import InputError
 from weaklab.optimize import SearchSpacePoint, decode_state
 
 
@@ -198,13 +198,13 @@ class TestPointerProductSearch:
         assert result.best_value >= -1e-12
 
     def test_invalid_dimensions(self):
-        with pytest.raises(InvalidDimensions):
+        with pytest.raises(InputError, match="need n >= 2 and d >= 2"):
             wl.minimize_pointer_product(n=1, d=2, restarts=4, seed=0, budget=100)
-        with pytest.raises(InvalidDimensions):
+        with pytest.raises(InputError, match="need n >= 2 and d >= 2"):
             wl.minimize_pointer_product(n=2, d=1, restarts=4, seed=0, budget=100)
-        with pytest.raises(InvalidDimensions):
+        with pytest.raises(InputError, match="need at least one restart"):
             wl.minimize_pointer_product(n=2, d=2, restarts=0, seed=0, budget=100)
-        with pytest.raises(InvalidDimensions):
+        with pytest.raises(InputError, match="need a budget of at least one evaluation"):
             wl.minimize_pointer_product(n=2, d=2, restarts=1, seed=0, budget=0)
 
     def test_restarts_over_memory_limit_raise_before_work(self, monkeypatch):

@@ -1,6 +1,8 @@
 """The public surface: every name in ``weaklab.__all__`` exists, once,
-and importing the CLI pulls in no dependency beyond numpy."""
+is read by the program, a demo or the benchmark, and importing the CLI
+pulls in no dependency beyond numpy."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import weaklab as wl
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_star_import_binds_every_entry():
@@ -20,6 +23,20 @@ def test_star_import_binds_every_entry():
 
 def test_all_has_no_duplicates():
     assert len(wl.__all__) == len(set(wl.__all__))
+
+
+def test_every_entry_is_read_outside_the_tests():
+    # A name only the tests read is not part of what the package is for.
+    readers = [p for p in (SRC / "weaklab").glob("*.py") if p.name != "__init__.py"]
+    readers += [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    loaded = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert sorted(set(wl.__all__) - loaded) == []
 
 
 def test_cli_import_leaves_scipy_out():

@@ -2,18 +2,15 @@ import numpy as np
 import pytest
 
 import weaklab as wl
-from weaklab.errors import (
-    DimensionMismatch,
-    EmptyList,
-    InputError,
-    NonHermitianInput,
-    UnnormalizedKet,
-)
+from weaklab.errors import DimensionMismatch, InputError
+
+KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
+SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
 
 
 class TestStates:
     def test_pure_state_norm_enforced(self):
-        with pytest.raises(UnnormalizedKet):
+        with pytest.raises(InputError, match="state norm is"):
             wl.PureState(np.array([1.0, 1.0]))
 
     def test_pure_state_min_dimension(self):
@@ -29,7 +26,7 @@ class TestStates:
             wl.MixedState(np.diag([0.7, 0.7]))
 
     def test_to_density(self):
-        rho = wl.KET_PLUS.to_density()
+        rho = KET_PLUS.to_density()
         assert np.allclose(rho.matrix, np.full((2, 2), 0.5))
 
     def test_immutability(self):
@@ -37,17 +34,32 @@ class TestStates:
         with pytest.raises(ValueError):
             ket.amplitudes[0] = 2.0
 
+    # NaN passes every ">" check, so each type needs its own finiteness test.
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda z: wl.PureState(np.array([1.0, z])), "state vector has a non-finite entry"),
+            (lambda z: wl.MixedState(np.array([[1.0, 0.0], [0.0, z]])), "density matrix has a non-finite entry"),
+            (lambda z: wl.Observable(np.array([[z, 0.0], [0.0, 1.0]])), "observable has a non-finite entry"),
+            (lambda z: wl.PovmElement(np.array([[z, 0.0], [0.0, 0.0]])), "POVM element has a non-finite entry"),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, make, message, bad):
+        with pytest.raises(InputError, match=message):
+            make(bad)
+
 
 class TestSpectralDecompose:
     def test_sigma_z(self):
-        dec = wl.spectral_decompose(wl.SIGMA_Z)
+        dec = wl.spectral_decompose(SIGMA_Z)
         assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
         # ascending order puts |1> first
         assert np.allclose(np.abs(dec.eigenvectors[:, 0]), [0.0, 1.0])
         assert np.allclose(np.abs(dec.eigenvectors[:, 1]), [1.0, 0.0])
 
     def test_plus_projector(self):
-        proj = wl.projector_from_ket(wl.KET_PLUS)
+        proj = wl.projector_from_ket(KET_PLUS)
         assert np.allclose(proj.decomposition.eigenvalues, [0.0, 1.0], atol=1e-12)
 
     def test_diagonal(self):
@@ -55,7 +67,7 @@ class TestSpectralDecompose:
         assert np.allclose(dec.eigenvalues, [0.0, 3.0])
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
+        with pytest.raises(InputError, match="deviates from Hermiticity"):
             wl.Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_reconstruction_roundtrip_random(self):
@@ -77,7 +89,7 @@ class TestSpectralDecompose:
 
 class TestSpectralNorm:
     def test_projector(self):
-        assert wl.spectral_norm(wl.projector_from_ket(wl.KET_PLUS)) == pytest.approx(1.0)
+        assert wl.spectral_norm(wl.projector_from_ket(KET_PLUS)) == pytest.approx(1.0)
 
     def test_pauli(self):
         assert wl.spectral_norm(wl.SIGMA_X) == pytest.approx(1.0)
@@ -89,38 +101,9 @@ class TestSpectralNorm:
         rng = np.random.default_rng(3)
         for _ in range(25):
             obs = wl.random_observable(rng, 4)
-            lo, hi = wl.spectrum_hull([obs])
+            eigenvalues = np.linalg.eigvalsh(obs.matrix)
+            lo, hi = eigenvalues[0], eigenvalues[-1]
             assert wl.spectral_norm(obs) == pytest.approx(max(abs(lo), abs(hi)))
-
-
-class TestSpectrumHull:
-    def test_two_binary_projectors(self):
-        proj_a = wl.projector_from_ket(wl.KET_0)
-        proj_b = wl.projector_from_ket(wl.KET_PLUS)
-        assert wl.spectrum_hull([proj_a, proj_b]) == pytest.approx((0.0, 1.0))
-
-    def test_pauli_pair(self):
-        assert wl.spectrum_hull([wl.SIGMA_X, wl.SIGMA_Y]) == pytest.approx((-1.0, 1.0))
-
-    def test_singleton_is_spectrum_range(self):
-        obs = wl.Observable(np.diag([-0.3, 0.1, 2.0]))
-        assert wl.spectrum_hull([obs]) == pytest.approx((-0.3, 2.0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyList):
-            wl.spectrum_hull([])
-
-    def test_matches_exhaustive_products(self):
-        rng = np.random.default_rng(11)
-        import itertools
-
-        for _ in range(20):
-            observables = [wl.random_observable(rng, 3) for _ in range(3)]
-            lo, hi = wl.spectrum_hull(observables)
-            spectra = [obs.decomposition.eigenvalues for obs in observables]
-            products = [np.prod(choice) for choice in itertools.product(*spectra)]
-            assert lo == pytest.approx(min(products))
-            assert hi == pytest.approx(max(products))
 
 
 class TestProjectorFromKet:
@@ -128,7 +111,7 @@ class TestProjectorFromKet:
         assert np.allclose(wl.projector_from_ket(wl.KET_0).matrix, np.diag([1.0, 0.0]))
 
     def test_ket_plus(self):
-        assert np.allclose(wl.projector_from_ket(wl.KET_PLUS).matrix, np.full((2, 2), 0.5))
+        assert np.allclose(wl.projector_from_ket(KET_PLUS).matrix, np.full((2, 2), 0.5))
 
     def test_tilted_state_corner_entry(self):
         # amplitudes (1/2, sqrt(3)/2): top-left entry is |1/2|^2 = 1/4

@@ -6,7 +6,9 @@ import pytest
 
 import weaklab as wl
 from weaklab.errors import ScenarioFileError
-from weaklab.scenario_io import scenario_from_dict, scenario_to_dict
+from weaklab.scenario_io import scenario_from_dict
+
+KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
 
 
 def pair(z):
@@ -89,39 +91,34 @@ class TestParsing:
 
 
 class TestRoundTrip:
-    def test_save_load_preserves_moments(self, tmp_path):
+    def test_save_load_preserves_moments(self, write_scenario):
         scn = wl.build_illustrative(1.7, 0.9)
-        path = tmp_path / "scenario.json"
-        wl.save_scenario(scn, path)
-        loaded = wl.load_scenario(path)
+        loaded = wl.load_scenario(write_scenario(scn))
         pattern = wl.MomentPattern.from_string("xx")
         assert wl.exact_moment(loaded, pattern).value == pytest.approx(
             wl.exact_moment(scn, pattern).value, abs=1e-15
         )
 
-    def test_roundtrip_with_postselection(self, tmp_path):
+    def test_roundtrip_with_postselection(self, write_scenario):
         ket = wl.qubit_ket(0.3, 0.8)
         scn = wl.Scenario(
-            initial=wl.KET_PLUS.to_density(),
+            initial=KET_PLUS.to_density(),
             steps=(
                 wl.MeasurementStep(wl.SIGMA_Y, wl.GaussianPointer(2.0)),
                 wl.MeasurementStep(wl.SIGMA_X, wl.GaussianPointer(3.0)),
             ),
             post=wl.PovmElement(np.outer(ket.amplitudes, ket.amplitudes.conj())),
         )
-        path = tmp_path / "post.json"
-        wl.save_scenario(scn, path)
-        loaded = wl.load_scenario(path)
+        loaded = wl.load_scenario(write_scenario(scn, "post.json"))
         for text in ("xx", "px", "pp", "XX"):
             pattern = wl.MomentPattern.from_string(text)
             assert wl.exact_moment(loaded, pattern).value == pytest.approx(
                 wl.exact_moment(scn, pattern).value, abs=1e-15
             )
 
-    def test_dict_roundtrip_identity(self):
+    def test_dict_roundtrip_identity(self, write_scenario):
         scn = wl.build_pauli_xy(2.0, 4.0)
-        doc = scenario_to_dict(scn)
-        rebuilt = scenario_from_dict(json.loads(json.dumps(doc)))
+        rebuilt = scenario_from_dict(json.loads(write_scenario(scn).read_text()))
         for original, loaded in zip(scn.steps, rebuilt.steps):
             assert np.array_equal(original.observable.matrix, loaded.observable.matrix)
             assert original.pointer.sigma == loaded.pointer.sigma

@@ -5,10 +5,16 @@ import pytest
 
 import weaklab as wl
 from weaklab.errors import DimensionMismatch, InputError
-from weaklab.scenarios import (
-    illustrative_joint_position_moment,
-    illustrative_second_pointer_mean,
-)
+
+
+def illustrative_joint_position_moment(sigma1):
+    """Closed form (1 - 3 exp(-1/(8 sigma1^2))) / 16 of the illustrative xx moment."""
+    return (1.0 - 3.0 * math.exp(-1.0 / (8.0 * sigma1**2))) / 16.0
+
+
+def illustrative_second_pointer_mean(sigma1):
+    """Closed form (5 - 3 exp(-1/(8 sigma1^2))) / 8 of the illustrative ix moment."""
+    return (5.0 - 3.0 * math.exp(-1.0 / (8.0 * sigma1**2))) / 8.0
 
 
 class TestIllustrative:
@@ -164,5 +170,5 @@ class TestCausalWitness:
     def test_witnesses_illustrative_direct_cause(self):
         scn = wl.build_illustrative(100.0, 1.0)
         moment = wl.exact_moment(scn, wl.MomentPattern.from_string("xx")).value
-        hull = wl.spectrum_hull([step.observable for step in scn.steps])
+        hull = (0.0, 1.0)  # products of the projectors' eigenvalues 0 and 1
         assert wl.causal_witness(moment, hull, 0.01) is wl.CausalStructure.DIRECT_CAUSE_WITNESSED

@@ -1,15 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import weaklab as wl
-from weaklab.errors import (
-    DimensionMismatch,
-    EmptyList,
-    NotAProjector,
-    ZeroPostSelectionProbability,
-)
+from weaklab.errors import DimensionMismatch, InputError, ZeroPostSelectionProbability
+from weaklab.weak_values import PROJECTOR_PAIR_FLOOR
+
+KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
+SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
 
 
 def illustrative_pair():
@@ -18,14 +18,27 @@ def illustrative_pair():
     return wl.projector_from_ket(psi_1), wl.projector_from_ket(psi_2)
 
 
+def product_hull(observables):
+    """Least and greatest product of one eigenvalue per observable, by
+    enumerating every choice."""
+    spectra = [np.linalg.eigvalsh(obs.matrix) for obs in observables]
+    products = [math.prod(choice) for choice in itertools.product(*spectra)]
+    return min(products), max(products)
+
+
+def pair_value(psi, first, second):
+    """Re <psi| second first |psi>, the no-post-selection weak value of a pair."""
+    return wl.seq_weak_value(psi.to_density(), None, wl.MeasurementSequence([first, second])).value.real
+
+
 class TestSequence:
     def test_empty_rejected(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(InputError, match="needs at least one observable"):
             wl.MeasurementSequence([])
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
-            wl.MeasurementSequence([wl.SIGMA_Z, wl.Observable(np.eye(3))])
+            wl.MeasurementSequence([SIGMA_Z, wl.Observable(np.eye(3))])
 
     def test_ordered_product_order(self):
         seq = wl.MeasurementSequence([wl.SIGMA_Y, wl.SIGMA_X])
@@ -50,7 +63,7 @@ class TestSeqWeakValue:
 
     def test_single_observable_postselected(self):
         post = wl.PovmElement(np.diag([1.0, 0.0]))
-        wv = wl.seq_weak_value(wl.KET_PLUS.to_density(), post, wl.MeasurementSequence([wl.SIGMA_Z]))
+        wv = wl.seq_weak_value(KET_PLUS.to_density(), post, wl.MeasurementSequence([SIGMA_Z]))
         assert wv.value == pytest.approx(1.0)
         assert wv.postselection_probability == pytest.approx(0.5)
 
@@ -70,7 +83,7 @@ class TestSeqWeakValue:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             wl.seq_weak_value(
-                wl.MixedState(np.eye(3) / 3.0), None, wl.MeasurementSequence([wl.SIGMA_Z])
+                wl.MixedState(np.eye(3) / 3.0), None, wl.MeasurementSequence([SIGMA_Z])
             )
 
     def test_no_postselection_value_is_expectation_in_spectrum(self):
@@ -82,7 +95,7 @@ class TestSeqWeakValue:
             assert abs(wv.value.imag) < 1e-12
             expectation = np.trace(obs.matrix @ rho.matrix).real
             assert wv.value.real == pytest.approx(expectation, abs=1e-12)
-            lo, hi = wl.spectrum_hull([obs])
+            lo, hi = product_hull([obs])
             assert lo - 1e-10 <= wv.value.real <= hi + 1e-10
 
 
@@ -100,7 +113,7 @@ class TestBounds:
 
     def test_scaled_paulis(self):
         seq = wl.MeasurementSequence(
-            [wl.Observable(2.0 * wl.SIGMA_Z.matrix), wl.Observable(3.0 * wl.SIGMA_X.matrix)]
+            [wl.Observable(2.0 * SIGMA_Z.matrix), wl.Observable(3.0 * wl.SIGMA_X.matrix)]
         )
         assert wl.norm_product_bound(seq) == pytest.approx(6.0)
 
@@ -151,7 +164,7 @@ class TestBounds:
             ]
             rho = wl.random_density(rng, 3)
             wv = wl.seq_weak_value(rho, None, wl.MeasurementSequence(observables))
-            lo, hi = wl.spectrum_hull(observables)
+            lo, hi = product_hull(observables)
             assert lo - 1e-12 <= wv.value.real <= hi + 1e-12
 
     def test_symmetric_spectrum_pair_bounded_by_one(self):
@@ -178,21 +191,15 @@ class TestBounds:
 
 
 class TestProjectorPairReport:
+    """The -1/8 floor that the ``bounds`` report checks for projector pairs."""
+
     def test_illustrative_pair_sits_on_floor(self):
         first, second = illustrative_pair()
-        report = wl.projector_pair_report(wl.KET_0, first, second)
-        assert report.re_value == pytest.approx(-0.125, abs=1e-15)
-        assert report.bound_satisfied
+        assert pair_value(wl.KET_0, first, second) == pytest.approx(PROJECTOR_PAIR_FLOOR, abs=1e-15)
 
     def test_aligned_projectors(self):
         proj = wl.projector_from_ket(wl.KET_0)
-        report = wl.projector_pair_report(wl.KET_0, proj, proj)
-        assert report.re_value == pytest.approx(1.0)
-        assert report.bound_satisfied
-
-    def test_rejects_non_projector(self):
-        with pytest.raises(NotAProjector):
-            wl.projector_pair_report(wl.KET_0, wl.SIGMA_Z, wl.projector_from_ket(wl.KET_0))
+        assert pair_value(wl.KET_0, proj, proj) == pytest.approx(1.0)
 
     def test_grid_minimum_is_minus_one_eighth(self):
         # Exhaustive scan over real qubit states/projectors at 1 degree
@@ -209,9 +216,9 @@ class TestProjectorPairReport:
     def test_random_pairs_always_satisfied(self):
         rng = np.random.default_rng(14)
         for _ in range(300):
-            report = wl.projector_pair_report(
+            value = pair_value(
                 wl.random_ket(rng, 2),
                 wl.projector_from_ket(wl.random_ket(rng, 2)),
                 wl.projector_from_ket(wl.random_ket(rng, 2)),
             )
-            assert report.bound_satisfied
+            assert value >= PROJECTOR_PAIR_FLOOR - 1e-12
