@@ -90,6 +90,187 @@ class TestParsing:
             scenario_from_dict(doc)
 
 
+def observable_doc(**replace):
+    """An illustrative document whose first observable's rows are replaced."""
+    doc = illustrative_doc()
+    rows = doc["steps"][0]["observable"]
+    for index, row in replace.items():
+        rows[int(index[1:])] = row
+    return doc
+
+
+class TestReaderContract:
+    """What the reader refuses, and where it says the fault is.
+
+    Each bad document must raise a ScenarioFileError whose message names the
+    field and the first offending entry in row-major order."""
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            (observable_doc(r0=[[1.0, 0.0], [True, 0.0]]),
+             "steps[0].observable[0][1]: expected an [re, im] pair, got [True, 0.0]"),
+            (observable_doc(r0=[[1.0, 0.0], [0.0, "0"]]),
+             "steps[0].observable[0][1]: expected an [re, im] pair, got [0.0, '0']"),
+            (observable_doc(r1=[[0.0, 0.0], [None, 0.0]]),
+             "steps[0].observable[1][1]: expected an [re, im] pair, got [None, 0.0]"),
+            (observable_doc(r0=[[1.0], [0.0, 0.0]]),
+             "steps[0].observable[0][0]: expected an [re, im] pair, got [1.0]"),
+            (observable_doc(r1=[[0.0, 0.0], [0.0, 0.0, 0.0]]),
+             "steps[0].observable[1][1]: expected an [re, im] pair, got [0.0, 0.0, 0.0]"),
+            (observable_doc(r1=[[[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]]),
+             "steps[0].observable[1][0]: expected an [re, im] pair, got [[0.0, 0.0], [0.0, 0.0]]"),
+            (observable_doc(r1=[[0.0, 0.0]]),
+             "steps[0].observable[1]: expected a row of 2 entries"),
+            (observable_doc(r1=[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+             "steps[0].observable[1]: expected a row of 2 entries"),
+            (observable_doc(r1=[0.0, 0.0]),
+             "steps[0].observable[1][0]: expected an [re, im] pair, got 0.0"),
+            (observable_doc(r1=None),
+             "steps[0].observable[1]: expected a row of 2 entries"),
+            # The first fault in row-major order wins: a bad entry before a
+            # ragged row, a ragged row before a bad entry.
+            (observable_doc(r0=[[1.0, 0.0], [False, 0.0]], r1=[[0.0, 0.0]]),
+             "steps[0].observable[0][1]: expected an [re, im] pair, got [False, 0.0]"),
+            (observable_doc(r0=[[1.0, 0.0]], r1=[[0.0, 0.0], [None, 0.0]]),
+             "steps[0].observable[0]: expected a row of 2 entries"),
+        ],
+    )
+    def test_bad_matrix_entry(self, doc, message):
+        with pytest.raises(ScenarioFileError) as excinfo:
+            scenario_from_dict(doc)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (lambda d: d["steps"][1].update(observable=[pair(1), pair(0)]),
+             "steps[1].observable[0][0]: expected an [re, im] pair, got 1.0"),
+            (lambda d: d["steps"][1].update(observable=matrix_doc(np.eye(3))),
+             "steps[1].observable: expected 2 rows"),
+            (lambda d: d["steps"][1].update(observable=matrix_doc(np.eye(2))[:1]),
+             "steps[1].observable: expected 2 rows"),
+            (lambda d: d["steps"][1].update(observable={"re": 1}),
+             "steps[1].observable: expected 2 rows"),
+            (lambda d: d.update(postselect=[pair(1), pair(0)]),
+             "postselect[0][0]: expected an [re, im] pair, got 1.0"),
+            (lambda d: d.update(postselect=[[pair(1), [0.0, True]], [pair(0), pair(0)]]),
+             "postselect[0][1]: expected an [re, im] pair, got [0.0, True]"),
+            (lambda d: d.update(initial=[pair(1), [None, None]]),
+             "initial[1]: expected an [re, im] pair, got [None, None]"),
+            (lambda d: d.update(initial=[pair(1), [0.0]]),
+             "initial[1]: expected an [re, im] pair, got [0.0]"),
+            (lambda d: d.update(initial=[pair(1), [0.0, 0.0, 0.0]]),
+             "initial[1]: expected an [re, im] pair, got [0.0, 0.0, 0.0]"),
+            (lambda d: d.update(initial=[pair(1), pair(0), pair(0)]),
+             "initial: expected an array of 2 entries"),
+            (lambda d: d.update(initial=[[pair(1), pair(0)], [pair(0), "0"]]),
+             "initial[1][1]: expected an [re, im] pair, got '0'"),
+            (lambda d: d.update(initial=[[pair(1), pair(0)], [pair(0)]]),
+             "initial[1]: expected a row of 2 entries"),
+            (lambda d: d.update(initial=[[pair(1), pair(0)]]),
+             "initial: expected 2 rows"),
+        ],
+    )
+    def test_bad_field(self, mutate, message):
+        doc = illustrative_doc()
+        mutate(doc)
+        with pytest.raises(ScenarioFileError) as excinfo:
+            scenario_from_dict(doc)
+        assert str(excinfo.value) == message
+
+    @staticmethod
+    def oracle(rows):
+        """Entry-by-entry reading of a matrix document."""
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+    @staticmethod
+    def assert_bitwise_equal(got, want):
+        assert got.dtype == want.dtype == np.complex128
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+    @staticmethod
+    def entries(matrix, rng):
+        """A document for ``matrix``: every zero part gets a random sign and
+        integral values are sometimes written as JSON ints."""
+        def part(x):
+            if x == 0.0:
+                return -0.0 if rng.random() < 0.5 else 0.0
+            if x == int(x) and rng.random() < 0.5:
+                return int(x)
+            return float(x)
+
+        return [[[part(z.real), part(z.imag)] for z in row] for row in np.asarray(matrix, dtype=complex)]
+
+    @staticmethod
+    def random_document(rng, d):
+        def hermitian():
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            a = np.round(a + a.conj().T, 3)
+            # Zeroed and integral Hermitian pairs and the real diagonal give
+            # the reader signed zeros and JSON ints to keep.
+            zeros = np.triu(rng.random((d, d)) < 0.3)
+            a[zeros | zeros.T] = 0.0
+            integral = np.triu(rng.random((d, d)) < 0.2)
+            a[integral | integral.T] = np.round(a.real)[integral | integral.T]
+            return a
+
+        def density():
+            # Support on the first d - 1 levels leaves a row and column of
+            # exact zeros.
+            ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+            ket[-1] = 0.0
+            mixed = np.outer(ket, ket.conj()) + np.diag(np.r_[np.ones(d - 1), 0.0])
+            return mixed / mixed.trace().real
+
+        ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+        ket[rng.random(d) < 0.3] = 0.0
+        ket[0] = 1.0
+        ket /= np.linalg.norm(ket)
+        entries = TestReaderContract.entries
+        use_ket = rng.random() < 0.5
+        return {
+            "dimension": d,
+            "initial": entries([ket], rng)[0] if use_ket else entries(density(), rng),
+            "steps": [{"observable": entries(hermitian(), rng), "sigma": float(rng.uniform(0.5, 3))} for _ in range(3)],
+            "postselect": entries(density(), rng) if rng.random() < 0.5 else None,
+        }
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_entry_by_entry_oracle(self, d, seed):
+        rng = np.random.default_rng([d, seed])
+        doc = json.loads(json.dumps(self.random_document(rng, d)))
+        scn = scenario_from_dict(doc)
+        pairs = [(step.observable.matrix, self.oracle(step_doc["observable"]))
+                 for step, step_doc in zip(scn.steps, doc["steps"])]
+        if isinstance(doc["initial"][0][0], list):
+            pairs.append((scn.initial.matrix, self.oracle(doc["initial"])))
+        else:
+            ket = np.array([complex(re, im) for re, im in doc["initial"]])
+            pairs.append((scn.initial.matrix, wl.PureState(ket).to_density().matrix))
+        if doc["postselect"] is not None:
+            pairs.append((scn.post.matrix, self.oracle(doc["postselect"])))
+        for got, want in pairs:
+            self.assert_bitwise_equal(got, want)
+        assert any(np.signbit(parts[parts == 0]).any() for parts in (want.view(float) for _, want in pairs))
+        assert [step.pointer.sigma for step in scn.steps] == [step_doc["sigma"] for step_doc in doc["steps"]]
+
+    def test_signed_zeros_kept(self):
+        doc = illustrative_doc()
+        doc["steps"][0]["observable"] = [[[1, -0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0, -0.0]]]
+        doc["initial"] = [[1.0, -0.0], [-0.0, 0.0]]
+        scn = scenario_from_dict(doc)
+        observable = scn.steps[0].observable.matrix
+        self.assert_bitwise_equal(observable, self.oracle(doc["steps"][0]["observable"]))
+        assert np.signbit(observable.real).tolist() == [[False, True], [True, False]]
+        assert np.signbit(observable.imag).tolist() == [[True, False], [True, True]]
+        want = wl.PureState(np.array([complex(1.0, -0.0), complex(-0.0, 0.0)])).to_density().matrix
+        self.assert_bitwise_equal(scn.initial.matrix, want)
+
+
 class TestRoundTrip:
     def test_save_load_preserves_moments(self, write_scenario):
         scn = wl.build_illustrative(1.7, 0.9)
