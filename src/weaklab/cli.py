@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -54,6 +55,13 @@ SCENARIO_NAMES = ("illustrative", "pauli-xy", "chain-n", "common-cause")
 # the 2 GiB that sample and optimize allow.
 SWEEP_MAX_POINTS = 1_000_000
 
+# Longest chain-n chain. sample reads its n + 1 exact moments from one chain
+# whose tables grow as n^2: tracemalloc peaks of 74-79 bytes per squared step
+# at n = 500 to 2,000 with one shot, so 4,000 steps peak near 1.3 GB, under
+# the 2 GiB that sample and optimize allow. The other commands take about
+# 1.3 kB per step.
+CHAIN_MAX_STEPS = 4_000
+
 
 def _reject_flags(args, flags, target: str) -> None:
     """Refuse width or length flags that ``target`` would not read."""
@@ -72,7 +80,10 @@ def _builtin_scenario(name: str, args) -> Scenario:
     if name == "pauli-xy":
         return build_pauli_xy(sigma1, sigma2)
     if name == "chain-n":
-        return build_projector_chain(2 if args.n is None else args.n, sigma)
+        n = 2 if args.n is None else args.n
+        if n > CHAIN_MAX_STEPS:
+            raise InputError(f"--n must be at most {CHAIN_MAX_STEPS}, got {n}")
+        return build_projector_chain(n, sigma)
     # common-cause: a maximally entangled qubit pair, both parties
     # measuring the |0><0| projector on their half.
     shared = qm.PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
@@ -393,7 +404,12 @@ def _add_sigma_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=None, help="chain length for chain-n (2)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    ``parse_args`` keeps no state between calls: each returns a fresh
+    namespace filled from the defaults declared here."""
     parser = argparse.ArgumentParser(
         prog="weaklab",
         description="Sequential weak measurements with Gaussian pointers.",

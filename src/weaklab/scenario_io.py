@@ -28,31 +28,58 @@ from .pointer import GaussianPointer
 from .simulator import MeasurementStep, Scenario
 
 
-def _entry_to_complex(entry, where: str) -> complex:
-    if (
+def _double(value, where: str) -> float:
+    """``float(value)``, refusing an integer too large for a double."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioFileError(f"{where}: number too large for a double") from None
+
+
+def _check_entry(entry, where: str) -> None:
+    if not (
         isinstance(entry, list)
         and len(entry) == 2
         and all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
     ):
-        return complex(entry[0], entry[1])
-    raise ScenarioFileError(f"{where}: expected an [re, im] pair, got {entry!r}")
+        raise ScenarioFileError(f"{where}: expected an [re, im] pair, got {entry!r}")
+    for part in entry:
+        _double(part, where)
 
 
-def _parse_ket(data, dim: int, where: str) -> np.ndarray:
+def _raise_first_fault(data, dim: int, where: str, matrix: bool) -> None:
+    """Raise the error naming the first fault of ``data`` in row-major order."""
     if not isinstance(data, list) or len(data) != dim:
-        raise ScenarioFileError(f"{where}: expected an array of {dim} entries")
-    return np.array([_entry_to_complex(entry, f"{where}[{i}]") for i, entry in enumerate(data)])
-
-
-def _parse_matrix(data, dim: int, where: str) -> np.ndarray:
-    if not isinstance(data, list) or len(data) != dim:
-        raise ScenarioFileError(f"{where}: expected {dim} rows")
-    rows = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != dim:
+        expected = f"{dim} rows" if matrix else f"an array of {dim} entries"
+        raise ScenarioFileError(f"{where}: expected {expected}")
+    for i, item in enumerate(data):
+        if not matrix:
+            _check_entry(item, f"{where}[{i}]")
+        elif not isinstance(item, list) or len(item) != dim:
             raise ScenarioFileError(f"{where}[{i}]: expected a row of {dim} entries")
-        rows.append([_entry_to_complex(entry, f"{where}[{i}][{j}]") for j, entry in enumerate(row)])
-    return np.array(rows)
+        else:
+            for j, entry in enumerate(item):
+                _check_entry(entry, f"{where}[{i}][{j}]")
+
+
+def _parse_complex(data, dim: int, where: str, matrix: bool) -> np.ndarray:
+    """Read a ket (``matrix`` false) or a row-major matrix of [re, im] pairs.
+
+    The nested lists become one object array, whose shape and leaf types are
+    checked at once. Its float pairs are then viewed as complex numbers,
+    which keeps every entry bit-for-bit ``complex(re, im)``, signed zeros
+    included. Only data that fails the check is walked, to name the fault.
+    """
+    shape = (dim, dim) if matrix else (dim,)
+    leaves = np.array(data, dtype=object)
+    kinds = set(map(type, leaves.flat))
+    if leaves.shape == (*shape, 2) and all(issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds):
+        try:
+            return leaves.astype(float).view(complex).reshape(shape)
+        except OverflowError:
+            pass
+    _raise_first_fault(data, dim, where, matrix)
+    raise ScenarioFileError(f"{where}: expected [re, im] pairs of numbers")
 
 
 @contextmanager
@@ -87,9 +114,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     is_matrix = isinstance(initial_data[0][0], list)
     with _field("initial"):
         if is_matrix:
-            initial = qm.MixedState(_parse_matrix(initial_data, dim, "initial"))
+            initial = qm.MixedState(_parse_complex(initial_data, dim, "initial", matrix=True))
         else:
-            initial = qm.PureState(_parse_ket(initial_data, dim, "initial")).to_density()
+            initial = qm.PureState(_parse_complex(initial_data, dim, "initial", matrix=False)).to_density()
 
     steps_data = doc.get("steps")
     if not isinstance(steps_data, list) or not steps_data:
@@ -102,18 +129,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if "observable" not in step_doc:
             raise ScenarioFileError(f"{where}.observable: field is required")
         with _field(f"{where}.observable"):
-            observable = qm.Observable(_parse_matrix(step_doc["observable"], dim, f"{where}.observable"))
+            observable = qm.Observable(_parse_complex(step_doc["observable"], dim, f"{where}.observable", matrix=True))
         sigma = step_doc.get("sigma")
         if not isinstance(sigma, (int, float)) or isinstance(sigma, bool):
             raise ScenarioFileError(f"{where}.sigma: expected a number, got {sigma!r}")
+        sigma = _double(sigma, f"{where}.sigma")
         with _field(f"{where}.sigma"):
-            steps.append(MeasurementStep(observable, GaussianPointer(float(sigma))))
+            steps.append(MeasurementStep(observable, GaussianPointer(sigma)))
 
     post_data = doc.get("postselect")
     post = None
     if post_data is not None:
         with _field("postselect"):
-            post = qm.PovmElement(_parse_matrix(post_data, dim, "postselect"))
+            post = qm.PovmElement(_parse_complex(post_data, dim, "postselect", matrix=True))
 
     with _field("steps"):
         return Scenario(initial=initial, steps=tuple(steps), post=post)
@@ -128,5 +156,7 @@ def load_scenario(path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # a number over 4300 digits, or nesting deeper than the stack
+        raise ScenarioFileError(f"cannot parse JSON: {exc}") from exc
     return scenario_from_dict(doc)
 

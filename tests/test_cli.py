@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import weaklab as wl
-from weaklab.cli import SWEEP_MAX_POINTS, main
+from weaklab import cli
+from weaklab.cli import CHAIN_MAX_STEPS, SWEEP_MAX_POINTS, main
 
 SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
 
@@ -130,6 +131,43 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "place,field",
+        [
+            (lambda doc: doc["steps"][0]["observable"][0].__setitem__(0, [10**400, 0]), "steps[0].observable[0][0]"),
+            (lambda doc: doc["steps"][0]["observable"][1].__setitem__(1, [0, -(10**309)]), "steps[0].observable[1][1]"),
+            (lambda doc: doc["steps"][0].update(sigma=10**400), "steps[0].sigma"),
+        ],
+        ids=["real", "imaginary", "sigma"],
+    )
+    def test_integer_too_large_for_a_double_exit_code(self, capsys, write_scenario, place, field):
+        path = write_scenario(wl.build_illustrative(1.0, 1.0))
+        doc = json.loads(path.read_text())
+        place(doc)
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(path), "--pattern", "xx"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"input error: {field}: number too large for a double\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dimension": 2, "sigma": ' + "1" * 5000 + "}",  # over Python's 4300-digit int parsing limit
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["long-integer", "deep-nesting"],
+    )
+    def test_unparseable_json_exit_code(self, capsys, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code = main(["simulate", str(path), "--pattern", "x"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: cannot parse JSON: ")
+
 
 class TestSweepCommand:
     def test_illustrative_limits(self, capsys):
@@ -193,6 +231,64 @@ class TestSweepCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"input error: --steps must be at most {SWEEP_MAX_POINTS}, got {steps}\n"
+
+
+class TestChainLength:
+    @pytest.mark.parametrize("n", [CHAIN_MAX_STEPS + 1, 10**9])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("scenario", "chain-n"),
+            ("simulate", "chain-n", "--pattern", "xx"),
+            ("sweep", "chain-n", "--param", "sigma1", "--from", "1", "--to", "2", "--pattern", "xx"),
+            ("sample", "chain-n", "--shots", "10"),
+        ],
+    )
+    def test_n_over_limit_exit_code(self, capsys, monkeypatch, command, n):
+        def untouched(*args, **kwargs):
+            raise AssertionError("the chain was built before its length was checked")
+
+        monkeypatch.setattr(cli, "build_projector_chain", untouched)
+        code = main([*command, "--n", str(n)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"input error: --n must be at most {CHAIN_MAX_STEPS}, got {n}\n"
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process, and reusing it leaks nothing
+    from one call into the next."""
+
+    SWEEP = ("illustrative", "--param", "sigma1", "--from", "0.5", "--to", "4", "--steps", "3", "--pattern", "xx")
+    # Neighbouring commands differ in one flag: set, then unset or defaulted.
+    COMMANDS = [
+        ("--format", "json", "sweep", *SWEEP),
+        ("sweep", *SWEEP),
+        ("simulate", "illustrative", "--pattern", "xx", "--sigma1", "0.3"),
+        ("simulate", "illustrative", "--pattern", "xx"),
+        ("sample", "chain-n", "--n", "3", "--shots", "50", "--seed", "4"),
+        ("sample", "chain-n", "--shots", "50", "--seed", "4"),
+        ("--format", "json", "optimize", "--n", "2", "--restarts", "2", "--budget", "100"),
+        ("optimize", "--n", "2", "--restarts", "2", "--budget", "100"),
+        ("bounds", "--trials", "20", "--seed", "1"),
+        ("--format", "json", "bounds", "--trials", "20"),
+    ]
+
+    def test_reused_parser_matches_fresh_parser(self, capsys):
+        fresh = {}
+        for argv in self.COMMANDS:
+            cli._build_parser.cache_clear()
+            assert main(list(argv)) == 0
+            fresh[argv] = capsys.readouterr().out
+        for before, after in zip(self.COMMANDS[::2], self.COMMANDS[1::2]):
+            assert fresh[before] != fresh[after]
+
+        cli._build_parser.cache_clear()
+        for argv in self.COMMANDS + self.COMMANDS[::-1] + self.COMMANDS:
+            assert main(list(argv)) == 0
+            assert capsys.readouterr().out == fresh[argv], argv
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestOptimizeCommand:

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weaklab as wl
-from weaklab.errors import ScenarioFileError
+from weaklab.errors import ScenarioFileError, WeakLabError
 from weaklab.scenario_io import scenario_from_dict
 
 KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -269,6 +271,54 @@ class TestReaderContract:
         assert np.signbit(observable.imag).tolist() == [[True, False], [True, True]]
         want = wl.PureState(np.array([complex(1.0, -0.0), complex(-0.0, 0.0)])).to_density().matrix
         self.assert_bitwise_equal(scn.initial.matrix, want)
+
+
+def node_paths(node, prefix=()):
+    """Paths to every node below ``node`` in a JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from node_paths(child, prefix + (key,))
+
+
+def replace_at(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+# Any JSON value, with integers far outside a double's range.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.text(max_size=3)
+    | st.floats()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.sampled_from([2**1024, -(2**1024), 10**400]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=2), children, max_size=2),
+    max_leaves=6,
+)
+
+
+class TestArbitraryValues:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_reader_returns_scenario_or_weaklab_error(self, data):
+        """Whatever JSON value replaces a node of a valid document, the
+        reader returns a Scenario or raises a WeakLabError."""
+        doc = illustrative_doc()
+        if data.draw(st.booleans()):
+            doc["initial"] = matrix_doc(np.diag([1.0, 0.0]))
+            doc["postselect"] = matrix_doc(np.diag([0.0, 1.0]))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(node_paths(doc))))
+            replace_at(doc, path, data.draw(JSON_VALUES))
+        try:
+            scn = scenario_from_dict(doc)
+        except WeakLabError:
+            return
+        assert isinstance(scn, wl.Scenario)
 
 
 class TestRoundTrip:
