@@ -5,6 +5,12 @@ Reports go to stdout as CSV (default; comment lines carry the command
 echo, configuration and summary) or JSON. Reports are byte-identical
 across runs with equal inputs and seeds, so timing is written to stderr.
 Exit codes: 0 success, 1 numeric failure, 2 input error.
+
+``main`` may be called repeatedly in one process. The argument parser is
+built on the first call, not at import, and reused by every later call.
+Sizes that would exhaust memory are input errors checked before any
+allocation: ``sweep --steps`` over SWEEP_MAX_POINTS and a ``chain-n``
+``--n`` over CHAIN_MAX_STEPS.
 """
 
 from __future__ import annotations

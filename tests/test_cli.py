@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,14 +279,19 @@ class TestRepeatedCalls:
         ("--format", "json", "bounds", "--trials", "20"),
     ]
 
-    def test_reused_parser_matches_fresh_parser(self, capsys):
+    def test_reused_parser_matches_fresh_process(self, capsys):
+        # Each reference report comes from a process of its own, so state
+        # that leaks between calls cannot reach it.
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
         fresh = {}
         for argv in self.COMMANDS:
-            cli._build_parser.cache_clear()
-            assert main(list(argv)) == 0
-            fresh[argv] = capsys.readouterr().out
-        for before, after in zip(self.COMMANDS[::2], self.COMMANDS[1::2]):
-            assert fresh[before] != fresh[after]
+            done = subprocess.run(
+                [sys.executable, "-m", "weaklab.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            fresh[argv] = done.stdout
 
         cli._build_parser.cache_clear()
         for argv in self.COMMANDS + self.COMMANDS[::-1] + self.COMMANDS:
