@@ -8,9 +8,12 @@ Exit codes: 0 success, 1 numeric failure, 2 input error.
 
 ``main`` may be called repeatedly in one process. The argument parser is
 built on the first call, not at import, and reused by every later call.
-Sizes that would exhaust memory are input errors checked before any
-allocation: ``sweep --steps`` over SWEEP_MAX_POINTS and a ``chain-n``
-``--n`` over CHAIN_MAX_STEPS.
+Sizes that would exhaust memory are input errors, checked before the
+allocation they would need: ``sweep --steps`` over SWEEP_MAX_POINTS, a
+``chain-n`` ``--n`` over CHAIN_MAX_STEPS, and a ``sample`` whose exact
+moments (``simulator.exact_footprint``, growing as the square of the step
+count) would pass SAMPLE_MEMORY_LIMIT, for built-in scenarios and files
+alike.
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ from .scenarios import (
     causal_witness,
 )
 from .simulator import (
+    SAMPLE_MEMORY_LIMIT,
     EvaluationMethod,
     MomentPattern,
     Scenario,
+    exact_footprint,
     exact_moment,
     exact_moments,
     recover_weak_value,
@@ -61,12 +66,12 @@ SCENARIO_NAMES = ("illustrative", "pauli-xy", "chain-n", "common-cause")
 # the 2 GiB that sample and optimize allow.
 SWEEP_MAX_POINTS = 1_000_000
 
-# Longest chain-n chain. sample reads its n + 1 exact moments from one chain
-# whose tables grow as n^2: tracemalloc peaks of 74-79 bytes per squared step
-# at n = 500 to 2,000 with one shot, so 4,000 steps peak near 1.3 GB, under
-# the 2 GiB that sample and optimize allow. The other commands take about
-# 1.3 kB per step.
-CHAIN_MAX_STEPS = 4_000
+# Longest chain-n chain. Building it and running scenario, simulate or a
+# two-point sweep on it peak at 1.15-1.5 kB per step (tracemalloc, n = 2,000
+# to 60,000), so a million steps stay under the 2 GiB that sample and
+# optimize allow. sample's exact moments grow as n^2 and are bounded apart,
+# by simulator.exact_footprint.
+CHAIN_MAX_STEPS = 1_000_000
 
 
 def _reject_flags(args, flags, target: str) -> None:
@@ -280,6 +285,13 @@ def _cmd_optimize(args) -> None:
 
 def _cmd_sample(args) -> None:
     scn, source = _resolve_scenario(args.file, args)
+    n = scn.n_steps
+    footprint = exact_footprint(scn, n + 1)
+    if footprint > SAMPLE_MEMORY_LIMIT:
+        raise InputError(
+            f"the exact moments of {n} steps need about {footprint / 1024**3:.1f} GiB, "
+            f"over the {SAMPLE_MEMORY_LIMIT / 1024**3:.0f} GiB limit"
+        )
     samples, stats = sample_outcomes(scn, args.shots, args.seed)
     config = {
         "scenario": source,
@@ -290,7 +302,6 @@ def _cmd_sample(args) -> None:
         "retained_shots": stats.retained_shots,
         "postselection_probability": stats.postselection_probability,
     }
-    n = scn.n_steps
     singles = [
         MomentPattern(PointerOperatorKind.POSITION if k == j else PointerOperatorKind.IDENTITY for k in range(n))
         for j in range(n)

@@ -16,6 +16,7 @@ name the offending field.
 
 from __future__ import annotations
 
+import itertools
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -65,21 +66,29 @@ def _raise_first_fault(data, dim: int, where: str, matrix: bool) -> None:
 def _parse_complex(data, dim: int, where: str, matrix: bool) -> np.ndarray:
     """Read a ket (``matrix`` false) or a row-major matrix of [re, im] pairs.
 
-    The nested lists become one object array, whose shape and leaf types are
-    checked at once. Its float pairs are then viewed as complex numbers,
+    The nesting is checked one level at a time, each level in one pass:
+    the array, then its rows, then its entries must be lists of the right
+    length, and the leaves ints or floats, not bools, as ``_check_entry``
+    asks. The leaves then become one float array viewed as complex numbers,
     which keeps every entry bit-for-bit ``complex(re, im)``, signed zeros
-    included. Only data that fails the check is walked, to name the fault.
+    included. Only refused data is walked, to name its first fault.
     """
     shape = (dim, dim) if matrix else (dim,)
-    leaves = np.array(data, dtype=object)
-    kinds = set(map(type, leaves.flat))
-    if leaves.shape == (*shape, 2) and all(issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds):
-        try:
-            return leaves.astype(float).view(complex).reshape(shape)
-        except OverflowError:
-            pass
+    level = [data]
+    for size in (*shape, 2):
+        kinds = set(map(type, level))
+        if (kinds != {list} and not all(issubclass(kind, list) for kind in kinds)) or set(map(len, level)) != {size}:
+            break
+        level = list(itertools.chain.from_iterable(level))
+    else:
+        kinds = set(map(type, level))
+        if kinds <= {int, float} or all(issubclass(kind, (int, float)) and not issubclass(kind, bool) for kind in kinds):
+            try:
+                return np.array(level, dtype=float).view(complex).reshape(shape)
+            except OverflowError:
+                pass
     _raise_first_fault(data, dim, where, matrix)
-    raise ScenarioFileError(f"{where}: expected [re, im] pairs of numbers")
+    raise AssertionError(f"{where}: the entry walk passed data the level check refused")
 
 
 @contextmanager

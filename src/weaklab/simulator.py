@@ -40,7 +40,6 @@ and length-shots vector operations: O(shots n d^2) time, and at most
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,12 +209,16 @@ def _exact_moments(scn: Scenario, patterns: list[MomentPattern]) -> list[MomentR
         _step_tables(step, [pat.kinds[j] for pat in patterns] + [identity]) for j, step in enumerate(scn.steps)
     ]
     numerators, probability = _scenario_chain(scn, tables)
+    # Rounding leaves an imaginary residue relative to the chain's terms,
+    # which reach prod_j max|F_j| / Tr(eta) (about sigma^2n for X readouts).
+    # The product runs in step order, for every row at once.
+    peaks = np.ones(len(patterns) + 1)
+    for table in tables:
+        peaks *= np.abs(table).max(axis=(1, 2))
     results = []
     for row, numerator in enumerate(numerators):
         value = complex(numerator) / probability
-        # Rounding leaves an imaginary residue relative to the chain's terms,
-        # which reach prod_j max|F_j| / Tr(eta) (about sigma^2n for X readouts).
-        scale = max(1.0, math.prod(float(np.abs(table[row]).max()) for table in tables) / probability)
+        scale = max(1.0, float(peaks[row]) / probability)
         if abs(value.imag) > MOMENT_IMAG_TOL * scale:
             raise NumericError(f"moment has imaginary residue {value.imag:.3e} at scale {scale:.3e}")
         results.append(MomentResult(value.real, probability))
@@ -236,10 +239,24 @@ def exact_moments(scn: Scenario, patterns) -> list[MomentResult]:
     """``exact_moment`` for each of several patterns, from one chain.
 
     The patterns' tables ride one stack beside the identity chain, so the
-    cost is one chain of width len(patterns) + 1, not one per pattern.
-    Each value's imaginary residue is judged at that pattern's own scale.
+    cost is one chain of width len(patterns) + 1, not one per pattern, and
+    ``exact_footprint`` bytes. Each value's imaginary residue is judged at
+    that pattern's own scale.
     """
     return _exact_moments(scn, list(patterns))
+
+
+def exact_footprint(scn: Scenario, patterns: int) -> int:
+    """Bytes ``exact_moments`` needs for ``patterns`` patterns, at most.
+
+    Per step and table row (the patterns and the identity row): the d x d
+    complex table and the pattern's reference to its kind, rounded up to
+    16 bytes. Per table row: the chain's work arrays, counted as eight
+    d x d complex matrices. A few kilobytes of fixed cost are not counted.
+    For n steps and n + 1 patterns, as ``sample`` asks, this grows as n^2.
+    """
+    n, d = scn.n_steps, scn.dim
+    return (patterns + 1) * (n * (16 * d * d + 16) + 128 * d * d)
 
 
 @np.errstate(all="ignore")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import weaklab as wl
-from weaklab import cli
+from weaklab import cli, simulator
 from weaklab.cli import CHAIN_MAX_STEPS, SWEEP_MAX_POINTS, main
 
 SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
@@ -358,6 +358,26 @@ class TestSampleCommand:
         code, out = run_cli(capsys, "sample", "illustrative", "--shots", str(10**12), "--seed", "1")
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_exact_moments_over_memory_limit_exit_code(self, capsys, monkeypatch, write_scenario, from_file):
+        # The limit is lowered to just under this chain's exact-moment tables,
+        # so the check is exercised without building a long chain.
+        scn = wl.build_projector_chain(6, 1.0)
+        monkeypatch.setattr(cli, "SAMPLE_MEMORY_LIMIT", simulator.exact_footprint(scn, 7) - 1)
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("sample started work before checking the exact moments' memory bound")
+
+        monkeypatch.setattr(cli, "sample_outcomes", untouched)
+        monkeypatch.setattr(cli, "exact_moments", untouched)
+        source = [str(write_scenario(scn))] if from_file else ["chain-n", "--n", "6"]
+        code = main(["sample", *source, "--shots", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: the exact moments of 6 steps need about ")
+        assert captured.err.endswith(" GiB limit\n")
 
 
 class TestCountArguments:

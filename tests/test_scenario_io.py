@@ -172,6 +172,15 @@ class TestReaderContract:
              "initial[1]: expected a row of 2 entries"),
             (lambda d: d.update(initial=[[pair(1), pair(0)]]),
              "initial: expected 2 rows"),
+            # Library callers get the same contract: tuples are not lists.
+            (lambda d: d["steps"][1]["observable"][0].__setitem__(1, (0.0, 0.0)),
+             "steps[1].observable[0][1]: expected an [re, im] pair, got (0.0, 0.0)"),
+            (lambda d: d["steps"][1]["observable"].__setitem__(1, tuple(d["steps"][1]["observable"][1])),
+             "steps[1].observable[1]: expected a row of 2 entries"),
+            (lambda d: d["steps"][1].update(observable=tuple(d["steps"][1]["observable"])),
+             "steps[1].observable: expected 2 rows"),
+            (lambda d: d.update(initial=[pair(1), (0.0, 0.0)]),
+             "initial[1]: expected an [re, im] pair, got (0.0, 0.0)"),
         ],
     )
     def test_bad_field(self, mutate, message):

@@ -330,6 +330,21 @@ class TestExactEngine:
             wl.exact_moments(scn, patterns)
         assert tampered
 
+    @pytest.mark.parametrize("d,n", [(2, 300), (3, 120), (4, 60), (8, 20)])
+    def test_peak_memory_within_footprint(self, d, n):
+        # The n + 1 patterns the sample command asks for: the product and
+        # one single-slot position moment per step.
+        scn = random_scenario(np.random.default_rng(d * 10 + n), d, n, with_post=False, sigma_range=(5.0, 5.0))
+        wl.exact_moments(scn, [wl.MomentPattern.all_position(n)])  # first-call set-up stays out
+        tracemalloc.start()
+        try:
+            singles = [wl.MomentPattern(X if k == j else I for k in range(n)) for j in range(n)]
+            wl.exact_moments(scn, [wl.MomentPattern.all_position(n), *singles])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulator.exact_footprint(scn, n + 1)
+
     def test_orthogonal_postselection_raises(self):
         scn = wl.Scenario(
             initial=wl.KET_0.to_density(),
