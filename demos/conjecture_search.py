@@ -1,7 +1,9 @@
 """Searching for pointer products below -1/8 (and not finding them).
 
-Multi-start Nelder-Mead over the initial state and n projector axes,
-minimizing the weak-limit mean product of all pointer positions. For
+Multi-start Nelder-Mead over n projector axes, minimizing the weak-limit
+mean product of all pointer positions; for each set of projectors the
+best initial state is the eigenvector of the least eigenvalue of the
+all-position operator, so that eigenvalue is the objective. For
 n = 2 the floor -1/8 is provably tight; for longer sequences the search
 keeps landing on exactly the same floor, which is the evidence behind
 conjecturing it holds for every n.

@@ -292,7 +292,13 @@ def _cmd_sample(args) -> None:
             f"the exact moments of {n} steps need about {footprint / 1024**3:.1f} GiB, "
             f"over the {SAMPLE_MEMORY_LIMIT / 1024**3:.0f} GiB limit"
         )
-    samples, stats = sample_outcomes(scn, args.shots, args.seed)
+    singles = [
+        MomentPattern(PointerOperatorKind.POSITION if k == j else PointerOperatorKind.IDENTITY for k in range(n))
+        for j in range(n)
+    ]
+    exact = exact_moments(scn, [MomentPattern.all_position(n), *singles])
+    # Tr(eta) rides the exact moments' chain, so the sampler need not run it.
+    samples, stats = sample_outcomes(scn, args.shots, args.seed, exact[0].postselection_probability)
     config = {
         "scenario": source,
         "shots": args.shots,
@@ -302,11 +308,6 @@ def _cmd_sample(args) -> None:
         "retained_shots": stats.retained_shots,
         "postselection_probability": stats.postselection_probability,
     }
-    singles = [
-        MomentPattern(PointerOperatorKind.POSITION if k == j else PointerOperatorKind.IDENTITY for k in range(n))
-        for j in range(n)
-    ]
-    exact = exact_moments(scn, [MomentPattern.all_position(n), *singles])
     with np.errstate(over="ignore"):
         products = samples.prod(axis=1)
     columns = [("mean_position_product", products)] + [(f"mean_position_{j + 1}", samples[:, j]) for j in range(n)]

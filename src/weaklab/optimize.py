@@ -1,15 +1,22 @@
 """Multi-start search for the most anomalous no-post-selection readings.
 
-Searches run over a pure initial state plus a sequence of rank-1
-projectors, each parameterized by hyperspherical angles and phases
-(2(d-1) reals per state, norm 1 by construction, no constraints for the
-local method to fight). Two objectives are offered:
+Searches run over a sequence of n rank-1 projectors, each ket
+parameterized by hyperspherical angles and phases (2(d-1) reals, norm 1
+by construction, no constraints for the local method to fight). Two
+objectives are offered:
 
 * the mean product of all pointer positions, at a finite width or in
   the weak limit (the nested anti-commutator form), whose conjectured
   floor is -1/8 for projector sequences of any length;
 * the real part of the sequential weak value itself, which projector
   chains push toward -1.
+
+The initial state is not searched. For fixed projectors both objectives
+read <psi|H|psi> with H Hermitian, so by Rayleigh-Ritz their least value
+over pure states is the least eigenvalue of H, attained by its
+eigenvector: the objective is lambda_min(H), and the state of the
+returned point is that eigenvector (variable projection; Golub & Pereyra,
+SIAM J. Numer. Anal. 10, 413 (1973)).
 
 Local descent is Nelder-Mead from seeded uniform starts. All restarts
 move in lockstep: each iteration evaluates every restart's trial point in
@@ -50,26 +57,32 @@ def decode_state(params: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
+def _encode_state(amplitudes: np.ndarray) -> np.ndarray:
+    """A unit ket -> angles + phases that ``decode_state`` maps back to it,
+    up to a global phase: amplitude 0 is made real and non-negative, each
+    angle is atan2 of the norm of the amplitudes after it and the
+    magnitude of its own, and each phase is that of amplitude 1, 2, ..."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    if amplitudes[0] != 0:
+        amplitudes = amplitudes * (abs(amplitudes[0]) / amplitudes[0])
+    magnitudes = np.abs(amplitudes)
+    tails = np.sqrt(np.cumsum(magnitudes[::-1] ** 2)[::-1])
+    return np.concatenate([np.arctan2(tails[1:], magnitudes[:-1]), np.angle(amplitudes[1:])])
+
+
 @dataclass(frozen=True)
 class SearchSpacePoint:
-    """Angles for the initial state and for each measured projector."""
+    """Angles for the initial state and for each measured projector.
+
+    A search moves the projector angles only; the state of the point it
+    returns is the least eigenvector there, and an ``initial_point`` seeds
+    restart 0 with its projector angles alone."""
 
     state_params: np.ndarray
     projector_params: tuple[np.ndarray, ...]
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([self.state_params, *self.projector_params])
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, n: int, d: int) -> "SearchSpacePoint":
-        width = 2 * (d - 1)
-        flat = np.asarray(flat, dtype=float)
-        return cls(
-            state_params=flat[:width].copy(),
-            projector_params=tuple(
-                flat[width * (j + 1) : width * (j + 2)].copy() for j in range(n)
-            ),
-        )
 
     def decode(self) -> tuple[qm.PureState, list[qm.Observable]]:
         state = qm.PureState(decode_state(self.state_params))
@@ -88,36 +101,67 @@ class OptimizationResult:
 
 
 def _decode_points(points: np.ndarray, n: int, d: int) -> np.ndarray:
-    """(B, 2(d-1)(n+1)) search points -> (B, n+1, d) kets: the state, then
-    the ket of each projector."""
-    return decode_state(points.reshape(points.shape[0], n + 1, 2 * (d - 1)))
+    """(B, 2(d-1)n) search points -> (B, n, d) projector kets."""
+    return decode_state(points.reshape(points.shape[0], n, 2 * (d - 1)))
+
+
+def _pointer_operators(points: np.ndarray, n: int, d: int, overlap: float) -> np.ndarray:
+    """The (B, d, d) operators 2^(1-n) Y_1 whose expectation in the initial
+    state is the all-position moment, built in the Heisenberg picture from
+    Y_n = A_n. For a rank-1 projector A = |k><k| the exact position step
+    is Y -> (c/2)(AY + YA) + (1 - c) AYA at the Gaussian ``overlap`` c of
+    its eigenvalues 0 and 1, with AY = |k> (<k|Y) and AYA = <k|Y|k> A; at
+    c = 1 it is the weak limit, the nested anti-commutator
+    {A_1,{...,A_n}...}/2^(n-1)."""
+    kets = _decode_points(points, n, d).swapaxes(0, 1)
+    columns, rows = kets[..., np.newaxis], kets.conj()[..., np.newaxis, :]
+    nested = columns[-1] * rows[-1]
+    for column, row in zip(columns[-2::-1], rows[-2::-1]):
+        projected = row @ nested
+        product = column * projected
+        nested = product + product.conj().swapaxes(1, 2)
+        if overlap < 1.0:
+            nested = overlap * nested + 2 * (1 - overlap) * (projected @ column) * (column * row)
+    return 2.0 ** (1 - n) * nested
 
 
 def _pointer_products(points: np.ndarray, n: int, d: int, overlap: float) -> np.ndarray:
-    """All-position moment 2^(1-n) <psi|Y_1|psi> of each point, built in
-    the Heisenberg picture from Y_n = A_n. For a rank-1 projector A the
-    exact position step is Y -> (c/2)(AY + YA) + (1 - c) AYA at the
-    Gaussian ``overlap`` c of its eigenvalues 0 and 1; at c = 1 it is the
-    weak limit, the nested anti-commutator {A_1,{...,A_n}...}/2^(n-1)."""
+    """Least all-position moment over initial states at each point: the
+    least eigenvalue of its ``_pointer_operators`` operator."""
+    return np.linalg.eigvalsh(_pointer_operators(points, n, d, overlap))[:, 0]
+
+
+def _weak_value_factors(points: np.ndarray, n: int, d: int):
+    """The kets k_1 and k_n of each point and c = <k_n|k_(n-1)> ... <k_2|k_1>,
+    so that <psi| A_n ... A_1 |psi> = c <psi|k_n> <k_1|psi>."""
     kets = _decode_points(points, n, d)
-    projectors = (kets[:, :, :, np.newaxis] * kets[:, :, np.newaxis, :].conj()).swapaxes(0, 1)
-    nested = projectors[n]
-    for projector in projectors[n - 1 : 0 : -1]:
-        product = projector @ nested
-        nested = product + product.conj().swapaxes(1, 2)
-        if overlap < 1.0:
-            nested = overlap * nested + 2 * (1 - overlap) * (product @ projector)
-    moment = kets[:, 0, np.newaxis, :].conj() @ nested @ kets[:, 0, :, np.newaxis]
-    return 2.0 ** (1 - n) * moment[:, 0, 0].real
+    overlaps = (kets[:, 1:].conj() * kets[:, :-1]).sum(axis=2)
+    return kets[:, 0], kets[:, -1], overlaps.prod(axis=1)
+
+
+def _weak_value_operators(points: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The (B, d, d) Hermitian parts of c |k_n><k_1|, whose expectation in
+    the initial state is Re <psi| A_n ... A_1 |psi>."""
+    first, last, c = _weak_value_factors(points, n, d)
+    half = 0.5 * c[:, np.newaxis, np.newaxis] * last[:, :, np.newaxis] * first[:, np.newaxis, :].conj()
+    return half + half.conj().swapaxes(1, 2)
 
 
 def _weak_value_reals(points: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Re <psi| A_n ... A_1 |psi> of each point for rank-1 projectors,
-    the product of overlaps <psi|k_n> <k_n|k_(n-1)> ... <k_1|psi>."""
-    kets = _decode_points(points, n, d)
-    chain = np.concatenate([kets, kets[:, :1]], axis=1)
-    overlaps = (chain[:, 1:].conj() * chain[:, :-1]).sum(axis=2)
-    return overlaps.prod(axis=1).real
+    """Least Re <psi| A_n ... A_1 |psi> over initial states at each point,
+    the least eigenvalue of its ``_weak_value_operators`` operator. That
+    operator has rank at most 2, on the span of k_1 and k_n; with
+    s = <k_1|k_n> its eigenvalues there sum to Re(cs) and multiply to
+    (|cs|^2 - |c|^2)/4 <= 0, so the least is
+    (Re(cs) - sqrt(|c|^2 - Im(cs)^2))/2. The root's argument is formed as
+    |c|^2 |k_n - s k_1|^2 + Re(cs)^2, which equals it for unit kets but
+    does not cancel to rounding noise where k_n is almost parallel to k_1."""
+    first, last, c = _weak_value_factors(points, n, d)
+    s = (first.conj() * last).sum(axis=1)
+    cs = c * s
+    residual = last - s[:, np.newaxis] * first
+    spread = np.abs(c) ** 2 * (np.abs(residual) ** 2).sum(axis=1) + cs.real**2
+    return 0.5 * (cs.real - np.sqrt(spread))
 
 
 def _nelder_mead(objective, starts: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,8 +244,21 @@ def _nelder_mead(objective, starts: np.ndarray, budget: int) -> tuple[np.ndarray
             nfev[shrink] += room.sum(axis=1)
 
 
+def _search_footprint(n: int, d: int, restarts: int) -> int:
+    """Bytes a search holds at its peak, at most: every simplex, plus one
+    objective call over all their vertices at once, as the first
+    evaluation and a shrink of every restart make. Per vertex, in 16-byte
+    units: two per angle (the simplex, its sorted copy, the angles' phase
+    factors), three per entry of the n projector kets (the kets, their
+    conjugates, the decoding work) and six d x d operators (the
+    recursion's and the copy eigvalsh factors)."""
+    dim = 2 * (d - 1) * n
+    return restarts * (dim + 1) * (2 * dim + 3 * n * d + 6 * d * d) * 16
+
+
 def _search(
     objective,
+    operators,
     n: int,
     d: int,
     restarts: int,
@@ -209,31 +266,35 @@ def _search(
     budget: int,
     initial_point: SearchSpacePoint | None,
 ) -> OptimizationResult:
+    """Nelder-Mead over the projector angles only. ``objective`` maps
+    (B, 2(d-1)n) points to the least eigenvalues of the (B, d, d) Hermitian
+    ``operators`` at them; the best restart's state is the eigenvector of
+    that least eigenvalue."""
     if n < 2 or d < 2:
         raise InputError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
     if restarts < 1:
         raise InputError(f"need at least one restart, got {restarts}")
     if budget < 1:
         raise InputError(f"need a budget of at least one evaluation, got {budget}")
-    dim = 2 * (d - 1) * (n + 1)
-    # Every simplex, plus one objective call over all their vertices at
-    # once, as the first evaluation and a shrink of every restart make.
-    footprint = restarts * (dim + 1) * (dim + 4 * (n + 1) * d * d) * 16
+    footprint = _search_footprint(n, d, restarts)
     if footprint > SEARCH_MEMORY_LIMIT:
         raise InputError(
             f"{restarts} restarts at n={n}, d={d} need about {footprint / 1024**3:.1f} GiB, "
             f"over the {SEARCH_MEMORY_LIMIT / 1024**3:.0f} GiB limit"
         )
+    width = 2 * (d - 1)
+    dim = width * n
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     starts = np.array([np.random.default_rng(s).uniform(0.0, 2.0 * math.pi, size=dim) for s in seeds])
     if initial_point is not None:
-        starts[0] = initial_point.flatten()
+        starts[0] = np.concatenate(initial_point.projector_params)
 
     values, points, evaluations = _nelder_mead(objective, starts, budget)
     best = int(np.argmin(values))
+    _, vectors = np.linalg.eigh(operators(points[best : best + 1]))
     return OptimizationResult(
         best_value=float(values[best]),
-        best_point=SearchSpacePoint.from_flat(points[best], n, d),
+        best_point=SearchSpacePoint(_encode_state(vectors[0, :, 0]), tuple(points[best].reshape(n, width))),
         evaluations=int(evaluations.sum()),
         trace=tuple(enumerate(values.tolist())),
     )
@@ -249,7 +310,8 @@ def minimize_pointer_product(
     sigma: float | None = None,
 ) -> OptimizationResult:
     """Minimize the weak-limit mean product of the pointer positions over
-    projector sequences of length ``n`` in dimension ``d``.
+    projector sequences of length ``n`` in dimension ``d`` and over
+    initial states, the latter exactly, as a least eigenvalue.
 
     ``sigma`` switches to the exact moment at that pointer width, the
     same recursion at the overlap exp(-1/(8 sigma^2)) < 1, for landscape
@@ -262,7 +324,8 @@ def minimize_pointer_product(
         with np.errstate(over="ignore"):
             overlap = matrix_element(GaussianPointer(sigma), PointerOperatorKind.IDENTITY, 0.0, 1.0).real
     objective = lambda points: _pointer_products(points, n, d, overlap)
-    return _search(objective, n, d, restarts, seed, budget, initial_point)
+    operators = lambda points: _pointer_operators(points, n, d, overlap)
+    return _search(objective, operators, n, d, restarts, seed, budget, initial_point)
 
 
 def minimize_weak_value_real(
@@ -274,9 +337,11 @@ def minimize_weak_value_real(
     initial_point: SearchSpacePoint | None = None,
 ) -> OptimizationResult:
     """Minimize Re of the no-post-selection sequential weak value over
-    projector sequences of length ``n`` in dimension ``d``."""
+    projector sequences of length ``n`` in dimension ``d`` and over
+    initial states, the latter exactly, as a least eigenvalue."""
     objective = lambda points: _weak_value_reals(points, n, d)
-    return _search(objective, n, d, restarts, seed, budget, initial_point)
+    operators = lambda points: _weak_value_operators(points, n, d)
+    return _search(objective, operators, n, d, restarts, seed, budget, initial_point)
 
 
 def chain_point(n: int) -> SearchSpacePoint:

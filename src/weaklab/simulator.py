@@ -190,9 +190,13 @@ def _scenario_chain(scn: Scenario, tables) -> tuple[np.ndarray, float]:
     bases = [step.observable.decomposition.eigenvectors for step in scn.steps]
     traces = _chain(scn.initial.matrix, bases, tables, None if scn.post is None else scn.post.matrix)
     probability = float(traces[-1].real)
+    _check_probability(probability)
+    return traces[:-1], probability
+
+
+def _check_probability(probability: float) -> None:
     if probability <= ZERO_PROBABILITY_TOL:
         raise ZeroPostSelectionProbability(f"post-selection probability {probability:.3e} below threshold")
-    return traces[:-1], probability
 
 
 # Very narrow widths overflow table entries: the overlap reads exp(-inf) = 0,
@@ -405,6 +409,7 @@ def sample_outcomes(
     scn: Scenario,
     shots: int,
     seed: int,
+    probability: float | None = None,
 ) -> tuple[np.ndarray, SampleStatistics]:
     """Simulate ``shots`` runs; returns retained pointer-position tuples.
 
@@ -423,6 +428,11 @@ def sample_outcomes(
     O(shots n d^2) time; memory is ``sample_footprint``, checked against
     ``SAMPLE_MEMORY_LIMIT`` before anything is allocated. The stream is
     deterministic in ``seed``.
+
+    ``probability`` is the scenario's Tr(eta) when the caller already
+    holds it, as the rows of ``exact_moments`` do; by default the identity
+    chain is run here. Either way a probability at or below the threshold
+    raises ZeroPostSelectionProbability before any shot is drawn.
     """
     if shots < 1:
         raise InputError(f"shots must be at least 1, got {shots}")
@@ -432,7 +442,11 @@ def sample_outcomes(
             f"{shots} shots need about {footprint / 1024**3:.1f} GiB, "
             f"over the {SAMPLE_MEMORY_LIMIT / 1024**3:.0f} GiB limit"
         )
-    _, probability = _scenario_chain(scn, [_step_tables(step, (PointerOperatorKind.IDENTITY,)) for step in scn.steps])
+    if probability is None:
+        identity = [_step_tables(step, (PointerOperatorKind.IDENTITY,)) for step in scn.steps]
+        _, probability = _scenario_chain(scn, identity)
+    else:
+        _check_probability(probability)
 
     rng = np.random.default_rng(seed)
     weights, basis = np.linalg.eigh(scn.initial.matrix)

@@ -354,6 +354,15 @@ class TestSampleCommand:
         _, second = run_cli(capsys, "sample", "illustrative", "--shots", "2000", "--seed", "3")
         assert first == second
 
+    def test_one_identity_chain_per_request(self, capsys, monkeypatch):
+        # Tr(eta) rides the exact moments' chain; the sampler is handed it.
+        chains = []
+        original = simulator._chain
+        monkeypatch.setattr(simulator, "_chain", lambda *args: chains.append(args) or original(*args))
+        code, _ = run_cli(capsys, "sample", "chain-n", "--n", "4", "--shots", "500", "--seed", "2")
+        assert code == 0
+        assert len(chains) == 1
+
     def test_shots_over_memory_limit_exit_code(self, capsys):
         code, out = run_cli(capsys, "sample", "illustrative", "--shots", str(10**12), "--seed", "1")
         assert code == 2

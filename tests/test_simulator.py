@@ -818,6 +818,27 @@ class TestSampler:
         with pytest.raises(InputError, match="GiB"):
             wl.sample_outcomes(scn, shots, seed=1)
 
+    def test_given_probability_skips_the_identity_chain(self, monkeypatch):
+        scn = random_scenario(np.random.default_rng(31), 3, 2, with_post=True)
+        samples, stats = wl.sample_outcomes(scn, 3000, seed=6)
+        probability = wl.exact_moment(scn, wl.MomentPattern([X, X])).postselection_probability
+
+        def untouched(*args):
+            raise AssertionError("sampler ran the identity chain it was given")
+
+        monkeypatch.setattr(simulator, "_chain", untouched)
+        given, given_stats = wl.sample_outcomes(scn, 3000, seed=6, probability=probability)
+        assert given.tobytes() == samples.tobytes()
+        assert given_stats == stats
+
+    def test_given_zero_probability_raises_before_draws(self, monkeypatch):
+        def undrawn(*args):
+            raise AssertionError("sampler drew shots for a zero post-selection probability")
+
+        monkeypatch.setattr(np.random, "default_rng", undrawn)
+        with pytest.raises(ZeroPostSelectionProbability):
+            wl.sample_outcomes(wl.build_illustrative(1.0, 1.0), 100, seed=1, probability=0.0)
+
     @pytest.mark.parametrize("d,n,with_post", [(2, 2, False), (2, 6, True), (3, 4, False), (4, 2, True), (8, 3, False)])
     def test_peak_memory_within_footprint(self, d, n, with_post):
         scn = random_scenario(np.random.default_rng(d * 10 + n), d, n, with_post=with_post)
