@@ -29,11 +29,8 @@ from .qm import (
     SpectralDecomposition,
     projector_from_ket,
     qubit_ket,
-    random_density,
     random_ket,
-    random_observable,
     spectral_decompose,
-    spectral_norm,
 )
 from .scenario_io import load_scenario, scenario_from_dict
 from .scenarios import (
@@ -62,7 +59,6 @@ from .simulator import (
 from .weak_values import (
     MeasurementSequence,
     WeakValue,
-    norm_product_bound,
     seq_weak_value,
 )
 
@@ -103,18 +99,14 @@ __all__ = [
     "matrix_element",
     "minimize_pointer_product",
     "minimize_weak_value_real",
-    "norm_product_bound",
     "projector_from_ket",
     "qubit_ket",
-    "random_density",
     "random_ket",
-    "random_observable",
     "recover_weak_value",
     "sample_outcomes",
     "scenario_from_dict",
     "seq_weak_value",
     "spectral_decompose",
-    "spectral_norm",
     "steps_outside_weak_regime",
     "weak_prediction",
     "weak_regime_check",

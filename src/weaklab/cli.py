@@ -13,7 +13,10 @@ allocation they would need: ``sweep --steps`` over SWEEP_MAX_POINTS, a
 ``chain-n`` ``--n`` over CHAIN_MAX_STEPS, and a ``sample`` whose exact
 moments (``simulator.exact_footprint``, growing as the square of the step
 count) would pass SAMPLE_MEMORY_LIMIT, for built-in scenarios and files
-alike.
+alike. ``bounds --trials`` needs no limit: its projector-pair and
+magnitude suites draw BOUNDS_CHUNK trials in the order a one-at-a-time
+loop would, then check and evaluate them as stacks grouped by dimension
+(and length), so their memory is flat in the trial count.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .simulator import (
     steps_outside_weak_regime,
     weak_prediction,
 )
-from .weak_values import PROJECTOR_PAIR_FLOOR, MeasurementSequence, norm_product_bound, seq_weak_value
+from .weak_values import PROJECTOR_PAIR_FLOOR, norm_products, sequence_traces
 
 SCENARIO_NAMES = ("illustrative", "pauli-xy", "chain-n", "common-cause")
 
@@ -72,6 +75,10 @@ SWEEP_MAX_POINTS = 1_000_000
 # optimize allow. sample's exact moments grow as n^2 and are bounded apart,
 # by simulator.exact_footprint.
 CHAIN_MAX_STEPS = 1_000_000
+
+# Trials that bounds draws and then evaluates together in its projector-pair
+# and magnitude suites, so their memory stays flat in --trials.
+BOUNDS_CHUNK = 1024
 
 
 def _reject_flags(args, flags, target: str) -> None:
@@ -292,10 +299,8 @@ def _cmd_sample(args) -> None:
             f"the exact moments of {n} steps need about {footprint / 1024**3:.1f} GiB, "
             f"over the {SAMPLE_MEMORY_LIMIT / 1024**3:.0f} GiB limit"
         )
-    singles = [
-        MomentPattern(PointerOperatorKind.POSITION if k == j else PointerOperatorKind.IDENTITY for k in range(n))
-        for j in range(n)
-    ]
+    position, identity = PointerOperatorKind.POSITION, PointerOperatorKind.IDENTITY
+    singles = [MomentPattern([identity] * j + [position] + [identity] * (n - 1 - j)) for j in range(n)]
     exact = exact_moments(scn, [MomentPattern.all_position(n), *singles])
     # Tr(eta) rides the exact moments' chain, so the sampler need not run it.
     samples, stats = sample_outcomes(scn, args.shots, args.seed, exact[0].postselection_probability)
@@ -332,33 +337,68 @@ def _sample_row(quantity: str, values: np.ndarray, exact: float) -> dict:
     }
 
 
+def _chunks(trials: int):
+    for start in range(0, trials, BOUNDS_CHUNK):
+        yield min(BOUNDS_CHUNK, trials - start)
+
+
+def _pair_suite(rng: np.random.Generator, trials: int) -> tuple[float, int]:
+    """Projector pairs: the Re <psi|BA|psi> floor of -1/8 (d = 2 and 3)."""
+    worst, violations = math.inf, 0
+    for size in _chunks(trials):
+        # One trial's normals are those of random_ket for psi, then for the
+        # kets of A and B.
+        drawn = {2: [], 3: []}
+        for _ in range(size):
+            d = int(rng.integers(2, 4))
+            drawn[d].append(rng.standard_normal(6 * d))
+        for d, normals in drawn.items():
+            if not normals:
+                continue
+            kets = qm.kets_from_normals(np.reshape(normals, (-1, 3, 2, d)))
+            qm.check_kets(kets)
+            projectors = qm.projectors_from_kets(kets)
+            rho, pair = projectors[:, 0], projectors[:, 1:]
+            qm.check_densities(rho)
+            qm.check_observables(pair)
+            values = sequence_traces(rho, pair).real
+            worst = min(worst, float(values.min()))
+            violations += int(np.count_nonzero(values < PROJECTOR_PAIR_FLOOR - 1e-12))
+    return worst, violations
+
+
+def _magnitude_suite(rng: np.random.Generator, trials: int) -> tuple[float, int]:
+    """The magnitude cap on the no-post-selection weak value: |Tr(A_n ... A_1
+    rho)| at most the product of spectral norms (d = 2 to 4, n = 1 to 5)."""
+    worst, violations = -math.inf, 0
+    for size in _chunks(trials):
+        # One trial's normals are those of a Ginibre density matrix, then of
+        # each observable's Ginibre matrix.
+        drawn = {}
+        for _ in range(size):
+            d = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 6))
+            drawn.setdefault((d, n), []).append(rng.standard_normal(2 * d * d * (n + 1)))
+        for (d, n), normals in drawn.items():
+            normals = np.reshape(normals, (-1, n + 1, 2, d, d))
+            rho = qm.densities_from_normals(normals[:, 0])
+            observables = qm.observables_from_normals(normals[:, 1:])
+            qm.check_densities(rho)
+            qm.check_observables(observables)
+            values = sequence_traces(rho, observables)
+            # np.hypot rounds as Python's abs(complex) does; np.abs may not.
+            excess = np.hypot(values.real, values.imag) - norm_products(observables)
+            worst = max(worst, float(excess.max()))
+            violations += int(np.count_nonzero(excess > 1e-12))
+    return worst, violations
+
+
 def _cmd_bounds(args) -> None:
     _require_count("--trials", args.trials)
     rng = np.random.default_rng(args.seed)
     trials = args.trials
-
-    # Projector pairs: Re <psi|BA|psi> floor of -1/8 (d = 2 and 3).
-    worst_pair = math.inf
-    pair_violations = 0
-    for _ in range(trials):
-        d = int(rng.integers(2, 4))
-        psi = qm.random_ket(rng, d)
-        pair = MeasurementSequence(qm.projector_from_ket(qm.random_ket(rng, d)) for _ in range(2))
-        re_value = seq_weak_value(psi.to_density(), None, pair).value.real
-        worst_pair = min(worst_pair, re_value)
-        pair_violations += re_value < PROJECTOR_PAIR_FLOOR - 1e-12
-
-    # Magnitude bound on the no-post-selection weak value.
-    worst_excess = -math.inf
-    magnitude_violations = 0
-    for _ in range(trials):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(1, 6))
-        rho = qm.random_density(rng, d)
-        seq = MeasurementSequence(qm.random_observable(rng, d) for _ in range(n))
-        excess = abs(seq_weak_value(rho, None, seq).value) - norm_product_bound(seq)
-        worst_excess = max(worst_excess, excess)
-        magnitude_violations += excess > 1e-12
+    worst_pair, pair_violations = _pair_suite(rng, trials)
+    worst_excess, magnitude_violations = _magnitude_suite(rng, trials)
 
     # Common-cause scenarios stay inside the product hull.
     worst_low, worst_high = math.inf, -math.inf

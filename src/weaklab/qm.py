@@ -27,15 +27,50 @@ def _as_complex_matrix(matrix, name: str) -> np.ndarray:
     arr = np.array(matrix, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InputError(f"{name} has a non-finite entry")
     return arr
 
 
+# The checks below take one instance or a stack of them along leading axes,
+# and report the worst entry of a stack.
+
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} has a non-finite entry")
+
+
 def _check_hermitian(matrix: np.ndarray, name: str) -> None:
-    deviation = np.max(np.abs(matrix - matrix.conj().T))
+    deviation = np.max(np.abs(matrix - matrix.conj().swapaxes(-1, -2)))
     if deviation > HERMITICITY_TOL:
         raise InputError(f"{name} deviates from Hermiticity by {deviation:.3e}")
+
+
+def check_kets(kets: np.ndarray) -> None:
+    """The PureState checks on (..., d) kets: finite entries, unit norm."""
+    _check_finite(kets, "state vector")
+    norms = np.linalg.norm(kets, axis=-1)
+    deviation = abs(norms - 1.0)
+    if deviation.max() > NORM_TOL:
+        raise InputError(f"state norm is {np.ravel(norms)[deviation.argmax()]!r}, expected 1")
+
+
+def check_densities(matrices: np.ndarray) -> None:
+    """The MixedState checks on (..., d, d) matrices: finite, Hermitian,
+    positive semidefinite, unit trace."""
+    _check_finite(matrices, "density matrix")
+    _check_hermitian(matrices, "density matrix")
+    lowest = np.linalg.eigvalsh(matrices)[..., 0].min()
+    if lowest < -PSD_TOL:
+        raise InputError(f"density matrix has negative eigenvalue {lowest:.3e}")
+    traces = np.trace(matrices, axis1=-2, axis2=-1).real
+    deviation = abs(traces - 1.0)
+    if deviation.max() > NORM_TOL:
+        raise InputError(f"density matrix trace is {np.ravel(traces)[deviation.argmax()]!r}, expected 1")
+
+
+def check_observables(matrices: np.ndarray) -> None:
+    """The Observable checks on (..., d, d) matrices: finite, Hermitian."""
+    _check_finite(matrices, "observable")
+    _check_hermitian(matrices, "observable")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -53,11 +88,7 @@ class PureState:
         vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if vec.size < 2:
             raise DimensionMismatch("state dimension must be at least 2")
-        if not np.isfinite(vec).all():
-            raise InputError("state vector has a non-finite entry")
-        norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise InputError(f"state norm is {norm!r}, expected 1")
+        check_kets(vec)
         object.__setattr__(self, "amplitudes", _freeze(vec))
 
     @property
@@ -76,13 +107,7 @@ class MixedState:
 
     def __post_init__(self):
         mat = _as_complex_matrix(self.matrix, "density matrix")
-        _check_hermitian(mat, "density matrix")
-        eigenvalues = np.linalg.eigvalsh(mat)
-        if eigenvalues.min() < -PSD_TOL:
-            raise InputError(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
-        trace = mat.trace().real
-        if abs(trace - 1.0) > NORM_TOL:
-            raise InputError(f"density matrix trace is {trace!r}, expected 1")
+        check_densities(mat)
         object.__setattr__(self, "matrix", _freeze(mat))
 
     @property
@@ -110,7 +135,7 @@ class Observable:
 
     def __post_init__(self):
         mat = _as_complex_matrix(self.matrix, "observable")
-        _check_hermitian(mat, "observable")
+        check_observables(mat)
         object.__setattr__(self, "matrix", _freeze(mat))
 
     @property
@@ -130,6 +155,7 @@ class PovmElement:
 
     def __post_init__(self):
         mat = _as_complex_matrix(self.matrix, "POVM element")
+        _check_finite(mat, "POVM element")
         _check_hermitian(mat, "POVM element")
         eigenvalues = np.linalg.eigvalsh(mat)
         if eigenvalues.min() < -PSD_TOL or eigenvalues.max() > 1.0 + PSD_TOL:
@@ -155,14 +181,9 @@ def spectral_decompose(obs: Observable) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def spectral_norm(obs: Observable) -> float:
-    """Largest absolute eigenvalue."""
-    return float(np.max(np.abs(obs.decomposition.eigenvalues)))
-
-
 def projector_from_ket(ket: PureState) -> Observable:
     """Rank-1 projector onto a normalized state."""
-    return Observable(np.outer(ket.amplitudes, ket.amplitudes.conj()))
+    return Observable(projectors_from_kets(ket.amplitudes))
 
 
 # Shared qubit constants.
@@ -185,14 +206,34 @@ def random_ket(rng: np.random.Generator, d: int) -> PureState:
     return PureState(vec / np.linalg.norm(vec))
 
 
-def random_density(rng: np.random.Generator, d: int) -> MixedState:
-    """Density matrix G G* / Tr(G G*) with G complex Ginibre."""
-    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    mat = raw @ raw.conj().T
-    return MixedState(mat / mat.trace().real)
+# Stacks of random instances, made from normals laid out as the functions
+# above draw them: the real parts, then the imaginary parts. Leading axes
+# index the instances; the checks above validate them.
+
+def kets_from_normals(normals: np.ndarray) -> np.ndarray:
+    """Haar-random unit kets from (..., 2, d) normals, equal to random_ket's
+    to the last bit: the squared norm is summed as ``np.linalg.norm`` of one
+    ket sums it, re.re + im.im, each a dot product of strided views."""
+    vec = normals[..., 0, :] + 1j * normals[..., 1, :]
+    re, im = vec.real[..., np.newaxis, :], vec.imag[..., np.newaxis, :]
+    squared = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return vec / np.sqrt(squared[..., 0])
 
 
-def random_observable(rng: np.random.Generator, d: int) -> Observable:
-    """Hermitian part of a complex Ginibre matrix."""
-    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return Observable((raw + raw.conj().T) / 2.0)
+def projectors_from_kets(kets: np.ndarray) -> np.ndarray:
+    """Rank-1 projectors |k><k| of (..., d) unit kets."""
+    return kets[..., :, np.newaxis] * kets.conj()[..., np.newaxis, :]
+
+
+def densities_from_normals(normals: np.ndarray) -> np.ndarray:
+    """Density matrices G G* / Tr(G G*) from (..., 2, d, d) normals, G
+    complex Ginibre."""
+    raw = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    mat = raw @ raw.conj().swapaxes(-1, -2)
+    return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]
+
+
+def observables_from_normals(normals: np.ndarray) -> np.ndarray:
+    """Hermitian parts of complex Ginibre matrices, from (..., 2, d, d) normals."""
+    raw = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    return (raw + raw.conj().swapaxes(-1, -2)) / 2.0

@@ -88,11 +88,21 @@ def seq_weak_value(
     return WeakValue(value, probability)
 
 
-def norm_product_bound(seq: MeasurementSequence) -> float:
-    """Product of spectral norms: the magnitude cap on the no-post-selection
-    sequential weak value."""
-    bound = 1.0
-    for obs in seq.observables:
-        bound *= qm.spectral_norm(obs)
-    return bound
+# The bound suites evaluate many instances at once: stacks of states
+# (..., d, d) and of sequences (..., n, d, d), first-measured observable first.
 
+def sequence_traces(rho: np.ndarray, observables: np.ndarray) -> np.ndarray:
+    """Tr(A_n ... A_1 rho) per instance: the no-post-selection sequential
+    weak values, multiplied in the order ``seq_weak_value`` uses."""
+    product = observables[..., 0, :, :]
+    for j in range(1, observables.shape[-3]):
+        product = observables[..., j, :, :] @ product
+    return np.trace(product @ rho, axis1=-2, axis2=-1)
+
+
+def norm_products(observables: np.ndarray) -> np.ndarray:
+    """Product of spectral norms per instance: the magnitude cap on
+    ``sequence_traces``. The eigenvalues come from ``eigh``, as in
+    ``Observable.decomposition``; ``eigvalsh`` can differ in the last bit."""
+    eigenvalues = np.linalg.eigh(observables)[0]
+    return np.abs(eigenvalues).max(axis=-1).prod(axis=-1)

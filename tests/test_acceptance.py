@@ -14,6 +14,8 @@ import pytest
 import weaklab as wl
 from weaklab.pointer import PointerOperatorKind
 
+from instances import norm_product_bound, random_density, random_observable
+
 X = PointerOperatorKind.POSITION
 P = PointerOperatorKind.MOMENTUM
 I = PointerOperatorKind.IDENTITY
@@ -151,9 +153,9 @@ def test_criterion_6_bound_suites():
     for _ in range(seq_trials):
         d = int(rng.integers(2, 5))
         n = int(rng.integers(1, 6))
-        rho = wl.random_density(rng, d)
-        seq = wl.MeasurementSequence(wl.random_observable(rng, d) for _ in range(n))
-        excess = abs(wl.seq_weak_value(rho, None, seq).value) - wl.norm_product_bound(seq)
+        rho = random_density(rng, d)
+        seq = wl.MeasurementSequence(random_observable(rng, d) for _ in range(n))
+        excess = abs(wl.seq_weak_value(rho, None, seq).value) - norm_product_bound(seq)
         worst_excess = max(worst_excess, excess)
 
     elapsed = time.perf_counter() - started
@@ -175,10 +177,10 @@ def test_criterion_7_exact_engine_structural_invariants():
     for _ in range(trials):
         n = int(rng.integers(1, 4))
         steps = tuple(
-            wl.MeasurementStep(wl.random_observable(rng, 2), wl.GaussianPointer(float(rng.uniform(0.3, 5.0))))
+            wl.MeasurementStep(random_observable(rng, 2), wl.GaussianPointer(float(rng.uniform(0.3, 5.0))))
             for _ in range(n)
         )
-        scn = wl.Scenario(initial=wl.random_density(rng, 2), steps=steps, post=None)
+        scn = wl.Scenario(initial=random_density(rng, 2), steps=steps, post=None)
         kinds = [X] * (n - 1) + [P]
         worst_momentum = max(worst_momentum, abs(wl.exact_moment(scn, wl.MomentPattern(kinds)).value))
 
@@ -186,10 +188,10 @@ def test_criterion_7_exact_engine_structural_invariants():
     for _ in range(trials):
         n = int(rng.integers(1, 4))
         steps = tuple(
-            wl.MeasurementStep(wl.random_observable(rng, 2), wl.GaussianPointer(float(rng.uniform(0.3, 5.0))))
+            wl.MeasurementStep(random_observable(rng, 2), wl.GaussianPointer(float(rng.uniform(0.3, 5.0))))
             for _ in range(n)
         )
-        scn = wl.Scenario(initial=wl.random_density(rng, 2), steps=steps, post=None)
+        scn = wl.Scenario(initial=random_density(rng, 2), steps=steps, post=None)
         final_kind = X if rng.integers(2) else I
         kinds = [X] * (n - 1) + [final_kind]
         values = []
@@ -203,8 +205,8 @@ def test_criterion_7_exact_engine_structural_invariants():
 
     worst_mean_gap = 0.0
     for _ in range(trials):
-        rho = wl.random_density(rng, 2)
-        obs = wl.random_observable(rng, 2)
+        rho = random_density(rng, 2)
+        obs = random_observable(rng, 2)
         sigma = float(rng.uniform(0.02, 80.0))
         scn = wl.Scenario(initial=rho, steps=(wl.MeasurementStep(obs, wl.GaussianPointer(sigma)),))
         got = wl.exact_moment(scn, wl.MomentPattern([X])).value

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,15 +6,20 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weaklab as wl
 from weaklab import cli, simulator
-from weaklab.cli import CHAIN_MAX_STEPS, SWEEP_MAX_POINTS, main
+from weaklab.cli import BOUNDS_CHUNK, CHAIN_MAX_STEPS, SWEEP_MAX_POINTS, main
+
+from instances import norm_product_bound, random_density, random_observable
 
 SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
 
@@ -409,6 +415,69 @@ class TestCountArguments:
         assert out == ""
 
 
+def per_trial_bounds(trials, seed):
+    """The bound suites one validated instance at a time: the projector-pair
+    and magnitude loops through the qm constructors, ``seq_weak_value`` and
+    an eigh-based norm product, then the common-cause hull loop. Returns
+    {suite: (trials, worst, violations)}."""
+    rng = np.random.default_rng(seed)
+    worst_pair, pair_violations = math.inf, 0
+    for _ in range(trials):
+        d = int(rng.integers(2, 4))
+        psi = wl.random_ket(rng, d)
+        pair = wl.MeasurementSequence(wl.projector_from_ket(wl.random_ket(rng, d)) for _ in range(2))
+        value = wl.seq_weak_value(psi.to_density(), None, pair).value.real
+        worst_pair = min(worst_pair, value)
+        pair_violations += value < cli.PROJECTOR_PAIR_FLOOR - 1e-12
+    worst_excess, magnitude_violations = -math.inf, 0
+    for _ in range(trials):
+        d = int(rng.integers(2, 5))
+        n = int(rng.integers(1, 6))
+        rho = random_density(rng, d)
+        seq = wl.MeasurementSequence(random_observable(rng, d) for _ in range(n))
+        excess = abs(wl.seq_weak_value(rho, None, seq).value) - norm_product_bound(seq)
+        worst_excess = max(worst_excess, excess)
+        magnitude_violations += excess > 1e-12
+    worst_low, worst_high, hull_violations = math.inf, -math.inf, 0
+    hull_trials = max(1, trials // 10)
+    for _ in range(hull_trials):
+        shared = wl.random_ket(rng, 4)
+        scn = wl.build_common_cause(
+            shared,
+            wl.projector_from_ket(wl.random_ket(rng, 2)),
+            wl.projector_from_ket(wl.random_ket(rng, 2)),
+            sigma1=float(rng.uniform(0.5, 5.0)),
+            sigma2=float(rng.uniform(0.5, 5.0)),
+        )
+        value = wl.exact_moment(scn, wl.MomentPattern.all_position(2)).value
+        worst_low, worst_high = min(worst_low, value), max(worst_high, value)
+        hull_violations += wl.causal_witness(value, (0.0, 1.0), margin=1e-9) is not wl.CausalStructure.INCONCLUSIVE
+    return {
+        "projector_pair_floor": (trials, worst_pair, pair_violations),
+        "magnitude_vs_norm_product": (trials, worst_excess, magnitude_violations),
+        "common_cause_hull": (hull_trials, min(worst_low, 1.0 - worst_high), hull_violations),
+    }
+
+
+def bounds_report(trials, seed):
+    """{suite: (trials, worst, violations)} as ``bounds`` reports it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["--format", "json", "bounds", "--trials", str(trials), "--seed", str(seed)]) == 0
+    rows = json.loads(out.getvalue())["results"]
+    return {row["suite"]: (row["trials"], row["worst"], row["violations"]) for row in rows}
+
+
+def assert_same_report(trials, seed):
+    report, oracle = bounds_report(trials, seed), per_trial_bounds(trials, seed)
+    assert report.keys() == oracle.keys()
+    for suite, (count, worst, violations) in oracle.items():
+        assert report[suite][0] == count, suite
+        assert report[suite][2] == violations, suite
+        assert report[suite][1] == pytest.approx(worst, rel=0.0, abs=1e-12), suite
+    return report
+
+
 class TestBoundsCommand:
     def test_no_violations(self, capsys):
         code, out = run_cli(capsys, "bounds", "--trials", "400", "--seed", "1")
@@ -422,6 +491,43 @@ class TestBoundsCommand:
         assert all(int(row["violations"]) == 0 for row in rows)
         floor_row = [r for r in rows if r["suite"] == "projector_pair_floor"][0]
         assert float(floor_row["worst"]) >= -0.125 - 1e-12
+
+
+class TestBoundsAgainstPerTrialLoop:
+    """The chunked stacks report what one validated instance at a time does."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeds(self, seed):
+        assert_same_report(300, seed)
+
+    @pytest.mark.parametrize("trials", [1, 2, BOUNDS_CHUNK - 1, BOUNDS_CHUNK, BOUNDS_CHUNK + 1])
+    def test_chunk_edges(self, trials):
+        assert_same_report(trials, 17)
+
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 60))
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    def test_any_seed_and_count(self, seed, trials):
+        assert_same_report(trials, seed)
+
+    def test_comparison_sees_violations(self, monkeypatch):
+        # A floor above the attainable -1/8 is violated; both sides must
+        # count the same violations, so the comparison can fail.
+        monkeypatch.setattr(cli, "PROJECTOR_PAIR_FLOOR", -0.05)
+        report = assert_same_report(400, 3)
+        assert report["projector_pair_floor"][2] > 0
+
+    def test_memory_is_flat_in_trials(self):
+        def peak(trials):
+            bounds_report(5, 0)  # load everything a first call loads
+            tracemalloc.start()
+            try:
+                bounds_report(trials, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2_000), peak(20_000)
+        assert large <= small + 256 * 1024, (small, large)
 
 
 class TestNonFiniteInputs:

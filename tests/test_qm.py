@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import weaklab as wl
+from weaklab import qm
 from weaklab.errors import DimensionMismatch, InputError
+
+from instances import random_density, random_observable
 
 KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
 SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
@@ -74,7 +77,7 @@ class TestSpectralDecompose:
         rng = np.random.default_rng(7)
         for d in (2, 3, 5, 8):
             for _ in range(20):
-                obs = wl.random_observable(rng, d)
+                obs = random_observable(rng, d)
                 dec = obs.decomposition
                 v = dec.eigenvectors
                 assert np.max(np.abs((v * dec.eigenvalues) @ v.conj().T - obs.matrix)) < 1e-10
@@ -87,23 +90,46 @@ class TestSpectralDecompose:
         assert obs.decomposition is obs.decomposition
 
 
-class TestSpectralNorm:
-    def test_projector(self):
-        assert wl.spectral_norm(wl.projector_from_ket(KET_PLUS)) == pytest.approx(1.0)
+class TestStackedInstances:
+    """The stacked instance makers equal the one-at-a-time ones, and the
+    stacked checks raise the constructors' errors for a bad entry."""
 
-    def test_pauli(self):
-        assert wl.spectral_norm(wl.SIGMA_X) == pytest.approx(1.0)
+    def test_kets_match_random_ket_to_the_last_bit(self):
+        for d in (2, 3, 4, 5):
+            rng = np.random.default_rng(d)
+            expected = np.array([wl.random_ket(rng, d).amplitudes for _ in range(40)])
+            normals = np.random.default_rng(d).standard_normal((40, 2, d))
+            assert np.array_equal(qm.kets_from_normals(normals), expected)
 
-    def test_diagonal(self):
-        assert wl.spectral_norm(wl.Observable(np.diag([-2.0, 3.0]))) == pytest.approx(3.0)
+    def test_densities_and_observables_match(self):
+        rng = np.random.default_rng(11)
+        expected = [(random_density(rng, 3).matrix, random_observable(rng, 3).matrix) for _ in range(30)]
+        normals = np.random.default_rng(11).standard_normal((30, 2, 2, 3, 3))
+        assert np.array_equal(qm.densities_from_normals(normals[:, 0]), [rho for rho, _ in expected])
+        assert np.array_equal(qm.observables_from_normals(normals[:, 1]), [obs for _, obs in expected])
 
-    def test_matches_singleton_hull(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            obs = wl.random_observable(rng, 4)
-            eigenvalues = np.linalg.eigvalsh(obs.matrix)
-            lo, hi = eigenvalues[0], eigenvalues[-1]
-            assert wl.spectral_norm(obs) == pytest.approx(max(abs(lo), abs(hi)))
+    def test_projectors_from_kets(self):
+        kets = np.array([wl.KET_0.amplitudes, KET_PLUS.amplitudes])
+        expected = [wl.projector_from_ket(wl.KET_0).matrix, wl.projector_from_ket(KET_PLUS).matrix]
+        assert np.array_equal(qm.projectors_from_kets(kets), expected)
+
+    @pytest.mark.parametrize(
+        "check,bad,message",
+        [
+            (qm.check_kets, np.array([1.0, 1.0]), "state norm is .*1\\.414"),
+            (qm.check_kets, np.array([1.0, np.nan]), "state vector has a non-finite entry"),
+            (qm.check_densities, np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -5.000e-01"),
+            (qm.check_densities, np.diag([0.7, 0.7]), "density matrix trace is .*1\\.4"),
+            (qm.check_densities, np.array([[0.5, 1.0], [0.0, 0.5]]), "density matrix deviates from Hermiticity"),
+            (qm.check_observables, np.array([[0.0, 1.0], [0.0, 0.0]]), "observable deviates from Hermiticity"),
+            (qm.check_observables, np.diag([np.inf, 0.0]), "observable has a non-finite entry"),
+        ],
+    )
+    def test_one_bad_entry_fails_the_stack(self, check, bad, message):
+        good = np.array([1.0, 0.0]) if bad.ndim == 1 else np.diag([1.0, 0.0])
+        check(np.array([good, good]))
+        with pytest.raises(InputError, match=message):
+            check(np.array([[good, good], [good, bad]]))
 
 
 class TestProjectorFromKet:

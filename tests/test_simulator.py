@@ -24,6 +24,8 @@ from weaklab import simulator
 from weaklab.errors import InputError, NumericError, ZeroPostSelectionProbability
 from weaklab.pointer import PointerOperatorKind, matrix_element
 
+from instances import random_density, random_observable, spectral_norm
+
 X = PointerOperatorKind.POSITION
 P = PointerOperatorKind.MOMENTUM
 I = PointerOperatorKind.IDENTITY
@@ -33,20 +35,20 @@ SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
 
 def random_unit_hermitian(rng, d):
     """Random Hermitian rescaled so its spectrum sits in [-1, 1]."""
-    obs = wl.random_observable(rng, d)
-    return wl.Observable(obs.matrix / wl.spectral_norm(obs))
+    obs = random_observable(rng, d)
+    return wl.Observable(obs.matrix / spectral_norm(obs))
 
 
 def random_scenario(rng, d, n, with_post, sigma_range=(0.5, 5.0)):
     steps = tuple(
-        wl.MeasurementStep(wl.random_observable(rng, d), wl.GaussianPointer(float(rng.uniform(*sigma_range))))
+        wl.MeasurementStep(random_observable(rng, d), wl.GaussianPointer(float(rng.uniform(*sigma_range))))
         for _ in range(n)
     )
     post = None
     if with_post:
         ket = wl.random_ket(rng, d)
         post = wl.PovmElement(np.outer(ket.amplitudes, ket.amplitudes.conj()))
-    return wl.Scenario(initial=wl.random_density(rng, d), steps=steps, post=post)
+    return wl.Scenario(initial=random_density(rng, d), steps=steps, post=post)
 
 
 def brute_force_moment(scn, pattern):
@@ -147,7 +149,7 @@ def operator_scale(scn, kinds):
     scale = 1.0 / np.trace(effect @ scn.initial.matrix).real
     for step, kind in zip(scn.steps, kinds):
         if kind is not I:
-            scale *= wl.spectral_norm(step.observable)
+            scale *= spectral_norm(step.observable)
             if kind is P:
                 scale /= 2.0 * step.pointer.sigma**2
     return scale
@@ -241,8 +243,8 @@ class TestExactEngine:
         rng = np.random.default_rng(3)
         for _ in range(40):
             d = int(rng.integers(2, 5))
-            rho = wl.random_density(rng, d)
-            obs = wl.random_observable(rng, d)
+            rho = random_density(rng, d)
+            obs = random_observable(rng, d)
             sigma = float(rng.uniform(0.05, 50.0))
             scn = wl.Scenario(
                 initial=rho,
@@ -443,8 +445,8 @@ class TestWeakEngine:
             phi = wl.random_ket(rng, 2)
             if abs(psi.amplitudes.conj() @ phi.amplitudes) < 1e-3:
                 continue
-            first = wl.random_observable(rng, 2)
-            second = wl.random_observable(rng, 2)
+            first = random_observable(rng, 2)
+            second = random_observable(rng, 2)
             scn = wl.Scenario(
                 initial=psi.to_density(),
                 steps=(
@@ -473,7 +475,7 @@ class TestWeakEngine:
             )
             ket = wl.random_ket(rng, 2)
             scn = wl.Scenario(
-                initial=wl.random_density(rng, 2),
+                initial=random_density(rng, 2),
                 steps=steps,
                 post=wl.PovmElement(np.outer(ket.amplitudes, ket.amplitudes.conj())),
             )
@@ -506,7 +508,7 @@ class TestWeakEngine:
                 wl.MeasurementStep(random_unit_hermitian(rng, 2), wl.GaussianPointer(5.0))
                 for _ in range(2)
             )
-            scn = wl.Scenario(initial=wl.random_density(rng, 2), steps=steps, post=None)
+            scn = wl.Scenario(initial=random_density(rng, 2), steps=steps, post=None)
             errors = []
             for factor in (1.0, 2.0, 4.0):
                 scaled = wl.Scenario(
@@ -544,8 +546,8 @@ class TestRecovery:
     def test_single_step_exact_is_expectation(self):
         rng = np.random.default_rng(9)
         for sigma in (0.1, 1.0, 25.0):
-            rho = wl.random_density(rng, 3)
-            obs = wl.random_observable(rng, 3)
+            rho = random_density(rng, 3)
+            obs = random_observable(rng, 3)
             scn = wl.Scenario(
                 initial=rho, steps=(wl.MeasurementStep(obs, wl.GaussianPointer(sigma)),)
             )
@@ -639,12 +641,12 @@ def random_cases(draw, with_post):
     pattern = wl.MomentPattern.from_string(draw(st.text("ixXpP", min_size=n, max_size=n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     widths = np.exp(rng.uniform(math.log(0.3), math.log(300.0), size=n))
-    steps = tuple(wl.MeasurementStep(wl.random_observable(rng, d), wl.GaussianPointer(float(w))) for w in widths)
+    steps = tuple(wl.MeasurementStep(random_observable(rng, d), wl.GaussianPointer(float(w))) for w in widths)
     post = None
     if with_post and draw(st.booleans()):
-        effect = wl.random_density(rng, d).matrix
+        effect = random_density(rng, d).matrix
         post = wl.PovmElement(effect / np.linalg.eigvalsh(effect).max())
-    return wl.Scenario(wl.random_density(rng, d), steps, post), pattern
+    return wl.Scenario(random_density(rng, d), steps, post), pattern
 
 
 def term_scale(scn, pattern):
@@ -683,8 +685,8 @@ class TestNestedAnticommutator:
     def test_pair_identity(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            steps = [wl.MeasurementStep(wl.random_observable(rng, 3), wl.GaussianPointer(1.0)) for _ in range(2)]
-            scn = wl.Scenario(wl.random_density(rng, 3), steps)
+            steps = [wl.MeasurementStep(random_observable(rng, 3), wl.GaussianPointer(1.0)) for _ in range(2)]
+            scn = wl.Scenario(random_density(rng, 3), steps)
             got = wl.weak_prediction(scn, wl.MomentPattern.all_position(2)).value
             first, second = (step.observable.matrix for step in steps)
             want = np.trace(second @ first @ scn.initial.matrix).real
@@ -871,7 +873,7 @@ class TestProductVariance:
         for _ in range(10):
             first = random_unit_hermitian(rng, 2)
             second = random_unit_hermitian(rng, 2)
-            rho = wl.random_density(rng, 2)
+            rho = random_density(rng, 2)
             s1, s2 = 30.0, 45.0
             scn = wl.Scenario(
                 initial=rho,

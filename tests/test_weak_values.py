@@ -6,7 +6,9 @@ import pytest
 
 import weaklab as wl
 from weaklab.errors import DimensionMismatch, InputError, ZeroPostSelectionProbability
-from weaklab.weak_values import PROJECTOR_PAIR_FLOOR
+from weaklab.weak_values import PROJECTOR_PAIR_FLOOR, norm_products, sequence_traces
+
+from instances import norm_product_bound, random_density, random_observable
 
 KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
 SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
@@ -24,6 +26,11 @@ def product_hull(observables):
     spectra = [np.linalg.eigvalsh(obs.matrix) for obs in observables]
     products = [math.prod(choice) for choice in itertools.product(*spectra)]
     return min(products), max(products)
+
+
+def norm_product(observables):
+    """``norm_products`` of one sequence."""
+    return float(norm_products(np.array([[obs.matrix for obs in observables]]))[0])
 
 
 def pair_value(psi, first, second):
@@ -89,8 +96,8 @@ class TestSeqWeakValue:
     def test_no_postselection_value_is_expectation_in_spectrum(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            obs = wl.random_observable(rng, 3)
-            rho = wl.random_density(rng, 3)
+            obs = random_observable(rng, 3)
+            rho = random_density(rng, 3)
             wv = wl.seq_weak_value(rho, None, wl.MeasurementSequence([obs]))
             assert abs(wv.value.imag) < 1e-12
             expectation = np.trace(obs.matrix @ rho.matrix).real
@@ -102,35 +109,33 @@ class TestSeqWeakValue:
 class TestBounds:
     def test_projector_norm_product(self):
         first, second = illustrative_pair()
-        assert wl.norm_product_bound(wl.MeasurementSequence([first, second])) == pytest.approx(1.0)
+        assert norm_product([first, second]) == pytest.approx(1.0)
 
     def test_pauli_pair_saturates(self):
         seq = wl.MeasurementSequence([wl.SIGMA_Y, wl.SIGMA_X])
-        bound = wl.norm_product_bound(seq)
+        bound = norm_product(seq.observables)
         assert bound == pytest.approx(1.0)
         wv = wl.seq_weak_value(wl.KET_0.to_density(), None, seq)
         assert abs(wv.value) == pytest.approx(bound)
 
     def test_scaled_paulis(self):
-        seq = wl.MeasurementSequence(
-            [wl.Observable(2.0 * SIGMA_Z.matrix), wl.Observable(3.0 * wl.SIGMA_X.matrix)]
-        )
-        assert wl.norm_product_bound(seq) == pytest.approx(6.0)
+        scaled = [wl.Observable(2.0 * SIGMA_Z.matrix), wl.Observable(3.0 * wl.SIGMA_X.matrix)]
+        assert norm_product(scaled) == pytest.approx(6.0)
 
     def test_magnitude_bound_random_sequences(self):
         rng = np.random.default_rng(2)
         for _ in range(250):
             d = int(rng.integers(2, 5))
             n = int(rng.integers(1, 6))
-            rho = wl.random_density(rng, d)
-            seq = wl.MeasurementSequence(wl.random_observable(rng, d) for _ in range(n))
+            rho = random_density(rng, d)
+            seq = wl.MeasurementSequence(random_observable(rng, d) for _ in range(n))
             wv = wl.seq_weak_value(rho, None, seq)
-            assert abs(wv.value) <= wl.norm_product_bound(seq) + 1e-12
+            assert abs(wv.value) <= norm_product(seq.observables) + 1e-12
 
     def test_linearity_in_preparation(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            seq = wl.MeasurementSequence(wl.random_observable(rng, 3) for _ in range(3))
+            seq = wl.MeasurementSequence(random_observable(rng, 3) for _ in range(3))
             kets = [wl.random_ket(rng, 3) for _ in range(3)]
             q = rng.dirichlet(np.ones(3))
             mixed = wl.MixedState(sum(w * k.to_density().matrix for w, k in zip(q, kets)))
@@ -144,7 +149,7 @@ class TestBounds:
         rng = np.random.default_rng(6)
         for _ in range(20):
             psi = wl.random_ket(rng, 3)
-            seq = wl.MeasurementSequence(wl.random_observable(rng, 3) for _ in range(2))
+            seq = wl.MeasurementSequence(random_observable(rng, 3) for _ in range(2))
             no_post = wl.seq_weak_value(psi.to_density(), None, seq).value
             reselect = wl.seq_weak_value(
                 psi.to_density(),
@@ -162,7 +167,7 @@ class TestBounds:
                 wl.Observable(basis @ np.diag(rng.uniform(-1.5, 1.5, 3)) @ basis.conj().T)
                 for _ in range(3)
             ]
-            rho = wl.random_density(rng, 3)
+            rho = random_density(rng, 3)
             wv = wl.seq_weak_value(rho, None, wl.MeasurementSequence(observables))
             lo, hi = product_hull(observables)
             assert lo - 1e-12 <= wv.value.real <= hi + 1e-12
@@ -188,6 +193,39 @@ class TestBounds:
             assert wv.real < previous
             assert wv.real > -1.0
             previous = wv.real
+
+
+class TestStackedEvaluators:
+    """The stacked forms the bound suites use, against one instance at a time."""
+
+    def test_norm_of_projector(self):
+        assert norm_product([wl.projector_from_ket(KET_PLUS)]) == pytest.approx(1.0)
+
+    def test_norm_of_pauli(self):
+        assert norm_product([wl.SIGMA_X]) == pytest.approx(1.0)
+
+    def test_norm_of_diagonal(self):
+        assert norm_product([wl.Observable(np.diag([-2.0, 3.0]))]) == pytest.approx(3.0)
+
+    def test_norm_matches_singleton_hull(self):
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            obs = random_observable(rng, 4)
+            eigenvalues = np.linalg.eigvalsh(obs.matrix)
+            lo, hi = eigenvalues[0], eigenvalues[-1]
+            assert norm_product([obs]) == pytest.approx(max(abs(lo), abs(hi)))
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (3, 2), (4, 5)])
+    def test_stacks_match_one_sequence_at_a_time(self, d, n):
+        rng = np.random.default_rng(10 * d + n)
+        instances = [(random_density(rng, d), wl.MeasurementSequence(random_observable(rng, d) for _ in range(n)))
+                     for _ in range(20)]
+        rho = np.array([state.matrix for state, _ in instances])
+        observables = np.array([[obs.matrix for obs in seq.observables] for _, seq in instances])
+        values = [wl.seq_weak_value(state, None, seq).value for state, seq in instances]
+        assert np.allclose(sequence_traces(rho, observables), values, rtol=0.0, atol=1e-14)
+        bounds = [norm_product_bound(seq) for _, seq in instances]
+        assert np.allclose(norm_products(observables), bounds, rtol=0.0, atol=1e-14)
 
 
 class TestProjectorPairReport:
