@@ -38,7 +38,6 @@ for sigma2 in (0.01, 1.0, 100.0):
     print(f"sigma2 = {sigma2:6.2f}: mean x1*x2 = {value:+.10f}")
 
 print()
-wv = wl.seq_weak_value(
-    wl.build_illustrative(1.0, 1.0).initial, None, wl.build_illustrative(1.0, 1.0).sequence()
-)
-print(f"The matching sequential weak value: {wv.value.real:+.4f} (the -1/8 the pointers chase).")
+scn = wl.build_illustrative(1.0, 1.0)
+wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
+print(f"The matching sequential weak value: {wv.real:+.4f} (the -1/8 the pointers chase).")

@@ -56,11 +56,7 @@ from .simulator import (
     steps_outside_weak_regime,
     weak_prediction,
 )
-from .weak_values import (
-    MeasurementSequence,
-    WeakValue,
-    seq_weak_value,
-)
+from .weak_values import seq_weak_value
 
 __version__ = "0.1.0"
 
@@ -71,7 +67,6 @@ __all__ = [
     "KET_0",
     "SIGMA_X",
     "SIGMA_Y",
-    "MeasurementSequence",
     "MeasurementStep",
     "MixedState",
     "MomentPattern",
@@ -85,7 +80,6 @@ __all__ = [
     "Scenario",
     "SearchSpacePoint",
     "SpectralDecomposition",
-    "WeakValue",
     "build_common_cause",
     "build_illustrative",
     "build_pauli_xy",

@@ -395,6 +395,8 @@ def _magnitude_suite(rng: np.random.Generator, trials: int) -> tuple[float, int]
 
 def _cmd_bounds(args) -> None:
     _require_count("--trials", args.trials)
+    if args.seed < 0:
+        raise InputError(f"--seed must be at least 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     trials = args.trials
     worst_pair, pair_violations = _pair_suite(rng, trials)

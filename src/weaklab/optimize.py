@@ -57,35 +57,19 @@ def decode_state(params: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
-def _encode_state(amplitudes: np.ndarray) -> np.ndarray:
-    """A unit ket -> angles + phases that ``decode_state`` maps back to it,
-    up to a global phase: amplitude 0 is made real and non-negative, each
-    angle is atan2 of the norm of the amplitudes after it and the
-    magnitude of its own, and each phase is that of amplitude 1, 2, ..."""
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    if amplitudes[0] != 0:
-        amplitudes = amplitudes * (abs(amplitudes[0]) / amplitudes[0])
-    magnitudes = np.abs(amplitudes)
-    tails = np.sqrt(np.cumsum(magnitudes[::-1] ** 2)[::-1])
-    return np.concatenate([np.arctan2(tails[1:], magnitudes[:-1]), np.angle(amplitudes[1:])])
-
-
 @dataclass(frozen=True)
 class SearchSpacePoint:
-    """Angles for the initial state and for each measured projector.
+    """The initial state as a unit ket, and angles for each measured projector.
 
     A search moves the projector angles only; the state of the point it
     returns is the least eigenvector there, and an ``initial_point`` seeds
     restart 0 with its projector angles alone."""
 
-    state_params: np.ndarray
+    state: np.ndarray
     projector_params: tuple[np.ndarray, ...]
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.state_params, *self.projector_params])
-
     def decode(self) -> tuple[qm.PureState, list[qm.Observable]]:
-        state = qm.PureState(decode_state(self.state_params))
+        state = qm.PureState(self.state)
         projectors = [
             qm.projector_from_ket(qm.PureState(decode_state(p))) for p in self.projector_params
         ]
@@ -276,6 +260,8 @@ def _search(
         raise InputError(f"need at least one restart, got {restarts}")
     if budget < 1:
         raise InputError(f"need a budget of at least one evaluation, got {budget}")
+    if seed < 0:
+        raise InputError(f"need a seed of at least 0, got {seed}")
     footprint = _search_footprint(n, d, restarts)
     if footprint > SEARCH_MEMORY_LIMIT:
         raise InputError(
@@ -294,7 +280,7 @@ def _search(
     _, vectors = np.linalg.eigh(operators(points[best : best + 1]))
     return OptimizationResult(
         best_value=float(values[best]),
-        best_point=SearchSpacePoint(_encode_state(vectors[0, :, 0]), tuple(points[best].reshape(n, width))),
+        best_point=SearchSpacePoint(vectors[0, :, 0], tuple(points[best].reshape(n, width))),
         evaluations=int(evaluations.sum()),
         trace=tuple(enumerate(values.tolist())),
     )
@@ -348,6 +334,6 @@ def chain_point(n: int) -> SearchSpacePoint:
     """The projector-chain configuration as a search-space point (d=2)."""
     thetas = [j * math.pi / (n + 1) for j in range(1, n + 1)]
     return SearchSpacePoint(
-        state_params=np.zeros(2),
+        state=np.array([1.0, 0.0], dtype=complex),
         projector_params=tuple(np.array([theta, 0.0]) for theta in thetas),
     )

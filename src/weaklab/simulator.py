@@ -47,7 +47,7 @@ import numpy as np
 from . import qm
 from .errors import DimensionMismatch, InputError, NumericError, ZeroPostSelectionProbability
 from .pointer import GaussianPointer, PointerOperatorKind, _factor, matrix_element, weak_regime_check
-from .weak_values import MeasurementSequence, ZERO_PROBABILITY_TOL, seq_weak_value
+from .weak_values import ZERO_PROBABILITY_TOL, seq_weak_value
 
 MOMENT_IMAG_TOL = 1e-10
 
@@ -92,9 +92,6 @@ class Scenario:
     @property
     def n_steps(self) -> int:
         return len(self.steps)
-
-    def sequence(self) -> MeasurementSequence:
-        return MeasurementSequence(step.observable for step in self.steps)
 
     def sigmas(self) -> tuple[float, ...]:
         return tuple(step.pointer.sigma for step in self.steps)
@@ -288,7 +285,7 @@ def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
 def steps_outside_weak_regime(scn: Scenario) -> tuple[int, ...]:
     """Indices of the steps whose pointer fails ``weak_regime_check``,
     judged against the scenario's sequential weak value."""
-    magnitude = abs(seq_weak_value(scn.initial, scn.post, scn.sequence()).value)
+    magnitude = abs(seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps]))
     return tuple(
         index
         for index, step in enumerate(scn.steps)
@@ -436,6 +433,8 @@ def sample_outcomes(
     """
     if shots < 1:
         raise InputError(f"shots must be at least 1, got {shots}")
+    if seed < 0:
+        raise InputError(f"seed must be at least 0, got {seed}")
     footprint = sample_footprint(scn, shots)
     if footprint > SAMPLE_MEMORY_LIMIT:
         raise InputError(

@@ -6,11 +6,16 @@ and post-selection effect E. Passing E = identity (``post=None``)
 describes runs where no data is discarded; the magnitude of the value is
 then bounded by the product of the spectral norms, and for a pair of 0/1
 projectors its real part can reach, but never beat, -1/8.
+
+One stacked kernel, ``sequence_traces``, forms the numerator for a single
+instance and for the stacks of the ``bounds`` suites alike;
+``seq_weak_value`` checks one instance, given as a list of observables,
+and returns its complex weak value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -21,61 +26,41 @@ ZERO_PROBABILITY_TOL = 1e-14
 PROJECTOR_PAIR_FLOOR = -0.125
 
 
-@dataclass(frozen=True)
-class WeakValue:
-    """A weak value with its post-selection odds (exactly 1 without post-selection)."""
+# Stacks hold states and effects as (..., d, d) and sequences as
+# (..., n, d, d), first-measured observable first.
 
-    value: complex
-    postselection_probability: float
-
-
-@dataclass(frozen=True)
-class MeasurementSequence:
-    """Ordered observables measured first-to-last, all of one dimension."""
-
-    observables: tuple[qm.Observable, ...]
-
-    def __init__(self, observables):
-        observables = tuple(observables)
-        if not observables:
-            raise InputError("a measurement sequence needs at least one observable")
-        dims = {obs.dim for obs in observables}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"sequence mixes dimensions {sorted(dims)}")
-        object.__setattr__(self, "observables", observables)
-
-    @property
-    def dim(self) -> int:
-        return self.observables[0].dim
-
-    def __len__(self) -> int:
-        return len(self.observables)
-
-    def ordered_product(self) -> np.ndarray:
-        """A_n ... A_1 (first measured observable rightmost)."""
-        product = self.observables[0].matrix
-        for obs in self.observables[1:]:
-            product = obs.matrix @ product
-        return product
+def sequence_traces(rho: np.ndarray, observables: np.ndarray, post: np.ndarray | None = None) -> np.ndarray:
+    """Tr(E A_n ... A_1 rho) per instance, E = identity when ``post`` is
+    None: the numerators of the sequential weak values."""
+    product = observables[..., 0, :, :]
+    for j in range(1, observables.shape[-3]):
+        product = observables[..., j, :, :] @ product
+    if post is not None:
+        product = post @ product
+    return np.trace(product @ rho, axis1=-2, axis2=-1)
 
 
 def seq_weak_value(
     rho: qm.MixedState,
     post: qm.PovmElement | None,
-    seq: MeasurementSequence,
-) -> WeakValue:
-    """Sequential weak value Tr(E A_n ... A_1 rho) / Tr(E rho).
+    observables: Iterable[qm.Observable],
+) -> complex:
+    """Sequential weak value Tr(E A_n ... A_1 rho) / Tr(E rho) of the
+    observables, first measured first.
 
     ``post=None`` means E = identity: the denominator is 1 and nothing is
     discarded. Raises ZeroPostSelectionProbability when Tr(E rho) is below
     threshold; the value is undefined there, not merely large.
     """
-    if rho.dim != seq.dim:
-        raise DimensionMismatch(f"state dimension {rho.dim} != sequence dimension {seq.dim}")
-    product = seq.ordered_product()
+    observables = list(observables)
+    if not observables:
+        raise InputError("a measurement sequence needs at least one observable")
+    dims = sorted({obs.dim for obs in observables})
+    if dims != [rho.dim]:
+        raise DimensionMismatch(f"sequence dimensions {dims} != state dimension {rho.dim}")
+    stack = np.array([obs.matrix for obs in observables])
     if post is None:
-        value = complex(np.trace(product @ rho.matrix))
-        return WeakValue(value, 1.0)
+        return complex(sequence_traces(rho.matrix, stack))
     if post.dim != rho.dim:
         raise DimensionMismatch(f"post-selection dimension {post.dim} != state dimension {rho.dim}")
     # Tr(E rho) is real for Hermitian E, rho; drop the float residue.
@@ -84,20 +69,7 @@ def seq_weak_value(
         raise ZeroPostSelectionProbability(
             f"Tr(E rho) = {probability:.3e} is below {ZERO_PROBABILITY_TOL:g}"
         )
-    value = complex(np.trace(post.matrix @ product @ rho.matrix)) / probability
-    return WeakValue(value, probability)
-
-
-# The bound suites evaluate many instances at once: stacks of states
-# (..., d, d) and of sequences (..., n, d, d), first-measured observable first.
-
-def sequence_traces(rho: np.ndarray, observables: np.ndarray) -> np.ndarray:
-    """Tr(A_n ... A_1 rho) per instance: the no-post-selection sequential
-    weak values, multiplied in the order ``seq_weak_value`` uses."""
-    product = observables[..., 0, :, :]
-    for j in range(1, observables.shape[-3]):
-        product = observables[..., j, :, :] @ product
-    return np.trace(product @ rho, axis1=-2, axis2=-1)
+    return complex(sequence_traces(rho.matrix, stack, post.matrix)) / probability
 
 
 def norm_products(observables: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""Per-instance random states and observables, and an eigh-based norm
-product. The package builds these as stacks for its bound suites; the
-tests keep the one-at-a-time forms as oracles and as instance makers."""
+"""Per-instance random states and observables, a plain-loop ordered trace
+and an eigh-based norm product. The package builds and evaluates these as
+stacks for its bound suites; the tests keep the one-at-a-time forms as
+oracles and as instance makers."""
 
 import numpy as np
 
@@ -25,9 +26,20 @@ def spectral_norm(obs):
     return float(np.max(np.abs(obs.decomposition.eigenvalues)))
 
 
-def norm_product_bound(seq):
-    """Product of spectral norms of a MeasurementSequence."""
+def ordered_trace(rho, observables, post=None):
+    """Tr(E A_n ... A_1 rho) of one instance, first-measured observable
+    rightmost, E = identity when ``post`` is None."""
+    product = observables[0].matrix
+    for obs in observables[1:]:
+        product = obs.matrix @ product
+    if post is not None:
+        product = post.matrix @ product
+    return complex(np.trace(product @ rho.matrix))
+
+
+def norm_product_bound(observables):
+    """Product of spectral norms of a sequence of observables."""
     bound = 1.0
-    for obs in seq.observables:
+    for obs in observables:
         bound *= spectral_norm(obs)
     return bound

@@ -101,7 +101,7 @@ def test_criterion_4_projector_chain_closed_form():
     values = []
     for n in range(2, 9):
         scn = wl.build_projector_chain(n, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, scn.sequence()).value
+        wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
         want = -(math.cos(math.pi / (n + 1)) ** (n + 1))
         worst = max(worst, abs(wv - want))
         values.append(wv.real)
@@ -145,8 +145,8 @@ def test_criterion_6_bound_suites():
     for index in range(pair_trials):
         d = 2 + index % 2
         psi = wl.random_ket(rng, d)
-        pair = wl.MeasurementSequence([random_projector(rng, d), random_projector(rng, d)])
-        worst_pair = min(worst_pair, wl.seq_weak_value(psi.to_density(), None, pair).value.real)
+        pair = [random_projector(rng, d), random_projector(rng, d)]
+        worst_pair = min(worst_pair, wl.seq_weak_value(psi.to_density(), None, pair).real)
 
     worst_excess = -math.inf
     seq_trials = 10_000
@@ -154,8 +154,8 @@ def test_criterion_6_bound_suites():
         d = int(rng.integers(2, 5))
         n = int(rng.integers(1, 6))
         rho = random_density(rng, d)
-        seq = wl.MeasurementSequence(random_observable(rng, d) for _ in range(n))
-        excess = abs(wl.seq_weak_value(rho, None, seq).value) - norm_product_bound(seq)
+        seq = [random_observable(rng, d) for _ in range(n)]
+        excess = abs(wl.seq_weak_value(rho, None, seq)) - norm_product_bound(seq)
         worst_excess = max(worst_excess, excess)
 
     elapsed = time.perf_counter() - started

@@ -19,7 +19,7 @@ import weaklab as wl
 from weaklab import cli, simulator
 from weaklab.cli import BOUNDS_CHUNK, CHAIN_MAX_STEPS, SWEEP_MAX_POINTS, main
 
-from instances import norm_product_bound, random_density, random_observable
+from instances import norm_product_bound, ordered_trace, random_density, random_observable
 
 SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
 
@@ -407,6 +407,9 @@ class TestCountArguments:
             ("optimize", "--n", "2", "--restarts", "1", "--budget", "-3"),
             ("bounds", "--trials", "0"),
             ("bounds", "--trials", "-5"),
+            ("sample", "illustrative", "--shots", "10", "--seed", "-1"),
+            ("optimize", "--n", "2", "--seed", "-1", "--restarts", "2", "--budget", "10"),
+            ("bounds", "--trials", "5", "--seed", "-1"),
         ],
     )
     def test_count_below_one_exit_code(self, capsys, argv):
@@ -417,16 +420,16 @@ class TestCountArguments:
 
 def per_trial_bounds(trials, seed):
     """The bound suites one validated instance at a time: the projector-pair
-    and magnitude loops through the qm constructors, ``seq_weak_value`` and
-    an eigh-based norm product, then the common-cause hull loop. Returns
-    {suite: (trials, worst, violations)}."""
+    and magnitude loops through the qm constructors, a plain-loop ordered
+    trace and an eigh-based norm product, then the common-cause hull loop.
+    Returns {suite: (trials, worst, violations)}."""
     rng = np.random.default_rng(seed)
     worst_pair, pair_violations = math.inf, 0
     for _ in range(trials):
         d = int(rng.integers(2, 4))
         psi = wl.random_ket(rng, d)
-        pair = wl.MeasurementSequence(wl.projector_from_ket(wl.random_ket(rng, d)) for _ in range(2))
-        value = wl.seq_weak_value(psi.to_density(), None, pair).value.real
+        pair = [wl.projector_from_ket(wl.random_ket(rng, d)) for _ in range(2)]
+        value = ordered_trace(psi.to_density(), pair).real
         worst_pair = min(worst_pair, value)
         pair_violations += value < cli.PROJECTOR_PAIR_FLOOR - 1e-12
     worst_excess, magnitude_violations = -math.inf, 0
@@ -434,8 +437,8 @@ def per_trial_bounds(trials, seed):
         d = int(rng.integers(2, 5))
         n = int(rng.integers(1, 6))
         rho = random_density(rng, d)
-        seq = wl.MeasurementSequence(random_observable(rng, d) for _ in range(n))
-        excess = abs(wl.seq_weak_value(rho, None, seq).value) - norm_product_bound(seq)
+        seq = [random_observable(rng, d) for _ in range(n)]
+        excess = abs(ordered_trace(rho, seq)) - norm_product_bound(seq)
         worst_excess = max(worst_excess, excess)
         magnitude_violations += excess > 1e-12
     worst_low, worst_high, hull_violations = math.inf, -math.inf, 0

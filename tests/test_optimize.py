@@ -149,7 +149,7 @@ class TestBatchedObjectives:
         for n, d in ((2, 2), (3, 2), (2, 3), (4, 3), (3, 4)):
             width = 2 * (d - 1)
             flat = rng.uniform(0.0, 2.0 * math.pi, size=width * n)
-            start = SearchSpacePoint(np.zeros(width), tuple(flat.reshape(n, width)))
+            start = SearchSpacePoint(np.eye(d, 1)[:, 0], tuple(flat.reshape(n, width)))
             result = minimize(n=n, d=d, restarts=1, seed=0, budget=1, initial_point=start)
             assert np.array_equal(np.concatenate(result.best_point.projector_params), flat)
             state, _ = result.best_point.decode()
@@ -215,7 +215,7 @@ class TestLockstepNelderMead:
 def illustrative_point():
     """|0>, then the kets (1/2, sqrt(3)/2) and (1/2, -sqrt(3)/2)."""
     return SearchSpacePoint(
-        state_params=np.array([0.0, 0.0]),
+        state=np.array([1.0, 0.0], dtype=complex),
         projector_params=(np.array([math.pi / 3.0, 0.0]), np.array([math.pi / 3.0, math.pi])),
     )
 
@@ -251,7 +251,8 @@ class TestPointerProductSearch:
         assert first.best_value == second.best_value
         assert first.evaluations == second.evaluations
         assert first.trace == second.trace
-        assert np.array_equal(first.best_point.flatten(), second.best_point.flatten())
+        assert np.array_equal(first.best_point.state, second.best_point.state)
+        assert np.array_equal(first.best_point.projector_params, second.best_point.projector_params)
 
     def test_finite_sigma_objective(self):
         result = wl.minimize_pointer_product(
@@ -283,6 +284,10 @@ class TestPointerProductSearch:
             wl.minimize_pointer_product(n=2, d=2, restarts=0, seed=0, budget=100)
         with pytest.raises(InputError, match="need a budget of at least one evaluation"):
             wl.minimize_pointer_product(n=2, d=2, restarts=1, seed=0, budget=0)
+
+    def test_negative_seed(self):
+        with pytest.raises(InputError, match="need a seed of at least 0"):
+            wl.minimize_pointer_product(n=2, d=2, restarts=2, seed=-1, budget=10)
 
     @pytest.mark.parametrize("search", ["product", "weak-value", "finite-sigma"])
     @pytest.mark.parametrize("n,d,restarts", [(2, 2, 400), (5, 2, 100), (2, 5, 60), (3, 8, 10)])

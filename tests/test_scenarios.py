@@ -56,8 +56,8 @@ class TestIllustrative:
 class TestPauliXY:
     def test_weak_value(self):
         scn = wl.build_pauli_xy(1.0, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, scn.sequence())
-        assert wv.value == pytest.approx(1.0j, abs=1e-15)
+        wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
+        assert wv == pytest.approx(1.0j, abs=1e-15)
 
     def test_momentum_position_moment(self):
         scn = wl.build_pauli_xy(4.0, 2.0)
@@ -73,13 +73,13 @@ class TestPauliXY:
 class TestProjectorChain:
     def test_two_step_value(self):
         scn = wl.build_projector_chain(2, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, scn.sequence())
-        assert wv.value == pytest.approx(-0.125, abs=1e-14)
+        wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
+        assert wv == pytest.approx(-0.125, abs=1e-14)
 
     def test_four_step_value(self):
         scn = wl.build_projector_chain(4, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, scn.sequence())
-        assert wv.value == pytest.approx(-(math.cos(math.pi / 5.0) ** 5), abs=1e-14)
+        wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
+        assert wv == pytest.approx(-(math.cos(math.pi / 5.0) ** 5), abs=1e-14)
         assert wl.chain_weak_value(4) == pytest.approx(-(math.cos(math.pi / 5.0) ** 5))
 
     def test_monotone_approach_to_minus_one(self):

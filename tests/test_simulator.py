@@ -493,7 +493,7 @@ class TestWeakEngine:
         for _ in range(5):
             scn = random_scenario(rng, 2, 4, with_post=True, sigma_range=(1.0, 3.0))
             try:
-                wv = wl.seq_weak_value(scn.initial, scn.post, scn.sequence()).value
+                wv = wl.seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps])
             except ZeroPostSelectionProbability:
                 continue
             got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
@@ -563,7 +563,7 @@ class TestRecovery:
             n = int(rng.integers(1, 4))
             scn = random_scenario(rng, 2, n, with_post=True, sigma_range=(1.0, 4.0))
             try:
-                wv = wl.seq_weak_value(scn.initial, scn.post, scn.sequence()).value
+                wv = wl.seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps])
             except ZeroPostSelectionProbability:
                 continue
             got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
@@ -576,7 +576,7 @@ class TestRecovery:
         for _ in range(15):
             n = int(rng.integers(1, 4))
             scn = random_scenario(rng, 2, n, with_post=False)
-            wv = wl.seq_weak_value(scn.initial, None, scn.sequence()).value
+            wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
             got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
             assert got == pytest.approx(wv, abs=1e-10)
 
@@ -819,6 +819,10 @@ class TestSampler:
         shots = simulator.SAMPLE_MEMORY_LIMIT // simulator.sample_footprint(scn, 1) + 1
         with pytest.raises(InputError, match="GiB"):
             wl.sample_outcomes(scn, shots, seed=1)
+
+    def test_negative_seed_raises_input_error(self):
+        with pytest.raises(InputError, match="seed must be at least 0"):
+            wl.sample_outcomes(wl.build_illustrative(5.0, 1.0), 10, seed=-1)
 
     def test_given_probability_skips_the_identity_chain(self, monkeypatch):
         scn = random_scenario(np.random.default_rng(31), 3, 2, with_post=True)

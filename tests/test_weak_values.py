@@ -8,7 +8,7 @@ import weaklab as wl
 from weaklab.errors import DimensionMismatch, InputError, ZeroPostSelectionProbability
 from weaklab.weak_values import PROJECTOR_PAIR_FLOOR, norm_products, sequence_traces
 
-from instances import norm_product_bound, random_density, random_observable
+from instances import norm_product_bound, ordered_trace, random_density, random_observable
 
 KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
 SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
@@ -35,75 +35,80 @@ def norm_product(observables):
 
 def pair_value(psi, first, second):
     """Re <psi| second first |psi>, the no-post-selection weak value of a pair."""
-    return wl.seq_weak_value(psi.to_density(), None, wl.MeasurementSequence([first, second])).value.real
+    return wl.seq_weak_value(psi.to_density(), None, [first, second]).real
 
 
 class TestSequence:
     def test_empty_rejected(self):
         with pytest.raises(InputError, match="needs at least one observable"):
-            wl.MeasurementSequence([])
+            wl.seq_weak_value(wl.KET_0.to_density(), None, [])
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
-            wl.MeasurementSequence([SIGMA_Z, wl.Observable(np.eye(3))])
+            wl.seq_weak_value(wl.KET_0.to_density(), None, [SIGMA_Z, wl.Observable(np.eye(3))])
+
+    def test_effect_dimension_rejected(self):
+        with pytest.raises(DimensionMismatch, match="post-selection dimension 3"):
+            wl.seq_weak_value(wl.KET_0.to_density(), wl.PovmElement(np.eye(3)), [SIGMA_Z])
 
     def test_ordered_product_order(self):
-        seq = wl.MeasurementSequence([wl.SIGMA_Y, wl.SIGMA_X])
-        assert np.allclose(seq.ordered_product(), wl.SIGMA_X.matrix @ wl.SIGMA_Y.matrix)
+        # Tr(E X Y rho), not Tr(E Y X rho): the first observable acts first.
+        rho = wl.KET_0.to_density().matrix
+        post = wl.projector_from_ket(KET_PLUS).matrix
+        stack = np.array([wl.SIGMA_Y.matrix, wl.SIGMA_X.matrix])
+        want = np.trace(post @ wl.SIGMA_X.matrix @ wl.SIGMA_Y.matrix @ rho)
+        assert np.isclose(sequence_traces(rho, stack, post), want, rtol=0.0, atol=1e-15)
 
 
-class TestSeqWeakValue:
+class TestSeqWeakValues:
     def test_illustrative_pair_value(self):
         first, second = illustrative_pair()
-        wv = wl.seq_weak_value(wl.KET_0.to_density(), None, wl.MeasurementSequence([first, second]))
-        assert wv.value == pytest.approx(-0.125, abs=1e-15)
-        assert wv.postselection_probability == 1.0
+        wv = wl.seq_weak_value(wl.KET_0.to_density(), None, [first, second])
+        assert wv == pytest.approx(-0.125, abs=1e-15)
+        assert type(wv) is complex
 
     def test_pauli_pair_imaginary(self):
-        wv = wl.seq_weak_value(wl.KET_0.to_density(), None, wl.MeasurementSequence([wl.SIGMA_Y, wl.SIGMA_X]))
-        assert wv.value == pytest.approx(1.0j, abs=1e-15)
+        wv = wl.seq_weak_value(wl.KET_0.to_density(), None, [wl.SIGMA_Y, wl.SIGMA_X])
+        assert wv == pytest.approx(1.0j, abs=1e-15)
 
     def test_chain_of_two(self):
         scn = wl.build_projector_chain(2, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, scn.sequence())
-        assert wv.value == pytest.approx(-((math.cos(math.pi / 3.0)) ** 3), abs=1e-14)
+        wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
+        assert wv == pytest.approx(-((math.cos(math.pi / 3.0)) ** 3), abs=1e-14)
 
     def test_single_observable_postselected(self):
         post = wl.PovmElement(np.diag([1.0, 0.0]))
-        wv = wl.seq_weak_value(KET_PLUS.to_density(), post, wl.MeasurementSequence([SIGMA_Z]))
-        assert wv.value == pytest.approx(1.0)
-        assert wv.postselection_probability == pytest.approx(0.5)
+        wv = wl.seq_weak_value(KET_PLUS.to_density(), post, [SIGMA_Z])
+        assert wv == pytest.approx(1.0)
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
     def test_amplification_scaling(self, eps):
         vec = np.array([eps, 1.0])
         psi = wl.PureState(vec / np.linalg.norm(vec))
         post = wl.PovmElement(np.diag([1.0, 0.0]))
-        wv = wl.seq_weak_value(psi.to_density(), post, wl.MeasurementSequence([wl.SIGMA_X]))
-        assert wv.value == pytest.approx(1.0 / eps, rel=1e-9)
+        wv = wl.seq_weak_value(psi.to_density(), post, [wl.SIGMA_X])
+        assert wv == pytest.approx(1.0 / eps, rel=1e-9)
 
     def test_orthogonal_postselection_rejected(self):
         post = wl.PovmElement(np.diag([0.0, 1.0]))
         with pytest.raises(ZeroPostSelectionProbability):
-            wl.seq_weak_value(wl.KET_0.to_density(), post, wl.MeasurementSequence([wl.SIGMA_X]))
+            wl.seq_weak_value(wl.KET_0.to_density(), post, [wl.SIGMA_X])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            wl.seq_weak_value(
-                wl.MixedState(np.eye(3) / 3.0), None, wl.MeasurementSequence([SIGMA_Z])
-            )
+            wl.seq_weak_value(wl.MixedState(np.eye(3) / 3.0), None, [SIGMA_Z])
 
     def test_no_postselection_value_is_expectation_in_spectrum(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             obs = random_observable(rng, 3)
             rho = random_density(rng, 3)
-            wv = wl.seq_weak_value(rho, None, wl.MeasurementSequence([obs]))
-            assert abs(wv.value.imag) < 1e-12
+            wv = wl.seq_weak_value(rho, None, [obs])
+            assert abs(wv.imag) < 1e-12
             expectation = np.trace(obs.matrix @ rho.matrix).real
-            assert wv.value.real == pytest.approx(expectation, abs=1e-12)
+            assert wv.real == pytest.approx(expectation, abs=1e-12)
             lo, hi = product_hull([obs])
-            assert lo - 1e-10 <= wv.value.real <= hi + 1e-10
+            assert lo - 1e-10 <= wv.real <= hi + 1e-10
 
 
 class TestBounds:
@@ -112,11 +117,11 @@ class TestBounds:
         assert norm_product([first, second]) == pytest.approx(1.0)
 
     def test_pauli_pair_saturates(self):
-        seq = wl.MeasurementSequence([wl.SIGMA_Y, wl.SIGMA_X])
-        bound = norm_product(seq.observables)
+        seq = [wl.SIGMA_Y, wl.SIGMA_X]
+        bound = norm_product(seq)
         assert bound == pytest.approx(1.0)
         wv = wl.seq_weak_value(wl.KET_0.to_density(), None, seq)
-        assert abs(wv.value) == pytest.approx(bound)
+        assert abs(wv) == pytest.approx(bound)
 
     def test_scaled_paulis(self):
         scaled = [wl.Observable(2.0 * SIGMA_Z.matrix), wl.Observable(3.0 * wl.SIGMA_X.matrix)]
@@ -128,34 +133,28 @@ class TestBounds:
             d = int(rng.integers(2, 5))
             n = int(rng.integers(1, 6))
             rho = random_density(rng, d)
-            seq = wl.MeasurementSequence(random_observable(rng, d) for _ in range(n))
+            seq = [random_observable(rng, d) for _ in range(n)]
             wv = wl.seq_weak_value(rho, None, seq)
-            assert abs(wv.value) <= norm_product(seq.observables) + 1e-12
+            assert abs(wv) <= norm_product(seq) + 1e-12
 
     def test_linearity_in_preparation(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            seq = wl.MeasurementSequence(random_observable(rng, 3) for _ in range(3))
+            seq = [random_observable(rng, 3) for _ in range(3)]
             kets = [wl.random_ket(rng, 3) for _ in range(3)]
             q = rng.dirichlet(np.ones(3))
             mixed = wl.MixedState(sum(w * k.to_density().matrix for w, k in zip(q, kets)))
-            direct = wl.seq_weak_value(mixed, None, seq).value
-            combined = sum(
-                w * wl.seq_weak_value(k.to_density(), None, seq).value for w, k in zip(q, kets)
-            )
+            direct = wl.seq_weak_value(mixed, None, seq)
+            combined = sum(w * wl.seq_weak_value(k.to_density(), None, seq) for w, k in zip(q, kets))
             assert direct == pytest.approx(combined, abs=1e-12)
 
     def test_reselection_matches_no_postselection(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             psi = wl.random_ket(rng, 3)
-            seq = wl.MeasurementSequence(random_observable(rng, 3) for _ in range(2))
-            no_post = wl.seq_weak_value(psi.to_density(), None, seq).value
-            reselect = wl.seq_weak_value(
-                psi.to_density(),
-                wl.PovmElement(psi.to_density().matrix),
-                seq,
-            ).value
+            seq = [random_observable(rng, 3) for _ in range(2)]
+            no_post = wl.seq_weak_value(psi.to_density(), None, seq)
+            reselect = wl.seq_weak_value(psi.to_density(), wl.PovmElement(psi.to_density().matrix), seq)
             assert no_post == pytest.approx(reselect, abs=1e-12)
 
     def test_commuting_sequence_stays_in_hull(self):
@@ -168,9 +167,9 @@ class TestBounds:
                 for _ in range(3)
             ]
             rho = random_density(rng, 3)
-            wv = wl.seq_weak_value(rho, None, wl.MeasurementSequence(observables))
+            wv = wl.seq_weak_value(rho, None, observables)
             lo, hi = product_hull(observables)
-            assert lo - 1e-12 <= wv.value.real <= hi + 1e-12
+            assert lo - 1e-12 <= wv.real <= hi + 1e-12
 
     def test_symmetric_spectrum_pair_bounded_by_one(self):
         rng = np.random.default_rng(10)
@@ -180,14 +179,14 @@ class TestBounds:
                 basis = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
                 pair.append(wl.Observable(basis @ np.diag([1.0, -1.0]) @ basis.conj().T))
             psi = wl.random_ket(rng, 2)
-            wv = wl.seq_weak_value(psi.to_density(), None, wl.MeasurementSequence(pair))
-            assert abs(wv.value) <= 1.0 + 1e-12
+            wv = wl.seq_weak_value(psi.to_density(), None, pair)
+            assert abs(wv) <= 1.0 + 1e-12
 
     def test_chain_closed_form_and_monotonicity(self):
         previous = 0.0
         for n in range(2, 9):
             scn = wl.build_projector_chain(n, 1.0)
-            wv = wl.seq_weak_value(scn.initial, None, scn.sequence()).value
+            wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
             expected = -((math.cos(math.pi / (n + 1))) ** (n + 1))
             assert wv == pytest.approx(expected, abs=1e-12)
             assert wv.real < previous
@@ -196,7 +195,7 @@ class TestBounds:
 
 
 class TestStackedEvaluators:
-    """The stacked forms the bound suites use, against one instance at a time."""
+    """The stacked kernels against one instance at a time, by plain loops."""
 
     def test_norm_of_projector(self):
         assert norm_product([wl.projector_from_ket(KET_PLUS)]) == pytest.approx(1.0)
@@ -215,16 +214,20 @@ class TestStackedEvaluators:
             lo, hi = eigenvalues[0], eigenvalues[-1]
             assert norm_product([obs]) == pytest.approx(max(abs(lo), abs(hi)))
 
-    @pytest.mark.parametrize("d,n", [(2, 1), (3, 2), (4, 5)])
-    def test_stacks_match_one_sequence_at_a_time(self, d, n):
-        rng = np.random.default_rng(10 * d + n)
-        instances = [(random_density(rng, d), wl.MeasurementSequence(random_observable(rng, d) for _ in range(n)))
-                     for _ in range(20)]
-        rho = np.array([state.matrix for state, _ in instances])
-        observables = np.array([[obs.matrix for obs in seq.observables] for _, seq in instances])
-        values = [wl.seq_weak_value(state, None, seq).value for state, seq in instances]
-        assert np.allclose(sequence_traces(rho, observables), values, rtol=0.0, atol=1e-14)
-        bounds = [norm_product_bound(seq) for _, seq in instances]
+    @pytest.mark.parametrize("with_effect", [False, True], ids=["no-effect", "rank-1-effect"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("d", range(2, 5))
+    def test_stacks_match_one_sequence_at_a_time(self, d, n, with_effect):
+        rng = np.random.default_rng([d, n, int(with_effect)])
+        states = [random_density(rng, d) for _ in range(20)]
+        sequences = [[random_observable(rng, d) for _ in range(n)] for _ in range(20)]
+        effects = [wl.projector_from_ket(wl.random_ket(rng, d)) if with_effect else None for _ in range(20)]
+        rho = np.array([state.matrix for state in states])
+        observables = np.array([[obs.matrix for obs in seq] for seq in sequences])
+        post = np.array([effect.matrix for effect in effects]) if with_effect else None
+        values = [ordered_trace(*instance) for instance in zip(states, sequences, effects)]
+        assert np.allclose(sequence_traces(rho, observables, post), values, rtol=0.0, atol=1e-14)
+        bounds = [norm_product_bound(seq) for seq in sequences]
         assert np.allclose(norm_products(observables), bounds, rtol=0.0, atol=1e-14)
 
 
