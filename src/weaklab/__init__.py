@@ -50,7 +50,7 @@ from .simulator import (
     SampleStatistics,
     Scenario,
     exact_moment,
-    exact_moments,
+    position_moments,
     recover_weak_value,
     sample_outcomes,
     steps_outside_weak_regime,
@@ -88,11 +88,11 @@ __all__ = [
     "chain_point",
     "chain_weak_value",
     "exact_moment",
-    "exact_moments",
     "load_scenario",
     "matrix_element",
     "minimize_pointer_product",
     "minimize_weak_value_real",
+    "position_moments",
     "projector_from_ket",
     "qubit_ket",
     "random_ket",

@@ -9,14 +9,15 @@ Exit codes: 0 success, 1 numeric failure, 2 input error.
 ``main`` may be called repeatedly in one process. The argument parser is
 built on the first call, not at import, and reused by every later call.
 Sizes that would exhaust memory are input errors, checked before the
-allocation they would need: ``sweep --steps`` over SWEEP_MAX_POINTS, a
-``chain-n`` ``--n`` over CHAIN_MAX_STEPS, and a ``sample`` whose exact
-moments (``simulator.exact_footprint``, growing as the square of the step
-count) would pass SAMPLE_MEMORY_LIMIT, for built-in scenarios and files
-alike. ``bounds --trials`` needs no limit: its projector-pair and
-magnitude suites draw BOUNDS_CHUNK trials in the order a one-at-a-time
-loop would, then check and evaluate them as stacks grouped by dimension
-(and length), so their memory is flat in the trial count.
+allocation they would need: ``sweep --steps`` over SWEEP_MAX_POINTS and a
+``chain-n`` ``--n`` over CHAIN_MAX_STEPS. ``sample`` checks ``--shots``
+and ``--seed`` before any engine work. Its exact column needs no limit of
+its own: ``simulator.position_moments`` holds four d x d arrays per step,
+about as many bytes as the scenario itself. ``bounds --trials`` needs no
+limit: its projector-pair and magnitude suites draw BOUNDS_CHUNK trials in
+the order a one-at-a-time loop would, then check and evaluate them as
+stacks grouped by dimension (and length), so their memory is flat in the
+trial count.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from . import __version__, qm
 from .errors import InputError, NumericError, WeakLabError
 from .optimize import minimize_pointer_product, minimize_weak_value_real
-from .pointer import GaussianPointer, PointerOperatorKind
+from .pointer import GaussianPointer
 from .scenario_io import load_scenario
 from .scenarios import (
     CausalStructure,
@@ -48,13 +49,11 @@ from .scenarios import (
     causal_witness,
 )
 from .simulator import (
-    SAMPLE_MEMORY_LIMIT,
     EvaluationMethod,
     MomentPattern,
     Scenario,
-    exact_footprint,
     exact_moment,
-    exact_moments,
+    position_moments,
     recover_weak_value,
     sample_outcomes,
     steps_outside_weak_regime,
@@ -72,8 +71,8 @@ SWEEP_MAX_POINTS = 1_000_000
 # Longest chain-n chain. Building it and running scenario, simulate or a
 # two-point sweep on it peak at 1.15-1.5 kB per step (tracemalloc, n = 2,000
 # to 60,000), so a million steps stay under the 2 GiB that sample and
-# optimize allow. sample's exact moments grow as n^2 and are bounded apart,
-# by simulator.exact_footprint.
+# optimize allow. sample --shots 1 peaks at about 2.0 kB per step, most of it
+# the report's n + 1 rows; its exact column takes O(n d^2) bytes.
 CHAIN_MAX_STEPS = 1_000_000
 
 # Trials that bounds draws and then evaluates together in its projector-pair
@@ -291,18 +290,12 @@ def _cmd_optimize(args) -> None:
 
 
 def _cmd_sample(args) -> None:
+    _require_count("--shots", args.shots)
+    if args.seed < 0:
+        raise InputError(f"--seed must be at least 0, got {args.seed}")
     scn, source = _resolve_scenario(args.file, args)
-    n = scn.n_steps
-    footprint = exact_footprint(scn, n + 1)
-    if footprint > SAMPLE_MEMORY_LIMIT:
-        raise InputError(
-            f"the exact moments of {n} steps need about {footprint / 1024**3:.1f} GiB, "
-            f"over the {SAMPLE_MEMORY_LIMIT / 1024**3:.0f} GiB limit"
-        )
-    position, identity = PointerOperatorKind.POSITION, PointerOperatorKind.IDENTITY
-    singles = [MomentPattern([identity] * j + [position] + [identity] * (n - 1 - j)) for j in range(n)]
-    exact = exact_moments(scn, [MomentPattern.all_position(n), *singles])
-    # Tr(eta) rides the exact moments' chain, so the sampler need not run it.
+    exact = position_moments(scn)
+    # Tr(eta) comes out of the exact column's pass, so the sampler need not run it.
     samples, stats = sample_outcomes(scn, args.shots, args.seed, exact[0].postselection_probability)
     config = {
         "scenario": source,
@@ -315,7 +308,8 @@ def _cmd_sample(args) -> None:
     }
     with np.errstate(over="ignore"):
         products = samples.prod(axis=1)
-    columns = [("mean_position_product", products)] + [(f"mean_position_{j + 1}", samples[:, j]) for j in range(n)]
+    columns = [("mean_position_product", products)]
+    columns += [(f"mean_position_{j + 1}", samples[:, j]) for j in range(scn.n_steps)]
     results = [_sample_row(quantity, values, moment.value) for (quantity, values), moment in zip(columns, exact)]
     _emit(args, _command_echo(args), config, results, summary)
 
@@ -451,7 +445,6 @@ def _cmd_bounds(args) -> None:
 def _require_count(flag: str, value: int) -> None:
     if value < 1:
         raise InputError(f"{flag} must be at least 1, got {value}")
-
 
 # ---------------------------------------------------------------------------
 # Parser

@@ -42,11 +42,6 @@ class PointerOperatorKind(enum.Enum):
     MOMENTUM = "p"
     MOMENTUM_SQUARED = "P"
 
-    # Members are singletons compared by identity, so the C-level identity
-    # hash serves; Enum's own hashes the name in Python, which the table
-    # lookups of long patterns call O(n^2) times.
-    __hash__ = object.__hash__
-
 
 @dataclass(frozen=True)
 class GaussianPointer:

@@ -13,8 +13,9 @@ runs stacked beside it as the normalization. Only the tables differ:
   pointers' reduced state is a combination of displaced-Gaussian dyads
   whose moments have closed forms, so the joint moment is an exact
   finite sum over eigenindex pairs; no approximation and no
-  discretization enters. ``exact_moments`` stacks several patterns'
-  tables in one chain.
+  discretization enters. ``position_moments`` gives the all-position
+  moment and every single-slot position moment from one forward and one
+  backward pass over the chain, in O(n d^3) time and O(n d^2) memory.
 
 * ``weak_prediction`` uses the same tables with the Gaussian overlap set
   to 1, the first order in 1/sigma that holds for wide pointers: a
@@ -40,6 +41,7 @@ and length-shots vector operations: O(shots n d^2) time, and at most
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,12 +151,9 @@ def _step_tables(step: MeasurementStep, kinds, exact: bool = True) -> np.ndarray
     eigenvalues = step.observable.decomposition.eigenvalues
     left, right = eigenvalues[np.newaxis, :], eigenvalues[:, np.newaxis]
     if exact:
-        made = {kind: matrix_element(step.pointer, kind, left, right) for kind in dict.fromkeys(kinds)}
-    else:
-        mean, gap, s2 = 0.5 * (left + right), right - left, step.pointer.sigma**2
-        made = {kind: _factor(kind, s2, mean, gap) for kind in dict.fromkeys(kinds)}
-    # A stack of several patterns repeats kinds; each table is made once.
-    return np.array([made[kind] for kind in kinds])
+        return np.array([matrix_element(step.pointer, kind, left, right) for kind in kinds])
+    mean, gap, s2 = 0.5 * (left + right), right - left, step.pointer.sigma**2
+    return np.array([_factor(kind, s2, mean, gap) for kind in kinds])
 
 
 def _chain(initial, bases, tables, post=None) -> np.ndarray:
@@ -196,68 +195,79 @@ def _check_probability(probability: float) -> None:
         raise ZeroPostSelectionProbability(f"post-selection probability {probability:.3e} below threshold")
 
 
+def _result(numerator, peak: float, probability: float) -> MomentResult:
+    """numerator / Tr(eta), whose imaginary rounding residue is judged at the
+    chain's term size: ``peak``, the row's table peaks' product (about
+    sigma^2n for X readouts), over Tr(eta)."""
+    value = complex(numerator) / probability
+    scale = max(1.0, float(peak) / probability)
+    if abs(value.imag) > MOMENT_IMAG_TOL * scale:
+        raise NumericError(f"moment has imaginary residue {value.imag:.3e} at scale {scale:.3e}")
+    return MomentResult(value.real, probability)
+
+
 # Very narrow widths overflow table entries: the overlap reads exp(-inf) = 0,
 # its right limit, and an inf or nan that reaches a trace makes ``_chain``
 # raise NumericError, so the analytic engines run with numpy's warnings off.
 @np.errstate(all="ignore")
-def _exact_moments(scn: Scenario, patterns: list[MomentPattern]) -> list[MomentResult]:
-    # The body of exact_moment and exact_moments, which do not call each
-    # other, so that a profile of either counts only its own calls.
-    for pat in patterns:
-        _check_pattern(scn, pat)
-    identity = PointerOperatorKind.IDENTITY
-    tables = [
-        _step_tables(step, [pat.kinds[j] for pat in patterns] + [identity]) for j, step in enumerate(scn.steps)
-    ]
-    numerators, probability = _scenario_chain(scn, tables)
-    # Rounding leaves an imaginary residue relative to the chain's terms,
-    # which reach prod_j max|F_j| / Tr(eta) (about sigma^2n for X readouts).
-    # The product runs in step order, for every row at once.
-    peaks = np.ones(len(patterns) + 1)
-    for table in tables:
-        peaks *= np.abs(table).max(axis=(1, 2))
-    results = []
-    for row, numerator in enumerate(numerators):
-        value = complex(numerator) / probability
-        scale = max(1.0, float(peaks[row]) / probability)
-        if abs(value.imag) > MOMENT_IMAG_TOL * scale:
-            raise NumericError(f"moment has imaginary residue {value.imag:.3e} at scale {scale:.3e}")
-        results.append(MomentResult(value.real, probability))
-    return results
-
-
 def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     """Exact joint moment Tr(M eta) / Tr(eta) for the requested pattern.
 
     Supports all five readout kinds. Normalization uses the exact
     post-selection probability Tr(eta), not its weak-limit stand-in.
     """
-    (result,) = _exact_moments(scn, [pat])
-    return result
+    _check_pattern(scn, pat)
+    identity = PointerOperatorKind.IDENTITY
+    tables = [_step_tables(step, (kind, identity)) for step, kind in zip(scn.steps, pat.kinds)]
+    (numerator,), probability = _scenario_chain(scn, tables)
+    return _result(numerator, math.prod(np.abs(table[0]).max() for table in tables), probability)
 
 
-def exact_moments(scn: Scenario, patterns) -> list[MomentResult]:
-    """``exact_moment`` for each of several patterns, from one chain.
+@np.errstate(all="ignore")
+def position_moments(scn: Scenario) -> list[MomentResult]:
+    """``exact_moment`` of the all-position pattern, then of the pattern
+    reading x on slot j alone, j = 1 ... n: O(n d^3) time, O(n d^2) bytes.
 
-    The patterns' tables ride one stack beside the identity chain, so the
-    cost is one chain of width len(patterns) + 1, not one per pattern, and
-    ``exact_footprint`` bytes. Each value's imaginary residue is judged at
-    that pattern's own scale.
+    A forward pass carries the [x, i] stack as ``_chain`` does, keeping
+    rho_j, the identity row's state just before step j's table. A backward
+    pass carries the effect in the Heisenberg picture, where the sandwich
+    with the Hermitian identity table F turns into the one with conj(F)
+    and the inverse basis turn, giving E_j, the effect just after step j.
+    Slot j reads Tr(E_j (F^x_j o rho_j)). Each row's imaginary residue is
+    judged at its own scale: the x peaks' product, or slot j's x peak
+    alone, as identity tables peak at 1.
     """
-    return _exact_moments(scn, list(patterns))
-
-
-def exact_footprint(scn: Scenario, patterns: int) -> int:
-    """Bytes ``exact_moments`` needs for ``patterns`` patterns, at most.
-
-    Per step and table row (the patterns and the identity row): the d x d
-    complex table and the pattern's reference to its kind, rounded up to
-    16 bytes. Per table row: the chain's work arrays, counted as eight
-    d x d complex matrices. A few kilobytes of fixed cost are not counted.
-    For n steps and n + 1 patterns, as ``sample`` asks, this grows as n^2.
-    """
+    kinds = (PointerOperatorKind.POSITION, PointerOperatorKind.IDENTITY)
     n, d = scn.n_steps, scn.dim
-    return (patterns + 1) * (n * (16 * d * d + 16) + 128 * d * d)
+    tables = np.empty((n, 2, d, d), dtype=complex)
+    turns = np.empty((n, d, d), dtype=complex)
+    before = np.empty((n, d, d), dtype=complex)
+    state, basis = np.stack([scn.initial.matrix] * 2), None
+    for j, step in enumerate(scn.steps):
+        tables[j] = _step_tables(step, kinds)
+        vectors = step.observable.decomposition.eigenvectors
+        turns[j] = turn = vectors.conj().T if basis is None else vectors.conj().T @ basis
+        state = turn @ state @ turn.conj().T
+        before[j] = state[1]
+        state = tables[j] * state
+        basis = vectors
+    if scn.post is None:
+        effect = np.eye(d, dtype=complex)
+        traces = np.trace(state, axis1=1, axis2=2)
+    else:
+        effect = basis.conj().T @ scn.post.matrix @ basis
+        traces = (effect.T * state).sum(axis=(1, 2))
+    slots = np.empty(n, dtype=complex)
+    for j in reversed(range(n)):
+        x, identity = tables[j]
+        slots[j] = (effect.T * x * before[j]).sum()
+        effect = turns[j].conj().T @ (effect * identity.conj()) @ turns[j]
+    if not (np.isfinite(traces).all() and np.isfinite(slots).all()):
+        raise NumericError("moment chain is not finite; a pointer width is too extreme for floating point")
+    probability = float(traces[1].real)
+    _check_probability(probability)
+    peaks = np.abs(tables[:, 0]).max(axis=(1, 2))
+    return [_result(value, peak, probability) for value, peak in zip([traces[0], *slots], [math.prod(peaks), *peaks])]
 
 
 @np.errstate(all="ignore")
@@ -427,9 +437,9 @@ def sample_outcomes(
     deterministic in ``seed``.
 
     ``probability`` is the scenario's Tr(eta) when the caller already
-    holds it, as the rows of ``exact_moments`` do; by default the identity
-    chain is run here. Either way a probability at or below the threshold
-    raises ZeroPostSelectionProbability before any shot is drawn.
+    holds it, as the rows of ``position_moments`` do; by default the
+    identity chain is run here. Either way a probability at or below the
+    threshold raises ZeroPostSelectionProbability before any shot is drawn.
     """
     if shots < 1:
         raise InputError(f"shots must be at least 1, got {shots}")

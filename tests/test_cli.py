@@ -361,13 +361,15 @@ class TestSampleCommand:
         assert first == second
 
     def test_one_identity_chain_per_request(self, capsys, monkeypatch):
-        # Tr(eta) rides the exact moments' chain; the sampler is handed it.
-        chains = []
-        original = simulator._chain
-        monkeypatch.setattr(simulator, "_chain", lambda *args: chains.append(args) or original(*args))
+        # Tr(eta) comes out of the exact column's pass; the sampler is handed
+        # it and runs no identity chain of its own.
+        chains, passes = [], []
+        original_chain, original_pass = simulator._chain, cli.position_moments
+        monkeypatch.setattr(simulator, "_chain", lambda *args: chains.append(args) or original_chain(*args))
+        monkeypatch.setattr(cli, "position_moments", lambda *args: passes.append(args) or original_pass(*args))
         code, _ = run_cli(capsys, "sample", "chain-n", "--n", "4", "--shots", "500", "--seed", "2")
         assert code == 0
-        assert len(chains) == 1
+        assert (len(chains), len(passes)) == (0, 1)
 
     def test_shots_over_memory_limit_exit_code(self, capsys):
         code, out = run_cli(capsys, "sample", "illustrative", "--shots", str(10**12), "--seed", "1")
@@ -375,24 +377,19 @@ class TestSampleCommand:
         assert out == ""
 
     @pytest.mark.parametrize("from_file", [False, True])
-    def test_exact_moments_over_memory_limit_exit_code(self, capsys, monkeypatch, write_scenario, from_file):
-        # The limit is lowered to just under this chain's exact-moment tables,
-        # so the check is exercised without building a long chain.
-        scn = wl.build_projector_chain(6, 1.0)
-        monkeypatch.setattr(cli, "SAMPLE_MEMORY_LIMIT", simulator.exact_footprint(scn, 7) - 1)
-
+    @pytest.mark.parametrize("counts", [("--shots", "0"), ("--shots", "-4"), ("--seed", "-1")])
+    def test_bad_counts_exit_before_engine_work(self, capsys, monkeypatch, write_scenario, from_file, counts):
         def untouched(*args, **kwargs):
-            raise AssertionError("sample started work before checking the exact moments' memory bound")
+            raise AssertionError("sample started engine work before checking --shots and --seed")
 
+        monkeypatch.setattr(cli, "position_moments", untouched)
         monkeypatch.setattr(cli, "sample_outcomes", untouched)
-        monkeypatch.setattr(cli, "exact_moments", untouched)
-        source = [str(write_scenario(scn))] if from_file else ["chain-n", "--n", "6"]
-        code = main(["sample", *source, "--shots", "10"])
+        source = [str(write_scenario(wl.build_projector_chain(6, 1.0)))] if from_file else ["chain-n", "--n", "6"]
+        code = main(["sample", *source, "--shots", "10", *counts])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("input error: the exact moments of 6 steps need about ")
-        assert captured.err.endswith(" GiB limit\n")
+        assert captured.err.startswith(f"input error: {counts[0]} must be at least ")
 
 
 class TestCountArguments:

@@ -289,63 +289,93 @@ class TestExactEngine:
             wl.exact_moment(scn, wl.MomentPattern.from_string("XXX"))
         assert tampered
 
-    def test_batched_rows_match_single_moments(self):
-        # One chain carries every pattern; each row must be the value the
-        # one-pattern engine gives, to the last bit.
-        rng = np.random.default_rng(23)
-        kinds = list(PointerOperatorKind)
+    @staticmethod
+    def single_slot_oracle(scn):
+        """The all-position moment, then each single-slot position moment,
+        from one exact_moment call per pattern."""
+        n = scn.n_steps
+        patterns = [wl.MomentPattern.all_position(n)]
+        patterns += [wl.MomentPattern(X if k == j else I for k in range(n)) for j in range(n)]
+        return [wl.exact_moment(scn, pattern) for pattern in patterns]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_position_moments_match_single_moments(self, d):
+        # The forward-backward pass against one exact_moment per slot: the
+        # product and Tr(eta) ride the same [x, i] chain, so they match to
+        # the last bit; the slots are a different contraction order.
+        rng = np.random.default_rng(23 + d)
         checked = 0
-        for trial in range(24):
-            d = int(rng.integers(2, 5))
-            n = int(rng.integers(1, 6))
-            scn = random_scenario(rng, d, n, with_post=trial % 2 == 1)
-            patterns = [wl.MomentPattern(rng.choice(kinds, size=n)) for _ in range(int(rng.integers(1, 7)))]
+        for trial in range(48):
+            n = int(rng.integers(1, 9))
+            scn = random_scenario(rng, d, n, with_post=trial % 2 == 1, sigma_range=(0.3, 300.0))
+            if trial % 4 < 2:
+                scn = dataclasses.replace(scn, initial=wl.random_ket(rng, d).to_density())
             try:
-                batched = wl.exact_moments(scn, patterns)
+                expected = self.single_slot_oracle(scn)
             except ZeroPostSelectionProbability:
                 continue
             checked += 1
-            assert len(batched) == len(patterns)
-            for pattern, got in zip(patterns, batched):
-                assert got == wl.exact_moment(scn, pattern), (trial, str(pattern))
-        assert checked >= 20
+            got = wl.position_moments(scn)
+            assert len(got) == n + 1
+            assert got[0] == expected[0], trial
+            for slot, (have, want) in enumerate(zip(got, expected)):
+                assert have.postselection_probability == want.postselection_probability, (trial, slot)
+                assert have.value == pytest.approx(want.value, rel=0, abs=1e-12), (trial, slot)
+        assert checked >= 40
+
+    def test_position_moments_match_on_a_long_chain(self):
+        scn = wl.build_projector_chain(300, 0.7)
+        got = wl.position_moments(scn)
+        expected = self.single_slot_oracle(scn)
+        assert got[0] == expected[0]
+        for have, want in zip(got, expected):
+            assert have.postselection_probability == want.postselection_probability
+            assert have.value == pytest.approx(want.value, rel=0, abs=1e-12)
 
     def test_batched_residue_check_is_per_row(self, monkeypatch):
-        # The XXX row's scale is about sigma^6 = 1e12; a residue planted in
-        # the xxx row's table must trip that row's check at its own scale.
+        # A zero observable on step 3 zeroes the product row, so only slot
+        # 2's row carries the residue planted in step 2's x table, and it
+        # must trip at that row's own scale, step 2's x peak / Tr(eta).
         rng = np.random.default_rng(21)
         scn = random_scenario(rng, 3, 3, with_post=False, sigma_range=(100.0, 100.0))
+        steps = list(scn.steps)
+        steps[2] = dataclasses.replace(steps[2], observable=wl.Observable(np.zeros((3, 3))))
+        scn = dataclasses.replace(scn, steps=steps)
+        clean = wl.position_moments(scn)
+        assert clean[0].value == 0.0
+        eigenvalues = steps[1].observable.decomposition.eigenvalues
+        peak = np.abs(matrix_element(steps[1].pointer, X, eigenvalues[np.newaxis, :], eigenvalues[:, np.newaxis])).max()
         original = simulator.matrix_element
-        tampered = []
+        positions = []
 
         def leaky(ptr, kind, left, right):
             table = original(ptr, kind, left, right)
-            if kind is PointerOperatorKind.POSITION and not tampered:
-                tampered.append(kind)
-                return table + 1e-6j * np.abs(table).max()
+            if kind is PointerOperatorKind.POSITION:
+                positions.append(kind)
+                if len(positions) == 2:
+                    return table + 1e-6j * np.abs(table).max()
             return table
 
-        patterns = [wl.MomentPattern.from_string(text) for text in ("XXX", "xxx", "iii")]
-        wl.exact_moments(scn, patterns)
         monkeypatch.setattr(simulator, "matrix_element", leaky)
-        with pytest.raises(NumericError):
-            wl.exact_moments(scn, patterns)
-        assert tampered
+        with pytest.raises(NumericError, match="at scale") as caught:
+            wl.position_moments(scn)
+        scale = float(str(caught.value).rsplit(" ", 1)[-1])
+        assert scale == pytest.approx(max(1.0, peak / clean[0].postselection_probability), rel=1e-3)
 
-    @pytest.mark.parametrize("d,n", [(2, 300), (3, 120), (4, 60), (8, 20)])
-    def test_peak_memory_within_footprint(self, d, n):
-        # The n + 1 patterns the sample command asks for: the product and
-        # one single-slot position moment per step.
-        scn = random_scenario(np.random.default_rng(d * 10 + n), d, n, with_post=False, sigma_range=(5.0, 5.0))
-        wl.exact_moments(scn, [wl.MomentPattern.all_position(n)])  # first-call set-up stays out
-        tracemalloc.start()
-        try:
-            singles = [wl.MomentPattern(X if k == j else I for k in range(n)) for j in range(n)]
-            wl.exact_moments(scn, [wl.MomentPattern.all_position(n), *singles])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= simulator.exact_footprint(scn, n + 1)
+    def test_position_moments_memory_is_linear_in_steps(self):
+        # The pass keeps a few d x d arrays per step and nothing that grows
+        # as n^2: at d = 2, 5 x the steps may cost at most 6 x the peak.
+        peaks = {}
+        for n in (800, 4000):
+            scn = random_scenario(np.random.default_rng(n), 2, n, with_post=False, sigma_range=(5.0, 5.0))
+            wl.position_moments(scn)  # the scenario's cached eigenbases stay out
+            tracemalloc.start()
+            try:
+                wl.position_moments(scn)
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] <= 6 * peaks[800]
 
     def test_orthogonal_postselection_raises(self):
         scn = wl.Scenario(
