@@ -1,12 +1,13 @@
 """Searching for pointer products below -1/8 (and not finding them).
 
-Multi-start Nelder-Mead over n projector axes, minimizing the weak-limit
-mean product of all pointer positions; for each set of projectors the
-best initial state is the eigenvector of the least eigenvalue of the
-all-position operator, so that eigenvalue is the objective. For
-n = 2 the floor -1/8 is provably tight; for longer sequences the search
-keeps landing on exactly the same floor, which is the evidence behind
-conjecturing it holds for every n.
+Multi-start see-saw sweeps over the initial state and n projector kets,
+minimizing the weak-limit mean product of all pointer positions. The
+objective is linear in each projector and in the state's density matrix,
+so each update sets one ket to the least eigenvector of its block
+operator, and no update raises the value; an evaluation is one such
+eigenpair. For n = 2 the floor -1/8 is provably tight; for longer
+sequences the search keeps landing on exactly the same floor, which is
+the evidence behind conjecturing it holds for every n.
 
 Run:  python demos/conjecture_search.py        (a few seconds)
 """

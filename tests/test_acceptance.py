@@ -300,7 +300,10 @@ def test_criterion_10_sampler_consistency():
 def test_criterion_11_conjecture_evidence_beyond_qubits_and_five_steps():
     started = time.perf_counter()
     results = {}
-    for n, d, restarts in ((2, 3, 64), (3, 3, 64), (2, 4, 32), (6, 2, 32), (8, 2, 16), (10, 2, 16), (4, 3, 32), (2, 5, 32)):
+    for n, d, restarts in (
+        (2, 3, 64), (3, 3, 64), (2, 4, 32), (6, 2, 32), (8, 2, 16), (10, 2, 16), (4, 3, 32), (2, 5, 32),
+        (20, 2, 16), (8, 6, 16),
+    ):
         outcome = wl.minimize_pointer_product(n=n, d=d, restarts=restarts, seed=7, budget=20_000)
         results[n, d] = outcome.best_value
         if outcome.best_value < -0.125 - 1e-9:

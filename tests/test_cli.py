@@ -333,6 +333,22 @@ class TestOptimizeCommand:
         best = min(float(row["converged_value"]) for row in csv_rows(out))
         assert best == pytest.approx(-0.125, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "objective,best,floor", [("pointer-product", -0.125, -0.125), ("weak-value", -0.25, -1.0)]
+    )
+    def test_summary_compares_with_the_objectives_floor(self, capsys, objective, best, floor):
+        # At n = 3 the weak value reaches -cos^4(pi/4) = -1/4: below the
+        # pointer product's -1/8, and above its own floor -1.
+        code, out = run_cli(
+            capsys, "--format", "json", "optimize", "--objective", objective, "--n", "3", "--restarts", "8",
+            "--seed", "1",
+        )
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["best_value"] == pytest.approx(best, abs=1e-9)
+        assert summary["floor"] == floor
+        assert summary["below_floor"] is False
+
     def test_restarts_over_memory_limit_exit_code(self, capsys, monkeypatch):
         def untouched(*args):
             raise AssertionError("search spawned seeds before checking its memory bound")

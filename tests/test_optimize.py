@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weaklab as wl
 from weaklab import optimize
@@ -12,29 +14,23 @@ from weaklab.errors import InputError
 from weaklab.optimize import SearchSpacePoint, decode_state
 
 
-# One-point references for the batched objectives: each decodes one flat
-# projector-only point, builds its operator H alone, and takes the least
+# One-point references for the objectives: each takes the (n, d) projector
+# kets of one point, builds its operator H alone, and takes the least
 # eigenvalue, the least <psi|H|psi> over initial states. The finite-width
 # operator is read off Scenario moments at d^2 pure states.
-def decode_raw(flat, n, d):
-    width = 2 * (d - 1)
-    return [decode_state(flat[width * j : width * (j + 1)]) for j in range(n)]
-
-
-def pointer_product_operator(flat, n, d):
+def pointer_product_operator(kets):
     """Weak-limit all-position operator 2^(1-n) {A_1,{...,A_n}...}."""
-    kets = decode_raw(flat, n, d)
     nested = np.outer(kets[-1], kets[-1].conj())
     for ket in kets[-2::-1]:
         projected = np.outer(ket, ket.conj() @ nested)
         nested = projected + projected.conj().T
-    return 2.0 ** (1 - n) * nested
+    return 2.0 ** (1 - len(kets)) * nested
 
 
-def weak_value_operator(flat, n, d):
+def weak_value_operator(kets):
     """Hermitian part of A_n ... A_1 for rank-1 projectors."""
-    chain = np.eye(d)
-    for ket in decode_raw(flat, n, d):
+    chain = np.eye(kets.shape[1])
+    for ket in kets:
         chain = np.outer(ket, ket.conj()) @ chain
     return 0.5 * (chain + chain.conj().T)
 
@@ -52,30 +48,57 @@ def operator_from_moments(moment, d):
     return operator
 
 
-def finite_sigma_operator(flat, n, d, sigma):
-    steps = [
-        wl.MeasurementStep(wl.projector_from_ket(wl.PureState(ket)), wl.GaussianPointer(sigma))
-        for ket in decode_raw(flat, n, d)
-    ]
-    pattern = wl.MomentPattern.all_position(n)
+def finite_sigma_operator(kets, sigma):
+    steps = [wl.MeasurementStep(wl.projector_from_ket(wl.PureState(ket)), wl.GaussianPointer(sigma)) for ket in kets]
+    pattern = wl.MomentPattern.all_position(len(kets))
     moment = lambda psi: wl.exact_moment(wl.Scenario(wl.PureState(psi).to_density(), steps), pattern).value
-    return operator_from_moments(moment, d)
+    return operator_from_moments(moment, kets.shape[1])
 
 
 def least_eigenvalue(operator):
     return float(np.linalg.eigvalsh(operator)[0])
 
 
-def pointer_product_reference(flat, n, d):
-    return least_eigenvalue(pointer_product_operator(flat, n, d))
+def pointer_product_reference(kets):
+    return least_eigenvalue(pointer_product_operator(kets))
 
 
-def weak_value_real_reference(flat, n, d):
-    return least_eigenvalue(weak_value_operator(flat, n, d))
+def weak_value_real_reference(kets):
+    return least_eigenvalue(weak_value_operator(kets))
 
 
-def finite_sigma_reference(flat, n, d, sigma):
-    return least_eigenvalue(finite_sigma_operator(flat, n, d, sigma))
+def finite_sigma_reference(kets, sigma):
+    return least_eigenvalue(finite_sigma_operator(kets, sigma))
+
+
+def expectation(operator, state):
+    return float((state.conj() @ operator @ state).real)
+
+
+def random_kets(rng, *shape):
+    """Unit kets of the given leading shape and dimension from seeded uniform angles."""
+    *leading, d = shape
+    return decode_state(rng.uniform(0.0, 2.0 * math.pi, size=(*leading, 2 * (d - 1))))
+
+
+SEARCHES = {
+    "product": wl.minimize_pointer_product,
+    "weak-value": wl.minimize_weak_value_real,
+    "finite-sigma": lambda **kw: wl.minimize_pointer_product(sigma=0.8, **kw),
+}
+
+OPERATORS = {
+    "product": pointer_product_operator,
+    "weak-value": weak_value_operator,
+    "finite-sigma": lambda kets: finite_sigma_operator(kets, 0.8),
+}
+
+SWEEPS = {"product": optimize._pointer_sweep, "weak-value": optimize._weak_value_sweep}
+
+
+def same_projectors(kets, others, atol):
+    outer = lambda k: k[..., :, np.newaxis] * k.conj()[..., np.newaxis, :]
+    return np.abs(outer(np.asarray(kets)) - outer(np.asarray(others))).max() <= atol
 
 
 class TestStateCoding:
@@ -96,70 +119,115 @@ class TestStateCoding:
         for index in np.ndindex(3, 4):
             assert np.allclose(batched[index], decode_state(params[index]), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_encode_inverts_decode_up_to_phase(self, d):
+        rng = np.random.default_rng(39)
+        kets = rng.standard_normal((50, d)) + 1j * rng.standard_normal((50, d))
+        kets[10:20, 0] = 0.0  # no phase to remove
+        kets[20:30, -1] = 0.0
+        kets[30:40, 1:] = 0.0  # a basis ket
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        params = optimize._encode_state(kets)
+        assert params.shape == (50, 2 * (d - 1))
+        assert same_projectors(decode_state(params), kets, 1e-15)
+        assert np.abs(decode_state(params)[:, 0].imag).max() == 0.0
+
 
 class TestBatchedObjectives:
     def test_match_one_point_references(self):
         rng = np.random.default_rng(34)
         for d in (2, 3, 4):
             for n in (2, 3, 4, 5):
-                points = rng.uniform(0.0, 2.0 * math.pi, size=(6, 2 * (d - 1) * n))
+                kets = random_kets(rng, 6, n, d)
+                kets[4, -1] = kets[4, 0]  # k_n = k_1: the weak-value operator has rank 1
+                kets[5, 1] -= (kets[5, 0].conj() @ kets[5, 1]) * kets[5, 0]  # k_2 orthogonal to k_1: c = 0
+                kets[5, 1] /= np.linalg.norm(kets[5, 1])
                 # log-uniform widths put the overlap anywhere from about 0 to about 1
                 sigma = float(np.exp(rng.uniform(math.log(0.05), math.log(1e3))))
                 overlap = math.exp(-1.0 / (8.0 * sigma**2))
+                states = np.zeros((6, d), dtype=complex)
+                least = lambda c: np.linalg.eigvalsh(optimize._pointer_operators(kets, c))[:, 0]
                 pairs = (
-                    (optimize._pointer_products(points, n, d, 1.0), pointer_product_reference, ()),
-                    (optimize._weak_value_reals(points, n, d), weak_value_real_reference, ()),
-                    (optimize._pointer_products(points, n, d, overlap), finite_sigma_reference, (sigma,)),
+                    (least(1.0), pointer_product_reference, ()),
+                    (least(overlap), finite_sigma_reference, (sigma,)),
+                    # a sweep's first update is the state's: the least eigenvalue there
+                    (next(optimize._pointer_sweep(kets.copy(), states)), pointer_product_reference, ()),
+                    (next(optimize._weak_value_sweep(kets.copy(), states)), weak_value_real_reference, ()),
                 )
                 for got, reference, extra in pairs:
-                    want = [reference(flat, n, d, *extra) for flat in points]
+                    want = [reference(point, *extra) for point in kets]
                     assert np.abs(got - want).max() <= 1e-13
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_weak_value_closed_form_matches_eigvalsh(self, d):
-        # For d > 2 the rank-2 operator also has d - 2 zero eigenvalues.
-        rng = np.random.default_rng(35)
-        width = 2 * (d - 1)
-        for n in (2, 3, 4, 5):
-            points = rng.uniform(0.0, 2.0 * math.pi, size=(40, width * n))
-            points[20:30, -width:] = points[20:30, :width]  # k_n = k_1: rank 1
-            points[30:, width] = points[30:, 0] + math.pi / 2.0  # k_2 orthogonal to k_1: c = 0
-            points[30:, width + d - 1] = points[30:, d - 1]
-            if d > 2:
-                points[30:, 1 : d - 1] = 0.0
-                points[30:, width + 1 : width + d - 1] = 0.0
-            got = optimize._weak_value_reals(points, n, d)
-            want = [weak_value_real_reference(flat, n, d) for flat in points]
-            assert np.abs(got - want).max() <= 1e-15
-            assert np.abs(got[30:]).max() <= 1e-15
 
     @pytest.mark.parametrize("search", ["product", "weak-value", "finite-sigma"])
     def test_rayleigh_ritz_state(self, search):
         # A one-evaluation search returns its start: the objective there
         # is the least <psi|H|psi>, attained by the returned state.
-        minimize, operator = {
-            "product": (wl.minimize_pointer_product, pointer_product_operator),
-            "weak-value": (wl.minimize_weak_value_real, weak_value_operator),
-            "finite-sigma": (
-                lambda **kw: wl.minimize_pointer_product(sigma=0.8, **kw),
-                lambda flat, n, d: finite_sigma_operator(flat, n, d, 0.8),
-            ),
-        }[search]
         rng = np.random.default_rng(38)
         for n, d in ((2, 2), (3, 2), (2, 3), (4, 3), (3, 4)):
-            width = 2 * (d - 1)
-            flat = rng.uniform(0.0, 2.0 * math.pi, size=width * n)
-            start = SearchSpacePoint(np.eye(d, 1)[:, 0], tuple(flat.reshape(n, width)))
-            result = minimize(n=n, d=d, restarts=1, seed=0, budget=1, initial_point=start)
-            assert np.array_equal(np.concatenate(result.best_point.projector_params), flat)
+            kets = random_kets(rng, n, d)
+            start = SearchSpacePoint(np.eye(d, 1)[:, 0], kets)
+            result = SEARCHES[search](n=n, d=d, restarts=1, seed=0, budget=1, initial_point=start)
+            if search == "finite-sigma":
+                # Nelder-Mead starts from the kets' angles, equal up to a global phase
+                assert same_projectors(result.best_point.projector_kets, kets, 1e-15)
+            else:
+                assert np.array_equal(result.best_point.projector_kets, kets)
             state, _ = result.best_point.decode()
-            hamiltonian = operator(flat, n, d)
-            attained = (state.amplitudes.conj() @ hamiltonian @ state.amplitudes).real
-            assert abs(attained - result.best_value) <= 1e-12
+            hamiltonian = OPERATORS[search](result.best_point.projector_kets)
+            assert abs(expectation(hamiltonian, state.amplitudes) - result.best_value) <= 1e-12
             trials = rng.standard_normal((2000, d)) + 1j * rng.standard_normal((2000, d))
             trials /= np.linalg.norm(trials, axis=1, keepdims=True)
             values = np.einsum("bi,ij,bj->b", trials.conj(), hamiltonian, trials).real
             assert values.min() >= result.best_value - 1e-15
+
+
+class TestSeeSaw:
+    @given(
+        objective=st.sampled_from(sorted(SWEEPS)),
+        n=st.integers(2, 6),
+        d=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_no_block_update_raises_the_value(self, objective, n, d, seed):
+        # Every value a sweep yields is the objective at the updated point,
+        # and none is above the value before its update.
+        rng = np.random.default_rng(seed)
+        operator = {"product": pointer_product_operator, "weak-value": weak_value_operator}[objective]
+        kets = random_kets(rng, 3, n, d)
+        states = random_kets(rng, 3, d)
+        previous = [expectation(operator(k), s) for k, s in zip(kets, states)]
+        for _ in range(3):
+            for value in SWEEPS[objective](kets, states):
+                attained = [expectation(operator(k), s) for k, s in zip(kets, states)]
+                assert np.abs(value - attained).max() <= 1e-12
+                assert (value <= np.array(previous) + 1e-14).all()
+                previous = value
+
+    @pytest.mark.parametrize("objective", sorted(SWEEPS))
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (5, 2), (2, 3), (4, 3), (3, 4)])
+    def test_best_value_is_the_oracle_at_the_returned_point(self, objective, n, d):
+        # Budgets that end on a state update, and one that lets every
+        # restart converge: the returned state is then the least
+        # eigenvector at the returned kets.
+        oracle = {"product": pointer_product_reference, "weak-value": weak_value_real_reference}[objective]
+        operator = OPERATORS[objective]
+        for budget in (1, 1 + (n + 1), 1 + 7 * (n + 1), 20_000):
+            result = SEARCHES[objective](n=n, d=d, restarts=3, seed=41, budget=budget)
+            kets = result.best_point.projector_kets
+            assert abs(oracle(kets) - result.best_value) <= 1e-12
+            assert abs(expectation(operator(kets), result.best_point.state) - result.best_value) <= 1e-12
+
+    @pytest.mark.parametrize("objective", sorted(SWEEPS))
+    def test_one_evaluation_returns_the_seeded_start(self, objective):
+        n, d, restarts = 3, 3, 5
+        result = SEARCHES[objective](n=n, d=d, restarts=restarts, seed=42, budget=1)
+        starts = decode_state(optimize._start_angles(n, d, restarts, 42, 1, simplex=False))
+        best = min(range(restarts), key=lambda index: result.trace[index][1])
+        assert np.array_equal(result.best_point.projector_kets, starts[best])
+        assert result.evaluations == restarts
+        oracle = {"product": pointer_product_reference, "weak-value": weak_value_real_reference}[objective]
+        assert np.abs(np.array(result.trace)[:, 1] - [oracle(k) for k in starts]).max() <= 1e-13
 
 
 class TestLockstepNelderMead:
@@ -183,7 +251,7 @@ class TestLockstepNelderMead:
         minimize = pytest.importorskip("scipy.optimize").minimize
         starts = np.random.default_rng(37).uniform(0.0, 2.0 * math.pi, size=(4, 8))
         starts[1, 3] = 0.0  # a phase at 0: its simplex step is 0.00025
-        objective = lambda flat: pointer_product_reference(flat, 4, 2)
+        objective = lambda flat: pointer_product_reference(decode_state(flat.reshape(4, 2)))
         values, points, evaluations = optimize._nelder_mead(
             lambda batch: np.array([objective(flat) for flat in batch]), starts, budget
         )
@@ -204,9 +272,10 @@ class TestLockstepNelderMead:
         many = minimize(n=3, d=2, restarts=7, seed=12, budget=600)
         assert few.trace == many.trace[:4]
 
+    @pytest.mark.parametrize("search", ["product", "weak-value", "finite-sigma"])
     @pytest.mark.parametrize("budget", [1, 5, 8, 9, 10, 300])
-    def test_evaluations_within_budget(self, budget):
-        result = wl.minimize_pointer_product(n=3, d=2, restarts=5, seed=13, budget=budget)
+    def test_evaluations_within_budget(self, search, budget):
+        result = SEARCHES[search](n=3, d=2, restarts=5, seed=13, budget=budget)
         assert result.evaluations <= 5 * budget
         if budget == 1:
             assert result.evaluations == 5
@@ -214,9 +283,10 @@ class TestLockstepNelderMead:
 
 def illustrative_point():
     """|0>, then the kets (1/2, sqrt(3)/2) and (1/2, -sqrt(3)/2)."""
+    root = math.sqrt(3.0) / 2.0
     return SearchSpacePoint(
         state=np.array([1.0, 0.0], dtype=complex),
-        projector_params=(np.array([math.pi / 3.0, 0.0]), np.array([math.pi / 3.0, math.pi])),
+        projector_kets=np.array([[0.5, root], [0.5, -root]], dtype=complex),
     )
 
 
@@ -252,7 +322,7 @@ class TestPointerProductSearch:
         assert first.evaluations == second.evaluations
         assert first.trace == second.trace
         assert np.array_equal(first.best_point.state, second.best_point.state)
-        assert np.array_equal(first.best_point.projector_params, second.best_point.projector_params)
+        assert np.array_equal(first.best_point.projector_kets, second.best_point.projector_kets)
 
     def test_finite_sigma_objective(self):
         result = wl.minimize_pointer_product(
@@ -285,26 +355,41 @@ class TestPointerProductSearch:
         with pytest.raises(InputError, match="need a budget of at least one evaluation"):
             wl.minimize_pointer_product(n=2, d=2, restarts=1, seed=0, budget=0)
 
+    @pytest.mark.parametrize("search", ["product", "weak-value", "finite-sigma"])
+    def test_initial_point_checks(self, search):
+        good = illustrative_point().projector_kets
+        with pytest.raises(InputError, match=r"shape \(3, 2\), need \(2, 2\)"):
+            SEARCHES[search](n=2, d=2, restarts=1, seed=0, budget=5, initial_point=SearchSpacePoint(None, np.eye(3, 2)))
+        with pytest.raises(InputError, match="state norm"):
+            SEARCHES[search](n=2, d=2, restarts=1, seed=0, budget=5, initial_point=SearchSpacePoint(None, 2 * good))
+
     def test_negative_seed(self):
         with pytest.raises(InputError, match="need a seed of at least 0"):
             wl.minimize_pointer_product(n=2, d=2, restarts=2, seed=-1, budget=10)
 
     @pytest.mark.parametrize("search", ["product", "weak-value", "finite-sigma"])
-    @pytest.mark.parametrize("n,d,restarts", [(2, 2, 400), (5, 2, 100), (2, 5, 60), (3, 8, 10)])
+    @pytest.mark.parametrize(
+        "n,d,restarts", [(2, 2, 400), (5, 2, 100), (2, 5, 60), (3, 8, 10), (2, 2, 1), (20, 2, 16), (8, 6, 16)]
+    )
     def test_peak_memory_within_footprint(self, search, n, d, restarts):
-        minimize = {
-            "product": wl.minimize_pointer_product,
-            "weak-value": wl.minimize_weak_value_real,
-            "finite-sigma": lambda **kw: wl.minimize_pointer_product(sigma=1.0, **kw),
-        }[search]
-        budget = 4 * 2 * (d - 1) * n  # the first evaluation and some shrinks
+        minimize = SEARCHES[search]
+        # Nelder-Mead: the first evaluation and some shrinks; see-saw: several sweeps
+        budget = 4 * 2 * (d - 1) * n
+        # numpy imports parts of itself on first use; that is not the search's memory
+        minimize(n=n, d=d, restarts=1, seed=0, budget=budget)
         tracemalloc.start()
         try:
             minimize(n=n, d=d, restarts=restarts, seed=0, budget=budget)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= optimize._search_footprint(n, d, restarts)
+        assert peak <= optimize._search_footprint(n, d, restarts, simplex=search == "finite-sigma")
+
+    def test_see_saw_footprint_is_linear(self):
+        # grows as n d^2 restarts, where the simplices grow as (n d)^2 restarts
+        base = optimize._search_footprint(8, 6, 100, simplex=False)
+        assert optimize._search_footprint(80, 6, 100, simplex=False) < 10 * base
+        assert optimize._search_footprint(8, 6, 1000, simplex=False) < 10 * base
 
     def test_restarts_over_memory_limit_raise_before_work(self, monkeypatch):
         class Untouched:
