@@ -26,7 +26,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
@@ -71,8 +70,9 @@ SWEEP_MAX_POINTS = 1_000_000
 # Longest chain-n chain. Building it and running scenario, simulate or a
 # two-point sweep on it peak at 1.15-1.5 kB per step (tracemalloc, n = 2,000
 # to 60,000), so a million steps stay under the 2 GiB that sample and
-# optimize allow. sample --shots 1 peaks at about 2.0 kB per step, most of it
-# the report's n + 1 rows; its exact column takes O(n d^2) bytes.
+# optimize allow. sample --shots 1 peaks at about 1.6 kB per step (n = 2,000
+# and 20,000): the scenario, the exact column and the report's n + 1 row
+# dicts, which the CSV report streams without copying.
 CHAIN_MAX_STEPS = 1_000_000
 
 # Trials that bounds draws and then evaluates together in its projector-pair
@@ -131,34 +131,38 @@ def _fmt(value):
     return str(value)
 
 
+def _formatted(row: dict) -> dict:
+    return {key: _fmt(value) for key, value in row.items()}
+
+
 def _emit(args, command: str, config: dict, results: list[dict], summary: dict | None = None) -> None:
-    config = {key: _fmt(value) for key, value in config.items()}
-    summary = {key: _fmt(value) for key, value in (summary or {}).items()}
-    results = [{key: _fmt(value) for key, value in row.items()} for row in results]
+    """Writes the report to stdout. A CSV report streams: each row is
+    formatted as it is written, so it holds no copy of the rows."""
+    summary = summary or {}
     versions = {"weaklab": __version__, "numpy": np.__version__}
     if args.format == "json":
         document = {
             "command": command,
-            "config": config,
-            "summary": summary,
-            "results": results,
+            "config": _formatted(config),
+            "summary": _formatted(summary),
+            "results": [_formatted(row) for row in results],
             "versions": versions,
         }
         sys.stdout.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
         return
-    out = io.StringIO()
+    out = sys.stdout
     out.write(f"# command: {command}\n")
     for key in sorted(config):
-        out.write(f"# config {key} = {config[key]}\n")
+        out.write(f"# config {key} = {_fmt(config[key])}\n")
     for key in sorted(summary):
-        out.write(f"# summary {key} = {summary[key]}\n")
+        out.write(f"# summary {key} = {_fmt(summary[key])}\n")
     for key in sorted(versions):
         out.write(f"# version {key} = {versions[key]}\n")
     if results:
         writer = csv.DictWriter(out, fieldnames=list(results[0].keys()), lineterminator="\n")
         writer.writeheader()
-        writer.writerows(results)
-    sys.stdout.write(out.getvalue())
+        for row in results:
+            writer.writerow(_formatted(row))
 
 
 def _command_echo(args) -> str:

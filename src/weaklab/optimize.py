@@ -12,34 +12,34 @@ projectors A_j = |k_j><k_j|. Two objectives are offered:
 In the weak limit both objectives are multilinear in (psi, A_1, ..., A_n):
 with every other factor fixed, each reads <v|M|v> for the ket v of one
 factor and a Hermitian block operator M, so its exact minimizer over unit
-kets is the eigenvector of lambda_min(M). Those searches are see-saw
-sweeps of such block updates (Werner & Wolf, PRA 64, 032112 (2001); Pal &
-Vertesi, PRA 82, 022116 (2010)): psi from the whole operator first, then
-k_1, ..., k_n in turn, so no update can raise the value. One evaluation is
-one block eigenpair, and a sweep costs n + 1 of them. A restart stops
-when its budget of evaluations is used up, even part way through a sweep,
-or when a full sweep lowers its value by at most ``VALUE_SPREAD_TOL``; a
-one-evaluation search returns its start with psi set to the least
-eigenvector there.
+kets is the eigenvector of lambda_min(M). The searches are see-saw sweeps
+of block updates (Werner & Wolf, PRA 64, 032112 (2001); Pal & Vertesi,
+PRA 82, 022116 (2010)): psi from the whole operator first, then k_1, ...,
+k_n in turn.
 
-At a finite width the pointer product is quadratic in each A_j, and its
-search is Nelder-Mead over hyperspherical angles and phases of the
-projector kets (2(d-1) reals per ket, norm 1 by construction, no
-constraints for the local method to fight). The initial state is not
-searched: for fixed projectors the objective is <psi|H|psi>, so each
-evaluation is lambda_min(H), and the returned state is its eigenvector
-(variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
-(1973)).
+At a finite width the pointer product is quadratic in each A_j, so the
+block of each k_j but the last is a quartic in the ket. Its update moves
+k_j along one great circle, toward the least eigenvector of the block's
+linearization at k_j, to the least value on that circle, and keeps k_j
+where the circle offers nothing lower; psi and k_n keep their exact
+eigenvector updates. So at any width no update can raise the value.
 
-Every search starts from seeded uniform angles, decoded to kets for the
-see-saw. All restarts move in lockstep, one batched numpy call per step
-for all of them. Each restart's seed derives from the master seed, and no
-restart's path depends on the others, so results are reproducible and do
-not change with the number of restarts beside it.
+One evaluation is one block update, with one batched eigh, and a sweep
+costs n + 1 of them. A restart stops when its budget of evaluations is
+used up, even part way through a sweep, or when a full sweep lowers its
+value by at most ``VALUE_SPREAD_TOL``; a one-evaluation search returns its
+start with psi set to the least eigenvector there.
+
+Every search starts from seeded uniform angles, decoded to kets. All
+restarts move in lockstep, one batched numpy call per step for all of
+them. Each restart's seed derives from the master seed, and no restart's
+path depends on the others, so results are reproducible and do not change
+with the number of restarts beside it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +49,6 @@ from . import qm
 from .errors import InputError
 from .pointer import GaussianPointer, PointerOperatorKind, matrix_element
 
-SIMPLEX_DIAMETER_TOL = 1e-10
 VALUE_SPREAD_TOL = 1e-14
 
 # Largest working set a search may allocate, in bytes.
@@ -68,19 +67,6 @@ def decode_state(params: np.ndarray) -> np.ndarray:
     amplitudes[..., 1:] = np.cumprod(unit[..., : d - 1].imag, axis=-1) * unit[..., d - 1 :]
     amplitudes[..., 1:-1] *= unit[..., 1 : d - 1].real
     return amplitudes
-
-
-def _encode_state(kets: np.ndarray) -> np.ndarray:
-    """Unit kets -> angles and phases that ``decode_state`` maps back to
-    them up to a global phase, over the last axis: (..., d) -> (..., 2(d-1)).
-    Amplitude m is cos t_m times the norm of amplitudes m..d-1, so
-    t_m = atan2(norm of amplitudes m+1..d-1, |amplitude m|)."""
-    kets = np.asarray(kets, dtype=complex)
-    magnitudes = np.abs(kets)
-    tails = np.sqrt(np.cumsum(magnitudes[..., ::-1] ** 2, axis=-1))[..., ::-1]
-    angles = np.arctan2(tails[..., 1:], magnitudes[..., :-1])
-    phases = np.angle(kets[..., 1:]) - np.angle(kets[..., :1])
-    return np.concatenate([angles, phases], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -108,41 +94,33 @@ class OptimizationResult:
     trace: tuple[tuple[int, float], ...]
 
 
-def _anticommutator(kets: np.ndarray, operators: np.ndarray) -> np.ndarray:
-    """{A, Y} = |k> (<k|Y) + h.c. for A = |k><k|, over (B, d) kets and
-    (B, d, d) Hermitian operators Y."""
-    product = kets[:, :, np.newaxis] * (kets.conj()[:, np.newaxis, :] @ operators)
-    return product + product.conj().swapaxes(1, 2)
+def _step(kets: np.ndarray, operators: np.ndarray, overlap: float) -> np.ndarray:
+    """One exact position step, without its factor 1/2, on (B, d, d)
+    Hermitian operators Y at the projectors A = |k><k| of the (B, d) kets:
+    Y -> c {A, Y} + 2 (1 - c) <k|Y|k> A at the Gaussian ``overlap`` c of the
+    eigenvalues 0 and 1 (AYA = <k|Y|k> A). At c = 1 it is {A, Y}. The map is
+    its own adjoint, Tr(X step(Y)) = Tr(step(X) Y), so the same rule carries
+    the effect backward and the state forward."""
+    column, row = kets[:, :, np.newaxis], kets.conj()[:, np.newaxis, :]
+    projected = row @ operators
+    product = column * projected
+    following = product + product.conj().swapaxes(1, 2)
+    if overlap < 1.0:
+        following = overlap * following + 2 * (1 - overlap) * (projected @ column) * (column * row)
+    return following
 
 
 def _environments(kets: np.ndarray, overlap: float):
-    """Yields Y_n, ..., Y_1 for the (B, n, d) projector kets: the (B, d, d)
-    operators of the Heisenberg picture from Y_n = A_n, with 2^(1-n) Y_1
-    the all-position moment's operator. For a rank-1 projector the exact
-    position step is Y -> (c/2)(AY + YA) + (1 - c) AYA at the Gaussian
-    ``overlap`` c of its eigenvalues 0 and 1, where AYA = <k|Y|k> A; each
-    Y_j omits its step's factor 1/2. At c = 1, Y_j is the nested
-    anti-commutator {A_j,{...,A_n}...}."""
+    """Yields the right environments N_n, ..., N_1 of the (B, n, d)
+    projector kets: N_n = A_n and N_j = step_j(N_(j+1)) (``_step``), so
+    2^(1-n) Tr(rho N_1) is the all-position moment. At c = 1, N_j is the
+    nested anti-commutator {A_j,{...,A_n}...}."""
     kets = kets.swapaxes(0, 1)
     nested = kets[-1][:, :, np.newaxis] * kets[-1].conj()[:, np.newaxis, :]
     yield nested
     for ket in kets[-2::-1]:
-        column, row = ket[:, :, np.newaxis], ket.conj()[:, np.newaxis, :]
-        projected = row @ nested
-        product = column * projected
-        following = product + product.conj().swapaxes(1, 2)
-        if overlap < 1.0:
-            following = overlap * following + 2 * (1 - overlap) * (projected @ column) * (column * row)
-        nested = following
+        nested = _step(ket, nested, overlap)
         yield nested
-
-
-def _pointer_operators(kets: np.ndarray, overlap: float) -> np.ndarray:
-    """The (B, d, d) operators 2^(1-n) Y_1 whose expectation in the
-    initial state is the all-position moment (``_environments``)."""
-    for nested in _environments(kets, overlap):
-        pass
-    return 2.0 ** (1 - kets.shape[1]) * nested
 
 
 def _least_eigenpairs(operators: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -153,22 +131,107 @@ def _least_eigenpairs(operators: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return values[:, 0]
 
 
-def _pointer_sweep(kets: np.ndarray, states: np.ndarray):
-    """One see-saw sweep of the weak-limit pointer product over (B, n, d)
-    projector kets and (B, d) states, updated in place; yields the values
-    after each update. The moment is 2^(1-n) Tr(rho N_1) with the right
-    environments N_j = Y_j of ``_environments``. With R_1 = rho and
-    R_(j+1) = {A_j, R_j}, it equals 2^(1-n) Tr(R_j {A_j, N_(j+1)}), so
-    the block of k_j is M_j = 2^(1-n) {N_(j+1), R_j}, and M_n = 2^(1-n) R_n.
+# Along a great circle each block expectation is q0 + q1 cos s + q2 sin s
+# in s = 2t, so f(s) is a trigonometric polynomial of degree 2, kept as
+# coefficients of the harmonics cos(m s - phase): (1, cos s, cos 2s, sin s,
+# sin 2s). _PRODUCT maps the nine products N_i L_j of the q's of N and L
+# to them; its first three rows, N_0 L_j, also map the q's of P.
+_ORDERS = np.array([0.0, 1.0, 2.0, 1.0, 2.0])
+_PHASES = np.array([0.0, 0.0, 0.0, 0.5, 0.5]) * math.pi
+_PRODUCT = np.array(
+    [
+        [1.0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0],
+        [0, 1, 0, 0, 0], [0.5, 0, 0.5, 0, 0], [0, 0, 0, 0, 0.5],
+        [0, 0, 0, 1, 0], [0, 0, 0, 0, 0.5], [0.5, 0, -0.5, 0, 0],
+    ]
+)
+# The Gram entries (<k|X|k>, <k|X|w>, <w|X|k>, <w|X|w>) -> (q0, q1, q2).
+_GRAM_TO_CIRCLE = np.array([[0.5, 0.5, 0], [0, 0, 0.5], [0, 0, 0.5], [0.5, -0.5, 0]])
+# The grid of s on which f is first minimized: its harmonics and their
+# first and second derivatives in s, (3, 64, 5).
+_CIRCLE = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+_CIRCLE_ROWS = np.array(
+    [
+        np.cos(_CIRCLE[:, np.newaxis] * _ORDERS - _PHASES),
+        -_ORDERS * np.sin(_CIRCLE[:, np.newaxis] * _ORDERS - _PHASES),
+        -(_ORDERS**2) * np.cos(_CIRCLE[:, np.newaxis] * _ORDERS - _PHASES),
+    ]
+)
+_TINY = np.finfo(float).tiny
+
+
+def _circle_update(blocks: np.ndarray, kets: np.ndarray, overlap: float) -> np.ndarray:
+    """Lowers f(k) = c <k|P|k> + 2 (1 - c) <k|N|k> <k|L|k> at the overlap
+    c < 1 for the (B, 3, d, d) ``blocks`` (P, N, L) over the (B, d) kets,
+    updated in place; returns the values f after the update.
+
+    f is quartic in k, so no eigenvector minimizes it. Its linearization
+    G = c P + 2 (1 - c)(<L> N + <N> L) at k has f's gradient there, and its
+    least eigenvector v names a direction: w, the part of v orthogonal to
+    k, phased so that the great circle k(t) = cos t k + sin t w passes
+    through v. Along that circle f is a trigonometric polynomial of degree
+    2 in s = 2t. Its least value on a 64-point grid of s, or one Newton step
+    from there where that is lower, replaces k only where it is below f(k):
+    no update raises f."""
+    count, d = kets.shape
+    quartic = 2 * (1 - overlap)
+    here = (kets.conj()[:, np.newaxis, np.newaxis, :] @ blocks @ kets[:, np.newaxis, :, np.newaxis]).real[..., 0, 0]
+    values = overlap * here[:, 0] + quartic * here[:, 1] * here[:, 2]
+    weights = quartic * here[:, np.newaxis, [0, 2, 1]]
+    weights[..., 0] = overlap
+    linearized = (weights @ blocks.reshape(count, 3, d * d)).reshape(count, d, d)
+    direction = np.linalg.eigh(linearized)[1][:, :, :1]
+    frame = np.empty((count, d, 2), dtype=complex)
+    frame[:, :, 0] = kets
+    bras = frame[:, :, :1].conj().swapaxes(1, 2)
+    across = direction - frame[:, :, :1] * (bras @ direction)
+    # a second projection keeps w orthogonal to k when v is close to k
+    across -= frame[:, :, :1] * (bras @ across)
+    length = np.sqrt((across.real**2 + across.imag**2).sum(axis=1, keepdims=True))
+    frame[:, :, 1:] = across * np.exp(-1j * np.angle(bras @ direction)) / np.maximum(length, _TINY)
+    gram = frame.conj().swapaxes(1, 2)[:, np.newaxis] @ blocks @ frame[:, np.newaxis]
+    terms = gram.real.reshape(count, 3, 4) @ _GRAM_TO_CIRCLE
+    products = (terms[:, 1, :, np.newaxis] * terms[:, 2, np.newaxis, :]).reshape(count, 9)
+    coefficients = overlap * (terms[:, 0] @ _PRODUCT[:3]) + quartic * (products @ _PRODUCT)
+    least = (coefficients @ _CIRCLE_ROWS[0].T).argmin(axis=1)
+    level, slope, bend = (_CIRCLE_ROWS[:, least] * coefficients).sum(axis=2)
+    angles = _CIRCLE[least]
+    stepped = angles - slope / np.where(bend > 0, bend, np.inf)
+    stepped_level = (np.cos(stepped[:, np.newaxis] * _ORDERS - _PHASES) * coefficients).sum(axis=1)
+    newton = stepped_level < level
+    angles[newton], level[newton] = stepped[newton], stepped_level[newton]
+    moved = (level < values) & (length[:, 0, 0] >= _TINY)
+    half = 0.5 * angles[moved, np.newaxis]
+    turned = np.cos(half) * kets[moved] + np.sin(half) * frame[moved, :, 1]
+    kets[moved] = turned / np.sqrt((turned.real**2 + turned.imag**2).sum(axis=1, keepdims=True))
+    values[moved] = level[moved]
+    return values
+
+
+def _pointer_sweep(kets: np.ndarray, states: np.ndarray, overlap: float = 1.0):
+    """One see-saw sweep of the pointer product at the Gaussian ``overlap``
+    (1 in the weak limit) over (B, n, d) projector kets and (B, d) states,
+    updated in place; yields the values after each update. The moment is
+    2^(1-n) Tr(rho N_1) with the right environments N_j of
+    ``_environments``. With the left environments L_1 = rho and
+    L_(j+1) = step_j(L_j), it equals 2^(1-n) Tr(L_j step_j(N_(j+1))), so
+    k_j minimizes 2^(1-n) f_j(k) with f_j(k) = c <k|{N_(j+1), L_j}|k>
+    + 2 (1 - c) <k|N_(j+1)|k> <k|L_j|k>, and k_n has the block 2^(1-n) L_n.
+    At c = 1, f_j is the block M_j = {N_(j+1), L_j} and its update is the
+    least eigenvector; below 1 it is quartic (``_circle_update``).
     N_(j+1) holds only kets that the sweep has not yet updated."""
     scale = 2.0 ** (1 - kets.shape[1])
-    right = list(_environments(kets, 1.0))[::-1]
+    right = list(_environments(kets, overlap))[::-1]
     yield _least_eigenpairs(scale * right[0], states)
     left = states[:, :, np.newaxis] * states.conj()[:, np.newaxis, :]
     for j, following in enumerate(right[1:]):
         joint = following @ left
-        yield _least_eigenpairs(scale * (joint + joint.conj().swapaxes(1, 2)), kets[:, j])
-        left = _anticommutator(kets[:, j], left)
+        paired = joint + joint.conj().swapaxes(1, 2)
+        if overlap < 1.0:
+            yield scale * _circle_update(np.stack([paired, following, left], axis=1), kets[:, j], overlap)
+        else:
+            yield _least_eigenpairs(scale * paired, kets[:, j])
+        left = _step(kets[:, j], left, overlap)
     yield _least_eigenpairs(scale * left, kets[:, -1])
 
 
@@ -224,112 +287,24 @@ def _see_saw(sweep, kets: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarr
             return values, states, evaluations
 
 
-def _nelder_mead(objective, starts: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nelder-Mead from every row of ``starts`` at once.
-
-    Each restart follows Nelder & Mead, Comput. J. 7, 308 (1965), with
-    the ordering and tie rules of Lagarias, Reeds, Wright & Wright, SIAM
-    J. Optim. 9, 112 (1998): coefficients 1, 2, 1/2 and 1/2; an initial
-    simplex that steps each coordinate by 5 % (to 0.00025 where it is 0);
-    at most ``budget`` evaluations, even part way through a shrink; and a
-    stop once every vertex is within ``SIMPLEX_DIAMETER_TOL`` and every
-    value within ``VALUE_SPREAD_TOL`` of the best. Simplices are sorted
-    stably, so ties keep their order.
-
-    ``objective`` maps (B, dim) points to B values. Each iteration makes
-    one batched call for the reflections, one for the expansions and
-    contractions the restarts need, and one for the points of those that
-    shrink. Restarts that stop leave the batch, and no restart's path
-    depends on the others. Returns the best values, the best points and
-    the evaluations of each restart.
-    """
-    count, dim = starts.shape
-    sim = np.repeat(starts[:, np.newaxis], dim + 1, axis=1)
-    steps = np.arange(dim)
-    sim[:, steps + 1, steps] = np.where(starts != 0, 1.05 * starts, 0.00025)
-    first = min(dim + 1, budget)
-    fsim = np.full((count, dim + 1), np.inf)
-    fsim[:, :first] = objective(sim[:, :first].reshape(-1, dim)).reshape(count, first)
-    nfev = np.full(count, first)
-    best_values, best_points, evaluations = np.empty(count), np.empty((count, dim)), np.empty(count, dtype=int)
-    live = np.arange(count)
-    rows = live[:, np.newaxis]
-    while True:
-        order = fsim.argsort(axis=1, kind="stable")
-        fsim, sim = fsim[rows, order], sim[rows, order]
-        done = nfev >= budget
-        flat = fsim[:, -1] - fsim[:, 0] <= VALUE_SPREAD_TOL
-        if flat.any():
-            done |= flat & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= SIMPLEX_DIAMETER_TOL)
-        if done.any():
-            ids = live[done]
-            best_values[ids], best_points[ids], evaluations[ids] = fsim[done, 0], sim[done, 0], nfev[done]
-            live, sim, fsim, nfev = live[~done], sim[~done], fsim[~done], nfev[~done]
-            if not live.size:
-                return best_values, best_points, evaluations
-            rows = rows[: live.size]
-
-        centroid, worst = sim[:, :-1].sum(axis=1) / dim, sim[:, -1]
-        reflected = 2.0 * centroid - worst
-        freflected = objective(reflected)
-        nfev += 1
-        expand = freflected < fsim[:, 0]
-        keep = ~expand & (freflected < fsim[:, -2])
-        # The restarts that need a second point and still have budget for
-        # it; a restart whose budget ran out first changes nothing.
-        probe = (~keep & (nfev < budget)).nonzero()[0]
-        shrink = probe[:0]
-        if probe.size:
-            grow, fr, fworst = expand[probe], freflected[probe], fsim[probe, -1]
-            outside = fr < fworst
-            # expansion 3c - 2w, outside contraction 1.5c - 0.5w, inside 0.5c + 0.5w
-            coefficient = np.where(grow, 2.0, np.where(outside, 0.5, -0.5))[:, np.newaxis]
-            trial = (1.0 + coefficient) * centroid[probe] - coefficient * worst[probe]
-            ftrial = objective(trial)
-            nfev[probe] += 1
-            better = np.where(grow, ftrial < fr, np.where(outside, ftrial <= fr, ftrial < fworst))
-            sim[probe[better], -1], fsim[probe[better], -1] = trial[better], ftrial[better]
-            keep[probe[grow & ~better]] = True
-            shrink = probe[~grow & ~better]
-        sim[keep, -1], fsim[keep, -1] = reflected[keep], freflected[keep]
-
-        if shrink.size:
-            # Vertex j of a shrinking restart moves halfway to its best
-            # vertex if the restart has an evaluation left for it.
-            room = np.arange(1, dim + 1) <= (budget - nfev[shrink])[:, np.newaxis]
-            at, vertices = room.nonzero()
-            at, vertices = shrink[at], vertices + 1
-            moved = sim[at, 0] + 0.5 * (sim[at, vertices] - sim[at, 0])
-            sim[at, vertices], fsim[at, vertices] = moved, objective(moved)
-            nfev[shrink] += room.sum(axis=1)
-
-
-def _search_footprint(n: int, d: int, restarts: int, simplex: bool) -> int:
+def _search_footprint(n: int, d: int, restarts: int) -> int:
     """Bytes a search holds at its peak, at most: 1024 16-byte units for
     the Python objects of the search itself, and units per restart.
 
-    A see-saw search (``simplex`` false) holds each restart's kets and
-    their working copies (six per ket entry: the start angles and their
-    decoding, the batch copy, the weak value's suffixes), its n right
-    environments, a dozen d x d operators of one block update (the
-    products, the block, and the copies and eigenvectors of eigh), and 64
-    units for the restart's seed and generator.
-
-    Nelder-Mead (``simplex`` true) holds every simplex, plus one objective
-    call over all their vertices at once, as the first evaluation and a
-    shrink of every restart make. Per vertex: two per angle (the simplex,
-    its sorted copy, the angles' phase factors), three per entry of the n
-    projector kets (the kets, their conjugates, the decoding work) and six
-    d x d operators (the recursion's and the copy eigvalsh factors)."""
-    if simplex:
-        dim = 2 * (d - 1) * n
-        per_restart = (dim + 1) * (2 * dim + 3 * n * d + 6 * d * d)
-    else:
-        per_restart = n * d * d + 6 * n * d + 12 * d * d + 64
+    Each restart holds its kets and their working copies (six per ket
+    entry: the start angles and their decoding, the batch copy, the weak
+    value's suffixes), its n right environments, and 16 d x d operators of
+    one block update. The finite-width block is the largest: its (3, d, d)
+    stack and the three operators it is stacked from, the linearization and
+    its temporaries, the copies and eigenvectors of eigh, and the next left
+    environment with its temporaries. Add 64 units for the restart's seed
+    and generator, and 64 for the block's products with k and w and its
+    values on the circle grid."""
+    per_restart = n * d * d + 6 * n * d + 16 * d * d + 128
     return (restarts * per_restart + 1024) * 16
 
 
-def _start_angles(n: int, d: int, restarts: int, seed: int, budget: int, simplex: bool) -> np.ndarray:
+def _start_angles(n: int, d: int, restarts: int, seed: int, budget: int) -> np.ndarray:
     """Checks a search's arguments and memory bound, then draws each
     restart's uniform start angles from its own seed: (restarts, n, 2(d-1))."""
     if n < 2 or d < 2:
@@ -340,7 +315,7 @@ def _start_angles(n: int, d: int, restarts: int, seed: int, budget: int, simplex
         raise InputError(f"need a budget of at least one evaluation, got {budget}")
     if seed < 0:
         raise InputError(f"need a seed of at least 0, got {seed}")
-    footprint = _search_footprint(n, d, restarts, simplex)
+    footprint = _search_footprint(n, d, restarts)
     if footprint > SEARCH_MEMORY_LIMIT:
         raise InputError(
             f"{restarts} restarts at n={n}, d={d} need about {footprint / 1024**3:.1f} GiB, "
@@ -371,7 +346,7 @@ def _result(values: np.ndarray, evaluations: np.ndarray, best_point) -> Optimiza
 def _see_saw_search(
     sweep, n: int, d: int, restarts: int, seed: int, budget: int, initial_point: SearchSpacePoint | None
 ) -> OptimizationResult:
-    kets = decode_state(_start_angles(n, d, restarts, seed, budget, simplex=False))
+    kets = decode_state(_start_angles(n, d, restarts, seed, budget))
     if initial_point is not None:
         kets[0] = _initial_kets(initial_point, n, d)
     values, states, evaluations = _see_saw(sweep, kets, budget)
@@ -393,27 +368,23 @@ def minimize_pointer_product(
     initial states, by see-saw sweeps.
 
     ``sigma`` switches to the exact moment at that pointer width, the
-    same recursion at the overlap exp(-1/(8 sigma^2)) < 1, for landscape
-    exploration by Nelder-Mead over the projector angles, with the initial
-    state taken exactly, as a least eigenvector; the default (None) is the
-    weak-limit objective the -1/8 conjecture is about.
+    same recursion at the overlap c = exp(-1/(8 sigma^2)) < 1, for
+    landscape exploration; the default (None) is the weak-limit objective
+    the -1/8 conjecture is about. The finite-width sweep keeps the exact
+    least-eigenvector updates of psi and k_n, but each other k_j meets a
+    quartic block, which it lowers along one great circle
+    (``_circle_update``). An evaluation is still one block update with one
+    batched eigh, and as every update keeps a ket whose circle offers no
+    lower value, no update raises the value.
     """
     if sigma is None:
-        return _see_saw_search(_pointer_sweep, n, d, restarts, seed, budget, initial_point)
-    # A subnormal sigma^2 overflows the exponent to -inf: overlap 0.
-    with np.errstate(over="ignore"):
-        overlap = matrix_element(GaussianPointer(sigma), PointerOperatorKind.IDENTITY, 0.0, 1.0).real
-    width = 2 * (d - 1)
-    starts = _start_angles(n, d, restarts, seed, budget, simplex=True)
-    if initial_point is not None:
-        starts[0] = _encode_state(_initial_kets(initial_point, n, d))
-    kets_at = lambda points: decode_state(points.reshape(-1, n, width))
-    objective = lambda points: np.linalg.eigvalsh(_pointer_operators(kets_at(points), overlap))[:, 0]
-    values, points, evaluations = _nelder_mead(objective, starts.reshape(restarts, -1), budget)
-    best = int(np.argmin(values))
-    kets = kets_at(points[best])[0]
-    _, vectors = np.linalg.eigh(_pointer_operators(kets[np.newaxis], overlap))
-    return _result(values, evaluations, SearchSpacePoint(vectors[0, :, 0], kets))
+        sweep = _pointer_sweep
+    else:
+        # A subnormal sigma^2 overflows the exponent to -inf: overlap 0.
+        with np.errstate(over="ignore"):
+            overlap = matrix_element(GaussianPointer(sigma), PointerOperatorKind.IDENTITY, 0.0, 1.0).real
+        sweep = functools.partial(_pointer_sweep, overlap=overlap)
+    return _see_saw_search(sweep, n, d, restarts, seed, budget, initial_point)
 
 
 def minimize_weak_value_real(

@@ -387,6 +387,20 @@ class TestSampleCommand:
         assert code == 0
         assert (len(chains), len(passes)) == (0, 1)
 
+    def test_report_memory_per_step(self):
+        # The CSV report streams its rows, so a long chain's sample peaks at
+        # about 1.6 kB per step (2.0 kB when the report was built in memory).
+        n = 2000
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            main(["sample", "chain-n", "--n", "50", "--shots", "1"])  # load everything a first call loads
+            tracemalloc.start()
+            try:
+                assert main(["sample", "chain-n", "--n", str(n), "--shots", "1"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1700 * n, peak / n
+
     def test_shots_over_memory_limit_exit_code(self, capsys):
         code, out = run_cli(capsys, "sample", "illustrative", "--shots", str(10**12), "--seed", "1")
         assert code == 2

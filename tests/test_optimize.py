@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weaklab as wl
@@ -93,12 +93,17 @@ OPERATORS = {
     "finite-sigma": lambda kets: finite_sigma_operator(kets, 0.8),
 }
 
-SWEEPS = {"product": optimize._pointer_sweep, "weak-value": optimize._weak_value_sweep}
+SWEEPS = {
+    "product": optimize._pointer_sweep,
+    "weak-value": optimize._weak_value_sweep,
+    "finite-sigma": optimize._pointer_sweep,
+}
 
-
-def same_projectors(kets, others, atol):
-    outer = lambda k: k[..., :, np.newaxis] * k.conj()[..., np.newaxis, :]
-    return np.abs(outer(np.asarray(kets)) - outer(np.asarray(others))).max() <= atol
+ORACLES = {
+    "product": pointer_product_reference,
+    "weak-value": weak_value_real_reference,
+    "finite-sigma": lambda kets: finite_sigma_reference(kets, 0.8),
+}
 
 
 class TestStateCoding:
@@ -119,19 +124,6 @@ class TestStateCoding:
         for index in np.ndindex(3, 4):
             assert np.allclose(batched[index], decode_state(params[index]), rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_encode_inverts_decode_up_to_phase(self, d):
-        rng = np.random.default_rng(39)
-        kets = rng.standard_normal((50, d)) + 1j * rng.standard_normal((50, d))
-        kets[10:20, 0] = 0.0  # no phase to remove
-        kets[20:30, -1] = 0.0
-        kets[30:40, 1:] = 0.0  # a basis ket
-        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-        params = optimize._encode_state(kets)
-        assert params.shape == (50, 2 * (d - 1))
-        assert same_projectors(decode_state(params), kets, 1e-15)
-        assert np.abs(decode_state(params)[:, 0].imag).max() == 0.0
-
 
 class TestBatchedObjectives:
     def test_match_one_point_references(self):
@@ -146,12 +138,11 @@ class TestBatchedObjectives:
                 sigma = float(np.exp(rng.uniform(math.log(0.05), math.log(1e3))))
                 overlap = math.exp(-1.0 / (8.0 * sigma**2))
                 states = np.zeros((6, d), dtype=complex)
-                least = lambda c: np.linalg.eigvalsh(optimize._pointer_operators(kets, c))[:, 0]
+                # a sweep's first update is the state's: the least eigenvalue there
+                least = lambda c: next(optimize._pointer_sweep(kets.copy(), states, c))
                 pairs = (
                     (least(1.0), pointer_product_reference, ()),
                     (least(overlap), finite_sigma_reference, (sigma,)),
-                    # a sweep's first update is the state's: the least eigenvalue there
-                    (next(optimize._pointer_sweep(kets.copy(), states)), pointer_product_reference, ()),
                     (next(optimize._weak_value_sweep(kets.copy(), states)), weak_value_real_reference, ()),
                 )
                 for got, reference, extra in pairs:
@@ -167,11 +158,7 @@ class TestBatchedObjectives:
             kets = random_kets(rng, n, d)
             start = SearchSpacePoint(np.eye(d, 1)[:, 0], kets)
             result = SEARCHES[search](n=n, d=d, restarts=1, seed=0, budget=1, initial_point=start)
-            if search == "finite-sigma":
-                # Nelder-Mead starts from the kets' angles, equal up to a global phase
-                assert same_projectors(result.best_point.projector_kets, kets, 1e-15)
-            else:
-                assert np.array_equal(result.best_point.projector_kets, kets)
+            assert np.array_equal(result.best_point.projector_kets, kets)
             state, _ = result.best_point.decode()
             hamiltonian = OPERATORS[search](result.best_point.projector_kets)
             assert abs(expectation(hamiltonian, state.amplitudes) - result.best_value) <= 1e-12
@@ -187,18 +174,29 @@ class TestSeeSaw:
         n=st.integers(2, 6),
         d=st.integers(2, 4),
         seed=st.integers(0, 2**32 - 1),
+        # log-uniform widths put the overlap anywhere from 0 to 1; a
+        # subnormal sigma^2 overflows 1/(8 sigma^2), and the overlap is 0
+        sigma=st.floats(math.log(0.05), math.log(1e3)).map(math.exp) | st.just(1e-160),
     )
     @settings(max_examples=150, deadline=None)
-    def test_no_block_update_raises_the_value(self, objective, n, d, seed):
+    @example(objective="finite-sigma", n=3, d=2, seed=0, sigma=1e-160)
+    def test_no_block_update_raises_the_value(self, objective, n, d, seed, sigma):
         # Every value a sweep yields is the objective at the updated point,
         # and none is above the value before its update.
         rng = np.random.default_rng(seed)
-        operator = {"product": pointer_product_operator, "weak-value": weak_value_operator}[objective]
         kets = random_kets(rng, 3, n, d)
         states = random_kets(rng, 3, d)
+        if objective == "finite-sigma":
+            with np.errstate(over="ignore"):
+                overlap = float(np.exp(-1.0 / (8.0 * np.float64(sigma) ** 2)))
+            operator = lambda k: finite_sigma_operator(k, sigma)
+            sweep = lambda: optimize._pointer_sweep(kets, states, overlap)
+        else:
+            operator = {"product": pointer_product_operator, "weak-value": weak_value_operator}[objective]
+            sweep = lambda: SWEEPS[objective](kets, states)
         previous = [expectation(operator(k), s) for k, s in zip(kets, states)]
         for _ in range(3):
-            for value in SWEEPS[objective](kets, states):
+            for value in sweep():
                 attained = [expectation(operator(k), s) for k, s in zip(kets, states)]
                 assert np.abs(value - attained).max() <= 1e-12
                 assert (value <= np.array(previous) + 1e-14).all()
@@ -210,8 +208,7 @@ class TestSeeSaw:
         # Budgets that end on a state update, and one that lets every
         # restart converge: the returned state is then the least
         # eigenvector at the returned kets.
-        oracle = {"product": pointer_product_reference, "weak-value": weak_value_real_reference}[objective]
-        operator = OPERATORS[objective]
+        oracle, operator = ORACLES[objective], OPERATORS[objective]
         for budget in (1, 1 + (n + 1), 1 + 7 * (n + 1), 20_000):
             result = SEARCHES[objective](n=n, d=d, restarts=3, seed=41, budget=budget)
             kets = result.best_point.projector_kets
@@ -222,44 +219,12 @@ class TestSeeSaw:
     def test_one_evaluation_returns_the_seeded_start(self, objective):
         n, d, restarts = 3, 3, 5
         result = SEARCHES[objective](n=n, d=d, restarts=restarts, seed=42, budget=1)
-        starts = decode_state(optimize._start_angles(n, d, restarts, 42, 1, simplex=False))
+        starts = decode_state(optimize._start_angles(n, d, restarts, 42, 1))
         best = min(range(restarts), key=lambda index: result.trace[index][1])
         assert np.array_equal(result.best_point.projector_kets, starts[best])
         assert result.evaluations == restarts
-        oracle = {"product": pointer_product_reference, "weak-value": weak_value_real_reference}[objective]
+        oracle = ORACLES[objective]
         assert np.abs(np.array(result.trace)[:, 1] - [oracle(k) for k in starts]).max() <= 1e-13
-
-
-class TestLockstepNelderMead:
-    def test_convex_quadratic_reaches_minimum(self):
-        rng = np.random.default_rng(36)
-        centre = rng.uniform(-2.0, 2.0, size=6)
-        curvature = rng.uniform(0.5, 4.0, size=6)
-        starts = rng.uniform(-3.0, 3.0, size=(5, 6))
-        starts[1, 2] = 0.0
-        objective = lambda points: (curvature * (points - centre) ** 2).sum(axis=1)
-        values, points, evaluations = optimize._nelder_mead(objective, starts, budget=20_000)
-        assert np.abs(points - centre).max() <= optimize.SIMPLEX_DIAMETER_TOL
-        assert values.max() <= 1e-18
-        assert evaluations.max() < 20_000
-
-    @pytest.mark.parametrize("budget", [1, 7, 8, 9, 10, 40, 97])
-    def test_follows_scipy_rules(self, budget):
-        # Short runs of scipy's Nelder-Mead on the same one-point objective
-        # meet no value ties, so its unstable sort picks the same vertices
-        # and both must agree exactly, shrinks cut by the budget included.
-        minimize = pytest.importorskip("scipy.optimize").minimize
-        starts = np.random.default_rng(37).uniform(0.0, 2.0 * math.pi, size=(4, 8))
-        starts[1, 3] = 0.0  # a phase at 0: its simplex step is 0.00025
-        objective = lambda flat: pointer_product_reference(decode_state(flat.reshape(4, 2)))
-        values, points, evaluations = optimize._nelder_mead(
-            lambda batch: np.array([objective(flat) for flat in batch]), starts, budget
-        )
-        options = {"maxfev": budget, "xatol": optimize.SIMPLEX_DIAMETER_TOL, "fatol": optimize.VALUE_SPREAD_TOL}
-        for start, value, point, count in zip(starts, values, points, evaluations):
-            reference = minimize(objective, start, method="Nelder-Mead", options=options)
-            assert (value, count) == (reference.fun, reference.nfev)
-            assert np.array_equal(point, reference.x)
 
     @pytest.mark.parametrize("search", ["product", "weak-value", "finite-sigma"])
     def test_restart_ignores_its_neighbours(self, search):
@@ -332,6 +297,23 @@ class TestPointerProductSearch:
         # starting point is the illustrative closed form
         assert result.best_value <= (1.0 - 3.0 * math.exp(-0.125)) / 16.0 + 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
+    def test_finite_sigma_reaches_an_independent_oracle(self, d, sigma):
+        # The oracle: scipy's BFGS over the ket angles of the Scenario-built
+        # reference, from three seeded starts at a loose tolerance, then the
+        # best of them polished. (Nelder-Mead over the same angles read
+        # -0.012441752531, -0.103426568990 and -0.122419820788 at n = 2.)
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        n, rng = 2, np.random.default_rng(43)
+        objective = lambda angles: finite_sigma_reference(decode_state(angles.reshape(n, 2 * (d - 1))), sigma)
+        starts = rng.uniform(0.0, 2.0 * math.pi, size=(3, 2 * (d - 1) * n))
+        runs = [minimize(objective, start, method="BFGS", options={"gtol": 1e-3}) for start in starts]
+        rough = min(runs, key=lambda run: run.fun)
+        oracle = minimize(objective, rough.x, method="BFGS", options={"gtol": 1e-8}).fun
+        result = wl.minimize_pointer_product(n=n, d=d, restarts=4, seed=0, budget=20_000, sigma=sigma)
+        assert result.best_value <= oracle + 1e-10
+
     def test_narrow_width_prints_no_warning(self):
         # sigma^2 is subnormal, so 1/(8 sigma^2) overflows: the overlap is 0
         with warnings.catch_warnings():
@@ -373,8 +355,8 @@ class TestPointerProductSearch:
     )
     def test_peak_memory_within_footprint(self, search, n, d, restarts):
         minimize = SEARCHES[search]
-        # Nelder-Mead: the first evaluation and some shrinks; see-saw: several sweeps
-        budget = 4 * 2 * (d - 1) * n
+        # several full sweeps, through the finite-width circle updates too
+        budget = 4 * (n + 1)
         # numpy imports parts of itself on first use; that is not the search's memory
         minimize(n=n, d=d, restarts=1, seed=0, budget=budget)
         tracemalloc.start()
@@ -383,13 +365,13 @@ class TestPointerProductSearch:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= optimize._search_footprint(n, d, restarts, simplex=search == "finite-sigma")
+        assert peak <= optimize._search_footprint(n, d, restarts)
 
     def test_see_saw_footprint_is_linear(self):
-        # grows as n d^2 restarts, where the simplices grow as (n d)^2 restarts
-        base = optimize._search_footprint(8, 6, 100, simplex=False)
-        assert optimize._search_footprint(80, 6, 100, simplex=False) < 10 * base
-        assert optimize._search_footprint(8, 6, 1000, simplex=False) < 10 * base
+        # grows as n d^2 restarts
+        base = optimize._search_footprint(8, 6, 100)
+        assert optimize._search_footprint(80, 6, 100) < 10 * base
+        assert optimize._search_footprint(8, 6, 1000) < 10 * base
 
     def test_restarts_over_memory_limit_raise_before_work(self, monkeypatch):
         class Untouched:
