@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -304,6 +305,51 @@ class TestRepeatedCalls:
             assert main(list(argv)) == 0
             assert capsys.readouterr().out == fresh[argv], argv
         assert cli._build_parser.cache_info().misses == 1
+
+
+class TestReportDigests:
+    """Every report but optimize's is pinned byte for byte: the sha256 of
+    stdout without its ``# version`` lines or its JSON ``versions`` field.
+    The digests hold for the numpy named in those lines on x86-64; a
+    refactor that is meant to leave the numbers alone must keep them."""
+
+    DIGESTS = [
+        ("scenario illustrative", "2b6f55422e6df51559e5c33427e17e588859b938c0c08bc6dba984b3b63047ab"),
+        ("scenario pauli-xy", "9b8c61a9dcd8b4bd56a30d948ff9aae3551e9b82622c28a10dd0a267450a39e3"),
+        ("scenario chain-n", "023c7e1605f108b5a6e61132a793546981552e38a80b32f8fc07be6fd9274e07"),
+        ("scenario common-cause", "e1a017dc22c034d1bbbb52fbc94f96eefa6cf8c5d11692fb13e1e66bbb10f23e"),
+        ("--format json scenario chain-n --n 4", "b67e064bdd39afe6f5a534737eb385fd87b1adfebd49ae06a0fb8eb7d379bc35"),
+        ("simulate illustrative --pattern xX", "a9b8689ad51f0cd7e79a7cbb490b8ac275d4213d4b565e8017071558422ad1fc"),
+        ("simulate pauli-xy --pattern px --method weak", "408f10c714be9720ab2ee22516b7043b95ab53903d548bbdb06c28bfca37f5b5"),
+        (
+            "simulate chain-n --n 5 --pattern xpxix --method weak --sigma 0.4",
+            "2cc80a3afcbab061521394549db42f21516a6b122f55e35ad092b4b61275b318",
+        ),
+        (
+            "sweep illustrative --param sigma1 --from 0.5 --to 4 --steps 4 --pattern xx",
+            "3db2537bf091bcc772b6b2b73ca6c143d0b3c268e33135f383130e5577770892",
+        ),
+        (
+            "--format json sweep pauli-xy --param sigma2 --from 0.5 --to 3 --steps 3 --pattern xp",
+            "fb66f6eb9ee63aeceb6a00a27996a1225001dcceb4f763342a344716b7aeaaf3",
+        ),
+        ("bounds --trials 2100 --seed 3", "2f16d266698ee6d13c98a13b379168e05701784348a4223d2f8aad960b339541"),
+        ("sample illustrative --shots 2000 --seed 1", "c32ed3d2d5abedf19f6db5a07aa31cc70a2e0edf60282702104659205a73fc31"),
+        ("sample chain-n --n 300 --shots 200 --seed 2", "5eb5bef1e7a7a92ecc8789e79363326d559aa948c3fb7028b0da87a2ad1edfb0"),
+        ("sample common-cause --shots 2000 --seed 3", "2bbb3a2548b021bdb026cf0d2805139aad1d86e0ba2a63b91869e21d660201af"),
+    ]
+
+    @pytest.mark.parametrize("command,digest", DIGESTS)
+    def test_report_digest(self, capsys, command, digest):
+        code, out = run_cli(capsys, *command.split())
+        assert code == 0
+        if out.startswith("{"):
+            document = json.loads(out)
+            del document["versions"]
+            out = json.dumps(document, indent=2, sort_keys=True)
+        else:
+            out = "".join(line for line in out.splitlines(keepends=True) if not line.startswith("# version"))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOptimizeCommand:
