@@ -64,15 +64,15 @@ SCENARIO_NAMES = ("illustrative", "pauli-xy", "chain-n", "common-cause")
 
 # Most points one sweep may take. A point costs at most about 1.5 kB at the
 # report's peak (tracemalloc, JSON output), so the largest sweep stays under
-# the 2 GiB that sample and optimize allow.
+# errors.MEMORY_LIMIT, the 2 GiB that sample and optimize allow.
 SWEEP_MAX_POINTS = 1_000_000
 
 # Longest chain-n chain. Building it and running scenario, simulate or a
 # two-point sweep on it peak at 1.15-1.5 kB per step (tracemalloc, n = 2,000
-# to 60,000), so a million steps stay under the 2 GiB that sample and
-# optimize allow. sample --shots 1 peaks at about 1.6 kB per step (n = 2,000
-# and 20,000): the scenario, the exact column and the report's n + 1 row
-# dicts, which the CSV report streams without copying.
+# to 60,000), so a million steps stay under errors.MEMORY_LIMIT, the 2 GiB
+# that sample and optimize allow. sample --shots 1 peaks at about 1.6 kB per
+# step (n = 2,000 and 20,000): the scenario, the exact column and the
+# report's n + 1 row dicts, which the CSV report streams without copying.
 CHAIN_MAX_STEPS = 1_000_000
 
 # Trials that bounds draws and then evaluates together in its projector-pair

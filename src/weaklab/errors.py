@@ -3,6 +3,8 @@
 Two families matter to callers: ``InputError`` for malformed or
 inconsistent inputs (CLI exit code 2) and ``NumericError`` for
 computations that are undefined or failed at run time (exit code 1).
+``check_footprint`` holds the one memory limit that the sampler and the
+searches refuse work beyond.
 """
 
 
@@ -28,3 +30,16 @@ class ScenarioFileError(InputError):
 
 class ZeroPostSelectionProbability(NumericError):
     """Post-selection probability below threshold; weak value undefined."""
+
+
+# Largest working set a search or a sampling run may allocate, in bytes.
+MEMORY_LIMIT = 2 * 1024**3
+
+
+def check_footprint(footprint: int, what: str) -> None:
+    """Refuses work whose ``footprint`` in bytes passes ``MEMORY_LIMIT``;
+    ``what`` names it, as in "4 restarts at n=2, d=2"."""
+    if footprint > MEMORY_LIMIT:
+        raise InputError(
+            f"{what} need about {footprint / 1024**3:.1f} GiB, over the {MEMORY_LIMIT / 1024**3:.0f} GiB limit"
+        )

@@ -30,11 +30,11 @@ used up, even part way through a sweep, or when a full sweep lowers its
 value by at most ``VALUE_SPREAD_TOL``; a one-evaluation search returns its
 start with psi set to the least eigenvector there.
 
-Every search starts from seeded uniform angles, decoded to kets. All
-restarts move in lockstep, one batched numpy call per step for all of
-them. Each restart's seed derives from the master seed, and no restart's
-path depends on the others, so results are reproducible and do not change
-with the number of restarts beside it.
+Every search starts from seeded Haar-random kets. All restarts move in
+lockstep, one batched numpy call per step for all of them. Each restart's
+seed derives from the master seed, and no restart's path depends on the
+others, so results are reproducible and do not change with the number of
+restarts beside it.
 """
 
 from __future__ import annotations
@@ -46,27 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qm
-from .errors import InputError
+from .errors import InputError, check_footprint
 from .pointer import GaussianPointer, PointerOperatorKind, matrix_element
+from .scenarios import chain_ket
 
 VALUE_SPREAD_TOL = 1e-14
-
-# Largest working set a search may allocate, in bytes.
-SEARCH_MEMORY_LIMIT = 2 * 1024**3
-
-
-def decode_state(params: np.ndarray) -> np.ndarray:
-    """Hyperspherical angles + phases -> normalized complex amplitudes,
-    over the last axis: (..., 2(d-1)) -> (..., d)."""
-    params = np.asarray(params, dtype=float)
-    d = params.shape[-1] // 2 + 1
-    # cos + i sin of every angle, and the phase factor of every phase
-    unit = np.exp(1j * params)
-    amplitudes = np.empty(params.shape[:-1] + (d,), dtype=complex)
-    amplitudes[..., 0] = unit[..., 0].real
-    amplitudes[..., 1:] = np.cumprod(unit[..., : d - 1].imag, axis=-1) * unit[..., d - 1 :]
-    amplitudes[..., 1:-1] *= unit[..., 1 : d - 1].real
-    return amplitudes
 
 
 @dataclass(frozen=True)
@@ -292,21 +276,21 @@ def _search_footprint(n: int, d: int, restarts: int) -> int:
     the Python objects of the search itself, and units per restart.
 
     Each restart holds its kets and their working copies (six per ket
-    entry: the start angles and their decoding, the batch copy, the weak
-    value's suffixes), its n right environments, and 16 d x d operators of
-    one block update. The finite-width block is the largest: its (3, d, d)
-    stack and the three operators it is stacked from, the linearization and
-    its temporaries, the copies and eigenvectors of eigh, and the next left
-    environment with its temporaries. Add 64 units for the restart's seed
-    and generator, and 64 for the block's products with k and w and its
-    values on the circle grid."""
+    entry: the start normals, the kets built from them, the batch copy,
+    the weak value's suffixes), its n right environments, and 16 d x d
+    operators of one block update. The finite-width block is the largest:
+    its (3, d, d) stack and the three operators it is stacked from, the
+    linearization and its temporaries, the copies and eigenvectors of eigh,
+    and the next left environment with its temporaries. Add 64 units for
+    the restart's seed and generator, and 64 for the block's products with
+    k and w and its values on the circle grid."""
     per_restart = n * d * d + 6 * n * d + 16 * d * d + 128
     return (restarts * per_restart + 1024) * 16
 
 
-def _start_angles(n: int, d: int, restarts: int, seed: int, budget: int) -> np.ndarray:
+def _start_kets(n: int, d: int, restarts: int, seed: int, budget: int) -> np.ndarray:
     """Checks a search's arguments and memory bound, then draws each
-    restart's uniform start angles from its own seed: (restarts, n, 2(d-1))."""
+    restart's Haar-random start kets from its own seed: (restarts, n, d)."""
     if n < 2 or d < 2:
         raise InputError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
     if restarts < 1:
@@ -315,14 +299,9 @@ def _start_angles(n: int, d: int, restarts: int, seed: int, budget: int) -> np.n
         raise InputError(f"need a budget of at least one evaluation, got {budget}")
     if seed < 0:
         raise InputError(f"need a seed of at least 0, got {seed}")
-    footprint = _search_footprint(n, d, restarts)
-    if footprint > SEARCH_MEMORY_LIMIT:
-        raise InputError(
-            f"{restarts} restarts at n={n}, d={d} need about {footprint / 1024**3:.1f} GiB, "
-            f"over the {SEARCH_MEMORY_LIMIT / 1024**3:.0f} GiB limit"
-        )
+    check_footprint(_search_footprint(n, d, restarts), f"{restarts} restarts at n={n}, d={d}")
     seeds = np.random.SeedSequence(seed).spawn(restarts)
-    return np.array([np.random.default_rng(s).uniform(0.0, 2.0 * math.pi, size=(n, 2 * (d - 1))) for s in seeds])
+    return qm.kets_from_normals(np.array([np.random.default_rng(s).standard_normal((n, 2, d)) for s in seeds]))
 
 
 def _initial_kets(initial_point: SearchSpacePoint, n: int, d: int) -> np.ndarray:
@@ -334,24 +313,20 @@ def _initial_kets(initial_point: SearchSpacePoint, n: int, d: int) -> np.ndarray
     return kets
 
 
-def _result(values: np.ndarray, evaluations: np.ndarray, best_point) -> OptimizationResult:
-    return OptimizationResult(
-        best_value=float(values.min()),
-        best_point=best_point,
-        evaluations=int(evaluations.sum()),
-        trace=tuple(enumerate(values.tolist())),
-    )
-
-
 def _see_saw_search(
     sweep, n: int, d: int, restarts: int, seed: int, budget: int, initial_point: SearchSpacePoint | None
 ) -> OptimizationResult:
-    kets = decode_state(_start_angles(n, d, restarts, seed, budget))
+    kets = _start_kets(n, d, restarts, seed, budget)
     if initial_point is not None:
         kets[0] = _initial_kets(initial_point, n, d)
     values, states, evaluations = _see_saw(sweep, kets, budget)
     best = int(np.argmin(values))
-    return _result(values, evaluations, SearchSpacePoint(states[best], kets[best]))
+    return OptimizationResult(
+        best_value=float(values[best]),
+        best_point=SearchSpacePoint(states[best], kets[best]),
+        evaluations=int(evaluations.sum()),
+        trace=tuple(enumerate(values.tolist())),
+    )
 
 
 def minimize_pointer_product(
@@ -403,8 +378,7 @@ def minimize_weak_value_real(
 
 def chain_point(n: int) -> SearchSpacePoint:
     """The projector-chain configuration as a search-space point (d=2)."""
-    thetas = np.arange(1, n + 1) * math.pi / (n + 1)
     return SearchSpacePoint(
         state=np.array([1.0, 0.0], dtype=complex),
-        projector_kets=np.stack([np.cos(thetas), np.sin(thetas)], axis=1).astype(complex),
+        projector_kets=np.array([chain_ket(j, n).amplitudes for j in range(1, n + 1)]),
     )

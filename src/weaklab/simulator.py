@@ -47,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qm
-from .errors import DimensionMismatch, InputError, NumericError, ZeroPostSelectionProbability
+from .errors import DimensionMismatch, InputError, NumericError, check_footprint
 from .pointer import GaussianPointer, PointerOperatorKind, _factor, matrix_element, weak_regime_check
-from .weak_values import ZERO_PROBABILITY_TOL, seq_weak_value
+from .weak_values import check_probability, seq_weak_value
 
 MOMENT_IMAG_TOL = 1e-10
 
@@ -156,43 +156,31 @@ def _step_tables(step: MeasurementStep, kinds, exact: bool = True) -> np.ndarray
     return np.array([_factor(kind, s2, mean, gap) for kind in kinds])
 
 
-def _chain(initial, bases, tables, post=None) -> np.ndarray:
-    """Tr(E T_n(... T_1(rho))) for each chain of a stack, with
-    T_j(X) = sum_kl F[k, l] P_k X P_l, the P_k read off the columns of
-    the eigenbasis ``bases[j]`` and F the matching table of the (K, d, d)
-    stack ``tables[j]``. ``post`` is the effect E, or None for E = I.
-    Returns the K traces.
+def _chain(scn: Scenario, tables) -> tuple[np.ndarray, float]:
+    """Tr(E T_n(... T_1(rho))) on the scenario for each chain of a stack,
+    with T_j(X) = sum_kl F[k, l] P_k X P_l, the P_k the eigenprojectors of
+    step j's observable and F the matching table of the (K, d, d) stack
+    ``tables[j]``; E is the post-selection effect, or I. The last chain of
+    each stack must read the identity on every slot: its trace, Tr(eta),
+    is checked and returned apart, after the other K - 1 traces.
 
     This is the transfer-operator core of every analytic engine.
     """
-    state, basis = initial, None
-    for vectors, table in zip(bases, tables):
+    state, basis = scn.initial.matrix, None
+    for step, table in zip(scn.steps, tables):
+        vectors = step.observable.decomposition.eigenvectors
         turn = vectors.conj().T if basis is None else vectors.conj().T @ basis
         state = table * (turn @ state @ turn.conj().T)
         basis = vectors
-    if post is None:
+    if scn.post is None:
         traces = np.trace(state, axis1=1, axis2=2)
     else:
-        traces = ((basis.conj().T @ post @ basis).T * state).sum(axis=(1, 2))
+        traces = ((basis.conj().T @ scn.post.matrix @ basis).T * state).sum(axis=(1, 2))
     if not np.isfinite(traces).all():
         raise NumericError("moment chain is not finite; a pointer width is too extreme for floating point")
-    return traces
-
-
-def _scenario_chain(scn: Scenario, tables) -> tuple[np.ndarray, float]:
-    """``_chain`` on one scenario. The last chain of each stack must read
-    the identity on every slot; its trace, Tr(eta), is returned apart as
-    the post-selection probability."""
-    bases = [step.observable.decomposition.eigenvectors for step in scn.steps]
-    traces = _chain(scn.initial.matrix, bases, tables, None if scn.post is None else scn.post.matrix)
     probability = float(traces[-1].real)
-    _check_probability(probability)
+    check_probability(probability)
     return traces[:-1], probability
-
-
-def _check_probability(probability: float) -> None:
-    if probability <= ZERO_PROBABILITY_TOL:
-        raise ZeroPostSelectionProbability(f"post-selection probability {probability:.3e} below threshold")
 
 
 def _result(numerator, peak: float, probability: float) -> MomentResult:
@@ -219,7 +207,7 @@ def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     _check_pattern(scn, pat)
     identity = PointerOperatorKind.IDENTITY
     tables = [_step_tables(step, (kind, identity)) for step, kind in zip(scn.steps, pat.kinds)]
-    (numerator,), probability = _scenario_chain(scn, tables)
+    (numerator,), probability = _chain(scn, tables)
     return _result(numerator, math.prod(np.abs(table[0]).max() for table in tables), probability)
 
 
@@ -265,7 +253,7 @@ def position_moments(scn: Scenario) -> list[MomentResult]:
     if not (np.isfinite(traces).all() and np.isfinite(slots).all()):
         raise NumericError("moment chain is not finite; a pointer width is too extreme for floating point")
     probability = float(traces[1].real)
-    _check_probability(probability)
+    check_probability(probability)
     peaks = np.abs(tables[:, 0]).max(axis=(1, 2))
     return [_result(value, peak, probability) for value, peak in zip([traces[0], *slots], [math.prod(peaks), *peaks])]
 
@@ -288,8 +276,8 @@ def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
     tables = [
         _step_tables(step, (kind, PointerOperatorKind.IDENTITY), exact=False) for step, kind in zip(scn.steps, pat.kinds)
     ]
-    (numerator,), probability = _scenario_chain(scn, tables)
-    return MomentResult(numerator.real / probability, probability)
+    (numerator,), probability = _chain(scn, tables)
+    return _result(numerator, math.prod(np.abs(table[0]).max() for table in tables), probability)
 
 
 def steps_outside_weak_regime(scn: Scenario) -> tuple[int, ...]:
@@ -327,7 +315,7 @@ def recover_weak_value(scn: Scenario, source: EvaluationMethod = EvaluationMetho
     for step, gain in zip(scn.steps, gains):
         x, p, identity = _step_tables(step, kinds, exact=source is EvaluationMethod.EXACT)
         tables.append(np.array([x + gain * p, identity]))
-    (numerator,), probability = _scenario_chain(scn, tables)
+    (numerator,), probability = _chain(scn, tables)
     return complex(numerator) / probability
 
 
@@ -348,10 +336,6 @@ class SampleStatistics:
     postselection_probability: float
     acceptance_rate: float
     method: str
-
-
-# Largest working set sample_outcomes may allocate, in bytes.
-SAMPLE_MEMORY_LIMIT = 2 * 1024**3
 
 
 def sample_footprint(scn: Scenario, shots: int) -> int:
@@ -433,7 +417,7 @@ def sample_outcomes(
     imaginary parts, so each step is one (2d, 2d) @ (2d, shots) rotation
     and a few length-shots vector operations per eigenindex. Cost is
     O(shots n d^2) time; memory is ``sample_footprint``, checked against
-    ``SAMPLE_MEMORY_LIMIT`` before anything is allocated. The stream is
+    ``errors.MEMORY_LIMIT`` before anything is allocated. The stream is
     deterministic in ``seed``.
 
     ``probability`` is the scenario's Tr(eta) when the caller already
@@ -445,17 +429,12 @@ def sample_outcomes(
         raise InputError(f"shots must be at least 1, got {shots}")
     if seed < 0:
         raise InputError(f"seed must be at least 0, got {seed}")
-    footprint = sample_footprint(scn, shots)
-    if footprint > SAMPLE_MEMORY_LIMIT:
-        raise InputError(
-            f"{shots} shots need about {footprint / 1024**3:.1f} GiB, "
-            f"over the {SAMPLE_MEMORY_LIMIT / 1024**3:.0f} GiB limit"
-        )
+    check_footprint(sample_footprint(scn, shots), f"{shots} shots")
     if probability is None:
         identity = [_step_tables(step, (PointerOperatorKind.IDENTITY,)) for step in scn.steps]
-        _, probability = _scenario_chain(scn, identity)
+        _, probability = _chain(scn, identity)
     else:
-        _check_probability(probability)
+        check_probability(probability)
 
     rng = np.random.default_rng(seed)
     weights, basis = np.linalg.eigh(scn.initial.matrix)

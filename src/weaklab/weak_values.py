@@ -40,6 +40,15 @@ def sequence_traces(rho: np.ndarray, observables: np.ndarray, post: np.ndarray |
     return np.trace(product @ rho, axis1=-2, axis2=-1)
 
 
+def check_probability(probability: float) -> None:
+    """Raises ZeroPostSelectionProbability when a post-selection
+    probability is at or below ``ZERO_PROBABILITY_TOL``."""
+    if probability <= ZERO_PROBABILITY_TOL:
+        raise ZeroPostSelectionProbability(
+            f"post-selection probability {probability:.3e} is at or below {ZERO_PROBABILITY_TOL:g}"
+        )
+
+
 def seq_weak_value(
     rho: qm.MixedState,
     post: qm.PovmElement | None,
@@ -65,10 +74,7 @@ def seq_weak_value(
         raise DimensionMismatch(f"post-selection dimension {post.dim} != state dimension {rho.dim}")
     # Tr(E rho) is real for Hermitian E, rho; drop the float residue.
     probability = float(np.trace(post.matrix @ rho.matrix).real)
-    if probability <= ZERO_PROBABILITY_TOL:
-        raise ZeroPostSelectionProbability(
-            f"Tr(E rho) = {probability:.3e} is below {ZERO_PROBABILITY_TOL:g}"
-        )
+    check_probability(probability)
     return complex(sequence_traces(rho.matrix, stack, post.matrix)) / probability
 
 

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weaklab as wl
-from weaklab import optimize
+from weaklab import optimize, qm
 from weaklab.errors import InputError
-from weaklab.optimize import SearchSpacePoint, decode_state
+from weaklab.optimize import SearchSpacePoint
 
 
 # One-point references for the objectives: each takes the (n, d) projector
@@ -76,9 +76,9 @@ def expectation(operator, state):
 
 
 def random_kets(rng, *shape):
-    """Unit kets of the given leading shape and dimension from seeded uniform angles."""
+    """Haar-random unit kets of the given leading shape and dimension."""
     *leading, d = shape
-    return decode_state(rng.uniform(0.0, 2.0 * math.pi, size=(*leading, 2 * (d - 1))))
+    return qm.kets_from_normals(rng.standard_normal((*leading, 2, d)))
 
 
 SEARCHES = {
@@ -104,25 +104,6 @@ ORACLES = {
     "weak-value": weak_value_real_reference,
     "finite-sigma": lambda kets: finite_sigma_reference(kets, 0.8),
 }
-
-
-class TestStateCoding:
-    def test_decoded_states_normalized(self):
-        rng = np.random.default_rng(32)
-        for d in (2, 3, 5):
-            params = rng.uniform(-10.0, 10.0, size=2 * (d - 1))
-            assert np.linalg.norm(decode_state(params)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_known_angles(self):
-        amp = decode_state(np.array([math.pi / 3.0, 0.0]))
-        assert np.allclose(amp, [0.5, math.sqrt(3.0) / 2.0])
-
-    def test_decodes_over_leading_axes(self):
-        params = np.random.default_rng(33).uniform(-10.0, 10.0, size=(3, 4, 6))
-        batched = decode_state(params)
-        assert batched.shape == (3, 4, 4)
-        for index in np.ndindex(3, 4):
-            assert np.allclose(batched[index], decode_state(params[index]), rtol=0, atol=1e-15)
 
 
 class TestBatchedObjectives:
@@ -219,7 +200,11 @@ class TestSeeSaw:
     def test_one_evaluation_returns_the_seeded_start(self, objective):
         n, d, restarts = 3, 3, 5
         result = SEARCHES[objective](n=n, d=d, restarts=restarts, seed=42, budget=1)
-        starts = decode_state(optimize._start_angles(n, d, restarts, 42, 1))
+        starts = optimize._start_kets(n, d, restarts, 42, 1)
+        # restart r starts from Haar kets drawn by the r-th spawned generator alone
+        for r, child in enumerate(np.random.SeedSequence(42).spawn(restarts)):
+            normals = np.random.default_rng(child).standard_normal((n, 2, d))
+            assert np.array_equal(starts[r], qm.kets_from_normals(normals))
         best = min(range(restarts), key=lambda index: result.trace[index][1])
         assert np.array_equal(result.best_point.projector_kets, starts[best])
         assert result.evaluations == restarts
@@ -300,14 +285,15 @@ class TestPointerProductSearch:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
     def test_finite_sigma_reaches_an_independent_oracle(self, d, sigma):
-        # The oracle: scipy's BFGS over the ket angles of the Scenario-built
-        # reference, from three seeded starts at a loose tolerance, then the
-        # best of them polished. (Nelder-Mead over the same angles read
+        # The oracle: scipy's BFGS over the Scenario-built reference, each
+        # ket the normalized real and imaginary parts of a real 2d-vector,
+        # from three seeded starts at a loose tolerance, then the best of
+        # them polished. (Nelder-Mead over hyperspherical angles read
         # -0.012441752531, -0.103426568990 and -0.122419820788 at n = 2.)
         minimize = pytest.importorskip("scipy.optimize").minimize
         n, rng = 2, np.random.default_rng(43)
-        objective = lambda angles: finite_sigma_reference(decode_state(angles.reshape(n, 2 * (d - 1))), sigma)
-        starts = rng.uniform(0.0, 2.0 * math.pi, size=(3, 2 * (d - 1) * n))
+        objective = lambda vector: finite_sigma_reference(qm.kets_from_normals(vector.reshape(n, 2, d)), sigma)
+        starts = rng.standard_normal((3, 2 * d * n))
         runs = [minimize(objective, start, method="BFGS", options={"gtol": 1e-3}) for start in starts]
         rough = min(runs, key=lambda run: run.fun)
         oracle = minimize(objective, rough.x, method="BFGS", options={"gtol": 1e-8}).fun

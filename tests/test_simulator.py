@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weaklab as wl
-from weaklab import simulator
+from weaklab import errors, simulator
 from weaklab.errors import InputError, NumericError, ZeroPostSelectionProbability
 from weaklab.pointer import PointerOperatorKind, matrix_element
 
@@ -561,6 +561,24 @@ class TestWeakEngine:
             assert errors[0] / max(errors[2], 1e-300) >= 8.0
         assert checked >= 10
 
+    def test_imaginary_residue_check_fires(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        scn = random_scenario(rng, 3, 3, with_post=False, sigma_range=(100.0, 100.0))
+        original = simulator._factor
+        tampered = []
+
+        def leaky(kind, s2, mean, gap):
+            table = original(kind, s2, mean, gap)
+            if kind is PointerOperatorKind.POSITION and not tampered:
+                tampered.append(kind)
+                return table + 1e-6j * np.abs(table).max()
+            return table
+
+        monkeypatch.setattr(simulator, "_factor", leaky)
+        with pytest.raises(NumericError, match="at scale"):
+            wl.weak_prediction(scn, wl.MomentPattern.from_string("xxx"))
+        assert tampered
+
 
 class TestRecovery:
     def test_pauli_weak_source_is_exactly_i(self):
@@ -705,7 +723,10 @@ class TestEngineProperties:
     @settings(derandomize=True, deadline=None, max_examples=200)
     def test_imaginary_residue_stays_below_check(self, case):
         scn, pattern = case
-        wl.exact_moment(scn, pattern)  # raises NumericError if the check trips
+        # each raises NumericError if the check trips; the weak engine reads
+        # the pattern with its squared slots made first-order
+        wl.exact_moment(scn, pattern)
+        wl.weak_prediction(scn, wl.MomentPattern.from_string(str(pattern).lower()))
 
 
 class TestNestedAnticommutator:
@@ -846,7 +867,7 @@ class TestSampler:
             raise AssertionError("sampler started work before checking its memory bound")
 
         monkeypatch.setattr(simulator, "_chain", untouched)
-        shots = simulator.SAMPLE_MEMORY_LIMIT // simulator.sample_footprint(scn, 1) + 1
+        shots = errors.MEMORY_LIMIT // simulator.sample_footprint(scn, 1) + 1
         with pytest.raises(InputError, match="GiB"):
             wl.sample_outcomes(scn, shots, seed=1)
 
