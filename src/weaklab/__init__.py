@@ -29,7 +29,6 @@ from .qm import (
     SpectralDecomposition,
     projector_from_ket,
     qubit_ket,
-    random_ket,
     spectral_decompose,
 )
 from .scenario_io import load_scenario, scenario_from_dict
@@ -95,7 +94,6 @@ __all__ = [
     "position_moments",
     "projector_from_ket",
     "qubit_ket",
-    "random_ket",
     "recover_weak_value",
     "sample_outcomes",
     "scenario_from_dict",

@@ -121,52 +121,42 @@ def _resolve_scenario(spec: str, args) -> tuple[Scenario, str]:
 # Report plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt(value):
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return str(value)
+def _null_if_not_finite(row: dict) -> dict:
+    """JSON has no NaN or infinity, so a float that is not finite reads null."""
+    return {key: None if isinstance(value, float) and not math.isfinite(value) else value for key, value in row.items()}
 
 
-def _formatted(row: dict) -> dict:
-    return {key: _fmt(value) for key, value in row.items()}
-
-
-def _emit(args, command: str, config: dict, results: list[dict], summary: dict | None = None) -> None:
-    """Writes the report to stdout. A CSV report streams: each row is
-    formatted as it is written, so it holds no copy of the rows."""
+def _emit(args, config: dict, results: list[dict], summary: dict | None = None) -> None:
+    """Writes the report to stdout, headed by the command echo built from
+    ``args.raw_argv``. Every value is already a plain Python value. A CSV
+    report streams its rows straight to the writer, so it holds no copy of
+    them, and writes a float that is not finite as ``nan`` or ``inf``; a
+    JSON report writes it as null."""
+    command = "weaklab " + " ".join(args.raw_argv)
     summary = summary or {}
     versions = {"weaklab": __version__, "numpy": np.__version__}
     if args.format == "json":
         document = {
             "command": command,
-            "config": _formatted(config),
-            "summary": _formatted(summary),
-            "results": [_formatted(row) for row in results],
+            "config": _null_if_not_finite(config),
+            "summary": _null_if_not_finite(summary),
+            "results": [_null_if_not_finite(row) for row in results],
             "versions": versions,
         }
-        sys.stdout.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n")
         return
     out = sys.stdout
     out.write(f"# command: {command}\n")
     for key in sorted(config):
-        out.write(f"# config {key} = {_fmt(config[key])}\n")
+        out.write(f"# config {key} = {config[key]}\n")
     for key in sorted(summary):
-        out.write(f"# summary {key} = {_fmt(summary[key])}\n")
+        out.write(f"# summary {key} = {summary[key]}\n")
     for key in sorted(versions):
         out.write(f"# version {key} = {versions[key]}\n")
     if results:
         writer = csv.DictWriter(out, fieldnames=list(results[0].keys()), lineterminator="\n")
         writer.writeheader()
-        for row in results:
-            writer.writerow(_formatted(row))
-
-
-def _command_echo(args) -> str:
-    return "weaklab " + " ".join(args.raw_argv)
+        writer.writerows(results)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +187,7 @@ def _cmd_scenario(args) -> None:
         {"quantity": "postselection_probability", "value": exact.postselection_probability},
         {"quantity": "weak_regime_ok", "value": ok},
     ]
-    _emit(args, _command_echo(args), config, results)
+    _emit(args, config, results)
 
 
 def _cmd_simulate(args) -> None:
@@ -216,7 +206,7 @@ def _cmd_simulate(args) -> None:
         {"quantity": "moment", "value": result.value},
         {"quantity": "postselection_probability", "value": result.postselection_probability},
     ]
-    _emit(args, _command_echo(args), config, results)
+    _emit(args, config, results)
 
 
 def _cmd_sweep(args) -> None:
@@ -260,7 +250,7 @@ def _cmd_sweep(args) -> None:
         "to": args.stop,
         "points": args.steps,
     }
-    _emit(args, _command_echo(args), config, results)
+    _emit(args, config, results)
 
 
 def _cmd_optimize(args) -> None:
@@ -293,7 +283,7 @@ def _cmd_optimize(args) -> None:
         {"restart": index, "converged_value": value, "is_best": value == result.best_value}
         for index, value in result.trace
     ]
-    _emit(args, _command_echo(args), config, results, summary)
+    _emit(args, config, results, summary)
 
 
 def _cmd_sample(args) -> None:
@@ -318,7 +308,7 @@ def _cmd_sample(args) -> None:
     columns = [("mean_position_product", products)]
     columns += [(f"mean_position_{j + 1}", samples[:, j]) for j in range(scn.n_steps)]
     results = [_sample_row(quantity, values, moment.value) for (quantity, values), moment in zip(columns, exact)]
-    _emit(args, _command_echo(args), config, results, summary)
+    _emit(args, config, results, summary)
 
 
 def _sample_row(quantity: str, values: np.ndarray, exact: float) -> dict:
@@ -347,8 +337,8 @@ def _pair_suite(rng: np.random.Generator, trials: int) -> tuple[float, int]:
     """Projector pairs: the Re <psi|BA|psi> floor of -1/8 (d = 2 and 3)."""
     worst, violations = math.inf, 0
     for size in _chunks(trials):
-        # One trial's normals are those of random_ket for psi, then for the
-        # kets of A and B.
+        # One trial's normals are the real, then the imaginary, parts of
+        # psi, then of the kets of A and B.
         drawn = {2: [], 3: []}
         for _ in range(size):
             d = int(rng.integers(2, 4))
@@ -408,11 +398,12 @@ def _cmd_bounds(args) -> None:
     hull_violations = 0
     hull_trials = max(1, trials // 10)  # each trial runs the exact engine in d = 4
     for _ in range(hull_trials):
-        shared = qm.random_ket(rng, 4)
+        # The shared d = 4 ket, then the kets of the two d = 2 projectors.
+        shared, first, second = (qm.PureState(qm.kets_from_normals(rng.standard_normal((2, d)))) for d in (4, 2, 2))
         scn = build_common_cause(
             shared,
-            qm.projector_from_ket(qm.random_ket(rng, 2)),
-            qm.projector_from_ket(qm.random_ket(rng, 2)),
+            qm.projector_from_ket(first),
+            qm.projector_from_ket(second),
             sigma1=float(rng.uniform(0.5, 5.0)),
             sigma2=float(rng.uniform(0.5, 5.0)),
         )
@@ -446,7 +437,7 @@ def _cmd_bounds(args) -> None:
         },
     ]
     summary = {"total_violations": pair_violations + magnitude_violations + hull_violations}
-    _emit(args, _command_echo(args), config, results, summary)
+    _emit(args, config, results, summary)
 
 
 def _require_count(flag: str, value: int) -> None:

@@ -197,23 +197,15 @@ def qubit_ket(theta: float, phi: float = 0.0) -> PureState:
     return PureState(np.array([np.cos(theta), np.exp(1j * phi) * np.sin(theta)]))
 
 
-# Random instances. Each draws its real parts, then its imaginary parts,
-# from ``rng.standard_normal``, so a seed fixes the instances exactly.
-
-def random_ket(rng: np.random.Generator, d: int) -> PureState:
-    """Haar-random pure state."""
-    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(vec / np.linalg.norm(vec))
-
-
-# Stacks of random instances, made from normals laid out as the functions
-# above draw them: the real parts, then the imaginary parts. Leading axes
-# index the instances; the checks above validate them.
+# Stacks of random instances, made from standard normals laid out as the
+# real parts, then the imaginary parts, so a seed fixes the instances
+# exactly. Leading axes index the instances; the checks above validate them.
 
 def kets_from_normals(normals: np.ndarray) -> np.ndarray:
-    """Haar-random unit kets from (..., 2, d) normals, equal to random_ket's
-    to the last bit: the squared norm is summed as ``np.linalg.norm`` of one
-    ket sums it, re.re + im.im, each a dot product of strided views."""
+    """Haar-random unit kets from (..., 2, d) normals, each equal to the
+    one-at-a-time ket vec / np.linalg.norm(vec) to the last bit: the squared
+    norm is summed as ``np.linalg.norm`` of one ket sums it, re.re + im.im,
+    each a dot product of strided views."""
     vec = normals[..., 0, :] + 1j * normals[..., 1, :]
     re, im = vec.real[..., np.newaxis, :], vec.imag[..., np.newaxis, :]
     squared = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)

@@ -24,6 +24,14 @@ from .pointer import GaussianPointer
 from .simulator import MeasurementStep, Scenario
 
 
+def _two_steps(
+    initial: qm.MixedState, first: qm.Observable, second: qm.Observable, sigma1: float, sigma2: float
+) -> Scenario:
+    """``first`` then ``second`` measured on ``initial``, with no post-selection."""
+    steps = (MeasurementStep(first, GaussianPointer(sigma1)), MeasurementStep(second, GaussianPointer(sigma2)))
+    return Scenario(initial=initial, steps=steps, post=None)
+
+
 def build_illustrative(sigma1: float, sigma2: float) -> Scenario:
     """Two qubit projectors measured on |0>, 120 degrees apart on the
     Bloch sphere; the joint x1*x2 reading dips to -1/8 for wide first
@@ -32,26 +40,14 @@ def build_illustrative(sigma1: float, sigma2: float) -> Scenario:
     root3_half = math.sqrt(3.0) / 2.0
     psi_1 = qm.PureState(np.array([half, root3_half]))
     psi_2 = qm.PureState(np.array([half, -root3_half]))
-    return Scenario(
-        initial=qm.KET_0.to_density(),
-        steps=(
-            MeasurementStep(qm.projector_from_ket(psi_1), GaussianPointer(sigma1)),
-            MeasurementStep(qm.projector_from_ket(psi_2), GaussianPointer(sigma2)),
-        ),
-        post=None,
+    return _two_steps(
+        qm.KET_0.to_density(), qm.projector_from_ket(psi_1), qm.projector_from_ket(psi_2), sigma1, sigma2
     )
 
 
 def build_pauli_xy(sigma1: float, sigma2: float) -> Scenario:
     """sigma_y then sigma_x on |0>: weak value i, visible in p1*x2."""
-    return Scenario(
-        initial=qm.KET_0.to_density(),
-        steps=(
-            MeasurementStep(qm.SIGMA_Y, GaussianPointer(sigma1)),
-            MeasurementStep(qm.SIGMA_X, GaussianPointer(sigma2)),
-        ),
-        post=None,
-    )
+    return _two_steps(qm.KET_0.to_density(), qm.SIGMA_Y, qm.SIGMA_X, sigma1, sigma2)
 
 
 def chain_ket(j: int, n: int) -> qm.PureState:
@@ -96,14 +92,7 @@ def build_common_cause(
         )
     lifted_first = qm.Observable(np.kron(first.matrix, np.eye(second.dim)))
     lifted_second = qm.Observable(np.kron(np.eye(first.dim), second.matrix))
-    return Scenario(
-        initial=psi_ab.to_density(),
-        steps=(
-            MeasurementStep(lifted_first, GaussianPointer(sigma1)),
-            MeasurementStep(lifted_second, GaussianPointer(sigma2)),
-        ),
-        post=None,
-    )
+    return _two_steps(psi_ab.to_density(), lifted_first, lifted_second, sigma1, sigma2)
 
 
 class CausalStructure(enum.Enum):

@@ -70,22 +70,20 @@ class Scenario:
     steps: tuple[MeasurementStep, ...]
     post: qm.PovmElement | None = None
 
-    def __init__(self, initial, steps, post=None):
-        steps = tuple(steps)
+    def __post_init__(self):
+        steps = tuple(self.steps)
         if not steps:
             raise InputError("a scenario needs at least one measurement step")
         for index, step in enumerate(steps):
-            if step.observable.dim != initial.dim:
+            if step.observable.dim != self.initial.dim:
                 raise DimensionMismatch(
-                    f"step {index + 1} dimension {step.observable.dim} != state dimension {initial.dim}"
+                    f"step {index + 1} dimension {step.observable.dim} != state dimension {self.initial.dim}"
                 )
-        if post is not None and post.dim != initial.dim:
+        if self.post is not None and self.post.dim != self.initial.dim:
             raise DimensionMismatch(
-                f"post-selection dimension {post.dim} != state dimension {initial.dim}"
+                f"post-selection dimension {self.post.dim} != state dimension {self.initial.dim}"
             )
-        object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "post", post)
 
     @property
     def dim(self) -> int:
@@ -105,8 +103,8 @@ class MomentPattern:
 
     kinds: tuple[PointerOperatorKind, ...]
 
-    def __init__(self, kinds):
-        object.__setattr__(self, "kinds", tuple(kinds))
+    def __post_init__(self):
+        object.__setattr__(self, "kinds", tuple(self.kinds))
 
     @classmethod
     def from_string(cls, text: str) -> "MomentPattern":

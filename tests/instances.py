@@ -8,6 +8,12 @@ import numpy as np
 import weaklab as wl
 
 
+def random_ket(rng, d):
+    """Haar-random pure state: d real parts, then d imaginary parts."""
+    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return wl.PureState(vec / np.linalg.norm(vec))
+
+
 def random_density(rng, d):
     """Density matrix G G* / Tr(G G*) with G complex Ginibre."""
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -14,7 +14,7 @@ import pytest
 import weaklab as wl
 from weaklab.pointer import PointerOperatorKind
 
-from instances import norm_product_bound, random_density, random_observable
+from instances import norm_product_bound, random_density, random_ket, random_observable
 
 X = PointerOperatorKind.POSITION
 P = PointerOperatorKind.MOMENTUM
@@ -38,7 +38,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 
 def random_projector(rng, d):
-    return wl.projector_from_ket(wl.random_ket(rng, d))
+    return wl.projector_from_ket(random_ket(rng, d))
 
 
 def test_criterion_1_illustrative_closed_form():
@@ -144,7 +144,7 @@ def test_criterion_6_bound_suites():
     pair_trials = 10_000
     for index in range(pair_trials):
         d = 2 + index % 2
-        psi = wl.random_ket(rng, d)
+        psi = random_ket(rng, d)
         pair = [random_projector(rng, d), random_projector(rng, d)]
         worst_pair = min(worst_pair, wl.seq_weak_value(psi.to_density(), None, pair).real)
 
@@ -228,7 +228,7 @@ def test_criterion_8_common_cause_hull_and_witness():
     witnessed = 0
     for _ in range(1000):
         scn = wl.build_common_cause(
-            wl.random_ket(rng, 4),
+            random_ket(rng, 4),
             random_projector(rng, 2),
             random_projector(rng, 2),
             float(rng.uniform(0.2, 8.0)),

@@ -20,7 +20,7 @@ import weaklab as wl
 from weaklab import cli, simulator
 from weaklab.cli import BOUNDS_CHUNK, CHAIN_MAX_STEPS, SWEEP_MAX_POINTS, main
 
-from instances import norm_product_bound, ordered_trace, random_density, random_observable
+from instances import norm_product_bound, ordered_trace, random_density, random_ket, random_observable
 
 SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
 
@@ -447,6 +447,31 @@ class TestSampleCommand:
                 tracemalloc.stop()
         assert peak <= 1700 * n, peak / n
 
+    def test_json_writes_null_where_csv_writes_nan(self, capsys, write_scenario):
+        # One kept shot has no standard error. JSON has no NaN, so a strict
+        # parser must read null there; CSV keeps nan.
+        scn = wl.Scenario(
+            initial=wl.KET_0.to_density(),
+            steps=[
+                wl.MeasurementStep(wl.Observable(np.diag([1.0, 0.0])), wl.GaussianPointer(1.0)),
+                wl.MeasurementStep(wl.SIGMA_X, wl.GaussianPointer(1.0)),
+            ],
+            post=wl.PovmElement(np.full((2, 2), 0.5)),
+        )
+        path = str(write_scenario(scn, "post.json"))
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code, out = run_cli(capsys, "--format", "json", "sample", path, "--shots", "1", "--seed", "3")
+        assert code == 0
+        rows = json.loads(out, parse_constant=refuse)["results"]
+        assert [row["stderr"] for row in rows] == [None] * 3
+        assert all(math.isfinite(row["sample_mean"]) for row in rows)
+        code, out = run_cli(capsys, "sample", path, "--shots", "1", "--seed", "3")
+        assert code == 0
+        assert [row["stderr"] for row in csv_rows(out)] == ["nan"] * 3
+
     def test_shots_over_memory_limit_exit_code(self, capsys):
         code, out = run_cli(capsys, "sample", "illustrative", "--shots", str(10**12), "--seed", "1")
         assert code == 2
@@ -500,8 +525,8 @@ def per_trial_bounds(trials, seed):
     worst_pair, pair_violations = math.inf, 0
     for _ in range(trials):
         d = int(rng.integers(2, 4))
-        psi = wl.random_ket(rng, d)
-        pair = [wl.projector_from_ket(wl.random_ket(rng, d)) for _ in range(2)]
+        psi = random_ket(rng, d)
+        pair = [wl.projector_from_ket(random_ket(rng, d)) for _ in range(2)]
         value = ordered_trace(psi.to_density(), pair).real
         worst_pair = min(worst_pair, value)
         pair_violations += value < cli.PROJECTOR_PAIR_FLOOR - 1e-12
@@ -517,11 +542,11 @@ def per_trial_bounds(trials, seed):
     worst_low, worst_high, hull_violations = math.inf, -math.inf, 0
     hull_trials = max(1, trials // 10)
     for _ in range(hull_trials):
-        shared = wl.random_ket(rng, 4)
+        shared = random_ket(rng, 4)
         scn = wl.build_common_cause(
             shared,
-            wl.projector_from_ket(wl.random_ket(rng, 2)),
-            wl.projector_from_ket(wl.random_ket(rng, 2)),
+            wl.projector_from_ket(random_ket(rng, 2)),
+            wl.projector_from_ket(random_ket(rng, 2)),
             sigma1=float(rng.uniform(0.5, 5.0)),
             sigma2=float(rng.uniform(0.5, 5.0)),
         )

@@ -1,6 +1,7 @@
 """The public surface: every name in ``weaklab.__all__`` exists, once,
-is read by the program, a demo or the benchmark, and importing the CLI
-pulls in no dependency beyond numpy and builds no parser."""
+is read by the program, a demo or the benchmark, no module imports a name
+it never reads, and importing the CLI pulls in no dependency beyond numpy
+and builds no parser."""
 
 import ast
 import os
@@ -37,6 +38,24 @@ def test_every_entry_is_read_outside_the_tests():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     assert sorted(set(wl.__all__) - loaded) == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports to re-export; every other module reads what it imports.
+    unread = []
+    for path in sorted((SRC / "weaklab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}: {name}" for name in imported if name not in read]
+    assert unread == []
 
 
 def test_cli_import_leaves_scipy_out():

@@ -5,7 +5,7 @@ import weaklab as wl
 from weaklab import qm
 from weaklab.errors import DimensionMismatch, InputError
 
-from instances import random_density, random_observable
+from instances import random_density, random_ket, random_observable
 
 KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
 SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
@@ -97,7 +97,7 @@ class TestStackedInstances:
     def test_kets_match_random_ket_to_the_last_bit(self):
         for d in (2, 3, 4, 5):
             rng = np.random.default_rng(d)
-            expected = np.array([wl.random_ket(rng, d).amplitudes for _ in range(40)])
+            expected = np.array([random_ket(rng, d).amplitudes for _ in range(40)])
             normals = np.random.default_rng(d).standard_normal((40, 2, d))
             assert np.array_equal(qm.kets_from_normals(normals), expected)
 
@@ -147,7 +147,7 @@ class TestProjectorFromKet:
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         for d in (2, 3, 4):
-            proj = wl.projector_from_ket(wl.random_ket(rng, d)).matrix
+            proj = wl.projector_from_ket(random_ket(rng, d)).matrix
             assert np.max(np.abs(proj @ proj - proj)) < 1e-12
 
 

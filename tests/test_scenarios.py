@@ -6,6 +6,8 @@ import pytest
 import weaklab as wl
 from weaklab.errors import DimensionMismatch, InputError
 
+from instances import random_ket
+
 
 def illustrative_joint_position_moment(sigma1):
     """Closed form (1 - 3 exp(-1/(8 sigma1^2))) / 16 of the illustrative xx moment."""
@@ -113,9 +115,9 @@ class TestCommonCause:
         rng = np.random.default_rng(23)
         pattern = wl.MomentPattern.from_string("xx")
         for _ in range(25):
-            shared = wl.random_ket(rng, 4)
-            first = wl.projector_from_ket(wl.random_ket(rng, 2))
-            second = wl.projector_from_ket(wl.random_ket(rng, 2))
+            shared = random_ket(rng, 4)
+            first = wl.projector_from_ket(random_ket(rng, 2))
+            second = wl.projector_from_ket(random_ket(rng, 2))
             scn = wl.build_common_cause(
                 shared, first, second, float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0))
             )
@@ -156,11 +158,11 @@ class TestCausalWitness:
         rng = np.random.default_rng(29)
         pattern = wl.MomentPattern.from_string("xx")
         for _ in range(50):
-            shared = wl.random_ket(rng, 4)
+            shared = random_ket(rng, 4)
             scn = wl.build_common_cause(
                 shared,
-                wl.projector_from_ket(wl.random_ket(rng, 2)),
-                wl.projector_from_ket(wl.random_ket(rng, 2)),
+                wl.projector_from_ket(random_ket(rng, 2)),
+                wl.projector_from_ket(random_ket(rng, 2)),
                 1.0,
                 1.0,
             )

@@ -24,7 +24,7 @@ from weaklab import errors, simulator
 from weaklab.errors import InputError, NumericError, ZeroPostSelectionProbability
 from weaklab.pointer import PointerOperatorKind, matrix_element
 
-from instances import random_density, random_observable, spectral_norm
+from instances import random_density, random_ket, random_observable, spectral_norm
 
 X = PointerOperatorKind.POSITION
 P = PointerOperatorKind.MOMENTUM
@@ -46,7 +46,7 @@ def random_scenario(rng, d, n, with_post, sigma_range=(0.5, 5.0)):
     )
     post = None
     if with_post:
-        ket = wl.random_ket(rng, d)
+        ket = random_ket(rng, d)
         post = wl.PovmElement(np.outer(ket.amplitudes, ket.amplitudes.conj()))
     return wl.Scenario(initial=random_density(rng, d), steps=steps, post=post)
 
@@ -171,6 +171,24 @@ class TestScenarioTypes:
                 initial=wl.MixedState(np.eye(3) / 3.0),
                 steps=(wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(1.0)),),
             )
+
+    def test_scenario_needs_a_step(self):
+        with pytest.raises(InputError, match="needs at least one measurement step"):
+            wl.Scenario(wl.KET_0.to_density(), [])
+
+    def test_post_selection_dimension_check(self):
+        scn = wl.build_illustrative(1.0, 1.0)
+        with pytest.raises(wl.errors.DimensionMismatch, match="post-selection dimension 3 != state dimension 2"):
+            wl.Scenario(scn.initial, scn.steps, wl.PovmElement(np.eye(3)))
+
+    def test_steps_and_kinds_become_tuples(self):
+        scn = wl.build_illustrative(1.0, 1.0)
+        replaced = dataclasses.replace(scn, steps=list(scn.steps))
+        assert type(replaced.steps) is tuple
+        assert replaced == scn == wl.Scenario(scn.initial, list(scn.steps))
+        kinds = [PointerOperatorKind.POSITION, PointerOperatorKind.MOMENTUM]
+        assert wl.MomentPattern(iter(kinds)).kinds == tuple(kinds)
+        assert wl.MomentPattern(kinds=kinds) == wl.MomentPattern(tuple(kinds))
 
     def test_pattern_length_check(self):
         scn = wl.build_illustrative(1.0, 1.0)
@@ -309,7 +327,7 @@ class TestExactEngine:
             n = int(rng.integers(1, 9))
             scn = random_scenario(rng, d, n, with_post=trial % 2 == 1, sigma_range=(0.3, 300.0))
             if trial % 4 < 2:
-                scn = dataclasses.replace(scn, initial=wl.random_ket(rng, d).to_density())
+                scn = dataclasses.replace(scn, initial=random_ket(rng, d).to_density())
             try:
                 expected = self.single_slot_oracle(scn)
             except ZeroPostSelectionProbability:
@@ -471,8 +489,8 @@ class TestWeakEngine:
         # weak (x, x) = (Re[(BA)] + Re[A B*]) / 2 for pure pre/post states
         rng = np.random.default_rng(7)
         for _ in range(20):
-            psi = wl.random_ket(rng, 2)
-            phi = wl.random_ket(rng, 2)
+            psi = random_ket(rng, 2)
+            phi = random_ket(rng, 2)
             if abs(psi.amplitudes.conj() @ phi.amplitudes) < 1e-3:
                 continue
             first = random_observable(rng, 2)
@@ -503,7 +521,7 @@ class TestWeakEngine:
                 wl.MeasurementStep(random_unit_hermitian(rng, 2), wl.GaussianPointer(sigma))
                 for _ in range(3)
             )
-            ket = wl.random_ket(rng, 2)
+            ket = random_ket(rng, 2)
             scn = wl.Scenario(
                 initial=random_density(rng, 2),
                 steps=steps,

@@ -8,7 +8,7 @@ import weaklab as wl
 from weaklab.errors import DimensionMismatch, InputError, ZeroPostSelectionProbability
 from weaklab.weak_values import PROJECTOR_PAIR_FLOOR, norm_products, sequence_traces
 
-from instances import norm_product_bound, ordered_trace, random_density, random_observable
+from instances import norm_product_bound, ordered_trace, random_density, random_ket, random_observable
 
 KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
 SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
@@ -141,7 +141,7 @@ class TestBounds:
         rng = np.random.default_rng(4)
         for _ in range(20):
             seq = [random_observable(rng, 3) for _ in range(3)]
-            kets = [wl.random_ket(rng, 3) for _ in range(3)]
+            kets = [random_ket(rng, 3) for _ in range(3)]
             q = rng.dirichlet(np.ones(3))
             mixed = wl.MixedState(sum(w * k.to_density().matrix for w, k in zip(q, kets)))
             direct = wl.seq_weak_value(mixed, None, seq)
@@ -151,7 +151,7 @@ class TestBounds:
     def test_reselection_matches_no_postselection(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            psi = wl.random_ket(rng, 3)
+            psi = random_ket(rng, 3)
             seq = [random_observable(rng, 3) for _ in range(2)]
             no_post = wl.seq_weak_value(psi.to_density(), None, seq)
             reselect = wl.seq_weak_value(psi.to_density(), wl.PovmElement(psi.to_density().matrix), seq)
@@ -178,7 +178,7 @@ class TestBounds:
             for _ in range(2):
                 basis = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
                 pair.append(wl.Observable(basis @ np.diag([1.0, -1.0]) @ basis.conj().T))
-            psi = wl.random_ket(rng, 2)
+            psi = random_ket(rng, 2)
             wv = wl.seq_weak_value(psi.to_density(), None, pair)
             assert abs(wv) <= 1.0 + 1e-12
 
@@ -221,7 +221,7 @@ class TestStackedEvaluators:
         rng = np.random.default_rng([d, n, int(with_effect)])
         states = [random_density(rng, d) for _ in range(20)]
         sequences = [[random_observable(rng, d) for _ in range(n)] for _ in range(20)]
-        effects = [wl.projector_from_ket(wl.random_ket(rng, d)) if with_effect else None for _ in range(20)]
+        effects = [wl.projector_from_ket(random_ket(rng, d)) if with_effect else None for _ in range(20)]
         rho = np.array([state.matrix for state in states])
         observables = np.array([[obs.matrix for obs in seq] for seq in sequences])
         post = np.array([effect.matrix for effect in effects]) if with_effect else None
@@ -258,8 +258,8 @@ class TestProjectorPairReport:
         rng = np.random.default_rng(14)
         for _ in range(300):
             value = pair_value(
-                wl.random_ket(rng, 2),
-                wl.projector_from_ket(wl.random_ket(rng, 2)),
-                wl.projector_from_ket(wl.random_ket(rng, 2)),
+                random_ket(rng, 2),
+                wl.projector_from_ket(random_ket(rng, 2)),
+                wl.projector_from_ket(random_ket(rng, 2)),
             )
             assert value >= PROJECTOR_PAIR_FLOOR - 1e-12
