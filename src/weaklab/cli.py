@@ -10,21 +10,22 @@ Exit codes: 0 success, 1 numeric failure, 2 input error.
 built on the first call, not at import, and reused by every later call.
 Sizes that would exhaust memory are input errors, checked before the
 allocation they would need: ``sweep --steps`` over SWEEP_MAX_POINTS and a
-``chain-n`` ``--n`` over CHAIN_MAX_STEPS. ``sample`` checks ``--shots``
-and ``--seed`` before any engine work. Its exact column needs no limit of
-its own: ``simulator.position_moments`` holds four d x d arrays per step,
+``chain-n`` ``--n`` over CHAIN_MAX_STEPS. ``sweep`` runs its grid through
+``simulator.sweep_moments``, whose chunks of stacked chains stay under
+``simulator.SWEEP_CHUNK_BYTES``. ``sample`` checks ``--shots`` and
+``--seed`` before any engine work. Its exact column needs no limit of its
+own: ``simulator.position_moments`` holds four d x d arrays per step,
 about as many bytes as the scenario itself. ``bounds --trials`` needs no
-limit: its projector-pair and magnitude suites draw BOUNDS_CHUNK trials in
-the order a one-at-a-time loop would, then check and evaluate them as
-stacks grouped by dimension (and length), so their memory is flat in the
-trial count.
+limit: its projector-pair and magnitude suites draw BOUNDS_CHUNK trials,
+and its hull suite BOUNDS_CHUNK // 10, in the order a one-at-a-time loop
+would, then check and evaluate them as stacks (the first two grouped by
+dimension and length), so their memory is flat in the trial count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -37,7 +38,7 @@ import numpy as np
 from . import __version__, qm
 from .errors import InputError, NumericError, WeakLabError
 from .optimize import minimize_pointer_product, minimize_weak_value_real
-from .pointer import GaussianPointer
+from .pointer import check_widths
 from .scenario_io import load_scenario
 from .scenarios import (
     CausalStructure,
@@ -46,6 +47,7 @@ from .scenarios import (
     build_pauli_xy,
     build_projector_chain,
     causal_witness,
+    lift_pair,
 )
 from .simulator import (
     EvaluationMethod,
@@ -55,16 +57,20 @@ from .simulator import (
     position_moments,
     recover_weak_value,
     sample_outcomes,
+    stacked_exact_moments,
     steps_outside_weak_regime,
+    sweep_moments,
     weak_prediction,
 )
 from .weak_values import PROJECTOR_PAIR_FLOOR, norm_products, sequence_traces
 
 SCENARIO_NAMES = ("illustrative", "pauli-xy", "chain-n", "common-cause")
 
-# Most points one sweep may take. A point costs at most about 1.5 kB at the
-# report's peak (tracemalloc, JSON output), so the largest sweep stays under
-# errors.MEMORY_LIMIT, the 2 GiB that sample and optimize allow.
+# Most points one sweep may take. A point costs about 1.5 kB at the report's
+# peak (tracemalloc, 20,000 illustrative points: 1,510 B in JSON, 458 B in
+# CSV), beside one chunk of stacked chains of at most 4 MiB, so the largest
+# sweep stays under errors.MEMORY_LIMIT, the 2 GiB that sample and optimize
+# allow.
 SWEEP_MAX_POINTS = 1_000_000
 
 # Longest chain-n chain. Building it and running scenario, simulate or a
@@ -76,7 +82,8 @@ SWEEP_MAX_POINTS = 1_000_000
 CHAIN_MAX_STEPS = 1_000_000
 
 # Trials that bounds draws and then evaluates together in its projector-pair
-# and magnitude suites, so their memory stays flat in --trials.
+# and magnitude suites, and ten times the hull suite's, so their memory
+# stays flat in --trials.
 BOUNDS_CHUNK = 1024
 
 
@@ -226,22 +233,11 @@ def _cmd_sweep(args) -> None:
     if args.steps > SWEEP_MAX_POINTS:
         raise InputError(f"--steps must be at most {SWEEP_MAX_POINTS}, got {args.steps}")
     grid = np.geomspace(args.start, args.stop, args.steps)
-    pattern = MomentPattern.from_string(args.pattern)
-    results = []
-    swept, varied_steps = scn.steps[step_index], list(scn.steps)
-    for value in grid:
-        varied_steps[step_index] = dataclasses.replace(swept, pointer=GaussianPointer(float(value)))
-        varied = dataclasses.replace(scn, steps=varied_steps)
-        exact = exact_moment(varied, pattern).value
-        weak = weak_prediction(varied, pattern).value
-        results.append(
-            {
-                args.param: float(value),
-                "exact": exact,
-                "weak": weak,
-                "abs_difference": abs(exact - weak),
-            }
-        )
+    exact, weak = sweep_moments(scn, MomentPattern.from_string(args.pattern), step_index, grid)
+    results = [
+        {args.param: value, "exact": e, "weak": w, "abs_difference": abs(e - w)}
+        for value, e, w in zip(grid.tolist(), exact.tolist(), weak.tolist())
+    ]
     config = {
         "scenario": source,
         "pattern": args.pattern,
@@ -328,15 +324,15 @@ def _sample_row(quantity: str, values: np.ndarray, exact: float) -> dict:
     }
 
 
-def _chunks(trials: int):
-    for start in range(0, trials, BOUNDS_CHUNK):
-        yield min(BOUNDS_CHUNK, trials - start)
+def _chunks(trials: int, size: int):
+    for start in range(0, trials, size):
+        yield min(size, trials - start)
 
 
 def _pair_suite(rng: np.random.Generator, trials: int) -> tuple[float, int]:
     """Projector pairs: the Re <psi|BA|psi> floor of -1/8 (d = 2 and 3)."""
     worst, violations = math.inf, 0
-    for size in _chunks(trials):
+    for size in _chunks(trials, BOUNDS_CHUNK):
         # One trial's normals are the real, then the imaginary, parts of
         # psi, then of the kets of A and B.
         drawn = {2: [], 3: []}
@@ -362,7 +358,7 @@ def _magnitude_suite(rng: np.random.Generator, trials: int) -> tuple[float, int]
     """The magnitude cap on the no-post-selection weak value: |Tr(A_n ... A_1
     rho)| at most the product of spectral norms (d = 2 to 4, n = 1 to 5)."""
     worst, violations = -math.inf, 0
-    for size in _chunks(trials):
+    for size in _chunks(trials, BOUNDS_CHUNK):
         # One trial's normals are those of a Ginibre density matrix, then of
         # each observable's Ginibre matrix.
         drawn = {}
@@ -384,6 +380,38 @@ def _magnitude_suite(rng: np.random.Generator, trials: int) -> tuple[float, int]
     return worst, violations
 
 
+def _hull_suite(rng: np.random.Generator, trials: int) -> tuple[float, int]:
+    """Common-cause scenarios stay inside the product hull [0, 1]: the exact
+    x1 x2 moment of a shared d = 4 ket whose d = 2 halves are measured by
+    projectors, as ``build_common_cause`` lifts them. Returns the smallest
+    margin to the hull's ends (negative outside) and the witnessed count."""
+    low, high, violations = math.inf, -math.inf, 0
+    for size in _chunks(trials, BOUNDS_CHUNK // 10):
+        # One trial's normals are those of the shared d = 4 ket, then of the
+        # kets of the two d = 2 projectors; its two widths come after them.
+        normals, widths = np.empty((size, 16)), np.empty((size, 2))
+        for row in range(size):
+            normals[row] = rng.standard_normal(16)
+            widths[row] = rng.uniform(0.5, 5.0, 2)
+        shared = qm.kets_from_normals(normals[:, :8].reshape(-1, 2, 4))
+        halves = qm.kets_from_normals(normals[:, 8:].reshape(-1, 2, 2, 2))
+        qm.check_kets(shared)
+        qm.check_kets(halves)
+        rho, projectors = qm.projectors_from_kets(shared), qm.projectors_from_kets(halves)
+        qm.check_densities(rho)
+        qm.check_observables(projectors)
+        lifted = np.stack(lift_pair(projectors[:, 0], projectors[:, 1]), axis=1)
+        qm.check_observables(lifted)
+        check_widths(widths)
+        values = stacked_exact_moments(rho, lifted, widths, MomentPattern.all_position(2))
+        low, high = min(low, float(values.min())), max(high, float(values.max()))
+        violations += sum(
+            causal_witness(value, (0.0, 1.0), margin=1e-9) is not CausalStructure.INCONCLUSIVE
+            for value in values.tolist()
+        )
+    return min(low, 1.0 - high), violations
+
+
 def _cmd_bounds(args) -> None:
     _require_count("--trials", args.trials)
     if args.seed < 0:
@@ -393,24 +421,8 @@ def _cmd_bounds(args) -> None:
     worst_pair, pair_violations = _pair_suite(rng, trials)
     worst_excess, magnitude_violations = _magnitude_suite(rng, trials)
 
-    # Common-cause scenarios stay inside the product hull.
-    worst_low, worst_high = math.inf, -math.inf
-    hull_violations = 0
     hull_trials = max(1, trials // 10)  # each trial runs the exact engine in d = 4
-    for _ in range(hull_trials):
-        # The shared d = 4 ket, then the kets of the two d = 2 projectors.
-        shared, first, second = (qm.PureState(qm.kets_from_normals(rng.standard_normal((2, d)))) for d in (4, 2, 2))
-        scn = build_common_cause(
-            shared,
-            qm.projector_from_ket(first),
-            qm.projector_from_ket(second),
-            sigma1=float(rng.uniform(0.5, 5.0)),
-            sigma2=float(rng.uniform(0.5, 5.0)),
-        )
-        value = exact_moment(scn, MomentPattern.all_position(2)).value
-        worst_low = min(worst_low, value)
-        worst_high = max(worst_high, value)
-        hull_violations += causal_witness(value, (0.0, 1.0), margin=1e-9) is not CausalStructure.INCONCLUSIVE
+    worst_hull, hull_violations = _hull_suite(rng, hull_trials)
 
     config = {"trials": trials, "seed": args.seed}
     results = [
@@ -431,7 +443,7 @@ def _cmd_bounds(args) -> None:
         {
             "suite": "common_cause_hull",
             "trials": hull_trials,
-            "worst": min(worst_low, 1.0 - worst_high),
+            "worst": worst_hull,
             "bound": 0.0,
             "violations": hull_violations,
         },

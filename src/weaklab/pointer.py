@@ -55,11 +55,13 @@ class GaussianPointer:
             raise InputError(f"pointer width must be positive with a finite square, got {self.sigma!r}")
 
 
-def _factor(kind: PointerOperatorKind, s2: float, mean, gap):
+def _factor(kind: PointerOperatorKind, s2, mean, gap):
     """``matrix_element`` without its overlap ov, from sigma^2 and the
     centers' mean and gap (right minus left): the element in the weak
-    limit, where ov goes to 1 while x and p keep their 1/sigma scaling."""
-    if s2 == 0.0:
+    limit, where ov goes to 1 while x and p keep their 1/sigma scaling.
+    ``s2`` may be an array of squared widths that broadcasts with the
+    centers; one that underflows to 0 fails them all."""
+    if np.equal(s2, 0.0).any():
         raise NumericError("pointer width squared underflows to 0; the width is too narrow for floating point")
     if kind is PointerOperatorKind.IDENTITY:
         return np.ones_like(gap)
@@ -91,8 +93,22 @@ def matrix_element(
     # "right minus left" so that a momentum element between |phi(a_k)> on
     # the right and <phi(a_l)| on the left carries (a_k - a_l)/(2i).
     gap = np.subtract(right_center, left_center)
-    value = np.asarray(_factor(kind, s2, mean, gap) * np.exp(gap * gap / (-8.0 * s2)), dtype=complex)
+    value = np.asarray(_factor(kind, s2, mean, gap) * _overlap(s2, gap), dtype=complex)
     return complex(value) if value.ndim == 0 else value
+
+
+def _overlap(s2, gap):
+    """ov = <phi(a_l)|phi(a_k)> from sigma^2 and the centers' gap."""
+    return np.exp(gap * gap / (-8.0 * s2))
+
+
+def check_widths(sigmas: np.ndarray) -> None:
+    """The ``GaussianPointer`` check on an array of widths, raised for
+    the first, in C order, that fails it."""
+    with np.errstate(over="ignore"):
+        bad = ~((sigmas > 0) & np.isfinite(sigmas * sigmas))
+    if bad.any():
+        raise InputError(f"pointer width must be positive with a finite square, got {float(sigmas[bad][0])!r}")
 
 
 def weak_regime_check(ptr: GaussianPointer, eigenvalues, wv_magnitude: float) -> bool:

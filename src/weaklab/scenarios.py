@@ -90,9 +90,21 @@ def build_common_cause(
         raise DimensionMismatch(
             f"shared state dimension {psi_ab.dim} != {first.dim} * {second.dim}"
         )
-    lifted_first = qm.Observable(np.kron(first.matrix, np.eye(second.dim)))
-    lifted_second = qm.Observable(np.kron(np.eye(first.dim), second.matrix))
+    lifted_first, lifted_second = (qm.Observable(lifted) for lifted in lift_pair(first.matrix, second.matrix))
     return _two_steps(psi_ab.to_density(), lifted_first, lifted_second, sigma1, sigma2)
+
+
+def lift_pair(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (x) 1 and 1 (x) B for stacks of (..., p, p) matrices A and
+    (..., q, q) matrices B, from the products np.kron forms: entry
+    (i q + k, j q + l) is A[i, j] 1[k, l], or 1[i, j] B[k, l]."""
+    p, q = first.shape[-1], second.shape[-1]
+    lifted_first = first[..., :, np.newaxis, :, np.newaxis] * np.eye(q)[:, np.newaxis, :]
+    lifted_second = np.eye(p)[:, np.newaxis, :, np.newaxis] * second[..., np.newaxis, :, np.newaxis, :]
+    return (
+        lifted_first.reshape(*first.shape[:-2], p * q, p * q),
+        lifted_second.reshape(*second.shape[:-2], p * q, p * q),
+    )
 
 
 class CausalStructure(enum.Enum):

@@ -27,6 +27,15 @@ the exact engine never borrows the approximation it is used to test.
 Because moments are linear in each slot's readout, ``recover_weak_value``
 sums its momentum-subset combination of moments as a single chain.
 
+The chain reads arrays, not a ``Scenario``: the initial state, each
+step's eigenbasis and tables, and the effect, each with leading batch
+axes that broadcast. ``sweep_moments`` runs a grid of one step's widths
+against one scenario as one chain per engine and chunk, and
+``stacked_exact_moments`` runs a stack of scenarios; the one-scenario
+engines pass arrays without batch axes. The finiteness, post-selection
+and imaginary-residue checks run per batch entry and raise, with the
+message one scenario would give, for the first entry that fails them.
+
 ``sample_outcomes`` simulates shots one Kraus update at a time: each
 shot carries a system ket, and each pointer is read right after its
 coupling, from the positive mixture of d Gaussians that the ket's
@@ -47,11 +56,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qm
-from .errors import DimensionMismatch, InputError, NumericError, check_footprint
-from .pointer import GaussianPointer, PointerOperatorKind, _factor, matrix_element, weak_regime_check
+from .errors import DimensionMismatch, InputError, NumericError, WeakLabError, check_footprint
+from .pointer import GaussianPointer, PointerOperatorKind, _factor, _overlap, check_widths, weak_regime_check
 from .weak_values import check_probability, seq_weak_value
 
 MOMENT_IMAG_TOL = 1e-10
+_SQUARED = (PointerOperatorKind.POSITION_SQUARED, PointerOperatorKind.MOMENTUM_SQUARED)
 
 
 @dataclass(frozen=True)
@@ -136,60 +146,112 @@ class MomentResult:
     postselection_probability: float
 
 
-def _check_pattern(scn: Scenario, pat: MomentPattern) -> None:
-    if len(pat) != scn.n_steps:
-        raise InputError(
-            f"pattern has {len(pat)} slots for {scn.n_steps} measurement steps"
-        )
+def _check_pattern(n: int, pat: MomentPattern) -> None:
+    if len(pat) != n:
+        raise InputError(f"pattern has {len(pat)} slots for {n} measurement steps")
 
 
-def _step_tables(step: MeasurementStep, kinds, exact: bool = True) -> np.ndarray:
+def _step_tables(eigenvalues: np.ndarray, sigmas, kinds, exact: bool = True) -> np.ndarray:
     """Stacked F[k, l] = <phi(a_l)| O |phi(a_k)>, the weights of the
-    P_k X P_l dyads, one table per kind; at overlap 1 unless ``exact``."""
-    eigenvalues = step.observable.decomposition.eigenvalues
-    left, right = eigenvalues[np.newaxis, :], eigenvalues[:, np.newaxis]
-    if exact:
-        return np.array([matrix_element(step.pointer, kind, left, right) for kind in kinds])
-    mean, gap, s2 = 0.5 * (left + right), right - left, step.pointer.sigma**2
-    return np.array([_factor(kind, s2, mean, gap) for kind in kinds])
+    P_k X P_l dyads, one table per kind; at overlap 1 unless ``exact``.
+    Eigenvalues (..., d) and widths (...) broadcast to tables (..., K, d, d)."""
+    # sigma ** 2 as Python's float power gives it, through libm's pow, which
+    # np.float_power calls too; sigma * sigma differs in the last bit for
+    # about one width in a thousand.
+    s2 = np.float_power(sigmas, 2)[..., np.newaxis, np.newaxis]
+    left, right = eigenvalues[..., np.newaxis, :], eigenvalues[..., :, np.newaxis]
+    mean, gap = 0.5 * (left + right), right - left
+    overlap = _overlap(s2, gap) if exact else None
+    shape = np.broadcast(s2, gap).shape
+    tables = np.empty((*shape[:-2], len(kinds), *shape[-2:]), dtype=complex)
+    for row, kind in enumerate(kinds):
+        factor = _factor(kind, s2, mean, gap)
+        tables[..., row, :, :] = factor * overlap if exact else factor
+    return tables
 
 
-def _chain(scn: Scenario, tables) -> tuple[np.ndarray, float]:
-    """Tr(E T_n(... T_1(rho))) on the scenario for each chain of a stack,
-    with T_j(X) = sum_kl F[k, l] P_k X P_l, the P_k the eigenprojectors of
-    step j's observable and F the matching table of the (K, d, d) stack
-    ``tables[j]``; E is the post-selection effect, or I. The last chain of
-    each stack must read the identity on every slot: its trace, Tr(eta),
-    is checked and returned apart, after the other K - 1 traces.
+def _adjoint(matrices: np.ndarray) -> np.ndarray:
+    return matrices.conj().swapaxes(-1, -2)
+
+
+def _arrays(scn: Scenario) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None]:
+    """The initial matrix, the steps' eigenvector bases and the effect (or
+    None) of one scenario, as ``_chain`` reads them."""
+    bases = [step.observable.decomposition.eigenvectors for step in scn.steps]
+    return scn.initial.matrix, bases, None if scn.post is None else scn.post.matrix
+
+
+def _chain(initial, bases, tables, effect=None) -> tuple[np.ndarray, np.ndarray]:
+    """Tr(E T_n(... T_1(rho))) for each chain of a stack, with
+    T_j(X) = sum_kl F[k, l] P_k X P_l, the P_k the eigenprojectors whose
+    eigenvector columns are ``bases[j]`` and F the matching table of the
+    (..., K, d, d) stack ``tables[j]``; E is ``effect``, or I when it is
+    None. ``initial``, the bases and the effect are (..., d, d). Leading
+    batch axes may differ between the arrays and broadcast. The last chain
+    of each stack must read the identity on every slot: its trace, Tr(eta),
+    is checked per batch entry and returned apart, shape (...), after the
+    other K - 1 traces, shape (..., K - 1).
 
     This is the transfer-operator core of every analytic engine.
     """
-    state, basis = scn.initial.matrix, None
-    for step, table in zip(scn.steps, tables):
-        vectors = step.observable.decomposition.eigenvectors
-        turn = vectors.conj().T if basis is None else vectors.conj().T @ basis
-        state = table * (turn @ state @ turn.conj().T)
+    state, basis = initial[..., np.newaxis, :, :], None
+    for vectors, table in zip(bases, tables):
+        turn = _adjoint(vectors) if basis is None else _adjoint(vectors) @ basis
+        turn = turn[..., np.newaxis, :, :]
+        state = table * (turn @ state @ _adjoint(turn))
         basis = vectors
-    if scn.post is None:
-        traces = np.trace(state, axis1=1, axis2=2)
+    if effect is None:
+        traces = np.trace(state, axis1=-2, axis2=-1)
     else:
-        traces = ((basis.conj().T @ scn.post.matrix @ basis).T * state).sum(axis=(1, 2))
+        turned = (_adjoint(basis) @ effect @ basis).swapaxes(-1, -2)
+        traces = (turned[..., np.newaxis, :, :] * state).sum(axis=(-2, -1))
     if not np.isfinite(traces).all():
         raise NumericError("moment chain is not finite; a pointer width is too extreme for floating point")
-    probability = float(traces[-1].real)
+    probability = traces[..., -1].real
     check_probability(probability)
-    return traces[:-1], probability
+    return traces[..., :-1], probability
 
 
-def _result(numerator, peak: float, probability: float) -> MomentResult:
-    """numerator / Tr(eta), whose imaginary rounding residue is judged at the
-    chain's term size: ``peak``, the row's table peaks' product (about
-    sigma^2n for X readouts), over Tr(eta)."""
-    value = complex(numerator) / probability
-    scale = max(1.0, float(peak) / probability)
-    if abs(value.imag) > MOMENT_IMAG_TOL * scale:
-        raise NumericError(f"moment has imaginary residue {value.imag:.3e} at scale {scale:.3e}")
-    return MomentResult(value.real, probability)
+def _values(numerator, peak, probability) -> np.ndarray:
+    """numerator / Tr(eta) per batch entry, whose imaginary rounding residue
+    is judged at the chain's term size: ``peak``, the product of the row's
+    table peaks (about sigma^2n for X readouts), over Tr(eta). The first
+    entry whose residue passes that raises NumericError."""
+    # Python's complex / float, as one scenario at a time divided: (re + im * 0) / p.
+    value = (numerator.real + numerator.imag * 0.0) / probability
+    residue = numerator.imag / probability
+    scale = np.fmax(1.0, peak / probability)
+    leaks = np.abs(residue) > MOMENT_IMAG_TOL * scale
+    if leaks.any():
+        first = leaks.argmax()
+        raise NumericError(f"moment has imaginary residue {residue.flat[first]:.3e} at scale {scale.flat[first]:.3e}")
+    return value
+
+
+def _moments(initial, bases, tables, effect) -> tuple[np.ndarray, np.ndarray]:
+    """Moment and Tr(eta) of each [pattern, identity] chain of a stack."""
+    traces, probability = _chain(initial, bases, tables, effect)
+    peak = 1.0
+    for table in tables:
+        peak = peak * np.abs(table[..., 0, :, :]).max(axis=(-2, -1))
+    return _values(traces[..., 0], peak, probability), probability
+
+
+def _pattern_tables(scn: Scenario, pat: MomentPattern, exact: bool, skip: int | None = None) -> list:
+    """Each step's [pattern, identity] tables for ``exact_moment`` or, unless
+    ``exact``, for ``weak_prediction``, after the pattern checks each makes
+    first; step ``skip``'s entry is None."""
+    _check_pattern(scn.n_steps, pat)
+    if not exact and any(kind in _SQUARED for kind in pat.kinds):
+        raise InputError(
+            "the weak-regime engine covers first-order x/p moments only; "
+            "use the exact engine for squared readouts"
+        )
+    tables = []
+    for j, (step, kind) in enumerate(zip(scn.steps, pat.kinds)):
+        kinds, a = (kind, PointerOperatorKind.IDENTITY), step.observable.decomposition.eigenvalues
+        tables.append(None if j == skip else _step_tables(a, step.pointer.sigma, kinds, exact))
+    return tables
 
 
 # Very narrow widths overflow table entries: the overlap reads exp(-inf) = 0,
@@ -202,11 +264,9 @@ def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     Supports all five readout kinds. Normalization uses the exact
     post-selection probability Tr(eta), not its weak-limit stand-in.
     """
-    _check_pattern(scn, pat)
-    identity = PointerOperatorKind.IDENTITY
-    tables = [_step_tables(step, (kind, identity)) for step, kind in zip(scn.steps, pat.kinds)]
-    (numerator,), probability = _chain(scn, tables)
-    return _result(numerator, math.prod(np.abs(table[0]).max() for table in tables), probability)
+    initial, bases, effect = _arrays(scn)
+    value, probability = _moments(initial, bases, _pattern_tables(scn, pat, exact=True), effect)
+    return MomentResult(float(value), float(probability))
 
 
 @np.errstate(all="ignore")
@@ -230,8 +290,9 @@ def position_moments(scn: Scenario) -> list[MomentResult]:
     before = np.empty((n, d, d), dtype=complex)
     state, basis = np.stack([scn.initial.matrix] * 2), None
     for j, step in enumerate(scn.steps):
-        tables[j] = _step_tables(step, kinds)
-        vectors = step.observable.decomposition.eigenvectors
+        decomposition = step.observable.decomposition
+        tables[j] = _step_tables(decomposition.eigenvalues, step.pointer.sigma, kinds)
+        vectors = decomposition.eigenvectors
         turns[j] = turn = vectors.conj().T if basis is None else vectors.conj().T @ basis
         state = turn @ state @ turn.conj().T
         before[j] = state[1]
@@ -250,10 +311,11 @@ def position_moments(scn: Scenario) -> list[MomentResult]:
         effect = turns[j].conj().T @ (effect * identity.conj()) @ turns[j]
     if not (np.isfinite(traces).all() and np.isfinite(slots).all()):
         raise NumericError("moment chain is not finite; a pointer width is too extreme for floating point")
-    probability = float(traces[1].real)
+    probability = traces[1].real
     check_probability(probability)
     peaks = np.abs(tables[:, 0]).max(axis=(1, 2))
-    return [_result(value, peak, probability) for value, peak in zip([traces[0], *slots], [math.prod(peaks), *peaks])]
+    values = _values(np.array([traces[0], *slots]), np.array([math.prod(peaks), *peaks]), probability)
+    return [MomentResult(value, float(probability)) for value in values.tolist()]
 
 
 @np.errstate(all="ignore")
@@ -264,18 +326,88 @@ def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
     position or momentum. Each momentum slot carries a factor
     1/(2 sigma^2); the result is normalized by Tr(E rho).
     """
-    _check_pattern(scn, pat)
-    squared = (PointerOperatorKind.POSITION_SQUARED, PointerOperatorKind.MOMENTUM_SQUARED)
-    if any(kind in squared for kind in pat.kinds):
-        raise InputError(
-            "the weak-regime engine covers first-order x/p moments only; "
-            "use the exact engine for squared readouts"
-        )
-    tables = [
-        _step_tables(step, (kind, PointerOperatorKind.IDENTITY), exact=False) for step, kind in zip(scn.steps, pat.kinds)
-    ]
-    (numerator,), probability = _chain(scn, tables)
-    return _result(numerator, math.prod(np.abs(table[0]).max() for table in tables), probability)
+    initial, bases, effect = _arrays(scn)
+    value, probability = _moments(initial, bases, _pattern_tables(scn, pat, exact=False), effect)
+    return MomentResult(float(value), float(probability))
+
+
+@np.errstate(all="ignore")
+def stacked_exact_moments(
+    initial: np.ndarray, observables: np.ndarray, sigmas: np.ndarray, pat: MomentPattern
+) -> np.ndarray:
+    """``exact_moment`` of each scenario of a stack without post-selection,
+    given as arrays that are already checked: initial density matrices
+    (..., d, d), observables (..., n, d, d), first measured first, and
+    widths (..., n). One batched eigh decomposes every observable."""
+    n = observables.shape[-3]
+    _check_pattern(n, pat)
+    eigenvalues, bases = np.linalg.eigh(observables)
+    kinds = [(kind, PointerOperatorKind.IDENTITY) for kind in pat.kinds]
+    tables = [_step_tables(eigenvalues[..., j, :], sigmas[..., j], kinds[j]) for j in range(n)]
+    return _moments(initial, [bases[..., j, :, :] for j in range(n)], tables, None)[0]
+
+
+# Bytes of grid-sized arrays one chunk of ``sweep_moments`` may hold. Per
+# point it holds the swept step's tables and the chain's stacks after it:
+# 8.4 to 8.8 complex d x d matrices at the peak (tracemalloc, d = 2 to 32,
+# n = 3, post-selected), counted as SWEEP_POINT_MATRICES for headroom.
+SWEEP_CHUNK_BYTES = 4 * 2**20
+SWEEP_POINT_MATRICES = 12
+
+
+def sweep_chunk(d: int) -> int:
+    """Grid points ``sweep_moments`` runs as one stack at dimension d."""
+    return max(1, SWEEP_CHUNK_BYTES // (SWEEP_POINT_MATRICES * 16 * d * d))
+
+
+@np.errstate(all="ignore")
+def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exact_moment`` and ``weak_prediction`` of ``pat`` with step
+    ``index``'s pointer width set to each of ``widths`` in turn.
+
+    The other steps' tables are built once; each chunk of ``sweep_chunk``
+    widths runs one chain per engine, with the swept step's tables built
+    in one broadcast. An error is the one a loop over the widths meets
+    first: widths checked as ``GaussianPointer`` checks them, then the
+    exact engine, then the weak one, point by point. A failing chunk is
+    halved down to its first failing point, which then runs alone.
+    """
+    initial, bases, effect = _arrays(scn)
+    eigenvalues = scn.steps[index].observable.decomposition.eigenvalues
+    # The other steps' tables, built at their engine's first run: the loop
+    # met their errors after point 0's width check, and the weak engine's
+    # after point 0's exact value.
+    fixed = {}
+
+    def tables(exact: bool, points: np.ndarray) -> list:
+        if exact not in fixed:
+            fixed[exact] = _pattern_tables(scn, pat, exact, skip=index)
+        swept = _step_tables(eigenvalues, points, (pat.kinds[index], PointerOperatorKind.IDENTITY), exact)
+        return [swept if j == index else table for j, table in enumerate(fixed[exact])]
+
+    def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        check_widths(points)
+        exact = _moments(initial, bases, tables(True, points), effect)[0]
+        return exact, _moments(initial, bases, tables(False, points), effect)[0]
+
+    exact, weak = np.empty(len(widths)), np.empty(len(widths))
+    size = sweep_chunk(scn.dim)
+    for start in range(0, len(widths), size):
+        points = widths[start:start + size]
+        try:
+            exact[start:start + size], weak[start:start + size] = evaluate(points)
+        except WeakLabError:
+            passing, failing = 0, len(points)
+            while failing - passing > 1:
+                middle = (passing + failing) // 2
+                try:
+                    evaluate(points[:middle])
+                    passing = middle
+                except WeakLabError:
+                    failing = middle
+            evaluate(points[failing - 1:failing])
+            raise  # the chunk's own error, should that point pass alone
+    return exact, weak
 
 
 def steps_outside_weak_regime(scn: Scenario) -> tuple[int, ...]:
@@ -311,10 +443,12 @@ def recover_weak_value(scn: Scenario, source: EvaluationMethod = EvaluationMetho
     kinds = [PointerOperatorKind(code) for code in "xpi"]
     tables = []
     for step, gain in zip(scn.steps, gains):
-        x, p, identity = _step_tables(step, kinds, exact=source is EvaluationMethod.EXACT)
+        a = step.observable.decomposition.eigenvalues
+        x, p, identity = _step_tables(a, step.pointer.sigma, kinds, source is EvaluationMethod.EXACT)
         tables.append(np.array([x + gain * p, identity]))
-    (numerator,), probability = _chain(scn, tables)
-    return complex(numerator) / probability
+    initial, bases, effect = _arrays(scn)
+    (numerator,), probability = _chain(initial, bases, tables, effect)
+    return complex(numerator) / float(probability)
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +563,19 @@ def sample_outcomes(
         raise InputError(f"seed must be at least 0, got {seed}")
     check_footprint(sample_footprint(scn, shots), f"{shots} shots")
     if probability is None:
-        identity = [_step_tables(step, (PointerOperatorKind.IDENTITY,)) for step in scn.steps]
-        _, probability = _chain(scn, identity)
+        identity = [
+            _step_tables(step.observable.decomposition.eigenvalues, step.pointer.sigma, (PointerOperatorKind.IDENTITY,))
+            for step in scn.steps
+        ]
+        initial, bases, effect = _arrays(scn)
+        probability = float(_chain(initial, bases, identity, effect)[1])
     else:
         check_probability(probability)
 
     rng = np.random.default_rng(seed)
     weights, basis = np.linalg.eigh(scn.initial.matrix)
     weights = np.clip(weights, 0.0, None)[:, np.newaxis]
-    samples = np.empty((shots, scn.n_steps))
+    rows = np.empty((scn.n_steps, shots))
     kets = None
     for j, step in enumerate(scn.steps):
         decomposition = step.observable.decomposition
@@ -445,7 +583,7 @@ def sample_outcomes(
         basis = decomposition.eigenvectors
         # Every initial ket is a column of ``basis``, so the first turn gathers.
         kets = np.take(turn, _draw_index(rng, weights, shots), axis=1) if kets is None else turn @ kets
-        samples[:, j] = _read_pointer(
+        rows[j] = _read_pointer(
             rng, kets.reshape(2, scn.dim, shots), decomposition.eigenvalues, step.pointer.sigma
         )
 
@@ -453,12 +591,14 @@ def sample_outcomes(
         projected = _realify(basis.conj().T @ scn.post.matrix @ basis) @ kets
         projected *= kets
         kept = projected.sum(axis=0)
-        samples = samples[rng.random(shots) < kept]
+        rows = rows[:, rng.random(shots) < kept]
     stats = SampleStatistics(
         requested_shots=shots,
-        retained_shots=samples.shape[0],
+        retained_shots=rows.shape[1],
         postselection_probability=probability,
         acceptance_rate=1.0,
         method="sequential",
     )
-    return samples, stats
+    # Row j holds every shot's reading of pointer j; the (shots, n) view of
+    # the rows lets a product over each shot's readings run row by row.
+    return rows.T, stats

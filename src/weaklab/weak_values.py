@@ -40,12 +40,15 @@ def sequence_traces(rho: np.ndarray, observables: np.ndarray, post: np.ndarray |
     return np.trace(product @ rho, axis1=-2, axis2=-1)
 
 
-def check_probability(probability: float) -> None:
+def check_probability(probability) -> None:
     """Raises ZeroPostSelectionProbability when a post-selection
-    probability is at or below ``ZERO_PROBABILITY_TOL``."""
-    if probability <= ZERO_PROBABILITY_TOL:
+    probability, or the first in C order of an array of them, is at or
+    below ``ZERO_PROBABILITY_TOL``."""
+    low = np.less_equal(probability, ZERO_PROBABILITY_TOL)
+    if low.any():
+        first = np.ravel(probability)[low.argmax()]
         raise ZeroPostSelectionProbability(
-            f"post-selection probability {probability:.3e} is at or below {ZERO_PROBABILITY_TOL:g}"
+            f"post-selection probability {first:.3e} is at or below {ZERO_PROBABILITY_TOL:g}"
         )
 
 

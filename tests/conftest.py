@@ -10,20 +10,24 @@ def _matrix_doc(matrix):
     return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, dtype=complex).tolist()]
 
 
+def scenario_document(scn):
+    """A Scenario as a scenario-file document, its state as a density matrix."""
+    return {
+        "dimension": scn.dim,
+        "initial": _matrix_doc(scn.initial.matrix),
+        "steps": [{"observable": _matrix_doc(s.observable.matrix), "sigma": s.pointer.sigma} for s in scn.steps],
+        "postselect": None if scn.post is None else _matrix_doc(scn.post.matrix),
+    }
+
+
 @pytest.fixture
 def write_scenario(tmp_path):
-    """Write a Scenario as a JSON scenario file under ``tmp_path``, its state
-    as a density matrix, and return the file's path."""
+    """Write a Scenario as a JSON scenario file under ``tmp_path`` and
+    return the file's path."""
 
     def write(scn, name="scenario.json"):
-        doc = {
-            "dimension": scn.dim,
-            "initial": _matrix_doc(scn.initial.matrix),
-            "steps": [{"observable": _matrix_doc(s.observable.matrix), "sigma": s.pointer.sigma} for s in scn.steps],
-            "postselect": None if scn.post is None else _matrix_doc(scn.post.matrix),
-        }
         path = tmp_path / name
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+        path.write_text(json.dumps(scenario_document(scn), indent=2) + "\n")
         return path
 
     return write

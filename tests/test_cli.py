@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 import weaklab as wl
 from weaklab import cli, simulator
 from weaklab.cli import BOUNDS_CHUNK, CHAIN_MAX_STEPS, SWEEP_MAX_POINTS, main
+from weaklab.errors import InputError, NumericError
 
+from conftest import scenario_document
 from instances import norm_product_bound, ordered_trace, random_density, random_ket, random_observable
 
 SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
@@ -242,6 +245,139 @@ class TestSweepCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"input error: --steps must be at most {SWEEP_MAX_POINTS}, got {steps}\n"
+
+
+def random_file_scenario(rng, d, n, with_post):
+    """Random state and observables, widths in [0.5, 5] and, with
+    ``with_post``, a rank-1 effect."""
+    steps = tuple(
+        wl.MeasurementStep(random_observable(rng, d), wl.GaussianPointer(float(rng.uniform(0.5, 5.0))))
+        for _ in range(n)
+    )
+    post = None
+    if with_post:
+        ket = random_ket(rng, d)
+        post = wl.PovmElement(np.outer(ket.amplitudes, ket.amplitudes.conj()))
+    return wl.Scenario(initial=random_density(rng, d), steps=steps, post=post)
+
+
+def per_point_sweep(scn, pattern, index, start, stop, steps):
+    """The sweep one grid point at a time, as the CLI ran it before its
+    grid became one stack: a validated scenario per point, then
+    exact_moment and weak_prediction. Returns (0, rows) with rows of
+    (width, exact result, weak result), or (exit code, stderr line) for
+    the first error the loop meets."""
+    rows = []
+    try:
+        pat = wl.MomentPattern.from_string(pattern)
+        for value in np.geomspace(start, stop, steps):
+            varied_steps = list(scn.steps)
+            varied_steps[index] = dataclasses.replace(scn.steps[index], pointer=wl.GaussianPointer(float(value)))
+            varied = dataclasses.replace(scn, steps=varied_steps)
+            exact = wl.exact_moment(varied, pat)
+            rows.append((float(value), exact, wl.weak_prediction(varied, pat)))
+    except NumericError as exc:
+        return 1, f"numeric failure: {exc}\n"
+    except InputError as exc:
+        return 2, f"input error: {exc}\n"
+    return 0, rows
+
+
+def table_peak(scn, pattern, exact):
+    """Product over the steps of the pattern table's largest element: the
+    scale of an engine's terms, with the overlap dropped for the weak one."""
+    peak = 1.0
+    for step, kind in zip(scn.steps, wl.MomentPattern.from_string(pattern).kinds):
+        a = step.observable.decomposition.eigenvalues
+        left, right = a[np.newaxis, :], a[:, np.newaxis]
+        table = wl.matrix_element(step.pointer, kind, left, right)
+        if not exact:
+            table = table / wl.matrix_element(step.pointer, wl.PointerOperatorKind.IDENTITY, left, right)
+        peak *= float(np.abs(table).max())
+    return peak
+
+
+def assert_sweep_matches_loop(source, scn, pattern, index, start, stop, steps, *flags):
+    """``weaklab sweep`` against ``per_point_sweep``: the same exit code and
+    stderr line, or values within 1e-12 x max(1, peak / Tr(eta)) per point."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["sweep", str(source), "--param", f"sigma{index + 1}", "--from", repr(start), "--to", repr(stop),
+            "--steps", str(steps), "--pattern", pattern, *flags]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    want_code, want = per_point_sweep(scn, pattern, index, start, stop, steps)
+    assert code == want_code, (err.getvalue(), want)
+    if code:
+        assert (out.getvalue(), err.getvalue()) == ("", want)
+        return
+    rows = csv_rows(out.getvalue())
+    assert len(rows) == len(want)
+    for row, (value, exact, weak) in zip(rows, want):
+        varied_steps = list(scn.steps)
+        varied_steps[index] = dataclasses.replace(scn.steps[index], pointer=wl.GaussianPointer(value))
+        varied = dataclasses.replace(scn, steps=varied_steps)
+        assert float(row[f"sigma{index + 1}"]) == value
+        for column, result, is_exact in (("exact", exact, True), ("weak", weak, False)):
+            scale = max(1.0, table_peak(varied, pattern, is_exact) / result.postselection_probability)
+            assert float(row[column]) == pytest.approx(result.value, rel=0.0, abs=1e-12 * scale), (column, value)
+
+
+class TestSweepAgainstPerPointLoop:
+    """The stacked sweep reports what the loop over grid points reported."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 4),
+        n=st.integers(1, 4),
+        with_post=st.booleans(),
+        letters=st.lists(st.sampled_from("ixXpP"), min_size=4, max_size=4),
+        index=st.integers(0, 3),
+        ends=st.tuples(st.floats(0.3, 300.0), st.floats(0.3, 300.0)),
+        steps=st.integers(1, 12),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    def test_random_files_patterns_and_grids(
+        self, tmp_path_factory, seed, d, n, with_post, letters, index, ends, steps
+    ):
+        scn = random_file_scenario(np.random.default_rng(seed), d, n, with_post)
+        path = tmp_path_factory.mktemp("sweep") / "scenario.json"
+        path.write_text(json.dumps(scenario_document(scn)))
+        assert_sweep_matches_loop(path, scn, "".join(letters[:n]), index % n, *ends, steps)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_edges(self, write_scenario, offset):
+        scn = random_file_scenario(np.random.default_rng(8), 4, 3, with_post=True)
+        points = simulator.sweep_chunk(4) + offset
+        assert_sweep_matches_loop(write_scenario(scn), scn, "xpx", 1, 0.4, 40.0, points)
+
+    @pytest.mark.parametrize(
+        "name,build,pattern,index,start,stop,steps",
+        [
+            # the first point's width squared underflows to 0: exit 1
+            ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xx", 0, 1e-170, 1.0, 7),
+            # the weak engine refuses an X slot once point 0's exact value is in: exit 2
+            ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xX", 0, 0.5, 4.0, 6),
+            # a mid-grid width whose square overflows: exit 2 after four good points
+            ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xx", 1, 0.5, 1e200, 6),
+            # a momentum table overflows at point 7 before the width squared
+            # underflows at point 8: the first failure is the first in the grid
+            ("pauli-xy", lambda: wl.build_pauli_xy(1.0, 1.0), "px", 0, 1e-100, 1e-170, 9),
+            ("pauli-xy", lambda: wl.build_pauli_xy(1.0, 1.0), "xp", 1, 1e-100, 1e-170, 15),
+            ("pauli-xy", lambda: wl.build_pauli_xy(1.0, 1.0), "px", 0, 1.0, 1e-170, 9),
+            # point 0's exact engine fails before the weak one can refuse the X slot: exit 1
+            ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xX", 0, 1e-170, 1.0, 5),
+            # point 0's width fails before its exact engine sees the pattern's length
+            ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xxx", 0, 1e200, 1.0, 4),
+        ],
+    )
+    def test_failure_matches_the_loop(self, name, build, pattern, index, start, stop, steps):
+        assert per_point_sweep(build(), pattern, index, start, stop, steps)[0] != 0
+        assert_sweep_matches_loop(name, build(), pattern, index, start, stop, steps)
+
+    def test_unswept_width_underflow_fails_every_point(self):
+        # chain-n's other widths underflow, so point 0's exact engine fails
+        assert_sweep_matches_loop("chain-n", wl.build_projector_chain(3, 1e-170), "xpx", 1, 0.5, 4.0, 5,
+                                  "--n", "3", "--sigma", "1e-170")
 
 
 class TestChainLength:
@@ -601,9 +737,35 @@ class TestBoundsAgainstPerTrialLoop:
     def test_seeds(self, seed):
         assert_same_report(300, seed)
 
-    @pytest.mark.parametrize("trials", [1, 2, BOUNDS_CHUNK - 1, BOUNDS_CHUNK, BOUNDS_CHUNK + 1])
+    @pytest.mark.parametrize(
+        "trials",
+        [
+            1,
+            2,
+            BOUNDS_CHUNK - 1,
+            BOUNDS_CHUNK,
+            BOUNDS_CHUNK + 1,
+            # hull trials one below, at and one above the hull suite's chunk
+            10 * (BOUNDS_CHUNK // 10 - 1),
+            10 * (BOUNDS_CHUNK // 10),
+            10 * (BOUNDS_CHUNK // 10 + 1),
+        ],
+    )
     def test_chunk_edges(self, trials):
         assert_same_report(trials, 17)
+
+    @pytest.mark.parametrize("hull_trials", [1, BOUNDS_CHUNK // 10 - 1, BOUNDS_CHUNK // 10, BOUNDS_CHUNK // 10 + 1])
+    def test_hull_runs_every_trial_once_in_chunks(self, monkeypatch, hull_trials):
+        chunks, original = [], cli.stacked_exact_moments
+
+        def counting(initial, *args):
+            chunks.append(len(initial))
+            return original(initial, *args)
+
+        monkeypatch.setattr(cli, "stacked_exact_moments", counting)
+        assert bounds_report(10 * hull_trials, 5)["common_cause_hull"][0] == hull_trials
+        assert sum(chunks) == hull_trials
+        assert max(chunks) <= BOUNDS_CHUNK // 10
 
     @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 60))
     @settings(derandomize=True, deadline=None, max_examples=40)

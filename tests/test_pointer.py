@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import weaklab as wl
-from weaklab.errors import InputError
-from weaklab.pointer import PointerOperatorKind
+from weaklab.errors import InputError, NumericError
+from weaklab.pointer import PointerOperatorKind, _factor, check_widths
 
 ALL_KINDS = list(PointerOperatorKind)
 
@@ -87,6 +87,22 @@ class TestWavefunction:
     def test_finite_width_enforced(self, sigma):
         with pytest.raises(InputError):
             wl.GaussianPointer(sigma)
+
+
+class TestWidthArrays:
+    def test_factor_fails_a_stack_with_an_underflowing_square(self):
+        s2 = np.array([1.0, 0.0, 4.0])[:, np.newaxis, np.newaxis]
+        gap = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(NumericError, match="pointer width squared underflows to 0"):
+            _factor(PointerOperatorKind.MOMENTUM, s2, 0.5 * gap, gap)
+        assert _factor(PointerOperatorKind.MOMENTUM, s2[[0, 2]], 0.5 * gap, gap).shape == (2, 2, 2)
+
+    def test_check_widths_names_the_first_bad_width(self):
+        check_widths(np.array([0.5, 1e150]))
+        with pytest.raises(InputError, match=r"got 2e\+200$"):
+            check_widths(np.array([0.5, 2e200, 0.0, math.nan]))
+        with pytest.raises(InputError, match=r"got -1\.0$"):
+            check_widths(np.array([[1.0, -1.0], [math.inf, 2.0]]))
 
 
 class TestMatrixElement:

@@ -292,17 +292,17 @@ class TestExactEngine:
     def test_imaginary_residue_check_fires(self, monkeypatch):
         rng = np.random.default_rng(21)
         scn = random_scenario(rng, 3, 3, with_post=False, sigma_range=(100.0, 100.0))
-        original = simulator.matrix_element
+        original = simulator._factor
         tampered = []
 
-        def leaky(ptr, kind, left, right):
-            table = original(ptr, kind, left, right)
+        def leaky(kind, s2, mean, gap):
+            table = original(kind, s2, mean, gap)
             if kind is PointerOperatorKind.POSITION_SQUARED and not tampered:
                 tampered.append(kind)
                 return table + 1e-6j * np.abs(table).max()
             return table
 
-        monkeypatch.setattr(simulator, "matrix_element", leaky)
+        monkeypatch.setattr(simulator, "_factor", leaky)
         with pytest.raises(NumericError):
             wl.exact_moment(scn, wl.MomentPattern.from_string("XXX"))
         assert tampered
@@ -363,18 +363,18 @@ class TestExactEngine:
         assert clean[0].value == 0.0
         eigenvalues = steps[1].observable.decomposition.eigenvalues
         peak = np.abs(matrix_element(steps[1].pointer, X, eigenvalues[np.newaxis, :], eigenvalues[:, np.newaxis])).max()
-        original = simulator.matrix_element
+        original = simulator._factor
         positions = []
 
-        def leaky(ptr, kind, left, right):
-            table = original(ptr, kind, left, right)
+        def leaky(kind, s2, mean, gap):
+            table = original(kind, s2, mean, gap)
             if kind is PointerOperatorKind.POSITION:
                 positions.append(kind)
                 if len(positions) == 2:
                     return table + 1e-6j * np.abs(table).max()
             return table
 
-        monkeypatch.setattr(simulator, "matrix_element", leaky)
+        monkeypatch.setattr(simulator, "_factor", leaky)
         with pytest.raises(NumericError, match="at scale") as caught:
             wl.position_moments(scn)
         scale = float(str(caught.value).rsplit(" ", 1)[-1])
@@ -696,6 +696,50 @@ class TestChainAgainstReferences:
         got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
         want = wl.chain_weak_value(10)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+class TestStackedChain:
+    """``_chain`` with leading batch axes against one scenario at a time."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stacked_exact_moments_match_one_at_a_time(self, d):
+        # One batched eigh calls the same LAPACK routine per matrix as the
+        # cached decompositions do, so the values agree to the last bit.
+        rng = np.random.default_rng(40 + d)
+        for n in range(1, 5):
+            scenarios = [random_scenario(rng, d, n, with_post=False, sigma_range=(0.3, 30.0)) for _ in range(12)]
+            pattern = wl.MomentPattern.from_string("".join(rng.choice(list("ixXpP"), size=n)))
+            got = simulator.stacked_exact_moments(
+                np.array([scn.initial.matrix for scn in scenarios]),
+                np.array([[step.observable.matrix for step in scn.steps] for scn in scenarios]),
+                np.array([scn.sigmas() for scn in scenarios]),
+                pattern,
+            )
+            assert got.tolist() == [wl.exact_moment(scn, pattern).value for scn in scenarios]
+
+    def test_batch_axes_broadcast(self):
+        # A (3, 2) grid of step-2 widths against one shared scenario.
+        rng = np.random.default_rng(44)
+        scn = random_scenario(rng, 3, 3, with_post=True)
+        pattern = wl.MomentPattern([X, P, X])
+        widths = np.array([[0.4, 1.0], [2.5, 7.0], [30.0, 300.0]])
+        initial, bases, effect = simulator._arrays(scn)
+        tables = simulator._pattern_tables(scn, pattern, exact=True)
+        a = scn.steps[1].observable.decomposition.eigenvalues
+        tables[1] = simulator._step_tables(a, widths, (P, I))
+        traces, probability = simulator._chain(initial, bases, tables, effect)
+        assert traces.shape == (3, 2, 1) and probability.shape == (3, 2)
+        for (row, column), width in np.ndenumerate(widths):
+            steps = list(scn.steps)
+            steps[1] = dataclasses.replace(steps[1], pointer=wl.GaussianPointer(float(width)))
+            one = wl.exact_moment(dataclasses.replace(scn, steps=steps), pattern)
+            assert probability[row, column] == one.postselection_probability
+            assert traces[row, column, 0].real / probability[row, column] == one.value
+
+    def test_residue_raises_for_the_first_failing_entry(self):
+        numerator = np.array([1.0, 1.0 + 2e-3j, 1.0 + 1e-3j, 1.0])
+        with pytest.raises(NumericError, match=r"residue 2\.000e-03 at scale 1\.000e\+00"):
+            simulator._values(numerator, 1.0, np.ones(4))
 
 
 @st.composite

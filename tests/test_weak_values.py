@@ -6,7 +6,7 @@ import pytest
 
 import weaklab as wl
 from weaklab.errors import DimensionMismatch, InputError, ZeroPostSelectionProbability
-from weaklab.weak_values import PROJECTOR_PAIR_FLOOR, norm_products, sequence_traces
+from weaklab.weak_values import PROJECTOR_PAIR_FLOOR, check_probability, norm_products, sequence_traces
 
 from instances import norm_product_bound, ordered_trace, random_density, random_ket, random_observable
 
@@ -192,6 +192,13 @@ class TestBounds:
             assert wv.real < previous
             assert wv.real > -1.0
             previous = wv.real
+
+
+class TestProbabilityCheck:
+    def test_array_raises_for_the_first_low_entry(self):
+        check_probability(np.array([0.5, 0.2]))
+        with pytest.raises(ZeroPostSelectionProbability, match=r"probability 3\.000e-15 is at or below 1e-14"):
+            check_probability(np.array([[0.5, 3e-15], [0.0, 0.2]]))
 
 
 class TestStackedEvaluators:
