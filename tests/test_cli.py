@@ -475,8 +475,35 @@ class TestReportDigests:
         ("sample common-cause --shots 2000 --seed 3", "2bbb3a2548b021bdb026cf0d2805139aad1d86e0ba2a63b91869e21d660201af"),
     ]
 
-    @pytest.mark.parametrize("command,digest", DIGESTS)
-    def test_report_digest(self, capsys, command, digest):
+    # Seeded random scenario files that the test writes into its working
+    # directory, so the command echo names them the same way every run:
+    # (seed, d, n, rank-1 post-selection).
+    RANDOM_FILES = {"random-d3.json": (31, 3, 5, False), "random-d4-post.json": (32, 4, 5, True)}
+    FILE_DIGESTS = [
+        (
+            "simulate random-d3.json --pattern pXPix",
+            "3a124d19d0ef10c662a3d4ffb143f61f5dad989204aaa5f668cdd0ac30889589",
+        ),
+        (
+            "simulate random-d3.json --pattern pxpxi --method weak",
+            "d37f08ee5bcc418c08ee699214cf9a0f790f7befc4d9adff9b4bb23ff5054c57",
+        ),
+        (
+            "simulate random-d4-post.json --pattern PpXxi",
+            "e9fe7076ee127cb4e193ca36f135e32b182ac1f542e11668455ffd4ef1a153de",
+        ),
+        (
+            "--format json simulate random-d4-post.json --pattern xpipx --method weak",
+            "bf3926d167adf979340c8bdf9101e1448d4dde16fedaf265d2da7d343eb35201",
+        ),
+        (
+            "sample random-d4-post.json --shots 3000 --seed 5",
+            "785e33ca376013b3f360fc7e769037612b1bf889a1e49db00182445694e0ebc0",
+        ),
+    ]
+
+    @staticmethod
+    def digest(capsys, command):
         code, out = run_cli(capsys, *command.split())
         assert code == 0
         if out.startswith("{"):
@@ -485,7 +512,19 @@ class TestReportDigests:
             out = json.dumps(document, indent=2, sort_keys=True)
         else:
             out = "".join(line for line in out.splitlines(keepends=True) if not line.startswith("# version"))
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("command,digest", DIGESTS)
+    def test_report_digest(self, capsys, command, digest):
+        assert self.digest(capsys, command) == digest
+
+    @pytest.mark.parametrize("command,digest", FILE_DIGESTS)
+    def test_random_file_report_digest(self, capsys, monkeypatch, tmp_path, command, digest):
+        monkeypatch.chdir(tmp_path)
+        for name, (seed, d, n, with_post) in self.RANDOM_FILES.items():
+            scn = random_file_scenario(np.random.default_rng(seed), d, n, with_post)
+            Path(name).write_text(json.dumps(scenario_document(scn)))
+        assert self.digest(capsys, command) == digest
 
 
 class TestOptimizeCommand:
