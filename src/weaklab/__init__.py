@@ -26,10 +26,8 @@ from .qm import (
     Observable,
     PovmElement,
     PureState,
-    SpectralDecomposition,
     projector_from_ket,
     qubit_ket,
-    spectral_decompose,
 )
 from .scenario_io import load_scenario, scenario_from_dict
 from .scenarios import (
@@ -78,7 +76,6 @@ __all__ = [
     "SampleStatistics",
     "Scenario",
     "SearchSpacePoint",
-    "SpectralDecomposition",
     "build_common_cause",
     "build_illustrative",
     "build_pauli_xy",
@@ -98,7 +95,6 @@ __all__ = [
     "sample_outcomes",
     "scenario_from_dict",
     "seq_weak_value",
-    "spectral_decompose",
     "steps_outside_weak_regime",
     "weak_prediction",
     "weak_regime_check",

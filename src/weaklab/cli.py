@@ -11,15 +11,16 @@ built on the first call, not at import, and reused by every later call.
 Sizes that would exhaust memory are input errors, checked before the
 allocation they would need: ``sweep --steps`` over SWEEP_MAX_POINTS and a
 ``chain-n`` ``--n`` over CHAIN_MAX_STEPS. ``sweep`` runs its grid through
-``simulator.sweep_moments``, whose chunks of stacked chains stay under
-``simulator.SWEEP_CHUNK_BYTES``. ``sample`` checks ``--shots`` and
-``--seed`` before any engine work. Its exact column needs no limit of its
-own: ``simulator.position_moments`` holds four d x d arrays per step,
-about as many bytes as the scenario itself. ``bounds --trials`` needs no
-limit: its projector-pair and magnitude suites draw BOUNDS_CHUNK trials,
-and its hull suite BOUNDS_CHUNK // 10, in the order a one-at-a-time loop
-would, then check and evaluate them as stacks (the first two grouped by
-dimension and length), so their memory is flat in the trial count.
+``simulator.sweep_moments``: two passes per engine, then one slot
+contraction per point, ``simulator.SWEEP_CHUNK_ENTRIES`` table entries at
+a time. ``sample`` checks ``--shots`` and ``--seed`` before any engine
+work. Its exact column needs no limit of its own:
+``simulator.position_moments`` holds four d x d arrays per step, fewer
+bytes than the scenario. ``bounds --trials`` needs no limit: its
+projector-pair and magnitude suites draw BOUNDS_CHUNK trials, and its hull
+suite BOUNDS_CHUNK // 10, in the order a one-at-a-time loop would, then
+check and evaluate them as stacks (the first two grouped by dimension and
+length), so their memory is flat in the trial count.
 """
 
 from __future__ import annotations
@@ -67,17 +68,17 @@ from .weak_values import PROJECTOR_PAIR_FLOOR, norm_products, sequence_traces
 SCENARIO_NAMES = ("illustrative", "pauli-xy", "chain-n", "common-cause")
 
 # Most points one sweep may take. A point costs about 1.5 kB at the report's
-# peak (tracemalloc, 20,000 illustrative points: 1,510 B in JSON, 458 B in
-# CSV), beside one chunk of stacked chains of at most 4 MiB, so the largest
+# peak (tracemalloc, 20,000 illustrative points: 1,511 B in JSON, 336 B in
+# CSV), beside one chunk of slot contractions of about 2 MiB, so the largest
 # sweep stays under errors.MEMORY_LIMIT, the 2 GiB that sample and optimize
 # allow.
 SWEEP_MAX_POINTS = 1_000_000
 
 # Longest chain-n chain. Building it and running scenario, simulate or a
-# two-point sweep on it peak at 1.15-1.5 kB per step (tracemalloc, n = 2,000
-# to 60,000), so a million steps stay under errors.MEMORY_LIMIT, the 2 GiB
-# that sample and optimize allow. sample --shots 1 peaks at about 1.6 kB per
-# step (n = 2,000 and 20,000): the scenario, the exact column and the
+# two-point sweep on it peak at 1.0-1.17 kB per step (tracemalloc, n = 2,000
+# and 20,000), so a million steps stay under errors.MEMORY_LIMIT, the 2 GiB
+# that sample and optimize allow. sample --shots 1 peaks at 1.2-1.26 kB per
+# step (n = 20,000 and 2,000): the scenario, the exact column and the
 # report's n + 1 row dicts, which the CSV report streams without copying.
 CHAIN_MAX_STEPS = 1_000_000
 

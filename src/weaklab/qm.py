@@ -1,18 +1,13 @@
 """Finite-dimensional complex Hilbert-space algebra.
 
 States, observables and POVM elements are thin immutable wrappers around
-numpy arrays. The eigendecomposition is delegated to numpy; this module
-adds validation, canonical ordering and a cached spectral decomposition.
-
-Values are immutable after construction and safe to share across
-threads; the lazy decomposition cache is compute-equal (a race recomputes
-the same value).
+validated numpy arrays, safe to share across threads. Engines decompose
+observables as a stack (``simulator.Scenario.spectrum``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -116,20 +111,8 @@ class MixedState:
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _freeze(np.array(self.eigenvalues, dtype=float)))
-        object.__setattr__(self, "eigenvectors", _freeze(np.array(self.eigenvectors, dtype=complex)))
-
-
-@dataclass(frozen=True)
 class Observable:
-    """Hermitian matrix with a lazily computed, cached spectral decomposition."""
+    """Hermitian matrix."""
 
     matrix: np.ndarray
 
@@ -141,10 +124,6 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def decomposition(self) -> SpectralDecomposition:
-        return spectral_decompose(self)
 
 
 @dataclass(frozen=True)
@@ -168,17 +147,6 @@ class PovmElement:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def spectral_decompose(obs: Observable) -> SpectralDecomposition:
-    """Eigendecomposition with eigenvalues sorted ascending.
-
-    numpy's ``eigh`` already returns ascending eigenvalues and orthonormal
-    columns; within degenerate subspaces any orthonormal basis is
-    acceptable (downstream formulas depend only on spectral projectors).
-    """
-    eigenvalues, eigenvectors = np.linalg.eigh(obs.matrix)
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def projector_from_ket(ket: PureState) -> Observable:

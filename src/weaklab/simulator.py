@@ -13,9 +13,7 @@ runs stacked beside it as the normalization. Only the tables differ:
   pointers' reduced state is a combination of displaced-Gaussian dyads
   whose moments have closed forms, so the joint moment is an exact
   finite sum over eigenindex pairs; no approximation and no
-  discretization enters. ``position_moments`` gives the all-position
-  moment and every single-slot position moment from one forward and one
-  backward pass over the chain, in O(n d^3) time and O(n d^2) memory.
+  discretization enters.
 
 * ``weak_prediction`` uses the same tables with the Gaussian overlap set
   to 1, the first order in 1/sigma that holds for wide pointers: a
@@ -27,14 +25,18 @@ the exact engine never borrows the approximation it is used to test.
 Because moments are linear in each slot's readout, ``recover_weak_value``
 sums its momentum-subset combination of moments as a single chain.
 
-The chain reads arrays, not a ``Scenario``: the initial state, each
-step's eigenbasis and tables, and the effect, each with leading batch
-axes that broadcast. ``sweep_moments`` runs a grid of one step's widths
-against one scenario as one chain per engine and chunk, and
-``stacked_exact_moments`` runs a stack of scenarios; the one-scenario
-engines pass arrays without batch axes. The finiteness, post-selection
-and imaginary-residue checks run per batch entry and raise, with the
-message one scenario would give, for the first entry that fails them.
+One forward-backward core carries these engines, over the eigenvalues
+and eigenbases that ``Scenario.spectrum`` takes from one batched eigh.
+The forward pass carries a stack of rows, one chain each, and yields the
+state before each step's table; the backward pass carries the effect the
+other way and yields the effect after each step. ``_chain``, the forward
+pass closed by the effect, serves the one-scenario engines and
+``stacked_exact_moments``, which runs a stack of scenarios.
+``position_moments`` contracts every slot between the two passes, and
+``sweep_moments`` only the swept one, once per grid point. Arrays carry
+leading batch axes that broadcast; the finiteness, post-selection and
+imaginary-residue checks run per batch entry and raise, with the message
+one scenario would give, for the first entry that fails them.
 
 ``sample_outcomes`` simulates shots one Kraus update at a time: each
 shot carries a system ket, and each pointer is read right after its
@@ -50,18 +52,22 @@ and length-shots vector operations: O(shots n d^2) time, and at most
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import qm
 from .errors import DimensionMismatch, InputError, NumericError, WeakLabError, check_footprint
-from .pointer import GaussianPointer, PointerOperatorKind, _factor, _overlap, check_widths, weak_regime_check
-from .weak_values import check_probability, seq_weak_value
+from .pointer import GaussianPointer, PointerOperatorKind, _factor, _overlap, weak_regime_check
+from .weak_values import ZERO_PROBABILITY_TOL, check_probability, seq_weak_value
 
 MOMENT_IMAG_TOL = 1e-10
 _SQUARED = (PointerOperatorKind.POSITION_SQUARED, PointerOperatorKind.MOMENTUM_SQUARED)
+_IDENTITY = PointerOperatorKind.IDENTITY
+_NOT_FINITE = "moment chain is not finite; a pointer width is too extreme for floating point"
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,19 @@ class Scenario:
 
     def sigmas(self) -> tuple[float, ...]:
         return tuple(step.pointer.sigma for step in self.steps)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (n, d), ascending, and eigenvector columns (n, d, d) of
+        the observables, from one batched eigh on first use; in a degenerate
+        subspace any orthonormal basis serves, as engines read projectors."""
+        eigenvalues, bases = np.linalg.eigh(np.array([step.observable.matrix for step in self.steps]))
+        return qm._freeze(eigenvalues), qm._freeze(bases)
+
+    @property
+    def effect(self) -> np.ndarray | None:
+        """The post-selection effect's matrix, or None for E = I."""
+        return None if self.post is None else self.post.matrix
 
 
 @dataclass(frozen=True)
@@ -174,53 +193,95 @@ def _adjoint(matrices: np.ndarray) -> np.ndarray:
     return matrices.conj().swapaxes(-1, -2)
 
 
-def _arrays(scn: Scenario) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None]:
-    """The initial matrix, the steps' eigenvector bases and the effect (or
-    None) of one scenario, as ``_chain`` reads them."""
-    bases = [step.observable.decomposition.eigenvectors for step in scn.steps]
-    return scn.initial.matrix, bases, None if scn.post is None else scn.post.matrix
+# The transfer-operator core. Each pass carries a stack of rows, (..., K, d, d),
+# one chain per row, through the steps in their eigenbases. Leading batch axes
+# may differ between the arrays it reads, and broadcast.
+
+def _turns(bases: np.ndarray) -> np.ndarray:
+    """The turns U_j = V_j^H V_{j-1} into each step's eigenbasis from the one
+    before, U_1 = V_1^H from the computational basis, for eigenvector
+    columns V_j, ``bases`` (..., n, d, d)."""
+    turns = _adjoint(bases)
+    return np.concatenate([turns[..., :1, :, :], turns[..., 1:, :, :] @ bases[..., :-1, :, :]], axis=-3)
+
+
+def _last_effect(bases: np.ndarray, effect: np.ndarray | None) -> np.ndarray:
+    """The effect in the last step's eigenbasis; the identity for None."""
+    if effect is None:
+        return np.eye(bases.shape[-1], dtype=complex)
+    last = bases[..., -1, :, :]
+    return _adjoint(last) @ effect @ last
+
+
+def _forward(initial, turns, tables):
+    """The forward pass: yields rho_j, the rows just before step j's table
+    in its eigenbasis, for each step, then the rows after the last table.
+    Step j maps X to F_j o (U_j X U_j^H), with F_j the (..., K, d, d) stack
+    ``tables[j]``; ``initial`` is (..., d, d)."""
+    state = initial[..., np.newaxis, :, :]
+    for j, table in enumerate(tables):
+        turn = turns[..., j, np.newaxis, :, :]
+        state = turn @ state @ _adjoint(turn)
+        yield state
+        state = table * state
+    yield state
+
+
+def _backward(effect, turns, tables):
+    """The backward pass: yields E_j, the effect just after step j in its
+    eigenbasis, last step first, so each row's trace is Tr(E_j (F_j o rho_j)),
+    from ``_last_effect``'s. In the Heisenberg picture the sandwich with a
+    Hermitian table F is the one with conj(F) and the inverse turn."""
+    effect = effect[..., np.newaxis, :, :]
+    for j in reversed(range(len(tables))):
+        yield effect
+        turn = turns[..., j, np.newaxis, :, :]
+        effect = _adjoint(turn) @ (effect * tables[j].conj()) @ turn
+
+
+def _close(state, bases, effect):
+    """Tr(E X) for each row X of the stack after the last table."""
+    if effect is None:
+        return np.trace(state, axis1=-2, axis2=-1)
+    return (_last_effect(bases, effect).swapaxes(-1, -2)[..., np.newaxis, :, :] * state).sum(axis=(-2, -1))
+
+
+def _slot(effect, table, state):
+    """Tr(E (F o rho)) per row: one slot's tables between the two passes."""
+    return (effect.swapaxes(-1, -2) * table * state).sum(axis=(-2, -1))
 
 
 def _chain(initial, bases, tables, effect=None) -> tuple[np.ndarray, np.ndarray]:
-    """Tr(E T_n(... T_1(rho))) for each chain of a stack, with
-    T_j(X) = sum_kl F[k, l] P_k X P_l, the P_k the eigenprojectors whose
-    eigenvector columns are ``bases[j]`` and F the matching table of the
-    (..., K, d, d) stack ``tables[j]``; E is ``effect``, or I when it is
-    None. ``initial``, the bases and the effect are (..., d, d). Leading
-    batch axes may differ between the arrays and broadcast. The last chain
-    of each stack must read the identity on every slot: its trace, Tr(eta),
-    is checked per batch entry and returned apart, shape (...), after the
-    other K - 1 traces, shape (..., K - 1).
-
-    This is the transfer-operator core of every analytic engine.
-    """
-    state, basis = initial[..., np.newaxis, :, :], None
-    for vectors, table in zip(bases, tables):
-        turn = _adjoint(vectors) if basis is None else _adjoint(vectors) @ basis
-        turn = turn[..., np.newaxis, :, :]
-        state = table * (turn @ state @ _adjoint(turn))
-        basis = vectors
-    if effect is None:
-        traces = np.trace(state, axis1=-2, axis2=-1)
-    else:
-        turned = (_adjoint(basis) @ effect @ basis).swapaxes(-1, -2)
-        traces = (turned[..., np.newaxis, :, :] * state).sum(axis=(-2, -1))
+    """Tr(E T_n(... T_1(rho))) for each chain of a stack, the forward pass
+    closed by the effect: T_j(X) = sum_kl F[k, l] P_k X P_l, with P_k the
+    eigenprojectors of ``bases[..., j, :, :]`` and F the matching table of
+    ``tables[j]``; E is ``effect``, or I when it is None. The last chain of
+    each stack must read the identity on every slot: its trace, Tr(eta), is
+    checked per batch entry and returned apart, shape (...), after the other
+    K - 1 traces, shape (..., K - 1)."""
+    for state in _forward(initial, _turns(bases), tables):
+        pass
+    traces = _close(state, bases, effect)
     if not np.isfinite(traces).all():
-        raise NumericError("moment chain is not finite; a pointer width is too extreme for floating point")
+        raise NumericError(_NOT_FINITE)
     probability = traces[..., -1].real
     check_probability(probability)
     return traces[..., :-1], probability
 
 
-def _values(numerator, peak, probability) -> np.ndarray:
-    """numerator / Tr(eta) per batch entry, whose imaginary rounding residue
-    is judged at the chain's term size: ``peak``, the product of the row's
-    table peaks (about sigma^2n for X readouts), over Tr(eta). The first
-    entry whose residue passes that raises NumericError."""
+def _residues(numerator, peak, probability) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numerator / Tr(eta) per batch entry, its imaginary rounding residue,
+    and the scale that residue is judged at: the chain's term size ``peak``,
+    the product of the row's table peaks (about sigma^2n for X), over Tr(eta)."""
     # Python's complex / float, as one scenario at a time divided: (re + im * 0) / p.
     value = (numerator.real + numerator.imag * 0.0) / probability
-    residue = numerator.imag / probability
-    scale = np.fmax(1.0, peak / probability)
+    return value, numerator.imag / probability, np.fmax(1.0, peak / probability)
+
+
+def _values(numerator, peak, probability) -> np.ndarray:
+    """``_residues``' values; the first entry whose residue passes
+    MOMENT_IMAG_TOL at its scale raises NumericError."""
+    value, residue, scale = _residues(numerator, peak, probability)
     leaks = np.abs(residue) > MOMENT_IMAG_TOL * scale
     if leaks.any():
         first = leaks.argmax()
@@ -247,11 +308,17 @@ def _pattern_tables(scn: Scenario, pat: MomentPattern, exact: bool, skip: int | 
             "the weak-regime engine covers first-order x/p moments only; "
             "use the exact engine for squared readouts"
         )
-    tables = []
-    for j, (step, kind) in enumerate(zip(scn.steps, pat.kinds)):
-        kinds, a = (kind, PointerOperatorKind.IDENTITY), step.observable.decomposition.eigenvalues
-        tables.append(None if j == skip else _step_tables(a, step.pointer.sigma, kinds, exact))
-    return tables
+    eigenvalues = scn.spectrum[0]
+    return [
+        None if j == skip else _step_tables(eigenvalues[j], step.pointer.sigma, (kind, _IDENTITY), exact)
+        for j, (step, kind) in enumerate(zip(scn.steps, pat.kinds))
+    ]
+
+
+def _moment(scn: Scenario, pat: MomentPattern, exact: bool) -> MomentResult:
+    tables = _pattern_tables(scn, pat, exact)
+    value, probability = _moments(scn.initial.matrix, scn.spectrum[1], tables, scn.effect)
+    return MomentResult(float(value), float(probability))
 
 
 # Very narrow widths overflow table entries: the overlap reads exp(-inf) = 0,
@@ -264,57 +331,37 @@ def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     Supports all five readout kinds. Normalization uses the exact
     post-selection probability Tr(eta), not its weak-limit stand-in.
     """
-    initial, bases, effect = _arrays(scn)
-    value, probability = _moments(initial, bases, _pattern_tables(scn, pat, exact=True), effect)
-    return MomentResult(float(value), float(probability))
+    return _moment(scn, pat, exact=True)
 
 
 @np.errstate(all="ignore")
 def position_moments(scn: Scenario) -> list[MomentResult]:
     """``exact_moment`` of the all-position pattern, then of the pattern
-    reading x on slot j alone, j = 1 ... n: O(n d^3) time, O(n d^2) bytes.
+    reading x on slot j alone, j = 1 ... n, in O(n d^3) time; per step it
+    holds the [x, i] tables, the turn and rho_j, four d x d complex arrays.
 
-    A forward pass carries the [x, i] stack as ``_chain`` does, keeping
-    rho_j, the identity row's state just before step j's table. A backward
-    pass carries the effect in the Heisenberg picture, where the sandwich
-    with the Hermitian identity table F turns into the one with conj(F)
-    and the inverse basis turn, giving E_j, the effect just after step j.
-    Slot j reads Tr(E_j (F^x_j o rho_j)). Each row's imaginary residue is
-    judged at its own scale: the x peaks' product, or slot j's x peak
-    alone, as identity tables peak at 1.
-    """
-    kinds = (PointerOperatorKind.POSITION, PointerOperatorKind.IDENTITY)
+    The forward pass carries the [x, i] rows, as ``_chain`` does, and keeps
+    the identity row's rho_j; the backward pass carries the identity row's
+    effect, and slot j reads Tr(E_j (F^x_j o rho_j)). Each row's imaginary
+    residue is judged at its own scale: the x peaks' product, or slot j's."""
     n, d = scn.n_steps, scn.dim
-    tables = np.empty((n, 2, d, d), dtype=complex)
-    turns = np.empty((n, d, d), dtype=complex)
+    eigenvalues, bases = scn.spectrum
+    tables = _step_tables(eigenvalues, np.array(scn.sigmas()), (PointerOperatorKind.POSITION, _IDENTITY))
+    turns = _turns(bases)
     before = np.empty((n, d, d), dtype=complex)
-    state, basis = np.stack([scn.initial.matrix] * 2), None
-    for j, step in enumerate(scn.steps):
-        decomposition = step.observable.decomposition
-        tables[j] = _step_tables(decomposition.eigenvalues, step.pointer.sigma, kinds)
-        vectors = decomposition.eigenvectors
-        turns[j] = turn = vectors.conj().T if basis is None else vectors.conj().T @ basis
-        state = turn @ state @ turn.conj().T
-        before[j] = state[1]
-        state = tables[j] * state
-        basis = vectors
-    if scn.post is None:
-        effect = np.eye(d, dtype=complex)
-        traces = np.trace(state, axis1=1, axis2=2)
-    else:
-        effect = basis.conj().T @ scn.post.matrix @ basis
-        traces = (effect.T * state).sum(axis=(1, 2))
-    slots = np.empty(n, dtype=complex)
-    for j in reversed(range(n)):
-        x, identity = tables[j]
-        slots[j] = (effect.T * x * before[j]).sum()
-        effect = turns[j].conj().T @ (effect * identity.conj()) @ turns[j]
+    states = _forward(scn.initial.matrix, turns, tables)
+    for j, state in zip(range(n), states):
+        before[j] = state[-1]
+    traces = _close(next(states), bases, scn.effect)
+    slots = np.empty((n, 1), dtype=complex)
+    for j, effect in zip(reversed(range(n)), _backward(_last_effect(bases, scn.effect), turns, tables[:, 1:])):
+        slots[j] = _slot(effect, tables[j, 0], before[j])
     if not (np.isfinite(traces).all() and np.isfinite(slots).all()):
-        raise NumericError("moment chain is not finite; a pointer width is too extreme for floating point")
+        raise NumericError(_NOT_FINITE)
     probability = traces[1].real
     check_probability(probability)
     peaks = np.abs(tables[:, 0]).max(axis=(1, 2))
-    values = _values(np.array([traces[0], *slots]), np.array([math.prod(peaks), *peaks]), probability)
+    values = _values(np.array([traces[0], *slots[:, 0]]), np.array([math.prod(peaks), *peaks]), probability)
     return [MomentResult(value, float(probability)) for value in values.tolist()]
 
 
@@ -326,9 +373,7 @@ def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
     position or momentum. Each momentum slot carries a factor
     1/(2 sigma^2); the result is normalized by Tr(E rho).
     """
-    initial, bases, effect = _arrays(scn)
-    value, probability = _moments(initial, bases, _pattern_tables(scn, pat, exact=False), effect)
-    return MomentResult(float(value), float(probability))
+    return _moment(scn, pat, exact=False)
 
 
 @np.errstate(all="ignore")
@@ -342,22 +387,16 @@ def stacked_exact_moments(
     n = observables.shape[-3]
     _check_pattern(n, pat)
     eigenvalues, bases = np.linalg.eigh(observables)
-    kinds = [(kind, PointerOperatorKind.IDENTITY) for kind in pat.kinds]
+    kinds = [(kind, _IDENTITY) for kind in pat.kinds]
     tables = [_step_tables(eigenvalues[..., j, :], sigmas[..., j], kinds[j]) for j in range(n)]
-    return _moments(initial, [bases[..., j, :, :] for j in range(n)], tables, None)[0]
+    return _moments(initial, bases, tables, None)[0]
 
 
-# Bytes of grid-sized arrays one chunk of ``sweep_moments`` may hold. Per
-# point it holds the swept step's tables and the chain's stacks after it:
-# 8.4 to 8.8 complex d x d matrices at the peak (tracemalloc, d = 2 to 32,
-# n = 3, post-selected), counted as SWEEP_POINT_MATRICES for headroom.
-SWEEP_CHUNK_BYTES = 4 * 2**20
-SWEEP_POINT_MATRICES = 12
-
-
-def sweep_chunk(d: int) -> int:
-    """Grid points ``sweep_moments`` runs as one stack at dimension d."""
-    return max(1, SWEEP_CHUNK_BYTES // (SWEEP_POINT_MATRICES * 16 * d * d))
+# Table entries, points times d^2, that one chunk of ``sweep_moments``
+# contracts at once. A point holds its swept [pattern, identity] tables and
+# two products of their size, beside smaller work arrays: 1.9 to 2.2 MB per
+# chunk at the peak (tracemalloc, d = 2 to 32).
+SWEEP_CHUNK_ENTRIES = 2**14
 
 
 @np.errstate(all="ignore")
@@ -365,59 +404,57 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
     """``exact_moment`` and ``weak_prediction`` of ``pat`` with step
     ``index``'s pointer width set to each of ``widths`` in turn.
 
-    The other steps' tables are built once; each chunk of ``sweep_chunk``
-    widths runs one chain per engine, with the swept step's tables built
-    in one broadcast. An error is the one a loop over the widths meets
-    first: widths checked as ``GaussianPointer`` checks them, then the
-    exact engine, then the weak one, point by point. A failing chunk is
-    halved down to its first failing point, which then runs alone.
-    """
-    initial, bases, effect = _arrays(scn)
-    eigenvalues = scn.steps[index].observable.decomposition.eigenvalues
-    # The other steps' tables, built at their engine's first run: the loop
-    # met their errors after point 0's width check, and the weak engine's
-    # after point 0's exact value.
-    fixed = {}
-
-    def tables(exact: bool, points: np.ndarray) -> list:
-        if exact not in fixed:
-            fixed[exact] = _pattern_tables(scn, pat, exact, skip=index)
-        swept = _step_tables(eigenvalues, points, (pat.kinds[index], PointerOperatorKind.IDENTITY), exact)
-        return [swept if j == index else table for j, table in enumerate(fixed[exact])]
-
-    def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        check_widths(points)
-        exact = _moments(initial, bases, tables(True, points), effect)[0]
-        return exact, _moments(initial, bases, tables(False, points), effect)[0]
-
-    exact, weak = np.empty(len(widths)), np.empty(len(widths))
-    size = sweep_chunk(scn.dim)
-    for start in range(0, len(widths), size):
-        points = widths[start:start + size]
-        try:
-            exact[start:start + size], weak[start:start + size] = evaluate(points)
-        except WeakLabError:
-            passing, failing = 0, len(points)
-            while failing - passing > 1:
-                middle = (passing + failing) // 2
-                try:
-                    evaluate(points[:middle])
-                    passing = middle
-                except WeakLabError:
-                    failing = middle
-            evaluate(points[failing - 1:failing])
-            raise  # the chunk's own error, should that point pass alone
-    return exact, weak
+    Only the swept slot's tables depend on the width. Per engine, one
+    forward pass gives that slot's rho and one backward pass its E, for the
+    pattern and identity rows, and each width costs one slot contraction:
+    O(n d^3 + G d^2). The grid is chunked to bound memory only. A point
+    whose width ``GaussianPointer`` refuses, or that fails a check of an
+    engine, reruns alone through ``exact_moment`` and ``weak_prediction``,
+    in grid order, so the error is the one a loop over the widths meets
+    first; a point that passes alone keeps the values it gets there."""
+    eigenvalues, bases = scn.spectrum
+    turns = _turns(bases)
+    values, failing = np.empty((2, len(widths))), np.zeros(len(widths), dtype=bool)
+    size = max(1, SWEEP_CHUNK_ENTRIES // scn.dim**2)
+    try:
+        for row, exact in enumerate((True, False)):
+            fixed = _pattern_tables(scn, pat, exact, skip=index)
+            state = next(itertools.islice(_forward(scn.initial.matrix, turns, fixed), index, None))
+            effects = _backward(_last_effect(bases, scn.effect), turns, fixed)
+            effect = next(itertools.islice(effects, scn.n_steps - 1 - index, None))
+            peak = math.prod(np.abs(table[0]).max() for table in fixed if table is not None)
+            for start in range(0, len(widths), size):
+                chunk = slice(start, start + size)
+                points = widths[chunk]
+                bad = ~((points > 0) & np.isfinite(points * points)) | (np.float_power(points, 2) == 0.0)
+                kinds = (pat.kinds[index], _IDENTITY)
+                tables = _step_tables(eigenvalues[index], np.where(bad, np.nan, points), kinds, exact)
+                traces = _slot(effect, tables, state)
+                probability = traces[:, 1].real
+                values[row, chunk], residue, scale = _residues(
+                    traces[:, 0], peak * np.abs(tables[:, 0]).max(axis=(-2, -1)), probability
+                )
+                passing = np.isfinite(traces).all(axis=-1) & (probability > ZERO_PROBABILITY_TOL)
+                failing[chunk] |= bad | ~(passing & (np.abs(residue) <= MOMENT_IMAG_TOL * scale))
+    except WeakLabError:
+        failing[:] = True  # a check on the unswept steps or the pattern, met at point 0
+    for point in np.flatnonzero(failing):
+        steps = list(scn.steps)
+        steps[index] = replace(steps[index], pointer=GaussianPointer(float(widths[point])))
+        varied = replace(scn, steps=steps)
+        values[:, point] = exact_moment(varied, pat).value, weak_prediction(varied, pat).value
+    return values[0], values[1]
 
 
 def steps_outside_weak_regime(scn: Scenario) -> tuple[int, ...]:
     """Indices of the steps whose pointer fails ``weak_regime_check``,
     judged against the scenario's sequential weak value."""
     magnitude = abs(seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps]))
+    eigenvalues = scn.spectrum[0]
     return tuple(
         index
         for index, step in enumerate(scn.steps)
-        if not weak_regime_check(step.pointer, step.observable.decomposition.eigenvalues, magnitude)
+        if not weak_regime_check(step.pointer, eigenvalues[index], magnitude)
     )
 
 
@@ -437,17 +474,15 @@ def recover_weak_value(scn: Scenario, source: EvaluationMethod = EvaluationMetho
     that. ``steps_outside_weak_regime`` names the steps whose pointers are
     too narrow for the result to be read as the weak value.
     """
-    gains = [2j * sigma**2 for sigma in scn.sigmas()]
+    eigenvalues, bases = scn.spectrum
+    widths = np.array(scn.sigmas())
+    gains = 2j * np.float_power(widths, 2)
     if scn.post is None:
         gains[-1] = 0.0
     kinds = [PointerOperatorKind(code) for code in "xpi"]
-    tables = []
-    for step, gain in zip(scn.steps, gains):
-        a = step.observable.decomposition.eigenvalues
-        x, p, identity = _step_tables(a, step.pointer.sigma, kinds, source is EvaluationMethod.EXACT)
-        tables.append(np.array([x + gain * p, identity]))
-    initial, bases, effect = _arrays(scn)
-    (numerator,), probability = _chain(initial, bases, tables, effect)
+    tables = _step_tables(eigenvalues, widths, kinds, source is EvaluationMethod.EXACT)
+    tables[:, 0] += gains[:, np.newaxis, np.newaxis] * tables[:, 1]
+    (numerator,), probability = _chain(scn.initial.matrix, bases, tables[:, ::2], scn.effect)
     return complex(numerator) / float(probability)
 
 
@@ -562,13 +597,10 @@ def sample_outcomes(
     if seed < 0:
         raise InputError(f"seed must be at least 0, got {seed}")
     check_footprint(sample_footprint(scn, shots), f"{shots} shots")
+    eigenvalues, bases = scn.spectrum
     if probability is None:
-        identity = [
-            _step_tables(step.observable.decomposition.eigenvalues, step.pointer.sigma, (PointerOperatorKind.IDENTITY,))
-            for step in scn.steps
-        ]
-        initial, bases, effect = _arrays(scn)
-        probability = float(_chain(initial, bases, identity, effect)[1])
+        identity = _step_tables(eigenvalues, np.array(scn.sigmas()), (_IDENTITY,))
+        probability = float(_chain(scn.initial.matrix, bases, identity, scn.effect)[1])
     else:
         check_probability(probability)
 
@@ -577,15 +609,12 @@ def sample_outcomes(
     weights = np.clip(weights, 0.0, None)[:, np.newaxis]
     rows = np.empty((scn.n_steps, shots))
     kets = None
-    for j, step in enumerate(scn.steps):
-        decomposition = step.observable.decomposition
-        turn = _realify(decomposition.eigenvectors.conj().T @ basis)
-        basis = decomposition.eigenvectors
+    for j, (a, vectors, sigma) in enumerate(zip(eigenvalues, bases, scn.sigmas())):
+        turn = _realify(vectors.conj().T @ basis)
+        basis = vectors
         # Every initial ket is a column of ``basis``, so the first turn gathers.
         kets = np.take(turn, _draw_index(rng, weights, shots), axis=1) if kets is None else turn @ kets
-        rows[j] = _read_pointer(
-            rng, kets.reshape(2, scn.dim, shots), decomposition.eigenvalues, step.pointer.sigma
-        )
+        rows[j] = _read_pointer(rng, kets.reshape(2, scn.dim, shots), a, sigma)
 
     if scn.post is not None:
         projected = _realify(basis.conj().T @ scn.post.matrix @ basis) @ kets

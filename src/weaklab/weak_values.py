@@ -84,6 +84,6 @@ def seq_weak_value(
 def norm_products(observables: np.ndarray) -> np.ndarray:
     """Product of spectral norms per instance: the magnitude cap on
     ``sequence_traces``. The eigenvalues come from ``eigh``, as in
-    ``Observable.decomposition``; ``eigvalsh`` can differ in the last bit."""
+    ``Scenario.spectrum``; ``eigvalsh`` can differ in the last bit."""
     eigenvalues = np.linalg.eigh(observables)[0]
     return np.abs(eigenvalues).max(axis=-1).prod(axis=-1)

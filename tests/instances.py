@@ -29,7 +29,7 @@ def random_observable(rng, d):
 
 def spectral_norm(obs):
     """Largest absolute eigenvalue."""
-    return float(np.max(np.abs(obs.decomposition.eigenvalues)))
+    return float(np.max(np.abs(np.linalg.eigh(obs.matrix)[0])))
 
 
 def ordered_trace(rho, observables, post=None):

@@ -287,8 +287,7 @@ def table_peak(scn, pattern, exact):
     """Product over the steps of the pattern table's largest element: the
     scale of an engine's terms, with the overlap dropped for the weak one."""
     peak = 1.0
-    for step, kind in zip(scn.steps, wl.MomentPattern.from_string(pattern).kinds):
-        a = step.observable.decomposition.eigenvalues
+    for step, kind, a in zip(scn.steps, wl.MomentPattern.from_string(pattern).kinds, scn.spectrum[0]):
         left, right = a[np.newaxis, :], a[:, np.newaxis]
         table = wl.matrix_element(step.pointer, kind, left, right)
         if not exact:
@@ -347,7 +346,7 @@ class TestSweepAgainstPerPointLoop:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_edges(self, write_scenario, offset):
         scn = random_file_scenario(np.random.default_rng(8), 4, 3, with_post=True)
-        points = simulator.sweep_chunk(4) + offset
+        points = simulator.SWEEP_CHUNK_ENTRIES // 4**2 + offset
         assert_sweep_matches_loop(write_scenario(scn), scn, "xpx", 1, 0.4, 40.0, points)
 
     @pytest.mark.parametrize(
@@ -373,6 +372,24 @@ class TestSweepAgainstPerPointLoop:
     def test_failure_matches_the_loop(self, name, build, pattern, index, start, stop, steps):
         assert per_point_sweep(build(), pattern, index, start, stop, steps)[0] != 0
         assert_sweep_matches_loop(name, build(), pattern, index, start, stop, steps)
+
+    def test_memory_is_flat_in_points(self):
+        # Beside its results and failing mask, 17 bytes a point, a sweep
+        # holds one chunk's work arrays, whatever the size of its grid.
+        scn, pattern = wl.build_illustrative(1.0, 1.0), wl.MomentPattern.from_string("xx")
+
+        def peak(points):
+            grid = np.geomspace(0.5, 50.0, points)
+            simulator.sweep_moments(scn, pattern, 0, grid[:5])  # load everything a first call loads
+            tracemalloc.start()
+            try:
+                simulator.sweep_moments(scn, pattern, 0, grid)
+                return tracemalloc.get_traced_memory()[1] - 17 * points
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(20_000), peak(200_000)
+        assert large <= small + 256 * 1024, (small, large)
 
     def test_unswept_width_underflow_fails_every_point(self):
         # chain-n's other widths underflow, so point 0's exact engine fails
@@ -463,7 +480,7 @@ class TestReportDigests:
         ),
         (
             "sweep illustrative --param sigma1 --from 0.5 --to 4 --steps 4 --pattern xx",
-            "3db2537bf091bcc772b6b2b73ca6c143d0b3c268e33135f383130e5577770892",
+            "5f1146824fb457af209dbea2ef456b39b823c63aa6f40a0481feb954facee769",
         ),
         (
             "--format json sweep pauli-xy --param sigma2 --from 0.5 --to 3 --steps 3 --pattern xp",
@@ -609,8 +626,9 @@ class TestSampleCommand:
         assert (len(chains), len(passes)) == (0, 1)
 
     def test_report_memory_per_step(self):
-        # The CSV report streams its rows, so a long chain's sample peaks at
-        # about 1.6 kB per step (2.0 kB when the report was built in memory).
+        # The CSV report streams its rows and the scenario decomposes its
+        # observables as one stack, so a long chain's sample peaks at about
+        # 1.26 kB per step (1.65 kB with a decomposition per observable).
         n = 2000
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             main(["sample", "chain-n", "--n", "50", "--shots", "1"])  # load everything a first call loads
@@ -620,7 +638,7 @@ class TestSampleCommand:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= 1700 * n, peak / n
+        assert peak <= 1380 * n, peak / n
 
     def test_json_writes_null_where_csv_writes_nan(self, capsys, write_scenario):
         # One kept shot has no standard error. JSON has no NaN, so a strict

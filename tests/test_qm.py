@@ -53,21 +53,27 @@ class TestStates:
             make(bad)
 
 
-class TestSpectralDecompose:
+def scenario_of(*observables):
+    """A scenario measuring ``observables`` in turn on a maximally mixed state."""
+    d = observables[0].dim
+    steps = [wl.MeasurementStep(obs, wl.GaussianPointer(1.0)) for obs in observables]
+    return wl.Scenario(initial=wl.MixedState(np.eye(d) / d), steps=steps)
+
+
+class TestScenarioSpectrum:
+    """A scenario decomposes its observables once, as (n, d) eigenvalues and
+    (n, d, d) eigenvector columns."""
+
     def test_sigma_z(self):
-        dec = wl.spectral_decompose(SIGMA_Z)
-        assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
+        eigenvalues, bases = scenario_of(SIGMA_Z).spectrum
+        assert np.allclose(eigenvalues, [[-1.0, 1.0]])
         # ascending order puts |1> first
-        assert np.allclose(np.abs(dec.eigenvectors[:, 0]), [0.0, 1.0])
-        assert np.allclose(np.abs(dec.eigenvectors[:, 1]), [1.0, 0.0])
+        assert np.allclose(np.abs(bases[0][:, 0]), [0.0, 1.0])
+        assert np.allclose(np.abs(bases[0][:, 1]), [1.0, 0.0])
 
-    def test_plus_projector(self):
-        proj = wl.projector_from_ket(KET_PLUS)
-        assert np.allclose(proj.decomposition.eigenvalues, [0.0, 1.0], atol=1e-12)
-
-    def test_diagonal(self):
-        dec = wl.spectral_decompose(wl.Observable(np.diag([0.0, 3.0])))
-        assert np.allclose(dec.eigenvalues, [0.0, 3.0])
+    def test_plus_projector_and_diagonal(self):
+        eigenvalues, _ = scenario_of(wl.projector_from_ket(KET_PLUS), wl.Observable(np.diag([0.0, 3.0]))).spectrum
+        assert np.allclose(eigenvalues, [[0.0, 1.0], [0.0, 3.0]], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InputError, match="deviates from Hermiticity"):
@@ -76,18 +82,18 @@ class TestSpectralDecompose:
     def test_reconstruction_roundtrip_random(self):
         rng = np.random.default_rng(7)
         for d in (2, 3, 5, 8):
-            for _ in range(20):
-                obs = random_observable(rng, d)
-                dec = obs.decomposition
-                v = dec.eigenvectors
-                assert np.max(np.abs((v * dec.eigenvalues) @ v.conj().T - obs.matrix)) < 1e-10
-                gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-                assert np.max(np.abs(gram - np.eye(d))) < 1e-10
-                assert np.all(np.diff(dec.eigenvalues) >= -1e-12)
+            observables = [random_observable(rng, d) for _ in range(20)]
+            eigenvalues, bases = scenario_of(*observables).spectrum
+            assert eigenvalues.shape == (20, d) and bases.shape == (20, d, d)
+            for obs, values, v in zip(observables, eigenvalues, bases):
+                assert np.max(np.abs((v * values) @ v.conj().T - obs.matrix)) < 1e-10
+                assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-10
+                assert np.all(np.diff(values) >= -1e-12)
 
-    def test_decomposition_cached(self):
-        obs = wl.Observable(np.diag([1.0, 2.0]))
-        assert obs.decomposition is obs.decomposition
+    def test_spectrum_cached_and_frozen(self):
+        scn = scenario_of(wl.Observable(np.diag([1.0, 2.0])))
+        assert scn.spectrum is scn.spectrum
+        assert not any(array.flags.writeable for array in scn.spectrum)
 
 
 class TestBatchedEigh:
