@@ -391,6 +391,23 @@ class TestSweepAgainstPerPointLoop:
         small, large = peak(20_000), peak(200_000)
         assert large <= small + 256 * 1024, (small, large)
 
+    def test_swept_width_underflow_stays_on_the_fast_path(self, write_scenario, monkeypatch):
+        # The file's own width for the swept step squares to 0, but the
+        # sweep never reads it, so no point reruns through exact_moment.
+        scn = random_file_scenario(np.random.default_rng(3), 3, 3, with_post=True)
+        steps = list(scn.steps)
+        steps[0] = dataclasses.replace(steps[0], pointer=wl.GaussianPointer(1e-170))
+        scn = dataclasses.replace(scn, steps=steps)
+        calls, original = [], simulator.exact_moment
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simulator, "exact_moment", counting)
+        assert_sweep_matches_loop(write_scenario(scn), scn, "xpx", 0, 0.5, 4.0, 4000)
+        assert calls == []
+
     def test_unswept_width_underflow_fails_every_point(self):
         # chain-n's other widths underflow, so point 0's exact engine fails
         assert_sweep_matches_loop("chain-n", wl.build_projector_chain(3, 1e-170), "xpx", 1, 0.5, 4.0, 5,
@@ -688,25 +705,29 @@ class TestSampleCommand:
 
 class TestCountArguments:
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ("sweep", "illustrative", "--param", "sigma1", "--from", "1", "--to", "2", "--steps", "-1",
-             "--pattern", "xx"),
-            ("sweep", "illustrative", "--param", "sigma1", "--from", "1", "--to", "2", "--steps", "0",
-             "--pattern", "xx"),
-            ("optimize", "--n", "2", "--restarts", "1", "--budget", "0"),
-            ("optimize", "--n", "2", "--restarts", "1", "--budget", "-3"),
-            ("bounds", "--trials", "0"),
-            ("bounds", "--trials", "-5"),
-            ("sample", "illustrative", "--shots", "10", "--seed", "-1"),
-            ("optimize", "--n", "2", "--seed", "-1", "--restarts", "2", "--budget", "10"),
-            ("bounds", "--trials", "5", "--seed", "-1"),
+            (("sweep", "illustrative", "--param", "sigma1", "--from", "1", "--to", "2", "--steps", "-1",
+              "--pattern", "xx"), "--steps must be at least 1, got -1"),
+            (("sweep", "illustrative", "--param", "sigma1", "--from", "1", "--to", "2", "--steps", "0",
+              "--pattern", "xx"), "--steps must be at least 1, got 0"),
+            (("optimize", "--n", "2", "--restarts", "1", "--budget", "0"),
+             "need a budget of at least one evaluation, got 0"),
+            (("optimize", "--n", "2", "--restarts", "1", "--budget", "-3"),
+             "need a budget of at least one evaluation, got -3"),
+            (("bounds", "--trials", "0"), "--trials must be at least 1, got 0"),
+            (("bounds", "--trials", "-5"), "--trials must be at least 1, got -5"),
+            (("sample", "illustrative", "--shots", "10", "--seed", "-1"), "--seed must be at least 0, got -1"),
+            (("optimize", "--n", "2", "--seed", "-1", "--restarts", "2", "--budget", "10"),
+             "need a seed of at least 0, got -1"),
+            (("bounds", "--trials", "5", "--seed", "-1"), "--seed must be at least 0, got -1"),
         ],
     )
-    def test_count_below_one_exit_code(self, capsys, argv):
-        code, out = run_cli(capsys, *argv)
+    def test_count_below_one_exit_code(self, capsys, argv, message):
+        code = main(list(argv))
+        captured = capsys.readouterr()
         assert code == 2
-        assert out == ""
+        assert (captured.out, captured.err) == ("", f"input error: {message}\n")
 
 
 def per_trial_bounds(trials, seed):

@@ -1,6 +1,6 @@
 """The public surface: every name in ``weaklab.__all__`` exists, once,
 is read by the program, a demo or the benchmark, no module imports a name
-it never reads, and importing the CLI pulls in no dependency beyond numpy
+it never reads, every private top-level name is read, and importing the CLI pulls in no dependency beyond numpy
 and builds no parser."""
 
 import ast
@@ -56,6 +56,28 @@ def test_no_module_imports_a_name_it_never_reads():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [f"{path.name}: {name}" for name in imported if name not in read]
     assert unread == []
+
+
+def test_every_private_top_level_name_is_read():
+    # A helper folded into another must go with the fold, not linger unread.
+    defined, read = [], set()
+    for path in sorted((SRC / "weaklab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [target.id for target in nodes if isinstance(target, ast.Name)]
+            else:
+                targets = []
+            defined += [f"{path.name}: {name}" for name in targets if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert [entry for entry in defined if entry.split(": ")[1] not in read] == []
 
 
 def test_cli_import_leaves_scipy_out():
