@@ -16,11 +16,12 @@ contraction per point, ``simulator.SWEEP_CHUNK_ENTRIES`` table entries at
 a time. ``sample`` checks ``--shots`` and ``--seed`` before any engine
 work. Its exact column needs no limit of its own:
 ``simulator.position_moments`` holds four d x d arrays per step, fewer
-bytes than the scenario. ``bounds --trials`` needs no limit: its
-projector-pair and magnitude suites draw BOUNDS_CHUNK trials, and its hull
-suite BOUNDS_CHUNK // 10, in the order a one-at-a-time loop would, then
-check and evaluate them as stacks (the first two grouped by dimension and
-length), so their memory is flat in the trial count.
+bytes than the scenario. ``bounds --trials`` needs no limit: one draw
+loop, ``_stacks``, serves all three suites. It draws BOUNDS_CHUNK trials
+at a time for the projector-pair and magnitude suites, and BOUNDS_CHUNK //
+10 for the hull suite, in the order a one-at-a-time loop would, and yields
+one stack per shape for the suite to check and evaluate, so memory is flat
+in the trial count.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -221,16 +223,16 @@ def _cmd_sweep(args) -> None:
     scn, source = _resolve_scenario(args.file, args)
     if not args.param.startswith("sigma"):
         raise InputError(f"sweep parameter must name a step width (sigmaK), got {args.param!r}")
-    try:
-        step_index = int(args.param[len("sigma"):]) - 1
-    except ValueError:
-        raise InputError(f"sweep parameter must look like sigma1, got {args.param!r}") from None
+    digits = args.param[len("sigma"):]
+    if not re.fullmatch("0|[1-9][0-9]*", digits):
+        raise InputError(f"sweep parameter must look like sigma1, got {args.param!r}")
+    step_index = int(digits) - 1
     if not 0 <= step_index < scn.n_steps:
         raise InputError(f"{args.param!r} is out of range for a {scn.n_steps}-step scenario")
     _reject_flags(args, (f"sigma{step_index + 1}",), f"a sweep of {args.param}")
     if not (0 < args.start < math.inf and 0 < args.stop < math.inf):
         raise InputError("sweep endpoints must be positive and finite for geometric spacing")
-    _require_count("--steps", args.steps)
+    _require_at_least("--steps", args.steps, 1)
     if args.steps > SWEEP_MAX_POINTS:
         raise InputError(f"--steps must be at most {SWEEP_MAX_POINTS}, got {args.steps}")
     grid = np.geomspace(args.start, args.stop, args.steps)
@@ -284,9 +286,8 @@ def _cmd_optimize(args) -> None:
 
 
 def _cmd_sample(args) -> None:
-    _require_count("--shots", args.shots)
-    if args.seed < 0:
-        raise InputError(f"--seed must be at least 0, got {args.seed}")
+    _require_at_least("--shots", args.shots, 1)
+    _require_at_least("--seed", args.seed, 0)
     scn, source = _resolve_scenario(args.file, args)
     exact = position_moments(scn)
     # Tr(eta) comes out of the exact column's pass, so the sampler need not run it.
@@ -325,137 +326,114 @@ def _sample_row(quantity: str, values: np.ndarray, exact: float) -> dict:
     }
 
 
-def _chunks(trials: int, size: int):
+def _stacks(rng: np.random.Generator, trials: int, size: int, draw):
+    """Trials drawn ``size`` at a time, in the order a one-at-a-time loop
+    draws them: ``draw(rng)`` gives one trial's shape and row of draws.
+    Yields each chunk's (shape, stack of rows) once per shape."""
     for start in range(0, trials, size):
-        yield min(size, trials - start)
+        drawn = {}
+        for _ in range(min(size, trials - start)):
+            shape, row = draw(rng)
+            drawn.setdefault(shape, []).append(row)
+        yield from ((shape, np.array(rows)) for shape, rows in drawn.items())
 
 
-def _pair_suite(rng: np.random.Generator, trials: int) -> tuple[float, int]:
+# Each suite draws one trial's row and gives a stack's worst value and
+# violation count; ``_cmd_bounds`` folds them over every stack.
+
+def _draw_pair(rng: np.random.Generator):
+    # The real, then the imaginary, parts of psi, then of the kets of A and B.
+    d = int(rng.integers(2, 4))
+    return d, rng.standard_normal(6 * d)
+
+
+def _pair_floor(d: int, normals: np.ndarray) -> tuple[float, int]:
     """Projector pairs: the Re <psi|BA|psi> floor of -1/8 (d = 2 and 3)."""
-    worst, violations = math.inf, 0
-    for size in _chunks(trials, BOUNDS_CHUNK):
-        # One trial's normals are the real, then the imaginary, parts of
-        # psi, then of the kets of A and B.
-        drawn = {2: [], 3: []}
-        for _ in range(size):
-            d = int(rng.integers(2, 4))
-            drawn[d].append(rng.standard_normal(6 * d))
-        for d, normals in drawn.items():
-            if not normals:
-                continue
-            kets = qm.kets_from_normals(np.reshape(normals, (-1, 3, 2, d)))
-            qm.check_kets(kets)
-            projectors = qm.projectors_from_kets(kets)
-            rho, pair = projectors[:, 0], projectors[:, 1:]
-            qm.check_densities(rho)
-            qm.check_observables(pair)
-            values = sequence_traces(rho, pair).real
-            worst = min(worst, float(values.min()))
-            violations += int(np.count_nonzero(values < PROJECTOR_PAIR_FLOOR - 1e-12))
-    return worst, violations
+    kets = qm.kets_from_normals(normals.reshape(-1, 3, 2, d))
+    qm.check_kets(kets)
+    projectors = qm.projectors_from_kets(kets)
+    rho, pair = projectors[:, 0], projectors[:, 1:]
+    qm.check_densities(rho)
+    qm.check_observables(pair)
+    values = sequence_traces(rho, pair).real
+    return float(values.min()), int(np.count_nonzero(values < PROJECTOR_PAIR_FLOOR - 1e-12))
 
 
-def _magnitude_suite(rng: np.random.Generator, trials: int) -> tuple[float, int]:
+def _draw_magnitude(rng: np.random.Generator):
+    # A Ginibre density matrix's normals, then each observable's Ginibre matrix's.
+    d, n = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+    return (d, n), rng.standard_normal(2 * d * d * (n + 1))
+
+
+def _magnitude_excess(shape: tuple[int, int], normals: np.ndarray) -> tuple[float, int]:
     """The magnitude cap on the no-post-selection weak value: |Tr(A_n ... A_1
     rho)| at most the product of spectral norms (d = 2 to 4, n = 1 to 5)."""
-    worst, violations = -math.inf, 0
-    for size in _chunks(trials, BOUNDS_CHUNK):
-        # One trial's normals are those of a Ginibre density matrix, then of
-        # each observable's Ginibre matrix.
-        drawn = {}
-        for _ in range(size):
-            d = int(rng.integers(2, 5))
-            n = int(rng.integers(1, 6))
-            drawn.setdefault((d, n), []).append(rng.standard_normal(2 * d * d * (n + 1)))
-        for (d, n), normals in drawn.items():
-            normals = np.reshape(normals, (-1, n + 1, 2, d, d))
-            rho = qm.densities_from_normals(normals[:, 0])
-            observables = qm.observables_from_normals(normals[:, 1:])
-            qm.check_densities(rho)
-            qm.check_observables(observables)
-            values = sequence_traces(rho, observables)
-            # np.hypot rounds as Python's abs(complex) does; np.abs may not.
-            excess = np.hypot(values.real, values.imag) - norm_products(observables)
-            worst = max(worst, float(excess.max()))
-            violations += int(np.count_nonzero(excess > 1e-12))
-    return worst, violations
+    d, n = shape
+    normals = normals.reshape(-1, n + 1, 2, d, d)
+    rho = qm.densities_from_normals(normals[:, 0])
+    observables = qm.observables_from_normals(normals[:, 1:])
+    qm.check_densities(rho)
+    qm.check_observables(observables)
+    values = sequence_traces(rho, observables)
+    # np.hypot rounds as Python's abs(complex) does; np.abs may not.
+    excess = np.hypot(values.real, values.imag) - norm_products(observables)
+    return float(excess.max()), int(np.count_nonzero(excess > 1e-12))
 
 
-def _hull_suite(rng: np.random.Generator, trials: int) -> tuple[float, int]:
+def _draw_hull(rng: np.random.Generator):
+    # The shared d = 4 ket's normals, then the two d = 2 projectors' kets', then two widths.
+    return 4, np.concatenate([rng.standard_normal(16), rng.uniform(0.5, 5.0, 2)])
+
+
+def _hull_margin(_, rows: np.ndarray) -> tuple[float, int]:
     """Common-cause scenarios stay inside the product hull [0, 1]: the exact
     x1 x2 moment of a shared d = 4 ket whose d = 2 halves are measured by
-    projectors, as ``build_common_cause`` lifts them. Returns the smallest
+    projectors, as ``build_common_cause`` lifts them. Gives the smallest
     margin to the hull's ends (negative outside) and the witnessed count."""
-    low, high, violations = math.inf, -math.inf, 0
-    for size in _chunks(trials, BOUNDS_CHUNK // 10):
-        # One trial's normals are those of the shared d = 4 ket, then of the
-        # kets of the two d = 2 projectors; its two widths come after them.
-        normals, widths = np.empty((size, 16)), np.empty((size, 2))
-        for row in range(size):
-            normals[row] = rng.standard_normal(16)
-            widths[row] = rng.uniform(0.5, 5.0, 2)
-        shared = qm.kets_from_normals(normals[:, :8].reshape(-1, 2, 4))
-        halves = qm.kets_from_normals(normals[:, 8:].reshape(-1, 2, 2, 2))
-        qm.check_kets(shared)
-        qm.check_kets(halves)
-        rho, projectors = qm.projectors_from_kets(shared), qm.projectors_from_kets(halves)
-        qm.check_densities(rho)
-        qm.check_observables(projectors)
-        lifted = np.stack(lift_pair(projectors[:, 0], projectors[:, 1]), axis=1)
-        qm.check_observables(lifted)
-        check_widths(widths)
-        values = stacked_exact_moments(rho, lifted, widths, MomentPattern.all_position(2))
-        low, high = min(low, float(values.min())), max(high, float(values.max()))
-        violations += sum(
-            causal_witness(value, (0.0, 1.0), margin=1e-9) is not CausalStructure.INCONCLUSIVE
-            for value in values.tolist()
-        )
-    return min(low, 1.0 - high), violations
+    shared = qm.kets_from_normals(rows[:, :8].reshape(-1, 2, 4))
+    halves = qm.kets_from_normals(rows[:, 8:16].reshape(-1, 2, 2, 2))
+    qm.check_kets(shared)
+    qm.check_kets(halves)
+    rho, projectors = qm.projectors_from_kets(shared), qm.projectors_from_kets(halves)
+    qm.check_densities(rho)
+    qm.check_observables(projectors)
+    lifted = np.stack(lift_pair(projectors[:, 0], projectors[:, 1]), axis=1)
+    qm.check_observables(lifted)
+    widths = rows[:, 16:]
+    check_widths(widths)
+    values = stacked_exact_moments(rho, lifted, widths, MomentPattern.all_position(2))
+    witnessed = sum(
+        causal_witness(value, (0.0, 1.0), margin=1e-9) is not CausalStructure.INCONCLUSIVE
+        for value in values.tolist()
+    )
+    return min(float(values.min()), 1.0 - float(values.max())), witnessed
 
 
 def _cmd_bounds(args) -> None:
-    _require_count("--trials", args.trials)
-    if args.seed < 0:
-        raise InputError(f"--seed must be at least 0, got {args.seed}")
+    _require_at_least("--trials", args.trials, 1)
+    _require_at_least("--seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     trials = args.trials
-    worst_pair, pair_violations = _pair_suite(rng, trials)
-    worst_excess, magnitude_violations = _magnitude_suite(rng, trials)
-
     hull_trials = max(1, trials // 10)  # each trial runs the exact engine in d = 4
-    worst_hull, hull_violations = _hull_suite(rng, hull_trials)
-
-    config = {"trials": trials, "seed": args.seed}
-    results = [
-        {
-            "suite": "projector_pair_floor",
-            "trials": trials,
-            "worst": worst_pair,
-            "bound": PROJECTOR_PAIR_FLOOR,
-            "violations": pair_violations,
-        },
-        {
-            "suite": "magnitude_vs_norm_product",
-            "trials": trials,
-            "worst": worst_excess,
-            "bound": 0.0,
-            "violations": magnitude_violations,
-        },
-        {
-            "suite": "common_cause_hull",
-            "trials": hull_trials,
-            "worst": worst_hull,
-            "bound": 0.0,
-            "violations": hull_violations,
-        },
+    suites = [
+        # suite, trials, chunk, draw, evaluation, fold of the worst values, bound
+        ("projector_pair_floor", trials, BOUNDS_CHUNK, _draw_pair, _pair_floor, min, PROJECTOR_PAIR_FLOOR),
+        ("magnitude_vs_norm_product", trials, BOUNDS_CHUNK, _draw_magnitude, _magnitude_excess, max, 0.0),
+        ("common_cause_hull", hull_trials, BOUNDS_CHUNK // 10, _draw_hull, _hull_margin, min, 0.0),
     ]
-    summary = {"total_violations": pair_violations + magnitude_violations + hull_violations}
-    _emit(args, config, results, summary)
+    results = []
+    for suite, count, size, draw, evaluate, fold, bound in suites:
+        worsts, violations = zip(*(evaluate(*stack) for stack in _stacks(rng, count, size, draw)))
+        results.append(
+            {"suite": suite, "trials": count, "worst": fold(worsts), "bound": bound, "violations": sum(violations)}
+        )
+    summary = {"total_violations": sum(row["violations"] for row in results)}
+    _emit(args, {"trials": trials, "seed": args.seed}, results, summary)
 
 
-def _require_count(flag: str, value: int) -> None:
-    if value < 1:
-        raise InputError(f"{flag} must be at least 1, got {value}")
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise InputError(f"{flag} must be at least {least}, got {value}")
 
 # ---------------------------------------------------------------------------
 # Parser

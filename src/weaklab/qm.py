@@ -1,8 +1,12 @@
 """Finite-dimensional complex Hilbert-space algebra.
 
 States, observables and POVM elements are thin immutable wrappers around
-validated numpy arrays, safe to share across threads. Engines decompose
-observables as a stack (``simulator.Scenario.spectrum``).
+validated numpy arrays, safe to share across threads. ``MixedState``,
+``Observable`` and ``PovmElement`` share one checked-matrix base, which
+coerces to a square complex matrix, runs the subclass's stacked check
+(``check_densities``, ``check_observables`` or ``check_effects``) and
+freezes the array. Engines decompose observables as a stack
+(``simulator.Scenario.spectrum``).
 """
 
 from __future__ import annotations
@@ -16,13 +20,6 @@ from .errors import DimensionMismatch, InputError
 HERMITICITY_TOL = 1e-12   # absolute, max entry deviation; inputs are unit-scale
 NORM_TOL = 1e-12
 PSD_TOL = 1e-12           # eigenvalue floor for states / POVM elements
-
-
-def _as_complex_matrix(matrix, name: str) -> np.ndarray:
-    arr = np.array(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"{name} must be a square matrix, got shape {arr.shape}")
-    return arr
 
 
 # The checks below take one instance or a stack of them along leading axes,
@@ -68,6 +65,17 @@ def check_observables(matrices: np.ndarray) -> None:
     _check_hermitian(matrices, "observable")
 
 
+def check_effects(matrices: np.ndarray) -> None:
+    """The PovmElement checks on (..., d, d) matrices: finite, Hermitian,
+    spectrum in [0, 1]."""
+    _check_finite(matrices, "POVM element")
+    _check_hermitian(matrices, "POVM element")
+    eigenvalues = np.linalg.eigvalsh(matrices)
+    lowest, highest = eigenvalues[..., 0].min(), eigenvalues[..., -1].max()
+    if lowest < -PSD_TOL or highest > 1.0 + PSD_TOL:
+        raise InputError(f"POVM element spectrum must lie in [0, 1], got [{lowest:.3e}, {highest:.3e}]")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -95,58 +103,46 @@ class PureState:
 
 
 @dataclass(frozen=True)
-class MixedState:
+class _CheckedMatrix:
+    """A square complex matrix that passed the subclass's stacked check,
+    read-only after construction."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        mat = np.array(self.matrix, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise DimensionMismatch(f"{self._name} must be a square matrix, got shape {mat.shape}")
+        self._check(mat)
+        object.__setattr__(self, "matrix", _freeze(mat))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+# Each subclass is decorated again: a frozen dataclass refuses assignment to
+# a new attribute only on instances of the class it decorated.
+
+@dataclass(frozen=True)
+class MixedState(_CheckedMatrix):
     """Density matrix: Hermitian, positive semidefinite, unit trace."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_complex_matrix(self.matrix, "density matrix")
-        check_densities(mat)
-        object.__setattr__(self, "matrix", _freeze(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    _name, _check = "density matrix", staticmethod(check_densities)
 
 
 @dataclass(frozen=True)
-class Observable:
+class Observable(_CheckedMatrix):
     """Hermitian matrix."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_complex_matrix(self.matrix, "observable")
-        check_observables(mat)
-        object.__setattr__(self, "matrix", _freeze(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    _name, _check = "observable", staticmethod(check_observables)
 
 
 @dataclass(frozen=True)
-class PovmElement:
+class PovmElement(_CheckedMatrix):
     """Effect operator: Hermitian with spectrum in [0, 1]."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_complex_matrix(self.matrix, "POVM element")
-        _check_finite(mat, "POVM element")
-        _check_hermitian(mat, "POVM element")
-        eigenvalues = np.linalg.eigvalsh(mat)
-        if eigenvalues.min() < -PSD_TOL or eigenvalues.max() > 1.0 + PSD_TOL:
-            raise InputError(
-                "POVM element spectrum must lie in [0, 1], got "
-                f"[{eigenvalues.min():.3e}, {eigenvalues.max():.3e}]"
-            )
-        object.__setattr__(self, "matrix", _freeze(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    _name, _check = "POVM element", staticmethod(check_effects)
 
 
 def projector_from_ket(ket: PureState) -> Observable:

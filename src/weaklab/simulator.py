@@ -165,11 +165,6 @@ class MomentResult:
     postselection_probability: float
 
 
-def _check_pattern(n: int, pat: MomentPattern) -> None:
-    if len(pat) != n:
-        raise InputError(f"pattern has {len(pat)} slots for {n} measurement steps")
-
-
 def _step_tables(eigenvalues: np.ndarray, sigmas, kinds, exact: bool = True) -> np.ndarray:
     """Stacked F[k, l] = <phi(a_l)| O |phi(a_k)>, the weights of the
     P_k X P_l dyads, one table per kind; at overlap 1 unless ``exact``.
@@ -298,26 +293,29 @@ def _moments(initial, bases, tables, effect) -> tuple[np.ndarray, np.ndarray]:
     return _values(traces[..., 0], peak, probability), probability
 
 
-def _pattern_tables(scn: Scenario, pat: MomentPattern, exact: bool, skip: int | None = None) -> list:
-    """Each step's [pattern, identity] tables for ``exact_moment`` or, unless
+def _pattern_tables(eigenvalues, widths, pat: MomentPattern, exact: bool = True, skip: int | None = None) -> list:
+    """Each step's [pattern, identity] tables, from eigenvalues (..., n, d)
+    and widths (..., n) that broadcast, for ``exact_moment`` or, unless
     ``exact``, for ``weak_prediction``, after the pattern checks each makes
     first; step ``skip``'s entry is None."""
-    _check_pattern(scn.n_steps, pat)
+    n = eigenvalues.shape[-2]
+    if len(pat) != n:
+        raise InputError(f"pattern has {len(pat)} slots for {n} measurement steps")
     if not exact and any(kind in _SQUARED for kind in pat.kinds):
         raise InputError(
             "the weak-regime engine covers first-order x/p moments only; "
             "use the exact engine for squared readouts"
         )
-    eigenvalues = scn.spectrum[0]
     return [
-        None if j == skip else _step_tables(eigenvalues[j], step.pointer.sigma, (kind, _IDENTITY), exact)
-        for j, (step, kind) in enumerate(zip(scn.steps, pat.kinds))
+        None if j == skip else _step_tables(eigenvalues[..., j, :], widths[..., j], (kind, _IDENTITY), exact)
+        for j, kind in enumerate(pat.kinds)
     ]
 
 
 def _moment(scn: Scenario, pat: MomentPattern, exact: bool) -> MomentResult:
-    tables = _pattern_tables(scn, pat, exact)
-    value, probability = _moments(scn.initial.matrix, scn.spectrum[1], tables, scn.effect)
+    eigenvalues, bases = scn.spectrum
+    tables = _pattern_tables(eigenvalues, np.array(scn.sigmas()), pat, exact)
+    value, probability = _moments(scn.initial.matrix, bases, tables, scn.effect)
     return MomentResult(float(value), float(probability))
 
 
@@ -384,12 +382,8 @@ def stacked_exact_moments(
     given as arrays that are already checked: initial density matrices
     (..., d, d), observables (..., n, d, d), first measured first, and
     widths (..., n). One batched eigh decomposes every observable."""
-    n = observables.shape[-3]
-    _check_pattern(n, pat)
     eigenvalues, bases = np.linalg.eigh(observables)
-    kinds = [(kind, _IDENTITY) for kind in pat.kinds]
-    tables = [_step_tables(eigenvalues[..., j, :], sigmas[..., j], kinds[j]) for j in range(n)]
-    return _moments(initial, bases, tables, None)[0]
+    return _moments(initial, bases, _pattern_tables(eigenvalues, sigmas, pat), None)[0]
 
 
 # Table entries, points times d^2, that one chunk of ``sweep_moments``
@@ -418,7 +412,7 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
     size = max(1, SWEEP_CHUNK_ENTRIES // scn.dim**2)
     try:
         for row, exact in enumerate((True, False)):
-            fixed = _pattern_tables(scn, pat, exact, skip=index)
+            fixed = _pattern_tables(eigenvalues, np.array(scn.sigmas()), pat, exact, skip=index)
             state = next(itertools.islice(_forward(scn.initial.matrix, turns, fixed), index, None))
             effects = _backward(_last_effect(bases, scn.effect), turns, fixed)
             effect = next(itertools.islice(effects, scn.n_steps - 1 - index, None))

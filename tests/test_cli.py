@@ -231,6 +231,22 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    # int() reads each odd spelling as a step number, sigma1_0 as step 10.
+    @pytest.mark.parametrize(
+        "param,message",
+        [
+            *((odd, f"sweep parameter must look like sigma1, got {odd!r}")
+              for odd in ("sigma+1", "sigma 1", "sigma1 ", "sigma01", "sigma\u0661", "sigma1_0", "sigma")),
+            *((param, f"{param!r} is out of range for a 12-step scenario") for param in ("sigma0", "sigma13")),
+        ],
+    )
+    def test_param_spelling(self, capsys, param, message):
+        code = main(["sweep", "chain-n", "--n", "12", "--param", param, "--from", "1", "--to", "2", "--steps", "2",
+                     "--pattern", "x" * 12])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == ("", f"input error: {message}\n")
+
     @pytest.mark.parametrize("steps", [SWEEP_MAX_POINTS + 1, 10**18])
     def test_steps_over_limit_exit_code(self, capsys, monkeypatch, steps):
         def untouched(*args, **kwargs):
@@ -406,7 +422,7 @@ class TestSweepAgainstPerPointLoop:
 
         monkeypatch.setattr(simulator, "exact_moment", counting)
         assert_sweep_matches_loop(write_scenario(scn), scn, "xpx", 0, 0.5, 4.0, 4000)
-        assert calls == []
+        assert len(calls) == 0
 
     def test_unswept_width_underflow_fails_every_point(self):
         # chain-n's other widths underflow, so point 0's exact engine fails

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,42 @@ class TestStates:
     def test_non_finite_entries_rejected(self, make, message, bad):
         with pytest.raises(InputError, match=message):
             make(bad)
+
+
+@pytest.mark.parametrize(
+    "cls,name", [(wl.MixedState, "density matrix"), (wl.Observable, "observable"), (wl.PovmElement, "POVM element")]
+)
+class TestCheckedMatrix:
+    """What the three matrix value types share from their one base."""
+
+    GOOD = np.diag([1.0, 0.0])  # a state, an observable and an effect
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 2)])
+    def test_non_square_message(self, cls, name, shape):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{name} must be a square matrix, got shape {shape}")):
+            cls(np.zeros(shape))
+
+    def test_frozen(self, cls, name):
+        value = cls(self.GOOD)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.matrix = self.GOOD
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.foo = 1
+        with pytest.raises(ValueError):
+            value.matrix[0, 0] = 0.5
+
+    def test_repr_names_the_class(self, cls, name):
+        assert repr(cls(self.GOOD)).startswith(f"{cls.__name__}(matrix=")
+
+    def test_replace_keeps_the_type_and_checks(self, cls, name):
+        value = dataclasses.replace(cls(self.GOOD), matrix=np.diag([0.0, 1.0]))
+        assert type(value) is cls
+        assert value.matrix.dtype == complex and not value.matrix.flags.writeable
+        with pytest.raises(InputError, match=f"{name} has a non-finite entry"):
+            dataclasses.replace(value, matrix=np.diag([np.nan, 1.0]))
+
+    def test_dim(self, cls, name):
+        assert cls(np.diag([1.0, 0.0, 0.0])).dim == 3
 
 
 def scenario_of(*observables):
@@ -148,6 +187,12 @@ class TestStackedInstances:
             (qm.check_densities, np.array([[0.5, 1.0], [0.0, 0.5]]), "density matrix deviates from Hermiticity"),
             (qm.check_observables, np.array([[0.0, 1.0], [0.0, 0.0]]), "observable deviates from Hermiticity"),
             (qm.check_observables, np.diag([np.inf, 0.0]), "observable has a non-finite entry"),
+            (qm.check_effects, np.diag([np.nan, 0.0]), "POVM element has a non-finite entry"),
+            (qm.check_effects, np.array([[0.5, 1.0], [0.0, 0.5]]), "POVM element deviates from Hermiticity"),
+            (qm.check_effects, np.diag([1.5, 0.0]),
+             re.escape("POVM element spectrum must lie in [0, 1], got [0.000e+00, 1.500e+00]")),
+            (qm.check_effects, np.diag([-0.5, 1.0]),
+             re.escape("POVM element spectrum must lie in [0, 1], got [-5.000e-01, 1.000e+00]")),
         ],
     )
     def test_one_bad_entry_fails_the_stack(self, check, bad, message):

@@ -712,8 +712,9 @@ class TestStackedChain:
         scn = random_scenario(rng, 3, 3, with_post=True)
         pattern = wl.MomentPattern([X, P, X])
         widths = np.array([[0.4, 1.0], [2.5, 7.0], [30.0, 300.0]])
-        tables = simulator._pattern_tables(scn, pattern, exact=True)
-        tables[1] = simulator._step_tables(scn.spectrum[0][1], widths, (P, I))
+        grid = np.array(scn.sigmas()) * np.ones((3, 2, 1))
+        grid[..., 1] = widths
+        tables = simulator._pattern_tables(scn.spectrum[0], grid, pattern)
         traces, probability = simulator._chain(scn.initial.matrix, scn.spectrum[1], tables, scn.post.matrix)
         assert traces.shape == (3, 2, 1) and probability.shape == (3, 2)
         for (row, column), width in np.ndenumerate(widths):
