@@ -40,7 +40,6 @@ from .scenarios import (
     chain_weak_value,
 )
 from .simulator import (
-    EvaluationMethod,
     MeasurementStep,
     MomentPattern,
     MomentResult,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CausalStructure",
-    "EvaluationMethod",
     "GaussianPointer",
     "KET_0",
     "SIGMA_X",

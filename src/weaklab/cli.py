@@ -39,7 +39,7 @@ import time
 import numpy as np
 
 from . import __version__, qm
-from .errors import InputError, NumericError, WeakLabError
+from .errors import InputError, NumericError, WeakLabError, check_count
 from .optimize import minimize_pointer_product, minimize_weak_value_real
 from .pointer import check_widths
 from .scenario_io import load_scenario
@@ -53,7 +53,6 @@ from .scenarios import (
     lift_pair,
 )
 from .simulator import (
-    EvaluationMethod,
     MomentPattern,
     Scenario,
     exact_moment,
@@ -108,8 +107,7 @@ def _builtin_scenario(name: str, args) -> Scenario:
         return build_pauli_xy(sigma1, sigma2)
     if name == "chain-n":
         n = 2 if args.n is None else args.n
-        if n > CHAIN_MAX_STEPS:
-            raise InputError(f"--n must be at most {CHAIN_MAX_STEPS}, got {n}")
+        check_count("--n", n, 1, CHAIN_MAX_STEPS)
         return build_projector_chain(n, sigma)
     # common-cause: a maximally entangled qubit pair, both parties
     # measuring the |0><0| projector on their half.
@@ -178,14 +176,14 @@ def _cmd_scenario(args) -> None:
     pattern = MomentPattern.all_position(scn.n_steps)
     exact = exact_moment(scn, pattern)
     weak = weak_prediction(scn, pattern)
-    from_exact = recover_weak_value(scn, EvaluationMethod.EXACT)
-    from_weak = recover_weak_value(scn, EvaluationMethod.WEAK_REGIME)
+    from_exact = recover_weak_value(scn)
+    from_weak = recover_weak_value(scn, exact=False)
     ok = not steps_outside_weak_regime(scn)
     config = {
         "scenario": args.name,
         "steps": scn.n_steps,
         "dimension": scn.dim,
-        "sigmas": ",".join(repr(s) for s in scn.sigmas()),
+        "sigmas": ",".join(repr(s) for s in scn.widths.tolist()),
     }
     results = [
         {"quantity": "exact_all_position_moment", "value": exact.value},
@@ -203,12 +201,11 @@ def _cmd_scenario(args) -> None:
 def _cmd_simulate(args) -> None:
     scn, source = _resolve_scenario(args.file, args)
     pattern = MomentPattern.from_string(args.pattern)
-    method = EvaluationMethod(args.method)
-    result = exact_moment(scn, pattern) if method is EvaluationMethod.EXACT else weak_prediction(scn, pattern)
+    result = (exact_moment if args.method == "exact" else weak_prediction)(scn, pattern)
     config = {
         "scenario": source,
         "pattern": str(pattern),
-        "method": method.value,
+        "method": args.method,
         "dimension": scn.dim,
         "steps": scn.n_steps,
     }
@@ -232,9 +229,7 @@ def _cmd_sweep(args) -> None:
     _reject_flags(args, (f"sigma{step_index + 1}",), f"a sweep of {args.param}")
     if not (0 < args.start < math.inf and 0 < args.stop < math.inf):
         raise InputError("sweep endpoints must be positive and finite for geometric spacing")
-    _require_at_least("--steps", args.steps, 1)
-    if args.steps > SWEEP_MAX_POINTS:
-        raise InputError(f"--steps must be at most {SWEEP_MAX_POINTS}, got {args.steps}")
+    check_count("--steps", args.steps, 1, SWEEP_MAX_POINTS)
     grid = np.geomspace(args.start, args.stop, args.steps)
     exact, weak = sweep_moments(scn, MomentPattern.from_string(args.pattern), step_index, grid)
     results = [
@@ -286,8 +281,8 @@ def _cmd_optimize(args) -> None:
 
 
 def _cmd_sample(args) -> None:
-    _require_at_least("--shots", args.shots, 1)
-    _require_at_least("--seed", args.seed, 0)
+    check_count("--shots", args.shots, 1)
+    check_count("--seed", args.seed, 0)
     scn, source = _resolve_scenario(args.file, args)
     exact = position_moments(scn)
     # Tr(eta) comes out of the exact column's pass, so the sampler need not run it.
@@ -410,8 +405,8 @@ def _hull_margin(_, rows: np.ndarray) -> tuple[float, int]:
 
 
 def _cmd_bounds(args) -> None:
-    _require_at_least("--trials", args.trials, 1)
-    _require_at_least("--seed", args.seed, 0)
+    check_count("--trials", args.trials, 1)
+    check_count("--seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     trials = args.trials
     hull_trials = max(1, trials // 10)  # each trial runs the exact engine in d = 4
@@ -430,10 +425,6 @@ def _cmd_bounds(args) -> None:
     summary = {"total_violations": sum(row["violations"] for row in results)}
     _emit(args, {"trials": trials, "seed": args.seed}, results, summary)
 
-
-def _require_at_least(flag: str, value: int, least: int) -> None:
-    if value < least:
-        raise InputError(f"{flag} must be at least {least}, got {value}")
 
 # ---------------------------------------------------------------------------
 # Parser

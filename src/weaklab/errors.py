@@ -3,9 +3,12 @@
 Two families matter to callers: ``InputError`` for malformed or
 inconsistent inputs (CLI exit code 2) and ``NumericError`` for
 computations that are undefined or failed at run time (exit code 1).
+``check_count`` is the one refusal of a count out of its range, and
 ``check_footprint`` holds the one memory limit that the sampler and the
 searches refuse work beyond.
 """
+
+import math
 
 
 class WeakLabError(Exception):
@@ -43,3 +46,12 @@ def check_footprint(footprint: int, what: str) -> None:
         raise InputError(
             f"{what} need about {footprint / 1024**3:.1f} GiB, over the {MEMORY_LIMIT / 1024**3:.0f} GiB limit"
         )
+
+
+def check_count(name: str, value: int, least: int, most: float = math.inf) -> None:
+    """Refuses a count below ``least`` or above ``most``; ``name`` is the
+    CLI flag or the library parameter that gave it, as in "--shots" or "d"."""
+    if value < least:
+        raise InputError(f"{name} must be at least {least}, got {value}")
+    if value > most:
+        raise InputError(f"{name} must be at most {most}, got {value}")

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qm
-from .errors import InputError, check_footprint
+from .errors import InputError, check_count, check_footprint
 from .pointer import GaussianPointer, PointerOperatorKind, matrix_element
 from .scenarios import chain_ket
 
@@ -291,14 +291,9 @@ def _search_footprint(n: int, d: int, restarts: int) -> int:
 def _start_kets(n: int, d: int, restarts: int, seed: int, budget: int) -> np.ndarray:
     """Checks a search's arguments and memory bound, then draws each
     restart's Haar-random start kets from its own seed: (restarts, n, d)."""
-    if n < 2 or d < 2:
-        raise InputError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    if restarts < 1:
-        raise InputError(f"need at least one restart, got {restarts}")
-    if budget < 1:
-        raise InputError(f"need a budget of at least one evaluation, got {budget}")
-    if seed < 0:
-        raise InputError(f"need a seed of at least 0, got {seed}")
+    for name, value, least in (("n", n, 2), ("d", d, 2), ("restarts", restarts, 1), ("budget", budget, 1)):
+        check_count(name, value, least)
+    check_count("seed", seed, 0)
     check_footprint(_search_footprint(n, d, restarts), f"{restarts} restarts at n={n}, d={d}")
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     return qm.kets_from_normals(np.array([np.random.default_rng(s).standard_normal((n, 2, d)) for s in seeds]))

@@ -10,8 +10,8 @@ Schema::
     }
 
 Complex entries are two-element arrays [re, im]; a ket is a flat array
-of entries, a matrix an array of rows (row-major). Validation errors
-name the offending field.
+of entries, a matrix an array of rows (row-major). Fields outside the
+schema are refused. Validation errors name the offending field.
 """
 
 from __future__ import annotations
@@ -102,19 +102,28 @@ def _field(where: str):
         raise ScenarioFileError(f"{where}: {exc}") from exc
 
 
+def _check_object(doc, where: str, required: tuple[str, ...], optional: tuple[str, ...]) -> None:
+    """Refuses ``doc`` unless it is a JSON object with every ``required``
+    field and no field beyond ``required`` and ``optional``, in that order
+    of checks; ``where`` names a step, and is empty at the top level."""
+    if not isinstance(doc, dict):
+        raise ScenarioFileError(f"{where}: expected an object" if where else "top level: expected a JSON object")
+    for name in required:
+        if name not in doc:
+            raise ScenarioFileError(f"{where}.{name}: field is required" if where else f"{name}: field is required")
+    fields = required + optional
+    for name in doc:
+        if name not in fields:
+            raise ScenarioFileError(f"{where or 'top level'}: unknown field {name!r}; expected {', '.join(fields)}")
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a validated Scenario from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ScenarioFileError("top level: expected a JSON object")
-    try:
-        dim = doc["dimension"]
-    except KeyError:
-        raise ScenarioFileError("dimension: field is required") from None
+    _check_object(doc, "", ("dimension", "initial"), ("steps", "postselect"))
+    dim = doc["dimension"]
     if not isinstance(dim, int) or dim < 2:
         raise ScenarioFileError(f"dimension: expected an integer >= 2, got {dim!r}")
 
-    if "initial" not in doc:
-        raise ScenarioFileError("initial: field is required")
     initial_data = doc["initial"]
     # A ket is an array of [re, im] pairs; a matrix is an array of rows of
     # pairs. The first leaf decides which.
@@ -133,10 +142,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     steps = []
     for index, step_doc in enumerate(steps_data):
         where = f"steps[{index}]"
-        if not isinstance(step_doc, dict):
-            raise ScenarioFileError(f"{where}: expected an object")
-        if "observable" not in step_doc:
-            raise ScenarioFileError(f"{where}.observable: field is required")
+        _check_object(step_doc, where, ("observable",), ("sigma",))
         with _field(f"{where}.observable"):
             observable = qm.Observable(_parse_complex(step_doc["observable"], dim, f"{where}.observable", matrix=True))
         sigma = step_doc.get("sigma")

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import qm
-from .errors import DimensionMismatch, InputError
+from .errors import DimensionMismatch, InputError, check_count
 from .pointer import GaussianPointer
 from .simulator import MeasurementStep, Scenario
 
@@ -59,8 +59,7 @@ def chain_ket(j: int, n: int) -> qm.PureState:
 def build_projector_chain(n: int, sigma: float) -> Scenario:
     """n rank-1 projectors at equally spaced angles j pi/(n+1), all with
     the same pointer width, measured on |0>."""
-    if n < 1:
-        raise InputError(f"chain length must be at least 1, got {n}")
+    check_count("n", n, 1)
     steps = tuple(
         MeasurementStep(qm.projector_from_ket(chain_ket(j, n)), GaussianPointer(sigma))
         for j in range(1, n + 1)

@@ -51,7 +51,6 @@ and length-shots vector operations: O(shots n d^2) time, and at most
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -60,14 +59,14 @@ from functools import cached_property
 import numpy as np
 
 from . import qm
-from .errors import DimensionMismatch, InputError, NumericError, WeakLabError, check_footprint
+from .errors import DimensionMismatch, InputError, NumericError, WeakLabError, check_count, check_footprint
 from .pointer import GaussianPointer, PointerOperatorKind, _factor, _overlap, weak_regime_check
 from .weak_values import ZERO_PROBABILITY_TOL, check_probability, seq_weak_value
 
 MOMENT_IMAG_TOL = 1e-10
 _SQUARED = (PointerOperatorKind.POSITION_SQUARED, PointerOperatorKind.MOMENTUM_SQUARED)
 _IDENTITY = PointerOperatorKind.IDENTITY
-_NOT_FINITE = "moment chain is not finite; a pointer width is too extreme for floating point"
+_NOT_FINITE = "moment chain is not finite; a pointer width or an eigenvalue is too extreme for floating point"
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,10 @@ class Scenario:
     def n_steps(self) -> int:
         return len(self.steps)
 
-    def sigmas(self) -> tuple[float, ...]:
-        return tuple(step.pointer.sigma for step in self.steps)
+    @cached_property
+    def widths(self) -> np.ndarray:
+        """The pointer widths (n,), in step order, frozen on first use."""
+        return qm._freeze(np.array([step.pointer.sigma for step in self.steps], dtype=float))
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -152,11 +153,6 @@ class MomentPattern:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-
-class EvaluationMethod(enum.Enum):
-    EXACT = "exact"
-    WEAK_REGIME = "weak"
 
 
 @dataclass(frozen=True)
@@ -314,7 +310,7 @@ def _pattern_tables(eigenvalues, widths, pat: MomentPattern, exact: bool = True,
 
 def _moment(scn: Scenario, pat: MomentPattern, exact: bool) -> MomentResult:
     eigenvalues, bases = scn.spectrum
-    tables = _pattern_tables(eigenvalues, np.array(scn.sigmas()), pat, exact)
+    tables = _pattern_tables(eigenvalues, scn.widths, pat, exact)
     value, probability = _moments(scn.initial.matrix, bases, tables, scn.effect)
     return MomentResult(float(value), float(probability))
 
@@ -344,7 +340,7 @@ def position_moments(scn: Scenario) -> list[MomentResult]:
     residue is judged at its own scale: the x peaks' product, or slot j's."""
     n, d = scn.n_steps, scn.dim
     eigenvalues, bases = scn.spectrum
-    tables = _step_tables(eigenvalues, np.array(scn.sigmas()), (PointerOperatorKind.POSITION, _IDENTITY))
+    tables = _step_tables(eigenvalues, scn.widths, (PointerOperatorKind.POSITION, _IDENTITY))
     turns = _turns(bases)
     before = np.empty((n, d, d), dtype=complex)
     states = _forward(scn.initial.matrix, turns, tables)
@@ -412,7 +408,7 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
     size = max(1, SWEEP_CHUNK_ENTRIES // scn.dim**2)
     try:
         for row, exact in enumerate((True, False)):
-            fixed = _pattern_tables(eigenvalues, np.array(scn.sigmas()), pat, exact, skip=index)
+            fixed = _pattern_tables(eigenvalues, scn.widths, pat, exact, skip=index)
             state = next(itertools.islice(_forward(scn.initial.matrix, turns, fixed), index, None))
             effects = _backward(_last_effect(bases, scn.effect), turns, fixed)
             effect = next(itertools.islice(effects, scn.n_steps - 1 - index, None))
@@ -453,7 +449,7 @@ def steps_outside_weak_regime(scn: Scenario) -> tuple[int, ...]:
 
 
 @np.errstate(all="ignore")
-def recover_weak_value(scn: Scenario, source: EvaluationMethod = EvaluationMethod.EXACT) -> complex:
+def recover_weak_value(scn: Scenario, exact: bool = True) -> complex:
     """Reassemble the sequential weak value from joint pointer moments.
 
     The weak value is the sum over momentum subsets P of
@@ -464,17 +460,16 @@ def recover_weak_value(scn: Scenario, source: EvaluationMethod = EvaluationMetho
     x + 2i sigma_j^2 p. Without post-selection the final slot reads x only
     (momentum there vanishes at first order and carries no information).
 
-    Exact-source recovery is biased at finite widths; nothing here judges
-    that. ``steps_outside_weak_regime`` names the steps whose pointers are
-    too narrow for the result to be read as the weak value.
+    ``exact=False`` sums weak-regime moments. Exact recovery is biased at
+    finite widths; nothing here judges that. ``steps_outside_weak_regime``
+    names the steps whose pointers are too narrow to read it as the weak value.
     """
     eigenvalues, bases = scn.spectrum
-    widths = np.array(scn.sigmas())
-    gains = 2j * np.float_power(widths, 2)
+    gains = 2j * np.float_power(scn.widths, 2)
     if scn.post is None:
         gains[-1] = 0.0
     kinds = [PointerOperatorKind(code) for code in "xpi"]
-    tables = _step_tables(eigenvalues, widths, kinds, source is EvaluationMethod.EXACT)
+    tables = _step_tables(eigenvalues, scn.widths, kinds, exact)
     tables[:, 0] += gains[:, np.newaxis, np.newaxis] * tables[:, 1]
     (numerator,), probability = _chain(scn.initial.matrix, bases, tables[:, ::2], scn.effect)
     return complex(numerator) / float(probability)
@@ -586,14 +581,12 @@ def sample_outcomes(
     identity chain is run here. Either way a probability at or below the
     threshold raises ZeroPostSelectionProbability before any shot is drawn.
     """
-    if shots < 1:
-        raise InputError(f"shots must be at least 1, got {shots}")
-    if seed < 0:
-        raise InputError(f"seed must be at least 0, got {seed}")
+    check_count("shots", shots, 1)
+    check_count("seed", seed, 0)
     check_footprint(sample_footprint(scn, shots), f"{shots} shots")
     eigenvalues, bases = scn.spectrum
     if probability is None:
-        identity = _step_tables(eigenvalues, np.array(scn.sigmas()), (_IDENTITY,))
+        identity = _step_tables(eigenvalues, scn.widths, (_IDENTITY,))
         probability = float(_chain(scn.initial.matrix, bases, identity, scn.effect)[1])
     else:
         check_probability(probability)
@@ -601,27 +594,21 @@ def sample_outcomes(
     rng = np.random.default_rng(seed)
     weights, basis = np.linalg.eigh(scn.initial.matrix)
     weights = np.clip(weights, 0.0, None)[:, np.newaxis]
+    # The first turn starts from ``basis``, whose columns are the initial kets, so it gathers.
+    turns = _turns(bases)
+    turns[0] = turns[0] @ basis
     rows = np.empty((scn.n_steps, shots))
     kets = None
-    for j, (a, vectors, sigma) in enumerate(zip(eigenvalues, bases, scn.sigmas())):
-        turn = _realify(vectors.conj().T @ basis)
-        basis = vectors
-        # Every initial ket is a column of ``basis``, so the first turn gathers.
+    for j, (a, turn, sigma) in enumerate(zip(eigenvalues, map(_realify, turns), scn.widths.tolist())):
         kets = np.take(turn, _draw_index(rng, weights, shots), axis=1) if kets is None else turn @ kets
         rows[j] = _read_pointer(rng, kets.reshape(2, scn.dim, shots), a, sigma)
 
     if scn.post is not None:
-        projected = _realify(basis.conj().T @ scn.post.matrix @ basis) @ kets
+        projected = _realify(_last_effect(bases, scn.effect)) @ kets
         projected *= kets
         kept = projected.sum(axis=0)
         rows = rows[:, rng.random(shots) < kept]
-    stats = SampleStatistics(
-        requested_shots=shots,
-        retained_shots=rows.shape[1],
-        postselection_probability=probability,
-        acceptance_rate=1.0,
-        method="sequential",
-    )
+    stats = SampleStatistics(shots, rows.shape[1], probability, acceptance_rate=1.0, method="sequential")
     # Row j holds every shot's reading of pointer j; the (shots, n) view of
     # the rows lets a product over each shot's readings run row by row.
     return rows.T, stats

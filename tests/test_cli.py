@@ -719,31 +719,57 @@ class TestSampleCommand:
         assert captured.err.startswith(f"input error: {counts[0]} must be at least ")
 
 
+SWEEP_ARGS = ("sweep", "illustrative", "--param", "sigma1", "--from", "1", "--to", "2", "--pattern", "xx")
+
+
 class TestCountArguments:
+    """Every count the CLI or the library refuses, worded by one rule:
+    a CLI flag names itself, and a library parameter, met through the CLI
+    or called directly, names the parameter."""
+
     @pytest.mark.parametrize(
-        "argv,message",
+        "call,message",
         [
-            (("sweep", "illustrative", "--param", "sigma1", "--from", "1", "--to", "2", "--steps", "-1",
-              "--pattern", "xx"), "--steps must be at least 1, got -1"),
-            (("sweep", "illustrative", "--param", "sigma1", "--from", "1", "--to", "2", "--steps", "0",
-              "--pattern", "xx"), "--steps must be at least 1, got 0"),
-            (("optimize", "--n", "2", "--restarts", "1", "--budget", "0"),
-             "need a budget of at least one evaluation, got 0"),
-            (("optimize", "--n", "2", "--restarts", "1", "--budget", "-3"),
-             "need a budget of at least one evaluation, got -3"),
+            ((*SWEEP_ARGS, "--steps", "-1"), "--steps must be at least 1, got -1"),
+            ((*SWEEP_ARGS, "--steps", "0"), "--steps must be at least 1, got 0"),
+            ((*SWEEP_ARGS, "--steps", str(SWEEP_MAX_POINTS + 1)),
+             f"--steps must be at most {SWEEP_MAX_POINTS}, got {SWEEP_MAX_POINTS + 1}"),
+            (("scenario", "chain-n", "--n", "0"), "--n must be at least 1, got 0"),
+            (("simulate", "chain-n", "--n", str(CHAIN_MAX_STEPS + 1), "--pattern", "x"),
+             f"--n must be at most {CHAIN_MAX_STEPS}, got {CHAIN_MAX_STEPS + 1}"),
+            (("sample", "illustrative", "--shots", "0"), "--shots must be at least 1, got 0"),
+            (("sample", "illustrative", "--shots", "10", "--seed", "-1"), "--seed must be at least 0, got -1"),
             (("bounds", "--trials", "0"), "--trials must be at least 1, got 0"),
             (("bounds", "--trials", "-5"), "--trials must be at least 1, got -5"),
-            (("sample", "illustrative", "--shots", "10", "--seed", "-1"), "--seed must be at least 0, got -1"),
-            (("optimize", "--n", "2", "--seed", "-1", "--restarts", "2", "--budget", "10"),
-             "need a seed of at least 0, got -1"),
             (("bounds", "--trials", "5", "--seed", "-1"), "--seed must be at least 0, got -1"),
+            (("optimize", "--n", "1"), "n must be at least 2, got 1"),
+            (("optimize", "--n", "2", "--dim", "1"), "d must be at least 2, got 1"),
+            (("optimize", "--n", "2", "--restarts", "0"), "restarts must be at least 1, got 0"),
+            (("optimize", "--n", "2", "--restarts", "1", "--budget", "0"), "budget must be at least 1, got 0"),
+            (("optimize", "--n", "2", "--restarts", "1", "--budget", "-3"), "budget must be at least 1, got -3"),
+            (("optimize", "--objective", "weak-value", "--n", "2", "--seed", "-1", "--restarts", "2", "--budget", "10"),
+             "seed must be at least 0, got -1"),
+            (lambda: wl.minimize_pointer_product(n=1, d=2, restarts=1, seed=0, budget=1), "n must be at least 2, got 1"),
+            (lambda: wl.minimize_weak_value_real(n=2, d=0, restarts=1, seed=0, budget=1), "d must be at least 2, got 0"),
+            (lambda: wl.minimize_pointer_product(n=2, d=2, restarts=0, seed=0, budget=1, sigma=1.0),
+             "restarts must be at least 1, got 0"),
+            (lambda: wl.minimize_weak_value_real(n=2, d=2, restarts=1, seed=0, budget=0), "budget must be at least 1, got 0"),
+            (lambda: wl.minimize_pointer_product(n=2, d=2, restarts=1, seed=-2, budget=1), "seed must be at least 0, got -2"),
+            (lambda: wl.sample_outcomes(wl.build_illustrative(1.0, 1.0), 0, seed=0), "shots must be at least 1, got 0"),
+            (lambda: wl.sample_outcomes(wl.build_illustrative(1.0, 1.0), 1, seed=-1), "seed must be at least 0, got -1"),
+            (lambda: wl.build_projector_chain(0, 1.0), "n must be at least 1, got 0"),
         ],
     )
-    def test_count_below_one_exit_code(self, capsys, argv, message):
-        code = main(list(argv))
-        captured = capsys.readouterr()
-        assert code == 2
-        assert (captured.out, captured.err) == ("", f"input error: {message}\n")
+    def test_count_refusal(self, capsys, call, message):
+        if callable(call):
+            with pytest.raises(InputError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
+        else:
+            code = main(list(call))
+            captured = capsys.readouterr()
+            assert code == 2
+            assert (captured.out, captured.err) == ("", f"input error: {message}\n")
 
 
 def per_trial_bounds(trials, seed):
@@ -940,6 +966,39 @@ class TestNonFiniteInputs:
         code, out = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
+
+    @pytest.mark.parametrize("cause", ["width", "eigenvalue"])
+    def test_non_finite_chain_names_both_causes(self, capsys, write_scenario, cause):
+        # A subnormal sigma^2 overflows the momentum table; eigenvalues of
+        # +-1e308 overflow the position table's products at sigma = 1.
+        if cause == "width":
+            argv = ["simulate", "pauli-xy", "--pattern", "px", "--sigma", "1e-160"]
+        else:
+            huge = wl.Observable(np.diag([1e308, -1e308]))
+            scn = wl.Scenario(initial=wl.KET_0.to_density(), steps=(wl.MeasurementStep(huge, wl.GaussianPointer(1.0)),) * 2)
+            argv = ["simulate", str(write_scenario(scn)), "--pattern", "xx"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert (captured.out, captured.err) == (
+            "",
+            "numeric failure: moment chain is not finite; a pointer width or an eigenvalue is too extreme "
+            "for floating point\n",
+        )
+
+    def test_misspelled_field_exit_code(self, capsys, write_scenario):
+        # A misspelled post-selection key must not run the scenario unselected.
+        path = write_scenario(wl.build_illustrative(1.0, 1.0))
+        doc = json.loads(path.read_text())
+        doc["post_select"] = doc.pop("postselect")
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(path), "--pattern", "xx"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == (
+            "",
+            "input error: top level: unknown field 'post_select'; expected dimension, initial, steps, postselect\n",
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -314,13 +314,13 @@ class TestPointerProductSearch:
         assert result.best_value >= -1e-12
 
     def test_invalid_dimensions(self):
-        with pytest.raises(InputError, match="need n >= 2 and d >= 2"):
+        with pytest.raises(InputError, match="^n must be at least 2, got 1$"):
             wl.minimize_pointer_product(n=1, d=2, restarts=4, seed=0, budget=100)
-        with pytest.raises(InputError, match="need n >= 2 and d >= 2"):
+        with pytest.raises(InputError, match="^d must be at least 2, got 1$"):
             wl.minimize_pointer_product(n=2, d=1, restarts=4, seed=0, budget=100)
-        with pytest.raises(InputError, match="need at least one restart"):
+        with pytest.raises(InputError, match="^restarts must be at least 1, got 0$"):
             wl.minimize_pointer_product(n=2, d=2, restarts=0, seed=0, budget=100)
-        with pytest.raises(InputError, match="need a budget of at least one evaluation"):
+        with pytest.raises(InputError, match="^budget must be at least 1, got 0$"):
             wl.minimize_pointer_product(n=2, d=2, restarts=1, seed=0, budget=0)
 
     @pytest.mark.parametrize("search", ["product", "weak-value", "finite-sigma"])
@@ -332,7 +332,7 @@ class TestPointerProductSearch:
             SEARCHES[search](n=2, d=2, restarts=1, seed=0, budget=5, initial_point=SearchSpacePoint(None, 2 * good))
 
     def test_negative_seed(self):
-        with pytest.raises(InputError, match="need a seed of at least 0"):
+        with pytest.raises(InputError, match="^seed must be at least 0, got -1$"):
             wl.minimize_pointer_product(n=2, d=2, restarts=2, seed=-1, budget=10)
 
     @pytest.mark.parametrize("search", ["product", "weak-value", "finite-sigma"])

@@ -81,6 +81,31 @@ def test_every_private_top_level_name_is_read():
     assert [entry for entry in defined if entry.split(": ")[1] not in read] == []
 
 
+def count_refusals_outside_errors(root: Path) -> list[str]:
+    """Every ``raise InputError(...)`` outside errors.py whose message text
+    words a count bound, as "<file>:<line>"."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "InputError":
+                text = " ".join(
+                    part.value for part in ast.walk(call) if isinstance(part, ast.Constant) and isinstance(part.value, str)
+                )
+                if "must be at least" in text or "must be at most" in text:
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_counts_are_refused_by_check_count_alone(tmp_path):
+    # errors.check_count is the one home of the count rule's wording.
+    assert count_refusals_outside_errors(SRC / "weaklab") == []
+    (tmp_path / "inline.py").write_text('def f(n):\n    raise InputError(f"n must be at least 1, got {n}")\n')
+    assert count_refusals_outside_errors(tmp_path) == ["inline.py:2"]
+
+
 def test_cli_import_leaves_scipy_out():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

@@ -181,6 +181,17 @@ class TestReaderContract:
              "steps[1].observable: expected 2 rows"),
             (lambda d: d.update(initial=[pair(1), (0.0, 0.0)]),
              "initial[1]: expected an [re, im] pair, got (0.0, 0.0)"),
+            # Fields outside the schema are refused, after the required ones.
+            (lambda d: d.update(post_select=d.pop("postselect")),
+             "top level: unknown field 'post_select'; expected dimension, initial, steps, postselect"),
+            (lambda d: d.update({"": 0}), "top level: unknown field ''; expected dimension, initial, steps, postselect"),
+            (lambda d: d["steps"][1].update(sigma2=3.0), "steps[1]: unknown field 'sigma2'; expected observable, sigma"),
+            (lambda d: d["steps"][0].update(Observable=None),
+             "steps[0]: unknown field 'Observable'; expected observable, sigma"),
+            (lambda d: d.update(extra=1, initial=None) or d.pop("initial"), "initial: field is required"),
+            (lambda d: d["steps"][0].update(sigma2=3.0) or d["steps"][0].pop("observable"),
+             "steps[0].observable: field is required"),
+            (lambda d: d.update(steps=[None]), "steps[0]: expected an object"),
         ],
     )
     def test_bad_field(self, mutate, message):

@@ -540,7 +540,7 @@ class TestWeakEngine:
                 wv = wl.seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps])
             except ZeroPostSelectionProbability:
                 continue
-            got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
+            got = wl.recover_weak_value(scn, exact=False)
             assert got == pytest.approx(wv, abs=1e-10)
 
     @given(
@@ -590,12 +590,12 @@ class TestWeakEngine:
 class TestRecovery:
     def test_pauli_weak_source_is_exactly_i(self):
         scn = wl.build_pauli_xy(3.0, 1.0)
-        got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
+        got = wl.recover_weak_value(scn, exact=False)
         assert got == pytest.approx(1.0j, abs=1e-14)
 
     def test_illustrative_exact_source_wide(self):
         scn = wl.build_illustrative(50.0, 50.0)
-        got = wl.recover_weak_value(scn, wl.EvaluationMethod.EXACT)
+        got = wl.recover_weak_value(scn)
         assert got == pytest.approx(-0.125 + 0.0j, abs=1e-3)
 
     def test_single_step_exact_is_expectation(self):
@@ -606,7 +606,7 @@ class TestRecovery:
             scn = wl.Scenario(
                 initial=rho, steps=(wl.MeasurementStep(obs, wl.GaussianPointer(sigma)),)
             )
-            got = wl.recover_weak_value(scn, wl.EvaluationMethod.EXACT)
+            got = wl.recover_weak_value(scn)
             assert got == pytest.approx(
                 complex(np.trace(obs.matrix @ rho.matrix).real), abs=1e-12
             )
@@ -621,7 +621,7 @@ class TestRecovery:
                 wv = wl.seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps])
             except ZeroPostSelectionProbability:
                 continue
-            got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
+            got = wl.recover_weak_value(scn, exact=False)
             assert got == pytest.approx(wv, abs=1e-10)
             count += 1
         assert count >= 15
@@ -632,7 +632,7 @@ class TestRecovery:
             n = int(rng.integers(1, 4))
             scn = random_scenario(rng, 2, n, with_post=False)
             wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
-            got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
+            got = wl.recover_weak_value(scn, exact=False)
             assert got == pytest.approx(wv, abs=1e-10)
 
 
@@ -673,8 +673,8 @@ class TestChainAgainstReferences:
                 continue
             weak_want = subset_sum_recovery(scn, ordering_sum_weak)
             scale = operator_scale(scn, [X] * n)
-            exact_got = wl.recover_weak_value(scn, wl.EvaluationMethod.EXACT)
-            weak_got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
+            exact_got = wl.recover_weak_value(scn)
+            weak_got = wl.recover_weak_value(scn, exact=False)
             assert abs(exact_got - exact_want) <= 1e-12 * max(abs(exact_want), scale)
             assert abs(weak_got - weak_want) <= 1e-12 * max(abs(weak_want), scale)
             checked += 1
@@ -682,7 +682,7 @@ class TestChainAgainstReferences:
 
     def test_weak_recovery_of_ten_step_chain(self):
         scn = wl.build_projector_chain(10, 100.0)
-        got = wl.recover_weak_value(scn, wl.EvaluationMethod.WEAK_REGIME)
+        got = wl.recover_weak_value(scn, exact=False)
         want = wl.chain_weak_value(10)
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -701,7 +701,7 @@ class TestStackedChain:
             got = simulator.stacked_exact_moments(
                 np.array([scn.initial.matrix for scn in scenarios]),
                 np.array([[step.observable.matrix for step in scn.steps] for scn in scenarios]),
-                np.array([scn.sigmas() for scn in scenarios]),
+                np.array([scn.widths for scn in scenarios]),
                 pattern,
             )
             assert got.tolist() == [wl.exact_moment(scn, pattern).value for scn in scenarios]
@@ -712,7 +712,7 @@ class TestStackedChain:
         scn = random_scenario(rng, 3, 3, with_post=True)
         pattern = wl.MomentPattern([X, P, X])
         widths = np.array([[0.4, 1.0], [2.5, 7.0], [30.0, 300.0]])
-        grid = np.array(scn.sigmas()) * np.ones((3, 2, 1))
+        grid = scn.widths * np.ones((3, 2, 1))
         grid[..., 1] = widths
         tables = simulator._pattern_tables(scn.spectrum[0], grid, pattern)
         traces, probability = simulator._chain(scn.initial.matrix, scn.spectrum[1], tables, scn.post.matrix)
@@ -921,7 +921,7 @@ class TestSampler:
             wl.sample_outcomes(scn, shots, seed=1)
 
     def test_negative_seed_raises_input_error(self):
-        with pytest.raises(InputError, match="seed must be at least 0"):
+        with pytest.raises(InputError, match="^seed must be at least 0, got -1$"):
             wl.sample_outcomes(wl.build_illustrative(5.0, 1.0), 10, seed=-1)
 
     def test_given_probability_skips_the_identity_chain(self, monkeypatch):
