@@ -25,8 +25,6 @@ for n in (2, 3, 4, 5):
 
 print()
 print("The weak value itself is another story: it can be pushed toward -1.")
-result = wl.minimize_weak_value_real(
-    n=6, d=2, restarts=16, seed=7, budget=20_000, initial_point=wl.chain_point(6)
-)
+result = wl.minimize_weak_value_real(n=6, d=2, restarts=16, seed=7, budget=20_000)
 print(f"min Re(weak value), n=6: {result.best_value:+.6f}"
       f"  (chain family gives {wl.chain_weak_value(6):+.6f}, hard floor is -1)")

@@ -8,7 +8,6 @@ witness, for finite-dimensional systems.
 from .optimize import (
     OptimizationResult,
     SearchSpacePoint,
-    chain_point,
     minimize_pointer_product,
     minimize_weak_value_real,
 )
@@ -16,7 +15,6 @@ from .pointer import (
     GaussianPointer,
     PointerOperatorKind,
     matrix_element,
-    weak_regime_check,
 )
 from .qm import (
     KET_0,
@@ -79,7 +77,6 @@ __all__ = [
     "build_pauli_xy",
     "build_projector_chain",
     "causal_witness",
-    "chain_point",
     "chain_weak_value",
     "exact_moment",
     "load_scenario",
@@ -95,5 +92,4 @@ __all__ = [
     "seq_weak_value",
     "steps_outside_weak_regime",
     "weak_prediction",
-    "weak_regime_check",
 ]

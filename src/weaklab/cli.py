@@ -286,7 +286,7 @@ def _cmd_sample(args) -> None:
     scn, source = _resolve_scenario(args.file, args)
     exact = position_moments(scn)
     # Tr(eta) comes out of the exact column's pass, so the sampler need not run it.
-    samples, stats = sample_outcomes(scn, args.shots, args.seed, exact[0].postselection_probability)
+    samples, stats = sample_outcomes(scn, args.shots, args.seed, probability=exact[0].postselection_probability)
     config = {
         "scenario": source,
         "shots": args.shots,

@@ -46,9 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qm
-from .errors import InputError, check_count, check_footprint
+from .errors import check_count, check_footprint
 from .pointer import GaussianPointer, PointerOperatorKind, matrix_element
-from .scenarios import chain_ket
 
 VALUE_SPREAD_TOL = 1e-14
 
@@ -56,10 +55,7 @@ VALUE_SPREAD_TOL = 1e-14
 @dataclass(frozen=True)
 class SearchSpacePoint:
     """The initial state and each measured projector, as unit kets:
-    ``state`` has shape (d,) and ``projector_kets`` (n, d).
-
-    A search returns the state it found with the projectors; an
-    ``initial_point`` seeds restart 0 with its projector kets alone."""
+    ``state`` has shape (d,) and ``projector_kets`` (n, d)."""
 
     state: np.ndarray
     projector_kets: np.ndarray
@@ -299,21 +295,8 @@ def _start_kets(n: int, d: int, restarts: int, seed: int, budget: int) -> np.nda
     return qm.kets_from_normals(np.array([np.random.default_rng(s).standard_normal((n, 2, d)) for s in seeds]))
 
 
-def _initial_kets(initial_point: SearchSpacePoint, n: int, d: int) -> np.ndarray:
-    """An initial point's projector kets, checked to be n unit kets of dimension d."""
-    kets = np.asarray(initial_point.projector_kets, dtype=complex)
-    if kets.shape != (n, d):
-        raise InputError(f"initial point has projector kets of shape {kets.shape}, need ({n}, {d})")
-    qm.check_kets(kets)
-    return kets
-
-
-def _see_saw_search(
-    sweep, n: int, d: int, restarts: int, seed: int, budget: int, initial_point: SearchSpacePoint | None
-) -> OptimizationResult:
+def _see_saw_search(sweep, n: int, d: int, restarts: int, seed: int, budget: int) -> OptimizationResult:
     kets = _start_kets(n, d, restarts, seed, budget)
-    if initial_point is not None:
-        kets[0] = _initial_kets(initial_point, n, d)
     values, states, evaluations = _see_saw(sweep, kets, budget)
     best = int(np.argmin(values))
     return OptimizationResult(
@@ -330,7 +313,6 @@ def minimize_pointer_product(
     restarts: int,
     seed: int,
     budget: int,
-    initial_point: SearchSpacePoint | None = None,
     sigma: float | None = None,
 ) -> OptimizationResult:
     """Minimize the weak-limit mean product of the pointer positions over
@@ -354,26 +336,11 @@ def minimize_pointer_product(
         with np.errstate(over="ignore"):
             overlap = matrix_element(GaussianPointer(sigma), PointerOperatorKind.IDENTITY, 0.0, 1.0).real
         sweep = functools.partial(_pointer_sweep, overlap=overlap)
-    return _see_saw_search(sweep, n, d, restarts, seed, budget, initial_point)
+    return _see_saw_search(sweep, n, d, restarts, seed, budget)
 
 
-def minimize_weak_value_real(
-    n: int,
-    d: int,
-    restarts: int,
-    seed: int,
-    budget: int,
-    initial_point: SearchSpacePoint | None = None,
-) -> OptimizationResult:
+def minimize_weak_value_real(n: int, d: int, restarts: int, seed: int, budget: int) -> OptimizationResult:
     """Minimize Re of the no-post-selection sequential weak value over
     projector sequences of length ``n`` in dimension ``d`` and over
     initial states, by see-saw sweeps."""
-    return _see_saw_search(_weak_value_sweep, n, d, restarts, seed, budget, initial_point)
-
-
-def chain_point(n: int) -> SearchSpacePoint:
-    """The projector-chain configuration as a search-space point (d=2)."""
-    return SearchSpacePoint(
-        state=np.array([1.0, 0.0], dtype=complex),
-        projector_kets=np.array([chain_ket(j, n).amplitudes for j in range(1, n + 1)]),
-    )
+    return _see_saw_search(_weak_value_sweep, n, d, restarts, seed, budget)

@@ -28,11 +28,6 @@ import numpy as np
 
 from .errors import InputError, NumericError
 
-# A pointer counts as weak when its width is this many times the largest
-# eigenvalue and weak-value magnitudes. A convention, not a sharp boundary.
-WEAK_REGIME_RATIO = 10.0
-
-
 class PointerOperatorKind(enum.Enum):
     """Which pointer operator a joint moment reads out on one slot."""
 
@@ -51,6 +46,7 @@ class GaussianPointer:
     sigma: float
 
     def __post_init__(self):
+        # ``refused_widths``'s rule on one float; numpy would cost every pointer built ten times as much.
         if not (self.sigma > 0 and math.isfinite(self.sigma * self.sigma)):
             raise InputError(f"pointer width must be positive with a finite square, got {self.sigma!r}")
 
@@ -102,17 +98,15 @@ def _overlap(s2, gap):
     return np.exp(gap * gap / (-8.0 * s2))
 
 
+def refused_widths(sigmas: np.ndarray) -> np.ndarray:
+    """The widths of an array that ``GaussianPointer`` refuses, as a mask."""
+    with np.errstate(over="ignore"):
+        return ~((sigmas > 0) & np.isfinite(sigmas * sigmas))
+
+
 def check_widths(sigmas: np.ndarray) -> None:
     """The ``GaussianPointer`` check on an array of widths, raised for
     the first, in C order, that fails it."""
-    with np.errstate(over="ignore"):
-        bad = ~((sigmas > 0) & np.isfinite(sigmas * sigmas))
+    bad = refused_widths(sigmas)
     if bad.any():
         raise InputError(f"pointer width must be positive with a finite square, got {float(sigmas[bad][0])!r}")
-
-
-def weak_regime_check(ptr: GaussianPointer, eigenvalues, wv_magnitude: float) -> bool:
-    """True iff sigma is at least ``WEAK_REGIME_RATIO`` times both the
-    largest eigenvalue magnitude and the weak-value magnitude."""
-    scale = max((abs(float(a)) for a in eigenvalues), default=0.0)
-    return ptr.sigma >= WEAK_REGIME_RATIO * scale and ptr.sigma >= WEAK_REGIME_RATIO * abs(wv_magnitude)

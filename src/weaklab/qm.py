@@ -156,9 +156,9 @@ SIGMA_X = Observable(np.array([[0.0, 1.0], [1.0, 0.0]]))
 SIGMA_Y = Observable(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
 
 
-def qubit_ket(theta: float, phi: float = 0.0) -> PureState:
-    """cos(theta)|0> + e^{i phi} sin(theta)|1>."""
-    return PureState(np.array([np.cos(theta), np.exp(1j * phi) * np.sin(theta)]))
+def qubit_ket(theta: float) -> PureState:
+    """cos(theta)|0> + sin(theta)|1>."""
+    return PureState(np.array([np.cos(theta), np.sin(theta)]))
 
 
 # Stacks of random instances, made from standard normals laid out as the

@@ -50,19 +50,14 @@ def build_pauli_xy(sigma1: float, sigma2: float) -> Scenario:
     return _two_steps(qm.KET_0.to_density(), qm.SIGMA_Y, qm.SIGMA_X, sigma1, sigma2)
 
 
-def chain_ket(j: int, n: int) -> qm.PureState:
-    """j-th chain state: cos(j pi / (n+1)) |0> + sin(j pi / (n+1)) |1>."""
-    angle = j * math.pi / (n + 1)
-    return qm.PureState(np.array([math.cos(angle), math.sin(angle)]))
-
-
 def build_projector_chain(n: int, sigma: float) -> Scenario:
-    """n rank-1 projectors at equally spaced angles j pi/(n+1), all with
-    the same pointer width, measured on |0>."""
+    """n rank-1 projectors onto cos(j pi/(n+1)) |0> + sin(j pi/(n+1)) |1>,
+    j = 1 ... n, all with the same pointer width, measured on |0>."""
     check_count("n", n, 1)
+    angles = [j * math.pi / (n + 1) for j in range(1, n + 1)]
     steps = tuple(
-        MeasurementStep(qm.projector_from_ket(chain_ket(j, n)), GaussianPointer(sigma))
-        for j in range(1, n + 1)
+        MeasurementStep(qm.projector_from_ket(qm.PureState([math.cos(a), math.sin(a)])), GaussianPointer(sigma))
+        for a in angles
     )
     return Scenario(initial=qm.KET_0.to_density(), steps=steps, post=None)
 

@@ -34,9 +34,11 @@ pass closed by the effect, serves the one-scenario engines and
 ``stacked_exact_moments``, which runs a stack of scenarios.
 ``position_moments`` contracts every slot between the two passes, and
 ``sweep_moments`` only the swept one, once per grid point. Arrays carry
-leading batch axes that broadcast; the finiteness, post-selection and
-imaginary-residue checks run per batch entry and raise, with the message
-one scenario would give, for the first entry that fails them.
+leading batch axes that broadcast. The finiteness, post-selection and
+imaginary-residue checks run one at a time, each over every batch entry,
+and raise with the message one scenario would give for the first entry,
+in C order, that fails the check: a not-finite entry 3 raises before a
+zero-probability entry 0.
 
 ``sample_outcomes`` simulates shots one Kraus update at a time: each
 shot carries a system ket, and each pointer is read right after its
@@ -60,10 +62,13 @@ import numpy as np
 
 from . import qm
 from .errors import DimensionMismatch, InputError, NumericError, WeakLabError, check_count, check_footprint
-from .pointer import GaussianPointer, PointerOperatorKind, _factor, _overlap, weak_regime_check
+from .pointer import GaussianPointer, PointerOperatorKind, _factor, _overlap, refused_widths
 from .weak_values import ZERO_PROBABILITY_TOL, check_probability, seq_weak_value
 
 MOMENT_IMAG_TOL = 1e-10
+# A pointer counts as weak when its width is this many times the largest
+# eigenvalue and weak-value magnitudes. A convention, not a sharp boundary.
+WEAK_REGIME_RATIO = 10.0
 _SQUARED = (PointerOperatorKind.POSITION_SQUARED, PointerOperatorKind.MOMENTUM_SQUARED)
 _IDENTITY = PointerOperatorKind.IDENTITY
 _NOT_FINITE = "moment chain is not finite; a pointer width or an eigenvalue is too extreme for floating point"
@@ -242,22 +247,29 @@ def _slot(effect, table, state):
     return (effect.swapaxes(-1, -2) * table * state).sum(axis=(-2, -1))
 
 
-def _chain(initial, bases, tables, effect=None) -> tuple[np.ndarray, np.ndarray]:
-    """Tr(E T_n(... T_1(rho))) for each chain of a stack, the forward pass
-    closed by the effect: T_j(X) = sum_kl F[k, l] P_k X P_l, with P_k the
-    eigenprojectors of ``bases[..., j, :, :]`` and F the matching table of
-    ``tables[j]``; E is ``effect``, or I when it is None. The last chain of
-    each stack must read the identity on every slot: its trace, Tr(eta), is
-    checked per batch entry and returned apart, shape (...), after the other
-    K - 1 traces, shape (..., K - 1)."""
-    for state in _forward(initial, _turns(bases), tables):
-        pass
-    traces = _close(state, bases, effect)
+def _checked(traces) -> tuple[np.ndarray, np.ndarray]:
+    """Splits closed chains (..., K), whose last reads Tr(eta), into the
+    K - 1 others, (..., K - 1), and Tr(eta), (...), after two checks, each
+    over every batch entry: every trace finite, else NumericError; then
+    ``check_probability`` on Tr(eta). A not-finite entry thus raises before
+    an earlier entry whose probability is at or below the threshold."""
     if not np.isfinite(traces).all():
         raise NumericError(_NOT_FINITE)
     probability = traces[..., -1].real
     check_probability(probability)
     return traces[..., :-1], probability
+
+
+def _chain(initial, bases, tables, effect=None) -> tuple[np.ndarray, np.ndarray]:
+    """Tr(E T_n(... T_1(rho))) for each chain of a stack, the forward pass
+    closed by the effect: T_j(X) = sum_kl F[k, l] P_k X P_l, with P_k the
+    eigenprojectors of ``bases[..., j, :, :]`` and F the matching table of
+    ``tables[j]``; E is ``effect``, or I when it is None. The last chain of
+    each stack must read the identity on every slot: ``_checked`` splits
+    its trace, Tr(eta), from the other K - 1."""
+    for state in _forward(initial, _turns(bases), tables):
+        pass
+    return _checked(_close(state, bases, effect))
 
 
 def _residues(numerator, peak, probability) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -346,16 +358,14 @@ def position_moments(scn: Scenario) -> list[MomentResult]:
     states = _forward(scn.initial.matrix, turns, tables)
     for j, state in zip(range(n), states):
         before[j] = state[-1]
-    traces = _close(next(states), bases, scn.effect)
-    slots = np.empty((n, 1), dtype=complex)
+    # [product, slot 1, ..., slot n, Tr(eta)]
+    traces = np.empty(n + 2, dtype=complex)
+    traces[0], traces[-1] = _close(next(states), bases, scn.effect)
     for j, effect in zip(reversed(range(n)), _backward(_last_effect(bases, scn.effect), turns, tables[:, 1:])):
-        slots[j] = _slot(effect, tables[j, 0], before[j])
-    if not (np.isfinite(traces).all() and np.isfinite(slots).all()):
-        raise NumericError(_NOT_FINITE)
-    probability = traces[1].real
-    check_probability(probability)
+        traces[1 + j] = _slot(effect[0], tables[j, 0], before[j])
+    numerators, probability = _checked(traces)
     peaks = np.abs(tables[:, 0]).max(axis=(1, 2))
-    values = _values(np.array([traces[0], *slots[:, 0]]), np.array([math.prod(peaks), *peaks]), probability)
+    values = _values(numerators, np.array([math.prod(peaks), *peaks]), probability)
     return [MomentResult(value, float(probability)) for value in values.tolist()]
 
 
@@ -416,7 +426,7 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
             for start in range(0, len(widths), size):
                 chunk = slice(start, start + size)
                 points = widths[chunk]
-                bad = ~((points > 0) & np.isfinite(points * points)) | (np.float_power(points, 2) == 0.0)
+                bad = refused_widths(points) | (np.float_power(points, 2) == 0.0)
                 kinds = (pat.kinds[index], _IDENTITY)
                 tables = _step_tables(eigenvalues[index], np.where(bad, np.nan, points), kinds, exact)
                 traces = _slot(effect, tables, state)
@@ -437,15 +447,14 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
 
 
 def steps_outside_weak_regime(scn: Scenario) -> tuple[int, ...]:
-    """Indices of the steps whose pointer fails ``weak_regime_check``,
-    judged against the scenario's sequential weak value."""
+    """Indices of the steps whose pointer is not weak: its width is below
+    ``WEAK_REGIME_RATIO`` times its observable's largest eigenvalue
+    magnitude or the magnitude of the scenario's sequential weak value. A
+    magnitude that is not a number marks every step."""
     magnitude = abs(seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps]))
-    eigenvalues = scn.spectrum[0]
-    return tuple(
-        index
-        for index, step in enumerate(scn.steps)
-        if not weak_regime_check(step.pointer, eigenvalues[index], magnitude)
-    )
+    widths, scale = scn.widths, np.abs(scn.spectrum[0]).max(axis=1)
+    outside = ~((widths >= WEAK_REGIME_RATIO * scale) & (widths >= WEAK_REGIME_RATIO * magnitude))
+    return tuple(np.flatnonzero(outside).tolist())
 
 
 @np.errstate(all="ignore")

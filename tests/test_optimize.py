@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 import weaklab as wl
 from weaklab import optimize, qm
 from weaklab.errors import InputError
-from weaklab.optimize import SearchSpacePoint
 
 
 # One-point references for the objectives: each takes the (n, d) projector
@@ -96,7 +96,7 @@ OPERATORS = {
 SWEEPS = {
     "product": optimize._pointer_sweep,
     "weak-value": optimize._weak_value_sweep,
-    "finite-sigma": optimize._pointer_sweep,
+    "finite-sigma": functools.partial(optimize._pointer_sweep, overlap=math.exp(-1.0 / (8.0 * 0.8**2))),
 }
 
 ORACLES = {
@@ -132,21 +132,20 @@ class TestBatchedObjectives:
 
     @pytest.mark.parametrize("search", ["product", "weak-value", "finite-sigma"])
     def test_rayleigh_ritz_state(self, search):
-        # A one-evaluation search returns its start: the objective there
+        # A one-evaluation see-saw keeps its start kets: the objective there
         # is the least <psi|H|psi>, attained by the returned state.
         rng = np.random.default_rng(38)
         for n, d in ((2, 2), (3, 2), (2, 3), (4, 3), (3, 4)):
             kets = random_kets(rng, n, d)
-            start = SearchSpacePoint(np.eye(d, 1)[:, 0], kets)
-            result = SEARCHES[search](n=n, d=d, restarts=1, seed=0, budget=1, initial_point=start)
-            assert np.array_equal(result.best_point.projector_kets, kets)
-            state, _ = result.best_point.decode()
-            hamiltonian = OPERATORS[search](result.best_point.projector_kets)
-            assert abs(expectation(hamiltonian, state.amplitudes) - result.best_value) <= 1e-12
+            start = kets[np.newaxis].copy()
+            (best_value,), (state,), _ = optimize._see_saw(SWEEPS[search], start, budget=1)
+            assert np.array_equal(start[0], kets)
+            hamiltonian = OPERATORS[search](start[0])
+            assert abs(expectation(hamiltonian, state) - best_value) <= 1e-12
             trials = rng.standard_normal((2000, d)) + 1j * rng.standard_normal((2000, d))
             trials /= np.linalg.norm(trials, axis=1, keepdims=True)
             values = np.einsum("bi,ij,bj->b", trials.conj(), hamiltonian, trials).real
-            assert values.min() >= result.best_value - 1e-15
+            assert values.min() >= best_value - 1e-15
 
 
 class TestSeeSaw:
@@ -231,13 +230,11 @@ class TestSeeSaw:
             assert result.evaluations == 5
 
 
-def illustrative_point():
-    """|0>, then the kets (1/2, sqrt(3)/2) and (1/2, -sqrt(3)/2)."""
+def illustrative_start():
+    """One restart's start at the illustrative projector kets,
+    (1/2, sqrt(3)/2) and (1/2, -sqrt(3)/2): shape (1, 2, 2)."""
     root = math.sqrt(3.0) / 2.0
-    return SearchSpacePoint(
-        state=np.array([1.0, 0.0], dtype=complex),
-        projector_kets=np.array([[0.5, root], [0.5, -root]], dtype=complex),
-    )
+    return np.array([[[0.5, root], [0.5, -root]]], dtype=complex)
 
 
 class TestPointerProductSearch:
@@ -247,10 +244,8 @@ class TestPointerProductSearch:
         assert result.best_value == min(value for _, value in result.trace)
 
     def test_start_from_known_optimum(self):
-        result = wl.minimize_pointer_product(
-            n=2, d=2, restarts=1, seed=0, budget=20000, initial_point=illustrative_point()
-        )
-        assert result.best_value == pytest.approx(-0.125, abs=1e-9)
+        (best_value,), _, _ = optimize._see_saw(SWEEPS["product"], illustrative_start(), budget=20000)
+        assert best_value == pytest.approx(-0.125, abs=1e-9)
 
     def test_never_below_conjectured_floor(self):
         for n in (2, 3):
@@ -275,12 +270,11 @@ class TestPointerProductSearch:
         assert np.array_equal(first.best_point.projector_kets, second.best_point.projector_kets)
 
     def test_finite_sigma_objective(self):
-        result = wl.minimize_pointer_product(
-            n=2, d=2, restarts=1, seed=0, budget=300, sigma=1.0, initial_point=illustrative_point()
-        )
-        # at sigma = 1 the landscape is the exact moment, whose value at the
-        # starting point is the illustrative closed form
-        assert result.best_value <= (1.0 - 3.0 * math.exp(-0.125)) / 16.0 + 1e-9
+        sweep = functools.partial(SWEEPS["product"], overlap=math.exp(-0.125))
+        (best_value,), _, _ = optimize._see_saw(sweep, illustrative_start(), budget=300)
+        # at sigma = 1 (overlap exp(-1/8)) the landscape is the exact moment,
+        # whose value at the starting point is the illustrative closed form
+        assert best_value <= (1.0 - 3.0 * math.exp(-0.125)) / 16.0 + 1e-9
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
@@ -322,14 +316,6 @@ class TestPointerProductSearch:
             wl.minimize_pointer_product(n=2, d=2, restarts=0, seed=0, budget=100)
         with pytest.raises(InputError, match="^budget must be at least 1, got 0$"):
             wl.minimize_pointer_product(n=2, d=2, restarts=1, seed=0, budget=0)
-
-    @pytest.mark.parametrize("search", ["product", "weak-value", "finite-sigma"])
-    def test_initial_point_checks(self, search):
-        good = illustrative_point().projector_kets
-        with pytest.raises(InputError, match=r"shape \(3, 2\), need \(2, 2\)"):
-            SEARCHES[search](n=2, d=2, restarts=1, seed=0, budget=5, initial_point=SearchSpacePoint(None, np.eye(3, 2)))
-        with pytest.raises(InputError, match="state norm"):
-            SEARCHES[search](n=2, d=2, restarts=1, seed=0, budget=5, initial_point=SearchSpacePoint(None, 2 * good))
 
     def test_negative_seed(self):
         with pytest.raises(InputError, match="^seed must be at least 0, got -1$"):
@@ -381,24 +367,13 @@ class TestWeakValueSearch:
 
     def test_chain_family_feasible(self):
         for n in (3, 6):
-            result = wl.minimize_weak_value_real(
-                n=n, d=2, restarts=4, seed=1, budget=20000, initial_point=wl.chain_point(n)
-            )
+            result = wl.minimize_weak_value_real(n=n, d=2, restarts=4, seed=1, budget=20000)
             assert result.best_value <= wl.chain_weak_value(n) + 1e-6
 
     def test_respects_magnitude_bound(self):
         for n in (2, 4, 6):
             result = wl.minimize_weak_value_real(n=n, d=2, restarts=6, seed=9, budget=10000)
             assert result.best_value >= -1.0 - 1e-9
-
-    def test_chain_point_decodes_to_chain(self):
-        n = 4
-        point = wl.chain_point(n)
-        state, projectors = point.decode()
-        scn = wl.build_projector_chain(n, 1.0)
-        assert np.allclose(state.amplitudes, [1.0, 0.0])
-        for built, expected in zip(projectors, scn.steps):
-            assert np.allclose(built.matrix, expected.observable.matrix, atol=1e-12)
 
 
 # Per-restart budgets by (n, d), as the benchmark's search workload runs them.

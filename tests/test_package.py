@@ -1,6 +1,7 @@
 """The public surface: every name in ``weaklab.__all__`` exists, once,
-is read by the program, a demo or the benchmark, no module imports a name
-it never reads, every private top-level name is read in the package, and
+is read by the program, a demo or the benchmark, and every defaulted
+parameter of its functions is passed there; no module imports a name it
+never reads, every private top-level name is read in the package, and
 importing the CLI pulls in no dependency beyond numpy and builds no
 parser."""
 
@@ -104,6 +105,37 @@ def test_counts_are_refused_by_check_count_alone(tmp_path):
     assert count_refusals_outside_errors(SRC / "weaklab") == []
     (tmp_path / "inline.py").write_text('def f(n):\n    raise InputError(f"n must be at least 1, got {n}")\n')
     assert count_refusals_outside_errors(tmp_path) == ["inline.py:2"]
+
+
+def unpassed_defaults(modules: list[Path], names, callers: list[Path]) -> list[str]:
+    """Every defaulted parameter of a top-level function of ``modules``
+    named in ``names`` that no call in ``callers`` passes by keyword and
+    no dict literal there holds as a key, as "<function>.<parameter>"."""
+    passed = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                passed.update(keyword.arg for keyword in node.keywords)
+            elif isinstance(node, ast.Dict):
+                passed.update(key.value for key in node.keys if isinstance(key, ast.Constant))
+    unpassed = []
+    for path in modules:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                positional = node.args.posonlyargs + node.args.args
+                defaulted = positional[len(positional) - len(node.args.defaults):]
+                defaulted += [arg for arg, value in zip(node.args.kwonlyargs, node.args.kw_defaults) if value is not None]
+                unpassed += [f"{node.name}.{arg.arg}" for arg in defaulted if arg.arg not in passed]
+    return unpassed
+
+
+def test_every_public_default_is_passed_outside_the_tests(tmp_path):
+    # An option only the tests set is a knob the package does not need.
+    modules = sorted((SRC / "weaklab").glob("*.py"))
+    callers = [*modules, *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    assert unpassed_defaults(modules, wl.__all__, callers) == []
+    (tmp_path / "knob.py").write_text("def f(x, used=1, unused=2):\n    return f(x, used=0)\n")
+    assert unpassed_defaults([tmp_path / "knob.py"], ["f"], [tmp_path / "knob.py"]) == ["f.unused"]
 
 
 def test_cli_import_leaves_scipy_out():

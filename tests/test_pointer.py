@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import weaklab as wl
 from weaklab.errors import InputError, NumericError
-from weaklab.pointer import PointerOperatorKind, _factor, check_widths
+from weaklab.pointer import PointerOperatorKind, _factor, check_widths, refused_widths
 
 ALL_KINDS = list(PointerOperatorKind)
 
@@ -104,6 +104,20 @@ class TestWidthArrays:
         with pytest.raises(InputError, match=r"got -1\.0$"):
             check_widths(np.array([[1.0, -1.0], [math.inf, 2.0]]))
 
+    def test_refused_widths_is_the_pointer_rule(self):
+        # the scalar test GaussianPointer keeps and the array mask refuse the same widths
+        def refuses(sigma):
+            try:
+                wl.GaussianPointer(sigma)
+            except InputError:
+                return True
+            return False
+
+        widths = [1.0, 5e-324, 1.3e154, 1.35e154, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]
+        mask = refused_widths(np.array(widths)).tolist()
+        assert mask == [refuses(sigma) for sigma in widths]
+        assert mask == [False, False, False, True, True, True, True, True, True, True]
+
 
 class TestMatrixElement:
     def test_identity_overlap(self):
@@ -143,14 +157,3 @@ class TestMatrixElement:
             forward = wl.matrix_element(ptr, kind, a, b)
             backward = wl.matrix_element(ptr, kind, b, a)
             assert forward == pytest.approx(backward.conjugate(), abs=1e-12)
-
-
-class TestWeakRegimeCheck:
-    def test_wide_pointer_passes(self):
-        assert wl.weak_regime_check(wl.GaussianPointer(100.0), [0.0, 1.0], 0.125)
-
-    def test_narrow_pointer_fails(self):
-        assert not wl.weak_regime_check(wl.GaussianPointer(1.0), [0.0, 1.0], 0.125)
-
-    def test_boundary_inclusive(self):
-        assert wl.weak_regime_check(wl.GaussianPointer(10.0), [-1.0, 1.0], 1.0)

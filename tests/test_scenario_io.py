@@ -351,7 +351,7 @@ class TestRoundTrip:
         )
 
     def test_roundtrip_with_postselection(self, write_scenario):
-        ket = wl.qubit_ket(0.3, 0.8)
+        ket = wl.PureState(np.array([np.cos(0.3), np.exp(0.8j) * np.sin(0.3)]))
         scn = wl.Scenario(
             initial=KET_PLUS.to_density(),
             steps=(

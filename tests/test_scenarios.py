@@ -90,6 +90,15 @@ class TestProjectorChain:
         assert values[-1] > -1.0
         assert wl.chain_weak_value(4000) == pytest.approx(-1.0, abs=2e-3)
 
+    def test_kets_sit_at_the_chain_angles(self):
+        n = 4
+        scn = wl.build_projector_chain(n, 1.0)
+        assert np.array_equal(scn.initial.matrix, np.diag([1.0, 0.0]))
+        for j, step in enumerate(scn.steps, 1):
+            angle = j * math.pi / (n + 1)
+            ket = np.array([math.cos(angle), math.sin(angle)])
+            assert np.array_equal(step.observable.matrix, np.outer(ket, ket))
+
     def test_rejects_bad_length(self):
         with pytest.raises(InputError):
             wl.build_projector_chain(0, 1.0)

@@ -636,10 +636,54 @@ class TestRecovery:
             assert got == pytest.approx(wv, abs=1e-10)
 
 
+def weak_regime_reference(scn):
+    """The weak-regime rule one step at a time: step j is outside unless
+    sigma_j >= 10 max|a_j| and sigma_j >= 10 |weak value|."""
+    magnitude = abs(wl.seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps]))
+    outside = []
+    for index, (step, eigenvalues) in enumerate(zip(scn.steps, scn.spectrum[0])):
+        scale = max(abs(float(a)) for a in eigenvalues)
+        if not (step.pointer.sigma >= 10.0 * scale and step.pointer.sigma >= 10.0 * magnitude):
+            outside.append(index)
+    return tuple(outside)
+
+
 class TestWeakRegime:
     @pytest.mark.parametrize("sigma,outside", [(0.5, (0, 1)), (100.0, ())])
     def test_steps_outside_weak_regime(self, sigma, outside):
         assert wl.steps_outside_weak_regime(wl.build_illustrative(sigma, sigma)) == outside
+
+    def test_narrow_pointer_fails(self):
+        # |0, 1| eigenvalues and |weak value| 1/8: the bar is sigma = 10
+        assert wl.steps_outside_weak_regime(wl.build_illustrative(1.0, 100.0)) == (0,)
+
+    def test_boundary_inclusive(self):
+        # eigenvalues +-1 and weak value i: the bar is sigma = 10 itself
+        assert wl.steps_outside_weak_regime(wl.build_pauli_xy(10.0, 10.0)) == ()
+        below = math.nextafter(10.0, 0.0)
+        assert below == 9.999999999999998
+        assert wl.steps_outside_weak_regime(wl.build_pauli_xy(below, below)) == (0, 1)
+
+    @given(
+        d=st.integers(2, 4),
+        n=st.integers(1, 5),
+        with_post=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        at_bar=st.lists(st.sampled_from(["drawn", "eigenvalue", "weak value"]), min_size=5, max_size=5),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    def test_matches_a_per_step_loop(self, d, n, with_post, seed, at_bar):
+        # Widths straddle the bar: log-uniform over it, or exactly on it.
+        rng = np.random.default_rng(seed)
+        scn = random_scenario(rng, d, n, with_post)
+        magnitude = abs(wl.seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps]))
+        scales = np.abs(scn.spectrum[0]).max(axis=1)
+        bars = {"eigenvalue": 10.0 * scales, "weak value": np.full(n, 10.0 * magnitude)}
+        drawn = np.exp(rng.uniform(math.log(1.0), math.log(1000.0), size=n))
+        widths = [drawn[j] if at_bar[j] == "drawn" else bars[at_bar[j]][j] for j in range(n)]
+        steps = [dataclasses.replace(step, pointer=wl.GaussianPointer(float(w))) for step, w in zip(scn.steps, widths)]
+        scn = dataclasses.replace(scn, steps=steps)
+        assert wl.steps_outside_weak_regime(scn) == weak_regime_reference(scn)
 
 
 class TestChainAgainstReferences:
@@ -728,6 +772,20 @@ class TestStackedChain:
         numerator = np.array([1.0, 1.0 + 2e-3j, 1.0 + 1e-3j, 1.0])
         with pytest.raises(NumericError, match=r"residue 2\.000e-03 at scale 1\.000e\+00"):
             simulator._values(numerator, 1.0, np.ones(4))
+
+    def test_closing_checks_run_one_at_a_time(self):
+        # Finiteness is checked over the whole stack before Tr(eta) is, so
+        # entry 3's nan raises before entry 0's zero probability.
+        traces = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 1.0], [math.nan, 1.0]], dtype=complex)
+        with pytest.raises(NumericError, match="not finite"):
+            simulator._checked(traces)
+        traces[3, 0] = 4.0
+        with pytest.raises(ZeroPostSelectionProbability, match=r"^post-selection probability 0\.000e\+00"):
+            simulator._checked(traces)
+        traces[0, 1] = 0.5
+        numerators, probability = simulator._checked(traces)
+        assert numerators[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert probability.tolist() == [0.5, 1.0, 1.0, 1.0]
 
 
 @st.composite
