@@ -11,11 +11,7 @@ from .optimize import (
     minimize_pointer_product,
     minimize_weak_value_real,
 )
-from .pointer import (
-    GaussianPointer,
-    PointerOperatorKind,
-    matrix_element,
-)
+from .pointer import GaussianPointer, PointerOperatorKind
 from .qm import (
     KET_0,
     SIGMA_X,
@@ -80,7 +76,6 @@ __all__ = [
     "chain_weak_value",
     "exact_moment",
     "load_scenario",
-    "matrix_element",
     "minimize_pointer_product",
     "minimize_weak_value_real",
     "position_moments",

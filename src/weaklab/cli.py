@@ -41,7 +41,6 @@ import numpy as np
 from . import __version__, qm
 from .errors import InputError, NumericError, WeakLabError, check_count
 from .optimize import minimize_pointer_product, minimize_weak_value_real
-from .pointer import check_widths
 from .scenario_io import load_scenario
 from .scenarios import (
     CausalStructure,
@@ -344,12 +343,8 @@ def _draw_pair(rng: np.random.Generator):
 
 def _pair_floor(d: int, normals: np.ndarray) -> tuple[float, int]:
     """Projector pairs: the Re <psi|BA|psi> floor of -1/8 (d = 2 and 3)."""
-    kets = qm.kets_from_normals(normals.reshape(-1, 3, 2, d))
-    qm.check_kets(kets)
-    projectors = qm.projectors_from_kets(kets)
+    projectors = qm.projectors_from_kets(qm.kets_from_normals(normals.reshape(-1, 3, 2, d)))
     rho, pair = projectors[:, 0], projectors[:, 1:]
-    qm.check_densities(rho)
-    qm.check_observables(pair)
     values = sequence_traces(rho, pair).real
     return float(values.min()), int(np.count_nonzero(values < PROJECTOR_PAIR_FLOOR - 1e-12))
 
@@ -367,8 +362,6 @@ def _magnitude_excess(shape: tuple[int, int], normals: np.ndarray) -> tuple[floa
     normals = normals.reshape(-1, n + 1, 2, d, d)
     rho = qm.densities_from_normals(normals[:, 0])
     observables = qm.observables_from_normals(normals[:, 1:])
-    qm.check_densities(rho)
-    qm.check_observables(observables)
     values = sequence_traces(rho, observables)
     # np.hypot rounds as Python's abs(complex) does; np.abs may not.
     excess = np.hypot(values.real, values.imag) - norm_products(observables)
@@ -385,18 +378,10 @@ def _hull_margin(_, rows: np.ndarray) -> tuple[float, int]:
     x1 x2 moment of a shared d = 4 ket whose d = 2 halves are measured by
     projectors, as ``build_common_cause`` lifts them. Gives the smallest
     margin to the hull's ends (negative outside) and the witnessed count."""
-    shared = qm.kets_from_normals(rows[:, :8].reshape(-1, 2, 4))
-    halves = qm.kets_from_normals(rows[:, 8:16].reshape(-1, 2, 2, 2))
-    qm.check_kets(shared)
-    qm.check_kets(halves)
-    rho, projectors = qm.projectors_from_kets(shared), qm.projectors_from_kets(halves)
-    qm.check_densities(rho)
-    qm.check_observables(projectors)
+    rho = qm.projectors_from_kets(qm.kets_from_normals(rows[:, :8].reshape(-1, 2, 4)))
+    projectors = qm.projectors_from_kets(qm.kets_from_normals(rows[:, 8:16].reshape(-1, 2, 2, 2)))
     lifted = np.stack(lift_pair(projectors[:, 0], projectors[:, 1]), axis=1)
-    qm.check_observables(lifted)
-    widths = rows[:, 16:]
-    check_widths(widths)
-    values = stacked_exact_moments(rho, lifted, widths, MomentPattern.all_position(2))
+    values = stacked_exact_moments(rho, lifted, rows[:, 16:], MomentPattern.all_position(2))
     witnessed = sum(
         causal_witness(value, (0.0, 1.0), margin=1e-9) is not CausalStructure.INCONCLUSIVE
         for value in values.tolist()

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import qm
 from .errors import check_count, check_footprint
-from .pointer import GaussianPointer, PointerOperatorKind, matrix_element
+from .pointer import GaussianPointer, PointerOperatorKind, _step_tables
 
 VALUE_SPREAD_TOL = 1e-14
 
@@ -332,9 +332,11 @@ def minimize_pointer_product(
     if sigma is None:
         sweep = _pointer_sweep
     else:
-        # A subnormal sigma^2 overflows the exponent to -inf: overlap 0.
+        GaussianPointer(sigma)  # the width check
+        # c is the identity element between the centers 0 and 1. A subnormal
+        # sigma^2 overflows the exponent to -inf: overlap 0.
         with np.errstate(over="ignore"):
-            overlap = matrix_element(GaussianPointer(sigma), PointerOperatorKind.IDENTITY, 0.0, 1.0).real
+            overlap = _step_tables(np.array([0.0, 1.0]), sigma, (PointerOperatorKind.IDENTITY,))[0, 1, 0].real
         sweep = functools.partial(_pointer_sweep, overlap=overlap)
     return _see_saw_search(sweep, n, d, restarts, seed, budget)
 

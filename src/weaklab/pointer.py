@@ -52,13 +52,9 @@ class GaussianPointer:
 
 
 def _factor(kind: PointerOperatorKind, s2, mean, gap):
-    """``matrix_element`` without its overlap ov, from sigma^2 and the
-    centers' mean and gap (right minus left): the element in the weak
-    limit, where ov goes to 1 while x and p keep their 1/sigma scaling.
-    ``s2`` may be an array of squared widths that broadcasts with the
-    centers; one that underflows to 0 fails them all."""
-    if np.equal(s2, 0.0).any():
-        raise NumericError("pointer width squared underflows to 0; the width is too narrow for floating point")
+    """A ``_step_tables`` element without its overlap ov, from sigma^2 and
+    the centers' mean and gap (right minus left): the element in the weak
+    limit, where ov goes to 1 while x and p keep their 1/sigma scaling."""
     if kind is PointerOperatorKind.IDENTITY:
         return np.ones_like(gap)
     if kind is PointerOperatorKind.POSITION:
@@ -72,30 +68,33 @@ def _factor(kind: PointerOperatorKind, s2, mean, gap):
     raise InputError(f"unknown pointer operator kind {kind!r}")
 
 
-def matrix_element(
-    ptr: GaussianPointer,
-    kind: PointerOperatorKind,
-    left_center: float | np.ndarray,
-    right_center: float | np.ndarray,
-) -> complex | np.ndarray:
-    """Exact <phi(left)| O |phi(right)> for displaced copies of the packet.
-
-    Centers may be numpy arrays, which broadcast into a complex array of
-    elements; scalar centers give a Python complex. Swapping the centers
-    conjugates the result (Hermiticity).
-    """
-    s2 = ptr.sigma**2
-    mean = 0.5 * np.add(left_center, right_center)
-    # "right minus left" so that a momentum element between |phi(a_k)> on
-    # the right and <phi(a_l)| on the left carries (a_k - a_l)/(2i).
-    gap = np.subtract(right_center, left_center)
-    value = np.asarray(_factor(kind, s2, mean, gap) * _overlap(s2, gap), dtype=complex)
-    return complex(value) if value.ndim == 0 else value
-
-
 def _overlap(s2, gap):
     """ov = <phi(a_l)|phi(a_k)> from sigma^2 and the centers' gap."""
     return np.exp(gap * gap / (-8.0 * s2))
+
+
+def _step_tables(eigenvalues: np.ndarray, sigmas, kinds, exact: bool = True) -> np.ndarray:
+    """Stacked F[k, l] = <phi(a_l)| O |phi(a_k)>, the weights of the
+    P_k X P_l dyads, one table per kind; at overlap 1 unless ``exact``.
+    Eigenvalues (..., d) and widths (...) broadcast to tables (..., K, d, d);
+    a width whose square underflows to 0 fails them all."""
+    # sigma ** 2 as Python's float power gives it, through libm's pow, which
+    # np.float_power calls too; sigma * sigma differs in the last bit for
+    # about one width in a thousand.
+    s2 = np.float_power(sigmas, 2)[..., np.newaxis, np.newaxis]
+    if np.equal(s2, 0.0).any():
+        raise NumericError("pointer width squared underflows to 0; the width is too narrow for floating point")
+    # "right minus left" so that a momentum element between |phi(a_k)> on
+    # the right and <phi(a_l)| on the left carries (a_k - a_l)/(2i).
+    left, right = eigenvalues[..., np.newaxis, :], eigenvalues[..., :, np.newaxis]
+    mean, gap = 0.5 * (left + right), right - left
+    overlap = _overlap(s2, gap) if exact else None
+    shape = np.broadcast(s2, gap).shape
+    tables = np.empty((*shape[:-2], len(kinds), *shape[-2:]), dtype=complex)
+    for row, kind in enumerate(kinds):
+        factor = _factor(kind, s2, mean, gap)
+        tables[..., row, :, :] = factor * overlap if exact else factor
+    return tables
 
 
 def refused_widths(sigmas: np.ndarray) -> np.ndarray:
@@ -103,10 +102,3 @@ def refused_widths(sigmas: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return ~((sigmas > 0) & np.isfinite(sigmas * sigmas))
 
-
-def check_widths(sigmas: np.ndarray) -> None:
-    """The ``GaussianPointer`` check on an array of widths, raised for
-    the first, in C order, that fails it."""
-    bad = refused_widths(sigmas)
-    if bad.any():
-        raise InputError(f"pointer width must be positive with a finite square, got {float(sigmas[bad][0])!r}")

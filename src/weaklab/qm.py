@@ -37,12 +37,14 @@ def _check_hermitian(matrix: np.ndarray, name: str) -> None:
 
 
 def check_kets(kets: np.ndarray) -> None:
-    """The PureState checks on (..., d) kets: finite entries, unit norm."""
+    """The PureState checks on (..., d) kets: finite entries, unit squared
+    norm, summed as the trace of the ket's density matrix is, so that a ket
+    passes exactly when its density matrix passes ``check_densities``."""
     _check_finite(kets, "state vector")
-    norms = np.linalg.norm(kets, axis=-1)
-    deviation = abs(norms - 1.0)
+    squared = (kets * kets.conj()).sum(axis=-1).real
+    deviation = abs(squared - 1.0)
     if deviation.max() > NORM_TOL:
-        raise InputError(f"state norm is {np.ravel(norms)[deviation.argmax()]!r}, expected 1")
+        raise InputError(f"state squared norm is {float(np.ravel(squared)[deviation.argmax()])!r}, expected 1")
 
 
 def check_densities(matrices: np.ndarray) -> None:
@@ -56,7 +58,7 @@ def check_densities(matrices: np.ndarray) -> None:
     traces = np.trace(matrices, axis1=-2, axis2=-1).real
     deviation = abs(traces - 1.0)
     if deviation.max() > NORM_TOL:
-        raise InputError(f"density matrix trace is {np.ravel(traces)[deviation.argmax()]!r}, expected 1")
+        raise InputError(f"density matrix trace is {float(np.ravel(traces)[deviation.argmax()])!r}, expected 1")
 
 
 def check_observables(matrices: np.ndarray) -> None:
@@ -163,7 +165,7 @@ def qubit_ket(theta: float) -> PureState:
 
 # Stacks of random instances, made from standard normals laid out as the
 # real parts, then the imaginary parts, so a seed fixes the instances
-# exactly. Leading axes index the instances; the checks above validate them.
+# exactly. Leading axes index the instances, which are valid by construction.
 
 def kets_from_normals(normals: np.ndarray) -> np.ndarray:
     """Haar-random unit kets from (..., 2, d) normals, each equal to the

@@ -55,14 +55,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import qm
 from .errors import DimensionMismatch, InputError, NumericError, WeakLabError, check_count, check_footprint
-from .pointer import GaussianPointer, PointerOperatorKind, _factor, _overlap, refused_widths
+from .pointer import GaussianPointer, PointerOperatorKind, _step_tables, refused_widths
 from .weak_values import ZERO_PROBABILITY_TOL, check_probability, seq_weak_value
 
 MOMENT_IMAG_TOL = 1e-10
@@ -164,25 +164,6 @@ class MomentPattern:
 class MomentResult:
     value: float
     postselection_probability: float
-
-
-def _step_tables(eigenvalues: np.ndarray, sigmas, kinds, exact: bool = True) -> np.ndarray:
-    """Stacked F[k, l] = <phi(a_l)| O |phi(a_k)>, the weights of the
-    P_k X P_l dyads, one table per kind; at overlap 1 unless ``exact``.
-    Eigenvalues (..., d) and widths (...) broadcast to tables (..., K, d, d)."""
-    # sigma ** 2 as Python's float power gives it, through libm's pow, which
-    # np.float_power calls too; sigma * sigma differs in the last bit for
-    # about one width in a thousand.
-    s2 = np.float_power(sigmas, 2)[..., np.newaxis, np.newaxis]
-    left, right = eigenvalues[..., np.newaxis, :], eigenvalues[..., :, np.newaxis]
-    mean, gap = 0.5 * (left + right), right - left
-    overlap = _overlap(s2, gap) if exact else None
-    shape = np.broadcast(s2, gap).shape
-    tables = np.empty((*shape[:-2], len(kinds), *shape[-2:]), dtype=complex)
-    for row, kind in enumerate(kinds):
-        factor = _factor(kind, s2, mean, gap)
-        tables[..., row, :, :] = factor * overlap if exact else factor
-    return tables
 
 
 def _adjoint(matrices: np.ndarray) -> np.ndarray:
@@ -320,9 +301,9 @@ def _pattern_tables(eigenvalues, widths, pat: MomentPattern, exact: bool = True,
     ]
 
 
-def _moment(scn: Scenario, pat: MomentPattern, exact: bool) -> MomentResult:
+def _moment(scn: Scenario, widths: np.ndarray, pat: MomentPattern, exact: bool) -> MomentResult:
     eigenvalues, bases = scn.spectrum
-    tables = _pattern_tables(eigenvalues, scn.widths, pat, exact)
+    tables = _pattern_tables(eigenvalues, widths, pat, exact)
     value, probability = _moments(scn.initial.matrix, bases, tables, scn.effect)
     return MomentResult(float(value), float(probability))
 
@@ -337,7 +318,7 @@ def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     Supports all five readout kinds. Normalization uses the exact
     post-selection probability Tr(eta), not its weak-limit stand-in.
     """
-    return _moment(scn, pat, exact=True)
+    return _moment(scn, scn.widths, pat, exact=True)
 
 
 @np.errstate(all="ignore")
@@ -377,7 +358,7 @@ def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
     position or momentum. Each momentum slot carries a factor
     1/(2 sigma^2); the result is normalized by Tr(E rho).
     """
-    return _moment(scn, pat, exact=False)
+    return _moment(scn, scn.widths, pat, exact=False)
 
 
 @np.errstate(all="ignore")
@@ -385,7 +366,7 @@ def stacked_exact_moments(
     initial: np.ndarray, observables: np.ndarray, sigmas: np.ndarray, pat: MomentPattern
 ) -> np.ndarray:
     """``exact_moment`` of each scenario of a stack without post-selection,
-    given as arrays that are already checked: initial density matrices
+    given as valid arrays, which it does not check: initial density matrices
     (..., d, d), observables (..., n, d, d), first measured first, and
     widths (..., n). One batched eigh decomposes every observable."""
     eigenvalues, bases = np.linalg.eigh(observables)
@@ -409,9 +390,10 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
     pattern and identity rows, and each width costs one slot contraction:
     O(n d^3 + G d^2). The grid is chunked to bound memory only. A point
     whose width ``GaussianPointer`` refuses, or that fails a check of an
-    engine, reruns alone through ``exact_moment`` and ``weak_prediction``,
-    in grid order, so the error is the one a loop over the widths meets
-    first; a point that passes alone keeps the values it gets there."""
+    engine, reruns alone through both engines' full checks, with that width
+    in a copy of the scenario's widths, in grid order, so the error is the
+    one a loop over the widths meets first; a point that passes alone keeps
+    the values it gets there."""
     eigenvalues, bases = scn.spectrum
     turns = _turns(bases)
     values, failing = np.empty((2, len(widths))), np.zeros(len(widths), dtype=bool)
@@ -439,10 +421,9 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
     except WeakLabError:
         failing[:] = True  # a check on the unswept steps or the pattern, met at point 0
     for point in np.flatnonzero(failing):
-        steps = list(scn.steps)
-        steps[index] = replace(steps[index], pointer=GaussianPointer(float(widths[point])))
-        varied = replace(scn, steps=steps)
-        values[:, point] = exact_moment(varied, pat).value, weak_prediction(varied, pat).value
+        varied = scn.widths.copy()
+        varied[index] = GaussianPointer(float(widths[point])).sigma
+        values[:, point] = _moment(scn, varied, pat, exact=True).value, _moment(scn, varied, pat, exact=False).value
     return values[0], values[1]
 
 

@@ -1,7 +1,7 @@
-"""Per-instance random states and observables, a plain-loop ordered trace
-and an eigh-based norm product. The package builds and evaluates these as
-stacks for its bound suites; the tests keep the one-at-a-time forms as
-oracles and as instance makers."""
+"""Per-instance random states and observables, a plain-loop ordered trace,
+an eigh-based norm product and the pointer's closed-form matrix elements.
+The package builds and evaluates these as stacks; the tests keep the
+one-at-a-time forms as oracles and as instance makers."""
 
 import numpy as np
 
@@ -49,3 +49,20 @@ def norm_product_bound(observables):
     for obs in observables:
         bound *= spectral_norm(obs)
     return bound
+
+
+def matrix_element(ptr, kind, left, right):
+    """<phi(left)| O |phi(right)> for the packet displaced to each center,
+    transcribed from the closed forms in ``weaklab.pointer``'s docstring;
+    centers may be arrays, which broadcast."""
+    s2 = ptr.sigma**2
+    mean, gap = 0.5 * np.add(right, left), np.subtract(right, left)
+    ov = np.exp(-(gap**2) / (8.0 * s2))
+    element = {
+        wl.PointerOperatorKind.IDENTITY: np.ones_like(mean),
+        wl.PointerOperatorKind.POSITION: mean,
+        wl.PointerOperatorKind.POSITION_SQUARED: s2 + mean**2,
+        wl.PointerOperatorKind.MOMENTUM: (1.0 / (2.0 * s2)) * (gap / 2j),
+        wl.PointerOperatorKind.MOMENTUM_SQUARED: (1.0 / (4.0 * s2**2)) * (s2 - (gap / 2.0) ** 2),
+    }[kind]
+    return element * ov

@@ -23,7 +23,7 @@ from weaklab.cli import BOUNDS_CHUNK, CHAIN_MAX_STEPS, SWEEP_MAX_POINTS, main
 from weaklab.errors import InputError, NumericError
 
 from conftest import scenario_document
-from instances import norm_product_bound, ordered_trace, random_density, random_ket, random_observable
+from instances import matrix_element, norm_product_bound, ordered_trace, random_density, random_ket, random_observable
 
 SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
 
@@ -305,9 +305,9 @@ def table_peak(scn, pattern, exact):
     peak = 1.0
     for step, kind, a in zip(scn.steps, wl.MomentPattern.from_string(pattern).kinds, scn.spectrum[0]):
         left, right = a[np.newaxis, :], a[:, np.newaxis]
-        table = wl.matrix_element(step.pointer, kind, left, right)
+        table = matrix_element(step.pointer, kind, left, right)
         if not exact:
-            table = table / wl.matrix_element(step.pointer, wl.PointerOperatorKind.IDENTITY, left, right)
+            table = table / matrix_element(step.pointer, wl.PointerOperatorKind.IDENTITY, left, right)
         peak *= float(np.abs(table).max())
     return peak
 

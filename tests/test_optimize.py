@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import weaklab as wl
 from weaklab import optimize, qm
-from weaklab.errors import InputError
+from weaklab.errors import InputError, NumericError
 
 
 # One-point references for the objectives: each takes the (n, d) projector
@@ -300,6 +300,40 @@ class TestPointerProductSearch:
             warnings.simplefilter("error")
             result = wl.minimize_pointer_product(n=2, d=2, restarts=2, seed=0, budget=50, sigma=1e-160)
         assert math.isfinite(result.best_value)
+
+    def test_width_whose_square_underflows_is_refused(self):
+        with pytest.raises(NumericError, match="^pointer width squared underflows to 0; "):
+            wl.minimize_pointer_product(n=2, d=2, restarts=2, seed=0, budget=50, sigma=1e-170)
+
+    @staticmethod
+    def two_step_floor(c):
+        """-c^2 / (4 (1 + c)): the n = 2 pointer product's least value at the
+        overlap c = exp(-1/(8 sigma^2))."""
+        return -c * c / (4.0 * (1.0 + c))
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 2.0, 4.0])
+    def test_two_step_floor_in_closed_form(self, sigma):
+        # With u = |<k1|k2>|^2, N1 on span{k1, k2} is [[2u, c r], [c r, 0]],
+        # r = sqrt(u (1 - u)); half its least eigenvalue is least at u = c / (2 (1 + c)).
+        c = math.exp(-1.0 / (8.0 * sigma**2))
+
+        def half_least(u):
+            r = np.sqrt(u * (1.0 - u))
+            blocks = np.array([[2.0 * u, c * r], [c * r, np.zeros_like(u)]]).transpose(2, 0, 1)
+            return 0.5 * np.linalg.eigvalsh(blocks)[:, 0]
+
+        floor = self.two_step_floor(c)
+        assert half_least(np.linspace(0.0, 1.0, 100_001)).min() >= floor - 1e-15
+        assert half_least(np.array([c / (2.0 * (1.0 + c))]))[0] == pytest.approx(floor, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 2.0, 4.0])
+    def test_search_reaches_the_two_step_floor(self, sigma):
+        result = wl.minimize_pointer_product(n=2, d=2, restarts=16, seed=1, budget=40_000, sigma=sigma)
+        floor = self.two_step_floor(math.exp(-1.0 / (8.0 * sigma**2)))
+        assert result.best_value == pytest.approx(floor, rel=0, abs=1e-12)
+        state, projectors = result.best_point.decode()
+        scn = wl.Scenario(state.to_density(), [wl.MeasurementStep(a, wl.GaussianPointer(sigma)) for a in projectors])
+        assert wl.exact_moment(scn, wl.MomentPattern.all_position(2)).value == pytest.approx(floor, rel=0, abs=1e-12)
 
     def test_projective_limit_shows_no_anomaly(self):
         # A narrow pointer measures projectively, so the positions are the

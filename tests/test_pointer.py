@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import weaklab as wl
 from weaklab.errors import InputError, NumericError
-from weaklab.pointer import PointerOperatorKind, _factor, check_widths, refused_widths
+from weaklab.pointer import PointerOperatorKind, _step_tables, refused_widths
 
 ALL_KINDS = list(PointerOperatorKind)
 
@@ -90,19 +90,11 @@ class TestWavefunction:
 
 
 class TestWidthArrays:
-    def test_factor_fails_a_stack_with_an_underflowing_square(self):
-        s2 = np.array([1.0, 0.0, 4.0])[:, np.newaxis, np.newaxis]
-        gap = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    def test_step_tables_fail_a_stack_with_an_underflowing_square(self):
+        widths, eigenvalues = np.array([1.0, 1e-170, 2.0]), np.array([0.0, 1.0])
         with pytest.raises(NumericError, match="pointer width squared underflows to 0"):
-            _factor(PointerOperatorKind.MOMENTUM, s2, 0.5 * gap, gap)
-        assert _factor(PointerOperatorKind.MOMENTUM, s2[[0, 2]], 0.5 * gap, gap).shape == (2, 2, 2)
-
-    def test_check_widths_names_the_first_bad_width(self):
-        check_widths(np.array([0.5, 1e150]))
-        with pytest.raises(InputError, match=r"got 2e\+200$"):
-            check_widths(np.array([0.5, 2e200, 0.0, math.nan]))
-        with pytest.raises(InputError, match=r"got -1\.0$"):
-            check_widths(np.array([[1.0, -1.0], [math.inf, 2.0]]))
+            _step_tables(eigenvalues, widths, (PointerOperatorKind.MOMENTUM,))
+        assert _step_tables(eigenvalues, widths[[0, 2]], (PointerOperatorKind.MOMENTUM,)).shape == (2, 1, 2, 2)
 
     def test_refused_widths_is_the_pointer_rule(self):
         # the scalar test GaussianPointer keeps and the array mask refuse the same widths
@@ -119,23 +111,29 @@ class TestWidthArrays:
         assert mask == [False, False, False, True, True, True, True, True, True, True]
 
 
+def element(sigma, kind, left, right):
+    """<phi(left)| O |phi(right)> read off ``_step_tables``, whose entry
+    [k, l] has a_k on the right and a_l on the left."""
+    return complex(_step_tables(np.array([left, right]), sigma, (kind,))[0, 1, 0])
+
+
 class TestMatrixElement:
     def test_identity_overlap(self):
-        got = wl.matrix_element(wl.GaussianPointer(1.0), PointerOperatorKind.IDENTITY, 1.0, 0.0)
+        got = element(1.0, PointerOperatorKind.IDENTITY, 1.0, 0.0)
         assert got == pytest.approx(math.exp(-0.125))
         assert got == pytest.approx(quad_element(1.0, PointerOperatorKind.IDENTITY, 1.0, 0.0))
 
     @pytest.mark.parametrize("sigma,c", [(0.5, -1.3), (2.0, 0.0), (7.0, 2.2)])
     def test_diagonal_position_is_center(self, sigma, c):
-        got = wl.matrix_element(wl.GaussianPointer(sigma), PointerOperatorKind.POSITION, c, c)
+        got = element(sigma, PointerOperatorKind.POSITION, c, c)
         assert got == pytest.approx(c)
 
     def test_diagonal_momentum_vanishes(self):
-        got = wl.matrix_element(wl.GaussianPointer(1.5), PointerOperatorKind.MOMENTUM, 0.8, 0.8)
+        got = element(1.5, PointerOperatorKind.MOMENTUM, 0.8, 0.8)
         assert got == 0.0
 
     def test_position_squared_at_origin(self):
-        got = wl.matrix_element(wl.GaussianPointer(1.0), PointerOperatorKind.POSITION_SQUARED, 0.0, 0.0)
+        got = element(1.0, PointerOperatorKind.POSITION_SQUARED, 0.0, 0.0)
         assert got == pytest.approx(1.0)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -145,15 +143,12 @@ class TestMatrixElement:
             sigma = float(rng.uniform(0.2, 20.0))
             left = float(rng.uniform(-3.0, 3.0))
             right = float(rng.uniform(-3.0, 3.0))
-            got = wl.matrix_element(wl.GaussianPointer(sigma), kind, left, right)
+            got = element(sigma, kind, left, right)
             want = quad_element(sigma, kind, left, right)
             assert got == pytest.approx(want, abs=1e-8)
 
     @given(sigmas, centers, centers)
     @settings(max_examples=60, deadline=None)
     def test_hermiticity(self, sigma, a, b):
-        ptr = wl.GaussianPointer(sigma)
-        for kind in ALL_KINDS:
-            forward = wl.matrix_element(ptr, kind, a, b)
-            backward = wl.matrix_element(ptr, kind, b, a)
-            assert forward == pytest.approx(backward.conjugate(), abs=1e-12)
+        tables = _step_tables(np.array([a, b]), sigma, ALL_KINDS)
+        assert np.allclose(tables, tables.conj().swapaxes(-1, -2), rtol=0, atol=1e-12)

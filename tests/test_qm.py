@@ -16,8 +16,18 @@ SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
 
 class TestStates:
     def test_pure_state_norm_enforced(self):
-        with pytest.raises(InputError, match="state norm is"):
+        with pytest.raises(InputError, match=re.escape("state squared norm is 2.0, expected 1")):
             wl.PureState(np.array([1.0, 1.0]))
+
+    def test_a_ket_passes_exactly_when_its_density_does(self):
+        # |psi|^2 = 1 + 0.8e-12 passes both checks, 1 + 1.8e-12 fails both;
+        # a rule on |psi| itself once passed the second and failed its density.
+        wl.PureState(np.array([1 + 0.4e-12, 0.0])).to_density()
+        too_long = np.array([1 + 0.9e-12, 0.0])
+        with pytest.raises(InputError, match=re.escape("state squared norm is 1.0000000000018, expected 1")):
+            wl.PureState(too_long)
+        with pytest.raises(InputError, match=re.escape("density matrix trace is 1.0000000000018, expected 1")):
+            wl.MixedState(np.outer(too_long, too_long))
 
     def test_pure_state_min_dimension(self):
         with pytest.raises(DimensionMismatch):
@@ -180,10 +190,10 @@ class TestStackedInstances:
     @pytest.mark.parametrize(
         "check,bad,message",
         [
-            (qm.check_kets, np.array([1.0, 1.0]), "state norm is .*1\\.414"),
+            (qm.check_kets, np.array([1.0, 1.0]), re.escape("state squared norm is 2.0, expected 1")),
             (qm.check_kets, np.array([1.0, np.nan]), "state vector has a non-finite entry"),
             (qm.check_densities, np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -5.000e-01"),
-            (qm.check_densities, np.diag([0.7, 0.7]), "density matrix trace is .*1\\.4"),
+            (qm.check_densities, np.diag([0.7, 0.7]), re.escape("density matrix trace is 1.4, expected 1")),
             (qm.check_densities, np.array([[0.5, 1.0], [0.0, 0.5]]), "density matrix deviates from Hermiticity"),
             (qm.check_observables, np.array([[0.0, 1.0], [0.0, 0.0]]), "observable deviates from Hermiticity"),
             (qm.check_observables, np.diag([np.inf, 0.0]), "observable has a non-finite entry"),

@@ -91,6 +91,16 @@ class TestParsing:
         with pytest.raises(ScenarioFileError):
             scenario_from_dict(doc)
 
+    def test_ket_norm_boundary_matches_the_density_trace(self):
+        # the ket's rule reads |psi|^2, the trace of the density it becomes
+        doc = illustrative_doc()
+        doc["initial"] = [pair(1 + 0.4e-12), pair(0)]
+        assert scenario_from_dict(doc).initial.matrix[0, 0] == (1 + 0.4e-12) ** 2
+        doc["initial"] = [pair(1 + 0.9e-12), pair(0)]
+        with pytest.raises(ScenarioFileError) as excinfo:
+            scenario_from_dict(doc)
+        assert str(excinfo.value) == "initial: state squared norm is 1.0000000000018, expected 1"
+
 
 def observable_doc(**replace):
     """An illustrative document whose first observable's rows are replaced."""

@@ -20,11 +20,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import weaklab as wl
-from weaklab import errors, qm, simulator
+from weaklab import errors, pointer, qm, simulator
 from weaklab.errors import InputError, NumericError, ZeroPostSelectionProbability
-from weaklab.pointer import PointerOperatorKind, matrix_element
+from weaklab.pointer import PointerOperatorKind
 
-from instances import random_density, random_ket, random_observable, spectral_norm
+from instances import matrix_element, random_density, random_ket, random_observable, spectral_norm
 
 X = PointerOperatorKind.POSITION
 P = PointerOperatorKind.MOMENTUM
@@ -289,7 +289,7 @@ class TestExactEngine:
     def test_imaginary_residue_check_fires(self, monkeypatch):
         rng = np.random.default_rng(21)
         scn = random_scenario(rng, 3, 3, with_post=False, sigma_range=(100.0, 100.0))
-        original = simulator._factor
+        original = pointer._factor
         tampered = []
 
         def leaky(kind, s2, mean, gap):
@@ -299,7 +299,7 @@ class TestExactEngine:
                 return table + 1e-6j * np.abs(table).max()
             return table
 
-        monkeypatch.setattr(simulator, "_factor", leaky)
+        monkeypatch.setattr(pointer, "_factor", leaky)
         with pytest.raises(NumericError):
             wl.exact_moment(scn, wl.MomentPattern.from_string("XXX"))
         assert tampered
@@ -360,7 +360,7 @@ class TestExactEngine:
         assert clean[0].value == 0.0
         eigenvalues = scn.spectrum[0][1]
         peak = np.abs(matrix_element(steps[1].pointer, X, eigenvalues[np.newaxis, :], eigenvalues[:, np.newaxis])).max()
-        original = simulator._factor
+        original = pointer._factor
 
         def leaky(kind, s2, mean, gap):
             table = original(kind, s2, mean, gap)
@@ -370,7 +370,7 @@ class TestExactEngine:
                 table[1] += 1e-6j * np.abs(table[1]).max()
             return table
 
-        monkeypatch.setattr(simulator, "_factor", leaky)
+        monkeypatch.setattr(pointer, "_factor", leaky)
         with pytest.raises(NumericError, match="at scale") as caught:
             wl.position_moments(scn)
         scale = float(str(caught.value).rsplit(" ", 1)[-1])
@@ -571,7 +571,7 @@ class TestWeakEngine:
     def test_imaginary_residue_check_fires(self, monkeypatch):
         rng = np.random.default_rng(21)
         scn = random_scenario(rng, 3, 3, with_post=False, sigma_range=(100.0, 100.0))
-        original = simulator._factor
+        original = pointer._factor
         tampered = []
 
         def leaky(kind, s2, mean, gap):
@@ -581,7 +581,7 @@ class TestWeakEngine:
                 return table + 1e-6j * np.abs(table).max()
             return table
 
-        monkeypatch.setattr(simulator, "_factor", leaky)
+        monkeypatch.setattr(pointer, "_factor", leaky)
         with pytest.raises(NumericError, match="at scale"):
             wl.weak_prediction(scn, wl.MomentPattern.from_string("xxx"))
         assert tampered
