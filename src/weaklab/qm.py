@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError
+from .errors import DimensionMismatch, InputError, check_count
 
 HERMITICITY_TOL = 1e-12   # absolute, max entry deviation; inputs are unit-scale
 NORM_TOL = 1e-12
@@ -91,8 +91,7 @@ class PureState:
 
     def __post_init__(self):
         vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if vec.size < 2:
-            raise DimensionMismatch("state dimension must be at least 2")
+        check_count("state dimension", vec.size, 2)
         check_kets(vec)
         object.__setattr__(self, "amplitudes", _freeze(vec))
 

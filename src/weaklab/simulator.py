@@ -44,11 +44,14 @@ zero-probability entry 0.
 shot carries a system ket, and each pointer is read right after its
 coupling, from the positive mixture of d Gaussians that the ket's
 populations define. No envelope and no rejection is needed, and
-Monte-Carlo runs agree with ``exact_moment`` up to shot noise. The kets
-are held shot-contiguous, real and imaginary parts stacked as one
-(2d, shots) array, so every step is a (2d, 2d) @ (2d, shots) rotation
-and length-shots vector operations: O(shots n d^2) time, and at most
-``sample_footprint`` bytes, which is checked before any allocation.
+Monte-Carlo runs agree with ``exact_moment`` up to shot noise. The shots
+run in blocks of ``SAMPLE_BLOCK_ENTRIES`` // d, each block's kets a
+shot-contiguous (2d, block) slice of one array, real and imaginary parts
+stacked, so every step is a (2d, 2d) @ (2d, block) rotation per block and
+block-length vector operations: O(shots n d^2) time. Only the readings,
+the kets and one step's uniforms span every shot, 8 (n + 2d + 1) bytes a
+shot; ``sample_footprint`` counts them and one block's work arrays, and
+is checked before any allocation.
 """
 
 from __future__ import annotations
@@ -194,13 +197,14 @@ def _forward(initial, turns, tables):
     """The forward pass: yields rho_j, the rows just before step j's table
     in its eigenbasis, for each step, then the rows after the last table.
     Step j maps X to F_j o (U_j X U_j^H), with F_j the (..., K, d, d) stack
-    ``tables[j]``; ``initial`` is (..., d, d)."""
+    ``tables[..., j, :, :, :]`` of the tables (..., n, K, d, d); ``initial``
+    is (..., d, d)."""
     state = initial[..., np.newaxis, :, :]
-    for j, table in enumerate(tables):
+    for j in range(tables.shape[-4]):
         turn = turns[..., j, np.newaxis, :, :]
         state = turn @ state @ _adjoint(turn)
         yield state
-        state = table * state
+        state = tables[..., j, :, :, :] * state
     yield state
 
 
@@ -210,10 +214,10 @@ def _backward(effect, turns, tables):
     from ``_last_effect``'s. In the Heisenberg picture the sandwich with a
     Hermitian table F is the one with conj(F) and the inverse turn."""
     effect = effect[..., np.newaxis, :, :]
-    for j in reversed(range(len(tables))):
+    for j in reversed(range(tables.shape[-4])):
         yield effect
         turn = turns[..., j, np.newaxis, :, :]
-        effect = _adjoint(turn) @ (effect * tables[j].conj()) @ turn
+        effect = _adjoint(turn) @ (effect * tables[..., j, :, :, :].conj()) @ turn
 
 
 def _close(state, bases, effect):
@@ -245,7 +249,7 @@ def _chain(initial, bases, tables, effect=None) -> tuple[np.ndarray, np.ndarray]
     """Tr(E T_n(... T_1(rho))) for each chain of a stack, the forward pass
     closed by the effect: T_j(X) = sum_kl F[k, l] P_k X P_l, with P_k the
     eigenprojectors of ``bases[..., j, :, :]`` and F the matching table of
-    ``tables[j]``; E is ``effect``, or I when it is None. The last chain of
+    ``tables[..., j, :, :, :]``; E is ``effect``, or I when it is None. The last chain of
     each stack must read the identity on every slot: ``_checked`` splits
     its trace, Tr(eta), from the other K - 1."""
     for state in _forward(initial, _turns(bases), tables):
@@ -276,17 +280,16 @@ def _values(numerator, peak, probability) -> np.ndarray:
 def _moments(initial, bases, tables, effect) -> tuple[np.ndarray, np.ndarray]:
     """Moment and Tr(eta) of each [pattern, identity] chain of a stack."""
     traces, probability = _chain(initial, bases, tables, effect)
-    peak = 1.0
-    for table in tables:
-        peak = peak * np.abs(table[..., 0, :, :]).max(axis=(-2, -1))
+    peak = np.abs(tables[..., 0, :, :]).max(axis=(-2, -1)).prod(axis=-1)
     return _values(traces[..., 0], peak, probability), probability
 
 
-def _pattern_tables(eigenvalues, widths, pat: MomentPattern, exact: bool = True, skip: int | None = None) -> list:
-    """Each step's [pattern, identity] tables, from eigenvalues (..., n, d)
-    and widths (..., n) that broadcast, for ``exact_moment`` or, unless
-    ``exact``, for ``weak_prediction``, after the pattern checks each makes
-    first; step ``skip``'s entry is None."""
+def _pattern_tables(eigenvalues, widths, pat: MomentPattern, exact: bool = True) -> np.ndarray:
+    """Each step's [pattern, identity] tables, (..., n, 2, d, d), from
+    eigenvalues (..., n, d) and widths (..., n) that broadcast, for
+    ``exact_moment`` or, unless ``exact``, for ``weak_prediction``, after
+    the pattern checks each makes first. One ``_step_tables`` call builds
+    the pattern's distinct kinds and the identity on every step."""
     n = eigenvalues.shape[-2]
     if len(pat) != n:
         raise InputError(f"pattern has {len(pat)} slots for {n} measurement steps")
@@ -295,10 +298,10 @@ def _pattern_tables(eigenvalues, widths, pat: MomentPattern, exact: bool = True,
             "the weak-regime engine covers first-order x/p moments only; "
             "use the exact engine for squared readouts"
         )
-    return [
-        None if j == skip else _step_tables(eigenvalues[..., j, :], widths[..., j], (kind, _IDENTITY), exact)
-        for j, kind in enumerate(pat.kinds)
-    ]
+    kinds = tuple(dict.fromkeys((*pat.kinds, _IDENTITY)))
+    picks = [[kinds.index(kind), kinds.index(_IDENTITY)] for kind in pat.kinds]
+    tables = _step_tables(eigenvalues, widths, kinds, exact)
+    return tables[..., np.arange(n)[:, np.newaxis], picks, :, :]
 
 
 def _moment(scn: Scenario, widths: np.ndarray, pat: MomentPattern, exact: bool) -> MomentResult:
@@ -398,13 +401,15 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
     turns = _turns(bases)
     values, failing = np.empty((2, len(widths))), np.zeros(len(widths), dtype=bool)
     size = max(1, SWEEP_CHUNK_ENTRIES // scn.dim**2)
+    unswept = np.arange(scn.n_steps) != index
     try:
         for row, exact in enumerate((True, False)):
-            fixed = _pattern_tables(eigenvalues, scn.widths, pat, exact, skip=index)
+            # The swept step's tables are never read: its placeholder width keeps its own out of every check.
+            fixed = _pattern_tables(eigenvalues, np.where(unswept, scn.widths, 1.0), pat, exact)
             state = next(itertools.islice(_forward(scn.initial.matrix, turns, fixed), index, None))
             effects = _backward(_last_effect(bases, scn.effect), turns, fixed)
             effect = next(itertools.islice(effects, scn.n_steps - 1 - index, None))
-            peak = math.prod(np.abs(table[0]).max() for table in fixed if table is not None)
+            peak = np.abs(fixed[unswept, 0]).max(axis=(-2, -1)).prod()
             for start in range(0, len(widths), size):
                 chunk = slice(start, start + size)
                 points = widths[chunk]
@@ -484,28 +489,44 @@ class SampleStatistics:
     method: str
 
 
+# Table entries, shots times d, that one block of ``sample_outcomes`` works
+# on at once: 16,384 shots at d = 2. Over the benchmark's sampling
+# requests (800 to 100k shots, d = 2 to 4), one process per variant on a
+# 2-core shared x86-64 VM, blocks of 2^15 entries took 0.80 of the
+# whole-run arrays' time per request in the median, and 2^16 took 0.97.
+SAMPLE_BLOCK_ENTRIES = 2**15
+
+
+def _block_shots(d: int) -> int:
+    return max(1, SAMPLE_BLOCK_ENTRIES // d)
+
+
 def sample_footprint(scn: Scenario, shots: int) -> int:
     """Bytes of per-shot arrays ``sample_outcomes`` holds at once, at most;
     the scenario-sized arrays beside them (O(n d^2) bytes) are not counted.
 
-    Per shot: the n samples; the kets before and after a rotation, or the
-    kets beside the populations and one (d, shots) work array, 4d floats
-    either way; four per-shot vectors and a (d - 1)-row boolean mask while
-    an eigenindex is drawn. Post-selection adds the retained copy of the
-    samples.
+    Per shot, 8 (n + 2d + 1) bytes: the n readings, the 2d floats of the
+    ket and one step's uniforms. Post-selection adds the kept mask and the
+    retained copy of the readings, 8n + 1. One block's work arrays add a
+    constant of 36d + 32 bytes per block shot: the turned ket beside the
+    block it replaces, 16d, then the populations, their running sums and
+    the index draw beside numpy's reduction buffer (tracemalloc: 85 to 593
+    bytes per block shot over the per-shot count at d = 2 to 16, the
+    scenario's own arrays included).
     """
     n, d = scn.n_steps, scn.dim
-    return shots * (8 * (n + 4 * d + 4) + d + (8 * n if scn.post is not None else 0))
+    per_shot = 8 * (n + 2 * d + 1) + (8 * n + 1 if scn.post is not None else 0)
+    return shots * per_shot + _block_shots(d) * (36 * d + 32)
 
 
-def _draw_index(rng, populations, shots: int) -> np.ndarray:
+def _draw_index(uniforms: np.ndarray, populations: np.ndarray) -> np.ndarray:
     """One index per shot, k with probability populations[k] / sum_k, from
-    one uniform u each: k counts the running sums at or below u * total.
+    its uniform u: k counts the running sums at or below u * total.
     ``populations`` is (d, shots), or (d, 1) for one law shared by all."""
     cumulative = populations.copy()
     for row in range(1, len(cumulative)):
         cumulative[row] += cumulative[row - 1]
-    threshold = rng.random(shots) * cumulative[-1]
+    threshold = uniforms * cumulative[-1]
     return (cumulative[:-1] <= threshold).sum(axis=0)
 
 
@@ -515,18 +536,21 @@ def _realify(matrix: np.ndarray) -> np.ndarray:
     return np.block([[matrix.real, -matrix.imag], [matrix.imag, matrix.real]])
 
 
-def _read_pointer(rng, kets: np.ndarray, a: np.ndarray, sigma: float) -> np.ndarray:
-    """Read one pointer on every shot and apply its Kraus update in place.
+def _read_pointer(
+    rng, kets: np.ndarray, a: np.ndarray, sigma: float, uniforms: np.ndarray, x: np.ndarray, out: np.ndarray
+) -> None:
+    """Read one pointer on a block of shots and write the Kraus-updated kets
+    into ``out``, which may be ``kets`` itself.
 
-    ``kets`` is the (2, d, shots) stack of real and imaginary parts in the
-    eigenbasis of the measured observable, whose eigenvalues are ``a``.
-    Returns the readings x = a_k + sigma z. The work arrays die on return,
-    before the next rotation allocates, as ``sample_footprint`` counts.
+    ``kets`` is the block's (2d, shots) stack of real and imaginary parts
+    in the eigenbasis of the measured observable, whose eigenvalues are
+    ``a``; ``uniforms`` draw the eigenindices. The readings
+    x = a_k + sigma z go into ``x``, with z drawn here.
     """
-    shots = kets.shape[-1]
+    kets = kets.reshape(2, len(a), -1)
     populations = kets[0] ** 2
     populations += kets[1] ** 2
-    x = a[_draw_index(rng, populations, shots)] + sigma * rng.standard_normal(shots)
+    np.add(a[_draw_index(uniforms, populations)], sigma * rng.standard_normal(len(x)), out=x)
     weights = np.subtract.outer(a, x)
     weights **= 2
     weights -= weights.min(axis=0)
@@ -536,8 +560,7 @@ def _read_pointer(rng, kets: np.ndarray, a: np.ndarray, sigma: float) -> np.ndar
     populations *= weights
     populations *= weights
     weights /= np.sqrt(populations.sum(axis=0))
-    kets *= weights
-    return x
+    np.multiply(kets, weights, out=out.reshape(kets.shape))
 
 
 # The Kraus weights of a very narrow pointer overflow to exp(-inf) = 0.
@@ -559,12 +582,16 @@ def sample_outcomes(
     <psi|E|psi>, so the retained count is Binomial(shots, Tr(eta)) and
     retained shots are i.i.d. draws from the conditional joint density.
 
-    The kets are held shot-contiguous, as a (2d, shots) stack of real and
-    imaginary parts, so each step is one (2d, 2d) @ (2d, shots) rotation
-    and a few length-shots vector operations per eigenindex. Cost is
-    O(shots n d^2) time; memory is ``sample_footprint``, checked against
-    ``errors.MEMORY_LIMIT`` before anything is allocated. The stream is
-    deterministic in ``seed``.
+    The shots run in blocks of ``SAMPLE_BLOCK_ENTRIES`` // d. Each block's
+    kets are a contiguous (2d, block) stack of real and imaginary parts,
+    so each step is one (2d, 2d) @ (2d, block) rotation per block and a
+    few block-length vector operations per eigenindex. The stream is
+    deterministic in ``seed`` and does not depend on the block size: the
+    initial eigenindices' uniforms come first; per step, every shot's
+    uniforms, then the normals block by block in shot order; last, the
+    post-selection uniforms. Cost is O(shots n d^2) time; memory is
+    ``sample_footprint``, checked against ``errors.MEMORY_LIMIT`` before
+    anything is allocated.
 
     ``probability`` is the scenario's Tr(eta) when the caller already
     holds it, as the rows of ``position_moments`` do; by default the
@@ -587,17 +614,32 @@ def sample_outcomes(
     # The first turn starts from ``basis``, whose columns are the initial kets, so it gathers.
     turns = _turns(bases)
     turns[0] = turns[0] @ basis
+    turns = [_realify(turn) for turn in turns]
+    size, width = _block_shots(scn.dim), 2 * scn.dim
+    spans = [slice(start, min(start + size, shots)) for start in range(0, shots, size)]
+    uniforms = rng.random(shots)
+    # One array holds the kets, block after block, each block a contiguous
+    # (2d, block) slice that its Kraus update rewrites. Fresh arrays per
+    # block and step doubled the page faults of a long run of mixed
+    # requests, as glibc then trimmed its heap between them.
+    kets = np.empty(width * shots)
+    blocks = [kets[width * span.start:width * span.stop].reshape(width, -1) for span in spans]
+    for block, span in zip(blocks, spans):
+        np.take(turns[0], _draw_index(uniforms[span], weights), axis=1, out=block)
     rows = np.empty((scn.n_steps, shots))
-    kets = None
-    for j, (a, turn, sigma) in enumerate(zip(eigenvalues, map(_realify, turns), scn.widths.tolist())):
-        kets = np.take(turn, _draw_index(rng, weights, shots), axis=1) if kets is None else turn @ kets
-        rows[j] = _read_pointer(rng, kets.reshape(2, scn.dim, shots), a, sigma)
+    for j, (a, turn, sigma) in enumerate(zip(eigenvalues, turns, scn.widths.tolist())):
+        rng.random(out=uniforms)
+        for block, span in zip(blocks, spans):
+            _read_pointer(rng, turn @ block if j else block, a, sigma, uniforms[span], rows[j, span], out=block)
 
     if scn.post is not None:
-        projected = _realify(_last_effect(bases, scn.effect)) @ kets
-        projected *= kets
-        kept = projected.sum(axis=0)
-        rows = rows[:, rng.random(shots) < kept]
+        effect = _realify(_last_effect(bases, scn.effect))
+        rng.random(out=uniforms)
+        kept = np.empty(shots, dtype=bool)
+        for ket, span in zip(blocks, spans):
+            ket *= effect @ ket
+            np.less(uniforms[span], ket.sum(axis=0), out=kept[span])
+        rows = rows[:, kept]
     stats = SampleStatistics(shots, rows.shape[1], probability, acceptance_rate=1.0, method="sequential")
     # Row j holds every shot's reading of pointer j; the (shots, n) view of
     # the rows lets a product over each shot's readings run row by row.

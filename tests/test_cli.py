@@ -523,6 +523,7 @@ class TestReportDigests:
         ("sample illustrative --shots 2000 --seed 1", "c32ed3d2d5abedf19f6db5a07aa31cc70a2e0edf60282702104659205a73fc31"),
         ("sample chain-n --n 300 --shots 200 --seed 2", "5eb5bef1e7a7a92ecc8789e79363326d559aa948c3fb7028b0da87a2ad1edfb0"),
         ("sample common-cause --shots 2000 --seed 3", "2bbb3a2548b021bdb026cf0d2805139aad1d86e0ba2a63b91869e21d660201af"),
+        ("sample illustrative --shots 100000 --seed 4", "c4b7cb4cb2f4cabf771ded44283f5879de32302b4bbc820488fb12615cbce8b3"),
     ]
 
     # Seeded random scenario files that the test writes into its working

@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 import weaklab as wl
+from weaklab import errors
+from weaklab.errors import InputError
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -83,15 +85,19 @@ def test_every_private_top_level_name_is_read():
 
 
 def count_refusals_outside_errors(root: Path) -> list[str]:
-    """Every ``raise InputError(...)`` outside errors.py whose message text
-    words a count bound, as "<file>:<line>"."""
+    """Every raise of ``InputError`` or a subclass of it outside errors.py
+    whose message text words a count bound, as "<file>:<line>"."""
+    refusals = {name for name, value in vars(errors).items() if isinstance(value, type) and issubclass(value, InputError)}
     found = []
     for path in sorted(root.glob("*.py")):
         if path.name == "errors.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             call = node.exc if isinstance(node, ast.Raise) else None
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "InputError":
+            if not isinstance(call, ast.Call):
+                continue
+            name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+            if name in refusals:
                 text = " ".join(
                     part.value for part in ast.walk(call) if isinstance(part, ast.Constant) and isinstance(part.value, str)
                 )
@@ -103,8 +109,12 @@ def count_refusals_outside_errors(root: Path) -> list[str]:
 def test_counts_are_refused_by_check_count_alone(tmp_path):
     # errors.check_count is the one home of the count rule's wording.
     assert count_refusals_outside_errors(SRC / "weaklab") == []
-    (tmp_path / "inline.py").write_text('def f(n):\n    raise InputError(f"n must be at least 1, got {n}")\n')
-    assert count_refusals_outside_errors(tmp_path) == ["inline.py:2"]
+    (tmp_path / "inline.py").write_text(
+        'def f(n):\n    raise InputError(f"n must be at least 1, got {n}")\n'
+        'def g(v):\n    raise errors.DimensionMismatch("dimension must be at least 2")\n'
+        'def h(v):\n    raise ValueError("v must be at most 2")\n'
+    )
+    assert count_refusals_outside_errors(tmp_path) == ["inline.py:2", "inline.py:4"]
 
 
 def unpassed_defaults(modules: list[Path], names, callers: list[Path]) -> list[str]:

@@ -30,7 +30,7 @@ class TestStates:
             wl.MixedState(np.outer(too_long, too_long))
 
     def test_pure_state_min_dimension(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="^state dimension must be at least 2, got 1$"):
             wl.PureState(np.array([1.0]))
 
     def test_density_must_be_psd(self):

@@ -895,16 +895,25 @@ class TestSampler:
             ("illustrative", 5000, 11, "5dea6c53a956fc90c90714686b163996a319164a538ef51f830516bfe0e30e88"),
             ("chain-5", 3000, 4, "ae5becb72e24628d997da2ca566b8244a0b3bbaf1fb1f6501c5fd103e3d5fbd2"),
             ("random-post", 4000, 5, "1253f57167fd81d8f2a5ed7daecba8eed5aa6c83b1117b3d0086c8c27cc1c3e0"),
+            # Three shot blocks and a remainder each, at d = 2, 4 and 3.
+            ("illustrative", 100_000, 21, "97ca514688cd5721e8e3a1c92dc4a5101010697e8c2ec54c526db4b0389322e5"),
+            ("common-cause", 50_000, 22, "8ae4b7a7181b1a769d1d0016fb1e74ee5e52f5f218eac436174df48c2675aebf"),
+            ("random-post", 70_000, 23, "6b2b8281962589c9aa722427d9db9de0de9d5b5fe7f4db93c44f1b5ddd7479db"),
         ],
     )
     def test_pinned_stream(self, case, shots, seed, digest):
         # A seed names one sample set for good: a rewrite of the sampler
         # must draw the same random numbers in the same order.
+        shared = wl.PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+        proj = wl.projector_from_ket(wl.KET_0)
         scn = {
             "illustrative": lambda: wl.build_illustrative(2.0, 0.7),
             "chain-5": lambda: wl.build_projector_chain(5, 1.0),
             "random-post": lambda: random_scenario(np.random.default_rng(30), 3, 2, with_post=True),
+            "common-cause": lambda: wl.build_common_cause(shared, proj, proj, 1.5, 0.8),
         }[case]()
+        size = simulator._block_shots(scn.dim)
+        assert shots <= 5000 or (shots > 3 * size and shots % size)
         samples, _ = wl.sample_outcomes(scn, shots, seed=seed)
         assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
@@ -974,7 +983,11 @@ class TestSampler:
             raise AssertionError("sampler started work before checking its memory bound")
 
         monkeypatch.setattr(simulator, "_chain", untouched)
-        shots = errors.MEMORY_LIMIT // simulator.sample_footprint(scn, 1) + 1
+        # The smallest shot count past the limit: one block's work arrays
+        # are a constant beside the per-shot bytes.
+        block = simulator.sample_footprint(scn, 0)
+        shots = (errors.MEMORY_LIMIT - block) // (simulator.sample_footprint(scn, 1) - block) + 1
+        assert simulator.sample_footprint(scn, shots - 1) <= errors.MEMORY_LIMIT
         with pytest.raises(InputError, match="GiB"):
             wl.sample_outcomes(scn, shots, seed=1)
 
@@ -1003,10 +1016,22 @@ class TestSampler:
         with pytest.raises(ZeroPostSelectionProbability):
             wl.sample_outcomes(wl.build_illustrative(1.0, 1.0), 100, seed=1, probability=0.0)
 
-    @pytest.mark.parametrize("d,n,with_post", [(2, 2, False), (2, 6, True), (3, 4, False), (4, 2, True), (8, 3, False)])
-    def test_peak_memory_within_footprint(self, d, n, with_post):
+    def test_footprint_per_shot(self):
+        # Readings, ket and one step's uniforms: 8 (n + 2d + 1) bytes a
+        # shot; post-selection adds the kept mask and the retained copy.
+        scn = wl.build_illustrative(1.0, 1.0)
+        assert simulator.sample_footprint(scn, 2) - simulator.sample_footprint(scn, 1) == 56
+        post = dataclasses.replace(scn, post=wl.PovmElement(np.diag([1.0, 0.0])))
+        assert simulator.sample_footprint(post, 2) - simulator.sample_footprint(post, 1) == 56 + 17
+
+    @pytest.mark.parametrize(
+        "d,n,with_post,shots",
+        [(2, 2, False, 20000), (2, 6, True, 20000), (3, 4, False, 20000), (4, 2, True, 20000), (8, 3, False, 20000),
+         (2, 3, True, 140_000)],
+        ids=["2-2-False", "2-6-True", "3-4-False", "4-2-True", "8-3-False", "2-3-True-four-blocks"],
+    )
+    def test_peak_memory_within_footprint(self, d, n, with_post, shots):
         scn = random_scenario(np.random.default_rng(d * 10 + n), d, n, with_post=with_post)
-        shots = 20000
         wl.sample_outcomes(scn, 10, seed=1)  # first-call set-up stays out of the measurement
         tracemalloc.start()
         try:
