@@ -66,7 +66,7 @@ import numpy as np
 from . import qm
 from .errors import DimensionMismatch, InputError, NumericError, WeakLabError, check_count, check_footprint
 from .pointer import GaussianPointer, PointerOperatorKind, _step_tables, refused_widths
-from .weak_values import ZERO_PROBABILITY_TOL, check_probability, seq_weak_value
+from .weak_values import check_probability, seq_weak_value
 
 MOMENT_IMAG_TOL = 1e-10
 # A pointer counts as weak when its width is this many times the largest
@@ -257,19 +257,13 @@ def _chain(initial, bases, tables, effect=None) -> tuple[np.ndarray, np.ndarray]
     return _checked(_close(state, bases, effect))
 
 
-def _residues(numerator, peak, probability) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """numerator / Tr(eta) per batch entry, its imaginary rounding residue,
-    and the scale that residue is judged at: the chain's term size ``peak``,
-    the product of the row's table peaks (about sigma^2n for X), over Tr(eta)."""
+def _values(numerator, peak, probability) -> np.ndarray:
+    """numerator / Tr(eta) per batch entry; the first entry whose imaginary
+    residue passes MOMENT_IMAG_TOL x max(1, peak / Tr(eta)) raises NumericError,
+    ``peak`` being the chain's term size: its table peaks' product (about sigma^2n for X)."""
     # Python's complex / float, as one scenario at a time divided: (re + im * 0) / p.
     value = (numerator.real + numerator.imag * 0.0) / probability
-    return value, numerator.imag / probability, np.fmax(1.0, peak / probability)
-
-
-def _values(numerator, peak, probability) -> np.ndarray:
-    """``_residues``' values; the first entry whose residue passes
-    MOMENT_IMAG_TOL at its scale raises NumericError."""
-    value, residue, scale = _residues(numerator, peak, probability)
+    residue, scale = numerator.imag / probability, np.fmax(1.0, peak / probability)
     leaks = np.abs(residue) > MOMENT_IMAG_TOL * scale
     if leaks.any():
         first = leaks.argmax()
@@ -391,44 +385,48 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
     Only the swept slot's tables depend on the width. Per engine, one
     forward pass gives that slot's rho and one backward pass its E, for the
     pattern and identity rows, and each width costs one slot contraction:
-    O(n d^3 + G d^2). The grid is chunked to bound memory only. A point
-    whose width ``GaussianPointer`` refuses, or that fails a check of an
-    engine, reruns alone through both engines' full checks, with that width
-    in a copy of the scenario's widths, in grid order, so the error is the
-    one a loop over the widths meets first; a point that passes alone keeps
-    the values it gets there."""
+    O(n d^3 + G d^2). The grid runs in chunks, to bound memory, through the
+    engines' own checks. A run of points that fails one is halved, first
+    half first; a single point that fails reruns alone through both
+    engines, with that width in a copy of the scenario's widths, so the
+    error is the one a loop over the widths meets first; a point that
+    passes alone keeps the values it gets there."""
     eigenvalues, bases = scn.spectrum
-    turns = _turns(bases)
-    values, failing = np.empty((2, len(widths))), np.zeros(len(widths), dtype=bool)
+    turns, unswept = _turns(bases), np.arange(scn.n_steps) != index
+    values, passes = np.empty((2, len(widths))), []
+
+    def engine_pass(exact):
+        # The swept step's tables are never read: its placeholder width keeps its own out of every check.
+        fixed = _pattern_tables(eigenvalues, np.where(unswept, scn.widths, 1.0), pat, exact)
+        state = next(itertools.islice(_forward(scn.initial.matrix, turns, fixed), index, None))
+        effects = _backward(_last_effect(bases, scn.effect), turns, fixed)
+        effect = next(itertools.islice(effects, scn.n_steps - 1 - index, None))
+        return exact, state, effect, np.abs(fixed[unswept, 0]).max(axis=(-2, -1)).prod()
+
+    def fill(start, stop):
+        points = widths[start:stop]
+        try:
+            if not refused_widths(points).any():
+                if not passes:  # built in the first run, so a pass that fails reaches point 0 by halving
+                    passes[:] = [engine_pass(exact) for exact in (True, False)]
+                for row, (exact, state, effect, peak) in enumerate(passes):
+                    tables = _step_tables(eigenvalues[index], points, (pat.kinds[index], _IDENTITY), exact)
+                    numerators, probability = _checked(_slot(effect, tables, state))
+                    peaks = peak * np.abs(tables[:, 0]).max(axis=(-2, -1))
+                    values[row, start:stop] = _values(numerators[:, 0], peaks, probability)
+                return
+        except WeakLabError:
+            pass
+        if stop - start == 1:
+            varied = np.where(unswept, scn.widths, GaussianPointer(float(widths[start])).sigma)
+            values[:, start] = _moment(scn, varied, pat, exact=True).value, _moment(scn, varied, pat, exact=False).value
+        else:
+            fill(start, (start + stop) // 2)
+            fill((start + stop) // 2, stop)
+
     size = max(1, SWEEP_CHUNK_ENTRIES // scn.dim**2)
-    unswept = np.arange(scn.n_steps) != index
-    try:
-        for row, exact in enumerate((True, False)):
-            # The swept step's tables are never read: its placeholder width keeps its own out of every check.
-            fixed = _pattern_tables(eigenvalues, np.where(unswept, scn.widths, 1.0), pat, exact)
-            state = next(itertools.islice(_forward(scn.initial.matrix, turns, fixed), index, None))
-            effects = _backward(_last_effect(bases, scn.effect), turns, fixed)
-            effect = next(itertools.islice(effects, scn.n_steps - 1 - index, None))
-            peak = np.abs(fixed[unswept, 0]).max(axis=(-2, -1)).prod()
-            for start in range(0, len(widths), size):
-                chunk = slice(start, start + size)
-                points = widths[chunk]
-                bad = refused_widths(points) | (np.float_power(points, 2) == 0.0)
-                kinds = (pat.kinds[index], _IDENTITY)
-                tables = _step_tables(eigenvalues[index], np.where(bad, np.nan, points), kinds, exact)
-                traces = _slot(effect, tables, state)
-                probability = traces[:, 1].real
-                values[row, chunk], residue, scale = _residues(
-                    traces[:, 0], peak * np.abs(tables[:, 0]).max(axis=(-2, -1)), probability
-                )
-                passing = np.isfinite(traces).all(axis=-1) & (probability > ZERO_PROBABILITY_TOL)
-                failing[chunk] |= bad | ~(passing & (np.abs(residue) <= MOMENT_IMAG_TOL * scale))
-    except WeakLabError:
-        failing[:] = True  # a check on the unswept steps or the pattern, met at point 0
-    for point in np.flatnonzero(failing):
-        varied = scn.widths.copy()
-        varied[index] = GaussianPointer(float(widths[point])).sigma
-        values[:, point] = _moment(scn, varied, pat, exact=True).value, _moment(scn, varied, pat, exact=False).value
+    for start in range(0, len(widths), size):
+        fill(start, min(start + size, len(widths)))
     return values[0], values[1]
 
 

@@ -337,6 +337,14 @@ def assert_sweep_matches_loop(source, scn, pattern, index, start, stop, steps, *
             assert float(row[column]) == pytest.approx(result.value, rel=0.0, abs=1e-12 * scale), (column, value)
 
 
+def count_reruns(monkeypatch) -> list:
+    """A list that records each call of ``simulator._moment``, through
+    which ``sweep_moments`` reruns a point alone, until the patch is undone."""
+    calls, original = [], simulator._moment
+    monkeypatch.setattr(simulator, "_moment", lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    return calls
+
+
 class TestSweepAgainstPerPointLoop:
     """The stacked sweep reports what the loop over grid points reported."""
 
@@ -389,9 +397,32 @@ class TestSweepAgainstPerPointLoop:
         assert per_point_sweep(build(), pattern, index, start, stop, steps)[0] != 0
         assert_sweep_matches_loop(name, build(), pattern, index, start, stop, steps)
 
+    @pytest.mark.parametrize(
+        "name,build,pattern,index,start,stop",
+        [
+            # a width whose square overflows at point 7,710: exit 2
+            ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xx", 1, 0.5, 1e200),
+            # a width whose square underflows at point 9,517: exit 1
+            ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xx", 0, 1.0, 1e-170),
+            # a momentum table overflows at point 9,066: exit 1
+            ("pauli-xy", lambda: wl.build_pauli_xy(1.0, 1.0), "px", 0, 1.0, 1e-170),
+        ],
+    )
+    def test_failure_past_the_first_chunk(self, monkeypatch, name, build, pattern, index, start, stop):
+        # Halving finds the failing point, the only one that reruns alone.
+        scn, pat, grid = build(), wl.MomentPattern.from_string(pattern), np.geomspace(start, stop, 10_000)
+        first_chunk = simulator.SWEEP_CHUNK_ENTRIES // scn.dim**2
+        simulator.sweep_moments(scn, pat, index, grid[:first_chunk + 1])
+        calls = count_reruns(monkeypatch)
+        with pytest.raises((InputError, NumericError)):
+            simulator.sweep_moments(scn, pat, index, grid)
+        assert len(calls) <= 2
+        monkeypatch.undo()
+        assert_sweep_matches_loop(name, scn, pattern, index, start, stop, len(grid))
+
     def test_memory_is_flat_in_points(self):
-        # Beside its results and failing mask, 17 bytes a point, a sweep
-        # holds one chunk's work arrays, whatever the size of its grid.
+        # Beside its results, 16 bytes a point, a sweep holds one chunk's
+        # work arrays, whatever the size of its grid.
         scn, pattern = wl.build_illustrative(1.0, 1.0), wl.MomentPattern.from_string("xx")
 
         def peak(points):
@@ -400,7 +431,7 @@ class TestSweepAgainstPerPointLoop:
             tracemalloc.start()
             try:
                 simulator.sweep_moments(scn, pattern, 0, grid)
-                return tracemalloc.get_traced_memory()[1] - 17 * points
+                return tracemalloc.get_traced_memory()[1] - 16 * points
             finally:
                 tracemalloc.stop()
 
@@ -409,20 +440,16 @@ class TestSweepAgainstPerPointLoop:
 
     def test_swept_width_underflow_stays_on_the_fast_path(self, write_scenario, monkeypatch):
         # The file's own width for the swept step squares to 0, but the
-        # sweep never reads it, so no point reruns through exact_moment.
+        # sweep never reads it, so no point reruns alone.
         scn = random_file_scenario(np.random.default_rng(3), 3, 3, with_post=True)
         steps = list(scn.steps)
         steps[0] = dataclasses.replace(steps[0], pointer=wl.GaussianPointer(1e-170))
         scn = dataclasses.replace(scn, steps=steps)
-        calls, original = [], simulator.exact_moment
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(simulator, "exact_moment", counting)
-        assert_sweep_matches_loop(write_scenario(scn), scn, "xpx", 0, 0.5, 4.0, 4000)
+        calls = count_reruns(monkeypatch)
+        simulator.sweep_moments(scn, wl.MomentPattern.from_string("xpx"), 0, np.geomspace(0.5, 4.0, 4000))
         assert len(calls) == 0
+        monkeypatch.undo()
+        assert_sweep_matches_loop(write_scenario(scn), scn, "xpx", 0, 0.5, 4.0, 4000)
 
     def test_unswept_width_underflow_fails_every_point(self):
         # chain-n's other widths underflow, so point 0's exact engine fails

@@ -1,9 +1,9 @@
 """The public surface: every name in ``weaklab.__all__`` exists, once,
 is read by the program, a demo or the benchmark, and every defaulted
 parameter of its functions is passed there; no module imports a name it
-never reads, every private top-level name is read in the package, and
-importing the CLI pulls in no dependency beyond numpy and builds no
-parser."""
+never reads, every private top-level name is read in the package, each
+closing tolerance is read in one function, and importing the CLI pulls
+in no dependency beyond numpy and builds no parser."""
 
 import ast
 import os
@@ -115,6 +115,35 @@ def test_counts_are_refused_by_check_count_alone(tmp_path):
         'def h(v):\n    raise ValueError("v must be at most 2")\n'
     )
     assert count_refusals_outside_errors(tmp_path) == ["inline.py:2", "inline.py:4"]
+
+
+def readers_of(root: Path, name: str) -> list[str]:
+    """Every top-level function or class of the modules in ``root`` that
+    reads ``name``, bare or as an attribute, as "<file>:<definition>"; a
+    read outside them counts as "<file>:<module>"."""
+    readers = set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for part in ast.walk(node):
+                read = part.id if isinstance(part, ast.Name) else getattr(part, "attr", None)
+                if read == name and isinstance(getattr(part, "ctx", None), ast.Load):
+                    readers.add(f"{path.name}:{owner}")
+    return sorted(readers)
+
+
+def test_each_closing_tolerance_is_read_in_one_function(tmp_path):
+    # A second reader of a tolerance is a second copy of the rule it sets.
+    assert readers_of(SRC / "weaklab", "ZERO_PROBABILITY_TOL") == ["weak_values.py:check_probability"]
+    assert readers_of(SRC / "weaklab", "MOMENT_IMAG_TOL") == ["simulator.py:_values"]
+    (tmp_path / "copy.py").write_text(
+        "TOL = 1e-3\n"
+        "LIMIT = 2 * TOL\n"
+        "def f(x):\n    return x > TOL\n"
+        "def g(x):\n    def inner():\n        return tolerances.TOL\n    return inner\n"
+        "def h(TOL):\n    return 0\n"
+    )
+    assert readers_of(tmp_path, "TOL") == ["copy.py:<module>", "copy.py:f", "copy.py:g"]
 
 
 def unpassed_defaults(modules: list[Path], names, callers: list[Path]) -> list[str]:
