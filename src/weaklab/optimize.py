@@ -47,7 +47,7 @@ import numpy as np
 
 from . import qm
 from .errors import check_count, check_footprint
-from .pointer import GaussianPointer, PointerOperatorKind, _step_tables
+from .pointer import PointerOperatorKind, _step_tables, check_widths
 
 VALUE_SPREAD_TOL = 1e-14
 
@@ -332,7 +332,7 @@ def minimize_pointer_product(
     if sigma is None:
         sweep = _pointer_sweep
     else:
-        GaussianPointer(sigma)  # the width check
+        check_widths(sigma)
         # c is the identity element between the centers 0 and 1. A subnormal
         # sigma^2 overflows the exponent to -inf: overlap 0.
         with np.errstate(over="ignore"):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,13 @@ class PointerOperatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class GaussianPointer:
-    """Gaussian pointer fully described by its width ``sigma`` > 0, whose
-    square must be a finite float (sigma up to about 1.3e154)."""
+    """Gaussian pointer fully described by its width ``sigma``, which
+    ``check_widths`` must pass."""
 
     sigma: float
 
     def __post_init__(self):
-        # ``refused_widths``'s rule on one float; numpy would cost every pointer built ten times as much.
-        if not (self.sigma > 0 and math.isfinite(self.sigma * self.sigma)):
-            raise InputError(f"pointer width must be positive with a finite square, got {self.sigma!r}")
+        check_widths(self.sigma)
 
 
 def _factor(kind: PointerOperatorKind, s2, mean, gap):
@@ -97,8 +96,23 @@ def _step_tables(eigenvalues: np.ndarray, sigmas, kinds, exact: bool = True) -> 
     return tables
 
 
+# The widest width whose square is a finite float: the rounded square root
+# of the largest double squares to a finite float, the next double up does not.
+_WIDEST = math.sqrt(sys.float_info.max)
+
+
 def refused_widths(sigmas: np.ndarray) -> np.ndarray:
-    """The widths of an array that ``GaussianPointer`` refuses, as a mask."""
-    with np.errstate(over="ignore"):
-        return ~((sigmas > 0) & np.isfinite(sigmas * sigmas))
+    """The pointer-width rule as a mask: a width must be positive, and its
+    square a finite float (sigma up to ``_WIDEST``, about 1.34e154)."""
+    return ~((sigmas > 0) & (sigmas <= _WIDEST))
+
+
+def check_widths(sigmas) -> None:
+    """Raises InputError naming the first width, in C order, of a width or
+    an array of them that ``refused_widths`` refuses."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    refused = refused_widths(sigmas)
+    if refused.any():
+        first = float(sigmas.flat[refused.argmax()])
+        raise InputError(f"pointer width must be positive with a finite square, got {first!r}")
 

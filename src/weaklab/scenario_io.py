@@ -25,8 +25,8 @@ import numpy as np
 
 from . import qm
 from .errors import ScenarioFileError, WeakLabError
-from .pointer import GaussianPointer
-from .simulator import MeasurementStep, Scenario
+from .pointer import check_widths
+from .simulator import Scenario
 
 
 def _double(value, where: str) -> float:
@@ -63,32 +63,41 @@ def _raise_first_fault(data, dim: int, where: str, matrix: bool) -> None:
                 _check_entry(entry, f"{where}[{i}][{j}]")
 
 
-def _parse_complex(data, dim: int, where: str, matrix: bool) -> np.ndarray:
-    """Read a ket (``matrix`` false) or a row-major matrix of [re, im] pairs.
+def _level_walk(data, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``data`` read as a complex array of ``shape`` from nested lists
+    whose innermost lists are [re, im] pairs, or None if it has a fault.
 
     The nesting is checked one level at a time, each level in one pass:
     the array, then its rows, then its entries must be lists of the right
     length, and the leaves ints or floats, not bools, as ``_check_entry``
     asks. The leaves then become one float array viewed as complex numbers,
     which keeps every entry bit-for-bit ``complex(re, im)``, signed zeros
-    included. Only refused data is walked, to name its first fault.
+    included.
     """
-    shape = (dim, dim) if matrix else (dim,)
     level = [data]
     for size in (*shape, 2):
         kinds = set(map(type, level))
         if (kinds != {list} and not all(issubclass(kind, list) for kind in kinds)) or set(map(len, level)) != {size}:
-            break
+            return None
         level = list(itertools.chain.from_iterable(level))
-    else:
-        kinds = set(map(type, level))
-        if kinds <= {int, float} or all(issubclass(kind, (int, float)) and not issubclass(kind, bool) for kind in kinds):
-            try:
-                return np.array(level, dtype=float).view(complex).reshape(shape)
-            except OverflowError:
-                pass
-    _raise_first_fault(data, dim, where, matrix)
-    raise AssertionError(f"{where}: the entry walk passed data the level check refused")
+    kinds = set(map(type, level))
+    if kinds <= {int, float} or all(issubclass(kind, (int, float)) and not issubclass(kind, bool) for kind in kinds):
+        try:
+            return np.array(level, dtype=float).view(complex).reshape(shape)
+        except OverflowError:
+            pass
+    return None
+
+
+def _parse_complex(data, dim: int, where: str, matrix: bool) -> np.ndarray:
+    """Read a ket (``matrix`` false) or a row-major matrix of [re, im]
+    pairs by ``_level_walk``. Only refused data is walked entry by entry,
+    to name its first fault."""
+    parsed = _level_walk(data, (dim, dim) if matrix else (dim,))
+    if parsed is None:
+        _raise_first_fault(data, dim, where, matrix)
+        raise AssertionError(f"{where}: the entry walk passed data the level check refused")
+    return parsed
 
 
 @contextmanager
@@ -117,9 +126,36 @@ def _check_object(doc, where: str, required: tuple[str, ...], optional: tuple[st
             raise ScenarioFileError(f"{where or 'top level'}: unknown field {name!r}; expected {', '.join(fields)}")
 
 
+def _step_fields(step_doc, where: str):
+    """A step's observable document and its width as a float, after the
+    checks of its fields; neither is yet checked as a matrix or a width."""
+    _check_object(step_doc, where, ("observable", "sigma"), ())
+    sigma = step_doc["sigma"]
+    if not isinstance(sigma, (int, float)) or isinstance(sigma, bool):
+        raise ScenarioFileError(f"{where}.sigma: expected a number, got {sigma!r}")
+    return step_doc["observable"], _double(sigma, f"{where}.sigma")
+
+
+def _raise_first_step_fault(steps_data: list, dim: int) -> None:
+    """Raises the first fault of the steps, taken one at a time, each
+    through its fields, its observable's parse and check, then its width's."""
+    for index, step_doc in enumerate(steps_data):
+        where = f"steps[{index}]"
+        observable, sigma = _step_fields(step_doc, where)
+        with _field(f"{where}.observable"):
+            qm.check_observables(_parse_complex(observable, dim, f"{where}.observable", matrix=True))
+        with _field(f"{where}.sigma"):
+            check_widths(sigma)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Build a validated Scenario from a parsed JSON document."""
-    _check_object(doc, "", ("dimension", "initial"), ("steps", "postselect"))
+    """Build a validated Scenario from a parsed JSON document.
+
+    One level walk reads the observables into an (n, d, d) stack, which
+    ``Scenario`` checks once. A refused document is walked again step by
+    step, so the error is the first a step-by-step reading meets: a step's
+    before a later step's, and any step's before the post-selection's."""
+    _check_object(doc, "", ("dimension", "initial", "steps"), ("postselect",))
     dim = doc["dimension"]
     if not isinstance(dim, int) or dim < 2:
         raise ScenarioFileError(f"dimension: expected an integer >= 2, got {dim!r}")
@@ -136,30 +172,23 @@ def scenario_from_dict(doc: dict) -> Scenario:
         else:
             initial = qm.PureState(_parse_complex(initial_data, dim, "initial", matrix=False)).to_density()
 
-    steps_data = doc.get("steps")
+    steps_data = doc["steps"]
     if not isinstance(steps_data, list) or not steps_data:
         raise ScenarioFileError("steps: expected a nonempty array")
-    steps = []
-    for index, step_doc in enumerate(steps_data):
-        where = f"steps[{index}]"
-        _check_object(step_doc, where, ("observable",), ("sigma",))
-        with _field(f"{where}.observable"):
-            observable = qm.Observable(_parse_complex(step_doc["observable"], dim, f"{where}.observable", matrix=True))
-        sigma = step_doc.get("sigma")
-        if not isinstance(sigma, (int, float)) or isinstance(sigma, bool):
-            raise ScenarioFileError(f"{where}.sigma: expected a number, got {sigma!r}")
-        sigma = _double(sigma, f"{where}.sigma")
-        with _field(f"{where}.sigma"):
-            steps.append(MeasurementStep(observable, GaussianPointer(sigma)))
-
     post_data = doc.get("postselect")
-    post = None
-    if post_data is not None:
-        with _field("postselect"):
-            post = qm.PovmElement(_parse_complex(post_data, dim, "postselect", matrix=True))
-
-    with _field("steps"):
-        return Scenario(initial=initial, steps=tuple(steps), post=post)
+    try:
+        fields = [_step_fields(step_doc, f"steps[{index}]") for index, step_doc in enumerate(steps_data)]
+        observables = _level_walk([observable for observable, _ in fields], (len(fields), dim, dim))
+        if observables is None:
+            raise ScenarioFileError("steps: an observable is not a matrix of [re, im] pairs")
+        post = None
+        if post_data is not None:
+            with _field("postselect"):
+                post = qm.PovmElement(_parse_complex(post_data, dim, "postselect", matrix=True))
+        return Scenario(initial, observables, [sigma for _, sigma in fields], post)
+    except WeakLabError:
+        _raise_first_step_fault(steps_data, dim)
+        raise
 
 
 def load_scenario(path) -> Scenario:

@@ -20,16 +20,7 @@ import numpy as np
 
 from . import qm
 from .errors import DimensionMismatch, InputError, check_count
-from .pointer import GaussianPointer
-from .simulator import MeasurementStep, Scenario
-
-
-def _two_steps(
-    initial: qm.MixedState, first: qm.Observable, second: qm.Observable, sigma1: float, sigma2: float
-) -> Scenario:
-    """``first`` then ``second`` measured on ``initial``, with no post-selection."""
-    steps = (MeasurementStep(first, GaussianPointer(sigma1)), MeasurementStep(second, GaussianPointer(sigma2)))
-    return Scenario(initial=initial, steps=steps, post=None)
+from .simulator import Scenario
 
 
 def build_illustrative(sigma1: float, sigma2: float) -> Scenario:
@@ -38,16 +29,13 @@ def build_illustrative(sigma1: float, sigma2: float) -> Scenario:
     pointers."""
     half = 0.5
     root3_half = math.sqrt(3.0) / 2.0
-    psi_1 = qm.PureState(np.array([half, root3_half]))
-    psi_2 = qm.PureState(np.array([half, -root3_half]))
-    return _two_steps(
-        qm.KET_0.to_density(), qm.projector_from_ket(psi_1), qm.projector_from_ket(psi_2), sigma1, sigma2
-    )
+    kets = np.array([[half, root3_half], [half, -root3_half]], dtype=complex)
+    return Scenario(qm.KET_0.to_density(), qm.projectors_from_kets(kets), [sigma1, sigma2])
 
 
 def build_pauli_xy(sigma1: float, sigma2: float) -> Scenario:
     """sigma_y then sigma_x on |0>: weak value i, visible in p1*x2."""
-    return _two_steps(qm.KET_0.to_density(), qm.SIGMA_Y, qm.SIGMA_X, sigma1, sigma2)
+    return Scenario(qm.KET_0.to_density(), [qm.SIGMA_Y.matrix, qm.SIGMA_X.matrix], [sigma1, sigma2])
 
 
 def build_projector_chain(n: int, sigma: float) -> Scenario:
@@ -55,11 +43,8 @@ def build_projector_chain(n: int, sigma: float) -> Scenario:
     j = 1 ... n, all with the same pointer width, measured on |0>."""
     check_count("n", n, 1)
     angles = [j * math.pi / (n + 1) for j in range(1, n + 1)]
-    steps = tuple(
-        MeasurementStep(qm.projector_from_ket(qm.PureState([math.cos(a), math.sin(a)])), GaussianPointer(sigma))
-        for a in angles
-    )
-    return Scenario(initial=qm.KET_0.to_density(), steps=steps, post=None)
+    kets = np.array([[math.cos(a), math.sin(a)] for a in angles], dtype=complex)
+    return Scenario(qm.KET_0.to_density(), qm.projectors_from_kets(kets), [sigma] * n)
 
 
 def chain_weak_value(n: int) -> float:
@@ -84,8 +69,7 @@ def build_common_cause(
         raise DimensionMismatch(
             f"shared state dimension {psi_ab.dim} != {first.dim} * {second.dim}"
         )
-    lifted_first, lifted_second = (qm.Observable(lifted) for lifted in lift_pair(first.matrix, second.matrix))
-    return _two_steps(psi_ab.to_density(), lifted_first, lifted_second, sigma1, sigma2)
+    return Scenario(psi_ab.to_density(), lift_pair(first.matrix, second.matrix), [sigma1, sigma2])
 
 
 def lift_pair(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

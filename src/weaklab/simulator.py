@@ -58,14 +58,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import qm
 from .errors import DimensionMismatch, InputError, NumericError, WeakLabError, check_count, check_footprint
-from .pointer import GaussianPointer, PointerOperatorKind, _step_tables, refused_widths
+from .pointer import GaussianPointer, PointerOperatorKind, _step_tables, check_widths, refused_widths
 from .weak_values import check_probability, seq_weak_value
 
 MOMENT_IMAG_TOL = 1e-10
@@ -79,34 +80,54 @@ _NOT_FINITE = "moment chain is not finite; a pointer width or an eigenvalue is t
 
 @dataclass(frozen=True)
 class MeasurementStep:
-    """One weak coupling: the observable and the pointer that records it."""
+    """One weak coupling: the observable and the pointer that records it.
+    A sequence of them is ``Scenario``'s ``steps`` form."""
 
     observable: qm.Observable
     pointer: GaussianPointer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """Initial state, ordered measurement steps, optional post-selection."""
+    """Initial state, the measured observables (n, d, d), first measured
+    first, their pointer widths (n,), and an optional post-selection.
+
+    Each kind is checked once per scenario, in this order: the two stacks'
+    shapes against the state's dimension, ``qm.check_observables`` on the
+    observables, ``pointer.check_widths`` on the widths, and the
+    post-selection's dimension. The stacks are then held as frozen copies.
+    ``steps``, a sequence of ``MeasurementStep``s, is another way to give
+    them, read into the two stacks ahead of the same checks."""
 
     initial: qm.MixedState
-    steps: tuple[MeasurementStep, ...]
+    observables: np.ndarray = None
+    widths: np.ndarray = None
     post: qm.PovmElement | None = None
+    steps: InitVar[Sequence[MeasurementStep] | None] = None
 
-    def __post_init__(self):
-        steps = tuple(self.steps)
-        if not steps:
+    def __post_init__(self, steps):
+        observables, widths = self.observables, self.widths
+        if steps is not None:
+            if observables is not None or widths is not None:
+                raise InputError("give a scenario's steps or its observables and widths, not both")
+            steps = tuple(steps)
+            observables = [step.observable.matrix for step in steps]
+            widths = [step.pointer.sigma for step in steps]
+        observables, widths = np.array(observables, dtype=complex), np.array(widths, dtype=float)
+        if not observables.size:
             raise InputError("a scenario needs at least one measurement step")
-        for index, step in enumerate(steps):
-            if step.observable.dim != self.initial.dim:
-                raise DimensionMismatch(
-                    f"step {index + 1} dimension {step.observable.dim} != state dimension {self.initial.dim}"
-                )
-        if self.post is not None and self.post.dim != self.initial.dim:
+        d = self.initial.dim
+        if widths.ndim != 1 or observables.shape != (len(widths), d, d):
             raise DimensionMismatch(
-                f"post-selection dimension {self.post.dim} != state dimension {self.initial.dim}"
+                f"observables of shape {observables.shape} and widths of shape {widths.shape} "
+                f"are not (n, {d}, {d}) and (n,) for state dimension {d}"
             )
-        object.__setattr__(self, "steps", steps)
+        qm.check_observables(observables)
+        check_widths(widths)
+        if self.post is not None and self.post.dim != d:
+            raise DimensionMismatch(f"post-selection dimension {self.post.dim} != state dimension {d}")
+        object.__setattr__(self, "observables", qm._freeze(observables))
+        object.__setattr__(self, "widths", qm._freeze(widths))
 
     @property
     def dim(self) -> int:
@@ -114,19 +135,14 @@ class Scenario:
 
     @property
     def n_steps(self) -> int:
-        return len(self.steps)
-
-    @cached_property
-    def widths(self) -> np.ndarray:
-        """The pointer widths (n,), in step order, frozen on first use."""
-        return qm._freeze(np.array([step.pointer.sigma for step in self.steps], dtype=float))
+        return len(self.widths)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (n, d), ascending, and eigenvector columns (n, d, d) of
         the observables, from one batched eigh on first use; in a degenerate
         subspace any orthonormal basis serves, as engines read projectors."""
-        eigenvalues, bases = np.linalg.eigh(np.array([step.observable.matrix for step in self.steps]))
+        eigenvalues, bases = np.linalg.eigh(self.observables)
         return qm._freeze(eigenvalues), qm._freeze(bases)
 
     @property
@@ -418,7 +434,8 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
         except WeakLabError:
             pass
         if stop - start == 1:
-            varied = np.where(unswept, scn.widths, GaussianPointer(float(widths[start])).sigma)
+            check_widths(widths[start])
+            varied = np.where(unswept, scn.widths, widths[start])
             values[:, start] = _moment(scn, varied, pat, exact=True).value, _moment(scn, varied, pat, exact=False).value
         else:
             fill(start, (start + stop) // 2)
@@ -435,7 +452,7 @@ def steps_outside_weak_regime(scn: Scenario) -> tuple[int, ...]:
     ``WEAK_REGIME_RATIO`` times its observable's largest eigenvalue
     magnitude or the magnitude of the scenario's sequential weak value. A
     magnitude that is not a number marks every step."""
-    magnitude = abs(seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps]))
+    magnitude = abs(seq_weak_value(scn.initial, scn.post, scn.observables))
     widths, scale = scn.widths, np.abs(scn.spectrum[0]).max(axis=1)
     outside = ~((widths >= WEAK_REGIME_RATIO * scale) & (widths >= WEAK_REGIME_RATIO * magnitude))
     return tuple(np.flatnonzero(outside).tolist())

@@ -9,8 +9,8 @@ projectors its real part can reach, but never beat, -1/8.
 
 One stacked kernel, ``sequence_traces``, forms the numerator for a single
 instance and for the stacks of the ``bounds`` suites alike;
-``seq_weak_value`` checks one instance, given as a list of observables,
-and returns its complex weak value.
+``seq_weak_value`` checks one instance, given as a list of observables
+or their stack, and returns its complex weak value.
 """
 
 from __future__ import annotations
@@ -55,22 +55,25 @@ def check_probability(probability) -> None:
 def seq_weak_value(
     rho: qm.MixedState,
     post: qm.PovmElement | None,
-    observables: Iterable[qm.Observable],
+    observables: Iterable[qm.Observable] | np.ndarray,
 ) -> complex:
     """Sequential weak value Tr(E A_n ... A_1 rho) / Tr(E rho) of the
-    observables, first measured first.
+    observables, first measured first: Observables, or a stack (n, d, d)
+    of Hermitian matrices, which it does not check, as
+    ``Scenario.observables`` holds them.
 
     ``post=None`` means E = identity: the denominator is 1 and nothing is
     discarded. Raises ZeroPostSelectionProbability when Tr(E rho) is below
     threshold; the value is undefined there, not merely large.
     """
-    observables = list(observables)
-    if not observables:
+    if not isinstance(observables, np.ndarray):
+        observables = [obs.matrix for obs in observables]
+    if not len(observables):
         raise InputError("a measurement sequence needs at least one observable")
-    dims = sorted({obs.dim for obs in observables})
+    dims = sorted({len(matrix) for matrix in observables})
     if dims != [rho.dim]:
         raise DimensionMismatch(f"sequence dimensions {dims} != state dimension {rho.dim}")
-    stack = np.array([obs.matrix for obs in observables])
+    stack = np.asarray(observables)
     if post is None:
         return complex(sequence_traces(rho.matrix, stack))
     if post.dim != rho.dim:

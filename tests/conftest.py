@@ -15,7 +15,7 @@ def scenario_document(scn):
     return {
         "dimension": scn.dim,
         "initial": _matrix_doc(scn.initial.matrix),
-        "steps": [{"observable": _matrix_doc(s.observable.matrix), "sigma": s.pointer.sigma} for s in scn.steps],
+        "steps": [{"observable": _matrix_doc(a), "sigma": s} for a, s in zip(scn.observables, scn.widths.tolist())],
         "postselect": None if scn.post is None else _matrix_doc(scn.post.matrix),
     }
 

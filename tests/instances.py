@@ -51,11 +51,11 @@ def norm_product_bound(observables):
     return bound
 
 
-def matrix_element(ptr, kind, left, right):
+def matrix_element(sigma, kind, left, right):
     """<phi(left)| O |phi(right)> for the packet displaced to each center,
     transcribed from the closed forms in ``weaklab.pointer``'s docstring;
     centers may be arrays, which broadcast."""
-    s2 = ptr.sigma**2
+    s2 = sigma**2
     mean, gap = 0.5 * np.add(right, left), np.subtract(right, left)
     ov = np.exp(-(gap**2) / (8.0 * s2))
     element = {

@@ -101,7 +101,7 @@ def test_criterion_4_projector_chain_closed_form():
     values = []
     for n in range(2, 9):
         scn = wl.build_projector_chain(n, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
+        wv = wl.seq_weak_value(scn.initial, None, scn.observables)
         want = -(math.cos(math.pi / (n + 1)) ** (n + 1))
         worst = max(worst, abs(wv - want))
         values.append(wv.real)
@@ -119,7 +119,7 @@ def test_criterion_4_projector_chain_closed_form():
 
 def test_criterion_5_three_measurement_pointer_formula():
     scn = wl.build_projector_chain(3, 50.0)
-    a1, a2, a3 = (step.observable.matrix for step in scn.steps)
+    a1, a2, a3 = scn.observables
     rho = scn.initial.matrix
     # direct trace arithmetic for the two-orderings combination
     combination = 0.5 * (

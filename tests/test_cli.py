@@ -277,6 +277,13 @@ def random_file_scenario(rng, d, n, with_post):
     return wl.Scenario(initial=random_density(rng, d), steps=steps, post=post)
 
 
+def with_width(scn, index, value):
+    """``scn`` with step ``index``'s pointer width set to ``value``."""
+    widths = scn.widths.copy()
+    widths[index] = value
+    return dataclasses.replace(scn, widths=widths)
+
+
 def per_point_sweep(scn, pattern, index, start, stop, steps):
     """The sweep one grid point at a time, as the CLI ran it before its
     grid became one stack: a validated scenario per point, then
@@ -287,9 +294,7 @@ def per_point_sweep(scn, pattern, index, start, stop, steps):
     try:
         pat = wl.MomentPattern.from_string(pattern)
         for value in np.geomspace(start, stop, steps):
-            varied_steps = list(scn.steps)
-            varied_steps[index] = dataclasses.replace(scn.steps[index], pointer=wl.GaussianPointer(float(value)))
-            varied = dataclasses.replace(scn, steps=varied_steps)
+            varied = with_width(scn, index, float(value))
             exact = wl.exact_moment(varied, pat)
             rows.append((float(value), exact, wl.weak_prediction(varied, pat)))
     except NumericError as exc:
@@ -303,11 +308,11 @@ def table_peak(scn, pattern, exact):
     """Product over the steps of the pattern table's largest element: the
     scale of an engine's terms, with the overlap dropped for the weak one."""
     peak = 1.0
-    for step, kind, a in zip(scn.steps, wl.MomentPattern.from_string(pattern).kinds, scn.spectrum[0]):
+    for sigma, kind, a in zip(scn.widths.tolist(), wl.MomentPattern.from_string(pattern).kinds, scn.spectrum[0]):
         left, right = a[np.newaxis, :], a[:, np.newaxis]
-        table = matrix_element(step.pointer, kind, left, right)
+        table = matrix_element(sigma, kind, left, right)
         if not exact:
-            table = table / matrix_element(step.pointer, wl.PointerOperatorKind.IDENTITY, left, right)
+            table = table / matrix_element(sigma, wl.PointerOperatorKind.IDENTITY, left, right)
         peak *= float(np.abs(table).max())
     return peak
 
@@ -328,9 +333,7 @@ def assert_sweep_matches_loop(source, scn, pattern, index, start, stop, steps, *
     rows = csv_rows(out.getvalue())
     assert len(rows) == len(want)
     for row, (value, exact, weak) in zip(rows, want):
-        varied_steps = list(scn.steps)
-        varied_steps[index] = dataclasses.replace(scn.steps[index], pointer=wl.GaussianPointer(value))
-        varied = dataclasses.replace(scn, steps=varied_steps)
+        varied = with_width(scn, index, value)
         assert float(row[f"sigma{index + 1}"]) == value
         for column, result, is_exact in (("exact", exact, True), ("weak", weak, False)):
             scale = max(1.0, table_peak(varied, pattern, is_exact) / result.postselection_probability)
@@ -442,9 +445,7 @@ class TestSweepAgainstPerPointLoop:
         # The file's own width for the swept step squares to 0, but the
         # sweep never reads it, so no point reruns alone.
         scn = random_file_scenario(np.random.default_rng(3), 3, 3, with_post=True)
-        steps = list(scn.steps)
-        steps[0] = dataclasses.replace(steps[0], pointer=wl.GaussianPointer(1e-170))
-        scn = dataclasses.replace(scn, steps=steps)
+        scn = with_width(scn, 0, 1e-170)
         calls = count_reruns(monkeypatch)
         simulator.sweep_moments(scn, wl.MomentPattern.from_string("xpx"), 0, np.geomspace(0.5, 4.0, 4000))
         assert len(calls) == 0

@@ -51,7 +51,7 @@ def operator_from_moments(moment, d):
 def finite_sigma_operator(kets, sigma):
     steps = [wl.MeasurementStep(wl.projector_from_ket(wl.PureState(ket)), wl.GaussianPointer(sigma)) for ket in kets]
     pattern = wl.MomentPattern.all_position(len(kets))
-    moment = lambda psi: wl.exact_moment(wl.Scenario(wl.PureState(psi).to_density(), steps), pattern).value
+    moment = lambda psi: wl.exact_moment(wl.Scenario(wl.PureState(psi).to_density(), steps=steps), pattern).value
     return operator_from_moments(moment, kets.shape[1])
 
 
@@ -146,6 +146,34 @@ class TestBatchedObjectives:
             trials /= np.linalg.norm(trials, axis=1, keepdims=True)
             values = np.einsum("bi,ij,bj->b", trials.conj(), hamiltonian, trials).real
             assert values.min() >= best_value - 1e-15
+
+
+class TestPaddingInvariance:
+    """Both objectives depend only on the Gram matrix of psi, k_1, ..., k_n:
+    padding the kets from C^d into C^(d+1) and turning them with a unitary
+    leaves each unchanged."""
+
+    @staticmethod
+    def objectives(kets, overlap):
+        """The pointer product 2^(1-n) <psi|N_1|psi> and Re of the weak value
+        at the (n + 1, d) kets psi, k_1, ..., k_n."""
+        psi, projector_kets = kets[0], kets[1:]
+        nested = list(optimize._environments(projector_kets[np.newaxis], overlap))[-1][0]
+        product = 2.0 ** (1 - len(projector_kets)) * (psi.conj() @ nested @ psi).real
+        weak_value = wl.seq_weak_value(wl.PureState(psi).to_density(), None, qm.projectors_from_kets(projector_kets))
+        return product, weak_value.real
+
+    @pytest.mark.parametrize("overlap", [1.0, math.exp(-1.0 / (8.0 * 0.8**2))])
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (3, 2), (4, 3), (6, 4)])
+    def test_padded_and_turned_kets_keep_both_objectives(self, n, d, overlap):
+        rng = np.random.default_rng([n, d])
+        normals = rng.standard_normal((2, d + 1, d + 1))
+        unitary = np.linalg.qr(normals[0] + 1j * normals[1])[0]
+        for _ in range(20):
+            kets = random_kets(rng, n + 1, d)
+            turned = np.pad(kets, ((0, 0), (0, 1))) @ unitary.T
+            got, want = self.objectives(turned, overlap), self.objectives(kets, overlap)
+            assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 class TestSeeSaw:
@@ -256,7 +284,7 @@ class TestPointerProductSearch:
         result = wl.minimize_pointer_product(n=2, d=2, restarts=8, seed=3, budget=10000)
         state, projectors = result.best_point.decode()
         steps = [wl.MeasurementStep(proj, wl.GaussianPointer(1.0)) for proj in projectors]
-        scn = wl.Scenario(state.to_density(), steps)
+        scn = wl.Scenario(state.to_density(), steps=steps)
         check = wl.weak_prediction(scn, wl.MomentPattern.all_position(2)).value
         assert check == pytest.approx(result.best_value, abs=1e-12)
 
@@ -332,7 +360,7 @@ class TestPointerProductSearch:
         floor = self.two_step_floor(math.exp(-1.0 / (8.0 * sigma**2)))
         assert result.best_value == pytest.approx(floor, rel=0, abs=1e-12)
         state, projectors = result.best_point.decode()
-        scn = wl.Scenario(state.to_density(), [wl.MeasurementStep(a, wl.GaussianPointer(sigma)) for a in projectors])
+        scn = wl.Scenario(state.to_density(), steps=[wl.MeasurementStep(a, wl.GaussianPointer(sigma)) for a in projectors])
         assert wl.exact_moment(scn, wl.MomentPattern.all_position(2)).value == pytest.approx(floor, rel=0, abs=1e-12)
 
     def test_projective_limit_shows_no_anomaly(self):

@@ -146,6 +146,28 @@ def test_each_closing_tolerance_is_read_in_one_function(tmp_path):
     assert readers_of(tmp_path, "TOL") == ["copy.py:<module>", "copy.py:f", "copy.py:g"]
 
 
+def constructed(path: Path) -> set[str]:
+    """Every name that a call in ``path`` calls, bare or as an attribute."""
+    calls = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            calls.add(node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+    return calls
+
+
+def test_the_file_path_builds_no_per_step_objects(tmp_path):
+    # The reader and the builders fill Scenario's stacks, which it checks
+    # once per kind; a value object per step would check every step again.
+    package = SRC / "weaklab"
+    assert constructed(package / "scenario_io.py") & {"Observable", "GaussianPointer", "MeasurementStep"} == set()
+    assert constructed(package / "scenarios.py") & {"GaussianPointer", "MeasurementStep"} == set()
+    (tmp_path / "steps.py").write_text(
+        "steps = [wl.MeasurementStep(qm.Observable(a), GaussianPointer(s)) for a, s in pairs]\n"
+        "pointer = GaussianPointer\n"
+    )
+    assert constructed(tmp_path / "steps.py") == {"MeasurementStep", "Observable", "GaussianPointer"}
+
+
 def unpassed_defaults(modules: list[Path], names, callers: list[Path]) -> list[str]:
     """Every defaulted parameter of a top-level function of ``modules``
     named in ``names`` that no call in ``callers`` passes by keyword and

@@ -1,6 +1,7 @@
 """Pointer closed forms checked against direct numerical quadrature."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -97,7 +98,8 @@ class TestWidthArrays:
         assert _step_tables(eigenvalues, widths[[0, 2]], (PointerOperatorKind.MOMENTUM,)).shape == (2, 1, 2, 2)
 
     def test_refused_widths_is_the_pointer_rule(self):
-        # the scalar test GaussianPointer keeps and the array mask refuse the same widths
+        # the mask refuses what the rule on one float, positive with a finite
+        # square, refuses, and GaussianPointer refuses the same widths
         def refuses(sigma):
             try:
                 wl.GaussianPointer(sigma)
@@ -105,10 +107,14 @@ class TestWidthArrays:
                 return True
             return False
 
+        widest = math.sqrt(sys.float_info.max)
         widths = [1.0, 5e-324, 1.3e154, 1.35e154, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]
-        mask = refused_widths(np.array(widths)).tolist()
-        assert mask == [refuses(sigma) for sigma in widths]
-        assert mask == [False, False, False, True, True, True, True, True, True, True]
+        widths += [widest, math.nextafter(widest, 0.0), math.nextafter(widest, math.inf)]
+        widths += np.exp(np.random.default_rng(0).uniform(350.0, 356.0, 1000)).tolist()
+        rule = [not (sigma > 0 and math.isfinite(sigma * sigma)) for sigma in widths]
+        assert refused_widths(np.array(widths)).tolist() == rule == [refuses(sigma) for sigma in widths]
+        assert rule[-1003:-1000] == [False, False, True] and 0 < sum(rule[-1000:]) < 1000
+        assert rule[:10] == [False, False, False, True, True, True, True, True, True, True]
 
 
 def element(sigma, kind, left, right):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -22,12 +23,28 @@ class TestStates:
     def test_a_ket_passes_exactly_when_its_density_does(self):
         # |psi|^2 = 1 + 0.8e-12 passes both checks, 1 + 1.8e-12 fails both;
         # a rule on |psi| itself once passed the second and failed its density.
-        wl.PureState(np.array([1 + 0.4e-12, 0.0])).to_density()
+        qm.check_densities(wl.PureState(np.array([1 + 0.4e-12, 0.0])).to_density().matrix)
         too_long = np.array([1 + 0.9e-12, 0.0])
         with pytest.raises(InputError, match=re.escape("state squared norm is 1.0000000000018, expected 1")):
             wl.PureState(too_long)
         with pytest.raises(InputError, match=re.escape("density matrix trace is 1.0000000000018, expected 1")):
             wl.MixedState(np.outer(too_long, too_long))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_to_density_needs_no_second_check(self, d):
+        # to_density skips check_densities: around the norm bound, a ket and
+        # its density matrix must pass or fail together.
+        rng = np.random.default_rng(d)
+        for _ in range(400):
+            ket = qm.kets_from_normals(rng.standard_normal((2, d))) * math.sqrt(1 + rng.uniform(-2e-12, 2e-12))
+            verdicts = []
+            for check, value in ((qm.check_kets, ket), (qm.check_densities, np.outer(ket, ket.conj()))):
+                try:
+                    check(value)
+                    verdicts.append(True)
+                except InputError:
+                    verdicts.append(False)
+            assert verdicts[0] == verdicts[1]
 
     def test_pure_state_min_dimension(self):
         with pytest.raises(InputError, match="^state dimension must be at least 2, got 1$"):

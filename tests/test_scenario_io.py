@@ -28,8 +28,8 @@ def illustrative_doc(sigma1=1.0, sigma2=1.0):
         "dimension": 2,
         "initial": [pair(1), pair(0)],
         "steps": [
-            {"observable": matrix_doc(scn.steps[0].observable.matrix), "sigma": sigma1},
-            {"observable": matrix_doc(scn.steps[1].observable.matrix), "sigma": sigma2},
+            {"observable": matrix_doc(scn.observables[0]), "sigma": sigma1},
+            {"observable": matrix_doc(scn.observables[1]), "sigma": sigma2},
         ],
         "postselect": None,
     }
@@ -59,7 +59,7 @@ class TestParsing:
         doc = illustrative_doc()
         doc["steps"][0]["observable"] = matrix_doc(wl.SIGMA_Y.matrix)
         scn = scenario_from_dict(doc)
-        assert np.allclose(scn.steps[0].observable.matrix, wl.SIGMA_Y.matrix)
+        assert np.allclose(scn.observables[0], wl.SIGMA_Y.matrix)
 
     @pytest.mark.parametrize(
         "mutate,field",
@@ -100,6 +100,11 @@ class TestParsing:
         with pytest.raises(ScenarioFileError) as excinfo:
             scenario_from_dict(doc)
         assert str(excinfo.value) == "initial: state squared norm is 1.0000000000018, expected 1"
+
+
+def skewed_doc(deviation):
+    """A matrix document that deviates from Hermiticity by ``deviation``."""
+    return matrix_doc([[1.0, deviation], [0.0, 0.0]])
 
 
 def observable_doc(**replace):
@@ -202,6 +207,16 @@ class TestReaderContract:
             (lambda d: d["steps"][0].update(sigma2=3.0) or d["steps"][0].pop("observable"),
              "steps[0].observable: field is required"),
             (lambda d: d.update(steps=[None]), "steps[0]: expected an object"),
+            (lambda d: d.pop("steps"), "steps: field is required"),
+            (lambda d: d["steps"][0].pop("sigma"), "steps[0].sigma: field is required"),
+            # A document with several faults: the error names the one a
+            # step-by-step reading meets first, and that step's own numbers.
+            (lambda d: d["steps"][0].update(sigma=-1) or d["steps"][1]["observable"].__setitem__(1, [pair(0)]),
+             "steps[0].sigma: pointer width must be positive with a finite square, got -1.0"),
+            (lambda d: d["steps"][0].update(observable=skewed_doc(0.3)) or d["steps"][1].update(observable=skewed_doc(0.5)),
+             "steps[0].observable: observable deviates from Hermiticity by 3.000e-01"),
+            (lambda d: d["steps"][0].update(sigma="1") or d["steps"][1].update(observable=skewed_doc(0.5)),
+             "steps[0].sigma: expected a number, got '1'"),
         ],
     )
     def test_bad_field(self, mutate, message):
@@ -276,8 +291,8 @@ class TestReaderContract:
         rng = np.random.default_rng([d, seed])
         doc = json.loads(json.dumps(self.random_document(rng, d)))
         scn = scenario_from_dict(doc)
-        pairs = [(step.observable.matrix, self.oracle(step_doc["observable"]))
-                 for step, step_doc in zip(scn.steps, doc["steps"])]
+        observables = np.array([self.oracle(step_doc["observable"]) for step_doc in doc["steps"]])
+        pairs = [(scn.observables, observables), *zip(scn.observables, observables)]
         if isinstance(doc["initial"][0][0], list):
             pairs.append((scn.initial.matrix, self.oracle(doc["initial"])))
         else:
@@ -288,14 +303,16 @@ class TestReaderContract:
         for got, want in pairs:
             self.assert_bitwise_equal(got, want)
         assert any(np.signbit(parts[parts == 0]).any() for parts in (want.view(float) for _, want in pairs))
-        assert [step.pointer.sigma for step in scn.steps] == [step_doc["sigma"] for step_doc in doc["steps"]]
+        widths = np.array([step_doc["sigma"] for step_doc in doc["steps"]])
+        assert scn.widths.dtype == widths.dtype == np.float64 and scn.widths.tobytes() == widths.tobytes()
+        assert scn.widths.tolist() == [step_doc["sigma"] for step_doc in doc["steps"]]
 
     def test_signed_zeros_kept(self):
         doc = illustrative_doc()
         doc["steps"][0]["observable"] = [[[1, -0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0, -0.0]]]
         doc["initial"] = [[1.0, -0.0], [-0.0, 0.0]]
         scn = scenario_from_dict(doc)
-        observable = scn.steps[0].observable.matrix
+        observable = scn.observables[0]
         self.assert_bitwise_equal(observable, self.oracle(doc["steps"][0]["observable"]))
         assert np.signbit(observable.real).tolist() == [[False, True], [True, False]]
         assert np.signbit(observable.imag).tolist() == [[True, False], [True, True]]
@@ -380,9 +397,31 @@ class TestRoundTrip:
     def test_dict_roundtrip_identity(self, write_scenario):
         scn = wl.build_pauli_xy(2.0, 4.0)
         rebuilt = scenario_from_dict(json.loads(write_scenario(scn).read_text()))
-        for original, loaded in zip(scn.steps, rebuilt.steps):
-            assert np.array_equal(original.observable.matrix, loaded.observable.matrix)
-            assert original.pointer.sigma == loaded.pointer.sigma
+        for original, loaded in zip(scn.observables, rebuilt.observables):
+            assert np.array_equal(original, loaded)
+        for original, loaded in zip(scn.widths, rebuilt.widths):
+            assert original == loaded
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_steps_form_gives_the_reader_bits(self, write_scenario, seed):
+        # A search point's scenario as bench/run.py builds it, from
+        # MeasurementSteps, and as the reader builds it from a file of the
+        # same numbers: the same stacks, so the same moment bits.
+        rng = np.random.default_rng(seed)
+        n, d, sigma = 3, 3, float(rng.uniform(0.3, 3.0))
+        kets = wl.qm.kets_from_normals(rng.standard_normal((n + 1, 2, d)))
+        state, projectors = wl.SearchSpacePoint(kets[0], kets[1:]).decode()
+        steps = [wl.MeasurementStep(p, wl.GaussianPointer(sigma)) for p in projectors]
+        built = wl.Scenario(initial=state.to_density(), steps=steps)
+        read = wl.load_scenario(write_scenario(built))
+        for got, want in ((read.observables, built.observables), (read.widths, built.widths)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for text in ("xxx", "".join(rng.choice(list("ixXpP"), size=n))):
+            pattern = wl.MomentPattern.from_string(text)
+            assert wl.exact_moment(read, pattern) == wl.exact_moment(built, pattern)
+        for text in ("xxx", "".join(rng.choice(list("ixp"), size=n))):
+            pattern = wl.MomentPattern.from_string(text)
+            assert wl.weak_prediction(read, pattern) == wl.weak_prediction(built, pattern)
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -25,8 +25,8 @@ class TestIllustrative:
         root3_half = math.sqrt(3.0) / 2.0
         psi_1 = np.array([0.5, root3_half])
         psi_2 = np.array([0.5, -root3_half])
-        assert np.allclose(scn.steps[0].observable.matrix, np.outer(psi_1, psi_1))
-        assert np.allclose(scn.steps[1].observable.matrix, np.outer(psi_2, psi_2))
+        assert np.allclose(scn.observables[0], np.outer(psi_1, psi_1))
+        assert np.allclose(scn.observables[1], np.outer(psi_2, psi_2))
         assert np.allclose(scn.initial.matrix, np.diag([1.0, 0.0]))
         assert scn.post is None
 
@@ -58,7 +58,7 @@ class TestIllustrative:
 class TestPauliXY:
     def test_weak_value(self):
         scn = wl.build_pauli_xy(1.0, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
+        wv = wl.seq_weak_value(scn.initial, None, scn.observables)
         assert wv == pytest.approx(1.0j, abs=1e-15)
 
     def test_momentum_position_moment(self):
@@ -75,12 +75,12 @@ class TestPauliXY:
 class TestProjectorChain:
     def test_two_step_value(self):
         scn = wl.build_projector_chain(2, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
+        wv = wl.seq_weak_value(scn.initial, None, scn.observables)
         assert wv == pytest.approx(-0.125, abs=1e-14)
 
     def test_four_step_value(self):
         scn = wl.build_projector_chain(4, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
+        wv = wl.seq_weak_value(scn.initial, None, scn.observables)
         assert wv == pytest.approx(-(math.cos(math.pi / 5.0) ** 5), abs=1e-14)
         assert wl.chain_weak_value(4) == pytest.approx(-(math.cos(math.pi / 5.0) ** 5))
 
@@ -94,10 +94,10 @@ class TestProjectorChain:
         n = 4
         scn = wl.build_projector_chain(n, 1.0)
         assert np.array_equal(scn.initial.matrix, np.diag([1.0, 0.0]))
-        for j, step in enumerate(scn.steps, 1):
+        for j, observable in enumerate(scn.observables, 1):
             angle = j * math.pi / (n + 1)
             ket = np.array([math.cos(angle), math.sin(angle)])
-            assert np.array_equal(step.observable.matrix, np.outer(ket, ket))
+            assert np.array_equal(observable, np.outer(ket, ket))
 
     def test_rejects_bad_length(self):
         with pytest.raises(InputError):
@@ -141,7 +141,7 @@ class TestCommonCause:
         scn = wl.build_common_cause(
             shared, wl.SIGMA_X, wl.SIGMA_Y, 1.0, 1.0
         )
-        a, b = scn.steps[0].observable.matrix, scn.steps[1].observable.matrix
+        a, b = scn.observables[0], scn.observables[1]
         assert np.linalg.norm(a @ b - b @ a, ord=2) <= 1e-12
 
     def test_dimension_mismatch(self):

@@ -68,7 +68,7 @@ def brute_force_moment(scn, pattern):
         weight = complex(np.trace(effect @ left))
         for j in range(n):
             weight *= matrix_element(
-                scn.steps[j].pointer,
+                scn.widths[j],
                 kinds[j],
                 eigenvalues[j][l_tuple[j]],
                 eigenvalues[j][k_tuple[j]],
@@ -93,12 +93,12 @@ def ordering_sum_weak(scn, pattern):
     effect = np.eye(scn.dim, dtype=complex) if scn.post is None else scn.post.matrix
     rho = scn.initial.matrix
     slots = []
-    for step, kind in zip(scn.steps, pattern.kinds):
+    for observable, sigma, kind in zip(scn.observables, scn.widths.tolist(), pattern.kinds):
         if kind is I:
             continue
         if kind not in (X, P):
             raise ValueError(f"no first-order formula for {kind}")
-        slots.append((step.observable.matrix, step.pointer.sigma, kind))
+        slots.append((observable, sigma, kind))
     if not slots:
         return 1.0
     m = len(slots)
@@ -134,7 +134,7 @@ def subset_sum_recovery(scn, moment):
         for subset in itertools.combinations(candidates, size):
             weight = complex(moment(scn, wl.MomentPattern(P if j in subset else X for j in range(n))))
             for j in subset:
-                weight *= 2j * scn.steps[j].pointer.sigma ** 2
+                weight *= 2j * scn.widths[j] ** 2
             total += weight
     return total
 
@@ -144,11 +144,11 @@ def operator_scale(scn, kinds):
     1/(2 sigma_j^2) per momentum slot, over Tr(E rho)."""
     effect = np.eye(scn.dim) if scn.post is None else scn.post.matrix
     scale = 1.0 / np.trace(effect @ scn.initial.matrix).real
-    for step, kind in zip(scn.steps, kinds):
+    for observable, sigma, kind in zip(scn.observables, scn.widths.tolist(), kinds):
         if kind is not I:
-            scale *= spectral_norm(step.observable)
+            scale *= spectral_norm(wl.Observable(observable))
             if kind is P:
-                scale /= 2.0 * step.pointer.sigma**2
+                scale /= 2.0 * sigma**2
     return scale
 
 
@@ -176,13 +176,14 @@ class TestScenarioTypes:
     def test_post_selection_dimension_check(self):
         scn = wl.build_illustrative(1.0, 1.0)
         with pytest.raises(wl.errors.DimensionMismatch, match="post-selection dimension 3 != state dimension 2"):
-            wl.Scenario(scn.initial, scn.steps, wl.PovmElement(np.eye(3)))
+            wl.Scenario(scn.initial, scn.observables, scn.widths, wl.PovmElement(np.eye(3)))
 
-    def test_steps_and_kinds_become_tuples(self):
+    def test_stacks_become_frozen_arrays_and_kinds_tuples(self):
         scn = wl.build_illustrative(1.0, 1.0)
-        replaced = dataclasses.replace(scn, steps=list(scn.steps))
-        assert type(replaced.steps) is tuple
-        assert replaced == scn == wl.Scenario(scn.initial, list(scn.steps))
+        replaced = dataclasses.replace(scn, observables=scn.observables.tolist(), widths=scn.widths.tolist())
+        for got, want in ((replaced.observables, scn.observables), (replaced.widths, scn.widths)):
+            assert type(got) is np.ndarray and not got.flags.writeable
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         kinds = [PointerOperatorKind.POSITION, PointerOperatorKind.MOMENTUM]
         assert wl.MomentPattern(iter(kinds)).kinds == tuple(kinds)
         assert wl.MomentPattern(kinds=kinds) == wl.MomentPattern(tuple(kinds))
@@ -248,9 +249,7 @@ class TestExactEngine:
                 kinds = [X] * (n - 1) + [final_kind]
                 base = wl.exact_moment(scn, wl.MomentPattern(kinds)).value
                 for sigma_n in (0.05, 1.7, 80.0):
-                    steps = list(scn.steps)
-                    steps[-1] = wl.MeasurementStep(steps[-1].observable, wl.GaussianPointer(sigma_n))
-                    varied = wl.Scenario(initial=scn.initial, steps=tuple(steps), post=None)
+                    varied = dataclasses.replace(scn, widths=[*scn.widths[:-1], sigma_n])
                     got = wl.exact_moment(varied, wl.MomentPattern(kinds)).value
                     assert got == pytest.approx(base, abs=1e-12)
 
@@ -353,13 +352,13 @@ class TestExactEngine:
         # must trip at that row's own scale, step 2's x peak / Tr(eta).
         rng = np.random.default_rng(21)
         scn = random_scenario(rng, 3, 3, with_post=False, sigma_range=(100.0, 100.0))
-        steps = list(scn.steps)
-        steps[2] = dataclasses.replace(steps[2], observable=wl.Observable(np.zeros((3, 3))))
-        scn = dataclasses.replace(scn, steps=steps)
+        observables = scn.observables.copy()
+        observables[2] = 0.0
+        scn = dataclasses.replace(scn, observables=observables)
         clean = wl.position_moments(scn)
         assert clean[0].value == 0.0
         eigenvalues = scn.spectrum[0][1]
-        peak = np.abs(matrix_element(steps[1].pointer, X, eigenvalues[np.newaxis, :], eigenvalues[:, np.newaxis])).max()
+        peak = np.abs(matrix_element(scn.widths[1], X, eigenvalues[np.newaxis, :], eigenvalues[:, np.newaxis])).max()
         original = pointer._factor
 
         def leaky(kind, s2, mean, gap):
@@ -405,10 +404,10 @@ class TestExactEngine:
 
 def two_step_weak_oracle(scn, kinds):
     """Direct transcription of the two-measurement weak-regime formulas."""
-    a = scn.steps[0].observable.matrix
-    b = scn.steps[1].observable.matrix
-    s1 = scn.steps[0].pointer.sigma
-    s2 = scn.steps[1].pointer.sigma
+    a = scn.observables[0]
+    b = scn.observables[1]
+    s1 = scn.widths[0]
+    s2 = scn.widths[1]
     rho = scn.initial.matrix
     effect = np.eye(scn.dim, dtype=complex) if scn.post is None else scn.post.matrix
     denom = np.trace(effect @ rho).real
@@ -440,7 +439,7 @@ class TestWeakEngine:
     def test_chain_three_all_position(self):
         # oracle: the two operator-ordering traces evaluated directly
         scn = wl.build_projector_chain(3, 7.0)
-        a1, a2, a3 = (step.observable.matrix for step in scn.steps)
+        a1, a2, a3 = scn.observables
         rho = scn.initial.matrix
         want = 0.5 * (np.trace(a3 @ a2 @ a1 @ rho).real + np.trace(a2 @ a3 @ a1 @ rho).real)
         assert want == pytest.approx(-0.125, abs=1e-14)
@@ -473,11 +472,7 @@ class TestWeakEngine:
                 full = wl.weak_prediction(scn, wl.MomentPattern([X, I, X])).value
             except ZeroPostSelectionProbability:
                 continue
-            reduced = wl.Scenario(
-                initial=scn.initial,
-                steps=(scn.steps[0], scn.steps[2]),
-                post=scn.post,
-            )
+            reduced = wl.Scenario(scn.initial, scn.observables[[0, 2]], scn.widths[[0, 2]], scn.post)
             want = wl.weak_prediction(reduced, wl.MomentPattern([X, X])).value
             assert full == pytest.approx(want, abs=1e-12)
 
@@ -537,7 +532,7 @@ class TestWeakEngine:
         for _ in range(5):
             scn = random_scenario(rng, 2, 4, with_post=True, sigma_range=(1.0, 3.0))
             try:
-                wv = wl.seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps])
+                wv = wl.seq_weak_value(scn.initial, scn.post, scn.observables)
             except ZeroPostSelectionProbability:
                 continue
             got = wl.recover_weak_value(scn, exact=False)
@@ -562,8 +557,7 @@ class TestWeakEngine:
         pattern = wl.MomentPattern.from_string("".join(letters[:n]))
         gaps = []
         for factor in (1.0, 4.0):
-            scaled = [wl.MeasurementStep(s.observable, wl.GaussianPointer(s.pointer.sigma * factor)) for s in steps]
-            scaled = dataclasses.replace(scn, steps=scaled)
+            scaled = dataclasses.replace(scn, widths=[step.pointer.sigma * factor for step in steps])
             gaps.append(abs(wl.exact_moment(scaled, pattern).value - wl.weak_prediction(scaled, pattern).value))
         assume(gaps[0] > 1e-12)
         assert gaps[0] >= 8.0 * gaps[1], gaps
@@ -618,7 +612,7 @@ class TestRecovery:
             n = int(rng.integers(1, 4))
             scn = random_scenario(rng, 2, n, with_post=True, sigma_range=(1.0, 4.0))
             try:
-                wv = wl.seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps])
+                wv = wl.seq_weak_value(scn.initial, scn.post, scn.observables)
             except ZeroPostSelectionProbability:
                 continue
             got = wl.recover_weak_value(scn, exact=False)
@@ -631,7 +625,7 @@ class TestRecovery:
         for _ in range(15):
             n = int(rng.integers(1, 4))
             scn = random_scenario(rng, 2, n, with_post=False)
-            wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
+            wv = wl.seq_weak_value(scn.initial, None, scn.observables)
             got = wl.recover_weak_value(scn, exact=False)
             assert got == pytest.approx(wv, abs=1e-10)
 
@@ -639,11 +633,11 @@ class TestRecovery:
 def weak_regime_reference(scn):
     """The weak-regime rule one step at a time: step j is outside unless
     sigma_j >= 10 max|a_j| and sigma_j >= 10 |weak value|."""
-    magnitude = abs(wl.seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps]))
+    magnitude = abs(wl.seq_weak_value(scn.initial, scn.post, scn.observables))
     outside = []
-    for index, (step, eigenvalues) in enumerate(zip(scn.steps, scn.spectrum[0])):
+    for index, (sigma, eigenvalues) in enumerate(zip(scn.widths.tolist(), scn.spectrum[0])):
         scale = max(abs(float(a)) for a in eigenvalues)
-        if not (step.pointer.sigma >= 10.0 * scale and step.pointer.sigma >= 10.0 * magnitude):
+        if not (sigma >= 10.0 * scale and sigma >= 10.0 * magnitude):
             outside.append(index)
     return tuple(outside)
 
@@ -676,13 +670,12 @@ class TestWeakRegime:
         # Widths straddle the bar: log-uniform over it, or exactly on it.
         rng = np.random.default_rng(seed)
         scn = random_scenario(rng, d, n, with_post)
-        magnitude = abs(wl.seq_weak_value(scn.initial, scn.post, [step.observable for step in scn.steps]))
+        magnitude = abs(wl.seq_weak_value(scn.initial, scn.post, scn.observables))
         scales = np.abs(scn.spectrum[0]).max(axis=1)
         bars = {"eigenvalue": 10.0 * scales, "weak value": np.full(n, 10.0 * magnitude)}
         drawn = np.exp(rng.uniform(math.log(1.0), math.log(1000.0), size=n))
         widths = [drawn[j] if at_bar[j] == "drawn" else bars[at_bar[j]][j] for j in range(n)]
-        steps = [dataclasses.replace(step, pointer=wl.GaussianPointer(float(w))) for step, w in zip(scn.steps, widths)]
-        scn = dataclasses.replace(scn, steps=steps)
+        scn = dataclasses.replace(scn, widths=[float(w) for w in widths])
         assert wl.steps_outside_weak_regime(scn) == weak_regime_reference(scn)
 
 
@@ -744,7 +737,7 @@ class TestStackedChain:
             pattern = wl.MomentPattern.from_string("".join(rng.choice(list("ixXpP"), size=n)))
             got = simulator.stacked_exact_moments(
                 np.array([scn.initial.matrix for scn in scenarios]),
-                np.array([[step.observable.matrix for step in scn.steps] for scn in scenarios]),
+                np.array([scn.observables for scn in scenarios]),
                 np.array([scn.widths for scn in scenarios]),
                 pattern,
             )
@@ -762,9 +755,9 @@ class TestStackedChain:
         traces, probability = simulator._chain(scn.initial.matrix, scn.spectrum[1], tables, scn.post.matrix)
         assert traces.shape == (3, 2, 1) and probability.shape == (3, 2)
         for (row, column), width in np.ndenumerate(widths):
-            steps = list(scn.steps)
-            steps[1] = dataclasses.replace(steps[1], pointer=wl.GaussianPointer(float(width)))
-            one = wl.exact_moment(dataclasses.replace(scn, steps=steps), pattern)
+            varied = scn.widths.copy()
+            varied[1] = width
+            one = wl.exact_moment(dataclasses.replace(scn, widths=varied), pattern)
             assert probability[row, column] == one.postselection_probability
             assert traces[row, column, 0].real / probability[row, column] == one.value
 
@@ -797,20 +790,20 @@ def random_cases(draw, with_post):
     pattern = wl.MomentPattern.from_string(draw(st.text("ixXpP", min_size=n, max_size=n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     widths = np.exp(rng.uniform(math.log(0.3), math.log(300.0), size=n))
-    steps = tuple(wl.MeasurementStep(random_observable(rng, d), wl.GaussianPointer(float(w))) for w in widths)
+    observables = [random_observable(rng, d).matrix for _ in widths]
     post = None
     if with_post and draw(st.booleans()):
         effect = random_density(rng, d).matrix
         post = wl.PovmElement(effect / np.linalg.eigvalsh(effect).max())
-    return wl.Scenario(random_density(rng, d), steps, post), pattern
+    return wl.Scenario(random_density(rng, d), observables, widths, post), pattern
 
 
 def term_scale(scn, pattern):
     """max(1, prod_j max|F_j|): the size of the chain's terms, which the
     engine's imaginary-residue check also uses."""
     scale = 1.0
-    for step, kind, a in zip(scn.steps, pattern.kinds, scn.spectrum[0]):
-        scale *= np.abs(matrix_element(step.pointer, kind, a[np.newaxis, :], a[:, np.newaxis])).max()
+    for sigma, kind, a in zip(scn.widths.tolist(), pattern.kinds, scn.spectrum[0]):
+        scale *= np.abs(matrix_element(sigma, kind, a[np.newaxis, :], a[:, np.newaxis])).max()
     return max(1.0, scale)
 
 
@@ -844,7 +837,7 @@ class TestNestedAnticommutator:
         rng = np.random.default_rng(12)
         for _ in range(20):
             steps = [wl.MeasurementStep(random_observable(rng, 3), wl.GaussianPointer(1.0)) for _ in range(2)]
-            scn = wl.Scenario(random_density(rng, 3), steps)
+            scn = wl.Scenario(random_density(rng, 3), steps=steps)
             got = wl.weak_prediction(scn, wl.MomentPattern.all_position(2)).value
             first, second = (step.observable.matrix for step in steps)
             want = np.trace(second @ first @ scn.initial.matrix).real

@@ -73,7 +73,7 @@ class TestSeqWeakValues:
 
     def test_chain_of_two(self):
         scn = wl.build_projector_chain(2, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
+        wv = wl.seq_weak_value(scn.initial, None, scn.observables)
         assert wv == pytest.approx(-((math.cos(math.pi / 3.0)) ** 3), abs=1e-14)
 
     def test_single_observable_postselected(self):
@@ -186,7 +186,7 @@ class TestBounds:
         previous = 0.0
         for n in range(2, 9):
             scn = wl.build_projector_chain(n, 1.0)
-            wv = wl.seq_weak_value(scn.initial, None, [step.observable for step in scn.steps])
+            wv = wl.seq_weak_value(scn.initial, None, scn.observables)
             expected = -((math.cos(math.pi / (n + 1))) ** (n + 1))
             assert wv == pytest.approx(expected, abs=1e-12)
             assert wv.real < previous
