@@ -52,7 +52,7 @@ from .pointer import PointerOperatorKind, _step_tables, check_widths
 VALUE_SPREAD_TOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchSpacePoint:
     """The initial state and each measured projector, as unit kets:
     ``state`` has shape (d,) and ``projector_kets`` (n, d)."""
@@ -66,7 +66,7 @@ class SearchSpacePoint:
         return state, projectors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizationResult:
     best_value: float
     best_point: SearchSpacePoint

@@ -5,7 +5,8 @@ validated numpy arrays, safe to share across threads. ``MixedState``,
 ``Observable`` and ``PovmElement`` share one checked-matrix base, which
 coerces to a square complex matrix, runs the subclass's stacked check
 (``check_densities``, ``check_observables`` or ``check_effects``) and
-freezes the array. Engines decompose observables as a stack
+freezes the array. They compare by identity: equality of their array
+fields could only raise. Engines decompose observables as a stack
 (``simulator.Scenario.spectrum``).
 """
 
@@ -83,7 +84,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector of dimension d >= 2."""
 
@@ -107,7 +108,7 @@ class PureState:
         return density
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _CheckedMatrix:
     """A square complex matrix that passed the subclass's stacked check,
     read-only after construction."""
@@ -129,21 +130,21 @@ class _CheckedMatrix:
 # Each subclass is decorated again: a frozen dataclass refuses assignment to
 # a new attribute only on instances of the class it decorated.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixedState(_CheckedMatrix):
     """Density matrix: Hermitian, positive semidefinite, unit trace."""
 
     _name, _check = "density matrix", staticmethod(check_densities)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable(_CheckedMatrix):
     """Hermitian matrix."""
 
     _name, _check = "observable", staticmethod(check_observables)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PovmElement(_CheckedMatrix):
     """Effect operator: Hermitian with spectrum in [0, 1]."""
 

@@ -95,10 +95,16 @@ def causal_witness(moment: float, hull: tuple[float, float], margin: float) -> C
 
     A value inside the hull proves nothing (both structures can produce
     it), so the only verdicts are "witnessed" and "inconclusive". The
-    margin guards against statistical noise in estimated moments.
+    margin guards against statistical noise in estimated moments. A margin
+    that is not >= 0, a moment or hull end that is not finite, and hull
+    ends out of order raise InputError: none of them has a verdict.
     """
-    if margin < 0:
+    if not margin >= 0:
         raise InputError(f"margin must be nonnegative, got {margin!r}")
     lo, hi = hull
+    if not all(map(math.isfinite, (moment, lo, hi))):
+        raise InputError(f"moment {moment!r} and hull ({lo!r}, {hi!r}) must be finite")
+    if lo > hi:
+        raise InputError(f"hull ends out of order: ({lo!r}, {hi!r})")
     outside = moment < lo - margin or moment > hi + margin
     return CausalStructure.DIRECT_CAUSE_WITNESSED if outside else CausalStructure.INCONCLUSIVE

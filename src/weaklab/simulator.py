@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -261,7 +261,7 @@ def _checked(traces) -> tuple[np.ndarray, np.ndarray]:
     return traces[..., :-1], probability
 
 
-def _chain(initial, bases, tables, effect=None) -> tuple[np.ndarray, np.ndarray]:
+def _chain(initial, bases, tables, effect) -> tuple[np.ndarray, np.ndarray]:
     """Tr(E T_n(... T_1(rho))) for each chain of a stack, the forward pass
     closed by the effect: T_j(X) = sum_kl F[k, l] P_k X P_l, with P_k the
     eigenprojectors of ``bases[..., j, :, :]`` and F the matching table of
@@ -314,9 +314,9 @@ def _pattern_tables(eigenvalues, widths, pat: MomentPattern, exact: bool = True)
     return tables[..., np.arange(n)[:, np.newaxis], picks, :, :]
 
 
-def _moment(scn: Scenario, widths: np.ndarray, pat: MomentPattern, exact: bool) -> MomentResult:
+def _moment(scn: Scenario, pat: MomentPattern, exact: bool) -> MomentResult:
     eigenvalues, bases = scn.spectrum
-    tables = _pattern_tables(eigenvalues, widths, pat, exact)
+    tables = _pattern_tables(eigenvalues, scn.widths, pat, exact)
     value, probability = _moments(scn.initial.matrix, bases, tables, scn.effect)
     return MomentResult(float(value), float(probability))
 
@@ -331,7 +331,7 @@ def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     Supports all five readout kinds. Normalization uses the exact
     post-selection probability Tr(eta), not its weak-limit stand-in.
     """
-    return _moment(scn, scn.widths, pat, exact=True)
+    return _moment(scn, pat, exact=True)
 
 
 @np.errstate(all="ignore")
@@ -371,7 +371,7 @@ def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
     position or momentum. Each momentum slot carries a factor
     1/(2 sigma^2); the result is normalized by Tr(E rho).
     """
-    return _moment(scn, scn.widths, pat, exact=False)
+    return _moment(scn, pat, exact=False)
 
 
 @np.errstate(all="ignore")
@@ -404,9 +404,9 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
     O(n d^3 + G d^2). The grid runs in chunks, to bound memory, through the
     engines' own checks. A run of points that fails one is halved, first
     half first; a single point that fails reruns alone through both
-    engines, with that width in a copy of the scenario's widths, so the
-    error is the one a loop over the widths meets first; a point that
-    passes alone keeps the values it gets there."""
+    engines, in a copy of the scenario with that width, which ``Scenario``
+    checks, so the error is the one a loop over the widths meets first; a
+    point that passes alone keeps the values it gets there."""
     eigenvalues, bases = scn.spectrum
     turns, unswept = _turns(bases), np.arange(scn.n_steps) != index
     values, passes = np.empty((2, len(widths))), []
@@ -434,9 +434,8 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
         except WeakLabError:
             pass
         if stop - start == 1:
-            check_widths(widths[start])
-            varied = np.where(unswept, scn.widths, widths[start])
-            values[:, start] = _moment(scn, varied, pat, exact=True).value, _moment(scn, varied, pat, exact=False).value
+            varied = replace(scn, widths=np.where(unswept, scn.widths, widths[start]))
+            values[:, start] = _moment(varied, pat, exact=True).value, _moment(varied, pat, exact=False).value
         else:
             fill(start, (start + stop) // 2)
             fill((start + stop) // 2, stop)
@@ -491,17 +490,14 @@ def recover_weak_value(scn: Scenario, exact: bool = True) -> complex:
 
 @dataclass(frozen=True)
 class SampleStatistics:
-    """Bookkeeping for one sampling run.
-
-    Every draw is kept, so ``acceptance_rate`` is always 1.0 and
-    ``method`` always reads "sequential".
-    """
+    """Bookkeeping for one sampling run."""
 
     requested_shots: int
     retained_shots: int
     postselection_probability: float
-    acceptance_rate: float
-    method: str
+    # Every draw is kept, so these are constants, not fields.
+    acceptance_rate = 1.0
+    method = "sequential"
 
 
 # Table entries, shots times d, that one block of ``sample_outcomes`` works
@@ -655,7 +651,7 @@ def sample_outcomes(
             ket *= effect @ ket
             np.less(uniforms[span], ket.sum(axis=0), out=kept[span])
         rows = rows[:, kept]
-    stats = SampleStatistics(shots, rows.shape[1], probability, acceptance_rate=1.0, method="sequential")
+    stats = SampleStatistics(shots, rows.shape[1], probability)
     # Row j holds every shot's reading of pointer j; the (shots, n) view of
     # the rows lets a product over each shot's readings run row by row.
     return rows.T, stats

@@ -9,13 +9,11 @@ projectors its real part can reach, but never beat, -1/8.
 
 One stacked kernel, ``sequence_traces``, forms the numerator for a single
 instance and for the stacks of the ``bounds`` suites alike;
-``seq_weak_value`` checks one instance, given as a list of observables
-or their stack, and returns its complex weak value.
+``seq_weak_value`` checks one instance, given as a stack of observables,
+and returns its complex weak value.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -52,36 +50,28 @@ def check_probability(probability) -> None:
         )
 
 
-def seq_weak_value(
-    rho: qm.MixedState,
-    post: qm.PovmElement | None,
-    observables: Iterable[qm.Observable] | np.ndarray,
-) -> complex:
-    """Sequential weak value Tr(E A_n ... A_1 rho) / Tr(E rho) of the
-    observables, first measured first: Observables, or a stack (n, d, d)
-    of Hermitian matrices, which it does not check, as
-    ``Scenario.observables`` holds them.
+def seq_weak_value(rho: qm.MixedState, post: qm.PovmElement | None, observables: np.ndarray) -> complex:
+    """Sequential weak value Tr(E A_n ... A_1 rho) / Tr(E rho) of a stack
+    (n, d, d) of Hermitian matrices, first measured first, which it does
+    not check, as ``Scenario.observables`` holds them.
 
     ``post=None`` means E = identity: the denominator is 1 and nothing is
     discarded. Raises ZeroPostSelectionProbability when Tr(E rho) is below
     threshold; the value is undefined there, not merely large.
     """
-    if not isinstance(observables, np.ndarray):
-        observables = [obs.matrix for obs in observables]
     if not len(observables):
         raise InputError("a measurement sequence needs at least one observable")
-    dims = sorted({len(matrix) for matrix in observables})
-    if dims != [rho.dim]:
-        raise DimensionMismatch(f"sequence dimensions {dims} != state dimension {rho.dim}")
-    stack = np.asarray(observables)
+    d = rho.dim
+    if observables.shape[1:] != (d, d):
+        raise DimensionMismatch(f"observables of shape {observables.shape} are not (n, {d}, {d}) for state dimension {d}")
     if post is None:
-        return complex(sequence_traces(rho.matrix, stack))
-    if post.dim != rho.dim:
-        raise DimensionMismatch(f"post-selection dimension {post.dim} != state dimension {rho.dim}")
+        return complex(sequence_traces(rho.matrix, observables))
+    if post.dim != d:
+        raise DimensionMismatch(f"post-selection dimension {post.dim} != state dimension {d}")
     # Tr(E rho) is real for Hermitian E, rho; drop the float residue.
     probability = float(np.trace(post.matrix @ rho.matrix).real)
     check_probability(probability)
-    return complex(sequence_traces(rho.matrix, stack, post.matrix)) / probability
+    return complex(sequence_traces(rho.matrix, observables, post.matrix)) / probability
 
 
 def norm_products(observables: np.ndarray) -> np.ndarray:

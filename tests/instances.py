@@ -32,6 +32,11 @@ def spectral_norm(obs):
     return float(np.max(np.abs(np.linalg.eigh(obs.matrix)[0])))
 
 
+def stack(observables):
+    """Observables as the (n, d, d) stack that ``seq_weak_value`` reads."""
+    return np.array([obs.matrix for obs in observables])
+
+
 def ordered_trace(rho, observables, post=None):
     """Tr(E A_n ... A_1 rho) of one instance, first-measured observable
     rightmost, E = identity when ``post`` is None."""

@@ -1,0 +1,173 @@
+"""Kept mutants that the test suite must kill.
+
+Each mutant puts one small fault into a copy of ``src/``: an exact
+snippet of one file, which must occur there exactly once, and its
+replacement. The tests it names must then fail. The runner first runs
+every named test on ``src/`` itself, where all must pass; then, per
+mutant, it copies ``src/`` to a temporary directory, applies the
+replacement and runs the mutant's tests against the copy. A mutant whose
+tests all pass survives. A known gap is a mutant that the suite cannot
+kill yet, named with the ROADMAP item that closes it.
+
+Run from the repository root, for every mutant or for those whose name
+contains one of the arguments:
+
+    python tests/mutants.py
+    python tests/mutants.py conj overlap
+
+The exit status is 1 when a snippet does not match exactly once, when a
+named test fails unmutated, or when a mutant that is not a known gap
+survives. Standard library only; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # under src/weaklab
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+    gap: str | None = None  # the ROADMAP item that closes a known gap
+
+
+MUTANTS = (
+    Mutant(
+        "momentum-sign",
+        "pointer.py",
+        "return -0.25j * gap / s2",
+        "return 0.25j * gap / s2",
+        ("tests/test_pointer.py::TestMatrixElement",),
+    ),
+    Mutant(
+        "overlap-exponent-4",
+        "pointer.py",
+        "np.exp(gap * gap / (-8.0 * s2))",
+        "np.exp(gap * gap / (-4.0 * s2))",
+        ("tests/test_pointer.py::TestMatrixElement",),
+    ),
+    Mutant(
+        "widest-width-refused",
+        "pointer.py",
+        "(sigmas <= _WIDEST)",
+        "(sigmas < _WIDEST)",
+        ("tests/test_pointer.py::TestWidthArrays",),
+    ),
+    Mutant(
+        "backward-table-unconjugated",
+        "simulator.py",
+        "(effect * tables[..., j, :, :, :].conj())",
+        "(effect * tables[..., j, :, :, :])",
+        ("tests/test_simulator.py::TestSweepMoments",),
+    ),
+    Mutant(
+        "sweep-placeholder-width",
+        "simulator.py",
+        "_pattern_tables(eigenvalues, np.where(unswept, scn.widths, 1.0), pat, exact)",
+        "_pattern_tables(eigenvalues, scn.widths, pat, exact)",
+        ("tests/test_cli.py::TestSweepAgainstPerPointLoop::test_swept_width_underflow_stays_on_the_fast_path",),
+    ),
+    Mutant(
+        "residue-scale-one",
+        "simulator.py",
+        "np.fmax(1.0, peak / probability)",
+        "np.fmax(1.0, 0.0 * peak / probability)",
+        ("tests/test_simulator.py::TestExactEngine::test_wide_squared_readouts_are_finite",),
+    ),
+    Mutant(
+        "sampler-slot-2-noise-wide",
+        "simulator.py",
+        "_read_pointer(rng, turn @ block if j else block,",
+        "_read_pointer(rng if j != 1 else type('Wide', (), {'standard_normal': "
+        "lambda _, size: 1.02 * rng.standard_normal(size)})(), turn @ block if j else block,",
+        # The sampler's checks against the exact engine; a pinned stream
+        # digest fails on any change to the draws, right or wrong.
+        tuple(
+            f"tests/test_simulator.py::TestSampler::{name}"
+            for name in (
+                "test_eigenstate_single_measurement",
+                "test_illustrative_product_matches_exact",
+                "test_postselection_retention",
+                "test_three_step_chain_sampling",
+                "test_random_scenarios_match_exact",
+                "test_six_step_chain_sampling",
+            )
+        ),
+        gap="item 9 (the sampler against the exact marginal CDF)",
+    ),
+)
+
+
+def copy_source(into: Path) -> Path:
+    source = into / "src"
+    shutil.copytree(ROOT / "src", source, ignore=shutil.ignore_patterns("__pycache__"))
+    return source
+
+
+def mutated_text(source: Path, mutant: Mutant) -> str:
+    """The mutant's file under ``source`` with its snippet replaced."""
+    text = (source / "weaklab" / mutant.path).read_text(encoding="utf-8")
+    count = text.count(mutant.snippet)
+    if count != 1:
+        raise SystemExit(f"mutant {mutant.name}: snippet occurs {count} times in {mutant.path}, not once")
+    return text.replace(mutant.snippet, mutant.replacement)
+
+
+def run_tests(source: Path, tests) -> tuple[int, str]:
+    """pytest's exit code for ``tests`` against the package in ``source``,
+    whose ``pythonpath`` option replaces the project's ``src``, and the
+    first test that failed, if any. A run past ``TIMEOUT_S`` counts as
+    failed: a mutant that hangs the tests is caught."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(source))
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-o", f"pythonpath={source}", *tests]
+    try:
+        done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return -1, f"a run over {TIMEOUT_S} s"
+    failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return done.returncode, (failed or [""])[0]
+
+
+def main(names: list[str]) -> int:
+    started = time.perf_counter()
+    chosen = [m for m in MUTANTS if not names or any(name in m.name for name in names)]
+    for mutant in chosen:
+        mutated_text(ROOT / "src", mutant)
+    tests = list(dict.fromkeys(test for mutant in chosen for test in mutant.tests))
+    code, failed = run_tests(ROOT / "src", tests)
+    if code:
+        print(f"the named tests fail unmutated (pytest exit code {code}): {failed or ' '.join(tests)}")
+        return 1
+    unexpected = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for mutant in chosen:
+            clock = time.perf_counter()
+            mutated = copy_source(Path(scratch) / mutant.name)
+            (mutated / "weaklab" / mutant.path).write_text(mutated_text(mutated, mutant), encoding="utf-8")
+            code, failed = run_tests(mutated, mutant.tests)
+            verdict = f"killed by {failed or f'pytest exit code {code}'}" if code else "SURVIVED"
+            if not code and mutant.gap:
+                verdict += f", a known gap that {mutant.gap} closes"
+            elif not code:
+                unexpected.append(mutant.name)
+            print(f"{mutant.name} ({time.perf_counter() - clock:.1f} s): {verdict}")
+    print(f"{len(chosen)} mutants, {len(unexpected)} unexpected survivors, {time.perf_counter() - started:.1f} s wall")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

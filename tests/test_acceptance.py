@@ -14,7 +14,7 @@ import pytest
 import weaklab as wl
 from weaklab.pointer import PointerOperatorKind
 
-from instances import norm_product_bound, random_density, random_ket, random_observable
+from instances import norm_product_bound, random_density, random_ket, random_observable, stack
 
 X = PointerOperatorKind.POSITION
 P = PointerOperatorKind.MOMENTUM
@@ -146,7 +146,7 @@ def test_criterion_6_bound_suites():
         d = 2 + index % 2
         psi = random_ket(rng, d)
         pair = [random_projector(rng, d), random_projector(rng, d)]
-        worst_pair = min(worst_pair, wl.seq_weak_value(psi.to_density(), None, pair).real)
+        worst_pair = min(worst_pair, wl.seq_weak_value(psi.to_density(), None, stack(pair)).real)
 
     worst_excess = -math.inf
     seq_trials = 10_000
@@ -155,7 +155,7 @@ def test_criterion_6_bound_suites():
         n = int(rng.integers(1, 6))
         rho = random_density(rng, d)
         seq = [random_observable(rng, d) for _ in range(n)]
-        excess = abs(wl.seq_weak_value(rho, None, seq)) - norm_product_bound(seq)
+        excess = abs(wl.seq_weak_value(rho, None, stack(seq))) - norm_product_bound(seq)
         worst_excess = max(worst_excess, excess)
 
     elapsed = time.perf_counter() - started

@@ -2,14 +2,18 @@
 is read by the program, a demo or the benchmark, and every defaulted
 parameter of its functions is passed there; no module imports a name it
 never reads, every private top-level name is read in the package, each
-closing tolerance is read in one function, and importing the CLI pulls
-in no dependency beyond numpy and builds no parser."""
+closing tolerance is read in one function, the value types that hold
+arrays compare by identity, and importing the CLI pulls in no dependency
+beyond numpy and builds no parser."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import weaklab as wl
 from weaklab import errors
@@ -197,6 +201,25 @@ def test_every_public_default_is_passed_outside_the_tests(tmp_path):
     assert unpassed_defaults(modules, wl.__all__, callers) == []
     (tmp_path / "knob.py").write_text("def f(x, used=1, unused=2):\n    return f(x, used=0)\n")
     assert unpassed_defaults([tmp_path / "knob.py"], ["f"], [tmp_path / "knob.py"]) == ["f.unused"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: wl.PureState(np.array([1.0, 0.0])),
+        lambda: wl.MixedState(np.eye(2) / 2),
+        lambda: wl.Observable(np.diag([1.0, -1.0])),
+        lambda: wl.PovmElement(np.eye(2)),
+        lambda: wl.SearchSpacePoint(np.array([1.0, 0.0]), np.array([[0.0, 1.0]])),
+        lambda: wl.OptimizationResult(-0.125, wl.SearchSpacePoint(np.ones(2), np.ones((1, 2))), 7, ((7, -0.125),)),
+    ],
+    ids=["PureState", "MixedState", "Observable", "PovmElement", "SearchSpacePoint", "OptimizationResult"],
+)
+def test_array_holding_values_compare_by_identity(make):
+    # Field equality on arrays could only raise ValueError, and a field hash TypeError.
+    first, second = make(), make()
+    assert first == first and not first == second and first != second
+    assert len({first, second, first}) == 2
 
 
 def test_cli_import_leaves_scipy_out():

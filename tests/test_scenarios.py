@@ -159,9 +159,23 @@ class TestCausalWitness:
     def test_margin_absorbs_noise(self):
         assert wl.causal_witness(-0.005, (0.0, 1.0), 0.01) is wl.CausalStructure.INCONCLUSIVE
 
-    def test_negative_margin_rejected(self):
+    @pytest.mark.parametrize(
+        "moment, hull, margin",
+        [
+            (0.0, (0.0, 1.0), -0.1),
+            (-0.5, (0.0, 1.0), math.nan),
+            (math.nan, (0.0, 1.0), 0.0),
+            (-math.inf, (0.0, 1.0), 0.0),
+            (0.5, (math.nan, 1.0), 0.0),
+            (0.5, (0.0, math.inf), 0.0),
+            (0.5, (1.0, 0.0), 0.0),
+        ],
+        ids=["negative-margin", "nan-margin", "nan-moment", "inf-moment", "nan-hull", "inf-hull", "reversed-hull"],
+    )
+    def test_negative_margin_rejected(self, moment, hull, margin):
+        # Each would otherwise read INCONCLUSIVE, or witness an empty hull.
         with pytest.raises(InputError):
-            wl.causal_witness(0.0, (0.0, 1.0), -0.1)
+            wl.causal_witness(moment, hull, margin)
 
     def test_never_witnesses_common_cause(self):
         rng = np.random.default_rng(29)

@@ -781,6 +781,39 @@ class TestStackedChain:
         assert probability.tolist() == [0.5, 1.0, 1.0, 1.0]
 
 
+def chain_peak(scn, pattern, exact):
+    """prod_j max|F_j| over the pattern's tables, with the overlap dropped
+    unless ``exact``: the size of the chain's terms, which the engine's
+    imaginary-residue check also reads."""
+    peak = 1.0
+    for sigma, kind, a in zip(scn.widths.tolist(), pattern.kinds, scn.spectrum[0]):
+        left, right = a[np.newaxis, :], a[:, np.newaxis]
+        table = matrix_element(sigma, kind, left, right)
+        if not exact:
+            table = table / matrix_element(sigma, I, left, right)
+        peak *= float(np.abs(table).max())
+    return peak
+
+
+class TestSweepMoments:
+    def test_one_point_at_each_step_matches_both_engines(self):
+        # Swept at its own width, step j reads the backward pass's effect,
+        # which carries the conjugates of the later tables: a p slot after j
+        # has a complex one.
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            d, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            scn = random_scenario(rng, d, n, with_post=trial % 2 == 1)
+            pattern = wl.MomentPattern.from_string("".join(rng.choice(list("ixp"), size=n)))
+            engines = ((wl.exact_moment, True), (wl.weak_prediction, False))
+            for j in range(n):
+                swept = simulator.sweep_moments(scn, pattern, j, scn.widths[j:j + 1])
+                for got, (engine, exact) in zip(swept, engines):
+                    want = engine(scn, pattern)
+                    scale = max(1.0, chain_peak(scn, pattern, exact) / want.postselection_probability)
+                    assert abs(got[0] - want.value) <= 1e-12 * scale, (trial, str(pattern), j, exact)
+
+
 @st.composite
 def random_cases(draw, with_post):
     """A scenario with d 2-4, n 1-4, widths log-uniform in [0.3, 300] and
@@ -798,15 +831,6 @@ def random_cases(draw, with_post):
     return wl.Scenario(random_density(rng, d), observables, widths, post), pattern
 
 
-def term_scale(scn, pattern):
-    """max(1, prod_j max|F_j|): the size of the chain's terms, which the
-    engine's imaginary-residue check also uses."""
-    scale = 1.0
-    for sigma, kind, a in zip(scn.widths.tolist(), pattern.kinds, scn.spectrum[0]):
-        scale *= np.abs(matrix_element(sigma, kind, a[np.newaxis, :], a[:, np.newaxis])).max()
-    return max(1.0, scale)
-
-
 class TestEngineProperties:
     @given(random_cases(with_post=False))
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -816,7 +840,7 @@ class TestEngineProperties:
         identity = wl.exact_moment(dataclasses.replace(scn, post=wl.PovmElement(np.eye(scn.dim))), pattern)
         # Cancellation can leave the value far below its terms, so the
         # difference is measured against the terms, not the value.
-        assert abs(identity.value - plain.value) <= 1e-12 * term_scale(scn, pattern)
+        assert abs(identity.value - plain.value) <= 1e-12 * max(1.0, chain_peak(scn, pattern, exact=True))
         assert abs(identity.postselection_probability - plain.postselection_probability) <= 1e-12
 
     @given(random_cases(with_post=True))

@@ -8,7 +8,7 @@ import weaklab as wl
 from weaklab.errors import DimensionMismatch, InputError, ZeroPostSelectionProbability
 from weaklab.weak_values import PROJECTOR_PAIR_FLOOR, check_probability, norm_products, sequence_traces
 
-from instances import norm_product_bound, ordered_trace, random_density, random_ket, random_observable
+from instances import norm_product_bound, ordered_trace, random_density, random_ket, random_observable, stack
 
 KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
 SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
@@ -30,26 +30,31 @@ def product_hull(observables):
 
 def norm_product(observables):
     """``norm_products`` of one sequence."""
-    return float(norm_products(np.array([[obs.matrix for obs in observables]]))[0])
+    return float(norm_products(stack(observables)))
 
 
 def pair_value(psi, first, second):
     """Re <psi| second first |psi>, the no-post-selection weak value of a pair."""
-    return wl.seq_weak_value(psi.to_density(), None, [first, second]).real
+    return wl.seq_weak_value(psi.to_density(), None, stack([first, second])).real
 
 
 class TestSequence:
     def test_empty_rejected(self):
         with pytest.raises(InputError, match="needs at least one observable"):
-            wl.seq_weak_value(wl.KET_0.to_density(), None, [])
+            wl.seq_weak_value(wl.KET_0.to_density(), None, np.empty((0, 2, 2)))
 
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            wl.seq_weak_value(wl.KET_0.to_density(), None, [SIGMA_Z, wl.Observable(np.eye(3))])
+    @pytest.mark.parametrize(
+        "observables",
+        [np.eye(2), np.zeros((1, 2, 3)), np.array([np.eye(3)])],
+        ids=["one-matrix-unstacked", "not-square", "wrong-dimension"],
+    )
+    def test_wrong_shape_stack_rejected(self, observables):
+        with pytest.raises(DimensionMismatch, match=r"are not \(n, 2, 2\)"):
+            wl.seq_weak_value(wl.KET_0.to_density(), None, observables)
 
     def test_effect_dimension_rejected(self):
         with pytest.raises(DimensionMismatch, match="post-selection dimension 3"):
-            wl.seq_weak_value(wl.KET_0.to_density(), wl.PovmElement(np.eye(3)), [SIGMA_Z])
+            wl.seq_weak_value(wl.KET_0.to_density(), wl.PovmElement(np.eye(3)), stack([SIGMA_Z]))
 
     def test_ordered_product_order(self):
         # Tr(E X Y rho), not Tr(E Y X rho): the first observable acts first.
@@ -63,12 +68,12 @@ class TestSequence:
 class TestSeqWeakValues:
     def test_illustrative_pair_value(self):
         first, second = illustrative_pair()
-        wv = wl.seq_weak_value(wl.KET_0.to_density(), None, [first, second])
+        wv = wl.seq_weak_value(wl.KET_0.to_density(), None, stack([first, second]))
         assert wv == pytest.approx(-0.125, abs=1e-15)
         assert type(wv) is complex
 
     def test_pauli_pair_imaginary(self):
-        wv = wl.seq_weak_value(wl.KET_0.to_density(), None, [wl.SIGMA_Y, wl.SIGMA_X])
+        wv = wl.seq_weak_value(wl.KET_0.to_density(), None, stack([wl.SIGMA_Y, wl.SIGMA_X]))
         assert wv == pytest.approx(1.0j, abs=1e-15)
 
     def test_chain_of_two(self):
@@ -78,7 +83,7 @@ class TestSeqWeakValues:
 
     def test_single_observable_postselected(self):
         post = wl.PovmElement(np.diag([1.0, 0.0]))
-        wv = wl.seq_weak_value(KET_PLUS.to_density(), post, [SIGMA_Z])
+        wv = wl.seq_weak_value(KET_PLUS.to_density(), post, stack([SIGMA_Z]))
         assert wv == pytest.approx(1.0)
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
@@ -86,24 +91,24 @@ class TestSeqWeakValues:
         vec = np.array([eps, 1.0])
         psi = wl.PureState(vec / np.linalg.norm(vec))
         post = wl.PovmElement(np.diag([1.0, 0.0]))
-        wv = wl.seq_weak_value(psi.to_density(), post, [wl.SIGMA_X])
+        wv = wl.seq_weak_value(psi.to_density(), post, stack([wl.SIGMA_X]))
         assert wv == pytest.approx(1.0 / eps, rel=1e-9)
 
     def test_orthogonal_postselection_rejected(self):
         post = wl.PovmElement(np.diag([0.0, 1.0]))
         with pytest.raises(ZeroPostSelectionProbability):
-            wl.seq_weak_value(wl.KET_0.to_density(), post, [wl.SIGMA_X])
+            wl.seq_weak_value(wl.KET_0.to_density(), post, stack([wl.SIGMA_X]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            wl.seq_weak_value(wl.MixedState(np.eye(3) / 3.0), None, [SIGMA_Z])
+            wl.seq_weak_value(wl.MixedState(np.eye(3) / 3.0), None, stack([SIGMA_Z]))
 
     def test_no_postselection_value_is_expectation_in_spectrum(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             obs = random_observable(rng, 3)
             rho = random_density(rng, 3)
-            wv = wl.seq_weak_value(rho, None, [obs])
+            wv = wl.seq_weak_value(rho, None, stack([obs]))
             assert abs(wv.imag) < 1e-12
             expectation = np.trace(obs.matrix @ rho.matrix).real
             assert wv.real == pytest.approx(expectation, abs=1e-12)
@@ -120,7 +125,7 @@ class TestBounds:
         seq = [wl.SIGMA_Y, wl.SIGMA_X]
         bound = norm_product(seq)
         assert bound == pytest.approx(1.0)
-        wv = wl.seq_weak_value(wl.KET_0.to_density(), None, seq)
+        wv = wl.seq_weak_value(wl.KET_0.to_density(), None, stack(seq))
         assert abs(wv) == pytest.approx(bound)
 
     def test_scaled_paulis(self):
@@ -134,7 +139,7 @@ class TestBounds:
             n = int(rng.integers(1, 6))
             rho = random_density(rng, d)
             seq = [random_observable(rng, d) for _ in range(n)]
-            wv = wl.seq_weak_value(rho, None, seq)
+            wv = wl.seq_weak_value(rho, None, stack(seq))
             assert abs(wv) <= norm_product(seq) + 1e-12
 
     def test_linearity_in_preparation(self):
@@ -144,8 +149,8 @@ class TestBounds:
             kets = [random_ket(rng, 3) for _ in range(3)]
             q = rng.dirichlet(np.ones(3))
             mixed = wl.MixedState(sum(w * k.to_density().matrix for w, k in zip(q, kets)))
-            direct = wl.seq_weak_value(mixed, None, seq)
-            combined = sum(w * wl.seq_weak_value(k.to_density(), None, seq) for w, k in zip(q, kets))
+            direct = wl.seq_weak_value(mixed, None, stack(seq))
+            combined = sum(w * wl.seq_weak_value(k.to_density(), None, stack(seq)) for w, k in zip(q, kets))
             assert direct == pytest.approx(combined, abs=1e-12)
 
     def test_reselection_matches_no_postselection(self):
@@ -153,8 +158,8 @@ class TestBounds:
         for _ in range(20):
             psi = random_ket(rng, 3)
             seq = [random_observable(rng, 3) for _ in range(2)]
-            no_post = wl.seq_weak_value(psi.to_density(), None, seq)
-            reselect = wl.seq_weak_value(psi.to_density(), wl.PovmElement(psi.to_density().matrix), seq)
+            no_post = wl.seq_weak_value(psi.to_density(), None, stack(seq))
+            reselect = wl.seq_weak_value(psi.to_density(), wl.PovmElement(psi.to_density().matrix), stack(seq))
             assert no_post == pytest.approx(reselect, abs=1e-12)
 
     def test_commuting_sequence_stays_in_hull(self):
@@ -167,7 +172,7 @@ class TestBounds:
                 for _ in range(3)
             ]
             rho = random_density(rng, 3)
-            wv = wl.seq_weak_value(rho, None, observables)
+            wv = wl.seq_weak_value(rho, None, stack(observables))
             lo, hi = product_hull(observables)
             assert lo - 1e-12 <= wv.real <= hi + 1e-12
 
@@ -179,7 +184,7 @@ class TestBounds:
                 basis = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
                 pair.append(wl.Observable(basis @ np.diag([1.0, -1.0]) @ basis.conj().T))
             psi = random_ket(rng, 2)
-            wv = wl.seq_weak_value(psi.to_density(), None, pair)
+            wv = wl.seq_weak_value(psi.to_density(), None, stack(pair))
             assert abs(wv) <= 1.0 + 1e-12
 
     def test_chain_closed_form_and_monotonicity(self):
