@@ -89,6 +89,13 @@ MUTANTS = (
         ("tests/test_simulator.py::TestExactEngine::test_wide_squared_readouts_are_finite",),
     ),
     Mutant(
+        "proposal-taken-when-higher",
+        "optimize.py",
+        "taken = crawling & (values[count:, 0] < values[:count, 0])",
+        "taken = crawling",
+        ("tests/test_optimize.py::TestSeeSaw::test_no_block_update_raises_the_value",),
+    ),
+    Mutant(
         "sampler-slot-2-noise-wide",
         "simulator.py",
         "_read_pointer(rng, turn @ block if j else block,",

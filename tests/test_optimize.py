@@ -190,7 +190,9 @@ class TestSeeSaw:
     @example(objective="finite-sigma", n=3, d=2, seed=0, sigma=1e-160)
     def test_no_block_update_raises_the_value(self, objective, n, d, seed, sigma):
         # Every value a sweep yields is the objective at the updated point,
-        # and none is above the value before its update.
+        # and none is above the value before its update. The first sweep
+        # runs alone, the later ones with random kets proposed on random
+        # rows, which psi's update takes only where they are lower.
         rng = np.random.default_rng(seed)
         kets = random_kets(rng, 3, n, d)
         states = random_kets(rng, 3, d)
@@ -198,13 +200,14 @@ class TestSeeSaw:
             with np.errstate(over="ignore"):
                 overlap = float(np.exp(-1.0 / (8.0 * np.float64(sigma) ** 2)))
             operator = lambda k: finite_sigma_operator(k, sigma)
-            sweep = lambda: optimize._pointer_sweep(kets, states, overlap)
+            sweep = lambda proposal: optimize._pointer_sweep(kets, states, overlap, proposal=proposal)
         else:
             operator = {"product": pointer_product_operator, "weak-value": weak_value_operator}[objective]
-            sweep = lambda: SWEEPS[objective](kets, states)
+            sweep = lambda proposal: SWEEPS[objective](kets, states, proposal=proposal)
         previous = [expectation(operator(k), s) for k, s in zip(kets, states)]
-        for _ in range(3):
-            for value in sweep():
+        proposals = [None] + [(rng.random(3) < 0.5, random_kets(rng, 3, n, d)) for _ in range(2)]
+        for proposal in proposals:
+            for value in sweep(proposal):
                 attained = [expectation(operator(k), s) for k, s in zip(kets, states)]
                 assert np.abs(value - attained).max() <= 1e-12
                 assert (value <= np.array(previous) + 1e-14).all()
@@ -363,6 +366,34 @@ class TestPointerProductSearch:
         scn = wl.Scenario(state.to_density(), steps=[wl.MeasurementStep(a, wl.GaussianPointer(sigma)) for a in projectors])
         assert wl.exact_moment(scn, wl.MomentPattern.all_position(2)).value == pytest.approx(floor, rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_longer_chains_reach_the_two_step_floor(self, n, sigma):
+        # The floor is proven at n = 2 only. That longer chains reach it and
+        # go no lower is a conjecture, which these searches support.
+        result = wl.minimize_pointer_product(n=n, d=2, restarts=16, seed=1, budget=40_000, sigma=sigma)
+        floor = self.two_step_floor(math.exp(-1.0 / (8.0 * sigma**2)))
+        assert result.best_value == pytest.approx(floor, rel=0, abs=1e-9)
+
+    # Evaluations that 16 restarts at n = 3 needed to reach the floor without
+    # proposals, where wide pointers make the see-saw crawl.
+    @pytest.mark.parametrize("sigma,crawling", [(2.0, 5_908), (4.0, 20_104)])
+    def test_wide_pointers_need_half_the_crawling_evaluations(self, sigma, crawling):
+        search = lambda: wl.minimize_pointer_product(n=3, d=2, restarts=16, seed=1, budget=40_000, sigma=sigma)
+        result = search()
+        floor = self.two_step_floor(math.exp(-1.0 / (8.0 * sigma**2)))
+        assert result.best_value == pytest.approx(floor, rel=0, abs=1e-12)
+        assert result.evaluations <= crawling // 2
+        # the count repeats exactly for a seed
+        assert search().evaluations == result.evaluations
+
+    def test_weak_limit_tail_at_five_steps(self):
+        # Without proposals, restarts that crawl along the flat set of optima
+        # made the worst of these seeds use 1,266 evaluations.
+        for seed in range(20):
+            result = wl.minimize_pointer_product(n=5, d=2, restarts=4, seed=seed, budget=1600)
+            assert result.evaluations <= 600, f"seed {seed} used {result.evaluations} evaluations"
+
     def test_projective_limit_shows_no_anomaly(self):
         # A narrow pointer measures projectively, so the positions are the
         # eigenvalues 0 and 1 and their mean product cannot be negative.
@@ -388,18 +419,33 @@ class TestPointerProductSearch:
         "n,d,restarts", [(2, 2, 400), (5, 2, 100), (2, 5, 60), (3, 8, 10), (2, 2, 1), (20, 2, 16), (8, 6, 16)]
     )
     def test_peak_memory_within_footprint(self, search, n, d, restarts):
-        minimize = SEARCHES[search]
         # several full sweeps, through the finite-width circle updates too
-        budget = 4 * (n + 1)
+        peak = self.peak_memory(SEARCHES[search], n, d, restarts, 4 * (n + 1))
+        assert peak <= optimize._search_footprint(n, d, restarts)
+
+    @pytest.mark.parametrize(
+        "sigma,n,restarts,budget", [(4.0, 3, 16, 2000), (4.0, 3, 400, 400), (4.0, 20, 16, 2000), (None, 5, 100, 1600)]
+    )
+    def test_peak_memory_within_footprint_while_proposing(self, monkeypatch, sigma, n, restarts, budget):
+        # crawling restarts hold proposed kets and their environments too
+        proposals = []
+        extrapolate = optimize._extrapolate
+        monkeypatch.setattr(optimize, "_extrapolate", lambda *args: proposals.append(1) or extrapolate(*args))
+        minimize = functools.partial(wl.minimize_pointer_product, sigma=sigma)
+        assert self.peak_memory(minimize, n, 2, restarts, budget) <= optimize._search_footprint(n, 2, restarts)
+        assert proposals
+
+    @staticmethod
+    def peak_memory(minimize, n, d, restarts, budget):
+        """The tracemalloc peak of one search, in bytes."""
         # numpy imports parts of itself on first use; that is not the search's memory
         minimize(n=n, d=d, restarts=1, seed=0, budget=budget)
         tracemalloc.start()
         try:
             minimize(n=n, d=d, restarts=restarts, seed=0, budget=budget)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= optimize._search_footprint(n, d, restarts)
 
     def test_see_saw_footprint_is_linear(self):
         # grows as n d^2 restarts
