@@ -25,7 +25,7 @@ print("common-cause runs (random shared states and projector axes):")
 rng = np.random.default_rng(4)
 for trial in range(5):
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    shared = wl.PureState(vec / np.linalg.norm(vec))
+    shared = vec / np.linalg.norm(vec)
     axis_a = rng.uniform(0.0, math.pi)
     axis_b = rng.uniform(0.0, math.pi)
     scn = wl.build_common_cause(
@@ -40,11 +40,18 @@ for trial in range(5):
     print(f"  trial {trial}: mean x1*x2 = {moment:+.6f} -> {verdict.value}")
 
 print()
-print("direct-cause run (sequential measurement of the same qubit):")
-scn = wl.build_illustrative(100.0, 1.0)
-moment = wl.exact_moment(scn, pattern).value
-verdict = wl.causal_witness(moment, hull, margin)
-print(f"  mean x1*x2 = {moment:+.6f} -> {verdict.value}")
+print("direct-cause runs (sequential measurement of the same qubit), with the")
+print("shots a 3-sigma witness needs, N = 9 (<XX> - <xx>^2) / <xx>^2:")
+# The last pointer need not be weak: a narrow one keeps the anomaly and
+# cuts the readout noise that sets N.
+for sigma1, sigma2 in ((100.0, 1.0), (1.0, 0.001)):
+    scn = wl.build_illustrative(sigma1, sigma2)
+    moment = wl.exact_moment(scn, pattern).value
+    square = wl.exact_moment(scn, wl.MomentPattern.from_string("XX")).value
+    shots = 9.0 * (square - moment**2) / moment**2
+    verdict = wl.causal_witness(moment, hull, margin)
+    print(f"  sigma = ({sigma1:g}, {sigma2:g}): mean x1*x2 = {moment:+.6f} -> {verdict.value}, "
+          f"N = {shots:,.0f} shots")
 print()
 print("Inside the hull the witness stays silent (a direct cause can mimic")
 print("a common cause); only an escape from the hull is conclusive.")

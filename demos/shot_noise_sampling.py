@@ -35,7 +35,7 @@ print()
 
 # With a post-selection, shots are retained with the exact probability
 # Tr(eta); the retained fraction is part of the run statistics.
-post = wl.PovmElement(np.diag([1.0, 0.0]))
+post = np.diag([1.0, 0.0])
 scn_post = wl.Scenario(scn.initial, scn.observables, scn.widths, post)
 samples, stats = wl.sample_outcomes(scn_post, 50_000, seed=42)
 print(f"with post-selection on |0><0|: retained {stats.retained_shots} of "

@@ -16,9 +16,6 @@ from .qm import (
     KET_0,
     SIGMA_X,
     SIGMA_Y,
-    MixedState,
-    Observable,
-    PovmElement,
     PureState,
     projector_from_ket,
     qubit_ket,
@@ -57,13 +54,10 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "MeasurementStep",
-    "MixedState",
     "MomentPattern",
     "MomentResult",
-    "Observable",
     "OptimizationResult",
     "PointerOperatorKind",
-    "PovmElement",
     "PureState",
     "SampleStatistics",
     "Scenario",

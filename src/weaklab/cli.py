@@ -110,7 +110,7 @@ def _builtin_scenario(name: str, args) -> Scenario:
         return build_projector_chain(n, sigma)
     # common-cause: a maximally entangled qubit pair, both parties
     # measuring the |0><0| projector on their half.
-    shared = qm.PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+    shared = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     proj = qm.projector_from_ket(qm.KET_0)
     return build_common_cause(shared, proj, proj, sigma1, sigma2)
 

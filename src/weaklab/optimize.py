@@ -85,10 +85,8 @@ class SearchSpacePoint:
     state: np.ndarray
     projector_kets: np.ndarray
 
-    def decode(self) -> tuple[qm.PureState, list[qm.Observable]]:
-        state = qm.PureState(self.state)
-        projectors = [qm.projector_from_ket(qm.PureState(ket)) for ket in self.projector_kets]
-        return state, projectors
+    def decode(self) -> tuple[qm.PureState, np.ndarray]:
+        return qm.PureState(self.state), qm._freeze(qm.projectors_from_kets(self.projector_kets))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,13 +1,9 @@
 """Finite-dimensional complex Hilbert-space algebra.
 
-States, observables and POVM elements are thin immutable wrappers around
-validated numpy arrays, safe to share across threads. ``MixedState``,
-``Observable`` and ``PovmElement`` share one checked-matrix base, which
-coerces to a square complex matrix, runs the subclass's stacked check
-(``check_densities``, ``check_observables`` or ``check_effects``) and
-freezes the array. They compare by identity: equality of their array
-fields could only raise. Engines decompose observables as a stack
-(``simulator.Scenario.spectrum``).
+States, observables and effects are plain complex arrays. The stacked
+checks here serve ``simulator.Scenario`` and ``seq_weak_value``, which
+check each input once and hold it frozen. ``PureState`` is a checked ket;
+the stacks of random instances below are valid by construction.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ def _check_hermitian(matrix: np.ndarray, name: str) -> None:
 
 
 def check_kets(kets: np.ndarray) -> None:
-    """The PureState checks on (..., d) kets: finite entries, unit squared
+    """The state checks on (..., d) kets: finite entries, unit squared
     norm, summed as the trace of the ket's density matrix is, so that a ket
     passes exactly when its density matrix passes ``check_densities``."""
     _check_finite(kets, "state vector")
@@ -49,7 +45,7 @@ def check_kets(kets: np.ndarray) -> None:
 
 
 def check_densities(matrices: np.ndarray) -> None:
-    """The MixedState checks on (..., d, d) matrices: finite, Hermitian,
+    """The state checks on (..., d, d) density matrices: finite, Hermitian,
     positive semidefinite, unit trace."""
     _check_finite(matrices, "density matrix")
     _check_hermitian(matrices, "density matrix")
@@ -63,13 +59,13 @@ def check_densities(matrices: np.ndarray) -> None:
 
 
 def check_observables(matrices: np.ndarray) -> None:
-    """The Observable checks on (..., d, d) matrices: finite, Hermitian."""
+    """The observable checks on (..., d, d) matrices: finite, Hermitian."""
     _check_finite(matrices, "observable")
     _check_hermitian(matrices, "observable")
 
 
 def check_effects(matrices: np.ndarray) -> None:
-    """The PovmElement checks on (..., d, d) matrices: finite, Hermitian,
+    """The effect checks on (..., d, d) matrices: finite, Hermitian,
     spectrum in [0, 1]."""
     _check_finite(matrices, "POVM element")
     _check_hermitian(matrices, "POVM element")
@@ -77,6 +73,15 @@ def check_effects(matrices: np.ndarray) -> None:
     lowest, highest = eigenvalues[..., 0].min(), eigenvalues[..., -1].max()
     if lowest < -PSD_TOL or highest > 1.0 + PSD_TOL:
         raise InputError(f"POVM element spectrum must lie in [0, 1], got [{lowest:.3e}, {highest:.3e}]")
+
+
+def square_matrix(matrix, name: str) -> np.ndarray:
+    """``matrix`` as a new complex array, refused with DimensionMismatch
+    unless it is one square matrix; ``name`` names it in the message."""
+    mat = np.array(matrix, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatch(f"{name} must be a square matrix, got shape {mat.shape}")
+    return mat
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -91,75 +96,28 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        vec = np.array(self.amplitudes, dtype=complex)
+        if vec.ndim != 1:
+            raise DimensionMismatch(f"state vector must be one-dimensional, got shape {vec.shape}")
         check_count("state dimension", vec.size, 2)
         check_kets(vec)
         object.__setattr__(self, "amplitudes", _freeze(vec))
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def to_density(self) -> "MixedState":
-        """|psi><psi|, built without a second check: it passes
-        ``check_densities`` exactly when the ket passed ``check_kets``."""
-        density = object.__new__(MixedState)
-        object.__setattr__(density, "matrix", _freeze(np.outer(self.amplitudes, self.amplitudes.conj())))
-        return density
+    def to_density(self) -> np.ndarray:
+        """|psi><psi|, frozen; it passes ``check_densities`` exactly when
+        the ket passed ``check_kets``."""
+        return projector_from_ket(self)
 
 
-@dataclass(frozen=True, eq=False)
-class _CheckedMatrix:
-    """A square complex matrix that passed the subclass's stacked check,
-    read-only after construction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"{self._name} must be a square matrix, got shape {mat.shape}")
-        self._check(mat)
-        object.__setattr__(self, "matrix", _freeze(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-# Each subclass is decorated again: a frozen dataclass refuses assignment to
-# a new attribute only on instances of the class it decorated.
-
-@dataclass(frozen=True, eq=False)
-class MixedState(_CheckedMatrix):
-    """Density matrix: Hermitian, positive semidefinite, unit trace."""
-
-    _name, _check = "density matrix", staticmethod(check_densities)
-
-
-@dataclass(frozen=True, eq=False)
-class Observable(_CheckedMatrix):
-    """Hermitian matrix."""
-
-    _name, _check = "observable", staticmethod(check_observables)
-
-
-@dataclass(frozen=True, eq=False)
-class PovmElement(_CheckedMatrix):
-    """Effect operator: Hermitian with spectrum in [0, 1]."""
-
-    _name, _check = "POVM element", staticmethod(check_effects)
-
-
-def projector_from_ket(ket: PureState) -> Observable:
-    """Rank-1 projector onto a normalized state."""
-    return Observable(projectors_from_kets(ket.amplitudes))
+def projector_from_ket(ket: PureState) -> np.ndarray:
+    """Rank-1 projector onto a normalized state, frozen."""
+    return _freeze(projectors_from_kets(ket.amplitudes))
 
 
 # Shared qubit constants.
 KET_0 = PureState(np.array([1.0, 0.0]))
-SIGMA_X = Observable(np.array([[0.0, 1.0], [1.0, 0.0]]))
-SIGMA_Y = Observable(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+SIGMA_X = _freeze(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+SIGMA_Y = _freeze(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
 
 
 def qubit_ket(theta: float) -> PureState:

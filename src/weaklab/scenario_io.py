@@ -136,9 +136,13 @@ def _step_fields(step_doc, where: str):
     return step_doc["observable"], _double(sigma, f"{where}.sigma")
 
 
-def _raise_first_step_fault(steps_data: list, dim: int) -> None:
-    """Raises the first fault of the steps, taken one at a time, each
-    through its fields, its observable's parse and check, then its width's."""
+def _raise_first_fault_in_order(initial: np.ndarray, steps_data, post_data, dim: int) -> None:
+    """Raises the first fault that a reading one field at a time meets: the
+    state's; each step's fields, observable and width; the post-selection's."""
+    with _field("initial"):
+        (qm.check_kets if initial.ndim == 1 else qm.check_densities)(initial)
+    if not isinstance(steps_data, list) or not steps_data:
+        raise ScenarioFileError("steps: expected a nonempty array")
     for index, step_doc in enumerate(steps_data):
         where = f"steps[{index}]"
         observable, sigma = _step_fields(step_doc, where)
@@ -146,15 +150,19 @@ def _raise_first_step_fault(steps_data: list, dim: int) -> None:
             qm.check_observables(_parse_complex(observable, dim, f"{where}.observable", matrix=True))
         with _field(f"{where}.sigma"):
             check_widths(sigma)
+    if post_data is not None:
+        with _field("postselect"):
+            qm.check_effects(_parse_complex(post_data, dim, "postselect", matrix=True))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a validated Scenario from a parsed JSON document.
 
-    One level walk reads the observables into an (n, d, d) stack, which
-    ``Scenario`` checks once. A refused document is walked again step by
-    step, so the error is the first a step-by-step reading meets: a step's
-    before a later step's, and any step's before the post-selection's."""
+    One level walk reads the observables into an (n, d, d) stack, and
+    ``Scenario`` checks each parsed input once. A refused document is
+    walked again one field at a time, so the error is the first that such
+    a reading meets: the state's, then each step's in turn, then the
+    post-selection's."""
     _check_object(doc, "", ("dimension", "initial", "steps"), ("postselect",))
     dim = doc["dimension"]
     if not isinstance(dim, int) or dim < 2:
@@ -165,29 +173,20 @@ def scenario_from_dict(doc: dict) -> Scenario:
     # pairs. The first leaf decides which.
     if not (isinstance(initial_data, list) and initial_data and isinstance(initial_data[0], list) and initial_data[0]):
         raise ScenarioFileError("initial: expected a ket or a matrix")
-    is_matrix = isinstance(initial_data[0][0], list)
-    with _field("initial"):
-        if is_matrix:
-            initial = qm.MixedState(_parse_complex(initial_data, dim, "initial", matrix=True))
-        else:
-            initial = qm.PureState(_parse_complex(initial_data, dim, "initial", matrix=False)).to_density()
+    initial = _parse_complex(initial_data, dim, "initial", matrix=isinstance(initial_data[0][0], list))
 
-    steps_data = doc["steps"]
-    if not isinstance(steps_data, list) or not steps_data:
-        raise ScenarioFileError("steps: expected a nonempty array")
-    post_data = doc.get("postselect")
+    steps_data, post_data = doc["steps"], doc.get("postselect")
     try:
+        if not isinstance(steps_data, list) or not steps_data:
+            raise ScenarioFileError("steps: expected a nonempty array")
         fields = [_step_fields(step_doc, f"steps[{index}]") for index, step_doc in enumerate(steps_data)]
         observables = _level_walk([observable for observable, _ in fields], (len(fields), dim, dim))
         if observables is None:
             raise ScenarioFileError("steps: an observable is not a matrix of [re, im] pairs")
-        post = None
-        if post_data is not None:
-            with _field("postselect"):
-                post = qm.PovmElement(_parse_complex(post_data, dim, "postselect", matrix=True))
+        post = None if post_data is None else _parse_complex(post_data, dim, "postselect", matrix=True)
         return Scenario(initial, observables, [sigma for _, sigma in fields], post)
     except WeakLabError:
-        _raise_first_step_fault(steps_data, dim)
+        _raise_first_fault_in_order(initial, steps_data, post_data, dim)
         raise
 
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import qm
-from .errors import DimensionMismatch, InputError, check_count
+from .errors import InputError, check_count
 from .simulator import Scenario
 
 
@@ -30,12 +30,12 @@ def build_illustrative(sigma1: float, sigma2: float) -> Scenario:
     half = 0.5
     root3_half = math.sqrt(3.0) / 2.0
     kets = np.array([[half, root3_half], [half, -root3_half]], dtype=complex)
-    return Scenario(qm.KET_0.to_density(), qm.projectors_from_kets(kets), [sigma1, sigma2])
+    return Scenario(qm.KET_0.amplitudes, qm.projectors_from_kets(kets), [sigma1, sigma2])
 
 
 def build_pauli_xy(sigma1: float, sigma2: float) -> Scenario:
     """sigma_y then sigma_x on |0>: weak value i, visible in p1*x2."""
-    return Scenario(qm.KET_0.to_density(), [qm.SIGMA_Y.matrix, qm.SIGMA_X.matrix], [sigma1, sigma2])
+    return Scenario(qm.KET_0.amplitudes, [qm.SIGMA_Y, qm.SIGMA_X], [sigma1, sigma2])
 
 
 def build_projector_chain(n: int, sigma: float) -> Scenario:
@@ -44,7 +44,7 @@ def build_projector_chain(n: int, sigma: float) -> Scenario:
     check_count("n", n, 1)
     angles = [j * math.pi / (n + 1) for j in range(1, n + 1)]
     kets = np.array([[math.cos(a), math.sin(a)] for a in angles], dtype=complex)
-    return Scenario(qm.KET_0.to_density(), qm.projectors_from_kets(kets), [sigma] * n)
+    return Scenario(qm.KET_0.amplitudes, qm.projectors_from_kets(kets), [sigma] * n)
 
 
 def chain_weak_value(n: int) -> float:
@@ -53,11 +53,7 @@ def chain_weak_value(n: int) -> float:
 
 
 def build_common_cause(
-    psi_ab: qm.PureState,
-    first: qm.Observable,
-    second: qm.Observable,
-    sigma1: float,
-    sigma2: float,
+    psi_ab: np.ndarray, first: np.ndarray, second: np.ndarray, sigma1: float, sigma2: float
 ) -> Scenario:
     """Both parties measure their half of a shared bipartite state.
 
@@ -65,11 +61,7 @@ def build_common_cause(
     observables A (x) 1 and 1 (x) B; ordering is then immaterial and the
     joint reading is an honest expectation value.
     """
-    if psi_ab.dim != first.dim * second.dim:
-        raise DimensionMismatch(
-            f"shared state dimension {psi_ab.dim} != {first.dim} * {second.dim}"
-        )
-    return Scenario(psi_ab.to_density(), lift_pair(first.matrix, second.matrix), [sigma1, sigma2])
+    return Scenario(psi_ab, lift_pair(first, second), [sigma1, sigma2])
 
 
 def lift_pair(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

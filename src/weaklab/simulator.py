@@ -1,5 +1,9 @@
 """Joint pointer moments for sequences of weak measurements.
 
+A ``Scenario`` holds its four inputs as frozen arrays, each checked once
+on the way in: the state as a density matrix rho, the observables and
+pointer widths as stacks, and the post-selection effect E or None.
+
 Every analytic engine contracts one chain of per-step linear maps on a
 d x d operator, Tr(E T_n(... T_1(rho))), with E the post-selection
 effect. Step j is the sandwich X -> sum_kl F[k, l] P_k X P_l over the
@@ -45,13 +49,8 @@ shot carries a system ket, and each pointer is read right after its
 coupling, from the positive mixture of d Gaussians that the ket's
 populations define. No envelope and no rejection is needed, and
 Monte-Carlo runs agree with ``exact_moment`` up to shot noise. The shots
-run in blocks of ``SAMPLE_BLOCK_ENTRIES`` // d, each block's kets a
-shot-contiguous (2d, block) slice of one array, real and imaginary parts
-stacked, so every step is a (2d, 2d) @ (2d, block) rotation per block and
-block-length vector operations: O(shots n d^2) time. Only the readings,
-the kets and one step's uniforms span every shot, 8 (n + 2d + 1) bytes a
-shot; ``sample_footprint`` counts them and one block's work arrays, and
-is checked before any allocation.
+run in cache-sized blocks, in O(shots n d^2) time and the memory that
+``sample_footprint`` counts before any allocation.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ import numpy as np
 from . import qm
 from .errors import DimensionMismatch, InputError, NumericError, WeakLabError, check_count, check_footprint
 from .pointer import GaussianPointer, PointerOperatorKind, _step_tables, check_widths, refused_widths
-from .weak_values import check_probability, seq_weak_value
+from .weak_values import _weak_value, check_probability
 
 MOMENT_IMAG_TOL = 1e-10
 # A pointer counts as weak when its width is this many times the largest
@@ -80,43 +79,52 @@ _NOT_FINITE = "moment chain is not finite; a pointer width or an eigenvalue is t
 
 @dataclass(frozen=True)
 class MeasurementStep:
-    """One weak coupling: the observable and the pointer that records it.
-    A sequence of them is ``Scenario``'s ``steps`` form."""
+    """One weak coupling: the observable (d, d) and the pointer that
+    records it. A sequence of them is ``Scenario``'s ``steps`` form."""
 
-    observable: qm.Observable
+    observable: np.ndarray
     pointer: GaussianPointer
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Initial state, the measured observables (n, d, d), first measured
-    first, their pointer widths (n,), and an optional post-selection.
+    first, their pointer widths (n,), and an optional post-selection
+    effect (d, d), None for E = I. The state is a unit ket (d,) or a
+    density matrix (d, d), told apart by shape, and is held as a density
+    matrix. ``steps``, a sequence of ``MeasurementStep``s, is another way
+    to give the two stacks.
 
-    Each kind is checked once per scenario, in this order: the two stacks'
-    shapes against the state's dimension, ``qm.check_observables`` on the
-    observables, ``pointer.check_widths`` on the widths, and the
-    post-selection's dimension. The stacks are then held as frozen copies.
-    ``steps``, a sequence of ``MeasurementStep``s, is another way to give
-    them, read into the two stacks ahead of the same checks."""
+    Each input is checked once, in this order, then held as a frozen copy:
+    the state by ``qm.check_kets`` or ``qm.check_densities``; the stacks'
+    shapes against its dimension, ``qm.check_observables`` and
+    ``pointer.check_widths``; the effect's shape and ``qm.check_effects``."""
 
-    initial: qm.MixedState
+    initial: np.ndarray
     observables: np.ndarray = None
     widths: np.ndarray = None
-    post: qm.PovmElement | None = None
+    post: np.ndarray | None = None
     steps: InitVar[Sequence[MeasurementStep] | None] = None
 
     def __post_init__(self, steps):
+        initial = np.array(self.initial, dtype=complex)
+        if initial.ndim == 1:
+            qm.check_kets(initial)
+            initial = qm.projectors_from_kets(initial)
+        else:
+            initial = qm.square_matrix(self.initial, "density matrix")
+            qm.check_densities(initial)
         observables, widths = self.observables, self.widths
         if steps is not None:
             if observables is not None or widths is not None:
                 raise InputError("give a scenario's steps or its observables and widths, not both")
             steps = tuple(steps)
-            observables = [step.observable.matrix for step in steps]
+            observables = [step.observable for step in steps]
             widths = [step.pointer.sigma for step in steps]
         observables, widths = np.array(observables, dtype=complex), np.array(widths, dtype=float)
         if not observables.size:
             raise InputError("a scenario needs at least one measurement step")
-        d = self.initial.dim
+        d = len(initial)
         if widths.ndim != 1 or observables.shape != (len(widths), d, d):
             raise DimensionMismatch(
                 f"observables of shape {observables.shape} and widths of shape {widths.shape} "
@@ -124,14 +132,19 @@ class Scenario:
             )
         qm.check_observables(observables)
         check_widths(widths)
-        if self.post is not None and self.post.dim != d:
-            raise DimensionMismatch(f"post-selection dimension {self.post.dim} != state dimension {d}")
+        if self.post is not None:
+            post = qm.square_matrix(self.post, "POVM element")
+            if len(post) != d:
+                raise DimensionMismatch(f"post-selection dimension {len(post)} != state dimension {d}")
+            qm.check_effects(post)
+            object.__setattr__(self, "post", qm._freeze(post))
+        object.__setattr__(self, "initial", qm._freeze(initial))
         object.__setattr__(self, "observables", qm._freeze(observables))
         object.__setattr__(self, "widths", qm._freeze(widths))
 
     @property
     def dim(self) -> int:
-        return self.initial.dim
+        return len(self.initial)
 
     @property
     def n_steps(self) -> int:
@@ -144,11 +157,6 @@ class Scenario:
         subspace any orthonormal basis serves, as engines read projectors."""
         eigenvalues, bases = np.linalg.eigh(self.observables)
         return qm._freeze(eigenvalues), qm._freeze(bases)
-
-    @property
-    def effect(self) -> np.ndarray | None:
-        """The post-selection effect's matrix, or None for E = I."""
-        return None if self.post is None else self.post.matrix
 
 
 @dataclass(frozen=True)
@@ -317,7 +325,7 @@ def _pattern_tables(eigenvalues, widths, pat: MomentPattern, exact: bool = True)
 def _moment(scn: Scenario, pat: MomentPattern, exact: bool) -> MomentResult:
     eigenvalues, bases = scn.spectrum
     tables = _pattern_tables(eigenvalues, scn.widths, pat, exact)
-    value, probability = _moments(scn.initial.matrix, bases, tables, scn.effect)
+    value, probability = _moments(scn.initial, bases, tables, scn.post)
     return MomentResult(float(value), float(probability))
 
 
@@ -349,13 +357,13 @@ def position_moments(scn: Scenario) -> list[MomentResult]:
     tables = _step_tables(eigenvalues, scn.widths, (PointerOperatorKind.POSITION, _IDENTITY))
     turns = _turns(bases)
     before = np.empty((n, d, d), dtype=complex)
-    states = _forward(scn.initial.matrix, turns, tables)
+    states = _forward(scn.initial, turns, tables)
     for j, state in zip(range(n), states):
         before[j] = state[-1]
     # [product, slot 1, ..., slot n, Tr(eta)]
     traces = np.empty(n + 2, dtype=complex)
-    traces[0], traces[-1] = _close(next(states), bases, scn.effect)
-    for j, effect in zip(reversed(range(n)), _backward(_last_effect(bases, scn.effect), turns, tables[:, 1:])):
+    traces[0], traces[-1] = _close(next(states), bases, scn.post)
+    for j, effect in zip(reversed(range(n)), _backward(_last_effect(bases, scn.post), turns, tables[:, 1:])):
         traces[1 + j] = _slot(effect[0], tables[j, 0], before[j])
     numerators, probability = _checked(traces)
     peaks = np.abs(tables[:, 0]).max(axis=(1, 2))
@@ -414,8 +422,8 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
     def engine_pass(exact):
         # The swept step's tables are never read: its placeholder width keeps its own out of every check.
         fixed = _pattern_tables(eigenvalues, np.where(unswept, scn.widths, 1.0), pat, exact)
-        state = next(itertools.islice(_forward(scn.initial.matrix, turns, fixed), index, None))
-        effects = _backward(_last_effect(bases, scn.effect), turns, fixed)
+        state = next(itertools.islice(_forward(scn.initial, turns, fixed), index, None))
+        effects = _backward(_last_effect(bases, scn.post), turns, fixed)
         effect = next(itertools.islice(effects, scn.n_steps - 1 - index, None))
         return exact, state, effect, np.abs(fixed[unswept, 0]).max(axis=(-2, -1)).prod()
 
@@ -451,7 +459,7 @@ def steps_outside_weak_regime(scn: Scenario) -> tuple[int, ...]:
     ``WEAK_REGIME_RATIO`` times its observable's largest eigenvalue
     magnitude or the magnitude of the scenario's sequential weak value. A
     magnitude that is not a number marks every step."""
-    magnitude = abs(seq_weak_value(scn.initial, scn.post, scn.observables))
+    magnitude = abs(_weak_value(scn.initial, scn.post, scn.observables))
     widths, scale = scn.widths, np.abs(scn.spectrum[0]).max(axis=1)
     outside = ~((widths >= WEAK_REGIME_RATIO * scale) & (widths >= WEAK_REGIME_RATIO * magnitude))
     return tuple(np.flatnonzero(outside).tolist())
@@ -480,7 +488,7 @@ def recover_weak_value(scn: Scenario, exact: bool = True) -> complex:
     kinds = [PointerOperatorKind(code) for code in "xpi"]
     tables = _step_tables(eigenvalues, scn.widths, kinds, exact)
     tables[:, 0] += gains[:, np.newaxis, np.newaxis] * tables[:, 1]
-    (numerator,), probability = _chain(scn.initial.matrix, bases, tables[:, ::2], scn.effect)
+    (numerator,), probability = _chain(scn.initial, bases, tables[:, ::2], scn.post)
     return complex(numerator) / float(probability)
 
 
@@ -615,12 +623,12 @@ def sample_outcomes(
     eigenvalues, bases = scn.spectrum
     if probability is None:
         identity = _step_tables(eigenvalues, scn.widths, (_IDENTITY,))
-        probability = float(_chain(scn.initial.matrix, bases, identity, scn.effect)[1])
+        probability = float(_chain(scn.initial, bases, identity, scn.post)[1])
     else:
         check_probability(probability)
 
     rng = np.random.default_rng(seed)
-    weights, basis = np.linalg.eigh(scn.initial.matrix)
+    weights, basis = np.linalg.eigh(scn.initial)
     weights = np.clip(weights, 0.0, None)[:, np.newaxis]
     # The first turn starts from ``basis``, whose columns are the initial kets, so it gathers.
     turns = _turns(bases)
@@ -644,7 +652,7 @@ def sample_outcomes(
             _read_pointer(rng, turn @ block if j else block, a, sigma, uniforms[span], rows[j, span], out=block)
 
     if scn.post is not None:
-        effect = _realify(_last_effect(bases, scn.effect))
+        effect = _realify(_last_effect(bases, scn.post))
         rng.random(out=uniforms)
         kept = np.empty(shots, dtype=bool)
         for ket, span in zip(blocks, spans):

@@ -14,9 +14,9 @@ def scenario_document(scn):
     """A Scenario as a scenario-file document, its state as a density matrix."""
     return {
         "dimension": scn.dim,
-        "initial": _matrix_doc(scn.initial.matrix),
+        "initial": _matrix_doc(scn.initial),
         "steps": [{"observable": _matrix_doc(a), "sigma": s} for a, s in zip(scn.observables, scn.widths.tolist())],
-        "postselect": None if scn.post is None else _matrix_doc(scn.post.matrix),
+        "postselect": None if scn.post is None else _matrix_doc(scn.post),
     }
 
 

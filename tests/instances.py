@@ -1,7 +1,8 @@
-"""Per-instance random states and observables, a plain-loop ordered trace,
-an eigh-based norm product and the pointer's closed-form matrix elements.
-The package builds and evaluates these as stacks; the tests keep the
-one-at-a-time forms as oracles and as instance makers."""
+"""Per-instance random kets, density matrices and observables (arrays), a
+plain-loop ordered trace, an eigh-based norm product and the pointer's
+closed-form matrix elements. The package builds and evaluates these as
+stacks; the tests keep the one-at-a-time forms as oracles and as instance
+makers."""
 
 import numpy as np
 
@@ -18,34 +19,34 @@ def random_density(rng, d):
     """Density matrix G G* / Tr(G G*) with G complex Ginibre."""
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     mat = raw @ raw.conj().T
-    return wl.MixedState(mat / mat.trace().real)
+    return mat / mat.trace().real
 
 
 def random_observable(rng, d):
     """Hermitian part of a complex Ginibre matrix."""
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return wl.Observable((raw + raw.conj().T) / 2.0)
+    return (raw + raw.conj().T) / 2.0
 
 
 def spectral_norm(obs):
     """Largest absolute eigenvalue."""
-    return float(np.max(np.abs(np.linalg.eigh(obs.matrix)[0])))
+    return float(np.max(np.abs(np.linalg.eigh(obs)[0])))
 
 
 def stack(observables):
     """Observables as the (n, d, d) stack that ``seq_weak_value`` reads."""
-    return np.array([obs.matrix for obs in observables])
+    return np.array(observables)
 
 
 def ordered_trace(rho, observables, post=None):
     """Tr(E A_n ... A_1 rho) of one instance, first-measured observable
     rightmost, E = identity when ``post`` is None."""
-    product = observables[0].matrix
+    product = observables[0]
     for obs in observables[1:]:
-        product = obs.matrix @ product
+        product = obs @ product
     if post is not None:
-        product = post.matrix @ product
-    return complex(np.trace(product @ rho.matrix))
+        product = post @ product
+    return complex(np.trace(product @ rho))
 
 
 def norm_product_bound(observables):

@@ -102,7 +102,8 @@ MUTANTS = (
         "_read_pointer(rng if j != 1 else type('Wide', (), {'standard_normal': "
         "lambda _, size: 1.02 * rng.standard_normal(size)})(), turn @ block if j else block,",
         # The sampler's checks against the exact engine; a pinned stream
-        # digest fails on any change to the draws, right or wrong.
+        # digest fails on any change to the draws, right or wrong. Only the
+        # second moments see a noise scale: the noise has mean zero.
         tuple(
             f"tests/test_simulator.py::TestSampler::{name}"
             for name in (
@@ -112,9 +113,23 @@ MUTANTS = (
                 "test_three_step_chain_sampling",
                 "test_random_scenarios_match_exact",
                 "test_six_step_chain_sampling",
+                "test_second_moments_match_exact",
             )
         ),
-        gap="item 9 (the sampler against the exact marginal CDF)",
+    ),
+    Mutant(
+        "scenario-effect-unchecked",
+        "simulator.py",
+        "qm.check_effects(post)",
+        "None",
+        ("tests/test_qm.py::TestScenarioInputs",),
+    ),
+    Mutant(
+        "scenario-density-unchecked",
+        "simulator.py",
+        "qm.check_densities(initial)",
+        "None",
+        ("tests/test_qm.py::TestScenarioInputs",),
     ),
 )
 

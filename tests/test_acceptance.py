@@ -120,7 +120,7 @@ def test_criterion_4_projector_chain_closed_form():
 def test_criterion_5_three_measurement_pointer_formula():
     scn = wl.build_projector_chain(3, 50.0)
     a1, a2, a3 = scn.observables
-    rho = scn.initial.matrix
+    rho = scn.initial
     # direct trace arithmetic for the two-orderings combination
     combination = 0.5 * (
         np.trace(a3 @ a2 @ a1 @ rho).real + np.trace(a2 @ a3 @ a1 @ rho).real
@@ -210,7 +210,7 @@ def test_criterion_7_exact_engine_structural_invariants():
         sigma = float(rng.uniform(0.02, 80.0))
         scn = wl.Scenario(initial=rho, steps=(wl.MeasurementStep(obs, wl.GaussianPointer(sigma)),))
         got = wl.exact_moment(scn, wl.MomentPattern([X])).value
-        worst_mean_gap = max(worst_mean_gap, abs(got - np.trace(obs.matrix @ rho.matrix).real))
+        worst_mean_gap = max(worst_mean_gap, abs(got - np.trace(obs @ rho).real))
 
     ok = worst_momentum <= 1e-12 and worst_spread <= 1e-12 and worst_mean_gap <= 1e-12
     report(
@@ -228,7 +228,7 @@ def test_criterion_8_common_cause_hull_and_witness():
     witnessed = 0
     for _ in range(1000):
         scn = wl.build_common_cause(
-            random_ket(rng, 4),
+            random_ket(rng, 4).amplitudes,
             random_projector(rng, 2),
             random_projector(rng, 2),
             float(rng.uniform(0.2, 8.0)),
@@ -320,4 +320,27 @@ def test_criterion_11_conjecture_evidence_beyond_qubits_and_five_steps():
         "best pointer-product values "
         + ", ".join(f"n={n} d={d}: {value:.12f}" for (n, d), value in results.items())
         + f" (each in [-0.125-1e-9, -0.1245]); runtime {elapsed:.1f}s (<300s)",
+    )
+
+
+def test_criterion_12_floors_at_every_dimension():
+    # Both objectives depend only on the Gram matrix of the state and the n
+    # projector kets, and every such Gram matrix is realised in C^(n+1): a
+    # search at d = n + 1 covers every d at that n. That no search at
+    # n >= 3 goes below -1/8, nor below the chain's weak value, remains a
+    # conjecture; these runs reach both values and go no lower.
+    started = time.perf_counter()
+    gaps = {}
+    for n in (3, 4, 6, 8, 10):
+        product = wl.minimize_pointer_product(n, n + 1, restarts=16, seed=0, budget=200 * (n + 1))
+        weak_value = wl.minimize_weak_value_real(n, n + 1, 16, seed=1, budget=20_000)
+        gaps[n] = (abs(product.best_value + 0.125), abs(weak_value.best_value - wl.chain_weak_value(n)))
+    elapsed = time.perf_counter() - started
+    ok = all(gap <= 1e-9 for pair in gaps.values() for gap in pair)
+    report(
+        12,
+        ok,
+        "at d = n + 1, gaps to -1/8 and to the chain weak value "
+        + ", ".join(f"n={n}: {product:.1e}, {weak:.1e}" for n, (product, weak) in gaps.items())
+        + f" (each <= 1e-9); runtime {elapsed:.1f}s",
     )

@@ -25,7 +25,7 @@ from weaklab.errors import InputError, NumericError
 from conftest import scenario_document
 from instances import matrix_element, norm_product_bound, ordered_trace, random_density, random_ket, random_observable
 
-SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
+SIGMA_Z = np.diag([1.0, -1.0])
 
 
 def run_cli(capsys, *argv):
@@ -121,7 +121,7 @@ class TestSimulateCommand:
         scn = wl.Scenario(
             initial=wl.KET_0.to_density(),
             steps=(wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(1.0)),),
-            post=wl.PovmElement(np.diag([0.0, 1.0])),
+            post=np.diag([0.0, 1.0]),
         )
         path = write_scenario(scn, "orthogonal.json")
         code, _ = run_cli(capsys, "simulate", str(path), "--pattern", "x")
@@ -273,7 +273,7 @@ def random_file_scenario(rng, d, n, with_post):
     post = None
     if with_post:
         ket = random_ket(rng, d)
-        post = wl.PovmElement(np.outer(ket.amplitudes, ket.amplitudes.conj()))
+        post = np.outer(ket.amplitudes, ket.amplitudes.conj())
     return wl.Scenario(initial=random_density(rng, d), steps=steps, post=post)
 
 
@@ -708,10 +708,10 @@ class TestSampleCommand:
         scn = wl.Scenario(
             initial=wl.KET_0.to_density(),
             steps=[
-                wl.MeasurementStep(wl.Observable(np.diag([1.0, 0.0])), wl.GaussianPointer(1.0)),
+                wl.MeasurementStep(np.diag([1.0, 0.0]), wl.GaussianPointer(1.0)),
                 wl.MeasurementStep(wl.SIGMA_X, wl.GaussianPointer(1.0)),
             ],
-            post=wl.PovmElement(np.full((2, 2), 0.5)),
+            post=np.full((2, 2), 0.5),
         )
         path = str(write_scenario(scn, "post.json"))
 
@@ -827,7 +827,7 @@ def per_trial_bounds(trials, seed):
     worst_low, worst_high, hull_violations = math.inf, -math.inf, 0
     hull_trials = max(1, trials // 10)
     for _ in range(hull_trials):
-        shared = random_ket(rng, 4)
+        shared = random_ket(rng, 4).amplitudes
         scn = wl.build_common_cause(
             shared,
             wl.projector_from_ket(random_ket(rng, 2)),
@@ -1003,7 +1003,7 @@ class TestNonFiniteInputs:
         if cause == "width":
             argv = ["simulate", "pauli-xy", "--pattern", "px", "--sigma", "1e-160"]
         else:
-            huge = wl.Observable(np.diag([1e308, -1e308]))
+            huge = np.diag([1e308, -1e308])
             scn = wl.Scenario(initial=wl.KET_0.to_density(), steps=(wl.MeasurementStep(huge, wl.GaussianPointer(1.0)),) * 2)
             argv = ["simulate", str(write_scenario(scn)), "--pattern", "xx"]
         code = main(argv)

@@ -12,7 +12,12 @@ from weaklab.errors import DimensionMismatch, InputError
 from instances import random_density, random_ket, random_observable
 
 KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
+SIGMA_Z = np.diag([1.0, -1.0])
+
+
+def scenario_with(initial=wl.KET_0.amplitudes, observable=SIGMA_Z, post=None):
+    """A one-step scenario around the input under test."""
+    return wl.Scenario(initial, [observable], [1.0], post)
 
 
 class TestStates:
@@ -20,20 +25,28 @@ class TestStates:
         with pytest.raises(InputError, match=re.escape("state squared norm is 2.0, expected 1")):
             wl.PureState(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 1)])
+    def test_pure_state_refuses_amplitudes_that_are_not_one_dimensional(self, shape):
+        # A (2, 2) array of entries 1/2 has unit squared norm as four amplitudes.
+        amplitudes = np.full(shape, 1.0) / math.sqrt(math.prod(shape))
+        with pytest.raises(DimensionMismatch, match=re.escape(f"state vector must be one-dimensional, got shape {shape}")):
+            wl.PureState(amplitudes)
+
     def test_a_ket_passes_exactly_when_its_density_does(self):
         # |psi|^2 = 1 + 0.8e-12 passes both checks, 1 + 1.8e-12 fails both;
         # a rule on |psi| itself once passed the second and failed its density.
-        qm.check_densities(wl.PureState(np.array([1 + 0.4e-12, 0.0])).to_density().matrix)
+        qm.check_densities(wl.PureState(np.array([1 + 0.4e-12, 0.0])).to_density())
         too_long = np.array([1 + 0.9e-12, 0.0])
         with pytest.raises(InputError, match=re.escape("state squared norm is 1.0000000000018, expected 1")):
             wl.PureState(too_long)
         with pytest.raises(InputError, match=re.escape("density matrix trace is 1.0000000000018, expected 1")):
-            wl.MixedState(np.outer(too_long, too_long))
+            scenario_with(np.outer(too_long, too_long))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_to_density_needs_no_second_check(self, d):
-        # to_density skips check_densities: around the norm bound, a ket and
-        # its density matrix must pass or fail together.
+        # to_density skips check_densities, and Scenario checks a ket by
+        # check_kets alone: around the norm bound, a ket and its density
+        # matrix must pass or fail together.
         rng = np.random.default_rng(d)
         for _ in range(400):
             ket = qm.kets_from_normals(rng.standard_normal((2, d))) * math.sqrt(1 + rng.uniform(-2e-12, 2e-12))
@@ -50,80 +63,96 @@ class TestStates:
         with pytest.raises(InputError, match="^state dimension must be at least 2, got 1$"):
             wl.PureState(np.array([1.0]))
 
-    def test_density_must_be_psd(self):
-        with pytest.raises(InputError):
-            wl.MixedState(np.diag([1.5, -0.5]))
-
-    def test_density_trace_one(self):
-        with pytest.raises(InputError):
-            wl.MixedState(np.diag([0.7, 0.7]))
-
     def test_to_density(self):
         rho = KET_PLUS.to_density()
-        assert np.allclose(rho.matrix, np.full((2, 2), 0.5))
+        assert np.allclose(rho, np.full((2, 2), 0.5))
+        assert rho.dtype == complex and not rho.flags.writeable
 
     def test_immutability(self):
         ket = wl.PureState(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             ket.amplitudes[0] = 2.0
 
-    # NaN passes every ">" check, so each type needs its own finiteness test.
+    def test_qubit_constants_are_frozen_arrays(self):
+        for matrix in (wl.SIGMA_X, wl.SIGMA_Y):
+            assert matrix.dtype == complex and not matrix.flags.writeable
+        assert np.array_equal(wl.SIGMA_Y @ wl.SIGMA_X, np.diag([-1j, 1j]))
+
+
+class TestScenarioInputs:
+    """``Scenario`` checks its state and its effect, with the messages of
+    the stacked checks, and holds both as frozen arrays."""
+
+    # NaN passes every ">" check, so each input needs its own finiteness test.
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize(
         "make,message",
         [
             (lambda z: wl.PureState(np.array([1.0, z])), "state vector has a non-finite entry"),
-            (lambda z: wl.MixedState(np.array([[1.0, 0.0], [0.0, z]])), "density matrix has a non-finite entry"),
-            (lambda z: wl.Observable(np.array([[z, 0.0], [0.0, 1.0]])), "observable has a non-finite entry"),
-            (lambda z: wl.PovmElement(np.array([[z, 0.0], [0.0, 0.0]])), "POVM element has a non-finite entry"),
+            (lambda z: scenario_with(np.array([1.0, z])), "state vector has a non-finite entry"),
+            (lambda z: scenario_with(np.array([[1.0, 0.0], [0.0, z]])), "density matrix has a non-finite entry"),
+            (lambda z: scenario_with(observable=np.array([[z, 0.0], [0.0, 1.0]])), "observable has a non-finite entry"),
+            (lambda z: scenario_with(post=np.array([[z, 0.0], [0.0, 0.0]])), "POVM element has a non-finite entry"),
         ],
     )
     def test_non_finite_entries_rejected(self, make, message, bad):
         with pytest.raises(InputError, match=message):
             make(bad)
 
+    @pytest.mark.parametrize(
+        "inputs,message",
+        [
+            ({"initial": np.array([[0.5, 1.0], [0.0, 0.5]])}, "density matrix deviates from Hermiticity by 1.000e+00"),
+            ({"initial": np.diag([1.5, -0.5])}, "density matrix has negative eigenvalue -5.000e-01"),
+            ({"initial": np.diag([0.7, 0.7])}, "density matrix trace is 1.4, expected 1"),
+            ({"initial": np.array([1.0, 1.0])}, "state squared norm is 2.0, expected 1"),
+            ({"observable": np.array([[0.0, 1.0], [0.0, 0.0]])}, "observable deviates from Hermiticity by 1.000e+00"),
+            ({"post": np.array([[0.5, 1.0], [0.0, 0.5]])}, "POVM element deviates from Hermiticity by 1.000e+00"),
+            ({"post": np.diag([1.5, 0.0])}, "POVM element spectrum must lie in [0, 1], got [0.000e+00, 1.500e+00]"),
+            ({"post": np.diag([-0.5, 1.0])}, "POVM element spectrum must lie in [0, 1], got [-5.000e-01, 1.000e+00]"),
+        ],
+    )
+    def test_refusals_keep_their_messages(self, inputs, message):
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            scenario_with(**inputs)
 
-@pytest.mark.parametrize(
-    "cls,name", [(wl.MixedState, "density matrix"), (wl.Observable, "observable"), (wl.PovmElement, "POVM element")]
-)
-class TestCheckedMatrix:
-    """What the three matrix value types share from their one base."""
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2, 2), ()])
+    def test_non_square_state_and_effect(self, shape):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"density matrix must be a square matrix, got shape {shape}")):
+            scenario_with(np.zeros(shape))
+        with pytest.raises(DimensionMismatch, match=re.escape(f"POVM element must be a square matrix, got shape {shape}")):
+            scenario_with(post=np.zeros(shape))
 
-    GOOD = np.diag([1.0, 0.0])  # a state, an observable and an effect
+    def test_a_ket_and_its_density_give_the_same_scenario(self):
+        from_ket = scenario_with(KET_PLUS.amplitudes)
+        from_density = scenario_with(KET_PLUS.to_density())
+        assert np.array_equal(from_ket.initial, from_density.initial)
+        assert from_ket.dim == from_density.dim == 2
 
-    @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 2)])
-    def test_non_square_message(self, cls, name, shape):
-        with pytest.raises(DimensionMismatch, match=re.escape(f"{name} must be a square matrix, got shape {shape}")):
-            cls(np.zeros(shape))
-
-    def test_frozen(self, cls, name):
-        value = cls(self.GOOD)
+    def test_inputs_are_held_as_frozen_complex_copies(self):
+        initial, post = np.eye(2) / 2, np.diag([1.0, 0.0])
+        scn = scenario_with(initial, post=post)
+        for held, given in ((scn.initial, initial), (scn.post, post)):
+            assert held.dtype == complex and not held.flags.writeable
+            assert np.array_equal(held, given) and held is not given
         with pytest.raises(dataclasses.FrozenInstanceError):
-            value.matrix = self.GOOD
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            value.foo = 1
-        with pytest.raises(ValueError):
-            value.matrix[0, 0] = 0.5
+            scn.post = None
 
-    def test_repr_names_the_class(self, cls, name):
-        assert repr(cls(self.GOOD)).startswith(f"{cls.__name__}(matrix=")
-
-    def test_replace_keeps_the_type_and_checks(self, cls, name):
-        value = dataclasses.replace(cls(self.GOOD), matrix=np.diag([0.0, 1.0]))
-        assert type(value) is cls
-        assert value.matrix.dtype == complex and not value.matrix.flags.writeable
-        with pytest.raises(InputError, match=f"{name} has a non-finite entry"):
-            dataclasses.replace(value, matrix=np.diag([np.nan, 1.0]))
-
-    def test_dim(self, cls, name):
-        assert cls(np.diag([1.0, 0.0, 0.0])).dim == 3
+    def test_replace_checks_again(self):
+        scn = scenario_with(post=np.diag([1.0, 0.0]))
+        replaced = dataclasses.replace(scn, post=np.diag([0.0, 1.0]))
+        assert not replaced.post.flags.writeable
+        with pytest.raises(InputError, match="POVM element has a non-finite entry"):
+            dataclasses.replace(scn, post=np.diag([np.nan, 1.0]))
+        with pytest.raises(InputError, match="density matrix has a non-finite entry"):
+            dataclasses.replace(scn, initial=np.diag([np.nan, 1.0]))
 
 
 def scenario_of(*observables):
     """A scenario measuring ``observables`` in turn on a maximally mixed state."""
-    d = observables[0].dim
+    d = len(observables[0])
     steps = [wl.MeasurementStep(obs, wl.GaussianPointer(1.0)) for obs in observables]
-    return wl.Scenario(initial=wl.MixedState(np.eye(d) / d), steps=steps)
+    return wl.Scenario(initial=np.eye(d) / d, steps=steps)
 
 
 class TestScenarioSpectrum:
@@ -138,12 +167,12 @@ class TestScenarioSpectrum:
         assert np.allclose(np.abs(bases[0][:, 1]), [1.0, 0.0])
 
     def test_plus_projector_and_diagonal(self):
-        eigenvalues, _ = scenario_of(wl.projector_from_ket(KET_PLUS), wl.Observable(np.diag([0.0, 3.0]))).spectrum
+        eigenvalues, _ = scenario_of(wl.projector_from_ket(KET_PLUS), np.diag([0.0, 3.0])).spectrum
         assert np.allclose(eigenvalues, [[0.0, 1.0], [0.0, 3.0]], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(InputError, match="deviates from Hermiticity"):
-            wl.Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(InputError, match="observable deviates from Hermiticity"):
+            scenario_of(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_reconstruction_roundtrip_random(self):
         rng = np.random.default_rng(7)
@@ -152,12 +181,12 @@ class TestScenarioSpectrum:
             eigenvalues, bases = scenario_of(*observables).spectrum
             assert eigenvalues.shape == (20, d) and bases.shape == (20, d, d)
             for obs, values, v in zip(observables, eigenvalues, bases):
-                assert np.max(np.abs((v * values) @ v.conj().T - obs.matrix)) < 1e-10
+                assert np.max(np.abs((v * values) @ v.conj().T - obs)) < 1e-10
                 assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-10
                 assert np.all(np.diff(values) >= -1e-12)
 
     def test_spectrum_cached_and_frozen(self):
-        scn = scenario_of(wl.Observable(np.diag([1.0, 2.0])))
+        scn = scenario_of(np.diag([1.0, 2.0]))
         assert scn.spectrum is scn.spectrum
         assert not any(array.flags.writeable for array in scn.spectrum)
 
@@ -183,7 +212,7 @@ class TestBatchedEigh:
 
 class TestStackedInstances:
     """The stacked instance makers equal the one-at-a-time ones, and the
-    stacked checks raise the constructors' errors for a bad entry."""
+    stacked checks raise the error one instance gives for a bad entry."""
 
     def test_kets_match_random_ket_to_the_last_bit(self):
         for d in (2, 3, 4, 5):
@@ -194,14 +223,14 @@ class TestStackedInstances:
 
     def test_densities_and_observables_match(self):
         rng = np.random.default_rng(11)
-        expected = [(random_density(rng, 3).matrix, random_observable(rng, 3).matrix) for _ in range(30)]
+        expected = [(random_density(rng, 3), random_observable(rng, 3)) for _ in range(30)]
         normals = np.random.default_rng(11).standard_normal((30, 2, 2, 3, 3))
         assert np.array_equal(qm.densities_from_normals(normals[:, 0]), [rho for rho, _ in expected])
         assert np.array_equal(qm.observables_from_normals(normals[:, 1]), [obs for _, obs in expected])
 
     def test_projectors_from_kets(self):
         kets = np.array([wl.KET_0.amplitudes, KET_PLUS.amplitudes])
-        expected = [wl.projector_from_ket(wl.KET_0).matrix, wl.projector_from_ket(KET_PLUS).matrix]
+        expected = [wl.projector_from_ket(wl.KET_0), wl.projector_from_ket(KET_PLUS)]
         assert np.array_equal(qm.projectors_from_kets(kets), expected)
 
     @pytest.mark.parametrize(
@@ -231,25 +260,27 @@ class TestStackedInstances:
 
 class TestProjectorFromKet:
     def test_ket_zero(self):
-        assert np.allclose(wl.projector_from_ket(wl.KET_0).matrix, np.diag([1.0, 0.0]))
+        projector = wl.projector_from_ket(wl.KET_0)
+        assert np.allclose(projector, np.diag([1.0, 0.0]))
+        assert projector.dtype == complex and not projector.flags.writeable
 
     def test_ket_plus(self):
-        assert np.allclose(wl.projector_from_ket(KET_PLUS).matrix, np.full((2, 2), 0.5))
+        assert np.allclose(wl.projector_from_ket(KET_PLUS), np.full((2, 2), 0.5))
 
     def test_tilted_state_corner_entry(self):
         # amplitudes (1/2, sqrt(3)/2): top-left entry is |1/2|^2 = 1/4
         ket = wl.PureState(np.array([0.5, np.sqrt(3.0) / 2.0]))
-        assert wl.projector_from_ket(ket).matrix[0, 0] == pytest.approx(0.25)
+        assert wl.projector_from_ket(ket)[0, 0] == pytest.approx(0.25)
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         for d in (2, 3, 4):
-            proj = wl.projector_from_ket(random_ket(rng, d)).matrix
+            proj = wl.projector_from_ket(random_ket(rng, d))
             assert np.max(np.abs(proj @ proj - proj)) < 1e-12
 
 
 class TestCommutes:
     def test_disjoint_supports_commute(self):
-        a = np.kron(wl.SIGMA_X.matrix, np.eye(2))
-        b = np.kron(np.eye(2), wl.SIGMA_Y.matrix)
+        a = np.kron(wl.SIGMA_X, np.eye(2))
+        b = np.kron(np.eye(2), wl.SIGMA_Y)
         assert np.linalg.norm(a @ b - b @ a, ord=2) <= 1e-12

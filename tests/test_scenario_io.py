@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -38,7 +39,7 @@ def illustrative_doc(sigma1=1.0, sigma2=1.0):
 class TestParsing:
     def test_ket_initial(self):
         scn = scenario_from_dict(illustrative_doc())
-        assert np.allclose(scn.initial.matrix, np.diag([1.0, 0.0]))
+        assert np.allclose(scn.initial, np.diag([1.0, 0.0]))
         assert scn.n_steps == 2
         assert scn.post is None
 
@@ -46,20 +47,20 @@ class TestParsing:
         doc = illustrative_doc()
         doc["initial"] = matrix_doc(np.diag([0.5, 0.5]))
         scn = scenario_from_dict(doc)
-        assert np.allclose(scn.initial.matrix, np.diag([0.5, 0.5]))
+        assert np.allclose(scn.initial, np.diag([0.5, 0.5]))
 
     def test_postselect_parsed(self):
         doc = illustrative_doc()
         doc["postselect"] = matrix_doc(np.diag([1.0, 0.0]))
         scn = scenario_from_dict(doc)
         assert scn.post is not None
-        assert np.allclose(scn.post.matrix, np.diag([1.0, 0.0]))
+        assert np.allclose(scn.post, np.diag([1.0, 0.0]))
 
     def test_complex_entries(self):
         doc = illustrative_doc()
-        doc["steps"][0]["observable"] = matrix_doc(wl.SIGMA_Y.matrix)
+        doc["steps"][0]["observable"] = matrix_doc(wl.SIGMA_Y)
         scn = scenario_from_dict(doc)
-        assert np.allclose(scn.observables[0], wl.SIGMA_Y.matrix)
+        assert np.allclose(scn.observables[0], wl.SIGMA_Y)
 
     @pytest.mark.parametrize(
         "mutate,field",
@@ -95,7 +96,7 @@ class TestParsing:
         # the ket's rule reads |psi|^2, the trace of the density it becomes
         doc = illustrative_doc()
         doc["initial"] = [pair(1 + 0.4e-12), pair(0)]
-        assert scenario_from_dict(doc).initial.matrix[0, 0] == (1 + 0.4e-12) ** 2
+        assert scenario_from_dict(doc).initial[0, 0] == (1 + 0.4e-12) ** 2
         doc["initial"] = [pair(1 + 0.9e-12), pair(0)]
         with pytest.raises(ScenarioFileError) as excinfo:
             scenario_from_dict(doc)
@@ -294,12 +295,12 @@ class TestReaderContract:
         observables = np.array([self.oracle(step_doc["observable"]) for step_doc in doc["steps"]])
         pairs = [(scn.observables, observables), *zip(scn.observables, observables)]
         if isinstance(doc["initial"][0][0], list):
-            pairs.append((scn.initial.matrix, self.oracle(doc["initial"])))
+            pairs.append((scn.initial, self.oracle(doc["initial"])))
         else:
             ket = np.array([complex(re, im) for re, im in doc["initial"]])
-            pairs.append((scn.initial.matrix, wl.PureState(ket).to_density().matrix))
+            pairs.append((scn.initial, wl.PureState(ket).to_density()))
         if doc["postselect"] is not None:
-            pairs.append((scn.post.matrix, self.oracle(doc["postselect"])))
+            pairs.append((scn.post, self.oracle(doc["postselect"])))
         for got, want in pairs:
             self.assert_bitwise_equal(got, want)
         assert any(np.signbit(parts[parts == 0]).any() for parts in (want.view(float) for _, want in pairs))
@@ -316,8 +317,8 @@ class TestReaderContract:
         self.assert_bitwise_equal(observable, self.oracle(doc["steps"][0]["observable"]))
         assert np.signbit(observable.real).tolist() == [[False, True], [True, False]]
         assert np.signbit(observable.imag).tolist() == [[True, False], [True, True]]
-        want = wl.PureState(np.array([complex(1.0, -0.0), complex(-0.0, 0.0)])).to_density().matrix
-        self.assert_bitwise_equal(scn.initial.matrix, want)
+        want = wl.PureState(np.array([complex(1.0, -0.0), complex(-0.0, 0.0)])).to_density()
+        self.assert_bitwise_equal(scn.initial, want)
 
 
 def node_paths(node, prefix=()):
@@ -385,7 +386,7 @@ class TestRoundTrip:
                 wl.MeasurementStep(wl.SIGMA_Y, wl.GaussianPointer(2.0)),
                 wl.MeasurementStep(wl.SIGMA_X, wl.GaussianPointer(3.0)),
             ),
-            post=wl.PovmElement(np.outer(ket.amplitudes, ket.amplitudes.conj())),
+            post=np.outer(ket.amplitudes, ket.amplitudes.conj()),
         )
         loaded = wl.load_scenario(write_scenario(scn, "post.json"))
         for text in ("xx", "px", "pp", "XX"):
@@ -428,3 +429,77 @@ class TestRoundTrip:
         path.write_text("{not json")
         with pytest.raises(ScenarioFileError):
             wl.load_scenario(path)
+
+
+class TestEachInputCheckedOnce:
+    """Each path into a Scenario checks each input once: one call of each
+    check that it needs, counted as ``simulator`` and ``scenario_io`` call
+    them, through the ``qm`` module and through their ``check_widths``."""
+
+    QM_CHECKS = ("check_kets", "check_densities", "check_observables", "check_effects")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from weaklab import qm, scenario_io, simulator
+
+        counts = collections.Counter()
+
+        def counting(name, check):
+            def counted(*args):
+                counts[name] += 1
+                return check(*args)
+
+            return counted
+
+        for name in self.QM_CHECKS:
+            monkeypatch.setattr(qm, name, counting(name, getattr(qm, name)))
+        for module in (simulator, scenario_io):
+            monkeypatch.setattr(module, "check_widths", counting("check_widths", module.check_widths))
+        return counts
+
+    def test_ket_file(self, tmp_path, calls):
+        path = tmp_path / "ket.json"
+        path.write_text(json.dumps(illustrative_doc()))
+        calls.clear()
+        wl.load_scenario(path)
+        assert calls == {"check_kets": 1, "check_observables": 1, "check_widths": 1}
+
+    def test_density_file_with_post_selection(self, write_scenario, calls):
+        scn = wl.Scenario(KET_PLUS.to_density(), [wl.SIGMA_Y, wl.SIGMA_X], [2.0, 3.0], np.diag([1.0, 0.0]))
+        path = write_scenario(scn)
+        calls.clear()
+        wl.load_scenario(path)
+        assert calls == {"check_densities": 1, "check_observables": 1, "check_widths": 1, "check_effects": 1}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: wl.build_illustrative(1.0, 2.0),
+            lambda: wl.build_pauli_xy(1.0, 2.0),
+            lambda: wl.build_projector_chain(4, 1.0),
+            lambda: wl.build_common_cause(
+                np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), wl.SIGMA_X, wl.SIGMA_Y, 1.0, 2.0
+            ),
+        ],
+        ids=["illustrative", "pauli-xy", "chain-n", "common-cause"],
+    )
+    def test_builders(self, build, calls):
+        build()
+        assert calls == {"check_kets": 1, "check_observables": 1, "check_widths": 1}
+
+    def test_search_point_through_steps(self, calls):
+        # The path of bench/run.py: a search point's state, checked as a
+        # ket, and its projectors, checked only in the Scenario's stack.
+        kets = wl.qm.kets_from_normals(np.random.default_rng(3).standard_normal((5, 2, 3)))
+        state, projectors = wl.SearchSpacePoint(kets[0], kets[1:]).decode()
+        steps = [wl.MeasurementStep(p, wl.GaussianPointer(0.7)) for p in projectors]
+        wl.Scenario(initial=state.to_density(), steps=steps)
+        assert calls == {"check_kets": 1, "check_densities": 1, "check_observables": 1, "check_widths": 1}
+
+    def test_engines_check_nothing_again(self, calls):
+        scn = wl.Scenario(KET_PLUS.amplitudes, [wl.SIGMA_Y, wl.SIGMA_X], [20.0, 30.0], np.diag([1.0, 0.0]))
+        calls.clear()
+        assert wl.steps_outside_weak_regime(scn) == ()
+        wl.exact_moment(scn, wl.MomentPattern.from_string("xx"))
+        wl.recover_weak_value(scn)
+        assert calls == {}

@@ -27,7 +27,7 @@ class TestIllustrative:
         psi_2 = np.array([0.5, -root3_half])
         assert np.allclose(scn.observables[0], np.outer(psi_1, psi_1))
         assert np.allclose(scn.observables[1], np.outer(psi_2, psi_2))
-        assert np.allclose(scn.initial.matrix, np.diag([1.0, 0.0]))
+        assert np.allclose(scn.initial, np.diag([1.0, 0.0]))
         assert scn.post is None
 
     def test_closed_forms_across_widths(self):
@@ -93,7 +93,7 @@ class TestProjectorChain:
     def test_kets_sit_at_the_chain_angles(self):
         n = 4
         scn = wl.build_projector_chain(n, 1.0)
-        assert np.array_equal(scn.initial.matrix, np.diag([1.0, 0.0]))
+        assert np.array_equal(scn.initial, np.diag([1.0, 0.0]))
         for j, observable in enumerate(scn.observables, 1):
             angle = j * math.pi / (n + 1)
             ket = np.array([math.cos(angle), math.sin(angle)])
@@ -106,14 +106,14 @@ class TestProjectorChain:
 
 class TestCommonCause:
     def test_product_state_aligned_projectors(self):
-        shared = wl.PureState(np.kron(wl.KET_0.amplitudes, wl.KET_0.amplitudes))
+        shared = np.kron(wl.KET_0.amplitudes, wl.KET_0.amplitudes)
         proj = wl.projector_from_ket(wl.KET_0)
         scn = wl.build_common_cause(shared, proj, proj, 1.0, 1.0)
         got = wl.exact_moment(scn, wl.MomentPattern.from_string("xx")).value
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_entangled_half(self):
-        shared = wl.PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+        shared = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
         proj = wl.projector_from_ket(wl.KET_0)
         scn = wl.build_common_cause(shared, proj, proj, 2.0, 0.5)
         got = wl.exact_moment(scn, wl.MomentPattern.from_string("xx")).value
@@ -124,20 +124,20 @@ class TestCommonCause:
         rng = np.random.default_rng(23)
         pattern = wl.MomentPattern.from_string("xx")
         for _ in range(25):
-            shared = random_ket(rng, 4)
+            shared = random_ket(rng, 4).amplitudes
             first = wl.projector_from_ket(random_ket(rng, 2))
             second = wl.projector_from_ket(random_ket(rng, 2))
             scn = wl.build_common_cause(
                 shared, first, second, float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0))
             )
             got = wl.exact_moment(scn, pattern).value
-            joint = np.kron(first.matrix, second.matrix)
-            want = (shared.amplitudes.conj() @ joint @ shared.amplitudes).real
+            joint = np.kron(first, second)
+            want = (shared.conj() @ joint @ shared).real
             assert got == pytest.approx(want, abs=1e-12)
             assert -1e-12 <= got <= 1.0 + 1e-12
 
     def test_lifted_observables_commute(self):
-        shared = wl.PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+        shared = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
         scn = wl.build_common_cause(
             shared, wl.SIGMA_X, wl.SIGMA_Y, 1.0, 1.0
         )
@@ -145,8 +145,15 @@ class TestCommonCause:
         assert np.linalg.norm(a @ b - b @ a, ord=2) <= 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            wl.build_common_cause(wl.KET_0, wl.SIGMA_X, wl.SIGMA_Y, 1.0, 1.0)
+        with pytest.raises(DimensionMismatch, match=r"are not \(n, 2, 2\) and \(n,\) for state dimension 2"):
+            wl.build_common_cause(wl.KET_0.amplitudes, wl.SIGMA_X, wl.SIGMA_Y, 1.0, 1.0)
+
+    def test_a_shared_density_matrix_serves_as_well(self):
+        shared = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+        proj = wl.projector_from_ket(wl.KET_0)
+        from_ket = wl.build_common_cause(shared, proj, proj, 2.0, 0.5)
+        from_density = wl.build_common_cause(np.outer(shared, shared), proj, proj, 2.0, 0.5)
+        assert np.array_equal(from_ket.initial, from_density.initial)
 
 
 class TestCausalWitness:
@@ -181,7 +188,7 @@ class TestCausalWitness:
         rng = np.random.default_rng(29)
         pattern = wl.MomentPattern.from_string("xx")
         for _ in range(50):
-            shared = random_ket(rng, 4)
+            shared = random_ket(rng, 4).amplitudes
             scn = wl.build_common_cause(
                 shared,
                 wl.projector_from_ket(random_ket(rng, 2)),

@@ -30,13 +30,13 @@ X = PointerOperatorKind.POSITION
 P = PointerOperatorKind.MOMENTUM
 I = PointerOperatorKind.IDENTITY
 KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
+SIGMA_Z = np.diag([1.0, -1.0])
 
 
 def random_unit_hermitian(rng, d):
     """Random Hermitian rescaled so its spectrum sits in [-1, 1]."""
     obs = random_observable(rng, d)
-    return wl.Observable(obs.matrix / spectral_norm(obs))
+    return obs / spectral_norm(obs)
 
 
 def random_scenario(rng, d, n, with_post, sigma_range=(0.5, 5.0)):
@@ -47,7 +47,7 @@ def random_scenario(rng, d, n, with_post, sigma_range=(0.5, 5.0)):
     post = None
     if with_post:
         ket = random_ket(rng, d)
-        post = wl.PovmElement(np.outer(ket.amplitudes, ket.amplitudes.conj()))
+        post = np.outer(ket.amplitudes, ket.amplitudes.conj())
     return wl.Scenario(initial=random_density(rng, d), steps=steps, post=post)
 
 
@@ -55,12 +55,12 @@ def brute_force_moment(scn, pattern):
     """Literal double sum over eigenindex tuples, via projector products."""
     d = scn.dim
     n = scn.n_steps
-    effect = np.eye(d, dtype=complex) if scn.post is None else scn.post.matrix
+    effect = np.eye(d, dtype=complex) if scn.post is None else scn.post
     eigenvalues, bases = scn.spectrum
     projectors = [[np.outer(vectors[:, k], vectors[:, k].conj()) for k in range(d)] for vectors in bases]
 
     def term(k_tuple, l_tuple, kinds):
-        left = scn.initial.matrix
+        left = scn.initial
         for j, k in enumerate(k_tuple):
             left = projectors[j][k] @ left
         for j, l in enumerate(l_tuple):
@@ -90,8 +90,8 @@ def ordering_sum_weak(scn, pattern):
     of the m non-identity slots (Mitchison, Jozsa & Popescu, "Sequential
     weak measurement", PRA 76, 062105 (2007)), one 1/(2 sigma^2) per
     momentum slot."""
-    effect = np.eye(scn.dim, dtype=complex) if scn.post is None else scn.post.matrix
-    rho = scn.initial.matrix
+    effect = np.eye(scn.dim, dtype=complex) if scn.post is None else scn.post
+    rho = scn.initial
     slots = []
     for observable, sigma, kind in zip(scn.observables, scn.widths.tolist(), pattern.kinds):
         if kind is I:
@@ -142,11 +142,11 @@ def subset_sum_recovery(scn, moment):
 def operator_scale(scn, kinds):
     """Size of the terms a moment sums: prod ||A_j|| over read slots, with
     1/(2 sigma_j^2) per momentum slot, over Tr(E rho)."""
-    effect = np.eye(scn.dim) if scn.post is None else scn.post.matrix
-    scale = 1.0 / np.trace(effect @ scn.initial.matrix).real
+    effect = np.eye(scn.dim) if scn.post is None else scn.post
+    scale = 1.0 / np.trace(effect @ scn.initial).real
     for observable, sigma, kind in zip(scn.observables, scn.widths.tolist(), kinds):
         if kind is not I:
-            scale *= spectral_norm(wl.Observable(observable))
+            scale *= spectral_norm(observable)
             if kind is P:
                 scale /= 2.0 * sigma**2
     return scale
@@ -165,7 +165,7 @@ class TestScenarioTypes:
     def test_scenario_dimension_check(self):
         with pytest.raises(wl.errors.DimensionMismatch):
             wl.Scenario(
-                initial=wl.MixedState(np.eye(3) / 3.0),
+                initial=np.eye(3) / 3.0,
                 steps=(wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(1.0)),),
             )
 
@@ -176,7 +176,7 @@ class TestScenarioTypes:
     def test_post_selection_dimension_check(self):
         scn = wl.build_illustrative(1.0, 1.0)
         with pytest.raises(wl.errors.DimensionMismatch, match="post-selection dimension 3 != state dimension 2"):
-            wl.Scenario(scn.initial, scn.observables, scn.widths, wl.PovmElement(np.eye(3)))
+            wl.Scenario(scn.initial, scn.observables, scn.widths, np.eye(3))
 
     def test_stacks_become_frozen_arrays_and_kinds_tuples(self):
         scn = wl.build_illustrative(1.0, 1.0)
@@ -265,13 +265,13 @@ class TestExactEngine:
                 steps=(wl.MeasurementStep(obs, wl.GaussianPointer(sigma)),),
             )
             got = wl.exact_moment(scn, wl.MomentPattern([X])).value
-            assert got == pytest.approx(np.trace(obs.matrix @ rho.matrix).real, abs=1e-12)
+            assert got == pytest.approx(np.trace(obs @ rho).real, abs=1e-12)
 
     def test_postselection_probability_reported(self):
         scn = wl.Scenario(
             initial=KET_PLUS.to_density(),
             steps=(wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(100.0)),),
-            post=wl.PovmElement(np.diag([1.0, 0.0])),
+            post=np.diag([1.0, 0.0]),
         )
         result = wl.exact_moment(scn, wl.MomentPattern([X]))
         assert result.postselection_probability == pytest.approx(0.5, abs=1e-3)
@@ -394,7 +394,7 @@ class TestExactEngine:
         scn = wl.Scenario(
             initial=wl.KET_0.to_density(),
             steps=(wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(1.0)),),
-            post=wl.PovmElement(np.diag([0.0, 1.0])),
+            post=np.diag([0.0, 1.0]),
         )
         with pytest.raises(ZeroPostSelectionProbability):
             wl.exact_moment(scn, wl.MomentPattern([X]))
@@ -408,8 +408,8 @@ def two_step_weak_oracle(scn, kinds):
     b = scn.observables[1]
     s1 = scn.widths[0]
     s2 = scn.widths[1]
-    rho = scn.initial.matrix
-    effect = np.eye(scn.dim, dtype=complex) if scn.post is None else scn.post.matrix
+    rho = scn.initial
+    effect = np.eye(scn.dim, dtype=complex) if scn.post is None else scn.post
     denom = np.trace(effect @ rho).real
     seq = np.trace(effect @ b @ a @ rho) / denom
     swapped = np.trace(effect @ a @ rho @ b) / denom
@@ -440,7 +440,7 @@ class TestWeakEngine:
         # oracle: the two operator-ordering traces evaluated directly
         scn = wl.build_projector_chain(3, 7.0)
         a1, a2, a3 = scn.observables
-        rho = scn.initial.matrix
+        rho = scn.initial
         want = 0.5 * (np.trace(a3 @ a2 @ a1 @ rho).real + np.trace(a2 @ a3 @ a1 @ rho).real)
         assert want == pytest.approx(-0.125, abs=1e-14)
         got = wl.weak_prediction(scn, wl.MomentPattern.all_position(3)).value
@@ -492,13 +492,13 @@ class TestWeakEngine:
                     wl.MeasurementStep(first, wl.GaussianPointer(3.0)),
                     wl.MeasurementStep(second, wl.GaussianPointer(4.0)),
                 ),
-                post=wl.PovmElement(np.outer(phi.amplitudes, phi.amplitudes.conj())),
+                post=np.outer(phi.amplitudes, phi.amplitudes.conj()),
             )
             got = wl.weak_prediction(scn, wl.MomentPattern([X, X])).value
             overlap = phi.amplitudes.conj() @ psi.amplitudes
-            wv_seq = (phi.amplitudes.conj() @ second.matrix @ first.matrix @ psi.amplitudes) / overlap
-            wv_a = (phi.amplitudes.conj() @ first.matrix @ psi.amplitudes) / overlap
-            wv_b = (phi.amplitudes.conj() @ second.matrix @ psi.amplitudes) / overlap
+            wv_seq = (phi.amplitudes.conj() @ second @ first @ psi.amplitudes) / overlap
+            wv_a = (phi.amplitudes.conj() @ first @ psi.amplitudes) / overlap
+            wv_b = (phi.amplitudes.conj() @ second @ psi.amplitudes) / overlap
             want = 0.5 * (wv_seq.real + (wv_a * wv_b.conjugate()).real)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -516,7 +516,7 @@ class TestWeakEngine:
             scn = wl.Scenario(
                 initial=random_density(rng, 2),
                 steps=steps,
-                post=wl.PovmElement(np.outer(ket.amplitudes, ket.amplitudes.conj())),
+                post=np.outer(ket.amplitudes, ket.amplitudes.conj()),
             )
             if wl.exact_moment(scn, wl.MomentPattern([X, X, X])).postselection_probability < 0.05:
                 continue
@@ -552,7 +552,7 @@ class TestWeakEngine:
         # shrink it at least 8 x.
         rng = np.random.default_rng(seed)
         steps = tuple(wl.MeasurementStep(random_unit_hermitian(rng, d), wl.GaussianPointer(40.0)) for _ in range(n))
-        post = wl.PovmElement(qm.projectors_from_kets(random_ket(rng, d).amplitudes)) if with_post else None
+        post = qm.projectors_from_kets(random_ket(rng, d).amplitudes) if with_post else None
         scn = wl.Scenario(initial=random_density(rng, d), steps=steps, post=post)
         pattern = wl.MomentPattern.from_string("".join(letters[:n]))
         gaps = []
@@ -602,7 +602,7 @@ class TestRecovery:
             )
             got = wl.recover_weak_value(scn)
             assert got == pytest.approx(
-                complex(np.trace(obs.matrix @ rho.matrix).real), abs=1e-12
+                complex(np.trace(obs @ rho).real), abs=1e-12
             )
 
     def test_weak_source_inverts_to_weak_value_with_post(self):
@@ -736,7 +736,7 @@ class TestStackedChain:
             scenarios = [random_scenario(rng, d, n, with_post=False, sigma_range=(0.3, 30.0)) for _ in range(12)]
             pattern = wl.MomentPattern.from_string("".join(rng.choice(list("ixXpP"), size=n)))
             got = simulator.stacked_exact_moments(
-                np.array([scn.initial.matrix for scn in scenarios]),
+                np.array([scn.initial for scn in scenarios]),
                 np.array([scn.observables for scn in scenarios]),
                 np.array([scn.widths for scn in scenarios]),
                 pattern,
@@ -752,7 +752,7 @@ class TestStackedChain:
         grid = scn.widths * np.ones((3, 2, 1))
         grid[..., 1] = widths
         tables = simulator._pattern_tables(scn.spectrum[0], grid, pattern)
-        traces, probability = simulator._chain(scn.initial.matrix, scn.spectrum[1], tables, scn.post.matrix)
+        traces, probability = simulator._chain(scn.initial, scn.spectrum[1], tables, scn.post)
         assert traces.shape == (3, 2, 1) and probability.shape == (3, 2)
         for (row, column), width in np.ndenumerate(widths):
             varied = scn.widths.copy()
@@ -823,11 +823,11 @@ def random_cases(draw, with_post):
     pattern = wl.MomentPattern.from_string(draw(st.text("ixXpP", min_size=n, max_size=n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     widths = np.exp(rng.uniform(math.log(0.3), math.log(300.0), size=n))
-    observables = [random_observable(rng, d).matrix for _ in widths]
+    observables = [random_observable(rng, d) for _ in widths]
     post = None
     if with_post and draw(st.booleans()):
-        effect = random_density(rng, d).matrix
-        post = wl.PovmElement(effect / np.linalg.eigvalsh(effect).max())
+        effect = random_density(rng, d)
+        post = effect / np.linalg.eigvalsh(effect).max()
     return wl.Scenario(random_density(rng, d), observables, widths, post), pattern
 
 
@@ -837,7 +837,7 @@ class TestEngineProperties:
     def test_identity_effect_is_no_postselection(self, case):
         scn, pattern = case
         plain = wl.exact_moment(scn, pattern)
-        identity = wl.exact_moment(dataclasses.replace(scn, post=wl.PovmElement(np.eye(scn.dim))), pattern)
+        identity = wl.exact_moment(dataclasses.replace(scn, post=np.eye(scn.dim)), pattern)
         # Cancellation can leave the value far below its terms, so the
         # difference is measured against the terms, not the value.
         assert abs(identity.value - plain.value) <= 1e-12 * max(1.0, chain_peak(scn, pattern, exact=True))
@@ -863,8 +863,8 @@ class TestNestedAnticommutator:
             steps = [wl.MeasurementStep(random_observable(rng, 3), wl.GaussianPointer(1.0)) for _ in range(2)]
             scn = wl.Scenario(random_density(rng, 3), steps=steps)
             got = wl.weak_prediction(scn, wl.MomentPattern.all_position(2)).value
-            first, second = (step.observable.matrix for step in steps)
-            want = np.trace(second @ first @ scn.initial.matrix).real
+            first, second = (step.observable for step in steps)
+            want = np.trace(second @ first @ scn.initial).real
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_illustrative_value(self):
@@ -921,7 +921,7 @@ class TestSampler:
     def test_pinned_stream(self, case, shots, seed, digest):
         # A seed names one sample set for good: a rewrite of the sampler
         # must draw the same random numbers in the same order.
-        shared = wl.PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+        shared = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
         proj = wl.projector_from_ket(wl.KET_0)
         scn = {
             "illustrative": lambda: wl.build_illustrative(2.0, 0.7),
@@ -934,11 +934,35 @@ class TestSampler:
         samples, _ = wl.sample_outcomes(scn, shots, seed=seed)
         assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: wl.build_illustrative(1.0, 1.0),
+            lambda: wl.build_illustrative(0.5, 0.7),
+            lambda: wl.build_pauli_xy(1.0, 1.0),
+            lambda: wl.build_projector_chain(3, 0.6),
+        ],
+        ids=["illustrative-1-1", "illustrative-0.5-0.7", "pauli-xy", "chain-3"],
+    )
+    def test_second_moments_match_exact(self, build, seed):
+        # Readout noise has mean zero, so a slot whose noise is drawn at the
+        # wrong scale keeps every mean; its squared readings see the scale.
+        scn = build()
+        n = scn.n_steps
+        squares = wl.sample_outcomes(scn, 200_000, seed=seed)[0] ** 2
+        readouts = [*squares.T, squares.prod(axis=1)]
+        patterns = ["i" * j + "X" + "i" * (n - 1 - j) for j in range(n)] + ["X" * n]
+        for readout, text in zip(readouts, patterns):
+            exact = wl.exact_moment(scn, wl.MomentPattern.from_string(text)).value
+            z = (readout.mean() - exact) / (readout.std(ddof=1) / math.sqrt(readout.size))
+            assert abs(z) < 4.0, (text, z)
+
     def test_postselection_retention(self):
         scn = wl.Scenario(
             initial=KET_PLUS.to_density(),
             steps=(wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(3.0)),),
-            post=wl.PovmElement(np.diag([1.0, 0.0])),
+            post=np.diag([1.0, 0.0]),
         )
         samples, stats = wl.sample_outcomes(scn, 40000, seed=5)
         assert stats.postselection_probability == pytest.approx(0.5, abs=1e-6)
@@ -1038,7 +1062,7 @@ class TestSampler:
         # shot; post-selection adds the kept mask and the retained copy.
         scn = wl.build_illustrative(1.0, 1.0)
         assert simulator.sample_footprint(scn, 2) - simulator.sample_footprint(scn, 1) == 56
-        post = dataclasses.replace(scn, post=wl.PovmElement(np.diag([1.0, 0.0])))
+        post = dataclasses.replace(scn, post=np.diag([1.0, 0.0]))
         assert simulator.sample_footprint(post, 2) - simulator.sample_footprint(post, 1) == 56 + 17
 
     @pytest.mark.parametrize(
@@ -1091,8 +1115,8 @@ class TestProductVariance:
             variance = second_moment - mean**2
             leading = (
                 s1**2 * s2**2
-                + s1**2 * np.trace(second.matrix @ second.matrix @ rho.matrix).real
-                + s2**2 * np.trace(first.matrix @ first.matrix @ rho.matrix).real
+                + s1**2 * np.trace(second @ second @ rho).real
+                + s2**2 * np.trace(first @ first @ rho).real
             )
             # remaining terms are O(1) while the kept ones are O(sigma^2)
             assert variance == pytest.approx(leading, abs=10.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from weaklab.weak_values import PROJECTOR_PAIR_FLOOR, check_probability, norm_pr
 from instances import norm_product_bound, ordered_trace, random_density, random_ket, random_observable, stack
 
 KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-SIGMA_Z = wl.Observable(np.diag([1.0, -1.0]))
+SIGMA_Z = np.diag([1.0, -1.0])
 
 
 def illustrative_pair():
@@ -23,7 +24,7 @@ def illustrative_pair():
 def product_hull(observables):
     """Least and greatest product of one eigenvalue per observable, by
     enumerating every choice."""
-    spectra = [np.linalg.eigvalsh(obs.matrix) for obs in observables]
+    spectra = [np.linalg.eigvalsh(obs) for obs in observables]
     products = [math.prod(choice) for choice in itertools.product(*spectra)]
     return min(products), max(products)
 
@@ -54,14 +55,36 @@ class TestSequence:
 
     def test_effect_dimension_rejected(self):
         with pytest.raises(DimensionMismatch, match="post-selection dimension 3"):
-            wl.seq_weak_value(wl.KET_0.to_density(), wl.PovmElement(np.eye(3)), stack([SIGMA_Z]))
+            wl.seq_weak_value(wl.KET_0.to_density(), np.eye(3), stack([SIGMA_Z]))
+
+    @pytest.mark.parametrize(
+        "rho,post,message",
+        [
+            (np.diag([1.0, np.nan]), None, "density matrix has a non-finite entry"),
+            (np.array([[0.5, 1.0], [0.0, 0.5]]), None, "density matrix deviates from Hermiticity by 1.000e+00"),
+            (np.diag([1.5, -0.5]), None, "density matrix has negative eigenvalue -5.000e-01"),
+            (np.diag([0.7, 0.7]), None, "density matrix trace is 1.4, expected 1"),
+            (np.diag([1.0, 0.0]), np.diag([np.inf, 0.0]), "POVM element has a non-finite entry"),
+            (np.diag([1.0, 0.0]), np.array([[0.5, 1.0], [0.0, 0.5]]), "POVM element deviates from Hermiticity by 1.000e+00"),
+            (np.diag([1.0, 0.0]), np.diag([1.5, 0.0]), "POVM element spectrum must lie in [0, 1], got [0.000e+00, 1.500e+00]"),
+        ],
+    )
+    def test_bad_state_or_effect_rejected(self, rho, post, message):
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            wl.seq_weak_value(rho, post, stack([SIGMA_Z]))
+
+    def test_non_square_state_and_effect_rejected(self):
+        with pytest.raises(DimensionMismatch, match=re.escape("density matrix must be a square matrix, got shape (2,)")):
+            wl.seq_weak_value(wl.KET_0.amplitudes, None, stack([SIGMA_Z]))
+        with pytest.raises(DimensionMismatch, match=re.escape("POVM element must be a square matrix, got shape (2, 3)")):
+            wl.seq_weak_value(wl.KET_0.to_density(), np.zeros((2, 3)), stack([SIGMA_Z]))
 
     def test_ordered_product_order(self):
         # Tr(E X Y rho), not Tr(E Y X rho): the first observable acts first.
-        rho = wl.KET_0.to_density().matrix
-        post = wl.projector_from_ket(KET_PLUS).matrix
-        stack = np.array([wl.SIGMA_Y.matrix, wl.SIGMA_X.matrix])
-        want = np.trace(post @ wl.SIGMA_X.matrix @ wl.SIGMA_Y.matrix @ rho)
+        rho = wl.KET_0.to_density()
+        post = wl.projector_from_ket(KET_PLUS)
+        stack = np.array([wl.SIGMA_Y, wl.SIGMA_X])
+        want = np.trace(post @ wl.SIGMA_X @ wl.SIGMA_Y @ rho)
         assert np.isclose(sequence_traces(rho, stack, post), want, rtol=0.0, atol=1e-15)
 
 
@@ -82,7 +105,7 @@ class TestSeqWeakValues:
         assert wv == pytest.approx(-((math.cos(math.pi / 3.0)) ** 3), abs=1e-14)
 
     def test_single_observable_postselected(self):
-        post = wl.PovmElement(np.diag([1.0, 0.0]))
+        post = np.diag([1.0, 0.0])
         wv = wl.seq_weak_value(KET_PLUS.to_density(), post, stack([SIGMA_Z]))
         assert wv == pytest.approx(1.0)
 
@@ -90,18 +113,18 @@ class TestSeqWeakValues:
     def test_amplification_scaling(self, eps):
         vec = np.array([eps, 1.0])
         psi = wl.PureState(vec / np.linalg.norm(vec))
-        post = wl.PovmElement(np.diag([1.0, 0.0]))
+        post = np.diag([1.0, 0.0])
         wv = wl.seq_weak_value(psi.to_density(), post, stack([wl.SIGMA_X]))
         assert wv == pytest.approx(1.0 / eps, rel=1e-9)
 
     def test_orthogonal_postselection_rejected(self):
-        post = wl.PovmElement(np.diag([0.0, 1.0]))
+        post = np.diag([0.0, 1.0])
         with pytest.raises(ZeroPostSelectionProbability):
             wl.seq_weak_value(wl.KET_0.to_density(), post, stack([wl.SIGMA_X]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            wl.seq_weak_value(wl.MixedState(np.eye(3) / 3.0), None, stack([SIGMA_Z]))
+            wl.seq_weak_value(np.eye(3) / 3.0, None, stack([SIGMA_Z]))
 
     def test_no_postselection_value_is_expectation_in_spectrum(self):
         rng = np.random.default_rng(21)
@@ -110,7 +133,7 @@ class TestSeqWeakValues:
             rho = random_density(rng, 3)
             wv = wl.seq_weak_value(rho, None, stack([obs]))
             assert abs(wv.imag) < 1e-12
-            expectation = np.trace(obs.matrix @ rho.matrix).real
+            expectation = np.trace(obs @ rho).real
             assert wv.real == pytest.approx(expectation, abs=1e-12)
             lo, hi = product_hull([obs])
             assert lo - 1e-10 <= wv.real <= hi + 1e-10
@@ -129,7 +152,7 @@ class TestBounds:
         assert abs(wv) == pytest.approx(bound)
 
     def test_scaled_paulis(self):
-        scaled = [wl.Observable(2.0 * SIGMA_Z.matrix), wl.Observable(3.0 * wl.SIGMA_X.matrix)]
+        scaled = [2.0 * SIGMA_Z, 3.0 * wl.SIGMA_X]
         assert norm_product(scaled) == pytest.approx(6.0)
 
     def test_magnitude_bound_random_sequences(self):
@@ -148,7 +171,7 @@ class TestBounds:
             seq = [random_observable(rng, 3) for _ in range(3)]
             kets = [random_ket(rng, 3) for _ in range(3)]
             q = rng.dirichlet(np.ones(3))
-            mixed = wl.MixedState(sum(w * k.to_density().matrix for w, k in zip(q, kets)))
+            mixed = sum(w * k.to_density() for w, k in zip(q, kets))
             direct = wl.seq_weak_value(mixed, None, stack(seq))
             combined = sum(w * wl.seq_weak_value(k.to_density(), None, stack(seq)) for w, k in zip(q, kets))
             assert direct == pytest.approx(combined, abs=1e-12)
@@ -159,7 +182,7 @@ class TestBounds:
             psi = random_ket(rng, 3)
             seq = [random_observable(rng, 3) for _ in range(2)]
             no_post = wl.seq_weak_value(psi.to_density(), None, stack(seq))
-            reselect = wl.seq_weak_value(psi.to_density(), wl.PovmElement(psi.to_density().matrix), stack(seq))
+            reselect = wl.seq_weak_value(psi.to_density(), psi.to_density(), stack(seq))
             assert no_post == pytest.approx(reselect, abs=1e-12)
 
     def test_commuting_sequence_stays_in_hull(self):
@@ -168,7 +191,7 @@ class TestBounds:
             # commuting observables: random diagonals in one random basis
             basis = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
             observables = [
-                wl.Observable(basis @ np.diag(rng.uniform(-1.5, 1.5, 3)) @ basis.conj().T)
+                basis @ np.diag(rng.uniform(-1.5, 1.5, 3)) @ basis.conj().T
                 for _ in range(3)
             ]
             rho = random_density(rng, 3)
@@ -182,7 +205,7 @@ class TestBounds:
             pair = []
             for _ in range(2):
                 basis = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
-                pair.append(wl.Observable(basis @ np.diag([1.0, -1.0]) @ basis.conj().T))
+                pair.append(basis @ np.diag([1.0, -1.0]) @ basis.conj().T)
             psi = random_ket(rng, 2)
             wv = wl.seq_weak_value(psi.to_density(), None, stack(pair))
             assert abs(wv) <= 1.0 + 1e-12
@@ -216,13 +239,13 @@ class TestStackedEvaluators:
         assert norm_product([wl.SIGMA_X]) == pytest.approx(1.0)
 
     def test_norm_of_diagonal(self):
-        assert norm_product([wl.Observable(np.diag([-2.0, 3.0]))]) == pytest.approx(3.0)
+        assert norm_product([np.diag([-2.0, 3.0])]) == pytest.approx(3.0)
 
     def test_norm_matches_singleton_hull(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             obs = random_observable(rng, 4)
-            eigenvalues = np.linalg.eigvalsh(obs.matrix)
+            eigenvalues = np.linalg.eigvalsh(obs)
             lo, hi = eigenvalues[0], eigenvalues[-1]
             assert norm_product([obs]) == pytest.approx(max(abs(lo), abs(hi)))
 
@@ -234,9 +257,8 @@ class TestStackedEvaluators:
         states = [random_density(rng, d) for _ in range(20)]
         sequences = [[random_observable(rng, d) for _ in range(n)] for _ in range(20)]
         effects = [wl.projector_from_ket(random_ket(rng, d)) if with_effect else None for _ in range(20)]
-        rho = np.array([state.matrix for state in states])
-        observables = np.array([[obs.matrix for obs in seq] for seq in sequences])
-        post = np.array([effect.matrix for effect in effects]) if with_effect else None
+        rho, observables = np.array(states), np.array(sequences)
+        post = np.array(effects) if with_effect else None
         values = [ordered_trace(*instance) for instance in zip(states, sequences, effects)]
         assert np.allclose(sequence_traces(rho, observables, post), values, rtol=0.0, atol=1e-14)
         bounds = [norm_product_bound(seq) for seq in sequences]
