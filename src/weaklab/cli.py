@@ -11,9 +11,9 @@ built on the first call, not at import, and reused by every later call.
 Sizes that would exhaust memory are input errors, checked before the
 allocation they would need: ``sweep --steps`` over SWEEP_MAX_POINTS and a
 ``chain-n`` ``--n`` over CHAIN_MAX_STEPS. ``sweep`` runs its grid through
-``simulator.sweep_moments``: two passes per engine, then one slot
-contraction per point, ``simulator.SWEEP_CHUNK_ENTRIES`` table entries at
-a time. ``sample`` checks ``--shots`` and ``--seed`` before any engine
+``simulator.sweep_moments``: one pass pair for both engines, then one slot
+contraction per chunk of ``simulator.SWEEP_CHUNK_ENTRIES`` table entries.
+``sample`` checks ``--shots`` and ``--seed`` before any engine
 work. Its exact column needs no limit of its own:
 ``simulator.position_moments`` holds four d x d arrays per step, fewer
 bytes than the scenario. ``bounds --trials`` needs no limit: one draw
@@ -69,17 +69,18 @@ SCENARIO_NAMES = ("illustrative", "pauli-xy", "chain-n", "common-cause")
 
 # Most points one sweep may take. A point costs about 1.5 kB at the report's
 # peak (tracemalloc, 20,000 illustrative points: 1,511 B in JSON, 336 B in
-# CSV), beside one chunk of slot contractions of about 2 MiB, so the largest
+# CSV), beside one chunk of slot contractions of 3.3 to 3.7 MB, so the largest
 # sweep stays under errors.MEMORY_LIMIT, the 2 GiB that sample and optimize
 # allow.
 SWEEP_MAX_POINTS = 1_000_000
 
 # Longest chain-n chain. Building it and running scenario, simulate or a
-# two-point sweep on it peak at 1.0-1.17 kB per step (tracemalloc, n = 2,000
-# and 20,000), so a million steps stay under errors.MEMORY_LIMIT, the 2 GiB
-# that sample and optimize allow. sample --shots 1 peaks at 1.2-1.26 kB per
-# step (n = 20,000 and 2,000): the scenario, the exact column and the
-# report's n + 1 row dicts, which the CSV report streams without copying.
+# two-point sweep on it peak at 0.54-0.75 kB per step, the sweep highest
+# (tracemalloc, n = 2,000 and 20,000), so a million steps stay under
+# errors.MEMORY_LIMIT, the 2 GiB that sample and optimize allow. sample
+# --shots 1 peaks at 1.2-1.26 kB per step (n = 20,000 and 2,000): the
+# scenario, the exact column and the report's n + 1 row dicts, which the
+# CSV report streams without copying.
 CHAIN_MAX_STEPS = 1_000_000
 
 # Trials that bounds draws and then evaluates together in its projector-pair
@@ -285,16 +286,14 @@ def _cmd_sample(args) -> None:
     scn, source = _resolve_scenario(args.file, args)
     exact = position_moments(scn)
     # Tr(eta) comes out of the exact column's pass, so the sampler need not run it.
-    samples, stats = sample_outcomes(scn, args.shots, args.seed, probability=exact[0].postselection_probability)
+    probability = exact[0].postselection_probability
+    samples, _ = sample_outcomes(scn, args.shots, args.seed, probability=probability)
     config = {
         "scenario": source,
         "shots": args.shots,
         "seed": args.seed,
     }
-    summary = {
-        "retained_shots": stats.retained_shots,
-        "postselection_probability": stats.postselection_probability,
-    }
+    summary = {"retained_shots": len(samples), "postselection_probability": probability}
     with np.errstate(over="ignore"):
         products = samples.prod(axis=1)
     columns = [("mean_position_product", products)]

@@ -37,12 +37,12 @@ other way and yields the effect after each step. ``_chain``, the forward
 pass closed by the effect, serves the one-scenario engines and
 ``stacked_exact_moments``, which runs a stack of scenarios.
 ``position_moments`` contracts every slot between the two passes, and
-``sweep_moments`` only the swept one, once per grid point. Arrays carry
-leading batch axes that broadcast. The finiteness, post-selection and
-imaginary-residue checks run one at a time, each over every batch entry,
-and raise with the message one scenario would give for the first entry,
-in C order, that fails the check: a not-finite entry 3 raises before a
-zero-probability entry 0.
+``sweep_moments`` only the swept one, once per grid point, both engines
+in one pass pair. Arrays carry leading batch axes that broadcast. The
+finiteness, post-selection and imaginary-residue checks run one at a
+time, each over every batch entry, and raise with the message one
+scenario would give for the first entry, in C order, that fails the
+check: a not-finite entry 3 raises before a zero-probability entry 0.
 
 ``sample_outcomes`` simulates shots one Kraus update at a time: each
 shot carries a system ket, and each pointer is read right after its
@@ -395,9 +395,9 @@ def stacked_exact_moments(
 
 
 # Table entries, points times d^2, that one chunk of ``sweep_moments``
-# contracts at once. A point holds its swept [pattern, identity] tables and
-# two products of their size, beside smaller work arrays: 1.9 to 2.2 MB per
-# chunk at the peak (tracemalloc, d = 2 to 32).
+# contracts at once. A point holds both engines' swept [pattern, identity]
+# tables and two products of their size, beside smaller work arrays: 3.3 to
+# 3.7 MB per chunk at the peak (tracemalloc, d = 2 to 32).
 SWEEP_CHUNK_ENTRIES = 2**14
 
 
@@ -406,38 +406,38 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
     """``exact_moment`` and ``weak_prediction`` of ``pat`` with step
     ``index``'s pointer width set to each of ``widths`` in turn.
 
-    Only the swept slot's tables depend on the width. Per engine, one
-    forward pass gives that slot's rho and one backward pass its E, for the
-    pattern and identity rows, and each width costs one slot contraction:
-    O(n d^3 + G d^2). The grid runs in chunks, to bound memory, through the
-    engines' own checks. A run of points that fails one is halved, first
-    half first; a single point that fails reruns alone through both
-    engines, in a copy of the scenario with that width, which ``Scenario``
-    checks, so the error is the one a loop over the widths meets first; a
-    point that passes alone keeps the values it gets there."""
+    Only the swept slot's tables depend on the width. With both engines'
+    tables on one leading axis, one forward pass gives that slot's rho and
+    one backward pass its E, and each chunk of widths costs one slot
+    contraction: O(n d^3 + G d^2). The grid runs in chunks, to bound memory,
+    through the engines' own checks. A run of points that fails one is
+    halved, first half first; a single point that fails reruns alone through
+    both engines, in a copy of the scenario with that width, which
+    ``Scenario`` checks, so the error is the one a loop over the widths
+    meets first; a point that passes alone keeps the values it gets there."""
     eigenvalues, bases = scn.spectrum
     turns, unswept = _turns(bases), np.arange(scn.n_steps) != index
     values, passes = np.empty((2, len(widths))), []
-
-    def engine_pass(exact):
-        # The swept step's tables are never read: its placeholder width keeps its own out of every check.
-        fixed = _pattern_tables(eigenvalues, np.where(unswept, scn.widths, 1.0), pat, exact)
-        state = next(itertools.islice(_forward(scn.initial, turns, fixed), index, None))
-        effects = _backward(_last_effect(bases, scn.post), turns, fixed)
-        effect = next(itertools.islice(effects, scn.n_steps - 1 - index, None))
-        return exact, state, effect, np.abs(fixed[unswept, 0]).max(axis=(-2, -1)).prod()
 
     def fill(start, stop):
         points = widths[start:stop]
         try:
             if not refused_widths(points).any():
                 if not passes:  # built in the first run, so a pass that fails reaches point 0 by halving
-                    passes[:] = [engine_pass(exact) for exact in (True, False)]
-                for row, (exact, state, effect, peak) in enumerate(passes):
-                    tables = _step_tables(eigenvalues[index], points, (pat.kinds[index], _IDENTITY), exact)
-                    numerators, probability = _checked(_slot(effect, tables, state))
-                    peaks = peak * np.abs(tables[:, 0]).max(axis=(-2, -1))
-                    values[row, start:stop] = _values(numerators[:, 0], peaks, probability)
+                    # The swept step's tables are never read: its placeholder width keeps its own out of every check.
+                    placeholder = np.where(unswept, scn.widths, 1.0)
+                    # Exact, then weak, on a leading engine axis, which the passes carry.
+                    fixed = np.stack([_pattern_tables(eigenvalues, placeholder, pat, exact) for exact in (True, False)])
+                    state = next(itertools.islice(_forward(scn.initial, turns, fixed), index, None))
+                    effects = _backward(_last_effect(bases, scn.post), turns, fixed)
+                    effect = next(itertools.islice(effects, scn.n_steps - 1 - index, None))
+                    passes[:] = state, effect, np.abs(fixed[:, unswept, 0]).max(axis=(-2, -1)).prod(axis=-1)
+                state, effect, peak = passes
+                kinds = (pat.kinds[index], _IDENTITY)
+                tables = np.stack([_step_tables(eigenvalues[index], points, kinds, exact) for exact in (True, False)], 1)
+                numerators, probability = _checked(_slot(effect, tables, state))
+                peaks = peak * np.abs(tables[..., 0, :, :]).max(axis=(-2, -1))
+                values[:, start:stop] = _values(numerators[..., 0], peaks, probability).T
                 return
         except WeakLabError:
             pass
@@ -474,8 +474,8 @@ def recover_weak_value(scn: Scenario, exact: bool = True) -> complex:
     and x on the others: even subsets give the real part, odd ones the
     imaginary part. Every m_P is linear in each slot's readout and shares
     the denominator Tr(eta), so the sum is one chain whose step j reads
-    x + 2i sigma_j^2 p. Without post-selection the final slot reads x only
-    (momentum there vanishes at first order and carries no information).
+    x + 2i sigma_j^2 p. Without post-selection the last reads x alone: the
+    trace sees only p's zero diagonal, where a gain overflowed to inf puts nan.
 
     ``exact=False`` sums weak-regime moments. Exact recovery is biased at
     finite widths; nothing here judges that. ``steps_outside_weak_regime``

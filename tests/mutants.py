@@ -77,9 +77,26 @@ MUTANTS = (
     Mutant(
         "sweep-placeholder-width",
         "simulator.py",
-        "_pattern_tables(eigenvalues, np.where(unswept, scn.widths, 1.0), pat, exact)",
-        "_pattern_tables(eigenvalues, scn.widths, pat, exact)",
+        "placeholder = np.where(unswept, scn.widths, 1.0)",
+        "placeholder = scn.widths",
         ("tests/test_cli.py::TestSweepAgainstPerPointLoop::test_swept_width_underflow_stays_on_the_fast_path",),
+    ),
+    Mutant(
+        # The grid's point tables stacked weak first, against passes stacked exact first.
+        "sweep-point-engines-swapped",
+        "simulator.py",
+        "for exact in (True, False)], 1)",
+        "for exact in (False, True)], 1)",
+        ("tests/test_simulator.py::TestSweepMoments",),
+    ),
+    Mutant(
+        # Without post-selection the last gain, 2 sigma^2, is zeroed: it
+        # overflows to inf near the widest width, and inf x 0 is nan.
+        "recovery-last-gain-kept",
+        "simulator.py",
+        "gains[-1] = 0.0",
+        "pass",
+        ("tests/test_simulator.py::TestRecovery::test_last_width_whose_gain_overflows",),
     ),
     Mutant(
         "residue-scale-one",

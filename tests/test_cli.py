@@ -238,6 +238,8 @@ class TestSweepCommand:
             *((odd, f"sweep parameter must look like sigma1, got {odd!r}")
               for odd in ("sigma+1", "sigma 1", "sigma1 ", "sigma01", "sigma\u0661", "sigma1_0", "sigma")),
             *((param, f"{param!r} is out of range for a 12-step scenario") for param in ("sigma0", "sigma13")),
+            *((param, f"sweep parameter must name a step width (sigmaK), got {param!r}")
+              for param in ("width1", "Sigma1", "1", "")),
         ],
     )
     def test_param_spelling(self, capsys, param, message):

@@ -169,6 +169,12 @@ class TestScenarioTypes:
                 steps=(wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(1.0)),),
             )
 
+    @pytest.mark.parametrize("given", [{"observables": [SIGMA_Z]}, {"widths": [1.0]}])
+    def test_steps_refused_beside_stacks(self, given):
+        steps = (wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(1.0)),)
+        with pytest.raises(InputError, match="give a scenario's steps or its observables and widths, not both"):
+            wl.Scenario(wl.KET_0.to_density(), steps=steps, **given)
+
     def test_scenario_needs_a_step(self):
         with pytest.raises(InputError, match="needs at least one measurement step"):
             wl.Scenario(wl.KET_0.to_density(), [])
@@ -620,6 +626,14 @@ class TestRecovery:
             count += 1
         assert count >= 15
 
+    def test_last_width_whose_gain_overflows(self):
+        # Without post-selection the last slot reads x alone: at sigma2 =
+        # 1.2e154 its gain 2 sigma^2 overflows to inf, and inf times the zero
+        # diagonal of its p table would be nan.
+        for exact in (True, False):
+            got = wl.recover_weak_value(wl.build_illustrative(1.0, 1.2e154), exact=exact)
+            assert got == wl.recover_weak_value(wl.build_illustrative(1.0, 1e153), exact=exact)
+
     def test_weak_source_inverts_without_post(self):
         rng = np.random.default_rng(11)
         for _ in range(15):
@@ -812,6 +826,23 @@ class TestSweepMoments:
                     want = engine(scn, pattern)
                     scale = max(1.0, chain_peak(scn, pattern, exact) / want.postselection_probability)
                     assert abs(got[0] - want.value) <= 1e-12 * scale, (trial, str(pattern), j, exact)
+
+
+    def test_one_pass_pair_and_one_contraction_per_chunk(self, monkeypatch):
+        # Both engines ride one forward and one backward pass, and each chunk
+        # of the grid is one slot contraction, one closing check and one
+        # residue check for both.
+        scn = random_scenario(np.random.default_rng(9), 3, 4, with_post=True)
+        calls = dict.fromkeys(("_forward", "_backward", "_slot", "_checked", "_values", "_moment"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(simulator, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(simulator, name, counted)
+        grid = np.geomspace(0.5, 40.0, 2 * (simulator.SWEEP_CHUNK_ENTRIES // scn.dim**2) + 1)
+        simulator.sweep_moments(scn, wl.MomentPattern.from_string("xpix"), 1, grid)
+        assert calls == {"_forward": 1, "_backward": 1, "_slot": 3, "_checked": 3, "_values": 3, "_moment": 0}
 
 
 @st.composite
