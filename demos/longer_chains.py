@@ -32,6 +32,6 @@ print(f"n=3 at sigma=50: exact {exact:+.8f} vs weak-limit {weak:+.8f}")
 
 # The full weak value is still measurable: combine position and momentum
 # readouts across subsets of the first n-1 pointers.
-recovered = wl.recover_weak_value(scn)
+recovered, _ = wl.recover_weak_value(scn)
 print(f"n=3 weak value recovered from exact moments: {recovered.real:+.8f}"
       f"  (closed form {wl.chain_weak_value(3):+.8f})")

@@ -75,8 +75,9 @@ SCENARIO_NAMES = ("illustrative", "pauli-xy", "chain-n", "common-cause")
 SWEEP_MAX_POINTS = 1_000_000
 
 # Longest chain-n chain. Building it and running scenario, simulate or a
-# two-point sweep on it peak at 0.54-0.75 kB per step, the sweep highest
-# (tracemalloc, n = 2,000 and 20,000), so a million steps stay under
+# two-point sweep on it peak at 0.54-0.93 kB per step, scenario highest, its
+# recovery stacking both engines' [x, p, i] tables (tracemalloc, n = 2,000
+# and 20,000), so a million steps stay under
 # errors.MEMORY_LIMIT, the 2 GiB that sample and optimize allow. sample
 # --shots 1 peaks at 1.2-1.26 kB per step (n = 20,000 and 2,000): the
 # scenario, the exact column and the report's n + 1 row dicts, which the
@@ -176,8 +177,7 @@ def _cmd_scenario(args) -> None:
     pattern = MomentPattern.all_position(scn.n_steps)
     exact = exact_moment(scn, pattern)
     weak = weak_prediction(scn, pattern)
-    from_exact = recover_weak_value(scn)
-    from_weak = recover_weak_value(scn, exact=False)
+    from_exact, from_weak = recover_weak_value(scn)
     ok = not steps_outside_weak_regime(scn)
     config = {
         "scenario": args.name,

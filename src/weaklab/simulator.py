@@ -27,7 +27,7 @@ runs stacked beside it as the normalization. Only the tables differ:
 Their difference is a measurable weak-regime error, which is the point:
 the exact engine never borrows the approximation it is used to test.
 Because moments are linear in each slot's readout, ``recover_weak_value``
-sums its momentum-subset combination of moments as a single chain.
+sums its momentum-subset moments as one chain per engine, in one pass.
 
 One forward-backward core carries these engines, over the eigenvalues
 and eigenbases that ``Scenario.spectrum`` takes from one batched eigh.
@@ -466,30 +466,29 @@ def steps_outside_weak_regime(scn: Scenario) -> tuple[int, ...]:
 
 
 @np.errstate(all="ignore")
-def recover_weak_value(scn: Scenario, exact: bool = True) -> complex:
-    """Reassemble the sequential weak value from joint pointer moments.
+def recover_weak_value(scn: Scenario) -> tuple[complex, complex]:
+    """Reassemble the sequential weak value from joint pointer moments:
+    ``(from_exact, from_weak)``, from exact and from weak-regime moments.
 
     The weak value is the sum over momentum subsets P of
     prod_{j in P} (2i sigma_j^2) m_P, where m_P reads p on the slots in P
     and x on the others: even subsets give the real part, odd ones the
     imaginary part. Every m_P is linear in each slot's readout and shares
     the denominator Tr(eta), so the sum is one chain whose step j reads
-    x + 2i sigma_j^2 p. Without post-selection the last reads x alone: the
-    trace sees only p's zero diagonal, where a gain overflowed to inf puts nan.
+    x + 2i (sigma_j^2 p), finite at every width ``check_widths`` accepts.
+    Both engines' tables ride one leading axis through one forward pass.
 
-    ``exact=False`` sums weak-regime moments. Exact recovery is biased at
-    finite widths; nothing here judges that. ``steps_outside_weak_regime``
-    names the steps whose pointers are too narrow to read it as the weak value.
+    Exact recovery is biased at finite widths; nothing here judges that.
+    ``steps_outside_weak_regime`` names the steps whose pointers are too
+    narrow to read it as the weak value.
     """
     eigenvalues, bases = scn.spectrum
-    gains = 2j * np.float_power(scn.widths, 2)
-    if scn.post is None:
-        gains[-1] = 0.0
     kinds = [PointerOperatorKind(code) for code in "xpi"]
-    tables = _step_tables(eigenvalues, scn.widths, kinds, exact)
-    tables[:, 0] += gains[:, np.newaxis, np.newaxis] * tables[:, 1]
-    (numerator,), probability = _chain(scn.initial, bases, tables[:, ::2], scn.post)
-    return complex(numerator) / float(probability)
+    # Exact, then weak, on a leading engine axis.
+    tables = np.stack([_step_tables(eigenvalues, scn.widths, kinds, exact) for exact in (True, False)])
+    tables[:, :, 0] += 2j * (np.float_power(scn.widths, 2)[:, np.newaxis, np.newaxis] * tables[:, :, 1])
+    traces, probability = _chain(scn.initial, bases, tables[:, :, ::2], scn.post)
+    return tuple(complex(trace) / p for (trace,), p in zip(traces.tolist(), probability.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -90,13 +90,21 @@ MUTANTS = (
         ("tests/test_simulator.py::TestSweepMoments",),
     ),
     Mutant(
-        # Without post-selection the last gain, 2 sigma^2, is zeroed: it
-        # overflows to inf near the widest width, and inf x 0 is nan.
-        "recovery-last-gain-kept",
+        # The gain 2 sigma^2 overflows to inf near the widest width, where
+        # sigma^2 p stays finite.
+        "recovery-gain-reassociated",
         "simulator.py",
-        "gains[-1] = 0.0",
-        "pass",
-        ("tests/test_simulator.py::TestRecovery::test_last_width_whose_gain_overflows",),
+        "2j * (np.float_power(scn.widths, 2)[:, np.newaxis, np.newaxis] * tables[:, :, 1])",
+        "(2j * np.float_power(scn.widths, 2)[:, np.newaxis, np.newaxis]) * tables[:, :, 1]",
+        ("tests/test_simulator.py::TestRecovery::test_widths_whose_gain_overflows",),
+    ),
+    Mutant(
+        # The recovery's tables stacked weak first, against its pair read exact first.
+        "recovery-engines-swapped",
+        "simulator.py",
+        "kinds, exact) for exact in (True, False)])",
+        "kinds, exact) for exact in (False, True)])",
+        ("tests/test_simulator.py::TestRecovery",),
     ),
     Mutant(
         "residue-scale-one",

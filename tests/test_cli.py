@@ -74,6 +74,29 @@ class TestScenarioCommand:
         assert document["config"]["scenario"] == "pauli-xy"
         assert any(r["quantity"] == "recovered_from_weak_im" for r in document["results"])
 
+    @pytest.mark.parametrize("name", ["illustrative", "pauli-xy"])
+    def test_widest_first_pointer_recovers(self, capsys, name):
+        # The recovery's gain 2 sigma^2 overflows here; sigma^2 p does not.
+        code, out = run_cli(capsys, "scenario", name, "--sigma1", "1.2e154")
+        assert code == 0
+        rows = csv_rows(out)
+        for source in ("exact", "weak"):
+            got = complex(*(float(value_of(rows, f"recovered_from_{source}_{part}")["value"]) for part in ("re", "im")))
+            assert abs(got - (-0.125 if name == "illustrative" else 1j)) <= 1e-15
+
+    def test_three_passes(self, capsys, monkeypatch):
+        # The exact and weak moments, then both engines' recoveries in one.
+        calls = []
+        original = simulator._forward
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simulator, "_forward", counted)
+        assert run_cli(capsys, "scenario", "illustrative")[0] == 0
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("sigma,ok", [("0.5", "False"), ("100", "True")])
     def test_weak_regime_row(self, capsys, sigma, ok):
         code, out = run_cli(capsys, "scenario", "illustrative", "--sigma", sigma)

@@ -541,7 +541,7 @@ class TestWeakEngine:
                 wv = wl.seq_weak_value(scn.initial, scn.post, scn.observables)
             except ZeroPostSelectionProbability:
                 continue
-            got = wl.recover_weak_value(scn, exact=False)
+            _, got = wl.recover_weak_value(scn)
             assert got == pytest.approx(wv, abs=1e-10)
 
     @given(
@@ -590,12 +590,12 @@ class TestWeakEngine:
 class TestRecovery:
     def test_pauli_weak_source_is_exactly_i(self):
         scn = wl.build_pauli_xy(3.0, 1.0)
-        got = wl.recover_weak_value(scn, exact=False)
+        _, got = wl.recover_weak_value(scn)
         assert got == pytest.approx(1.0j, abs=1e-14)
 
     def test_illustrative_exact_source_wide(self):
         scn = wl.build_illustrative(50.0, 50.0)
-        got = wl.recover_weak_value(scn)
+        got, _ = wl.recover_weak_value(scn)
         assert got == pytest.approx(-0.125 + 0.0j, abs=1e-3)
 
     def test_single_step_exact_is_expectation(self):
@@ -606,7 +606,7 @@ class TestRecovery:
             scn = wl.Scenario(
                 initial=rho, steps=(wl.MeasurementStep(obs, wl.GaussianPointer(sigma)),)
             )
-            got = wl.recover_weak_value(scn)
+            got, _ = wl.recover_weak_value(scn)
             assert got == pytest.approx(
                 complex(np.trace(obs @ rho).real), abs=1e-12
             )
@@ -621,18 +621,36 @@ class TestRecovery:
                 wv = wl.seq_weak_value(scn.initial, scn.post, scn.observables)
             except ZeroPostSelectionProbability:
                 continue
-            got = wl.recover_weak_value(scn, exact=False)
+            _, got = wl.recover_weak_value(scn)
             assert got == pytest.approx(wv, abs=1e-10)
             count += 1
         assert count >= 15
 
-    def test_last_width_whose_gain_overflows(self):
-        # Without post-selection the last slot reads x alone: at sigma2 =
-        # 1.2e154 its gain 2 sigma^2 overflows to inf, and inf times the zero
-        # diagonal of its p table would be nan.
-        for exact in (True, False):
-            got = wl.recover_weak_value(wl.build_illustrative(1.0, 1.2e154), exact=exact)
-            assert got == wl.recover_weak_value(wl.build_illustrative(1.0, 1e153), exact=exact)
+    @pytest.mark.parametrize("widths", [(1.0, 1.2e154), (1.2e154, 1.0)], ids=["last", "first"])
+    def test_widths_whose_gain_overflows(self, widths):
+        # At 1.2e154 the gain 2 sigma^2 overflows to inf, and inf times a p
+        # entry is not finite; sigma^2 p, doubled after, stays finite.
+        narrower = [1e153 if sigma > 1.0 else sigma for sigma in widths]
+        want = wl.recover_weak_value(wl.build_illustrative(*narrower))
+        assert wl.recover_weak_value(wl.build_illustrative(*widths)) == want
+
+    @pytest.mark.parametrize("first", [1.2e154, pointer._WIDEST])
+    @pytest.mark.parametrize("build,want", [(wl.build_illustrative, -0.125), (wl.build_pauli_xy, 1j)])
+    def test_widest_first_pointer_recovers_the_weak_value(self, build, want, first):
+        for got in wl.recover_weak_value(build(first, 1.0)):
+            assert np.isfinite(got) and abs(got - want) <= 1e-15
+
+    def test_one_pass_for_both_engines(self, monkeypatch):
+        calls = []
+        original = simulator._forward
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simulator, "_forward", counted)
+        simulator.recover_weak_value(random_scenario(np.random.default_rng(12), 3, 4, with_post=True))
+        assert len(calls) == 1
 
     def test_weak_source_inverts_without_post(self):
         rng = np.random.default_rng(11)
@@ -640,7 +658,7 @@ class TestRecovery:
             n = int(rng.integers(1, 4))
             scn = random_scenario(rng, 2, n, with_post=False)
             wv = wl.seq_weak_value(scn.initial, None, scn.observables)
-            got = wl.recover_weak_value(scn, exact=False)
+            _, got = wl.recover_weak_value(scn)
             assert got == pytest.approx(wv, abs=1e-10)
 
 
@@ -724,8 +742,7 @@ class TestChainAgainstReferences:
                 continue
             weak_want = subset_sum_recovery(scn, ordering_sum_weak)
             scale = operator_scale(scn, [X] * n)
-            exact_got = wl.recover_weak_value(scn)
-            weak_got = wl.recover_weak_value(scn, exact=False)
+            exact_got, weak_got = wl.recover_weak_value(scn)
             assert abs(exact_got - exact_want) <= 1e-12 * max(abs(exact_want), scale)
             assert abs(weak_got - weak_want) <= 1e-12 * max(abs(weak_want), scale)
             checked += 1
@@ -733,7 +750,7 @@ class TestChainAgainstReferences:
 
     def test_weak_recovery_of_ten_step_chain(self):
         scn = wl.build_projector_chain(10, 100.0)
-        got = wl.recover_weak_value(scn, exact=False)
+        _, got = wl.recover_weak_value(scn)
         want = wl.chain_weak_value(10)
         assert abs(got - want) <= 1e-12 * abs(want)
 
