@@ -6,8 +6,10 @@ objective is linear in each projector and in the state's density matrix,
 so each update sets one ket to the least eigenvector of its block
 operator, and no update raises the value; an evaluation is one such
 eigenpair. For n = 2 the floor -1/8 is provably tight; for longer
-sequences the search keeps landing on exactly the same floor, which is
-the evidence behind conjecturing it holds for every n.
+sequences of rank-1 projectors the search keeps landing on exactly the
+same floor, which is the evidence behind conjecturing it holds for every
+n. The search and the conjecture cover rank-1 projectors only; projectors
+of higher rank go lower (ROADMAP item 15).
 
 Run:  python demos/conjecture_search.py        (a few seconds)
 """

@@ -28,7 +28,7 @@ print()
 # widths 6 and 3 neither pointer is in the weak regime (sigma at least
 # 10 times the eigenvalue and weak-value magnitudes; see
 # wl.steps_outside_weak_regime); that is exactly the bias visible below.
-recovered, recovered_weak = wl.recover_weak_value(scn)
+(_, recovered), (_, recovered_weak) = wl.recover_weak_value(scn)
 print(f"weak value recovered from exact moments:  {recovered:+.6f}")
 print(f"same recovery from the weak-limit engine: {recovered_weak:+.6f}")
 print()

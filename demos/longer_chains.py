@@ -3,8 +3,9 @@
 The chain of n projectors at angles j*pi/(n+1) drives the sequential
 weak value to -(cos pi/(n+1))^(n+1) -> -1. But the mean product of all n
 pointer positions is a different quantity for n > 2: it mixes several
-operator orderings, and empirically never beats the -1/8 of the n = 2
-case.
+operator orderings, and for rank-1 projectors empirically never beats
+the -1/8 of the n = 2 case (projectors of higher rank go lower; ROADMAP
+item 15).
 
 Run:  python demos/longer_chains.py
 """
@@ -24,14 +25,11 @@ print("bottoms out at -1/8 (n = 2 and 3) and then retreats.")
 print()
 
 # For n = 3 the pointer moment averages two orderings of the observables;
-# the exact engine at finite width agrees with that combination.
+# the exact engine at finite width agrees with that combination. The full
+# weak value is still measurable: combine position and momentum readouts
+# across subsets of the first n-1 pointers. One pass gives both.
 scn = wl.build_projector_chain(3, 50.0)
-exact = wl.exact_moment(scn, wl.MomentPattern.all_position(3)).value
-weak = wl.weak_prediction(scn, wl.MomentPattern.all_position(3)).value
-print(f"n=3 at sigma=50: exact {exact:+.8f} vs weak-limit {weak:+.8f}")
-
-# The full weak value is still measurable: combine position and momentum
-# readouts across subsets of the first n-1 pointers.
-recovered, _ = wl.recover_weak_value(scn)
+(exact, recovered), (weak, _) = wl.recover_weak_value(scn)
+print(f"n=3 at sigma=50: exact {exact.value:+.8f} vs weak-limit {weak.value:+.8f}")
 print(f"n=3 weak value recovered from exact moments: {recovered.real:+.8f}"
       f"  (closed form {wl.chain_weak_value(3):+.8f})")

@@ -76,12 +76,12 @@ SWEEP_MAX_POINTS = 1_000_000
 
 # Longest chain-n chain. Building it and running scenario, simulate or a
 # two-point sweep on it peak at 0.54-0.93 kB per step, scenario highest, its
-# recovery stacking both engines' [x, p, i] tables (tracemalloc, n = 2,000
-# and 20,000), so a million steps stay under
+# one pass stacking both engines' [x, recovery, i] tables (tracemalloc, n =
+# 2,000 and 20,000, after a warm-up call), so a million steps stay under
 # errors.MEMORY_LIMIT, the 2 GiB that sample and optimize allow. sample
-# --shots 1 peaks at 1.2-1.26 kB per step (n = 20,000 and 2,000): the
-# scenario, the exact column and the report's n + 1 row dicts, which the
-# CSV report streams without copying.
+# --shots 1 peaks at 0.82-0.88 kB per step, 1.26 kB as a process's first
+# command at n = 2,000: the scenario, the exact column and the report's
+# n + 1 row dicts, which the CSV report streams without copying.
 CHAIN_MAX_STEPS = 1_000_000
 
 # Trials that bounds draws and then evaluates together in its projector-pair
@@ -174,10 +174,7 @@ def _emit(args, config: dict, results: list[dict], summary: dict | None = None) 
 
 def _cmd_scenario(args) -> None:
     scn = _builtin_scenario(args.name, args)
-    pattern = MomentPattern.all_position(scn.n_steps)
-    exact = exact_moment(scn, pattern)
-    weak = weak_prediction(scn, pattern)
-    from_exact, from_weak = recover_weak_value(scn)
+    (exact, from_exact), (weak, from_weak) = recover_weak_value(scn)
     ok = not steps_outside_weak_regime(scn)
     config = {
         "scenario": args.name,

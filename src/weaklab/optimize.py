@@ -4,8 +4,8 @@ Searches run over an initial pure state psi and a sequence of n rank-1
 projectors A_j = |k_j><k_j|. Two objectives are offered:
 
 * the mean product of all pointer positions, at a finite width or in
-  the weak limit (the nested anti-commutator form), whose conjectured
-  floor is -1/8 for projector sequences of any length;
+  the weak limit (nested anti-commutators), conjectured to be at least
+  -1/8 for rank-1 projectors at any n (other ranks: ROADMAP item 15);
 * the real part of the sequential weak value itself, which projector
   chains push toward -1.
 

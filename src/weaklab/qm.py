@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, InputError, check_count
 
-HERMITICITY_TOL = 1e-12   # absolute, max entry deviation; inputs are unit-scale
-NORM_TOL = 1e-12
-PSD_TOL = 1e-12           # eigenvalue floor for states / POVM elements
+HERMITICITY_TOL = 1e-12   # max entry deviation, relative to max(1, the matrix's largest entry)
+NORM_TOL = 1e-12          # absolute: states and effects are unit-scale
+PSD_TOL = 1e-12           # absolute eigenvalue floor for states / POVM elements
 
 
 # The checks below take one instance or a stack of them along leading axes,
@@ -28,9 +28,10 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
 
 
 def _check_hermitian(matrix: np.ndarray, name: str) -> None:
-    deviation = np.max(np.abs(matrix - matrix.conj().swapaxes(-1, -2)))
-    if deviation > HERMITICITY_TOL:
-        raise InputError(f"{name} deviates from Hermiticity by {deviation:.3e}")
+    deviations = np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    refused = deviations > HERMITICITY_TOL * np.fmax(1.0, np.abs(matrix).max(axis=(-2, -1)))
+    if refused.any():
+        raise InputError(f"{name} deviates from Hermiticity by {deviations[refused].max():.3e}")
 
 
 def check_kets(kets: np.ndarray) -> None:

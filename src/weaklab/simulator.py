@@ -26,8 +26,8 @@ runs stacked beside it as the normalization. Only the tables differ:
 
 Their difference is a measurable weak-regime error, which is the point:
 the exact engine never borrows the approximation it is used to test.
-Because moments are linear in each slot's readout, ``recover_weak_value``
-sums its momentum-subset moments as one chain per engine, in one pass.
+Moments are linear in each slot's readout: ``recover_weak_value`` sums
+momentum-subset moments beside the x moment, both engines in one pass.
 
 One forward-backward core carries these engines, over the eigenvalues
 and eigenbases that ``Scenario.spectrum`` takes from one batched eigh.
@@ -466,9 +466,10 @@ def steps_outside_weak_regime(scn: Scenario) -> tuple[int, ...]:
 
 
 @np.errstate(all="ignore")
-def recover_weak_value(scn: Scenario) -> tuple[complex, complex]:
-    """Reassemble the sequential weak value from joint pointer moments:
-    ``(from_exact, from_weak)``, from exact and from weak-regime moments.
+def recover_weak_value(scn: Scenario) -> tuple[tuple[MomentResult, complex], tuple[MomentResult, complex]]:
+    """Each engine's all-position moment beside the sequential weak value
+    that joint pointer moments reassemble: ``((exact, from_exact), (weak,
+    from_weak))``, the moments those of ``exact_moment`` and ``weak_prediction``.
 
     The weak value is the sum over momentum subsets P of
     prod_{j in P} (2i sigma_j^2) m_P, where m_P reads p on the slots in P
@@ -476,7 +477,8 @@ def recover_weak_value(scn: Scenario) -> tuple[complex, complex]:
     imaginary part. Every m_P is linear in each slot's readout and shares
     the denominator Tr(eta), so the sum is one chain whose step j reads
     x + 2i (sigma_j^2 p), finite at every width ``check_widths`` accepts.
-    Both engines' tables ride one leading axis through one forward pass.
+    Both engines' [x, recovery, identity] tables ride one leading axis through
+    one forward pass, whose checks include the x moment's imaginary residue.
 
     Exact recovery is biased at finite widths; nothing here judges that.
     ``steps_outside_weak_regime`` names the steps whose pointers are too
@@ -486,9 +488,10 @@ def recover_weak_value(scn: Scenario) -> tuple[complex, complex]:
     kinds = [PointerOperatorKind(code) for code in "xpi"]
     # Exact, then weak, on a leading engine axis.
     tables = np.stack([_step_tables(eigenvalues, scn.widths, kinds, exact) for exact in (True, False)])
-    tables[:, :, 0] += 2j * (np.float_power(scn.widths, 2)[:, np.newaxis, np.newaxis] * tables[:, :, 1])
-    traces, probability = _chain(scn.initial, bases, tables[:, :, ::2], scn.post)
-    return tuple(complex(trace) / p for (trace,), p in zip(traces.tolist(), probability.tolist()))
+    tables[:, :, 1] = tables[:, :, 0] + 2j * (np.float_power(scn.widths, 2)[:, np.newaxis, np.newaxis] * tables[:, :, 1])
+    traces, probability = _chain(scn.initial, bases, tables, scn.post)
+    moments = _values(traces[:, 0], np.abs(tables[:, :, 0]).max(axis=(-2, -1)).prod(axis=-1), probability).tolist()
+    return tuple((MomentResult(m, p), t / p) for m, t, p in zip(moments, traces[:, 1].tolist(), probability.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +574,10 @@ def _read_pointer(
     np.add(a[_draw_index(uniforms, populations)], sigma * rng.standard_normal(len(x)), out=x)
     weights = np.subtract.outer(a, x)
     weights **= 2
+    # A reading over about 1.34e154 from an eigenvalue squares to inf, and
+    # inf - inf is nan: the shot's ket would be lost without an error.
+    if weights.max() == math.inf:
+        raise NumericError("a pointer reading's squared distance to an eigenvalue overflows; the width is too wide")
     weights -= weights.min(axis=0)
     weights /= -4.0 * sigma**2
     np.exp(weights, out=weights)

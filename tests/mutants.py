@@ -107,6 +107,14 @@ MUTANTS = (
         ("tests/test_simulator.py::TestRecovery",),
     ),
     Mutant(
+        # The returned moments read from the recovery row, not the x row.
+        "recovery-moment-from-recovery-row",
+        "simulator.py",
+        "_values(traces[:, 0],",
+        "_values(traces[:, 1],",
+        ("tests/test_simulator.py::TestRecovery::test_moments_and_weak_values_match_the_separate_engines",),
+    ),
+    Mutant(
         "residue-scale-one",
         "simulator.py",
         "np.fmax(1.0, peak / probability)",
@@ -143,6 +151,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # Readings whose squares overflow go on to nan kets.
+        "sampler-overflow-unchecked",
+        "simulator.py",
+        "if weights.max() == math.inf:",
+        "if False:",
+        ("tests/test_simulator.py::TestSampler::test_reading_whose_square_overflows_raises",),
+    ),
+    Mutant(
         "scenario-effect-unchecked",
         "simulator.py",
         "qm.check_effects(post)",
@@ -155,6 +171,13 @@ MUTANTS = (
         "qm.check_densities(initial)",
         "None",
         ("tests/test_qm.py::TestScenarioInputs",),
+    ),
+    Mutant(
+        "hermiticity-absolute",
+        "qm.py",
+        "HERMITICITY_TOL * np.fmax(1.0, np.abs(matrix).max(axis=(-2, -1)))",
+        "HERMITICITY_TOL",
+        ("tests/test_qm.py::TestHermiticityScale",),
     ),
 )
 

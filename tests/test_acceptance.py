@@ -83,7 +83,7 @@ def test_criterion_2_illustrative_limits():
 
 
 def test_criterion_3_pauli_imaginary_recovery():
-    from_exact, from_weak = wl.recover_weak_value(wl.build_pauli_xy(50.0, 50.0))
+    (_, from_exact), (_, from_weak) = wl.recover_weak_value(wl.build_pauli_xy(50.0, 50.0))
     gap_exact = abs(from_exact - 1.0j)
     gap_weak = abs(from_weak - 1.0j)
     ok = gap_exact <= 1e-3 and gap_weak <= 1e-12

@@ -84,8 +84,8 @@ class TestScenarioCommand:
             got = complex(*(float(value_of(rows, f"recovered_from_{source}_{part}")["value"]) for part in ("re", "im")))
             assert abs(got - (-0.125 if name == "illustrative" else 1j)) <= 1e-15
 
-    def test_three_passes(self, capsys, monkeypatch):
-        # The exact and weak moments, then both engines' recoveries in one.
+    def test_one_pass(self, capsys, monkeypatch):
+        # Both engines' moments and recoveries come out of one chain.
         calls = []
         original = simulator._forward
 
@@ -95,7 +95,7 @@ class TestScenarioCommand:
 
         monkeypatch.setattr(simulator, "_forward", counted)
         assert run_cli(capsys, "scenario", "illustrative")[0] == 0
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("sigma,ok", [("0.5", "False"), ("100", "True")])
     def test_weak_regime_row(self, capsys, sigma, ok):
@@ -751,6 +751,24 @@ class TestSampleCommand:
         code, out = run_cli(capsys, "sample", path, "--shots", "1", "--seed", "3")
         assert code == 0
         assert [row["stderr"] for row in csv_rows(out)] == ["nan"] * 3
+
+    def test_reading_whose_square_overflows_exits_1_without_a_warning(self, write_scenario):
+        # A process of its own, so numpy's warnings reach stderr as a user
+        # sees them, not as the errors that the test settings make of them.
+        illustrative = wl.build_illustrative(1.0, 1.0)
+        observables = [*illustrative.observables, illustrative.observables[0]]
+        path = write_scenario(wl.Scenario(illustrative.initial, observables, [1.3e154, 0.5, 0.5]))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                                                          env.get("PYTHONPATH")]))
+        argv = ["sample", str(path), "--shots", "40000", "--seed", "2"]
+        done = subprocess.run(
+            [sys.executable, "-m", "weaklab.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            "numeric failure: a pointer reading's squared distance to an eigenvalue overflows; the width is too wide\n"
+        )
 
     def test_shots_over_memory_limit_exit_code(self, capsys):
         code, out = run_cli(capsys, "sample", "illustrative", "--shots", str(10**12), "--seed", "1")

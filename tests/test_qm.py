@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 
@@ -8,6 +9,7 @@ import pytest
 import weaklab as wl
 from weaklab import qm
 from weaklab.errors import DimensionMismatch, InputError
+from weaklab.scenario_io import scenario_from_dict
 
 from instances import random_density, random_ket, random_observable
 
@@ -146,6 +148,39 @@ class TestScenarioInputs:
             dataclasses.replace(scn, post=np.diag([np.nan, 1.0]))
         with pytest.raises(InputError, match="density matrix has a non-finite entry"):
             dataclasses.replace(scn, initial=np.diag([np.nan, 1.0]))
+
+
+class TestHermiticityScale:
+    """The Hermiticity check's tolerance is relative to each matrix's
+    largest entry, floored at 1, so rounding passes at any scale."""
+
+    def test_large_observables_read_back_from_a_file_are_accepted(self):
+        # V diag(a) V^H with eigenvalues of order 1e5 leaves rounding of
+        # order 1e-11 off Hermitian, which an absolute 1e-12 refused.
+        rng = np.random.default_rng(0)
+        observables = []
+        for _ in range(50):
+            basis, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+            observables.append((basis * (1e5 * rng.uniform(-1.0, 1.0, 3))) @ basis.conj().T)
+        steps = [{"observable": [[[z.real, z.imag] for z in row] for row in obs.tolist()], "sigma": 1.0}
+                 for obs in observables]
+        doc = {"dimension": 3, "initial": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "steps": steps}
+        scn = scenario_from_dict(json.loads(json.dumps(doc)))
+        deviations = np.abs(scn.observables - scn.observables.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        assert (deviations > qm.HERMITICITY_TOL).sum() >= 25
+
+    def test_large_matrices_are_refused_past_the_scaled_tolerance(self):
+        skewed = np.array([[1e5, 0.0], [2e-6, -1e5]])
+        with pytest.raises(InputError, match="^observable deviates from Hermiticity by 2.000e-06$"):
+            scenario_with(observable=skewed)
+        qm.check_observables(np.array([[1e5, 0.0], [5e-8, -1e5]]))
+
+    def test_each_matrix_of_a_stack_has_its_own_scale(self):
+        large = np.array([[1e5, 5e-8], [0.0, -1e5]])
+        unit = np.array([[1.0, 2e-12], [0.0, -1.0]])
+        qm.check_observables(np.array([large, SIGMA_Z]))
+        with pytest.raises(InputError, match="^observable deviates from Hermiticity by 2.000e-12$"):
+            qm.check_observables(np.array([large, unit]))
 
 
 def scenario_of(*observables):

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -541,7 +542,7 @@ class TestWeakEngine:
                 wv = wl.seq_weak_value(scn.initial, scn.post, scn.observables)
             except ZeroPostSelectionProbability:
                 continue
-            _, got = wl.recover_weak_value(scn)
+            _, (_, got) = wl.recover_weak_value(scn)
             assert got == pytest.approx(wv, abs=1e-10)
 
     @given(
@@ -587,15 +588,44 @@ class TestWeakEngine:
         assert tampered
 
 
+def separate_recovery(scn):
+    """Both engines' recovered weak values as a chain of their own computes
+    them: each step's x + 2i (sigma^2 p) table beside the identity, with no
+    moment row, exact then weak on a leading axis."""
+    eigenvalues, bases = scn.spectrum
+    with np.errstate(all="ignore"):
+        tables = np.stack([pointer._step_tables(eigenvalues, scn.widths, (X, P, I), exact) for exact in (True, False)])
+        tables[:, :, 0] += 2j * (np.float_power(scn.widths, 2)[:, np.newaxis, np.newaxis] * tables[:, :, 1])
+        traces, probability = simulator._chain(scn.initial, bases, tables[:, :, ::2], scn.post)
+    return [complex(trace) / p for (trace,), p in zip(traces.tolist(), probability.tolist())]
+
+
+def bits(*values):
+    """Floats and complex numbers as the hex strings of their parts, so that
+    equality is bit for bit and tells 0.0 from -0.0."""
+    return [part.hex() for value in values for part in (complex(value).real, complex(value).imag)]
+
+
+def builtin_scenarios(sigma1, sigma2):
+    shared = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    projector = wl.projector_from_ket(qm.KET_0)
+    return [
+        wl.build_illustrative(sigma1, sigma2),
+        wl.build_pauli_xy(sigma1, sigma2),
+        wl.build_projector_chain(3, sigma1),
+        wl.build_common_cause(shared, projector, projector, sigma1, sigma2),
+    ]
+
+
 class TestRecovery:
     def test_pauli_weak_source_is_exactly_i(self):
         scn = wl.build_pauli_xy(3.0, 1.0)
-        _, got = wl.recover_weak_value(scn)
+        _, (_, got) = wl.recover_weak_value(scn)
         assert got == pytest.approx(1.0j, abs=1e-14)
 
     def test_illustrative_exact_source_wide(self):
         scn = wl.build_illustrative(50.0, 50.0)
-        got, _ = wl.recover_weak_value(scn)
+        (_, got), _ = wl.recover_weak_value(scn)
         assert got == pytest.approx(-0.125 + 0.0j, abs=1e-3)
 
     def test_single_step_exact_is_expectation(self):
@@ -606,7 +636,7 @@ class TestRecovery:
             scn = wl.Scenario(
                 initial=rho, steps=(wl.MeasurementStep(obs, wl.GaussianPointer(sigma)),)
             )
-            got, _ = wl.recover_weak_value(scn)
+            (_, got), _ = wl.recover_weak_value(scn)
             assert got == pytest.approx(
                 complex(np.trace(obs @ rho).real), abs=1e-12
             )
@@ -621,7 +651,7 @@ class TestRecovery:
                 wv = wl.seq_weak_value(scn.initial, scn.post, scn.observables)
             except ZeroPostSelectionProbability:
                 continue
-            _, got = wl.recover_weak_value(scn)
+            _, (_, got) = wl.recover_weak_value(scn)
             assert got == pytest.approx(wv, abs=1e-10)
             count += 1
         assert count >= 15
@@ -631,13 +661,13 @@ class TestRecovery:
         # At 1.2e154 the gain 2 sigma^2 overflows to inf, and inf times a p
         # entry is not finite; sigma^2 p, doubled after, stays finite.
         narrower = [1e153 if sigma > 1.0 else sigma for sigma in widths]
-        want = wl.recover_weak_value(wl.build_illustrative(*narrower))
-        assert wl.recover_weak_value(wl.build_illustrative(*widths)) == want
+        want = [value for _, value in wl.recover_weak_value(wl.build_illustrative(*narrower))]
+        assert [value for _, value in wl.recover_weak_value(wl.build_illustrative(*widths))] == want
 
     @pytest.mark.parametrize("first", [1.2e154, pointer._WIDEST])
     @pytest.mark.parametrize("build,want", [(wl.build_illustrative, -0.125), (wl.build_pauli_xy, 1j)])
     def test_widest_first_pointer_recovers_the_weak_value(self, build, want, first):
-        for got in wl.recover_weak_value(build(first, 1.0)):
+        for _, got in wl.recover_weak_value(build(first, 1.0)):
             assert np.isfinite(got) and abs(got - want) <= 1e-15
 
     def test_one_pass_for_both_engines(self, monkeypatch):
@@ -652,13 +682,38 @@ class TestRecovery:
         simulator.recover_weak_value(random_scenario(np.random.default_rng(12), 3, 4, with_post=True))
         assert len(calls) == 1
 
+    def test_moments_and_weak_values_match_the_separate_engines(self):
+        # Each engine's moment is exact_moment's or weak_prediction's of the
+        # all-position pattern, and its weak value a chain of its own's, to
+        # the last bit; a scenario they refuse, recovery refuses alike.
+        rng = np.random.default_rng(36)
+        grid = ((0.3, 0.7), (1.0, 1.0), (50.0, 2.0), (1.2e154, 1e-150), (1e-170, 1.0))
+        scenarios = [scn for widths in grid for scn in builtin_scenarios(*widths)]
+        scenarios += [random_scenario(rng, int(rng.integers(2, 5)), int(rng.integers(1, 6)), index % 2 == 1)
+                      for index in range(400)]
+        checked = 0
+        for scn in scenarios:
+            pattern = wl.MomentPattern.all_position(scn.n_steps)
+            try:
+                exact, weak = wl.exact_moment(scn, pattern), wl.weak_prediction(scn, pattern)
+            except errors.WeakLabError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    wl.recover_weak_value(scn)
+                continue
+            (exact_got, from_exact), (weak_got, from_weak) = wl.recover_weak_value(scn)
+            for got, want in ((exact_got, exact), (weak_got, weak)):
+                assert bits(*dataclasses.astuple(got)) == bits(*dataclasses.astuple(want))
+            assert bits(from_exact, from_weak) == bits(*separate_recovery(scn))
+            checked += 1
+        assert checked >= 400
+
     def test_weak_source_inverts_without_post(self):
         rng = np.random.default_rng(11)
         for _ in range(15):
             n = int(rng.integers(1, 4))
             scn = random_scenario(rng, 2, n, with_post=False)
             wv = wl.seq_weak_value(scn.initial, None, scn.observables)
-            _, got = wl.recover_weak_value(scn)
+            _, (_, got) = wl.recover_weak_value(scn)
             assert got == pytest.approx(wv, abs=1e-10)
 
 
@@ -742,7 +797,7 @@ class TestChainAgainstReferences:
                 continue
             weak_want = subset_sum_recovery(scn, ordering_sum_weak)
             scale = operator_scale(scn, [X] * n)
-            exact_got, weak_got = wl.recover_weak_value(scn)
+            (_, exact_got), (_, weak_got) = wl.recover_weak_value(scn)
             assert abs(exact_got - exact_want) <= 1e-12 * max(abs(exact_want), scale)
             assert abs(weak_got - weak_want) <= 1e-12 * max(abs(weak_want), scale)
             checked += 1
@@ -750,7 +805,7 @@ class TestChainAgainstReferences:
 
     def test_weak_recovery_of_ten_step_chain(self):
         scn = wl.build_projector_chain(10, 100.0)
-        _, got = wl.recover_weak_value(scn)
+        _, (_, got) = wl.recover_weak_value(scn)
         want = wl.chain_weak_value(10)
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -1064,6 +1119,27 @@ class TestSampler:
         se = product.std(ddof=1) / math.sqrt(product.size)
         exact = wl.exact_moment(scn, wl.MomentPattern.all_position(6)).value
         assert abs(product.mean() - exact) < 4.0 * se
+
+    @staticmethod
+    def wide_first_pointer(sigma1):
+        """Illustrative's two projectors, then the first again, on |0>."""
+        illustrative = wl.build_illustrative(1.0, 1.0)
+        observables = [*illustrative.observables, illustrative.observables[0]]
+        return wl.Scenario(illustrative.initial, observables, [sigma1, 0.5, 0.5])
+
+    def test_reading_whose_square_overflows_raises(self):
+        # At 1.3e154 a reading's squared distance to both eigenvalues
+        # overflows, and the Kraus weights would turn the shot's ket to nan.
+        with pytest.raises(NumericError, match="squared distance to an eigenvalue overflows"):
+            wl.sample_outcomes(self.wide_first_pointer(1.3e154), 40000, seed=2)
+
+    def test_widest_finite_squares_match_exact(self):
+        # Pointers 2 and 3; the wide first pointer's mean has no finite stderr.
+        scn = self.wide_first_pointer(1e153)
+        samples, _ = wl.sample_outcomes(scn, 40000, seed=2)
+        for j, moment in enumerate(wl.position_moments(scn)[2:], start=1):
+            se = samples[:, j].std(ddof=1) / math.sqrt(len(samples))
+            assert abs(samples[:, j].mean() - moment.value) < 5.0 * se
 
     def test_shots_over_memory_limit_raise_before_work(self, monkeypatch):
         scn = wl.build_illustrative(5.0, 1.0)
