@@ -14,8 +14,8 @@ does. Before the comparison, stderr loses its ``# elapsed`` line, and
 each tree's own path and the line numbers of warnings are replaced by
 placeholders, so a warning does not differ by where its source lies.
 Differences are counted by subcommand. A difference that ``ALLOWED``
-names, one that the change under test makes on purpose, is counted apart
-and fails nothing.
+names, one that a change makes on purpose against the base commit it
+was written for, is counted apart and fails nothing.
 
 Run from the repository root:
 
@@ -54,34 +54,39 @@ ROOT = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("scenario", "simulate", "sweep", "optimize", "sample", "bounds")
 BUILTINS = ("illustrative", "pauli-xy", "chain-n", "common-cause")
 WIDEST = math.sqrt(sys.float_info.max)  # the widest pointer width accepted, about 1.34e154
+COMMANDS = 4000  # command lines in the corpus
 EXAMPLES = 3  # differences printed per subcommand
 
 
 @dataclass(frozen=True)
 class Allowance:
-    """Differences that a change makes on purpose: those of ``subcommand``
-    (any when None) where the stderr of ``side``, "base" or "new",
-    matches ``pattern``."""
+    """Differences that a change makes on purpose against the commit
+    ``base``: those of ``subcommand`` (any when None) where the stderr of
+    ``side``, "base" or "new", matches ``pattern``. Against any other
+    base, the allowance does not apply."""
 
     name: str
+    base: str
     subcommand: str | None
     side: str
     pattern: str
 
 
+PARENT = "119e83215ca654fda8560a49dace81e6d49d8c1c"  # the commit these allowances were written against
 ALLOWED = (
     # The sampler refuses a reading whose squared distance to an eigenvalue
     # overflows; it used to go on with nan kets and stopped, if at all, on
     # the overflowing statistics of the report.
     Allowance(
         "sampler-reading-overflow",
+        PARENT,
         "sample",
         "new",
         r"^numeric failure: a pointer reading's squared distance to an eigenvalue overflows",
     ),
     # The Hermiticity tolerance scales with each matrix's largest entry, so
     # rounding in large observables is no longer refused.
-    Allowance("hermiticity-scaled", None, "base", r"observable deviates from Hermiticity"),
+    Allowance("hermiticity-scaled", PARENT, None, "base", r"observable deviates from Hermiticity"),
 )
 
 # Runs inside each tree's subprocess: argv[1] is the corpus, argv[2] the
@@ -315,15 +320,15 @@ class Corpus:
         trials = int(rng.integers(0 if rng.random() < 0.05 else 1, 200))
         return ["bounds", "--trials", str(trials), "--seed", str(int(rng.integers(0, 1000)))]
 
-    def commands(self, count: int) -> list[list[str]]:
-        """``count`` command lines: half scenario, then simulate, sample,
+    def commands(self) -> list[list[str]]:
+        """``COMMANDS`` command lines: half scenario, then simulate, sample,
         sweep, optimize and bounds in shares of 6:5:4:1:1; one in eight
         asks for JSON."""
         shares = (("simulate", 6), ("sample", 5), ("sweep", 4), ("optimize", 1), ("bounds", 1))
-        counts = {"scenario": count - count // 2}
+        counts = {"scenario": COMMANDS - COMMANDS // 2}
         for name, share in shares:
-            counts[name] = count // 2 * share // 17
-        counts["simulate"] += count - sum(counts.values())
+            counts[name] = COMMANDS // 2 * share // 17
+        counts["simulate"] += COMMANDS - sum(counts.values())
         lines = [getattr(self, name)() for name, k in counts.items() for _ in range(k)]
         return [["--format", "json", *argv] if self.rng.random() < 0.125 else argv for argv in lines]
 
@@ -367,10 +372,10 @@ def start(source: Path, corpus: Path, out: Path) -> subprocess.Popen:
     return subprocess.Popen(command, cwd=out.parent, env=env)
 
 
-def allowance(argv, base, new) -> str | None:
+def allowance(commit, argv, base, new) -> str | None:
     sides = {"base": base[1], "new": new[1]}
     for allowed in ALLOWED:
-        if allowed.subcommand in (None, subcommand(argv)) and re.search(allowed.pattern, sides[allowed.side], re.M):
+        if allowed.base == commit and allowed.subcommand in (None, subcommand(argv)) and re.search(allowed.pattern, sides[allowed.side], re.M):
             return allowed.name
     return None
 
@@ -394,14 +399,16 @@ def main(arguments: list[str]) -> int:
     parser.add_argument("--new", default="worktree", help="commit or 'worktree' (worktree)")
     parser.add_argument("--mutant", help="a kept mutant to apply to the new tree")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--count", type=int, default=4000, help="command lines (4000)")
     args = parser.parse_args(arguments)
+    commit = None if args.base == "worktree" else subprocess.run(
+        ["git", "rev-parse", "--verify", args.base + "^{commit}"], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
         for part in ("files", "base", "new"):
             (scratch / part).mkdir()
-        corpus = Corpus(args.seed, scratch / "files").commands(args.count)
+        corpus = Corpus(args.seed, scratch / "files").commands()
         (scratch / "corpus.json").write_text(json.dumps(corpus), encoding="utf-8")
         sources = {side: tree(spec, scratch / side) for side, spec in (("base", args.base), ("new", args.new))}
         if args.mutant:
@@ -419,7 +426,7 @@ def main(arguments: list[str]) -> int:
     for argv, old, now in zip(corpus, base, new):
         if old == now:
             continue
-        name = allowance(argv, old, now)
+        name = allowance(commit, argv, old, now)
         if name:
             allowed[name] += 1
             continue
