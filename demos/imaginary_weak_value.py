@@ -13,7 +13,7 @@ import weaklab as wl
 sigma1, sigma2 = 6.0, 3.0
 scn = wl.build_pauli_xy(sigma1, sigma2)
 
-wv = wl.seq_weak_value(scn.initial, None, scn.observables)
+wv = wl.seq_weak_value(scn)
 print(f"sequential weak value of (sigma_y, sigma_x) on |0>: {wv}")
 print()
 

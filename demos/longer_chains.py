@@ -15,7 +15,7 @@ import weaklab as wl
 print(f"{'n':>3} {'weak value':>14} {'pointer product (weak limit)':>30}")
 for n in range(2, 11):
     scn = wl.build_projector_chain(n, 50.0)
-    wv = wl.seq_weak_value(scn.initial, None, scn.observables).real
+    wv = wl.seq_weak_value(scn).real
     product = wl.weak_prediction(scn, wl.MomentPattern.all_position(n)).value
     print(f"{n:3d} {wv:+14.8f} {product:+30.8f}")
 

@@ -39,5 +39,5 @@ for sigma2 in (0.01, 1.0, 100.0):
 
 print()
 scn = wl.build_illustrative(1.0, 1.0)
-wv = wl.seq_weak_value(scn.initial, None, scn.observables)
+wv = wl.seq_weak_value(scn)
 print(f"The matching sequential weak value: {wv.real:+.4f} (the -1/8 the pointers chase).")

@@ -41,13 +41,10 @@ class PointerOperatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class GaussianPointer:
-    """Gaussian pointer fully described by its width ``sigma``, which
-    ``check_widths`` must pass."""
+    """Gaussian pointer fully described by its width ``sigma``, held as
+    given: ``Scenario(steps=...)`` checks the stacked widths once."""
 
     sigma: float
-
-    def __post_init__(self):
-        check_widths(self.sigma)
 
 
 def _factor(kind: PointerOperatorKind, s2, mean, gap):

@@ -1,9 +1,9 @@
 """Finite-dimensional complex Hilbert-space algebra.
 
 States, observables and effects are plain complex arrays. The stacked
-checks here serve ``simulator.Scenario`` and ``seq_weak_value``, which
-check each input once and hold it frozen. ``PureState`` is a checked ket;
-the stacks of random instances below are valid by construction.
+checks here serve ``simulator.Scenario``, which checks each input once
+and holds it frozen. ``PureState`` is a checked ket; the stacks of
+random instances below are valid by construction.
 """
 
 from __future__ import annotations

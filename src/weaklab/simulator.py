@@ -66,7 +66,7 @@ import numpy as np
 from . import qm
 from .errors import DimensionMismatch, InputError, NumericError, WeakLabError, check_count, check_footprint
 from .pointer import GaussianPointer, PointerOperatorKind, _step_tables, check_widths, refused_widths
-from .weak_values import _weak_value, check_probability
+from .weak_values import check_probability, seq_weak_value
 
 MOMENT_IMAG_TOL = 1e-10
 # A pointer counts as weak when its width is this many times the largest
@@ -459,7 +459,7 @@ def steps_outside_weak_regime(scn: Scenario) -> tuple[int, ...]:
     ``WEAK_REGIME_RATIO`` times its observable's largest eigenvalue
     magnitude or the magnitude of the scenario's sequential weak value. A
     magnitude that is not a number marks every step."""
-    magnitude = abs(_weak_value(scn.initial, scn.post, scn.observables))
+    magnitude = abs(seq_weak_value(scn))
     widths, scale = scn.widths, np.abs(scn.spectrum[0]).max(axis=1)
     outside = ~((widths >= WEAK_REGIME_RATIO * scale) & (widths >= WEAK_REGIME_RATIO * magnitude))
     return tuple(np.flatnonzero(outside).tolist())
@@ -572,14 +572,11 @@ def _read_pointer(
     populations = kets[0] ** 2
     populations += kets[1] ** 2
     np.add(a[_draw_index(uniforms, populations)], sigma * rng.standard_normal(len(x)), out=x)
+    # Scaled before squaring, so the least term, about (z / 2)^2, stays finite.
     weights = np.subtract.outer(a, x)
+    weights /= 2.0 * sigma
     weights **= 2
-    # A reading over about 1.34e154 from an eigenvalue squares to inf, and
-    # inf - inf is nan: the shot's ket would be lost without an error.
-    if weights.max() == math.inf:
-        raise NumericError("a pointer reading's squared distance to an eigenvalue overflows; the width is too wide")
-    weights -= weights.min(axis=0)
-    weights /= -4.0 * sigma**2
+    np.subtract(weights.min(axis=0), weights, out=weights)
     np.exp(weights, out=weights)
     # The updated ket's squared norm is sum_k populations_k weights_k^2.
     populations *= weights

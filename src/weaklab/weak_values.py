@@ -9,16 +9,20 @@ projectors its real part can reach, but never beat, -1/8.
 
 One stacked kernel, ``sequence_traces``, forms the numerator for a single
 instance and for the stacks of the ``bounds`` suites alike;
-``seq_weak_value`` checks one instance's state and effect, takes its
-observables as a stack, and returns its complex weak value.
+``seq_weak_value`` reads one ``Scenario``'s state, observables and effect,
+which the scenario checked, and returns its complex weak value.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from . import qm
-from .errors import DimensionMismatch, InputError, ZeroPostSelectionProbability
+from .errors import ZeroPostSelectionProbability
+
+if TYPE_CHECKING:  # simulator imports this module
+    from .simulator import Scenario
 
 ZERO_PROBABILITY_TOL = 1e-14
 PROJECTOR_PAIR_FLOOR = -0.125
@@ -50,39 +54,21 @@ def check_probability(probability) -> None:
         )
 
 
-def seq_weak_value(rho: np.ndarray, post: np.ndarray | None, observables: np.ndarray) -> complex:
-    """Sequential weak value Tr(E A_n ... A_1 rho) / Tr(E rho) of a density
-    matrix and an effect, (d, d), which it checks as ``Scenario`` does, and
-    a stack (n, d, d) of Hermitian matrices, first measured first, which it
-    does not check, as ``Scenario.observables`` holds them.
+def seq_weak_value(scn: Scenario) -> complex:
+    """Sequential weak value Tr(E A_n ... A_1 rho) / Tr(E rho) of a
+    scenario's state, observables and effect, which ``Scenario`` checked;
+    the pointer widths do not enter.
 
-    ``post=None`` means E = identity: the denominator is 1 and nothing is
-    discarded. Raises ZeroPostSelectionProbability when Tr(E rho) is below
+    ``scn.post`` None means E = identity: the denominator is 1 and nothing
+    is discarded. Raises ZeroPostSelectionProbability when Tr(E rho) is below
     threshold; the value is undefined there, not merely large.
     """
-    rho = qm.square_matrix(rho, "density matrix")
-    qm.check_densities(rho)
-    if not len(observables):
-        raise InputError("a measurement sequence needs at least one observable")
-    d = len(rho)
-    if observables.shape[1:] != (d, d):
-        raise DimensionMismatch(f"observables of shape {observables.shape} are not (n, {d}, {d}) for state dimension {d}")
-    if post is not None:
-        post = qm.square_matrix(post, "POVM element")
-        if len(post) != d:
-            raise DimensionMismatch(f"post-selection dimension {len(post)} != state dimension {d}")
-        qm.check_effects(post)
-    return _weak_value(rho, post, observables)
-
-
-def _weak_value(rho: np.ndarray, post: np.ndarray | None, observables: np.ndarray) -> complex:
-    """``seq_weak_value`` of inputs it does not check, as ``Scenario`` holds them."""
-    if post is None:
-        return complex(sequence_traces(rho, observables))
+    if scn.post is None:
+        return complex(sequence_traces(scn.initial, scn.observables))
     # Tr(E rho) is real for Hermitian E, rho; drop the float residue.
-    probability = float(np.trace(post @ rho).real)
+    probability = float(np.trace(scn.post @ scn.initial).real)
     check_probability(probability)
-    return complex(sequence_traces(rho, observables, post)) / probability
+    return complex(sequence_traces(scn.initial, scn.observables, scn.post)) / probability
 
 
 def norm_products(observables: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Per-instance random kets, density matrices and observables (arrays), a
-plain-loop ordered trace, an eigh-based norm product and the pointer's
-closed-form matrix elements. The package builds and evaluates these as
-stacks; the tests keep the one-at-a-time forms as oracles and as instance
-makers."""
+unit-width scenario, bitwise comparison, a plain-loop ordered trace, an
+eigh-based norm product and the pointer's closed-form matrix elements.
+The package builds and evaluates these as stacks; the tests keep the
+one-at-a-time forms as oracles and as instance makers."""
 
 import numpy as np
 
@@ -34,8 +34,20 @@ def spectral_norm(obs):
 
 
 def stack(observables):
-    """Observables as the (n, d, d) stack that ``seq_weak_value`` reads."""
+    """Observables as the (n, d, d) stack that ``Scenario`` reads."""
     return np.array(observables)
+
+
+def unit_scenario(rho, observables, post=None):
+    """The ``Scenario`` of a state, an (n, d, d) stack of observables and an
+    effect, every pointer of unit width: ``seq_weak_value`` reads no width."""
+    return wl.Scenario(rho, observables, np.ones(len(observables)), post)
+
+
+def bits(*values):
+    """Floats and complex numbers as the hex strings of their parts, so that
+    equality is bit for bit and tells 0.0 from -0.0."""
+    return [part.hex() for value in values for part in (complex(value).real, complex(value).imag)]
 
 
 def ordered_trace(rho, observables, post=None):

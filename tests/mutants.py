@@ -151,12 +151,21 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # Readings whose squares overflow go on to nan kets.
-        "sampler-overflow-unchecked",
+        # A reading's distance squared before it is scaled overflows near the
+        # widest widths, and inf - inf turns the shot's ket to nan.
+        "sampler-squares-before-scaling",
         "simulator.py",
-        "if weights.max() == math.inf:",
-        "if False:",
-        ("tests/test_simulator.py::TestSampler::test_reading_whose_square_overflows_raises",),
+        "weights /= 2.0 * sigma\n    weights **= 2",
+        "weights **= 2\n    weights /= 2.0 * sigma\n    weights /= 2.0 * sigma",
+        ("tests/test_simulator.py::TestSampler::test_wide_first_pointer_matches_exact",),
+    ),
+    Mutant(
+        # Post-selected scenarios read without their effect.
+        "weak-value-effect-dropped",
+        "weak_values.py",
+        "if scn.post is None:",
+        "if True:",
+        ("tests/test_weak_values.py::TestScenarioWeakValue", "tests/test_weak_values.py::TestSeqWeakValues"),
     ),
     Mutant(
         "scenario-effect-unchecked",

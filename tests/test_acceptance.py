@@ -14,7 +14,7 @@ import pytest
 import weaklab as wl
 from weaklab.pointer import PointerOperatorKind
 
-from instances import norm_product_bound, random_density, random_ket, random_observable, stack
+from instances import norm_product_bound, random_density, random_ket, random_observable, stack, unit_scenario
 
 X = PointerOperatorKind.POSITION
 P = PointerOperatorKind.MOMENTUM
@@ -100,7 +100,7 @@ def test_criterion_4_projector_chain_closed_form():
     values = []
     for n in range(2, 9):
         scn = wl.build_projector_chain(n, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, scn.observables)
+        wv = wl.seq_weak_value(scn)
         want = -(math.cos(math.pi / (n + 1)) ** (n + 1))
         worst = max(worst, abs(wv - want))
         values.append(wv.real)
@@ -145,7 +145,7 @@ def test_criterion_6_bound_suites():
         d = 2 + index % 2
         psi = random_ket(rng, d)
         pair = [random_projector(rng, d), random_projector(rng, d)]
-        worst_pair = min(worst_pair, wl.seq_weak_value(psi.to_density(), None, stack(pair)).real)
+        worst_pair = min(worst_pair, wl.seq_weak_value(unit_scenario(psi.to_density(), stack(pair))).real)
 
     worst_excess = -math.inf
     seq_trials = 10_000
@@ -154,7 +154,7 @@ def test_criterion_6_bound_suites():
         n = int(rng.integers(1, 6))
         rho = random_density(rng, d)
         seq = [random_observable(rng, d) for _ in range(n)]
-        excess = abs(wl.seq_weak_value(rho, None, stack(seq))) - norm_product_bound(seq)
+        excess = abs(wl.seq_weak_value(unit_scenario(rho, stack(seq)))) - norm_product_bound(seq)
         worst_excess = max(worst_excess, excess)
 
     elapsed = time.perf_counter() - started

@@ -766,8 +766,9 @@ class TestSampleCommand:
             [sys.executable, "-m", "weaklab.cli", *argv], env=env, capture_output=True, text=True, timeout=120
         )
         assert (done.returncode, done.stdout) == (1, "")
+        # The readings stay finite; their product's statistics overflow.
         assert done.stderr == (
-            "numeric failure: a pointer reading's squared distance to an eigenvalue overflows; the width is too wide\n"
+            "numeric failure: sample statistics of mean_position_product overflow; the pointer widths are too wide\n"
         )
 
     def test_shots_over_memory_limit_exit_code(self, capsys):

@@ -13,6 +13,8 @@ import weaklab as wl
 from weaklab import optimize, qm
 from weaklab.errors import InputError, NumericError
 
+from instances import unit_scenario
+
 
 # One-point references for the objectives: each takes the (n, d) projector
 # kets of one point, builds its operator H alone, and takes the least
@@ -160,7 +162,8 @@ class TestPaddingInvariance:
         psi, projector_kets = kets[0], kets[1:]
         nested = list(optimize._environments(projector_kets[np.newaxis], overlap))[-1][0]
         product = 2.0 ** (1 - len(projector_kets)) * (psi.conj() @ nested @ psi).real
-        weak_value = wl.seq_weak_value(wl.PureState(psi).to_density(), None, qm.projectors_from_kets(projector_kets))
+        state = wl.PureState(psi).to_density()
+        weak_value = wl.seq_weak_value(unit_scenario(state, qm.projectors_from_kets(projector_kets)))
         return product, weak_value.real
 
     @pytest.mark.parametrize("overlap", [1.0, math.exp(-1.0 / (8.0 * 0.8**2))])

@@ -1,6 +1,7 @@
 """Pointer closed forms checked against direct numerical quadrature."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -17,6 +18,16 @@ ALL_KINDS = list(PointerOperatorKind)
 
 sigmas = st.floats(min_value=0.2, max_value=20.0, allow_nan=False)
 centers = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+WIDTH_RULE = "pointer width must be positive with a finite square"
+
+
+def one_step(sigma):
+    """A one-step scenario whose pointer has width ``sigma``: the pointer
+    holds its width as given, and the scenario checks it."""
+    step = wl.MeasurementStep(np.diag([1.0, -1.0]), wl.GaussianPointer(sigma))
+    return wl.Scenario(wl.KET_0.amplitudes, steps=[step])
 
 
 def wavefunction(ptr, center, x):
@@ -81,13 +92,13 @@ class TestWavefunction:
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_positive_width_enforced(self):
-        with pytest.raises(InputError):
-            wl.GaussianPointer(0.0)
+        with pytest.raises(InputError, match=re.escape(f"{WIDTH_RULE}, got 0.0")):
+            one_step(0.0)
 
     @pytest.mark.parametrize("sigma", [math.inf, math.nan, 1e200])
     def test_finite_width_enforced(self, sigma):
-        with pytest.raises(InputError):
-            wl.GaussianPointer(sigma)
+        with pytest.raises(InputError, match=re.escape(f"{WIDTH_RULE}, got {sigma!r}")):
+            one_step(sigma)
 
 
 class TestWidthArrays:
@@ -99,10 +110,10 @@ class TestWidthArrays:
 
     def test_refused_widths_is_the_pointer_rule(self):
         # the mask refuses what the rule on one float, positive with a finite
-        # square, refuses, and GaussianPointer refuses the same widths
+        # square, refuses, and a scenario's steps refuse the same widths
         def refuses(sigma):
             try:
-                wl.GaussianPointer(sigma)
+                one_step(sigma)
             except InputError:
                 return True
             return False

@@ -434,13 +434,14 @@ class TestRoundTrip:
 class TestEachInputCheckedOnce:
     """Each path into a Scenario checks each input once: one call of each
     check that it needs, counted as ``simulator`` and ``scenario_io`` call
-    them, through the ``qm`` module and through their ``check_widths``."""
+    them, through the ``qm`` module and through the ``check_widths`` of
+    ``pointer`` and of both callers."""
 
     QM_CHECKS = ("check_kets", "check_densities", "check_observables", "check_effects")
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        from weaklab import qm, scenario_io, simulator
+        from weaklab import pointer, qm, scenario_io, simulator
 
         counts = collections.Counter()
 
@@ -453,7 +454,7 @@ class TestEachInputCheckedOnce:
 
         for name in self.QM_CHECKS:
             monkeypatch.setattr(qm, name, counting(name, getattr(qm, name)))
-        for module in (simulator, scenario_io):
+        for module in (pointer, simulator, scenario_io):
             monkeypatch.setattr(module, "check_widths", counting("check_widths", module.check_widths))
         return counts
 
@@ -489,7 +490,8 @@ class TestEachInputCheckedOnce:
 
     def test_search_point_through_steps(self, calls):
         # The path of bench/run.py: a search point's state, checked as a
-        # ket, and its projectors, checked only in the Scenario's stack.
+        # ket, and its projectors and widths, checked only in the
+        # Scenario's stacks; the pointers hold their widths unchecked.
         kets = wl.qm.kets_from_normals(np.random.default_rng(3).standard_normal((5, 2, 3)))
         state, projectors = wl.SearchSpacePoint(kets[0], kets[1:]).decode()
         steps = [wl.MeasurementStep(p, wl.GaussianPointer(0.7)) for p in projectors]
@@ -502,4 +504,5 @@ class TestEachInputCheckedOnce:
         assert wl.steps_outside_weak_regime(scn) == ()
         wl.exact_moment(scn, wl.MomentPattern.from_string("xx"))
         wl.recover_weak_value(scn)
+        wl.seq_weak_value(scn)
         assert calls == {}

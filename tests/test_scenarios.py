@@ -58,7 +58,7 @@ class TestIllustrative:
 class TestPauliXY:
     def test_weak_value(self):
         scn = wl.build_pauli_xy(1.0, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, scn.observables)
+        wv = wl.seq_weak_value(scn)
         assert wv == pytest.approx(1.0j, abs=1e-15)
 
     def test_momentum_position_moment(self):
@@ -75,12 +75,12 @@ class TestPauliXY:
 class TestProjectorChain:
     def test_two_step_value(self):
         scn = wl.build_projector_chain(2, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, scn.observables)
+        wv = wl.seq_weak_value(scn)
         assert wv == pytest.approx(-0.125, abs=1e-14)
 
     def test_four_step_value(self):
         scn = wl.build_projector_chain(4, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, scn.observables)
+        wv = wl.seq_weak_value(scn)
         assert wv == pytest.approx(-(math.cos(math.pi / 5.0) ** 5), abs=1e-14)
         assert wl.chain_weak_value(4) == pytest.approx(-(math.cos(math.pi / 5.0) ** 5))
 

@@ -25,7 +25,7 @@ from weaklab import errors, pointer, qm, simulator
 from weaklab.errors import InputError, NumericError, ZeroPostSelectionProbability
 from weaklab.pointer import PointerOperatorKind
 
-from instances import matrix_element, random_density, random_ket, random_observable, spectral_norm
+from instances import bits, matrix_element, random_density, random_ket, random_observable, spectral_norm
 
 X = PointerOperatorKind.POSITION
 P = PointerOperatorKind.MOMENTUM
@@ -539,7 +539,7 @@ class TestWeakEngine:
         for _ in range(5):
             scn = random_scenario(rng, 2, 4, with_post=True, sigma_range=(1.0, 3.0))
             try:
-                wv = wl.seq_weak_value(scn.initial, scn.post, scn.observables)
+                wv = wl.seq_weak_value(scn)
             except ZeroPostSelectionProbability:
                 continue
             _, (_, got) = wl.recover_weak_value(scn)
@@ -600,12 +600,6 @@ def separate_recovery(scn):
     return [complex(trace) / p for (trace,), p in zip(traces.tolist(), probability.tolist())]
 
 
-def bits(*values):
-    """Floats and complex numbers as the hex strings of their parts, so that
-    equality is bit for bit and tells 0.0 from -0.0."""
-    return [part.hex() for value in values for part in (complex(value).real, complex(value).imag)]
-
-
 def builtin_scenarios(sigma1, sigma2):
     shared = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     projector = wl.projector_from_ket(qm.KET_0)
@@ -648,7 +642,7 @@ class TestRecovery:
             n = int(rng.integers(1, 4))
             scn = random_scenario(rng, 2, n, with_post=True, sigma_range=(1.0, 4.0))
             try:
-                wv = wl.seq_weak_value(scn.initial, scn.post, scn.observables)
+                wv = wl.seq_weak_value(scn)
             except ZeroPostSelectionProbability:
                 continue
             _, (_, got) = wl.recover_weak_value(scn)
@@ -712,7 +706,7 @@ class TestRecovery:
         for _ in range(15):
             n = int(rng.integers(1, 4))
             scn = random_scenario(rng, 2, n, with_post=False)
-            wv = wl.seq_weak_value(scn.initial, None, scn.observables)
+            wv = wl.seq_weak_value(scn)
             _, (_, got) = wl.recover_weak_value(scn)
             assert got == pytest.approx(wv, abs=1e-10)
 
@@ -720,7 +714,7 @@ class TestRecovery:
 def weak_regime_reference(scn):
     """The weak-regime rule one step at a time: step j is outside unless
     sigma_j >= 10 max|a_j| and sigma_j >= 10 |weak value|."""
-    magnitude = abs(wl.seq_weak_value(scn.initial, scn.post, scn.observables))
+    magnitude = abs(wl.seq_weak_value(scn))
     outside = []
     for index, (sigma, eigenvalues) in enumerate(zip(scn.widths.tolist(), scn.spectrum[0])):
         scale = max(abs(float(a)) for a in eigenvalues)
@@ -757,7 +751,7 @@ class TestWeakRegime:
         # Widths straddle the bar: log-uniform over it, or exactly on it.
         rng = np.random.default_rng(seed)
         scn = random_scenario(rng, d, n, with_post)
-        magnitude = abs(wl.seq_weak_value(scn.initial, scn.post, scn.observables))
+        magnitude = abs(wl.seq_weak_value(scn))
         scales = np.abs(scn.spectrum[0]).max(axis=1)
         bars = {"eigenvalue": 10.0 * scales, "weak value": np.full(n, 10.0 * magnitude)}
         drawn = np.exp(rng.uniform(math.log(1.0), math.log(1000.0), size=n))
@@ -1127,15 +1121,12 @@ class TestSampler:
         observables = [*illustrative.observables, illustrative.observables[0]]
         return wl.Scenario(illustrative.initial, observables, [sigma1, 0.5, 0.5])
 
-    def test_reading_whose_square_overflows_raises(self):
-        # At 1.3e154 a reading's squared distance to both eigenvalues
-        # overflows, and the Kraus weights would turn the shot's ket to nan.
-        with pytest.raises(NumericError, match="squared distance to an eigenvalue overflows"):
-            wl.sample_outcomes(self.wide_first_pointer(1.3e154), 40000, seed=2)
-
-    def test_widest_finite_squares_match_exact(self):
+    # From 1.3e154 on, a reading's unscaled distance to either eigenvalue
+    # squares to inf for about a third of the shots; scaled first, it stays finite.
+    @pytest.mark.parametrize("sigma1", [1e153, 1.3e154, pointer._WIDEST], ids=["1e153", "1.3e154", "widest"])
+    def test_wide_first_pointer_matches_exact(self, sigma1):
         # Pointers 2 and 3; the wide first pointer's mean has no finite stderr.
-        scn = self.wide_first_pointer(1e153)
+        scn = self.wide_first_pointer(sigma1)
         samples, _ = wl.sample_outcomes(scn, 40000, seed=2)
         for j, moment in enumerate(wl.position_moments(scn)[2:], start=1):
             se = samples[:, j].std(ddof=1) / math.sqrt(len(samples))

@@ -1,15 +1,31 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import weaklab as wl
 from weaklab.errors import DimensionMismatch, InputError, ZeroPostSelectionProbability
-from weaklab.weak_values import PROJECTOR_PAIR_FLOOR, check_probability, norm_products, sequence_traces
+from weaklab.weak_values import (
+    PROJECTOR_PAIR_FLOOR,
+    ZERO_PROBABILITY_TOL,
+    check_probability,
+    norm_products,
+    sequence_traces,
+)
 
-from instances import norm_product_bound, ordered_trace, random_density, random_ket, random_observable, stack
+from instances import (
+    bits,
+    norm_product_bound,
+    ordered_trace,
+    random_density,
+    random_ket,
+    random_observable,
+    stack,
+    unit_scenario,
+)
 
 KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -36,13 +52,13 @@ def norm_product(observables):
 
 def pair_value(psi, first, second):
     """Re <psi| second first |psi>, the no-post-selection weak value of a pair."""
-    return wl.seq_weak_value(psi.to_density(), None, stack([first, second])).real
+    return wl.seq_weak_value(unit_scenario(psi.to_density(), stack([first, second]))).real
 
 
 class TestSequence:
     def test_empty_rejected(self):
-        with pytest.raises(InputError, match="needs at least one observable"):
-            wl.seq_weak_value(wl.KET_0.to_density(), None, np.empty((0, 2, 2)))
+        with pytest.raises(InputError, match="^a scenario needs at least one measurement step$"):
+            wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), np.empty((0, 2, 2))))
 
     @pytest.mark.parametrize(
         "observables",
@@ -51,11 +67,11 @@ class TestSequence:
     )
     def test_wrong_shape_stack_rejected(self, observables):
         with pytest.raises(DimensionMismatch, match=r"are not \(n, 2, 2\)"):
-            wl.seq_weak_value(wl.KET_0.to_density(), None, observables)
+            wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), observables))
 
     def test_effect_dimension_rejected(self):
-        with pytest.raises(DimensionMismatch, match="post-selection dimension 3"):
-            wl.seq_weak_value(wl.KET_0.to_density(), np.eye(3), stack([SIGMA_Z]))
+        with pytest.raises(DimensionMismatch, match="^post-selection dimension 3 != state dimension 2$"):
+            wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), stack([SIGMA_Z]), np.eye(3)))
 
     @pytest.mark.parametrize(
         "rho,post,message",
@@ -71,13 +87,14 @@ class TestSequence:
     )
     def test_bad_state_or_effect_rejected(self, rho, post, message):
         with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
-            wl.seq_weak_value(rho, post, stack([SIGMA_Z]))
+            wl.seq_weak_value(unit_scenario(rho, stack([SIGMA_Z]), post))
 
     def test_non_square_state_and_effect_rejected(self):
-        with pytest.raises(DimensionMismatch, match=re.escape("density matrix must be a square matrix, got shape (2,)")):
-            wl.seq_weak_value(wl.KET_0.amplitudes, None, stack([SIGMA_Z]))
+        # A one-dimensional state is a ket, which ``Scenario`` accepts.
+        with pytest.raises(DimensionMismatch, match=re.escape("density matrix must be a square matrix, got shape (2, 3)")):
+            wl.seq_weak_value(unit_scenario(np.zeros((2, 3)), stack([SIGMA_Z])))
         with pytest.raises(DimensionMismatch, match=re.escape("POVM element must be a square matrix, got shape (2, 3)")):
-            wl.seq_weak_value(wl.KET_0.to_density(), np.zeros((2, 3)), stack([SIGMA_Z]))
+            wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), stack([SIGMA_Z]), np.zeros((2, 3))))
 
     def test_ordered_product_order(self):
         # Tr(E X Y rho), not Tr(E Y X rho): the first observable acts first.
@@ -91,22 +108,22 @@ class TestSequence:
 class TestSeqWeakValues:
     def test_illustrative_pair_value(self):
         first, second = illustrative_pair()
-        wv = wl.seq_weak_value(wl.KET_0.to_density(), None, stack([first, second]))
+        wv = wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), stack([first, second])))
         assert wv == pytest.approx(-0.125, abs=1e-15)
         assert type(wv) is complex
 
     def test_pauli_pair_imaginary(self):
-        wv = wl.seq_weak_value(wl.KET_0.to_density(), None, stack([wl.SIGMA_Y, wl.SIGMA_X]))
+        wv = wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), stack([wl.SIGMA_Y, wl.SIGMA_X])))
         assert wv == pytest.approx(1.0j, abs=1e-15)
 
     def test_chain_of_two(self):
         scn = wl.build_projector_chain(2, 1.0)
-        wv = wl.seq_weak_value(scn.initial, None, scn.observables)
+        wv = wl.seq_weak_value(scn)
         assert wv == pytest.approx(-((math.cos(math.pi / 3.0)) ** 3), abs=1e-14)
 
     def test_single_observable_postselected(self):
         post = np.diag([1.0, 0.0])
-        wv = wl.seq_weak_value(KET_PLUS.to_density(), post, stack([SIGMA_Z]))
+        wv = wl.seq_weak_value(unit_scenario(KET_PLUS.to_density(), stack([SIGMA_Z]), post))
         assert wv == pytest.approx(1.0)
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
@@ -114,29 +131,89 @@ class TestSeqWeakValues:
         vec = np.array([eps, 1.0])
         psi = wl.PureState(vec / np.linalg.norm(vec))
         post = np.diag([1.0, 0.0])
-        wv = wl.seq_weak_value(psi.to_density(), post, stack([wl.SIGMA_X]))
+        wv = wl.seq_weak_value(unit_scenario(psi.to_density(), stack([wl.SIGMA_X]), post))
         assert wv == pytest.approx(1.0 / eps, rel=1e-9)
 
     def test_orthogonal_postselection_rejected(self):
         post = np.diag([0.0, 1.0])
         with pytest.raises(ZeroPostSelectionProbability):
-            wl.seq_weak_value(wl.KET_0.to_density(), post, stack([wl.SIGMA_X]))
+            wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), stack([wl.SIGMA_X]), post))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            wl.seq_weak_value(np.eye(3) / 3.0, None, stack([SIGMA_Z]))
+            wl.seq_weak_value(unit_scenario(np.eye(3) / 3.0, stack([SIGMA_Z])))
 
     def test_no_postselection_value_is_expectation_in_spectrum(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             obs = random_observable(rng, 3)
             rho = random_density(rng, 3)
-            wv = wl.seq_weak_value(rho, None, stack([obs]))
+            wv = wl.seq_weak_value(unit_scenario(rho, stack([obs])))
             assert abs(wv.imag) < 1e-12
             expectation = np.trace(obs @ rho).real
             assert wv.real == pytest.approx(expectation, abs=1e-12)
             lo, hi = product_hull([obs])
             assert lo - 1e-10 <= wv.real <= hi + 1e-10
+
+
+class TestScenarioWeakValue:
+    """``seq_weak_value(scn)`` is the plain-loop ordered trace over Tr(E rho)
+    of the scenario's own arrays, bit for bit, and refuses a probability at
+    or below the threshold with the threshold's message."""
+
+    @staticmethod
+    def refused(scn):
+        """Checks one scenario; True when its weak value is refused."""
+        numerator = ordered_trace(scn.initial, scn.observables, scn.post)
+        if scn.post is None:
+            assert bits(wl.seq_weak_value(scn)) == bits(numerator)
+            return False
+        probability = float(np.trace(scn.post @ scn.initial).real)
+        if probability > ZERO_PROBABILITY_TOL:
+            assert bits(wl.seq_weak_value(scn)) == bits(numerator / probability)
+            return False
+        message = f"post-selection probability {probability:.3e} is at or below {ZERO_PROBABILITY_TOL:g}"
+        with pytest.raises(ZeroPostSelectionProbability, match="^" + re.escape(message) + "$"):
+            wl.seq_weak_value(scn)
+        return True
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: wl.build_illustrative(1.0, 2.0),
+            lambda: wl.build_pauli_xy(1.0, 2.0),
+            *(lambda n=n: wl.build_projector_chain(n, 1.0) for n in range(1, 7)),
+            lambda: wl.build_common_cause(
+                np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), wl.SIGMA_X, wl.SIGMA_Y, 1.0, 2.0
+            ),
+        ],
+        ids=["illustrative", "pauli-xy", *(f"chain-{n}" for n in range(1, 7)), "common-cause"],
+    )
+    def test_builtins_with_no_effect_their_state_and_its_complement(self, build):
+        # Each built-in starts from a pure state rho: reselecting it keeps
+        # every run, and its complement I - rho none.
+        scn = build()
+        complement = np.eye(scn.dim) - scn.initial
+        assert [self.refused(scn), self.refused(replace(scn, post=scn.initial))] == [False, False]
+        assert self.refused(replace(scn, post=complement))
+
+    def test_random_scenarios(self):
+        # d 2-4, n 1-5, half post-selected; one in five of those starts from
+        # a pure state and selects its complement, which the threshold refuses.
+        rng = np.random.default_rng(37)
+        refusals = 0
+        for trial in range(400):
+            d, n = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+            rho = random_density(rng, d)
+            post = None
+            if trial % 2:
+                post = wl.projector_from_ket(random_ket(rng, d))
+                if trial % 10 == 1:
+                    rho, post = post, np.eye(d) - post
+            observables = stack([random_observable(rng, d) for _ in range(n)])
+            scn = wl.Scenario(rho, observables, rng.uniform(0.5, 5.0, n), post)
+            refusals += self.refused(scn)
+        assert refusals == 40
 
 
 class TestBounds:
@@ -148,7 +225,7 @@ class TestBounds:
         seq = [wl.SIGMA_Y, wl.SIGMA_X]
         bound = norm_product(seq)
         assert bound == pytest.approx(1.0)
-        wv = wl.seq_weak_value(wl.KET_0.to_density(), None, stack(seq))
+        wv = wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), stack(seq)))
         assert abs(wv) == pytest.approx(bound)
 
     def test_scaled_paulis(self):
@@ -162,7 +239,7 @@ class TestBounds:
             n = int(rng.integers(1, 6))
             rho = random_density(rng, d)
             seq = [random_observable(rng, d) for _ in range(n)]
-            wv = wl.seq_weak_value(rho, None, stack(seq))
+            wv = wl.seq_weak_value(unit_scenario(rho, stack(seq)))
             assert abs(wv) <= norm_product(seq) + 1e-12
 
     def test_linearity_in_preparation(self):
@@ -172,8 +249,8 @@ class TestBounds:
             kets = [random_ket(rng, 3) for _ in range(3)]
             q = rng.dirichlet(np.ones(3))
             mixed = sum(w * k.to_density() for w, k in zip(q, kets))
-            direct = wl.seq_weak_value(mixed, None, stack(seq))
-            combined = sum(w * wl.seq_weak_value(k.to_density(), None, stack(seq)) for w, k in zip(q, kets))
+            direct = wl.seq_weak_value(unit_scenario(mixed, stack(seq)))
+            combined = sum(w * wl.seq_weak_value(unit_scenario(k.to_density(), stack(seq))) for w, k in zip(q, kets))
             assert direct == pytest.approx(combined, abs=1e-12)
 
     def test_reselection_matches_no_postselection(self):
@@ -181,8 +258,8 @@ class TestBounds:
         for _ in range(20):
             psi = random_ket(rng, 3)
             seq = [random_observable(rng, 3) for _ in range(2)]
-            no_post = wl.seq_weak_value(psi.to_density(), None, stack(seq))
-            reselect = wl.seq_weak_value(psi.to_density(), psi.to_density(), stack(seq))
+            no_post = wl.seq_weak_value(unit_scenario(psi.to_density(), stack(seq)))
+            reselect = wl.seq_weak_value(unit_scenario(psi.to_density(), stack(seq), psi.to_density()))
             assert no_post == pytest.approx(reselect, abs=1e-12)
 
     def test_commuting_sequence_stays_in_hull(self):
@@ -195,7 +272,7 @@ class TestBounds:
                 for _ in range(3)
             ]
             rho = random_density(rng, 3)
-            wv = wl.seq_weak_value(rho, None, stack(observables))
+            wv = wl.seq_weak_value(unit_scenario(rho, stack(observables)))
             lo, hi = product_hull(observables)
             assert lo - 1e-12 <= wv.real <= hi + 1e-12
 
@@ -207,14 +284,14 @@ class TestBounds:
                 basis = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
                 pair.append(basis @ np.diag([1.0, -1.0]) @ basis.conj().T)
             psi = random_ket(rng, 2)
-            wv = wl.seq_weak_value(psi.to_density(), None, stack(pair))
+            wv = wl.seq_weak_value(unit_scenario(psi.to_density(), stack(pair)))
             assert abs(wv) <= 1.0 + 1e-12
 
     def test_chain_closed_form_and_monotonicity(self):
         previous = 0.0
         for n in range(2, 9):
             scn = wl.build_projector_chain(n, 1.0)
-            wv = wl.seq_weak_value(scn.initial, None, scn.observables)
+            wv = wl.seq_weak_value(scn)
             expected = -((math.cos(math.pi / (n + 1))) ** (n + 1))
             assert wv == pytest.approx(expected, abs=1e-12)
             assert wv.real < previous
