@@ -15,19 +15,18 @@ closed forms: with ov = exp(-(a_k - a_l)^2 / (8 sigma^2)),
 
 The same elements with ov set to 1 are the weak-regime ones: ov tends to
 1 for wide pointers while the x and p elements keep their 1/sigma scaling.
-All functions here are pure.
+Each reads sigma only through sigma^2, which ``refused_widths`` keeps a
+positive finite float. All functions here are pure.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError
 
 class PointerOperatorKind(enum.Enum):
     """Which pointer operator a joint moment reads out on one slot."""
@@ -72,14 +71,12 @@ def _overlap(s2, gap):
 def _step_tables(eigenvalues: np.ndarray, sigmas, kinds, exact: bool = True) -> np.ndarray:
     """Stacked F[k, l] = <phi(a_l)| O |phi(a_k)>, the weights of the
     P_k X P_l dyads, one table per kind; at overlap 1 unless ``exact``.
-    Eigenvalues (..., d) and widths (...) broadcast to tables (..., K, d, d);
-    a width whose square underflows to 0 fails them all."""
+    Eigenvalues (..., d) and widths (...), which ``refused_widths`` accepts,
+    broadcast to tables (..., K, d, d)."""
     # sigma ** 2 as Python's float power gives it, through libm's pow, which
     # np.float_power calls too; sigma * sigma differs in the last bit for
     # about one width in a thousand.
     s2 = np.float_power(sigmas, 2)[..., np.newaxis, np.newaxis]
-    if np.equal(s2, 0.0).any():
-        raise NumericError("pointer width squared underflows to 0; the width is too narrow for floating point")
     # "right minus left" so that a momentum element between |phi(a_k)> on
     # the right and <phi(a_l)| on the left carries (a_k - a_l)/(2i).
     left, right = eigenvalues[..., np.newaxis, :], eigenvalues[..., :, np.newaxis]
@@ -93,15 +90,13 @@ def _step_tables(eigenvalues: np.ndarray, sigmas, kinds, exact: bool = True) -> 
     return tables
 
 
-# The widest width whose square is a finite float: the rounded square root
-# of the largest double squares to a finite float, the next double up does not.
-_WIDEST = math.sqrt(sys.float_info.max)
-
-
 def refused_widths(sigmas: np.ndarray) -> np.ndarray:
-    """The pointer-width rule as a mask: a width must be positive, and its
-    square a finite float (sigma up to ``_WIDEST``, about 1.34e154)."""
-    return ~((sigmas > 0) & (sigmas <= _WIDEST))
+    """The pointer-width rule as a mask: a width must be positive and its
+    square, as ``_step_tables`` takes it, a positive finite float (sigma
+    from 1.5717277847026288e-162 to sqrt(sys.float_info.max), ~1.34e154)."""
+    with np.errstate(over="ignore"):
+        s2 = np.float_power(sigmas, 2)
+    return ~((sigmas > 0) & (s2 > 0) & (s2 < np.inf))
 
 
 def check_widths(sigmas) -> None:
@@ -111,5 +106,5 @@ def check_widths(sigmas) -> None:
     refused = refused_widths(sigmas)
     if refused.any():
         first = float(sigmas.flat[refused.argmax()])
-        raise InputError(f"pointer width must be positive with a finite square, got {first!r}")
+        raise InputError(f"pointer width must be positive and its square a positive finite float, got {first!r}")
 

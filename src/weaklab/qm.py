@@ -19,14 +19,15 @@ NORM_TOL = 1e-12          # absolute: states and effects are unit-scale
 PSD_TOL = 1e-12           # absolute eigenvalue floor for states / POVM elements
 
 
-# The checks below take one instance or a stack of them along leading axes,
-# and report the worst entry of a stack.
+# The checks take one instance or a stack along leading axes and report a
+# stack's worst entry; near the float limit, an overflow to inf is refused.
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
         raise InputError(f"{name} has a non-finite entry")
 
 
+@np.errstate(over="ignore")
 def _check_hermitian(matrix: np.ndarray, name: str) -> None:
     deviations = np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     refused = deviations > HERMITICITY_TOL * np.fmax(1.0, np.abs(matrix).max(axis=(-2, -1)))
@@ -34,6 +35,7 @@ def _check_hermitian(matrix: np.ndarray, name: str) -> None:
         raise InputError(f"{name} deviates from Hermiticity by {deviations[refused].max():.3e}")
 
 
+@np.errstate(over="ignore")
 def check_kets(kets: np.ndarray) -> None:
     """The state checks on (..., d) kets: finite entries, unit squared
     norm, summed as the trace of the ket's density matrix is, so that a ket
@@ -45,6 +47,7 @@ def check_kets(kets: np.ndarray) -> None:
         raise InputError(f"state squared norm is {float(np.ravel(squared)[deviation.argmax()])!r}, expected 1")
 
 
+@np.errstate(over="ignore")
 def check_densities(matrices: np.ndarray) -> None:
     """The state checks on (..., d, d) density matrices: finite, Hermitian,
     positive semidefinite, unit trace."""
@@ -65,15 +68,16 @@ def check_observables(matrices: np.ndarray) -> None:
     _check_hermitian(matrices, "observable")
 
 
-def check_effects(matrices: np.ndarray) -> None:
+def check_effects(matrices: np.ndarray) -> np.ndarray:
     """The effect checks on (..., d, d) matrices: finite, Hermitian,
-    spectrum in [0, 1]."""
+    spectrum in [0, 1]. Returns each effect's largest eigenvalue, its norm."""
     _check_finite(matrices, "POVM element")
     _check_hermitian(matrices, "POVM element")
     eigenvalues = np.linalg.eigvalsh(matrices)
     lowest, highest = eigenvalues[..., 0].min(), eigenvalues[..., -1].max()
     if lowest < -PSD_TOL or highest > 1.0 + PSD_TOL:
         raise InputError(f"POVM element spectrum must lie in [0, 1], got [{lowest:.3e}, {highest:.3e}]")
+    return eigenvalues[..., -1]
 
 
 def square_matrix(matrix, name: str) -> np.ndarray:

@@ -58,7 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -105,6 +105,7 @@ class Scenario:
     widths: np.ndarray = None
     post: np.ndarray | None = None
     steps: InitVar[Sequence[MeasurementStep] | None] = None
+    post_norm: float = field(init=False, default=1.0)  # E's largest eigenvalue; 1 for E = I
 
     def __post_init__(self, steps):
         initial = np.array(self.initial, dtype=complex)
@@ -136,7 +137,7 @@ class Scenario:
             post = qm.square_matrix(self.post, "POVM element")
             if len(post) != d:
                 raise DimensionMismatch(f"post-selection dimension {len(post)} != state dimension {d}")
-            qm.check_effects(post)
+            object.__setattr__(self, "post_norm", float(qm.check_effects(post)))
             object.__setattr__(self, "post", qm._freeze(post))
         object.__setattr__(self, "initial", qm._freeze(initial))
         object.__setattr__(self, "observables", qm._freeze(observables))
@@ -256,29 +257,29 @@ def _slot(effect, table, state):
     return (effect.swapaxes(-1, -2) * table * state).sum(axis=(-2, -1))
 
 
-def _checked(traces) -> tuple[np.ndarray, np.ndarray]:
+def _checked(traces, norm) -> tuple[np.ndarray, np.ndarray]:
     """Splits closed chains (..., K), whose last reads Tr(eta), into the
     K - 1 others, (..., K - 1), and Tr(eta), (...), after two checks, each
     over every batch entry: every trace finite, else NumericError; then
-    ``check_probability`` on Tr(eta). A not-finite entry thus raises before
-    an earlier entry whose probability is at or below the threshold."""
+    ``check_probability`` on Tr(eta) and the effect's ``norm``. A not-finite
+    entry thus raises before an earlier one whose probability is too low."""
     if not np.isfinite(traces).all():
         raise NumericError(_NOT_FINITE)
     probability = traces[..., -1].real
-    check_probability(probability)
+    check_probability(probability, norm)
     return traces[..., :-1], probability
 
 
-def _chain(initial, bases, tables, effect) -> tuple[np.ndarray, np.ndarray]:
+def _chain(initial, bases, tables, effect, norm) -> tuple[np.ndarray, np.ndarray]:
     """Tr(E T_n(... T_1(rho))) for each chain of a stack, the forward pass
     closed by the effect: T_j(X) = sum_kl F[k, l] P_k X P_l, with P_k the
     eigenprojectors of ``bases[..., j, :, :]`` and F the matching table of
-    ``tables[..., j, :, :, :]``; E is ``effect``, or I when it is None. The last chain of
-    each stack must read the identity on every slot: ``_checked`` splits
-    its trace, Tr(eta), from the other K - 1."""
+    ``tables[..., j, :, :, :]``; E is ``effect`` of largest eigenvalue ``norm``,
+    or I. The last chain of each stack must read the identity on every
+    slot: ``_checked`` splits its trace, Tr(eta), from the other K - 1."""
     for state in _forward(initial, _turns(bases), tables):
         pass
-    return _checked(_close(state, bases, effect))
+    return _checked(_close(state, bases, effect), norm)
 
 
 def _values(numerator, peak, probability) -> np.ndarray:
@@ -295,9 +296,9 @@ def _values(numerator, peak, probability) -> np.ndarray:
     return value
 
 
-def _moments(initial, bases, tables, effect) -> tuple[np.ndarray, np.ndarray]:
+def _moments(initial, bases, tables, effect, norm) -> tuple[np.ndarray, np.ndarray]:
     """Moment and Tr(eta) of each [pattern, identity] chain of a stack."""
-    traces, probability = _chain(initial, bases, tables, effect)
+    traces, probability = _chain(initial, bases, tables, effect, norm)
     peak = np.abs(tables[..., 0, :, :]).max(axis=(-2, -1)).prod(axis=-1)
     return _values(traces[..., 0], peak, probability), probability
 
@@ -325,7 +326,7 @@ def _pattern_tables(eigenvalues, widths, pat: MomentPattern, exact: bool = True)
 def _moment(scn: Scenario, pat: MomentPattern, exact: bool) -> MomentResult:
     eigenvalues, bases = scn.spectrum
     tables = _pattern_tables(eigenvalues, scn.widths, pat, exact)
-    value, probability = _moments(scn.initial, bases, tables, scn.post)
+    value, probability = _moments(scn.initial, bases, tables, scn.post, scn.post_norm)
     return MomentResult(float(value), float(probability))
 
 
@@ -365,7 +366,7 @@ def position_moments(scn: Scenario) -> list[MomentResult]:
     traces[0], traces[-1] = _close(next(states), bases, scn.post)
     for j, effect in zip(reversed(range(n)), _backward(_last_effect(bases, scn.post), turns, tables[:, 1:])):
         traces[1 + j] = _slot(effect[0], tables[j, 0], before[j])
-    numerators, probability = _checked(traces)
+    numerators, probability = _checked(traces, scn.post_norm)
     peaks = np.abs(tables[:, 0]).max(axis=(1, 2))
     values = _values(numerators, np.array([math.prod(peaks), *peaks]), probability)
     return [MomentResult(value, float(probability)) for value in values.tolist()]
@@ -391,7 +392,7 @@ def stacked_exact_moments(
     (..., d, d), observables (..., n, d, d), first measured first, and
     widths (..., n). One batched eigh decomposes every observable."""
     eigenvalues, bases = np.linalg.eigh(observables)
-    return _moments(initial, bases, _pattern_tables(eigenvalues, sigmas, pat), None)[0]
+    return _moments(initial, bases, _pattern_tables(eigenvalues, sigmas, pat), None, 1.0)[0]
 
 
 # Table entries, points times d^2, that one chunk of ``sweep_moments``
@@ -424,10 +425,8 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
         try:
             if not refused_widths(points).any():
                 if not passes:  # built in the first run, so a pass that fails reaches point 0 by halving
-                    # The swept step's tables are never read: its placeholder width keeps its own out of every check.
-                    placeholder = np.where(unswept, scn.widths, 1.0)
-                    # Exact, then weak, on a leading engine axis, which the passes carry.
-                    fixed = np.stack([_pattern_tables(eigenvalues, placeholder, pat, exact) for exact in (True, False)])
+                    # Exact, then weak, on a leading engine axis, which the passes carry; the swept step's are never read.
+                    fixed = np.stack([_pattern_tables(eigenvalues, scn.widths, pat, exact) for exact in (True, False)])
                     state = next(itertools.islice(_forward(scn.initial, turns, fixed), index, None))
                     effects = _backward(_last_effect(bases, scn.post), turns, fixed)
                     effect = next(itertools.islice(effects, scn.n_steps - 1 - index, None))
@@ -435,7 +434,7 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
                 state, effect, peak = passes
                 kinds = (pat.kinds[index], _IDENTITY)
                 tables = np.stack([_step_tables(eigenvalues[index], points, kinds, exact) for exact in (True, False)], 1)
-                numerators, probability = _checked(_slot(effect, tables, state))
+                numerators, probability = _checked(_slot(effect, tables, state), scn.post_norm)
                 peaks = peak * np.abs(tables[..., 0, :, :]).max(axis=(-2, -1))
                 values[:, start:stop] = _values(numerators[..., 0], peaks, probability).T
                 return
@@ -476,7 +475,8 @@ def recover_weak_value(scn: Scenario) -> tuple[tuple[MomentResult, complex], tup
     and x on the others: even subsets give the real part, odd ones the
     imaginary part. Every m_P is linear in each slot's readout and shares
     the denominator Tr(eta), so the sum is one chain whose step j reads
-    x + 2i (sigma_j^2 p), finite at every width ``check_widths`` accepts.
+    x + 2i sigma_j^2 p = a_k ov entry by entry, with no sigma^2: finite at
+    every accepted width, and A_n ... A_1 rho in the weak engine (ov = 1).
     Both engines' [x, recovery, identity] tables ride one leading axis through
     one forward pass, whose checks include the x moment's imaginary residue.
 
@@ -485,11 +485,11 @@ def recover_weak_value(scn: Scenario) -> tuple[tuple[MomentResult, complex], tup
     narrow to read it as the weak value.
     """
     eigenvalues, bases = scn.spectrum
-    kinds = [PointerOperatorKind(code) for code in "xpi"]
+    kinds = [PointerOperatorKind(code) for code in "xii"]
     # Exact, then weak, on a leading engine axis.
     tables = np.stack([_step_tables(eigenvalues, scn.widths, kinds, exact) for exact in (True, False)])
-    tables[:, :, 1] = tables[:, :, 0] + 2j * (np.float_power(scn.widths, 2)[:, np.newaxis, np.newaxis] * tables[:, :, 1])
-    traces, probability = _chain(scn.initial, bases, tables, scn.post)
+    tables[:, :, 1] *= eigenvalues[:, :, np.newaxis]
+    traces, probability = _chain(scn.initial, bases, tables, scn.post, scn.post_norm)
     moments = _values(traces[:, 0], np.abs(tables[:, :, 0]).max(axis=(-2, -1)).prod(axis=-1), probability).tolist()
     return tuple((MomentResult(m, p), t / p) for m, t, p in zip(moments, traces[:, 1].tolist(), probability.tolist()))
 
@@ -626,9 +626,9 @@ def sample_outcomes(
     eigenvalues, bases = scn.spectrum
     if probability is None:
         identity = _step_tables(eigenvalues, scn.widths, (_IDENTITY,))
-        probability = float(_chain(scn.initial, bases, identity, scn.post)[1])
+        probability = float(_chain(scn.initial, bases, identity, scn.post, scn.post_norm)[1])
     else:
-        check_probability(probability)
+        check_probability(probability, scn.post_norm)
 
     rng = np.random.default_rng(seed)
     weights, basis = np.linalg.eigh(scn.initial)

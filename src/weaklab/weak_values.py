@@ -42,16 +42,15 @@ def sequence_traces(rho: np.ndarray, observables: np.ndarray, post: np.ndarray |
     return np.trace(product @ rho, axis1=-2, axis2=-1)
 
 
-def check_probability(probability) -> None:
-    """Raises ZeroPostSelectionProbability when a post-selection
-    probability, or the first in C order of an array of them, is at or
-    below ``ZERO_PROBABILITY_TOL``."""
-    low = np.less_equal(probability, ZERO_PROBABILITY_TOL)
+def check_probability(probability, norm: float) -> None:
+    """Raises ZeroPostSelectionProbability when a post-selection probability
+    Tr(E eta), or the first in C order of an array of them, is at or below
+    ``ZERO_PROBABILITY_TOL`` times E's largest eigenvalue ``norm``, 1 for E = I."""
+    threshold = ZERO_PROBABILITY_TOL * norm
+    low = np.less_equal(probability, threshold)
     if low.any():
         first = np.ravel(probability)[low.argmax()]
-        raise ZeroPostSelectionProbability(
-            f"post-selection probability {first:.3e} is at or below {ZERO_PROBABILITY_TOL:g}"
-        )
+        raise ZeroPostSelectionProbability(f"post-selection probability {first:.3e} is at or below {threshold:g}")
 
 
 def seq_weak_value(scn: Scenario) -> complex:
@@ -60,14 +59,14 @@ def seq_weak_value(scn: Scenario) -> complex:
     the pointer widths do not enter.
 
     ``scn.post`` None means E = identity: the denominator is 1 and nothing
-    is discarded. Raises ZeroPostSelectionProbability when Tr(E rho) is below
-    threshold; the value is undefined there, not merely large.
+    is discarded. Raises ZeroPostSelectionProbability when Tr(E rho) is at
+    or below threshold; the value is undefined there, not merely large.
     """
     if scn.post is None:
         return complex(sequence_traces(scn.initial, scn.observables))
     # Tr(E rho) is real for Hermitian E, rho; drop the float residue.
     probability = float(np.trace(scn.post @ scn.initial).real)
-    check_probability(probability)
+    check_probability(probability, scn.post_norm)
     return complex(sequence_traces(scn.initial, scn.observables, scn.post)) / probability
 
 

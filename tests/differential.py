@@ -1,11 +1,12 @@
 """Differential corpus: the CLI's reports from two source trees, compared.
 
 A seeded corpus of command lines covers all six subcommands: the four
-built-in scenarios at pointer widths from 1e-170 to the widest accepted,
-1.34e154, and chain-n lengths; random scenario files (d 2-5, n 1-4, half
-post-selected) under simulate, sweep and sample; observables at
-eigenvalue scales up to 1e7; refused documents and bad options for exit
-code 2; and small optimize and bounds runs. Each tree runs the whole
+built-in scenarios at pointer widths from 1e-170, below the narrowest
+accepted, 1.57e-162, to the widest accepted, 1.34e154, and chain-n
+lengths; random scenario files (d 2-5, n 1-4, half post-selected) under
+simulate, sweep and sample; observables at eigenvalue scales up to 1e7;
+refused documents and bad options for exit code 2; and small optimize and
+bounds runs. Each tree runs the whole
 corpus in one subprocess of its own, calling ``weaklab.cli.main`` once
 per command line, with the scenario files both trees read written once.
 
@@ -62,29 +63,44 @@ EXAMPLES = 3  # differences printed per subcommand
 class Allowance:
     """Differences that a change makes on purpose against the commit
     ``base``: those of ``subcommand`` (any when None) where the stderr of
-    ``side``, "base" or "new", matches ``pattern``. Against any other
-    base, the allowance does not apply."""
+    ``side``, "base" or "new", matches ``pattern``. With a ``tolerance``
+    and ``side`` "stdout", instead, those whose stderr and exit code agree
+    and whose reports differ only in the values of the quantities that
+    ``pattern`` names, each pair within ``tolerance`` relative. Against any
+    other base, the allowance does not apply."""
 
     name: str
     base: str
     subcommand: str | None
     side: str
     pattern: str
+    tolerance: float | None = None
 
 
-PARENT = "4a64799c838a7fa447bd4aca42e7eb89d661d30c"  # the commit these allowances were written against
+PARENT = "54a3e7c3d0936a09e5a7b80932112c96ef15871f"  # the commit these allowances were written against
+OLD_WIDTH_RULE = "pointer width must be positive with a finite square"
 ALLOWED = (
-    # The sampler scales a reading's distance to each eigenvalue before it
-    # squares it, so no square overflows and its refusal is gone; such a
-    # run now goes on to the report, whose overflowing statistics refuse it.
+    # A width whose square underflows to 0 is an input error now, refused
+    # where every other width is, with the width rule's message.
+    Allowance("underflow-refusal-moved", PARENT, None, "base", r"^numeric failure: pointer width squared underflows to 0"),
+    Allowance("width-message-reworded", PARENT, None, "base", re.escape(OLD_WIDTH_RULE)),
+    # A width below the narrowest accepted is refused with the scenario's
+    # inputs: before a pattern's faults, and, for a file's own width for
+    # the swept step, where the sweep used to skip it.
     Allowance(
-        "sampler-reading-overflow-gone",
+        "narrow-width-refused-first",
         PARENT,
-        "sample",
-        "base",
-        r"^numeric failure: a pointer reading's squared distance to an eigenvalue overflows",
+        None,
+        "new",
+        r"positive finite float, got [1-9](\.\d+)?e-(16[2-9]|1[7-9]\d|[2-9]\d\d)$",
     ),
+    # The recovery row a_k ov reads no sigma^2 and no momentum table, so it
+    # is finite at narrow widths, and its values move in the last bits.
+    Allowance("recovery-finite-at-narrow-widths", PARENT, "scenario", "base", r"^numeric failure: moment chain is not finite"),
+    Allowance("recovery-row-last-bits", PARENT, "scenario", "stdout", r"recovered_from_\w+", tolerance=1e-13),
 )
+# Where a quantity's value lies in a CSV report and in a JSON one.
+VALUE_FORMS = (r"^(?:{}),(\S+)$", r'"quantity": "(?:{})",\n *"value": (\S+)$')
 
 # Runs inside each tree's subprocess: argv[1] is the corpus, argv[2] the
 # tree's src directory, argv[3] the file the results go to.
@@ -369,10 +385,35 @@ def start(source: Path, corpus: Path, out: Path) -> subprocess.Popen:
     return subprocess.Popen(command, cwd=out.parent, env=env)
 
 
+def values_apart(pattern: str, report: str) -> tuple[str, list[str]]:
+    """A report with the value of each quantity that ``pattern`` names cut
+    out, and those values in order."""
+    values = []
+    for form in VALUE_FORMS:
+        regex = re.compile(form.format(pattern), re.M)
+        values += regex.findall(report)
+        report = regex.sub(lambda match: match.group(0)[:match.start(1) - match.start(0)], report)
+    return report, values
+
+
+def close(old: str, new: str, tolerance: float) -> bool:
+    try:
+        return old == new or math.isclose(float(old), float(new), rel_tol=tolerance)
+    except ValueError:
+        return False
+
+
+def allowed_by(allowed, base, new) -> bool:
+    if allowed.tolerance is None:
+        return re.search(allowed.pattern, {"base": base[1], "new": new[1]}[allowed.side], re.M) is not None
+    (old_rest, old_values), (new_rest, new_values) = (values_apart(allowed.pattern, run[0]) for run in (base, new))
+    return (base[1:] == new[1:] and old_rest == new_rest and len(old_values) == len(new_values)
+            and all(close(a, b, allowed.tolerance) for a, b in zip(old_values, new_values)))
+
+
 def allowance(commit, argv, base, new) -> str | None:
-    sides = {"base": base[1], "new": new[1]}
     for allowed in ALLOWED:
-        if allowed.base == commit and allowed.subcommand in (None, subcommand(argv)) and re.search(allowed.pattern, sides[allowed.side], re.M):
+        if allowed.base == commit and allowed.subcommand in (None, subcommand(argv)) and allowed_by(allowed, base, new):
             return allowed.name
     return None
 

@@ -61,10 +61,19 @@ MUTANTS = (
         ("tests/test_pointer.py::TestMatrixElement",),
     ),
     Mutant(
-        "widest-width-refused",
+        # A width whose square underflows to 0 passes the rule.
+        "narrowest-width-square-zero-accepted",
         "pointer.py",
-        "(sigmas <= _WIDEST)",
-        "(sigmas < _WIDEST)",
+        "(sigmas > 0) & (s2 > 0)",
+        "(sigmas > 0)",
+        ("tests/test_pointer.py::TestWidthArrays",),
+    ),
+    Mutant(
+        # A width whose square overflows to inf passes the rule.
+        "widest-width-square-inf-accepted",
+        "pointer.py",
+        "(s2 < np.inf)",
+        "(s2 <= np.inf)",
         ("tests/test_pointer.py::TestWidthArrays",),
     ),
     Mutant(
@@ -75,13 +84,6 @@ MUTANTS = (
         ("tests/test_simulator.py::TestSweepMoments",),
     ),
     Mutant(
-        "sweep-placeholder-width",
-        "simulator.py",
-        "placeholder = np.where(unswept, scn.widths, 1.0)",
-        "placeholder = scn.widths",
-        ("tests/test_cli.py::TestSweepAgainstPerPointLoop::test_swept_width_underflow_stays_on_the_fast_path",),
-    ),
-    Mutant(
         # The grid's point tables stacked weak first, against passes stacked exact first.
         "sweep-point-engines-swapped",
         "simulator.py",
@@ -90,13 +92,13 @@ MUTANTS = (
         ("tests/test_simulator.py::TestSweepMoments",),
     ),
     Mutant(
-        # The gain 2 sigma^2 overflows to inf near the widest width, where
-        # sigma^2 p stays finite.
-        "recovery-gain-reassociated",
+        # The recovery row scaled by the left eigenvalue, a_l ov: the chain
+        # then reads the observables in reverse order.
+        "recovery-row-reads-a_l",
         "simulator.py",
-        "2j * (np.float_power(scn.widths, 2)[:, np.newaxis, np.newaxis] * tables[:, :, 1])",
-        "(2j * np.float_power(scn.widths, 2)[:, np.newaxis, np.newaxis]) * tables[:, :, 1]",
-        ("tests/test_simulator.py::TestRecovery::test_widths_whose_gain_overflows",),
+        "tables[:, :, 1] *= eigenvalues[:, :, np.newaxis]",
+        "tables[:, :, 1] *= eigenvalues[:, np.newaxis, :]",
+        ("tests/test_simulator.py::TestRecovery::test_moments_and_weak_values_match_the_separate_engines",),
     ),
     Mutant(
         # The recovery's tables stacked weak first, against its pair read exact first.
@@ -168,10 +170,18 @@ MUTANTS = (
         ("tests/test_weak_values.py::TestScenarioWeakValue", "tests/test_weak_values.py::TestSeqWeakValues"),
     ),
     Mutant(
+        # The post-selection refusal absolute again, whatever the effect's norm.
+        "probability-scale-dropped",
+        "weak_values.py",
+        "threshold = ZERO_PROBABILITY_TOL * norm",
+        "threshold = ZERO_PROBABILITY_TOL",
+        ("tests/test_simulator.py::TestProbabilityScale",),
+    ),
+    Mutant(
         "scenario-effect-unchecked",
         "simulator.py",
-        "qm.check_effects(post)",
-        "None",
+        "float(qm.check_effects(post))",
+        "1.0",
         ("tests/test_qm.py::TestScenarioInputs",),
     ),
     Mutant(

@@ -26,6 +26,10 @@ from conftest import scenario_document
 from instances import matrix_element, norm_product_bound, ordered_trace, random_density, random_ket, random_observable
 
 SIGMA_Z = np.diag([1.0, -1.0])
+WIDTH_RULE = "pointer width must be positive and its square a positive finite float"
+# The narrowest width whose square is a positive float, and the widest whose
+# square is finite.
+NARROWEST, WIDEST = 1.5717277847026288e-162, math.sqrt(sys.float_info.max)
 
 
 def run_cli(capsys, *argv):
@@ -404,19 +408,19 @@ class TestSweepAgainstPerPointLoop:
     @pytest.mark.parametrize(
         "name,build,pattern,index,start,stop,steps",
         [
-            # the first point's width squared underflows to 0: exit 1
+            # the first point's width squares to 0, which the width rule refuses: exit 2
             ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xx", 0, 1e-170, 1.0, 7),
             # the weak engine refuses an X slot once point 0's exact value is in: exit 2
             ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xX", 0, 0.5, 4.0, 6),
             # a mid-grid width whose square overflows: exit 2 after four good points
             ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xx", 1, 0.5, 1e200, 6),
-            # a momentum table overflows at point 7 before the width squared
-            # underflows at point 8: the first failure is the first in the grid
+            # a momentum table overflows at point 7 before the width rule
+            # refuses point 8's: the first failure is the first in the grid
             ("pauli-xy", lambda: wl.build_pauli_xy(1.0, 1.0), "px", 0, 1e-100, 1e-170, 9),
             ("pauli-xy", lambda: wl.build_pauli_xy(1.0, 1.0), "xp", 1, 1e-100, 1e-170, 15),
             ("pauli-xy", lambda: wl.build_pauli_xy(1.0, 1.0), "px", 0, 1.0, 1e-170, 9),
             # point 0's exact engine fails before the weak one can refuse the X slot: exit 1
-            ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xX", 0, 1e-170, 1.0, 5),
+            ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "pX", 0, 1e-160, 1.0, 5),
             # point 0's width fails before its exact engine sees the pattern's length
             ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xxx", 0, 1e200, 1.0, 4),
         ],
@@ -430,7 +434,7 @@ class TestSweepAgainstPerPointLoop:
         [
             # a width whose square overflows at point 7,710: exit 2
             ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xx", 1, 0.5, 1e200),
-            # a width whose square underflows at point 9,517: exit 1
+            # a width whose square underflows at point 9,517: exit 2
             ("illustrative", lambda: wl.build_illustrative(1.0, 1.0), "xx", 0, 1.0, 1e-170),
             # a momentum table overflows at point 9,066: exit 1
             ("pauli-xy", lambda: wl.build_pauli_xy(1.0, 1.0), "px", 0, 1.0, 1e-170),
@@ -466,21 +470,22 @@ class TestSweepAgainstPerPointLoop:
         small, large = peak(20_000), peak(200_000)
         assert large <= small + 256 * 1024, (small, large)
 
-    def test_swept_width_underflow_stays_on_the_fast_path(self, write_scenario, monkeypatch):
-        # The file's own width for the swept step squares to 0, but the
-        # sweep never reads it, so no point reruns alone.
+    def test_swept_steps_own_tables_are_never_read(self, write_scenario, monkeypatch):
+        # At the file's own width for the swept step, its momentum table is
+        # not finite, but the sweep never reads it, so no point reruns alone.
         scn = random_file_scenario(np.random.default_rng(3), 3, 3, with_post=True)
-        scn = with_width(scn, 0, 1e-170)
+        scn = with_width(scn, 0, NARROWEST)
         calls = count_reruns(monkeypatch)
-        simulator.sweep_moments(scn, wl.MomentPattern.from_string("xpx"), 0, np.geomspace(0.5, 4.0, 4000))
+        simulator.sweep_moments(scn, wl.MomentPattern.from_string("pxp"), 0, np.geomspace(0.5, 4.0, 4000))
         assert len(calls) == 0
         monkeypatch.undo()
-        assert_sweep_matches_loop(write_scenario(scn), scn, "xpx", 0, 0.5, 4.0, 4000)
+        assert_sweep_matches_loop(write_scenario(scn), scn, "pxp", 0, 0.5, 4.0, 4000)
 
     def test_unswept_width_underflow_fails_every_point(self):
-        # chain-n's other widths underflow, so point 0's exact engine fails
-        assert_sweep_matches_loop("chain-n", wl.build_projector_chain(3, 1e-170), "xpx", 1, 0.5, 4.0, 5,
-                                  "--n", "3", "--sigma", "1e-170")
+        # chain-n's other widths square to a subnormal, so step 1's momentum
+        # table overflows and point 0's exact engine fails
+        assert_sweep_matches_loop("chain-n", wl.build_projector_chain(3, 1e-160), "pxx", 1, 0.5, 4.0, 5,
+                                  "--n", "3", "--sigma", "1e-160")
 
 
 class TestChainLength:
@@ -504,6 +509,36 @@ class TestChainLength:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"input error: --n must be at most {CHAIN_MAX_STEPS}, got {n}\n"
+
+    @pytest.mark.parametrize("report", [(), ("--format", "json")], ids=["csv", "json"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("scenario",),
+            ("simulate", "--method", "exact"),
+            ("simulate", "--method", "weak"),
+            ("sweep", "--param", "sigma1", "--from", "1", "--to", "2", "--steps", "2"),
+        ],
+        ids=["scenario", "simulate-exact", "simulate-weak", "sweep"],
+    )
+    def test_memory_per_step(self, report, command):
+        # The figures behind CHAIN_MAX_STEPS: a million steps stay under
+        # errors.MEMORY_LIMIT at these peaks, 925, 541 and 744-752 B per step
+        # at n = 2,000 (tracemalloc, after a warm-up call).
+        def argv(n):
+            pattern = () if command[0] == "scenario" else ("--pattern", "x" * n)
+            return [*report, command[0], "chain-n", "--n", str(n), *command[1:], *pattern]
+
+        n = 2000
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            main(argv(50))  # load everything a first call loads
+            tracemalloc.start()
+            try:
+                assert main(argv(n)) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1100 * n, peak / n
 
 
 class TestRepeatedCalls:
@@ -555,7 +590,10 @@ class TestReportDigests:
     DIGESTS = [
         ("scenario illustrative", "2b6f55422e6df51559e5c33427e17e588859b938c0c08bc6dba984b3b63047ab"),
         ("scenario pauli-xy", "9b8c61a9dcd8b4bd56a30d948ff9aae3551e9b82622c28a10dd0a267450a39e3"),
-        ("scenario chain-n", "023c7e1605f108b5a6e61132a793546981552e38a80b32f8fc07be6fd9274e07"),
+        # The recovery row a_k ov, which replaced x + 2i (sigma^2 p), moves
+        # both recovered real parts by one ulp here (-0.125 now reads
+        # -0.12499999999999999).
+        ("scenario chain-n", "be91f17cfbf1709c26e3836cc29d3eb6578940b6e66b76387e4cc51399846f6e"),
         ("scenario common-cause", "e1a017dc22c034d1bbbb52fbc94f96eefa6cf8c5d11692fb13e1e66bbb10f23e"),
         ("--format json scenario chain-n --n 4", "b67e064bdd39afe6f5a534737eb385fd87b1adfebd49ae06a0fb8eb7d379bc35"),
         ("simulate illustrative --pattern xX", "a9b8689ad51f0cd7e79a7cbb490b8ac275d4213d4b565e8017071558422ad1fc"),
@@ -996,6 +1034,10 @@ class TestNonFiniteInputs:
              "--pattern", "xx"),
             ("simulate", "illustrative", "--pattern", "xX", "--sigma", "1e200"),
             ("sample", "illustrative", "--sigma", "1e200", "--shots", "100"),
+            # a width whose square underflows to 0
+            ("simulate", "illustrative", "--pattern", "xx", "--sigma", "1e-200"),
+            ("simulate", "pauli-xy", "--pattern", "px", "--sigma", "1e-200"),
+            ("scenario", "illustrative", "--sigma", "1e-200"),
         ],
     )
     def test_non_finite_width_exit_code(self, capsys, argv):
@@ -1030,9 +1072,9 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("simulate", "illustrative", "--pattern", "xx", "--sigma", "1e-300"),
-            ("simulate", "pauli-xy", "--pattern", "px", "--method", "weak", "--sigma", "1e-300"),
-            ("sample", "illustrative", "--sigma", "1e-300", "--shots", "100"),
+            ("simulate", "illustrative", "--pattern", "xp", "--sigma", "1e-160"),
+            ("simulate", "pauli-xy", "--pattern", "px", "--method", "weak", "--sigma", "1e-160"),
+            ("sample", "illustrative", "--sigma", "1e154", "--shots", "100"),
         ],
     )
     def test_non_finite_moment_exit_code(self, capsys, argv):
@@ -1076,13 +1118,10 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("simulate", "illustrative", "--pattern", "xx", "--sigma", "1e-200"),
-            ("simulate", "pauli-xy", "--pattern", "px", "--sigma", "1e-200"),
-            ("scenario", "illustrative", "--sigma", "1e-200"),
             # sigma^2 is subnormal, so 1/sigma^2 and 1/sigma^4 overflow
             ("simulate", "pauli-xy", "--pattern", "px", "--sigma", "1e-160"),
             ("simulate", "pauli-xy", "--pattern", "PX", "--sigma", "1e-80"),
-            ("scenario", "illustrative", "--sigma", "1e-160"),
+            ("simulate", "pauli-xy", "--pattern", "px", "--sigma", repr(NARROWEST)),
             # at the wide end the sampled products overflow their statistics
             ("sample", "illustrative", "--sigma", "1e150", "--shots", "50"),
             ("sample", "chain-n", "--n", "4", "--sigma", "1e150", "--shots", "50"),
@@ -1107,6 +1146,9 @@ class TestNonFiniteInputs:
             (("sample", "illustrative", "--sigma", "1e-160", "--shots", "100"), "mean_position_product", "exact"),
             (("sweep", "illustrative", "--param", "sigma1", "--from", "1e-160", "--to", "1", "--steps", "3",
               "--pattern", "xx"), "1e-160", "exact"),
+            # the recovery row a_k ov reads no sigma^2, so it is finite here too
+            (("scenario", "illustrative", "--sigma1", "1e-160"), "exact_all_position_moment", "value"),
+            (("scenario", "illustrative", "--sigma1", "1e-160"), "recovered_from_exact_re", "value"),
         ],
     )
     def test_narrow_width_prints_no_warning(self, capsys, argv, key, column):
@@ -1120,6 +1162,34 @@ class TestNonFiniteInputs:
         # the overlap of so narrow a first pointer is exp(-inf) = 0, so x1*x2 reads 1/16
         row = next(row for row in csv_rows(captured.out) if next(iter(row.values())) == key)
         assert float(row[column]) == pytest.approx(1.0 / 16.0, abs=1e-12)
+
+    @pytest.mark.parametrize("edge,outward", [(NARROWEST, 0.0), (WIDEST, math.inf)], ids=["narrowest", "widest"])
+    def test_width_rule_at_both_float_edges(self, capsys, write_scenario, edge, outward):
+        # A built-in's width flag, a file's width and a sweep's grid accept
+        # the edge and refuse the next double outward with the rule's message.
+        refused = math.nextafter(edge, outward)
+        path = write_scenario(wl.build_illustrative(1.0, 1.0))
+        doc = json.loads(path.read_text())
+        for sigma, want in ((edge, 0), (refused, 2)):
+            doc["steps"][0]["sigma"] = sigma
+            path.write_text(json.dumps(doc))
+            for argv in (
+                ("scenario", "illustrative", "--sigma1", repr(sigma)),
+                ("simulate", str(path), "--pattern", "xx"),
+                ("sweep", "illustrative", "--param", "sigma1", "--from", "1", "--to", repr(sigma), "--steps", "2",
+                 "--pattern", "xx"),
+            ):
+                code = main(list(argv))
+                captured = capsys.readouterr()
+                assert code == want, argv
+                if want:
+                    assert captured.out == "" and captured.err.startswith("input error: ")
+                    assert captured.err.endswith(f"{WIDTH_RULE}, got {refused!r}\n")
+
+    def test_narrowest_width_recovers_the_imaginary_unit(self, capsys):
+        code, out = run_cli(capsys, "scenario", "pauli-xy", "--sigma1", repr(NARROWEST))
+        assert code == 0
+        assert float(value_of(csv_rows(out), "recovered_from_weak_im")["value"]) == 1.0
 
 
 class TestUnreadFlags:

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import re
+import sys
 import tracemalloc
 import warnings
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import weaklab as wl
 from weaklab import optimize, qm
-from weaklab.errors import InputError, NumericError
+from weaklab.errors import InputError
 
 from instances import unit_scenario
 
@@ -335,9 +337,15 @@ class TestPointerProductSearch:
             result = wl.minimize_pointer_product(n=2, d=2, restarts=2, seed=0, budget=50, sigma=1e-160)
         assert math.isfinite(result.best_value)
 
-    def test_width_whose_square_underflows_is_refused(self):
-        with pytest.raises(NumericError, match="^pointer width squared underflows to 0; "):
-            wl.minimize_pointer_product(n=2, d=2, restarts=2, seed=0, budget=50, sigma=1e-170)
+    @pytest.mark.parametrize("edge,outward", [(1.5717277847026288e-162, 0.0), (math.sqrt(sys.float_info.max), math.inf)])
+    def test_width_whose_square_underflows_is_refused(self, edge, outward):
+        # The widths at both float edges search; the next double outward,
+        # whose square is 0 or inf, is refused with the width rule's message.
+        assert math.isfinite(wl.minimize_pointer_product(n=2, d=2, restarts=2, seed=0, budget=50, sigma=edge).best_value)
+        refused = math.nextafter(edge, outward)
+        message = f"pointer width must be positive and its square a positive finite float, got {refused!r}"
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            wl.minimize_pointer_product(n=2, d=2, restarts=2, seed=0, budget=50, sigma=refused)
 
     @staticmethod
     def two_step_floor(c):

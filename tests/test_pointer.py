@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import weaklab as wl
-from weaklab.errors import InputError, NumericError
+from weaklab.errors import InputError
 from weaklab.pointer import PointerOperatorKind, _step_tables, refused_widths
 
 ALL_KINDS = list(PointerOperatorKind)
@@ -20,7 +20,19 @@ sigmas = st.floats(min_value=0.2, max_value=20.0, allow_nan=False)
 centers = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
-WIDTH_RULE = "pointer width must be positive with a finite square"
+WIDTH_RULE = "pointer width must be positive and its square a positive finite float"
+# The narrowest width whose square is a positive float, and the widest whose
+# square is finite: the next double outward squares to 0 or to inf.
+NARROWEST, WIDEST = 1.5717277847026288e-162, math.sqrt(sys.float_info.max)
+
+
+def square(sigma):
+    """sigma ** 2 as Python's float power, libm's pow, gives it; inf where
+    it overflows."""
+    try:
+        return sigma**2
+    except OverflowError:
+        return math.inf
 
 
 def one_step(sigma):
@@ -103,14 +115,21 @@ class TestWavefunction:
 
 class TestWidthArrays:
     def test_step_tables_fail_a_stack_with_an_underflowing_square(self):
-        widths, eigenvalues = np.array([1.0, 1e-170, 2.0]), np.array([0.0, 1.0])
-        with pytest.raises(NumericError, match="pointer width squared underflows to 0"):
-            _step_tables(eigenvalues, widths, (PointerOperatorKind.MOMENTUM,))
-        assert _step_tables(eigenvalues, widths[[0, 2]], (PointerOperatorKind.MOMENTUM,)).shape == (2, 1, 2, 2)
+        # A width whose square underflows to 0 is an input error; at the
+        # narrowest accepted width the tables build, and the stack's other
+        # widths keep their own tables.
+        with pytest.raises(InputError, match=re.escape(f"{WIDTH_RULE}, got 1e-170")):
+            wl.Scenario(wl.KET_0.amplitudes, np.stack([np.diag([1.0, -1.0])] * 3), [1.0, 1e-170, 2.0])
+        widths, eigenvalues = np.array([1.0, NARROWEST, 2.0]), np.array([0.0, 1.0])
+        with np.errstate(all="ignore"):
+            tables = _step_tables(eigenvalues, widths, (PointerOperatorKind.MOMENTUM,))
+        assert tables.shape == (3, 1, 2, 2)
+        assert np.array_equal(tables[[0, 2]], _step_tables(eigenvalues, widths[[0, 2]], (PointerOperatorKind.MOMENTUM,)))
 
     def test_refused_widths_is_the_pointer_rule(self):
-        # the mask refuses what the rule on one float, positive with a finite
-        # square, refuses, and a scenario's steps refuse the same widths
+        # the mask refuses what the rule on one float, positive with a
+        # positive finite square, refuses, and a scenario's steps refuse the
+        # same widths
         def refuses(sigma):
             try:
                 one_step(sigma)
@@ -118,14 +137,16 @@ class TestWidthArrays:
                 return True
             return False
 
-        widest = math.sqrt(sys.float_info.max)
         widths = [1.0, 5e-324, 1.3e154, 1.35e154, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]
-        widths += [widest, math.nextafter(widest, 0.0), math.nextafter(widest, math.inf)]
-        widths += np.exp(np.random.default_rng(0).uniform(350.0, 356.0, 1000)).tolist()
-        rule = [not (sigma > 0 and math.isfinite(sigma * sigma)) for sigma in widths]
+        widths += [WIDEST, math.nextafter(WIDEST, 0.0), math.nextafter(WIDEST, math.inf)]
+        widths += [NARROWEST, math.nextafter(NARROWEST, math.inf), math.nextafter(NARROWEST, 0.0)]
+        rng = np.random.default_rng(0)
+        widths += np.exp(rng.uniform(350.0, 356.0, 1000)).tolist() + np.exp(rng.uniform(-376.0, -370.0, 1000)).tolist()
+        rule = [not (sigma > 0 and 0.0 < square(sigma) < math.inf) for sigma in widths]
         assert refused_widths(np.array(widths)).tolist() == rule == [refuses(sigma) for sigma in widths]
-        assert rule[-1003:-1000] == [False, False, True] and 0 < sum(rule[-1000:]) < 1000
-        assert rule[:10] == [False, False, False, True, True, True, True, True, True, True]
+        assert rule[-2006:-2000] == [False, False, True, False, False, True]
+        assert 0 < sum(rule[-2000:-1000]) < 1000 and 0 < sum(rule[-1000:]) < 1000
+        assert rule[:10] == [False, True, False, True, True, True, True, True, True, True]
 
 
 def element(sigma, kind, left, right):

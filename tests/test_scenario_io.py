@@ -213,7 +213,7 @@ class TestReaderContract:
             # A document with several faults: the error names the one a
             # step-by-step reading meets first, and that step's own numbers.
             (lambda d: d["steps"][0].update(sigma=-1) or d["steps"][1]["observable"].__setitem__(1, [pair(0)]),
-             "steps[0].sigma: pointer width must be positive with a finite square, got -1.0"),
+             "steps[0].sigma: pointer width must be positive and its square a positive finite float, got -1.0"),
             (lambda d: d["steps"][0].update(observable=skewed_doc(0.3)) or d["steps"][1].update(observable=skewed_doc(0.5)),
              "steps[0].observable: observable deviates from Hermiticity by 3.000e-01"),
             (lambda d: d["steps"][0].update(sigma="1") or d["steps"][1].update(observable=skewed_doc(0.5)),

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,7 @@ P = PointerOperatorKind.MOMENTUM
 I = PointerOperatorKind.IDENTITY
 KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
 SIGMA_Z = np.diag([1.0, -1.0])
+WIDEST = math.sqrt(sys.float_info.max)  # the widest pointer width accepted
 
 
 def random_unit_hermitian(rng, d):
@@ -589,14 +591,15 @@ class TestWeakEngine:
 
 
 def separate_recovery(scn):
-    """Both engines' recovered weak values as a chain of their own computes
-    them: each step's x + 2i (sigma^2 p) table beside the identity, with no
-    moment row, exact then weak on a leading axis."""
+    """Both engines' recovered weak values as the sum over momentum subsets
+    gives them: each step's x + 2i (sigma^2 p) table beside the identity, in
+    a chain of their own, exact then weak on a leading axis. Its momentum
+    table overflows at narrow widths, where it raises NumericError."""
     eigenvalues, bases = scn.spectrum
     with np.errstate(all="ignore"):
         tables = np.stack([pointer._step_tables(eigenvalues, scn.widths, (X, P, I), exact) for exact in (True, False)])
         tables[:, :, 0] += 2j * (np.float_power(scn.widths, 2)[:, np.newaxis, np.newaxis] * tables[:, :, 1])
-        traces, probability = simulator._chain(scn.initial, bases, tables[:, :, ::2], scn.post)
+        traces, probability = simulator._chain(scn.initial, bases, tables[:, :, ::2], scn.post, scn.post_norm)
     return [complex(trace) / p for (trace,), p in zip(traces.tolist(), probability.tolist())]
 
 
@@ -652,13 +655,13 @@ class TestRecovery:
 
     @pytest.mark.parametrize("widths", [(1.0, 1.2e154), (1.2e154, 1.0)], ids=["last", "first"])
     def test_widths_whose_gain_overflows(self, widths):
-        # At 1.2e154 the gain 2 sigma^2 overflows to inf, and inf times a p
-        # entry is not finite; sigma^2 p, doubled after, stays finite.
+        # At 1.2e154 the momentum-subset gain 2 sigma^2 overflows to inf; the
+        # recovery row a_k ov reads no sigma^2, and ov is 1 from 1e153 on.
         narrower = [1e153 if sigma > 1.0 else sigma for sigma in widths]
         want = [value for _, value in wl.recover_weak_value(wl.build_illustrative(*narrower))]
         assert [value for _, value in wl.recover_weak_value(wl.build_illustrative(*widths))] == want
 
-    @pytest.mark.parametrize("first", [1.2e154, pointer._WIDEST])
+    @pytest.mark.parametrize("first", [1.2e154, WIDEST])
     @pytest.mark.parametrize("build,want", [(wl.build_illustrative, -0.125), (wl.build_pauli_xy, 1j)])
     def test_widest_first_pointer_recovers_the_weak_value(self, build, want, first):
         for _, got in wl.recover_weak_value(build(first, 1.0)):
@@ -678,14 +681,17 @@ class TestRecovery:
 
     def test_moments_and_weak_values_match_the_separate_engines(self):
         # Each engine's moment is exact_moment's or weak_prediction's of the
-        # all-position pattern, and its weak value a chain of its own's, to
-        # the last bit; a scenario they refuse, recovery refuses alike.
+        # all-position pattern to the last bit, and its weak value the
+        # momentum-subset chain's within 1e-13 at its terms' scale, the
+        # eigenvalue peaks' product over Tr(eta); a scenario the engines
+        # refuse, recovery refuses alike. Where that chain's momentum table
+        # overflows, the recovery row, which reads none, stays finite.
         rng = np.random.default_rng(36)
-        grid = ((0.3, 0.7), (1.0, 1.0), (50.0, 2.0), (1.2e154, 1e-150), (1e-170, 1.0))
+        grid = ((0.3, 0.7), (1.0, 1.0), (50.0, 2.0), (1.2e154, 1e-150), (1e-160, 1.0))
         scenarios = [scn for widths in grid for scn in builtin_scenarios(*widths)]
         scenarios += [random_scenario(rng, int(rng.integers(2, 5)), int(rng.integers(1, 6)), index % 2 == 1)
                       for index in range(400)]
-        checked = 0
+        checked = narrow = 0
         for scn in scenarios:
             pattern = wl.MomentPattern.all_position(scn.n_steps)
             try:
@@ -697,9 +703,17 @@ class TestRecovery:
             (exact_got, from_exact), (weak_got, from_weak) = wl.recover_weak_value(scn)
             for got, want in ((exact_got, exact), (weak_got, weak)):
                 assert bits(*dataclasses.astuple(got)) == bits(*dataclasses.astuple(want))
-            assert bits(from_exact, from_weak) == bits(*separate_recovery(scn))
+            try:
+                reference = separate_recovery(scn)
+            except NumericError:
+                assert np.isfinite([from_exact, from_weak]).all()
+                narrow += 1
+                continue
+            peak = np.abs(scn.spectrum[0]).max(axis=1).prod()
+            for got, want, moment in zip((from_exact, from_weak), reference, (exact, weak)):
+                assert abs(got - want) <= 1e-13 * max(1.0, peak / moment.postselection_probability)
             checked += 1
-        assert checked >= 400
+        assert checked >= 400 and narrow >= 4
 
     def test_weak_source_inverts_without_post(self):
         rng = np.random.default_rng(11)
@@ -832,7 +846,7 @@ class TestStackedChain:
         grid = scn.widths * np.ones((3, 2, 1))
         grid[..., 1] = widths
         tables = simulator._pattern_tables(scn.spectrum[0], grid, pattern)
-        traces, probability = simulator._chain(scn.initial, scn.spectrum[1], tables, scn.post)
+        traces, probability = simulator._chain(scn.initial, scn.spectrum[1], tables, scn.post, scn.post_norm)
         assert traces.shape == (3, 2, 1) and probability.shape == (3, 2)
         for (row, column), width in np.ndenumerate(widths):
             varied = scn.widths.copy()
@@ -851,12 +865,12 @@ class TestStackedChain:
         # entry 3's nan raises before entry 0's zero probability.
         traces = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 1.0], [math.nan, 1.0]], dtype=complex)
         with pytest.raises(NumericError, match="not finite"):
-            simulator._checked(traces)
+            simulator._checked(traces, 1.0)
         traces[3, 0] = 4.0
         with pytest.raises(ZeroPostSelectionProbability, match=r"^post-selection probability 0\.000e\+00"):
-            simulator._checked(traces)
+            simulator._checked(traces, 1.0)
         traces[0, 1] = 0.5
-        numerators, probability = simulator._checked(traces)
+        numerators, probability = simulator._checked(traces, 1.0)
         assert numerators[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
         assert probability.tolist() == [0.5, 1.0, 1.0, 1.0]
 
@@ -1123,7 +1137,7 @@ class TestSampler:
 
     # From 1.3e154 on, a reading's unscaled distance to either eigenvalue
     # squares to inf for about a third of the shots; scaled first, it stays finite.
-    @pytest.mark.parametrize("sigma1", [1e153, 1.3e154, pointer._WIDEST], ids=["1e153", "1.3e154", "widest"])
+    @pytest.mark.parametrize("sigma1", [1e153, 1.3e154, WIDEST], ids=["1e153", "1.3e154", "widest"])
     def test_wide_first_pointer_matches_exact(self, sigma1):
         # Pointers 2 and 3; the wide first pointer's mean has no finite stderr.
         scn = self.wide_first_pointer(sigma1)
@@ -1235,3 +1249,55 @@ class TestProductVariance:
             )
             # remaining terms are O(1) while the kept ones are O(sigma^2)
             assert variance == pytest.approx(leading, abs=10.0)
+
+
+class TestProbabilityScale:
+    """The post-selection refusal compares Tr(E eta) with the threshold
+    times E's largest eigenvalue: an effect E = c I reads as no
+    post-selection at any c, and an effect orthogonal to the state is still
+    refused with the threshold's message."""
+
+    @staticmethod
+    def values(scn):
+        pattern = wl.MomentPattern.all_position(scn.n_steps)
+        (exact, from_exact), (weak, from_weak) = wl.recover_weak_value(scn)
+        return [
+            wl.exact_moment(scn, pattern).value,
+            wl.weak_prediction(scn, pattern).value,
+            *(moment.value for moment in wl.position_moments(scn)),
+            exact.value,
+            weak.value,
+            from_exact,
+            from_weak,
+            wl.seq_weak_value(scn),
+        ]
+
+    @pytest.mark.parametrize("c", [1e-13, 1e-14, 1e-20])
+    def test_scaled_identity_effect_reads_as_none(self, c):
+        plain = wl.build_illustrative(100.0, 1.0)
+        scaled = dataclasses.replace(plain, post=c * np.eye(2))
+        assert (plain.post_norm, scaled.post_norm) == (1.0, c)
+        for got, want in zip(self.values(scaled), self.values(plain), strict=True):
+            unit = np.spacing(abs(want))
+            assert abs(complex(got).real - complex(want).real) <= 4 * unit, (got, want)
+            assert abs(complex(got).imag - complex(want).imag) <= 4 * unit, (got, want)
+
+    def test_sampler_accepts_a_scaled_identity_effect(self):
+        scn = dataclasses.replace(wl.build_illustrative(100.0, 1.0), post=1e-14 * np.eye(2))
+        probability = wl.position_moments(scn)[0].postselection_probability
+        for given in (None, probability):
+            _, stats = wl.sample_outcomes(scn, 200, seed=1, probability=given)
+            assert stats.postselection_probability == probability
+
+    def test_orthogonal_effect_is_refused(self):
+        scn = wl.Scenario(qm.KET_0.amplitudes, [SIGMA_Z], [1.0], np.diag([0.0, 1.0]))
+        message = "^" + re.escape("post-selection probability 0.000e+00 is at or below 1e-14") + "$"
+        for engine in (
+            lambda: wl.exact_moment(scn, wl.MomentPattern.from_string("x")),
+            lambda: wl.recover_weak_value(scn),
+            lambda: wl.seq_weak_value(scn),
+            lambda: wl.sample_outcomes(scn, 10, seed=0),
+            lambda: wl.sample_outcomes(scn, 10, seed=0, probability=0.0),
+        ):
+            with pytest.raises(ZeroPostSelectionProbability, match=message):
+                engine()

@@ -301,9 +301,9 @@ class TestBounds:
 
 class TestProbabilityCheck:
     def test_array_raises_for_the_first_low_entry(self):
-        check_probability(np.array([0.5, 0.2]))
+        check_probability(np.array([0.5, 0.2]), 1.0)
         with pytest.raises(ZeroPostSelectionProbability, match=r"probability 3\.000e-15 is at or below 1e-14"):
-            check_probability(np.array([[0.5, 3e-15], [0.0, 0.2]]))
+            check_probability(np.array([[0.5, 3e-15], [0.0, 0.2]]), 1.0)
 
 
 class TestStackedEvaluators:
