@@ -77,10 +77,11 @@ SWEEP_MAX_POINTS = 1_000_000
 # Longest chain-n chain. scenario, simulate and a two-point sweep on it peak
 # at 0.54-0.93 kB per step in CSV or JSON, scenario highest with both
 # engines' [x, recovery, i] tables in one pass; CSV sample --shots 1 at
-# 0.82-0.88 kB, streaming its n + 1 row dicts (tracemalloc, n = 2,000 and
-# 20,000, after a warm-up call). So a million steps stay under
-# errors.MEMORY_LIMIT, the 2 GiB that sample and optimize allow, but for JSON
-# sample: json.dumps(indent=2) builds the whole text, 2.13-2.19 kB per step,
+# 0.82-0.88 kB, streaming its n + 1 row dicts, the sampler's note of where
+# each step's uniforms start included (tracemalloc, n = 2,000 and 20,000,
+# after a warm-up call). So a million steps stay under errors.MEMORY_LIMIT,
+# the 2 GiB that sample and optimize allow, but for JSON sample:
+# json.dumps(indent=2) builds the whole text, 2.07-2.14 kB per step,
 # about 99% of the limit before the interpreter's own memory (ROADMAP item 6).
 CHAIN_MAX_STEPS = 1_000_000
 

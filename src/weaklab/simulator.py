@@ -48,9 +48,11 @@ check: a not-finite entry 3 raises before a zero-probability entry 0.
 shot carries a system ket, and each pointer is read right after its
 coupling, from the positive mixture of d Gaussians that the ket's
 populations define. No envelope and no rejection is needed, and
-Monte-Carlo runs agree with ``exact_moment`` up to shot noise. The shots
-run in cache-sized blocks, in O(shots n d^2) time and the memory that
-``sample_footprint`` counts before any allocation.
+Monte-Carlo runs agree with ``exact_moment`` up to shot noise. A first
+pass over the random stream draws every step's normals into the
+readings; a second runs one cache-sized block of shots at a time through
+every step, so only the readings span every shot. It takes O(shots n d^2)
+time and the memory that ``sample_footprint`` counts before any allocation.
 """
 
 from __future__ import annotations
@@ -526,18 +528,20 @@ def sample_footprint(scn: Scenario, shots: int) -> int:
     """Bytes of per-shot arrays ``sample_outcomes`` holds at once, at most;
     the scenario-sized arrays beside them (O(n d^2) bytes) are not counted.
 
-    Per shot, 8 (n + 2d + 1) bytes: the n readings, the 2d floats of the
-    ket and one step's uniforms. Post-selection adds the kept mask and the
-    retained copy of the readings, 8n + 1. One block's work arrays add a
-    constant of 36d + 32 bytes per block shot: the turned ket beside the
-    block it replaces, 16d, then the populations, their running sums and
-    the index draw beside numpy's reduction buffer (tracemalloc: 85 to 593
+    Per shot, 8n bytes: the n readings. Post-selection adds the kept mask
+    and the retained copy of the readings, 8n + 1. One block's arrays add
+    a constant of 52d + 40 bytes per block shot: the block's ket buffer,
+    16d, and its uniforms, 8, then its work arrays, 36d + 32: the turned
+    ket beside the buffer it replaces, 16d, then the populations, their
+    running sums and the index draw beside numpy's reduction buffer
+    (tracemalloc, 3 full blocks and a remainder at n = 3 and 6: 125 to 881
     bytes per block shot over the per-shot count at d = 2 to 16, the
-    scenario's own arrays included).
+    scenario's own arrays included, which take d = 16, n = 6 past this
+    count by 1%).
     """
     n, d = scn.n_steps, scn.dim
-    per_shot = 8 * (n + 2 * d + 1) + (8 * n + 1 if scn.post is not None else 0)
-    return shots * per_shot + _block_shots(d) * (36 * d + 32)
+    per_shot = 8 * n + (8 * n + 1 if scn.post is not None else 0)
+    return shots * per_shot + _block_shots(d) * (52 * d + 40)
 
 
 def _draw_index(uniforms: np.ndarray, populations: np.ndarray) -> np.ndarray:
@@ -557,21 +561,31 @@ def _realify(matrix: np.ndarray) -> np.ndarray:
     return np.block([[matrix.real, -matrix.imag], [matrix.imag, matrix.real]])
 
 
+def _redraw(rng, inc: int, start: int, offset: int, out: np.ndarray) -> None:
+    """Fills ``out`` with the uniforms ``offset`` doubles into a run that
+    starts at the PCG64 state ``start`` of increment ``inc``; ``random``
+    takes one 64-bit draw per double, so advancing skips them exactly."""
+    state = {"state": start, "inc": inc}
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    rng.bit_generator.advance(offset)
+    rng.random(out=out)
+
+
 def _read_pointer(
-    rng, kets: np.ndarray, a: np.ndarray, sigma: float, uniforms: np.ndarray, x: np.ndarray, out: np.ndarray
+    kets: np.ndarray, a: np.ndarray, sigma: float, uniforms: np.ndarray, x: np.ndarray, out: np.ndarray
 ) -> None:
     """Read one pointer on a block of shots and write the Kraus-updated kets
     into ``out``, which may be ``kets`` itself.
 
     ``kets`` is the block's (2d, shots) stack of real and imaginary parts
     in the eigenbasis of the measured observable, whose eigenvalues are
-    ``a``; ``uniforms`` draw the eigenindices. The readings
-    x = a_k + sigma z go into ``x``, with z drawn here.
+    ``a``; ``uniforms`` draw the eigenindices. ``x`` holds the block's
+    standard normals z, and the readings x = a_k + sigma z overwrite them.
     """
     kets = kets.reshape(2, len(a), -1)
     populations = kets[0] ** 2
     populations += kets[1] ** 2
-    np.add(a[_draw_index(uniforms, populations)], sigma * rng.standard_normal(len(x)), out=x)
+    np.add(a[_draw_index(uniforms, populations)], sigma * x, out=x)
     # Scaled before squaring, so the least term, about (z / 2)^2, stays finite.
     weights = np.subtract.outer(a, x)
     weights /= 2.0 * sigma
@@ -604,16 +618,20 @@ def sample_outcomes(
     <psi|E|psi>, so the retained count is Binomial(shots, Tr(eta)) and
     retained shots are i.i.d. draws from the conditional joint density.
 
-    The shots run in blocks of ``SAMPLE_BLOCK_ENTRIES`` // d. Each block's
-    kets are a contiguous (2d, block) stack of real and imaginary parts,
-    so each step is one (2d, 2d) @ (2d, block) rotation per block and a
-    few block-length vector operations per eigenindex. The stream is
-    deterministic in ``seed`` and does not depend on the block size: the
-    initial eigenindices' uniforms come first; per step, every shot's
-    uniforms, then the normals block by block in shot order; last, the
-    post-selection uniforms. Cost is O(shots n d^2) time; memory is
-    ``sample_footprint``, checked against ``errors.MEMORY_LIMIT`` before
-    anything is allocated.
+    The stream is deterministic in ``seed`` and does not depend on the
+    block size: the initial eigenindices' uniforms come first; per step,
+    every shot's uniforms, then every shot's normals in shot order; last,
+    the post-selection uniforms. Two passes walk it. The first touches no
+    ket: it notes where each run of uniforms starts, skips the run, and
+    draws each step's normals into that step's row of the readings. The
+    second runs the shots in blocks of ``SAMPLE_BLOCK_ENTRIES`` // d
+    through every step, each block's uniforms redrawn from their run's
+    start, advanced by the block's first shot. A block's kets are one
+    contiguous (2d, block) stack of real and imaginary parts, so each step
+    is one (2d, 2d) @ (2d, block) rotation and a few block-length vector
+    operations per eigenindex, and only the readings span every shot. Cost
+    is O(shots n d^2) time; memory is ``sample_footprint``, checked
+    against ``errors.MEMORY_LIMIT`` before anything is allocated.
 
     ``probability`` is the scenario's Tr(eta) when the caller already
     holds it, as the rows of ``position_moments`` do; by default the
@@ -631,36 +649,52 @@ def sample_outcomes(
         check_probability(probability, scn.post_norm)
 
     rng = np.random.default_rng(seed)
+    inc = rng.bit_generator.state["state"]["inc"]
+    # Pass 1 walks the stream and touches no ket: it notes the PCG64 state
+    # where each run of uniforms starts, skips the run, and draws each
+    # step's normals into that step's row of the readings.
+    starts = []
+
+    def skip():
+        starts.append(rng.bit_generator.state["state"]["state"])
+        rng.bit_generator.advance(shots)
+
+    rows = np.empty((scn.n_steps, shots))
+    skip()
+    for j in range(scn.n_steps):
+        skip()
+        rng.standard_normal(out=rows[j])
+    if scn.post is not None:
+        skip()
+        effect, kept = _realify(_last_effect(bases, scn.post)), np.empty(shots, dtype=bool)
+
     weights, basis = np.linalg.eigh(scn.initial)
     weights = np.clip(weights, 0.0, None)[:, np.newaxis]
     # The first turn starts from ``basis``, whose columns are the initial kets, so it gathers.
     turns = _turns(bases)
     turns[0] = turns[0] @ basis
     turns = [_realify(turn) for turn in turns]
-    size, width = _block_shots(scn.dim), 2 * scn.dim
-    spans = [slice(start, min(start + size, shots)) for start in range(0, shots, size)]
-    uniforms = rng.random(shots)
-    # One array holds the kets, block after block, each block a contiguous
-    # (2d, block) slice that its Kraus update rewrites. Fresh arrays per
+    size, width = min(_block_shots(scn.dim), shots), 2 * scn.dim
+    # Pass 2 runs one block of shots at a time through every step. One
+    # buffer holds the block's kets, a contiguous (2d, block) stack that
+    # each Kraus update rewrites, and one its uniforms. Fresh arrays per
     # block and step doubled the page faults of a long run of mixed
     # requests, as glibc then trimmed its heap between them.
-    kets = np.empty(width * shots)
-    blocks = [kets[width * span.start:width * span.stop].reshape(width, -1) for span in spans]
-    for block, span in zip(blocks, spans):
-        np.take(turns[0], _draw_index(uniforms[span], weights), axis=1, out=block)
-    rows = np.empty((scn.n_steps, shots))
-    for j, (a, turn, sigma) in enumerate(zip(eigenvalues, turns, scn.widths.tolist())):
-        rng.random(out=uniforms)
-        for block, span in zip(blocks, spans):
-            _read_pointer(rng, turn @ block if j else block, a, sigma, uniforms[span], rows[j, span], out=block)
-
+    buffer, drawn = np.empty(width * size), np.empty(size)
+    for first in range(0, shots, size):
+        span = slice(first, min(first + size, shots))
+        count = span.stop - first
+        block, uniforms = buffer[:width * count].reshape(width, count), drawn[:count]
+        _redraw(rng, inc, starts[0], first, uniforms)
+        np.take(turns[0], _draw_index(uniforms, weights), axis=1, out=block)
+        for j, (a, turn, sigma) in enumerate(zip(eigenvalues, turns, scn.widths.tolist())):
+            _redraw(rng, inc, starts[1 + j], first, uniforms)
+            _read_pointer(turn @ block if j else block, a, sigma, uniforms, rows[j, span], out=block)
+        if scn.post is not None:
+            _redraw(rng, inc, starts[-1], first, uniforms)
+            block *= effect @ block
+            np.less(uniforms, block.sum(axis=0), out=kept[span])
     if scn.post is not None:
-        effect = _realify(_last_effect(bases, scn.post))
-        rng.random(out=uniforms)
-        kept = np.empty(shots, dtype=bool)
-        for ket, span in zip(blocks, spans):
-            ket *= effect @ ket
-            np.less(uniforms[span], ket.sum(axis=0), out=kept[span])
         rows = rows[:, kept]
     stats = SampleStatistics(shots, rows.shape[1], probability)
     # Row j holds every shot's reading of pointer j; the (shots, n) view of

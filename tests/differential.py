@@ -34,7 +34,6 @@ Standard library and numpy only; pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -42,7 +41,6 @@ import re
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from collections import Counter
@@ -51,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+from checkouts import ROOT, commit, tree
+
 SUBCOMMANDS = ("scenario", "simulate", "sweep", "optimize", "sample", "bounds")
 BUILTINS = ("illustrative", "pauli-xy", "chain-n", "common-cause")
 WIDEST = math.sqrt(sys.float_info.max)  # the widest pointer width accepted, about 1.34e154
@@ -77,28 +76,9 @@ class Allowance:
     tolerance: float | None = None
 
 
-PARENT = "54a3e7c3d0936a09e5a7b80932112c96ef15871f"  # the commit these allowances were written against
-OLD_WIDTH_RULE = "pointer width must be positive with a finite square"
-ALLOWED = (
-    # A width whose square underflows to 0 is an input error now, refused
-    # where every other width is, with the width rule's message.
-    Allowance("underflow-refusal-moved", PARENT, None, "base", r"^numeric failure: pointer width squared underflows to 0"),
-    Allowance("width-message-reworded", PARENT, None, "base", re.escape(OLD_WIDTH_RULE)),
-    # A width below the narrowest accepted is refused with the scenario's
-    # inputs: before a pattern's faults, and, for a file's own width for
-    # the swept step, where the sweep used to skip it.
-    Allowance(
-        "narrow-width-refused-first",
-        PARENT,
-        None,
-        "new",
-        r"positive finite float, got [1-9](\.\d+)?e-(16[2-9]|1[7-9]\d|[2-9]\d\d)$",
-    ),
-    # The recovery row a_k ov reads no sigma^2 and no momentum table, so it
-    # is finite at narrow widths, and its values move in the last bits.
-    Allowance("recovery-finite-at-narrow-widths", PARENT, "scenario", "base", r"^numeric failure: moment chain is not finite"),
-    Allowance("recovery-row-last-bits", PARENT, "scenario", "stdout", r"recovered_from_\w+", tolerance=1e-13),
-)
+PARENT = "348fbb8a88507e06e8292059bb35b1d3643845b9"  # the commit these allowances were written against
+ALLOWED: tuple[Allowance, ...] = ()  # the block-major sampler keeps every report's bits
+
 # Where a quantity's value lies in a CSV report and in a JSON one.
 VALUE_FORMS = (r"^(?:{}),(\S+)$", r'"quantity": "(?:{})",\n *"value": (\S+)$')
 
@@ -354,18 +334,6 @@ def subcommand(argv: list[str]) -> str:
 # Trees and runs
 # ---------------------------------------------------------------------------
 
-def tree(spec: str, into: Path) -> Path:
-    """The ``src`` directory of ``spec``: the working tree's for
-    "worktree", else a copy of the commit's from ``git archive``, which
-    leaves the repository's metadata as it is."""
-    if spec == "worktree":
-        return ROOT / "src"
-    archive = subprocess.run(["git", "archive", "--format=tar", spec, "src"], cwd=ROOT, capture_output=True, check=True)
-    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(into, filter="data")
-    return into / "src"
-
-
 def mutate(source: Path, name: str, into: Path) -> Path:
     """A copy of ``source`` with the kept mutant ``name`` applied."""
     sys.path.insert(0, str(ROOT / "tests"))
@@ -438,9 +406,7 @@ def main(arguments: list[str]) -> int:
     parser.add_argument("--mutant", help="a kept mutant to apply to the new tree")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(arguments)
-    commit = None if args.base == "worktree" else subprocess.run(
-        ["git", "rev-parse", "--verify", args.base + "^{commit}"], cwd=ROOT, capture_output=True, text=True, check=True
-    ).stdout.strip()
+    base_commit = commit(args.base)
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
@@ -464,7 +430,7 @@ def main(arguments: list[str]) -> int:
     for argv, old, now in zip(corpus, base, new):
         if old == now:
             continue
-        name = allowance(commit, argv, old, now)
+        name = allowance(base_commit, argv, old, now)
         if name:
             allowed[name] += 1
             continue

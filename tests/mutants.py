@@ -133,9 +133,8 @@ MUTANTS = (
     Mutant(
         "sampler-slot-2-noise-wide",
         "simulator.py",
-        "_read_pointer(rng, turn @ block if j else block,",
-        "_read_pointer(rng if j != 1 else type('Wide', (), {'standard_normal': "
-        "lambda _, size: 1.02 * rng.standard_normal(size)})(), turn @ block if j else block,",
+        "rng.standard_normal(out=rows[j])",
+        "rng.standard_normal(out=rows[j])\n        rows[j] *= 1.02 if j == 1 else 1.0",
         # The sampler's checks against the exact engine; a pinned stream
         # digest fails on any change to the draws, right or wrong. Only the
         # second moments see a noise scale: the noise has mean zero.
@@ -160,6 +159,27 @@ MUTANTS = (
         "weights /= 2.0 * sigma\n    weights **= 2",
         "weights **= 2\n    weights /= 2.0 * sigma\n    weights /= 2.0 * sigma",
         ("tests/test_simulator.py::TestSampler::test_wide_first_pointer_matches_exact",),
+    ),
+    Mutant(
+        # Every block redraws its uniforms from the start of their run, so
+        # the blocks after the first reuse the first block's uniforms.
+        "sampler-uniform-offset-dropped",
+        "simulator.py",
+        "rng.bit_generator.advance(offset)",
+        "rng.bit_generator.advance(0)",
+        (
+            "tests/test_simulator.py::TestSampler::test_pinned_stream",
+            "tests/test_simulator.py::TestSampler::test_stream_does_not_depend_on_block_size",
+        ),
+    ),
+    Mutant(
+        # The first pass draws a step's normals before it skips the step's
+        # uniforms, so both come from the wrong places in the stream.
+        "sampler-normals-before-uniforms",
+        "simulator.py",
+        "skip()\n        rng.standard_normal(out=rows[j])",
+        "rng.standard_normal(out=rows[j])\n        skip()",
+        ("tests/test_simulator.py::TestSampler::test_pinned_stream",),
     ),
     Mutant(
         # Post-selected scenarios read without their effect.

@@ -1045,6 +1045,26 @@ class TestSampler:
         samples, _ = wl.sample_outcomes(scn, shots, seed=seed)
         assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: random_scenario(np.random.default_rng(32), 3, 2, with_post=True),
+            lambda: random_scenario(np.random.default_rng(33), 2, 3, with_post=False),
+        ],
+        ids=["random-post-d3-n2", "mixed-d2-n3"],
+    )
+    def test_stream_does_not_depend_on_block_size(self, build, monkeypatch):
+        # Each block redraws its uniforms from its own offset into their
+        # run, so any block size, one shot up to all of them, gives the same bits.
+        scn = build()
+        runs = []
+        for entries in (1, 7, 4096, 2**15, 10**6):
+            monkeypatch.setattr(simulator, "SAMPLE_BLOCK_ENTRIES", entries)
+            samples, stats = wl.sample_outcomes(scn, 5001, seed=3)
+            runs.append((samples.tobytes(), stats.retained_shots))
+        assert len(set(runs)) == 1
+        assert scn.post is None or 0 < runs[0][1] < 5001
+
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize(
         "build",
@@ -1187,18 +1207,19 @@ class TestSampler:
             wl.sample_outcomes(wl.build_illustrative(1.0, 1.0), 100, seed=1, probability=0.0)
 
     def test_footprint_per_shot(self):
-        # Readings, ket and one step's uniforms: 8 (n + 2d + 1) bytes a
-        # shot; post-selection adds the kept mask and the retained copy.
+        # Only the readings span every shot, 8n bytes; post-selection adds
+        # the kept mask and the retained copy. Kets and uniforms span a block.
         scn = wl.build_illustrative(1.0, 1.0)
-        assert simulator.sample_footprint(scn, 2) - simulator.sample_footprint(scn, 1) == 56
+        assert simulator.sample_footprint(scn, 2) - simulator.sample_footprint(scn, 1) == 16
         post = dataclasses.replace(scn, post=np.diag([1.0, 0.0]))
-        assert simulator.sample_footprint(post, 2) - simulator.sample_footprint(post, 1) == 56 + 17
+        assert simulator.sample_footprint(post, 2) - simulator.sample_footprint(post, 1) == 16 + 17
 
     @pytest.mark.parametrize(
         "d,n,with_post,shots",
         [(2, 2, False, 20000), (2, 6, True, 20000), (3, 4, False, 20000), (4, 2, True, 20000), (8, 3, False, 20000),
-         (2, 3, True, 140_000)],
-        ids=["2-2-False", "2-6-True", "3-4-False", "4-2-True", "8-3-False", "2-3-True-four-blocks"],
+         (2, 3, True, 140_000), (2, 2, False, 100_000), (4, 2, True, 100_000)],
+        ids=["2-2-False", "2-6-True", "3-4-False", "4-2-True", "8-3-False", "2-3-True-four-blocks",
+             "2-2-False-seven-blocks", "4-2-True-thirteen-blocks"],
     )
     def test_peak_memory_within_footprint(self, d, n, with_post, shots):
         scn = random_scenario(np.random.default_rng(d * 10 + n), d, n, with_post=with_post)
