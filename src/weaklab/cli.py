@@ -15,8 +15,8 @@ allocation they would need: ``sweep --steps`` over SWEEP_MAX_POINTS and a
 contraction per chunk of ``simulator.SWEEP_CHUNK_ENTRIES`` table entries.
 ``sample`` checks ``--shots`` and ``--seed`` before any engine
 work. Its exact column needs no limit of its own:
-``simulator.position_moments`` holds four d x d arrays per step, fewer
-bytes than the scenario. ``bounds --trials`` needs no limit: one draw
+``simulator.position_moments`` holds five d x d arrays per step, on the
+order of the scenario's bytes. ``bounds --trials`` needs no limit: one draw
 loop, ``_stacks``, serves all three suites. It draws BOUNDS_CHUNK trials
 at a time for the projector-pair and magnitude suites, and BOUNDS_CHUNK //
 10 for the hull suite, in the order a one-at-a-time loop would, and yields
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -75,14 +76,14 @@ SCENARIO_NAMES = ("illustrative", "pauli-xy", "chain-n", "common-cause")
 SWEEP_MAX_POINTS = 1_000_000
 
 # Longest chain-n chain. scenario, simulate and a two-point sweep on it peak
-# at 0.54-0.93 kB per step in CSV or JSON, scenario highest with both
-# engines' [x, recovery, i] tables in one pass; CSV sample --shots 1 at
-# 0.82-0.88 kB, streaming its n + 1 row dicts, the sampler's note of where
-# each step's uniforms start included (tracemalloc, n = 2,000 and 20,000,
-# after a warm-up call). So a million steps stay under errors.MEMORY_LIMIT,
-# the 2 GiB that sample and optimize allow, but for JSON sample:
-# json.dumps(indent=2) builds the whole text, 2.07-2.14 kB per step,
-# about 99% of the limit before the interpreter's own memory (ROADMAP item 6).
+# at 0.48-0.74 kB per step in CSV or JSON, sweep and scenario highest with
+# both engines' tables in one array; sample --shots 1 at 0.82-0.88 kB in CSV,
+# streaming its n + 1 row dicts, the sampler's note of where each step's
+# uniforms start included, and at 0.99-1.01 kB in JSON, written a batch of
+# the encoder's chunks at a time beside the rows' null-safe copy
+# (tracemalloc, n = 2,000 and 20,000, after a warm-up call). So a million
+# steps stay under errors.MEMORY_LIMIT, the 2 GiB that sample and optimize
+# allow.
 CHAIN_MAX_STEPS = 1_000_000
 
 # Trials that bounds draws and then evaluates together in its projector-pair
@@ -153,7 +154,12 @@ def _emit(args, config: dict, results: list[dict], summary: dict | None = None) 
             "results": [_null_if_not_finite(row) for row in results],
             "versions": versions,
         }
-        sys.stdout.write(json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        # The chunks of the encoder that json.dumps joins, 1,024 to a write, so
+        # the whole text is never in memory and a short report is one write.
+        encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+        chunks = itertools.chain(encoder.iterencode(document), ("\n",))
+        while batch := list(itertools.islice(chunks, 1024)):
+            sys.stdout.write("".join(batch))
         return
     out = sys.stdout
     out.write(f"# command: {command}\n")

@@ -68,11 +68,11 @@ def _overlap(s2, gap):
     return np.exp(gap * gap / (-8.0 * s2))
 
 
-def _step_tables(eigenvalues: np.ndarray, sigmas, kinds, exact: bool = True) -> np.ndarray:
-    """Stacked F[k, l] = <phi(a_l)| O |phi(a_k)>, the weights of the
-    P_k X P_l dyads, one table per kind; at overlap 1 unless ``exact``.
-    Eigenvalues (..., d) and widths (...), which ``refused_widths`` accepts,
-    broadcast to tables (..., K, d, d)."""
+def _step_tables(eigenvalues: np.ndarray, sigmas, kinds, engine: str = "exact") -> np.ndarray:
+    """Stacked F[k, l] = <phi(a_l)| O |phi(a_k)>, the weights of the P_k X P_l
+    dyads, one per kind, (..., K, d, d) from eigenvalues (..., d) and widths
+    (...) that ``refused_widths`` accepts: at overlap 1 for ``engine`` "weak",
+    or "exact", or "both", exact then weak on a leading axis (2, ..., K, d, d)."""
     # sigma ** 2 as Python's float power gives it, through libm's pow, which
     # np.float_power calls too; sigma * sigma differs in the last bit for
     # about one width in a thousand.
@@ -81,13 +81,15 @@ def _step_tables(eigenvalues: np.ndarray, sigmas, kinds, exact: bool = True) -> 
     # the right and <phi(a_l)| on the left carries (a_k - a_l)/(2i).
     left, right = eigenvalues[..., np.newaxis, :], eigenvalues[..., :, np.newaxis]
     mean, gap = 0.5 * (left + right), right - left
-    overlap = _overlap(s2, gap) if exact else None
+    scaled = {"exact": (True,), "weak": (False,), "both": (True, False)}[engine]
+    overlap = _overlap(s2, gap) if scaled[0] else None
     shape = np.broadcast(s2, gap).shape
-    tables = np.empty((*shape[:-2], len(kinds), *shape[-2:]), dtype=complex)
+    tables = np.empty((len(scaled), *shape[:-2], len(kinds), *shape[-2:]), dtype=complex)
     for row, kind in enumerate(kinds):
         factor = _factor(kind, s2, mean, gap)
-        tables[..., row, :, :] = factor * overlap if exact else factor
-    return tables
+        for table, exact in zip(tables, scaled):
+            table[..., row, :, :] = factor * overlap if exact else factor
+    return tables if engine == "both" else tables[0]
 
 
 def refused_widths(sigmas: np.ndarray) -> np.ndarray:

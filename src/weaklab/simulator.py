@@ -225,11 +225,11 @@ def _forward(initial, turns, tables):
     in its eigenbasis, for each step, then the rows after the last table.
     Step j maps X to F_j o (U_j X U_j^H), with F_j the (..., K, d, d) stack
     ``tables[..., j, :, :, :]`` of the tables (..., n, K, d, d); ``initial``
-    is (..., d, d)."""
+    is (..., d, d). The turns' adjoints are taken once, before the first step."""
     state = initial[..., np.newaxis, :, :]
+    turns, inverses = turns[..., np.newaxis, :, :], _adjoint(turns)[..., np.newaxis, :, :]
     for j in range(tables.shape[-4]):
-        turn = turns[..., j, np.newaxis, :, :]
-        state = turn @ state @ _adjoint(turn)
+        state = turns[..., j, :, :, :] @ state @ inverses[..., j, :, :, :]
         yield state
         state = tables[..., j, :, :, :] * state
     yield state
@@ -239,12 +239,12 @@ def _backward(effect, turns, tables):
     """The backward pass: yields E_j, the effect just after step j in its
     eigenbasis, last step first, so each row's trace is Tr(E_j (F_j o rho_j)),
     from ``_last_effect``'s. In the Heisenberg picture the sandwich with a
-    Hermitian table F is the one with conj(F) and the inverse turn."""
+    Hermitian table F is the one with conj(F) and the inverse turn, taken once."""
     effect = effect[..., np.newaxis, :, :]
+    turns, inverses = turns[..., np.newaxis, :, :], _adjoint(turns)[..., np.newaxis, :, :]
     for j in reversed(range(tables.shape[-4])):
         yield effect
-        turn = turns[..., j, np.newaxis, :, :]
-        effect = _adjoint(turn) @ (effect * tables[..., j, :, :, :].conj()) @ turn
+        effect = inverses[..., j, :, :, :] @ (effect * tables[..., j, :, :, :].conj()) @ turns[..., j, :, :, :]
 
 
 def _close(state, bases, effect):
@@ -305,29 +305,29 @@ def _moments(initial, bases, tables, effect, norm) -> tuple[np.ndarray, np.ndarr
     return _values(traces[..., 0], peak, probability), probability
 
 
-def _pattern_tables(eigenvalues, widths, pat: MomentPattern, exact: bool = True) -> np.ndarray:
+def _pattern_tables(eigenvalues, widths, pat: MomentPattern, engine: str = "exact") -> np.ndarray:
     """Each step's [pattern, identity] tables, (..., n, 2, d, d), from
-    eigenvalues (..., n, d) and widths (..., n) that broadcast, for
-    ``exact_moment`` or, unless ``exact``, for ``weak_prediction``, after
-    the pattern checks each makes first. One ``_step_tables`` call builds
-    the pattern's distinct kinds and the identity on every step."""
+    eigenvalues (..., n, d) and widths (..., n) that broadcast, for the
+    ``_step_tables`` ``engine`` (on its leading axis for "both"), after the
+    pattern checks each engine makes first. One ``_step_tables`` call builds the pattern's distinct kinds and
+    the identity on every step, gathered unless already in that order."""
     n = eigenvalues.shape[-2]
     if len(pat) != n:
         raise InputError(f"pattern has {len(pat)} slots for {n} measurement steps")
-    if not exact and any(kind in _SQUARED for kind in pat.kinds):
+    if engine != "exact" and any(kind in _SQUARED for kind in pat.kinds):
         raise InputError(
             "the weak-regime engine covers first-order x/p moments only; "
             "use the exact engine for squared readouts"
         )
     kinds = tuple(dict.fromkeys((*pat.kinds, _IDENTITY)))
     picks = [[kinds.index(kind), kinds.index(_IDENTITY)] for kind in pat.kinds]
-    tables = _step_tables(eigenvalues, widths, kinds, exact)
-    return tables[..., np.arange(n)[:, np.newaxis], picks, :, :]
+    tables = _step_tables(eigenvalues, widths, kinds, engine)
+    return tables if picks == [[0, 1]] * n else tables[..., np.arange(n)[:, np.newaxis], picks, :, :]
 
 
-def _moment(scn: Scenario, pat: MomentPattern, exact: bool) -> MomentResult:
+def _moment(scn: Scenario, pat: MomentPattern, engine: str) -> MomentResult:
     eigenvalues, bases = scn.spectrum
-    tables = _pattern_tables(eigenvalues, scn.widths, pat, exact)
+    tables = _pattern_tables(eigenvalues, scn.widths, pat, engine)
     value, probability = _moments(scn.initial, bases, tables, scn.post, scn.post_norm)
     return MomentResult(float(value), float(probability))
 
@@ -342,14 +342,14 @@ def exact_moment(scn: Scenario, pat: MomentPattern) -> MomentResult:
     Supports all five readout kinds. Normalization uses the exact
     post-selection probability Tr(eta), not its weak-limit stand-in.
     """
-    return _moment(scn, pat, exact=True)
+    return _moment(scn, pat, "exact")
 
 
 @np.errstate(all="ignore")
 def position_moments(scn: Scenario) -> list[MomentResult]:
     """``exact_moment`` of the all-position pattern, then of the pattern
     reading x on slot j alone, j = 1 ... n, in O(n d^3) time; per step it
-    holds the [x, i] tables, the turn and rho_j, four d x d complex arrays.
+    holds the [x, i] tables, the turn, its adjoint and rho_j: 5 d x d arrays.
 
     The forward pass carries the [x, i] rows, as ``_chain`` does, and keeps
     the identity row's rho_j; the backward pass carries the identity row's
@@ -359,13 +359,12 @@ def position_moments(scn: Scenario) -> list[MomentResult]:
     eigenvalues, bases = scn.spectrum
     tables = _step_tables(eigenvalues, scn.widths, (PointerOperatorKind.POSITION, _IDENTITY))
     turns = _turns(bases)
-    before = np.empty((n, d, d), dtype=complex)
-    states = _forward(scn.initial, turns, tables)
-    for j, state in zip(range(n), states):
+    before = np.empty((n + 1, d, d), dtype=complex)  # rho_j, then the identity row after the last table
+    for j, state in enumerate(_forward(scn.initial, turns, tables)):
         before[j] = state[-1]
     # [product, slot 1, ..., slot n, Tr(eta)]
     traces = np.empty(n + 2, dtype=complex)
-    traces[0], traces[-1] = _close(next(states), bases, scn.post)
+    traces[0], traces[-1] = _close(state, bases, scn.post)
     for j, effect in zip(reversed(range(n)), _backward(_last_effect(bases, scn.post), turns, tables[:, 1:])):
         traces[1 + j] = _slot(effect[0], tables[j, 0], before[j])
     numerators, probability = _checked(traces, scn.post_norm)
@@ -382,7 +381,7 @@ def weak_prediction(scn: Scenario, pat: MomentPattern) -> MomentResult:
     position or momentum. Each momentum slot carries a factor
     1/(2 sigma^2); the result is normalized by Tr(E rho).
     """
-    return _moment(scn, pat, exact=False)
+    return _moment(scn, pat, "weak")
 
 
 @np.errstate(all="ignore")
@@ -428,23 +427,24 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
             if not refused_widths(points).any():
                 if not passes:  # built in the first run, so a pass that fails reaches point 0 by halving
                     # Exact, then weak, on a leading engine axis, which the passes carry; the swept step's are never read.
-                    fixed = np.stack([_pattern_tables(eigenvalues, scn.widths, pat, exact) for exact in (True, False)])
+                    fixed = _pattern_tables(eigenvalues, scn.widths, pat, "both")
                     state = next(itertools.islice(_forward(scn.initial, turns, fixed), index, None))
                     effects = _backward(_last_effect(bases, scn.post), turns, fixed)
                     effect = next(itertools.islice(effects, scn.n_steps - 1 - index, None))
-                    passes[:] = state, effect, np.abs(fixed[:, unswept, 0]).max(axis=(-2, -1)).prod(axis=-1)
+                    peak = np.abs(fixed[:, unswept, 0]).max(axis=(-2, -1)).prod(axis=-1)
+                    # A point axis before the rows, as the points' tables (2, points, 2, d, d) have.
+                    passes[:] = state[..., np.newaxis, :, :, :], effect[..., np.newaxis, :, :, :], peak[:, np.newaxis]
                 state, effect, peak = passes
-                kinds = (pat.kinds[index], _IDENTITY)
-                tables = np.stack([_step_tables(eigenvalues[index], points, kinds, exact) for exact in (True, False)], 1)
+                tables = _step_tables(eigenvalues[index], points, (pat.kinds[index], _IDENTITY), "both")
                 numerators, probability = _checked(_slot(effect, tables, state), scn.post_norm)
                 peaks = peak * np.abs(tables[..., 0, :, :]).max(axis=(-2, -1))
-                values[:, start:stop] = _values(numerators[..., 0], peaks, probability).T
+                values[:, start:stop] = _values(numerators[..., 0], peaks, probability)
                 return
         except WeakLabError:
             pass
         if stop - start == 1:
             varied = replace(scn, widths=np.where(unswept, scn.widths, widths[start]))
-            values[:, start] = _moment(varied, pat, exact=True).value, _moment(varied, pat, exact=False).value
+            values[:, start] = _moment(varied, pat, "exact").value, _moment(varied, pat, "weak").value
         else:
             fill(start, (start + stop) // 2)
             fill((start + stop) // 2, stop)
@@ -487,9 +487,7 @@ def recover_weak_value(scn: Scenario) -> tuple[tuple[MomentResult, complex], tup
     narrow to read it as the weak value.
     """
     eigenvalues, bases = scn.spectrum
-    kinds = [PointerOperatorKind(code) for code in "xii"]
-    # Exact, then weak, on a leading engine axis.
-    tables = np.stack([_step_tables(eigenvalues, scn.widths, kinds, exact) for exact in (True, False)])
+    tables = _step_tables(eigenvalues, scn.widths, [PointerOperatorKind(code) for code in "xii"], "both")
     tables[:, :, 1] *= eigenvalues[:, :, np.newaxis]
     traces, probability = _chain(scn.initial, bases, tables, scn.post, scn.post_norm)
     moments = _values(traces[:, 0], np.abs(tables[:, :, 0]).max(axis=(-2, -1)).prod(axis=-1), probability).tolist()
@@ -525,23 +523,25 @@ def _block_shots(d: int) -> int:
 
 
 def sample_footprint(scn: Scenario, shots: int) -> int:
-    """Bytes of per-shot arrays ``sample_outcomes`` holds at once, at most;
-    the scenario-sized arrays beside them (O(n d^2) bytes) are not counted.
+    """Bytes that ``sample_outcomes`` holds at once, at most, beyond the
+    scenario's own arrays.
 
     Per shot, 8n bytes: the n readings. Post-selection adds the kept mask
     and the retained copy of the readings, 8n + 1. One block's arrays add
     a constant of 52d + 40 bytes per block shot: the block's ket buffer,
     16d, and its uniforms, 8, then its work arrays, 36d + 32: the turned
     ket beside the buffer it replaces, 16d, then the populations, their
-    running sums and the index draw beside numpy's reduction buffer
-    (tracemalloc, 3 full blocks and a remainder at n = 3 and 6: 125 to 881
-    bytes per block shot over the per-shot count at d = 2 to 16, the
-    scenario's own arrays included, which take d = 16, n = 6 past this
-    count by 1%).
+    running sums and the index draw beside numpy's reduction buffer. Per
+    step, 64 d^2 + 256 bytes: the identity chain, its table beside the
+    turns and their two work arrays, 64 d^2, or later the complex turns
+    beside their realified copies, 48 d^2, and about 200 bytes of Python
+    objects, each step's uniform-run start, width and realified-turn header
+    (tracemalloc, 3 full blocks and a remainder at d = 2 to 64 and n = 2
+    to 2,000: 0.63 to 0.999 of this count).
     """
     n, d = scn.n_steps, scn.dim
     per_shot = 8 * n + (8 * n + 1 if scn.post is not None else 0)
-    return shots * per_shot + _block_shots(d) * (52 * d + 40)
+    return shots * per_shot + _block_shots(d) * (52 * d + 40) + n * (64 * d * d + 256)
 
 
 def _draw_index(uniforms: np.ndarray, populations: np.ndarray) -> np.ndarray:
@@ -645,6 +645,7 @@ def sample_outcomes(
     if probability is None:
         identity = _step_tables(eigenvalues, scn.widths, (_IDENTITY,))
         probability = float(_chain(scn.initial, bases, identity, scn.post, scn.post_norm)[1])
+        del identity  # 16 n d^2 bytes that the shots need not hold
     else:
         check_probability(probability, scn.post_norm)
 

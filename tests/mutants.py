@@ -84,12 +84,13 @@ MUTANTS = (
         ("tests/test_simulator.py::TestSweepMoments",),
     ),
     Mutant(
-        # The grid's point tables stacked weak first, against passes stacked exact first.
-        "sweep-point-engines-swapped",
-        "simulator.py",
-        "for exact in (True, False)], 1)",
-        "for exact in (False, True)], 1)",
-        ("tests/test_simulator.py::TestSweepMoments",),
+        # Both engines' tables written weak first: the one site of the
+        # leading [exact, weak] axis that the sweep and the recovery read.
+        "table-engines-swapped",
+        "pointer.py",
+        '"both": (True, False)}',
+        '"both": (False, True)}',
+        ("tests/test_simulator.py::TestSweepMoments", "tests/test_simulator.py::TestRecovery"),
     ),
     Mutant(
         # The recovery row scaled by the left eigenvalue, a_l ov: the chain
@@ -99,14 +100,6 @@ MUTANTS = (
         "tables[:, :, 1] *= eigenvalues[:, :, np.newaxis]",
         "tables[:, :, 1] *= eigenvalues[:, np.newaxis, :]",
         ("tests/test_simulator.py::TestRecovery::test_moments_and_weak_values_match_the_separate_engines",),
-    ),
-    Mutant(
-        # The recovery's tables stacked weak first, against its pair read exact first.
-        "recovery-engines-swapped",
-        "simulator.py",
-        "kinds, exact) for exact in (True, False)])",
-        "kinds, exact) for exact in (False, True)])",
-        ("tests/test_simulator.py::TestRecovery",),
     ),
     Mutant(
         # The returned moments read from the recovery row, not the x row.
@@ -180,6 +173,15 @@ MUTANTS = (
         "skip()\n        rng.standard_normal(out=rows[j])",
         "rng.standard_normal(out=rows[j])\n        skip()",
         ("tests/test_simulator.py::TestSampler::test_pinned_stream",),
+    ),
+    Mutant(
+        # The JSON writer drops its last batch, short of a whole batch.
+        "json-last-batch-dropped",
+        "cli.py",
+        "while batch := list(itertools.islice(chunks, 1024)):",
+        "while len(batch := list(itertools.islice(chunks, 1024))) == 1024:",
+        ("tests/test_cli.py::TestJsonBytes",
+         "tests/test_cli.py::TestSampleCommand::test_json_writes_null_where_csv_writes_nan"),
     ),
     Mutant(
         # Post-selected scenarios read without their effect.

@@ -597,7 +597,7 @@ def separate_recovery(scn):
     table overflows at narrow widths, where it raises NumericError."""
     eigenvalues, bases = scn.spectrum
     with np.errstate(all="ignore"):
-        tables = np.stack([pointer._step_tables(eigenvalues, scn.widths, (X, P, I), exact) for exact in (True, False)])
+        tables = pointer._step_tables(eigenvalues, scn.widths, (X, P, I), "both")
         tables[:, :, 0] += 2j * (np.float_power(scn.widths, 2)[:, np.newaxis, np.newaxis] * tables[:, :, 1])
         traces, probability = simulator._chain(scn.initial, bases, tables[:, :, ::2], scn.post, scn.post_norm)
     return [complex(trace) / p for (trace,), p in zip(traces.tolist(), probability.tolist())]
@@ -1217,9 +1217,10 @@ class TestSampler:
     @pytest.mark.parametrize(
         "d,n,with_post,shots",
         [(2, 2, False, 20000), (2, 6, True, 20000), (3, 4, False, 20000), (4, 2, True, 20000), (8, 3, False, 20000),
-         (2, 3, True, 140_000), (2, 2, False, 100_000), (4, 2, True, 100_000)],
+         (2, 3, True, 140_000), (2, 2, False, 100_000), (4, 2, True, 100_000), (16, 6, False, 6161),
+         (32, 6, False, 3089)],
         ids=["2-2-False", "2-6-True", "3-4-False", "4-2-True", "8-3-False", "2-3-True-four-blocks",
-             "2-2-False-seven-blocks", "4-2-True-thirteen-blocks"],
+             "2-2-False-seven-blocks", "4-2-True-thirteen-blocks", "16-6-False-four-blocks", "32-6-False-four-blocks"],
     )
     def test_peak_memory_within_footprint(self, d, n, with_post, shots):
         scn = random_scenario(np.random.default_rng(d * 10 + n), d, n, with_post=with_post)
