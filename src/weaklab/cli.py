@@ -13,8 +13,9 @@ allocation they would need: ``sweep --steps`` over SWEEP_MAX_POINTS and a
 ``chain-n`` ``--n`` over CHAIN_MAX_STEPS. ``sweep`` runs its grid through
 ``simulator.sweep_moments``: one pass pair for both engines, then one slot
 contraction per chunk of ``simulator.SWEEP_CHUNK_ENTRIES`` table entries.
-``sample`` checks ``--shots`` and ``--seed`` before any engine
-work. Its exact column needs no limit of its own:
+``sample`` checks ``--shots`` and ``--seed``, then runs the sampler,
+whose footprint check comes before any engine work, and the exact
+column last. That column needs no limit of its own:
 ``simulator.position_moments`` holds five d x d arrays per step, on the
 order of the scenario's bytes. ``bounds --trials`` needs no limit: one draw
 loop, ``_stacks``, serves all three suites. It draws BOUNDS_CHUNK trials
@@ -288,16 +289,14 @@ def _cmd_sample(args) -> None:
     check_count("--shots", args.shots, 1)
     check_count("--seed", args.seed, 0)
     scn, source = _resolve_scenario(args.file, args)
+    samples, _ = sample_outcomes(scn, args.shots, args.seed)
     exact = position_moments(scn)
-    # Tr(eta) comes out of the exact column's pass, so the sampler need not run it.
-    probability = exact[0].postselection_probability
-    samples, _ = sample_outcomes(scn, args.shots, args.seed, probability=probability)
     config = {
         "scenario": source,
         "shots": args.shots,
         "seed": args.seed,
     }
-    summary = {"retained_shots": len(samples), "postselection_probability": probability}
+    summary = {"retained_shots": len(samples), "postselection_probability": exact[0].postselection_probability}
     with np.errstate(over="ignore"):
         products = samples.prod(axis=1)
     columns = [("mean_position_product", products)]

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import qm
 from .errors import check_count, check_footprint
-from .pointer import PointerOperatorKind, _step_tables, check_widths
+from .pointer import _overlap, check_widths
 
 VALUE_SPREAD_TOL = 1e-14
 # A restart proposes when its last sweep's gain is more than PROPOSAL_RATE
@@ -432,10 +432,10 @@ def minimize_pointer_product(
         sweep = _pointer_sweep
     else:
         check_widths(sigma)
-        # c is the identity element between the centers 0 and 1. A subnormal
+        # c is the overlap of the pointers centred at 0 and 1. A subnormal
         # sigma^2 overflows the exponent to -inf: overlap 0.
         with np.errstate(over="ignore"):
-            overlap = _step_tables(np.array([0.0, 1.0]), sigma, (PointerOperatorKind.IDENTITY,))[0, 1, 0].real
+            overlap = _overlap(np.float_power(sigma, 2), 1.0)
         sweep = functools.partial(_pointer_sweep, overlap=overlap)
     return _see_saw_search(sweep, n, d, restarts, seed, budget)
 

@@ -532,12 +532,13 @@ def sample_footprint(scn: Scenario, shots: int) -> int:
     16d, and its uniforms, 8, then its work arrays, 36d + 32: the turned
     ket beside the buffer it replaces, 16d, then the populations, their
     running sums and the index draw beside numpy's reduction buffer. Per
-    step, 64 d^2 + 256 bytes: the identity chain, its table beside the
-    turns and their two work arrays, 64 d^2, or later the complex turns
-    beside their realified copies, 48 d^2, and about 200 bytes of Python
-    objects, each step's uniform-run start, width and realified-turn header
-    (tracemalloc, 3 full blocks and a remainder at d = 2 to 64 and n = 2
-    to 2,000: 0.63 to 0.999 of this count).
+    step, 64 d^2 + 256 bytes: the identity chain, run under post-selection
+    only but counted always, its table beside the turns and their two work
+    arrays, 64 d^2, or later the complex turns beside their realified
+    copies, 48 d^2, and about 200 bytes of Python objects, each step's
+    uniform-run start, width and realified-turn header (tracemalloc, 3 full
+    blocks and a remainder at d = 2, 8 and 64 and n = 2, 200 and 2,000,
+    with and without post-selection: 0.55 to 0.999 of this count).
     """
     n, d = scn.n_steps, scn.dim
     per_shot = 8 * n + (8 * n + 1 if scn.post is not None else 0)
@@ -601,12 +602,7 @@ def _read_pointer(
 
 # The Kraus weights of a very narrow pointer overflow to exp(-inf) = 0.
 @np.errstate(over="ignore")
-def sample_outcomes(
-    scn: Scenario,
-    shots: int,
-    seed: int,
-    probability: float | None = None,
-) -> tuple[np.ndarray, SampleStatistics]:
+def sample_outcomes(scn: Scenario, shots: int, seed: int) -> tuple[np.ndarray, SampleStatistics]:
     """Simulate ``shots`` runs; returns retained pointer-position tuples.
 
     Each shot carries one system ket, drawn from the eigen-ensemble of the
@@ -633,21 +629,19 @@ def sample_outcomes(
     is O(shots n d^2) time; memory is ``sample_footprint``, checked
     against ``errors.MEMORY_LIMIT`` before anything is allocated.
 
-    ``probability`` is the scenario's Tr(eta) when the caller already
-    holds it, as the rows of ``position_moments`` do; by default the
-    identity chain is run here. Either way a probability at or below the
+    Without post-selection nothing is discarded and the probability is 1;
+    with it, the identity chain gives Tr(eta), and a value at or below the
     threshold raises ZeroPostSelectionProbability before any shot is drawn.
     """
     check_count("shots", shots, 1)
     check_count("seed", seed, 0)
     check_footprint(sample_footprint(scn, shots), f"{shots} shots")
     eigenvalues, bases = scn.spectrum
-    if probability is None:
+    probability = 1.0
+    if scn.post is not None:
         identity = _step_tables(eigenvalues, scn.widths, (_IDENTITY,))
         probability = float(_chain(scn.initial, bases, identity, scn.post, scn.post_norm)[1])
         del identity  # 16 n d^2 bytes that the shots need not hold
-    else:
-        check_probability(probability, scn.post_norm)
 
     rng = np.random.default_rng(seed)
     inc = rng.bit_generator.state["state"]["inc"]

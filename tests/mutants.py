@@ -200,6 +200,18 @@ MUTANTS = (
         ("tests/test_simulator.py::TestProbabilityScale",),
     ),
     Mutant(
+        # The sampler skips the identity chain under post-selection too, so
+        # an effect orthogonal to the state is sampled at probability 1.
+        "sampler-post-selected-chain-skipped",
+        "simulator.py",
+        "probability = 1.0\n    if scn.post is not None:",
+        "probability = 1.0\n    if False:",
+        (
+            "tests/test_simulator.py::TestProbabilityScale::test_orthogonal_effect_is_refused",
+            "tests/test_simulator.py::TestSampler::test_zero_probability_raises_before_draws",
+        ),
+    ),
+    Mutant(
         "scenario-effect-unchecked",
         "simulator.py",
         "float(qm.check_effects(post))",

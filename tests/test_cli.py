@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -770,9 +771,10 @@ class TestSampleCommand:
         _, second = run_cli(capsys, "sample", "illustrative", "--shots", "2000", "--seed", "3")
         assert first == second
 
-    def test_one_identity_chain_per_request(self, capsys, monkeypatch):
-        # Tr(eta) comes out of the exact column's pass; the sampler is handed
-        # it and runs no identity chain of its own.
+    def test_identity_chain_only_under_post_selection(self, capsys, monkeypatch, write_scenario):
+        # Without an effect the sampler keeps every shot and runs no chain;
+        # with one, it runs the identity chain for Tr(eta). Either way the
+        # exact column is one pass.
         chains, passes = [], []
         original_chain, original_pass = simulator._chain, cli.position_moments
         monkeypatch.setattr(simulator, "_chain", lambda *args: chains.append(args) or original_chain(*args))
@@ -780,6 +782,10 @@ class TestSampleCommand:
         code, _ = run_cli(capsys, "sample", "chain-n", "--n", "4", "--shots", "500", "--seed", "2")
         assert code == 0
         assert (len(chains), len(passes)) == (0, 1)
+        post = dataclasses.replace(wl.build_projector_chain(4, 1.0), post=np.diag([1.0, 0.0]))
+        code, _ = run_cli(capsys, "sample", str(write_scenario(post)), "--shots", "500", "--seed", "2")
+        assert code == 0
+        assert (len(chains), len(passes)) == (1, 2)
 
     def test_json_writes_null_where_csv_writes_nan(self, capsys, write_scenario):
         # One kept shot has no standard error. JSON has no NaN, so a strict
@@ -830,6 +836,16 @@ class TestSampleCommand:
         code, out = run_cli(capsys, "sample", "illustrative", "--shots", str(10**12), "--seed", "1")
         assert code == 2
         assert out == ""
+
+    def test_oversized_run_exits_before_the_exact_column(self, capsys, monkeypatch):
+        def untouched(*args, **kwargs):
+            raise AssertionError("sample ran the exact column before refusing the sampler's footprint")
+
+        monkeypatch.setattr(cli, "position_moments", untouched)
+        code = main(["sample", "chain-n", "--n", "20000", "--shots", "20000"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert re.fullmatch(r"input error: 20000 shots need about [\d.]+ GiB, over the 2 GiB limit\n", captured.err)
 
     @pytest.mark.parametrize("from_file", [False, True])
     @pytest.mark.parametrize("counts", [("--shots", "0"), ("--shots", "-4"), ("--seed", "-1")])

@@ -1185,26 +1185,24 @@ class TestSampler:
         with pytest.raises(InputError, match="^seed must be at least 0, got -1$"):
             wl.sample_outcomes(wl.build_illustrative(5.0, 1.0), 10, seed=-1)
 
-    def test_given_probability_skips_the_identity_chain(self, monkeypatch):
-        scn = random_scenario(np.random.default_rng(31), 3, 2, with_post=True)
-        samples, stats = wl.sample_outcomes(scn, 3000, seed=6)
-        probability = wl.exact_moment(scn, wl.MomentPattern([X, X])).postselection_probability
-
+    def test_no_post_selection_runs_no_identity_chain(self, monkeypatch):
+        # Nothing is discarded, so Tr(eta) is 1 without a chain.
         def untouched(*args):
-            raise AssertionError("sampler ran the identity chain it was given")
+            raise AssertionError("sampler ran an identity chain without post-selection")
 
         monkeypatch.setattr(simulator, "_chain", untouched)
-        given, given_stats = wl.sample_outcomes(scn, 3000, seed=6, probability=probability)
-        assert given.tobytes() == samples.tobytes()
-        assert given_stats == stats
+        scn = random_scenario(np.random.default_rng(31), 3, 2, with_post=False)
+        samples, stats = wl.sample_outcomes(scn, 300, seed=6)
+        assert (samples.shape, stats.postselection_probability) == ((300, 2), 1.0)
 
-    def test_given_zero_probability_raises_before_draws(self, monkeypatch):
+    def test_zero_probability_raises_before_draws(self, monkeypatch):
         def undrawn(*args):
             raise AssertionError("sampler drew shots for a zero post-selection probability")
 
         monkeypatch.setattr(np.random, "default_rng", undrawn)
+        scn = wl.Scenario(qm.KET_0.amplitudes, [SIGMA_Z], [1.0], np.diag([0.0, 1.0]))
         with pytest.raises(ZeroPostSelectionProbability):
-            wl.sample_outcomes(wl.build_illustrative(1.0, 1.0), 100, seed=1, probability=0.0)
+            wl.sample_outcomes(scn, 100, seed=1)
 
     def test_footprint_per_shot(self):
         # Only the readings span every shot, 8n bytes; post-selection adds
@@ -1306,10 +1304,8 @@ class TestProbabilityScale:
 
     def test_sampler_accepts_a_scaled_identity_effect(self):
         scn = dataclasses.replace(wl.build_illustrative(100.0, 1.0), post=1e-14 * np.eye(2))
-        probability = wl.position_moments(scn)[0].postselection_probability
-        for given in (None, probability):
-            _, stats = wl.sample_outcomes(scn, 200, seed=1, probability=given)
-            assert stats.postselection_probability == probability
+        _, stats = wl.sample_outcomes(scn, 200, seed=1)
+        assert stats.postselection_probability == wl.position_moments(scn)[0].postselection_probability
 
     def test_orthogonal_effect_is_refused(self):
         scn = wl.Scenario(qm.KET_0.amplitudes, [SIGMA_Z], [1.0], np.diag([0.0, 1.0]))
@@ -1319,7 +1315,6 @@ class TestProbabilityScale:
             lambda: wl.recover_weak_value(scn),
             lambda: wl.seq_weak_value(scn),
             lambda: wl.sample_outcomes(scn, 10, seed=0),
-            lambda: wl.sample_outcomes(scn, 10, seed=0, probability=0.0),
         ):
             with pytest.raises(ZeroPostSelectionProbability, match=message):
                 engine()
