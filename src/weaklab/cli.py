@@ -69,19 +69,18 @@ from .weak_values import PROJECTOR_PAIR_FLOOR, norm_products, sequence_traces
 
 SCENARIO_NAMES = ("illustrative", "pauli-xy", "chain-n", "common-cause")
 
-# Most points one sweep may take. A point costs about 1.5 kB at the report's
-# peak (tracemalloc, 20,000 illustrative points: 1,511 B in JSON, 336 B in
-# CSV), beside one chunk of slot contractions of 3.3 to 3.7 MB, so the largest
-# sweep stays under errors.MEMORY_LIMIT, the 2 GiB that sample and optimize
-# allow.
+# Most points one sweep may take. A point adds about 340 B to the report's
+# peak in JSON and 60 B in CSV (tracemalloc, 20,000 to 40,000 illustrative
+# points), beside one chunk of slot contractions of 3.3 to 3.7 MB, so the
+# largest sweep stays under errors.MEMORY_LIMIT, the 2 GiB that sample and
+# optimize allow.
 SWEEP_MAX_POINTS = 1_000_000
 
 # Longest chain-n chain. scenario, simulate and a two-point sweep on it peak
 # at 0.48-0.74 kB per step in CSV or JSON, sweep and scenario highest with
-# both engines' tables in one array; sample --shots 1 at 0.82-0.88 kB in CSV,
-# streaming its n + 1 row dicts, the sampler's note of where each step's
-# uniforms start included, and at 0.99-1.01 kB in JSON, written a batch of
-# the encoder's chunks at a time beside the rows' null-safe copy
+# both engines' tables in one array; sample --shots 1 at 0.72-0.78 kB in CSV,
+# the sampler's note of where each step's uniforms start included, and at
+# 0.81-0.91 kB in JSON, written a batch of the encoder's chunks at a time
 # (tracemalloc, n = 2,000 and 20,000, after a warm-up call). So a million
 # steps stay under errors.MEMORY_LIMIT, the 2 GiB that sample and optimize
 # allow.
@@ -133,26 +132,27 @@ def _resolve_scenario(spec: str, args) -> tuple[Scenario, str]:
 # Report plumbing
 # ---------------------------------------------------------------------------
 
-def _null_if_not_finite(row: dict) -> dict:
+def _json_object(pairs) -> dict:
     """JSON has no NaN or infinity, so a float that is not finite reads null."""
-    return {key: None if isinstance(value, float) and not math.isfinite(value) else value for key, value in row.items()}
+    return {key: None if isinstance(value, float) and not math.isfinite(value) else value for key, value in pairs}
 
 
-def _emit(args, config: dict, results: list[dict], summary: dict | None = None) -> None:
+def _emit(args, config: dict, header: tuple[str, ...], rows, summary: dict | None = None) -> None:
     """Writes the report to stdout, headed by the command echo built from
-    ``args.raw_argv``. Every value is already a plain Python value. A CSV
-    report streams its rows straight to the writer, so it holds no copy of
-    them, and writes a float that is not finite as ``nan`` or ``inf``; a
-    JSON report writes it as null."""
+    ``args.raw_argv``. ``rows`` is an iterable of tuples of plain Python
+    values, one value per name in ``header``. A CSV report streams the rows
+    straight to the writer, so it holds no copy of them, and writes a float
+    that is not finite as ``nan`` or ``inf``; a JSON report builds each
+    row's object once and writes such a float as null."""
     command = "weaklab " + " ".join(args.raw_argv)
     summary = summary or {}
     versions = {"weaklab": __version__, "numpy": np.__version__}
     if args.format == "json":
         document = {
             "command": command,
-            "config": _null_if_not_finite(config),
-            "summary": _null_if_not_finite(summary),
-            "results": [_null_if_not_finite(row) for row in results],
+            "config": _json_object(config.items()),
+            "summary": _json_object(summary.items()),
+            "results": [_json_object(zip(header, row)) for row in rows],
             "versions": versions,
         }
         # The chunks of the encoder that json.dumps joins, 1,024 to a write, so
@@ -170,10 +170,9 @@ def _emit(args, config: dict, results: list[dict], summary: dict | None = None) 
         out.write(f"# summary {key} = {summary[key]}\n")
     for key in sorted(versions):
         out.write(f"# version {key} = {versions[key]}\n")
-    if results:
-        writer = csv.DictWriter(out, fieldnames=list(results[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(results)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +190,16 @@ def _cmd_scenario(args) -> None:
         "sigmas": ",".join(repr(s) for s in scn.widths.tolist()),
     }
     results = [
-        {"quantity": "exact_all_position_moment", "value": exact.value},
-        {"quantity": "weak_all_position_moment", "value": weak.value},
-        {"quantity": "recovered_from_exact_re", "value": from_exact.real},
-        {"quantity": "recovered_from_exact_im", "value": from_exact.imag},
-        {"quantity": "recovered_from_weak_re", "value": from_weak.real},
-        {"quantity": "recovered_from_weak_im", "value": from_weak.imag},
-        {"quantity": "postselection_probability", "value": exact.postselection_probability},
-        {"quantity": "weak_regime_ok", "value": ok},
+        ("exact_all_position_moment", exact.value),
+        ("weak_all_position_moment", weak.value),
+        ("recovered_from_exact_re", from_exact.real),
+        ("recovered_from_exact_im", from_exact.imag),
+        ("recovered_from_weak_re", from_weak.real),
+        ("recovered_from_weak_im", from_weak.imag),
+        ("postselection_probability", exact.postselection_probability),
+        ("weak_regime_ok", ok),
     ]
-    _emit(args, config, results)
+    _emit(args, config, ("quantity", "value"), results)
 
 
 def _cmd_simulate(args) -> None:
@@ -214,11 +213,8 @@ def _cmd_simulate(args) -> None:
         "dimension": scn.dim,
         "steps": scn.n_steps,
     }
-    results = [
-        {"quantity": "moment", "value": result.value},
-        {"quantity": "postselection_probability", "value": result.postselection_probability},
-    ]
-    _emit(args, config, results)
+    results = [("moment", result.value), ("postselection_probability", result.postselection_probability)]
+    _emit(args, config, ("quantity", "value"), results)
 
 
 def _cmd_sweep(args) -> None:
@@ -237,10 +233,7 @@ def _cmd_sweep(args) -> None:
     check_count("--steps", args.steps, 1, SWEEP_MAX_POINTS)
     grid = np.geomspace(args.start, args.stop, args.steps)
     exact, weak = sweep_moments(scn, MomentPattern.from_string(args.pattern), step_index, grid)
-    results = [
-        {args.param: value, "exact": e, "weak": w, "abs_difference": abs(e - w)}
-        for value, e, w in zip(grid.tolist(), exact.tolist(), weak.tolist())
-    ]
+    results = ((value, e, w, abs(e - w)) for value, e, w in zip(grid.tolist(), exact.tolist(), weak.tolist()))
     config = {
         "scenario": source,
         "pattern": args.pattern,
@@ -249,7 +242,7 @@ def _cmd_sweep(args) -> None:
         "to": args.stop,
         "points": args.steps,
     }
-    _emit(args, config, results)
+    _emit(args, config, (args.param, "exact", "weak", "abs_difference"), results)
 
 
 def _cmd_optimize(args) -> None:
@@ -278,11 +271,8 @@ def _cmd_optimize(args) -> None:
         "floor": floor,
         "below_floor": result.best_value < floor - 1e-9,
     }
-    results = [
-        {"restart": index, "converged_value": value, "is_best": value == result.best_value}
-        for index, value in result.trace
-    ]
-    _emit(args, config, results, summary)
+    results = [(index, value, value == result.best_value) for index, value in result.trace]
+    _emit(args, config, ("restart", "converged_value", "is_best"), results, summary)
 
 
 def _cmd_sample(args) -> None:
@@ -302,10 +292,10 @@ def _cmd_sample(args) -> None:
     columns = [("mean_position_product", products)]
     columns += [(f"mean_position_{j + 1}", samples[:, j]) for j in range(scn.n_steps)]
     results = [_sample_row(quantity, values, moment.value) for (quantity, values), moment in zip(columns, exact)]
-    _emit(args, config, results, summary)
+    _emit(args, config, ("quantity", "sample_mean", "stderr", "exact", "abs_difference"), results, summary)
 
 
-def _sample_row(quantity: str, values: np.ndarray, exact: float) -> dict:
+def _sample_row(quantity: str, values: np.ndarray, exact: float) -> tuple:
     """Sample mean and standard error of ``values`` beside the exact moment."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(values.mean()) if values.size else float("nan")
@@ -313,13 +303,7 @@ def _sample_row(quantity: str, values: np.ndarray, exact: float) -> dict:
     # Undefined statistics read NaN; statistics that overflow are errors.
     if values.size and not math.isfinite(mean) or values.size >= 2 and not math.isfinite(stderr):
         raise NumericError(f"sample statistics of {quantity} overflow; the pointer widths are too wide")
-    return {
-        "quantity": quantity,
-        "sample_mean": mean,
-        "stderr": stderr,
-        "exact": exact,
-        "abs_difference": abs(mean - exact),
-    }
+    return quantity, mean, stderr, exact, abs(mean - exact)
 
 
 def _stacks(rng: np.random.Generator, trials: int, size: int, draw):
@@ -406,11 +390,10 @@ def _cmd_bounds(args) -> None:
     results = []
     for suite, count, size, draw, evaluate, fold, bound in suites:
         worsts, violations = zip(*(evaluate(*stack) for stack in _stacks(rng, count, size, draw)))
-        results.append(
-            {"suite": suite, "trials": count, "worst": fold(worsts), "bound": bound, "violations": sum(violations)}
-        )
-    summary = {"total_violations": sum(row["violations"] for row in results)}
-    _emit(args, {"trials": trials, "seed": args.seed}, results, summary)
+        results.append((suite, count, fold(worsts), bound, sum(violations)))
+    summary = {"total_violations": sum(row[-1] for row in results)}
+    header = ("suite", "trials", "worst", "bound", "violations")
+    _emit(args, {"trials": trials, "seed": args.seed}, header, results, summary)
 
 
 # ---------------------------------------------------------------------------

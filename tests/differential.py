@@ -76,8 +76,8 @@ class Allowance:
     tolerance: float | None = None
 
 
-PARENT = "b324991898710fedd814de1c9c344759383a4c57"  # the commit these allowances were written against
-ALLOWED: tuple[Allowance, ...] = ()  # the sampler working out its own Tr(eta) keeps every report's bits
+PARENT = "062326e51aa9fa4f6d9c48da5b3f8149215d75ee"  # the commit these allowances were written against
+ALLOWED: tuple[Allowance, ...] = ()  # rows written from tuples keep every report's bits
 
 # Where a quantity's value lies in a CSV report and in a JSON one.
 VALUE_FORMS = (r"^(?:{}),(\S+)$", r'"quantity": "(?:{})",\n *"value": (\S+)$')

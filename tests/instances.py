@@ -1,8 +1,9 @@
 """Per-instance random kets, density matrices and observables (arrays), a
-unit-width scenario, bitwise comparison, a plain-loop ordered trace, an
-eigh-based norm product and the pointer's closed-form matrix elements.
-The package builds and evaluates these as stacks; the tests keep the
-one-at-a-time forms as oracles and as instance makers."""
+unit-width scenario, a random scenario, bitwise comparison, a plain-loop
+ordered trace, an eigh-based norm product, the pointer's closed-form matrix
+elements and the size of a chain's terms built from them. The package
+builds and evaluates these as stacks; the tests keep the one-at-a-time
+forms as oracles and as instance makers."""
 
 import numpy as np
 
@@ -42,6 +43,20 @@ def unit_scenario(rho, observables, post=None):
     """The ``Scenario`` of a state, an (n, d, d) stack of observables and an
     effect, every pointer of unit width: ``seq_weak_value`` reads no width."""
     return wl.Scenario(rho, observables, np.ones(len(observables)), post)
+
+
+def random_scenario(rng, d, n, with_post, sigma_range=(0.5, 5.0)):
+    """Random state and observables, each width uniform in ``sigma_range``
+    and, with ``with_post``, a rank-1 effect."""
+    steps = tuple(
+        wl.MeasurementStep(random_observable(rng, d), wl.GaussianPointer(float(rng.uniform(*sigma_range))))
+        for _ in range(n)
+    )
+    post = None
+    if with_post:
+        ket = random_ket(rng, d)
+        post = np.outer(ket.amplitudes, ket.amplitudes.conj())
+    return wl.Scenario(initial=random_density(rng, d), steps=steps, post=post)
 
 
 def bits(*values):
@@ -84,3 +99,17 @@ def matrix_element(sigma, kind, left, right):
         wl.PointerOperatorKind.MOMENTUM_SQUARED: (1.0 / (4.0 * s2**2)) * (s2 - (gap / 2.0) ** 2),
     }[kind]
     return element * ov
+
+
+def chain_peak(scn, pattern, exact):
+    """prod_j max|F_j| over the tables of ``pattern``, a ``MomentPattern``,
+    with the overlap dropped unless ``exact``: the size of the chain's
+    terms, which the engine's imaginary-residue check also reads."""
+    peak = 1.0
+    for sigma, kind, a in zip(scn.widths.tolist(), pattern.kinds, scn.spectrum[0]):
+        left, right = a[np.newaxis, :], a[:, np.newaxis]
+        table = matrix_element(sigma, kind, left, right)
+        if not exact:
+            table = table / matrix_element(sigma, wl.PointerOperatorKind.IDENTITY, left, right)
+        peak *= float(np.abs(table).max())
+    return peak

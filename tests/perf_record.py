@@ -6,8 +6,11 @@ the checkout's ``bench/`` without ``bench/.work``, so both sides run the
 same benchmark. For each seed, one timed run per side (``--trace 0``)
 makes a pair, and the side that goes first alternates from pair to pair;
 after the pairs, one traced run per side (``--trace 1``) at the first
-seed. A run is one ``bench/run.py`` process, started from its tree's
-directory with no ``PYTHONPATH``.
+seed. A run is one ``bench/run.py`` process with no ``PYTHONPATH``,
+started from its tree moved to a directory that every run shares, so the
+two sides differ in no path: run from their own directories, ``base`` and
+``new``, two copies of one commit read ``peak_rss_mb`` apart by 0.15 MB in
+the median, the same side lower in 17 of 20 pairs.
 
 The record holds each run's last line and ``# env`` line; per workload and
 metric, each side's median, quartiles and quartile spread, and the pairs
@@ -55,12 +58,17 @@ def prepare(spec: str, into: Path) -> Path:
 
 
 def run(directory: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One benchmark process: its last line, its ``# env`` line and its exit code."""
+    """One benchmark process, from ``directory`` moved to its sibling ``run``
+    while it lasts: its last line, its ``# env`` line and its exit code."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(command, cwd=directory, env=env, capture_output=True, text=True)
+    shared = directory.rename(directory.parent / "run")
+    try:
+        done = subprocess.run(command, cwd=shared, env=env, capture_output=True, text=True)
+    finally:
+        shared.rename(directory)
     lines = done.stdout.splitlines()
     env_line = next((line[len("# env "):] for line in lines if line.startswith("# env ")), "null")
     try:

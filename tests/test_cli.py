@@ -24,7 +24,15 @@ from weaklab.cli import BOUNDS_CHUNK, CHAIN_MAX_STEPS, SWEEP_MAX_POINTS, main
 from weaklab.errors import InputError, NumericError
 
 from conftest import scenario_document
-from instances import matrix_element, norm_product_bound, ordered_trace, random_density, random_ket, random_observable
+from instances import (
+    chain_peak,
+    norm_product_bound,
+    ordered_trace,
+    random_density,
+    random_ket,
+    random_observable,
+    random_scenario,
+)
 
 SIGMA_Z = np.diag([1.0, -1.0])
 WIDTH_RULE = "pointer width must be positive and its square a positive finite float"
@@ -297,19 +305,25 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == f"input error: --steps must be at most {SWEEP_MAX_POINTS}, got {steps}\n"
 
+    @pytest.mark.parametrize("report,bound", [((), 200), (("--format", "json"), 420)], ids=["csv", "json"])
+    def test_report_memory_per_point(self, report, bound):
+        # Rows reach the writer as tuples: CSV streams them, JSON builds one
+        # object per row. The report's peak grows by 60 B a point in CSV and
+        # 337 B in JSON (tracemalloc, 20,000 to 40,000 illustrative points,
+        # after a warm-up call).
+        def peak(points):
+            tracemalloc.start()
+            try:
+                assert main([*report, "sweep", "illustrative", "--param", "sigma1", "--from", "0.5", "--to", "4",
+                             "--steps", str(points), "--pattern", "xx"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-def random_file_scenario(rng, d, n, with_post):
-    """Random state and observables, widths in [0.5, 5] and, with
-    ``with_post``, a rank-1 effect."""
-    steps = tuple(
-        wl.MeasurementStep(random_observable(rng, d), wl.GaussianPointer(float(rng.uniform(0.5, 5.0))))
-        for _ in range(n)
-    )
-    post = None
-    if with_post:
-        ket = random_ket(rng, d)
-        post = np.outer(ket.amplitudes, ket.amplitudes.conj())
-    return wl.Scenario(initial=random_density(rng, d), steps=steps, post=post)
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            peak(5)  # load everything a first call loads
+            slope = (peak(40_000) - peak(20_000)) / 20_000
+        assert slope <= bound, slope
 
 
 def with_width(scn, index, value):
@@ -339,19 +353,6 @@ def per_point_sweep(scn, pattern, index, start, stop, steps):
     return 0, rows
 
 
-def table_peak(scn, pattern, exact):
-    """Product over the steps of the pattern table's largest element: the
-    scale of an engine's terms, with the overlap dropped for the weak one."""
-    peak = 1.0
-    for sigma, kind, a in zip(scn.widths.tolist(), wl.MomentPattern.from_string(pattern).kinds, scn.spectrum[0]):
-        left, right = a[np.newaxis, :], a[:, np.newaxis]
-        table = matrix_element(sigma, kind, left, right)
-        if not exact:
-            table = table / matrix_element(sigma, wl.PointerOperatorKind.IDENTITY, left, right)
-        peak *= float(np.abs(table).max())
-    return peak
-
-
 def assert_sweep_matches_loop(source, scn, pattern, index, start, stop, steps, *flags):
     """``weaklab sweep`` against ``per_point_sweep``: the same exit code and
     stderr line, or values within 1e-12 x max(1, peak / Tr(eta)) per point."""
@@ -365,13 +366,13 @@ def assert_sweep_matches_loop(source, scn, pattern, index, start, stop, steps, *
     if code:
         assert (out.getvalue(), err.getvalue()) == ("", want)
         return
-    rows = csv_rows(out.getvalue())
+    rows, pat = csv_rows(out.getvalue()), wl.MomentPattern.from_string(pattern)
     assert len(rows) == len(want)
     for row, (value, exact, weak) in zip(rows, want):
         varied = with_width(scn, index, value)
         assert float(row[f"sigma{index + 1}"]) == value
         for column, result, is_exact in (("exact", exact, True), ("weak", weak, False)):
-            scale = max(1.0, table_peak(varied, pattern, is_exact) / result.postselection_probability)
+            scale = max(1.0, chain_peak(varied, pat, is_exact) / result.postselection_probability)
             assert float(row[column]) == pytest.approx(result.value, rel=0.0, abs=1e-12 * scale), (column, value)
 
 
@@ -400,14 +401,14 @@ class TestSweepAgainstPerPointLoop:
     def test_random_files_patterns_and_grids(
         self, tmp_path_factory, seed, d, n, with_post, letters, index, ends, steps
     ):
-        scn = random_file_scenario(np.random.default_rng(seed), d, n, with_post)
+        scn = random_scenario(np.random.default_rng(seed), d, n, with_post)
         path = tmp_path_factory.mktemp("sweep") / "scenario.json"
         path.write_text(json.dumps(scenario_document(scn)))
         assert_sweep_matches_loop(path, scn, "".join(letters[:n]), index % n, *ends, steps)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_edges(self, write_scenario, offset):
-        scn = random_file_scenario(np.random.default_rng(8), 4, 3, with_post=True)
+        scn = random_scenario(np.random.default_rng(8), 4, 3, with_post=True)
         points = simulator.SWEEP_CHUNK_ENTRIES // 4**2 + offset
         assert_sweep_matches_loop(write_scenario(scn), scn, "xpx", 1, 0.4, 40.0, points)
 
@@ -479,7 +480,7 @@ class TestSweepAgainstPerPointLoop:
     def test_swept_steps_own_tables_are_never_read(self, write_scenario, monkeypatch):
         # At the file's own width for the swept step, its momentum table is
         # not finite, but the sweep never reads it, so no point reruns alone.
-        scn = random_file_scenario(np.random.default_rng(3), 3, 3, with_post=True)
+        scn = random_scenario(np.random.default_rng(3), 3, 3, with_post=True)
         scn = with_width(scn, 0, NARROWEST)
         calls = count_reruns(monkeypatch)
         simulator.sweep_moments(scn, wl.MomentPattern.from_string("pxp"), 0, np.geomspace(0.5, 4.0, 4000))
@@ -530,8 +531,8 @@ class TestChainLength:
     )
     def test_memory_per_step(self, report, command):
         # The figures behind CHAIN_MAX_STEPS: a million steps stay under
-        # errors.MEMORY_LIMIT at these peaks, 733, 540, 486, 744 and 882 B
-        # per step at n = 2,000, the JSON sample 991 (tracemalloc, after a
+        # errors.MEMORY_LIMIT at these peaks, 733, 540, 486, 744 and 781 B
+        # per step at n = 2,000, the JSON sample 808 (tracemalloc, after a
         # warm-up call).
         def argv(n):
             pattern = ("--pattern", "x" * n) if command[0] in ("simulate", "sweep") else ()
@@ -672,7 +673,7 @@ class TestReportDigests:
     def test_random_file_report_digest(self, capsys, monkeypatch, tmp_path, command, digest):
         monkeypatch.chdir(tmp_path)
         for name, (seed, d, n, with_post) in self.RANDOM_FILES.items():
-            scn = random_file_scenario(np.random.default_rng(seed), d, n, with_post)
+            scn = random_scenario(np.random.default_rng(seed), d, n, with_post)
             Path(name).write_text(json.dumps(scenario_document(scn)))
         assert self.digest(capsys, command) == digest
 

@@ -199,6 +199,22 @@ class TestCausalWitness:
             moment = wl.exact_moment(scn, pattern).value
             assert wl.causal_witness(moment, (0.0, 1.0), 1e-9) is wl.CausalStructure.INCONCLUSIVE
 
+    def test_fewest_shots_at_the_fixed_point(self):
+        # The witness needs N = 9 Var(x1 x2) / <x1 x2>^2 shots for the mean
+        # of x1 x2 to sit three standard errors below the hull. Near its
+        # least over two real projectors measured on |0> without
+        # post-selection, N is 185.0928: a fact about this scenario, pinned
+        # without a search.
+        def projector(degrees):
+            angle = math.radians(degrees)
+            return wl.projector_from_ket(wl.PureState(np.array([math.cos(angle), math.sin(angle)])))
+
+        scn = wl.Scenario(wl.KET_0.to_density(), np.array([projector(58.2), projector(116.5)]), np.array([0.81, 8e-9]))
+        xx, XX = (wl.exact_moment(scn, wl.MomentPattern.from_string(letters)).value for letters in ("xx", "XX"))
+        assert xx == pytest.approx(-0.0888190, rel=1e-6)
+        assert XX == pytest.approx(0.1701291, rel=1e-6)
+        assert 9.0 * (XX - xx**2) / xx**2 == pytest.approx(185.0928, rel=1e-6)
+
     def test_witnesses_illustrative_direct_cause(self):
         scn = wl.build_illustrative(100.0, 1.0)
         moment = wl.exact_moment(scn, wl.MomentPattern.from_string("xx")).value

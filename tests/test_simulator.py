@@ -26,7 +26,16 @@ from weaklab import errors, pointer, qm, simulator
 from weaklab.errors import InputError, NumericError, ZeroPostSelectionProbability
 from weaklab.pointer import PointerOperatorKind
 
-from instances import bits, matrix_element, random_density, random_ket, random_observable, spectral_norm
+from instances import (
+    bits,
+    chain_peak,
+    matrix_element,
+    random_density,
+    random_ket,
+    random_observable,
+    random_scenario,
+    spectral_norm,
+)
 
 X = PointerOperatorKind.POSITION
 P = PointerOperatorKind.MOMENTUM
@@ -40,18 +49,6 @@ def random_unit_hermitian(rng, d):
     """Random Hermitian rescaled so its spectrum sits in [-1, 1]."""
     obs = random_observable(rng, d)
     return obs / spectral_norm(obs)
-
-
-def random_scenario(rng, d, n, with_post, sigma_range=(0.5, 5.0)):
-    steps = tuple(
-        wl.MeasurementStep(random_observable(rng, d), wl.GaussianPointer(float(rng.uniform(*sigma_range))))
-        for _ in range(n)
-    )
-    post = None
-    if with_post:
-        ket = random_ket(rng, d)
-        post = np.outer(ket.amplitudes, ket.amplitudes.conj())
-    return wl.Scenario(initial=random_density(rng, d), steps=steps, post=post)
 
 
 def brute_force_moment(scn, pattern):
@@ -873,20 +870,6 @@ class TestStackedChain:
         numerators, probability = simulator._checked(traces, 1.0)
         assert numerators[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
         assert probability.tolist() == [0.5, 1.0, 1.0, 1.0]
-
-
-def chain_peak(scn, pattern, exact):
-    """prod_j max|F_j| over the pattern's tables, with the overlap dropped
-    unless ``exact``: the size of the chain's terms, which the engine's
-    imaginary-residue check also reads."""
-    peak = 1.0
-    for sigma, kind, a in zip(scn.widths.tolist(), pattern.kinds, scn.spectrum[0]):
-        left, right = a[np.newaxis, :], a[:, np.newaxis]
-        table = matrix_element(sigma, kind, left, right)
-        if not exact:
-            table = table / matrix_element(sigma, I, left, right)
-        peak *= float(np.abs(table).max())
-    return peak
 
 
 class TestSweepMoments:
