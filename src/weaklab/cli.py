@@ -41,7 +41,7 @@ import time
 import numpy as np
 
 from . import __version__, qm
-from .errors import InputError, NumericError, WeakLabError, check_count
+from .errors import InputError, NumericError, check_count
 from .optimize import minimize_pointer_product, minimize_weak_value_real
 from .scenario_io import load_scenario
 from .scenarios import (
@@ -480,9 +480,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except WeakLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     print(f"# elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0
 

@@ -58,9 +58,7 @@ def _factor(kind: PointerOperatorKind, s2, mean, gap):
         return s2 + mean * mean
     if kind is PointerOperatorKind.MOMENTUM:
         return -0.25j * gap / s2
-    if kind is PointerOperatorKind.MOMENTUM_SQUARED:
-        return (s2 - 0.25 * gap * gap) / (4.0 * s2 * s2)
-    raise InputError(f"unknown pointer operator kind {kind!r}")
+    return (s2 - 0.25 * gap * gap) / (4.0 * s2 * s2)
 
 
 def _overlap(s2, gap):

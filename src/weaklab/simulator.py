@@ -164,20 +164,22 @@ class Scenario:
 
 @dataclass(frozen=True)
 class MomentPattern:
-    """Per-step readout choice defining one joint pointer moment."""
+    """Per-step readout choice defining one joint pointer moment: each step
+    takes a ``PointerOperatorKind`` or its letter, i, x, X, p or P."""
 
     kinds: tuple[PointerOperatorKind, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "kinds", tuple(self.kinds))
+        try:
+            kinds = tuple(PointerOperatorKind(kind) for kind in self.kinds)
+        except ValueError as exc:
+            raise InputError(f"bad pattern {self.kinds!r}: {exc}; use i/x/X/p/P") from None
+        object.__setattr__(self, "kinds", kinds)
 
     @classmethod
     def from_string(cls, text: str) -> "MomentPattern":
         """Parse one character per step: i, x, X, p, P."""
-        try:
-            return cls([PointerOperatorKind(ch) for ch in text])
-        except ValueError as exc:
-            raise InputError(f"bad pattern {text!r}: {exc}; use i/x/X/p/P") from None
+        return cls(text)
 
     @classmethod
     def all_position(cls, n: int) -> "MomentPattern":

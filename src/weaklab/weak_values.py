@@ -2,13 +2,13 @@
 
 The central quantity is Tr(E A_n ... A_1 rho) / Tr(E rho): the ordered
 product of the measured observables sandwiched between preparation rho
-and post-selection effect E. Passing E = identity (``post=None``)
-describes runs where no data is discarded; the magnitude of the value is
-then bounded by the product of the spectral norms, and for a pair of 0/1
-projectors its real part can reach, but never beat, -1/8.
+and post-selection effect E. E = identity describes runs where no data
+is discarded; the magnitude of the value is then bounded by the product
+of the spectral norms, and for a pair of 0/1 projectors its real part
+can reach, but never beat, -1/8.
 
-One stacked kernel, ``sequence_traces``, forms the numerator for a single
-instance and for the stacks of the ``bounds`` suites alike;
+One stacked kernel, ``sequence_traces``, forms Tr(F_m ... F_1 rho), E its
+last factor, for one instance and the ``bounds`` stacks alike;
 ``seq_weak_value`` reads one ``Scenario``'s state, observables and effect,
 which the scenario checked, and returns its complex weak value.
 """
@@ -28,17 +28,15 @@ ZERO_PROBABILITY_TOL = 1e-14
 PROJECTOR_PAIR_FLOOR = -0.125
 
 
-# Stacks hold states and effects as (..., d, d) and sequences as
-# (..., n, d, d), first-measured observable first.
+# Stacks hold states as (..., d, d) and sequences as (..., m, d, d),
+# first-applied factor first.
 
-def sequence_traces(rho: np.ndarray, observables: np.ndarray, post: np.ndarray | None = None) -> np.ndarray:
-    """Tr(E A_n ... A_1 rho) per instance, E = identity when ``post`` is
-    None: the numerators of the sequential weak values."""
-    product = observables[..., 0, :, :]
-    for j in range(1, observables.shape[-3]):
-        product = observables[..., j, :, :] @ product
-    if post is not None:
-        product = post @ product
+def sequence_traces(rho: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Tr(F_m ... F_1 rho) per instance: for factors A_1 ... A_n, then a
+    post-selection effect E, the numerators of the sequential weak values."""
+    product = factors[..., 0, :, :]
+    for j in range(1, factors.shape[-3]):
+        product = factors[..., j, :, :] @ product
     return np.trace(product @ rho, axis1=-2, axis2=-1)
 
 
@@ -67,7 +65,7 @@ def seq_weak_value(scn: Scenario) -> complex:
     # Tr(E rho) is real for Hermitian E, rho; drop the float residue.
     probability = float(np.trace(scn.post @ scn.initial).real)
     check_probability(probability, scn.post_norm)
-    return complex(sequence_traces(scn.initial, scn.observables, scn.post)) / probability
+    return complex(sequence_traces(scn.initial, np.concatenate([scn.observables, [scn.post]]))) / probability
 
 
 def norm_products(observables: np.ndarray) -> np.ndarray:

@@ -212,6 +212,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # A pattern holds whatever it was given: letters reach the engines
+        # unconverted, and an unknown kind is not refused when built.
+        "pattern-kinds-unchecked",
+        "simulator.py",
+        "tuple(PointerOperatorKind(kind) for kind in self.kinds)",
+        "tuple(self.kinds)",
+        (
+            "tests/test_simulator.py::TestScenarioTypes::test_pattern_takes_kinds_or_their_letters",
+            "tests/test_simulator.py::TestScenarioTypes::test_pattern_refuses_other_kinds_when_built",
+        ),
+    ),
+    Mutant(
         "scenario-effect-unchecked",
         "simulator.py",
         "float(qm.check_effects(post))",

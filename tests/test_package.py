@@ -7,6 +7,7 @@ arrays compare by identity, and importing the CLI pulls in no dependency
 beyond numpy and builds no parser."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -64,6 +65,22 @@ def test_no_module_imports_a_name_it_never_reads():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [f"{path.name}: {name}" for name in imported if name not in read]
     assert unread == []
+
+
+def test_every_error_is_an_input_or_a_numeric_error():
+    # ``cli.main`` maps these two families to exit codes 2 and 1 and has no
+    # other handler, so no module may define an error outside them.
+    paths = sorted((SRC / "weaklab").glob("*.py"))
+    modules = [wl, *(importlib.import_module(f"weaklab.{path.stem}") for path in paths if path.stem != "__init__")]
+    defined = [
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__
+    ]
+    assert {value.__module__ for value in defined} == {"weaklab.errors"}
+    families = (errors.InputError, errors.NumericError)
+    assert [value for value in defined if not issubclass(value, families)] == [errors.WeakLabError]
 
 
 def test_every_private_top_level_name_is_read():

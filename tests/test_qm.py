@@ -75,6 +75,12 @@ class TestStates:
         with pytest.raises(ValueError):
             ket.amplitudes[0] = 2.0
 
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 3, -2.0])
+    def test_qubit_ket(self, theta):
+        amplitudes = wl.qubit_ket(theta).amplitudes
+        assert np.array_equal(amplitudes, [math.cos(theta), math.sin(theta)])
+        assert np.linalg.norm(amplitudes) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+
     def test_qubit_constants_are_frozen_arrays(self):
         for matrix in (wl.SIGMA_X, wl.SIGMA_Y):
             assert matrix.dtype == complex and not matrix.flags.writeable

@@ -199,21 +199,46 @@ class TestCausalWitness:
             moment = wl.exact_moment(scn, pattern).value
             assert wl.causal_witness(moment, (0.0, 1.0), 1e-9) is wl.CausalStructure.INCONCLUSIVE
 
-    def test_fewest_shots_at_the_fixed_point(self):
-        # The witness needs N = 9 Var(x1 x2) / <x1 x2>^2 shots for the mean
-        # of x1 x2 to sit three standard errors below the hull. Near its
-        # least over two real projectors measured on |0> without
-        # post-selection, N is 185.0928: a fact about this scenario, pinned
-        # without a search.
+    @staticmethod
+    def fixed_point():
+        """Two real rank-1 projectors, at 58.2 and 116.5 degrees from |0>,
+        measured on |0> without post-selection at widths 0.81 and 8e-9,
+        with its <x1 x2> and <x1^2 x2^2>."""
         def projector(degrees):
             angle = math.radians(degrees)
             return wl.projector_from_ket(wl.PureState(np.array([math.cos(angle), math.sin(angle)])))
 
         scn = wl.Scenario(wl.KET_0.to_density(), np.array([projector(58.2), projector(116.5)]), np.array([0.81, 8e-9]))
         xx, XX = (wl.exact_moment(scn, wl.MomentPattern.from_string(letters)).value for letters in ("xx", "XX"))
+        return scn, xx, XX
+
+    def test_fewest_shots_at_the_fixed_point(self):
+        # The witness needs N = 9 Var(x1 x2) / <x1 x2>^2 shots for the mean
+        # of x1 x2 to sit three standard errors below the hull. Near its
+        # least over two real projectors measured on |0> without
+        # post-selection, N is 185.0928: a fact about this scenario, pinned
+        # without a search.
+        _, xx, XX = self.fixed_point()
         assert xx == pytest.approx(-0.0888190, rel=1e-6)
         assert XX == pytest.approx(0.1701291, rel=1e-6)
         assert 9.0 * (XX - xx**2) / xx**2 == pytest.approx(185.0928, rel=1e-6)
+
+    def test_witness_rate_at_the_fewest_shots(self):
+        # At N = 186 shots, the fewest above 185.0928, the sampled mean of
+        # x1 x2 falls below the hull (margin 0) at the normal approximation's
+        # rate Phi(-<x1 x2> / sqrt(Var(x1 x2) / N)), about 0.9987, within 4
+        # binomial standard errors over 4,000 seeds. At N = 40 the skew of
+        # x1 x2 already moves the rate z = +2.3 off that approximation.
+        scn, xx, XX = self.fixed_point()
+        shots, seeds = 186, 4000
+        predicted = 0.5 * math.erfc(xx / math.sqrt(2.0 * (XX - xx**2) / shots))
+        witnessed = 0
+        for seed in range(seeds):
+            samples, _ = wl.sample_outcomes(scn, shots, seed)
+            verdict = wl.causal_witness(float(samples.prod(axis=1).mean()), (0.0, 1.0), 0.0)
+            witnessed += verdict is wl.CausalStructure.DIRECT_CAUSE_WITNESSED
+        z = (witnessed / seeds - predicted) / math.sqrt(predicted * (1.0 - predicted) / seeds)
+        assert abs(z) < 4.0
 
     def test_witnesses_illustrative_direct_cause(self):
         scn = wl.build_illustrative(100.0, 1.0)

@@ -194,6 +194,23 @@ class TestScenarioTypes:
         assert wl.MomentPattern(iter(kinds)).kinds == tuple(kinds)
         assert wl.MomentPattern(kinds=kinds) == wl.MomentPattern(tuple(kinds))
 
+    def test_pattern_takes_kinds_or_their_letters(self):
+        pattern = wl.MomentPattern(["x", "p"])
+        assert pattern == wl.MomentPattern.from_string("xp") == wl.MomentPattern([X, P])
+        assert pattern.kinds == (X, P) and str(pattern) == "xp"
+        scn = wl.build_illustrative(1.0, 1.0)
+        assert wl.exact_moment(scn, wl.MomentPattern(["x", "x"])) == wl.exact_moment(scn, wl.MomentPattern([X, X]))
+
+    @pytest.mark.parametrize(
+        "build, shown",
+        [(lambda: wl.MomentPattern(["q"]), "['q']"), (lambda: wl.MomentPattern.from_string("xq"), "'xq'")],
+        ids=["constructor", "from-string"],
+    )
+    def test_pattern_refuses_other_kinds_when_built(self, build, shown):
+        message = f"bad pattern {shown}: 'q' is not a valid PointerOperatorKind; use i/x/X/p/P"
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            build()
+
     def test_pattern_length_check(self):
         scn = wl.build_illustrative(1.0, 1.0)
         with pytest.raises(InputError, match="pattern has 3 slots for 2 measurement steps"):

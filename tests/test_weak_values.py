@@ -97,12 +97,13 @@ class TestSequence:
             wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), stack([SIGMA_Z]), np.zeros((2, 3))))
 
     def test_ordered_product_order(self):
-        # Tr(E X Y rho), not Tr(E Y X rho): the first observable acts first.
+        # Tr(E X Y rho), not Tr(E Y X rho): the first factor acts first, and
+        # the effect E is the last.
         rho = wl.KET_0.to_density()
         post = wl.projector_from_ket(KET_PLUS)
-        stack = np.array([wl.SIGMA_Y, wl.SIGMA_X])
+        factors = np.array([wl.SIGMA_Y, wl.SIGMA_X, post])
         want = np.trace(post @ wl.SIGMA_X @ wl.SIGMA_Y @ rho)
-        assert np.isclose(sequence_traces(rho, stack, post), want, rtol=0.0, atol=1e-15)
+        assert np.isclose(sequence_traces(rho, factors), want, rtol=0.0, atol=1e-15)
 
 
 class TestSeqWeakValues:
@@ -335,9 +336,9 @@ class TestStackedEvaluators:
         sequences = [[random_observable(rng, d) for _ in range(n)] for _ in range(20)]
         effects = [wl.projector_from_ket(random_ket(rng, d)) if with_effect else None for _ in range(20)]
         rho, observables = np.array(states), np.array(sequences)
-        post = np.array(effects) if with_effect else None
+        factors = np.array([[*seq, effect] for seq, effect in zip(sequences, effects)]) if with_effect else observables
         values = [ordered_trace(*instance) for instance in zip(states, sequences, effects)]
-        assert np.allclose(sequence_traces(rho, observables, post), values, rtol=0.0, atol=1e-14)
+        assert np.allclose(sequence_traces(rho, factors), values, rtol=0.0, atol=1e-14)
         bounds = [norm_product_bound(seq) for seq in sequences]
         assert np.allclose(norm_products(observables), bounds, rtol=0.0, atol=1e-14)
 
