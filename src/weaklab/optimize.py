@@ -197,7 +197,8 @@ def _circle_update(blocks: np.ndarray, kets: np.ndarray, overlap: float) -> np.n
     terms = gram.real.reshape(count, 3, 4) @ _GRAM_TO_CIRCLE
     products = (terms[:, 1, :, np.newaxis] * terms[:, 2, np.newaxis, :]).reshape(count, 9)
     coefficients = overlap * (terms[:, 0] @ _PRODUCT[:3]) + quartic * (products @ _PRODUCT)
-    grid = coefficients @ _CIRCLE_ROWS[0].T
+    # one product per restart: a 2-D product's rows depend on how many it holds
+    grid = (coefficients[:, np.newaxis, :] @ _CIRCLE_ROWS[0].T)[:, 0]
     values, least = grid[:, 0], grid.argmin(axis=1)
     level, slope, bend = (_CIRCLE_ROWS[:, least] * coefficients).sum(axis=2)
     angles = _CIRCLE[least]

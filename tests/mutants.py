@@ -124,6 +124,15 @@ MUTANTS = (
         ("tests/test_optimize.py::TestSeeSaw::test_no_block_update_raises_the_value",),
     ),
     Mutant(
+        # The circle grid as one 2-D product over the batch, whose rows
+        # change in the last bit with the number of restarts left in it.
+        "circle-grid-batched",
+        "optimize.py",
+        "(coefficients[:, np.newaxis, :] @ _CIRCLE_ROWS[0].T)[:, 0]",
+        "coefficients @ _CIRCLE_ROWS[0].T",
+        ("tests/test_optimize.py::TestSeeSaw::test_restart_ignores_its_neighbours",),
+    ),
+    Mutant(
         "sampler-slot-2-noise-wide",
         "simulator.py",
         "rng.standard_normal(out=rows[j])",
