@@ -4,8 +4,11 @@ Searches run over an initial pure state psi and a sequence of n rank-1
 projectors A_j = |k_j><k_j|. Two objectives are offered:
 
 * the mean product of all pointer positions, at a finite width or in
-  the weak limit (nested anti-commutators), conjectured to be at least
-  -1/8 for rank-1 projectors at any n (other ranks: ROADMAP item 15);
+  the weak limit, conjectured to be at least -1/8 for rank-1 projectors
+  at any n (other ranks: ROADMAP item 15). Its environments come from
+  the exact position map Y -> c {A, Y} + 2 (1 - c) AYA on stacks of
+  projectors A at the pointers' overlap c, nested anti-commutators at
+  c = 1;
 * the real part of the sequential weak value itself, which projector
   chains push toward -1.
 
@@ -68,10 +71,10 @@ VALUE_SPREAD_TOL = 1e-14
 # r the square root of the gain ratio capped at RATIO_CAP, and at most
 # STEP_CAP. Over rates 0.3-0.7 and caps 16-256 (d = 2, 16 restarts, seed 1),
 # 0.5 and 64 reached the n = 3 finite-width floor in 1,724 (sigma = 2) and
-# 3,212 (sigma = 4) evaluations and the n = 6 one at sigma = 4 in 7,070,
-# against 5,908, 20,104 and 51,947 without proposals; the weak-limit n = 5
-# worst case over seeds 0-19 took 420, against 432 at 0.3, 660 at 0.7 and
-# 1,266 without proposals.
+# 3,200 (sigma = 4) evaluations and the n = 6 one at sigma = 4 in 7,063,
+# against 5,908, 20,096 and 51,954 without proposals; the weak-limit n = 5
+# worst case over seeds 0-19 took 426, against 432 at 0.3, 660 at 0.7 and
+# 1,260 without proposals.
 PROPOSAL_RATE = 0.5
 RATIO_CAP = 0.999
 STEP_CAP = 64.0
@@ -97,32 +100,26 @@ class OptimizationResult:
     trace: tuple[tuple[int, float], ...]
 
 
-def _step(kets: np.ndarray, operators: np.ndarray, overlap: float) -> np.ndarray:
+def _step(projectors: np.ndarray, operators: np.ndarray, overlap: float) -> np.ndarray:
     """One exact position step, without its factor 1/2, on (B, d, d)
-    Hermitian operators Y at the projectors A = |k><k| of the (B, d) kets:
-    Y -> c {A, Y} + 2 (1 - c) <k|Y|k> A at the Gaussian ``overlap`` c of the
-    eigenvalues 0 and 1 (AYA = <k|Y|k> A). At c = 1 it is {A, Y}. The map is
-    its own adjoint, Tr(X step(Y)) = Tr(step(X) Y), so the same rule carries
-    the effect backward and the state forward. It is |k><r| + |r><k| with
-    <r| = c <k|Y + (1 - c) <k|Y|k> <k|, as <k|Y|k> is real."""
-    column, row = kets[:, :, np.newaxis], kets.conj()[:, np.newaxis, :]
-    projected = row @ operators
+    Hermitian operators Y at (B, d, d) projectors A and the Gaussian
+    ``overlap`` c: Y -> c {A, Y} + 2 (1 - c) AYA = P + P^H, with
+    P = c AY + (1 - c) AYA. The map is its own adjoint, so the same rule
+    carries the effect backward and the state forward."""
+    product = projectors @ operators
     if overlap < 1.0:
-        projected = overlap * projected + (1 - overlap) * (projected @ column) * row
-    product = column * projected
+        product = overlap * product + (1 - overlap) * (product @ projectors)
     return product + product.conj().swapaxes(1, 2)
 
 
-def _environments(kets: np.ndarray, overlap: float):
-    """Yields the right environments N_n, ..., N_1 of the (B, n, d)
-    projector kets: N_n = A_n and N_j = step_j(N_(j+1)) (``_step``), so
-    2^(1-n) Tr(rho N_1) is the all-position moment. At c = 1, N_j is the
-    nested anti-commutator {A_j,{...,A_n}...}."""
-    kets = kets.swapaxes(0, 1)
-    nested = kets[-1][:, :, np.newaxis] * kets[-1].conj()[:, np.newaxis, :]
+def _environments(projectors: np.ndarray, overlap: float):
+    """Yields the right environments N_n, ..., N_1 of the (B, n, d, d)
+    projectors: N_n = A_n and N_j = step_j(N_(j+1)) (``_step``), so
+    2^(1-n) Tr(rho N_1) is the all-position moment."""
+    nested = projectors[:, -1]
     yield nested
-    for ket in kets[-2::-1]:
-        nested = _step(ket, nested, overlap)
+    for projector in projectors.swapaxes(0, 1)[-2::-1]:
+        nested = _step(projector, nested, overlap)
         yield nested
 
 
@@ -257,11 +254,11 @@ def _pointer_sweep(kets: np.ndarray, states: np.ndarray, overlap: float = 1.0, p
     linear in L_j, so the left environments carry the factor 2^(1-n)."""
     scale = 2.0 ** (1 - kets.shape[1])
     weighed = kets if proposal is None else np.concatenate([kets, proposal[1]])
-    right = list(_environments(weighed, overlap))[::-1]
+    right = list(_environments(qm.projectors_from_kets(weighed), overlap))[::-1]
     values, taken = _state_update(scale * right[0], kets, states, proposal)
     yield values
     right = right[1:] if taken is None else [_taken(environment, taken) for environment in right[1:]]
-    left = scale * states[:, :, np.newaxis] * states.conj()[:, np.newaxis, :]
+    left = scale * qm.projectors_from_kets(states)
     for j, following in enumerate(right):
         joint = following @ left
         if overlap < 1.0:
@@ -271,7 +268,7 @@ def _pointer_sweep(kets: np.ndarray, states: np.ndarray, overlap: float = 1.0, p
             yield _circle_update(blocks, kets[:, j], overlap)
         else:
             yield _least_eigenpairs(joint + joint.conj().swapaxes(1, 2), kets[:, j])
-        left = _step(kets[:, j], left, overlap)
+        left = _step(qm.projectors_from_kets(kets[:, j]), left, overlap)
     yield _least_eigenpairs(left, kets[:, -1])
 
 
@@ -365,16 +362,17 @@ def _search_footprint(n: int, d: int, restarts: int) -> int:
     Each restart holds its kets and their working copies (ten per ket
     entry: the start normals, the kets built from them, the start-of-sweep
     copy, the proposed kets and the temporaries of their extrapolation, the
-    kets a sweep weighs with them, the weak value's suffixes), the n right
-    environments of its kets and of its proposed kets, and 20 d x d
-    operators of one block update. The finite-width block is the largest:
-    its (3, d, d) stack and the three operators it is built from, the
-    linearization and its temporaries, the copies and eigenvectors of eigh,
-    and the next left environment with its temporaries; psi's update adds
-    the proposed kets' whole operator and its eigenvectors. Add 64 units
-    for the restart's seed and generator, and 64 for the block's products
-    with k and w and its values on the circle grid."""
-    per_restart = 2 * n * d * d + 10 * n * d + 20 * d * d + 128
+    kets a sweep weighs with them, the weak value's suffixes), the n
+    projectors of its kets and of its proposed kets with their n right
+    environments, and 20 d x d operators of one block update. The
+    finite-width block is the largest: its (3, d, d) stack and the three
+    operators it is built from, the linearization and its temporaries, the
+    copies and eigenvectors of eigh, and the next left environment with its
+    projector and temporaries; psi's update adds the proposed kets' whole
+    operator and its eigenvectors. Add 64 units for the restart's seed and
+    generator, and 64 for the block's products with k and w and its
+    values on the circle grid."""
+    per_restart = 4 * n * d * d + 10 * n * d + 20 * d * d + 128
     return (restarts * per_restart + 1024) * 16
 
 

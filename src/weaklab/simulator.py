@@ -683,7 +683,7 @@ def sample_outcomes(scn: Scenario, shots: int, seed: int) -> tuple[np.ndarray, S
         count = span.stop - first
         block, uniforms = buffer[:width * count].reshape(width, count), drawn[:count]
         _redraw(rng, inc, starts[0], first, uniforms)
-        np.take(turns[0], _draw_index(uniforms, weights), axis=1, out=block)
+        np.take(turns[0], _draw_index(uniforms, weights), axis=1, out=block, mode="clip")
         for j, (a, turn, sigma) in enumerate(zip(eigenvalues, turns, scn.widths.tolist())):
             _redraw(rng, inc, starts[1 + j], first, uniforms)
             _read_pointer(turn @ block if j else block, a, sigma, uniforms, rows[j, span], out=block)

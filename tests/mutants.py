@@ -124,6 +124,14 @@ MUTANTS = (
         ("tests/test_optimize.py::TestSeeSaw::test_no_block_update_raises_the_value",),
     ),
     Mutant(
+        # The finite-width step loses its 2 (1 - c) AYA term.
+        "projector-step-drops-AYA",
+        "optimize.py",
+        "product = overlap * product + (1 - overlap) * (product @ projectors)",
+        "product = overlap * product",
+        ("tests/test_optimize.py::TestEnvironments",),
+    ),
+    Mutant(
         # The circle grid as one 2-D product over the batch, whose rows
         # change in the last bit with the number of restarts left in it.
         "circle-grid-batched",
