@@ -5,20 +5,20 @@ projectors A_j = |k_j><k_j|. Two objectives are offered:
 
 * the mean product of all pointer positions, at a finite width or in
   the weak limit, conjectured to be at least -1/8 for rank-1 projectors
-  at any n (other ranks: ROADMAP item 15). Its environments come from
-  the exact position map Y -> c {A, Y} + 2 (1 - c) AYA on stacks of
-  projectors A at the pointers' overlap c, nested anti-commutators at
-  c = 1;
+  at any n (other ranks: ROADMAP item 15);
 * the real part of the sequential weak value itself, which projector
   chains push toward -1.
 
-In the weak limit both objectives are multilinear in (psi, A_1, ..., A_n):
-with every other factor fixed, each reads <v|M|v> for the ket v of one
-factor and a Hermitian block operator M, so its exact minimizer over unit
-kets is the eigenvector of lambda_min(M). The searches are see-saw sweeps
-of block updates (Werner & Wolf, PRA 64, 032112 (2001); Pal & Vertesi,
-PRA 82, 022116 (2010)): psi from the whole operator first, then k_1, ...,
-k_n in turn.
+Both share one sweep and differ only in their step map on stacks of
+projectors A: the exact position step Y -> (c {A, Y} + 2 (1 - c) AYA)/2 at
+the pointers' overlap c, half an anti-commutator at c = 1, and Y -> AY for
+the weak value. In the weak limit both objectives are multilinear in
+(psi, A_1, ..., A_n): with every other factor fixed, each reads <v|M|v>
+for the ket v of one factor and a Hermitian block operator M, so its exact
+minimizer over unit kets is the eigenvector of lambda_min(M). The searches
+are see-saw sweeps of block updates (Werner & Wolf, PRA 64, 032112 (2001);
+Pal & Vertesi, PRA 82, 022116 (2010)): psi from the whole operator first,
+then k_1, ..., k_n in turn.
 
 At a finite width the pointer product is quadratic in each A_j, so the
 block of each k_j but the last is a quartic in the ket. Its update moves
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qm
-from .errors import check_count, check_footprint
+from .errors import InputError, check_count, check_footprint
 from .pointer import _overlap, check_widths
 
 VALUE_SPREAD_TOL = 1e-14
@@ -100,22 +100,30 @@ class OptimizationResult:
     trace: tuple[tuple[int, float], ...]
 
 
-def _step(projectors: np.ndarray, operators: np.ndarray, overlap: float) -> np.ndarray:
-    """One exact position step, without its factor 1/2, on (B, d, d)
-    Hermitian operators Y at (B, d, d) projectors A and the Gaussian
-    ``overlap`` c: Y -> c {A, Y} + 2 (1 - c) AYA = P + P^H, with
-    P = c AY + (1 - c) AYA. The map is its own adjoint, so the same rule
-    carries the effect backward and the state forward."""
+def _hermitian(operators: np.ndarray) -> np.ndarray:
+    """The Hermitian parts (Y + Y^H)/2 of (B, d, d) operators Y."""
+    return 0.5 * (operators + operators.conj().swapaxes(1, 2))
+
+
+def _step(projectors: np.ndarray, operators: np.ndarray, overlap: float | None) -> np.ndarray:
+    """One step of an objective on (B, d, d) operators Y at (B, d, d)
+    projectors A. For the pointer product at the Gaussian ``overlap`` c, the
+    exact position step Y -> (c {A, Y} + 2 (1 - c) AYA)/2, the Hermitian
+    part of P = c AY + (1 - c) AYA; for the weak value (``overlap`` None),
+    Y -> AY. Either map carries the effect backward and the state forward."""
     product = projectors @ operators
+    if overlap is None:
+        return product
     if overlap < 1.0:
         product = overlap * product + (1 - overlap) * (product @ projectors)
-    return product + product.conj().swapaxes(1, 2)
+    return _hermitian(product)
 
 
-def _environments(projectors: np.ndarray, overlap: float):
+def _environments(projectors: np.ndarray, overlap: float | None):
     """Yields the right environments N_n, ..., N_1 of the (B, n, d, d)
-    projectors: N_n = A_n and N_j = step_j(N_(j+1)) (``_step``), so
-    2^(1-n) Tr(rho N_1) is the all-position moment."""
+    projectors: N_n = A_n and N_j = step_j(N_(j+1)) (``_step``). Re Tr(rho N_1)
+    is the objective: the all-position moment at an overlap, and Re of the
+    weak value at None, where N_1 = A_1 ... A_n is its chain's adjoint."""
     nested = projectors[:, -1]
     yield nested
     for projector in projectors.swapaxes(0, 1)[-2::-1]:
@@ -161,12 +169,12 @@ _TINY = np.finfo(float).tiny
 
 
 def _circle_update(blocks: np.ndarray, kets: np.ndarray, overlap: float) -> np.ndarray:
-    """Lowers f(k) = c <k|P|k> + 2 (1 - c) <k|N|k> <k|L|k> at the overlap
+    """Lowers f(k) = c <k|P|k> + (1 - c) <k|N|k> <k|L|k> at the overlap
     c < 1 for the (B, 3, d, d) ``blocks`` (P, N, L) over the (B, d) kets,
     updated in place; returns the values f after the update.
 
     f is quartic in k, so no eigenvector minimizes it. Its linearization
-    G = c P + 2 (1 - c)(<L> N + <N> L) at k has f's gradient there, and its
+    G = c P + (1 - c)(<L> N + <N> L) at k has f's gradient there, and its
     least eigenvector v names a direction: w, the part of v orthogonal to
     k, phased so that the great circle k(t) = cos t k + sin t w passes
     through v. Along that circle f is a trigonometric polynomial of degree
@@ -174,7 +182,7 @@ def _circle_update(blocks: np.ndarray, kets: np.ndarray, overlap: float) -> np.n
     from there where that is lower, replaces k only where it is below f(k):
     no update raises f."""
     count, d = kets.shape
-    quartic = 2 * (1 - overlap)
+    quartic = 1 - overlap
     # <k|N|k> and <k|L|k>; f(k) itself is the circle's value at s = 0
     here = (kets.conj()[:, np.newaxis, np.newaxis, :] @ blocks[:, 1:] @ kets[:, np.newaxis, :, np.newaxis]).real
     weights = np.full((count, 1, 3), overlap)
@@ -238,71 +246,35 @@ def _state_update(operators: np.ndarray, kets: np.ndarray, states: np.ndarray, p
     return _taken(values[:, 0], taken), taken
 
 
-def _pointer_sweep(kets: np.ndarray, states: np.ndarray, overlap: float = 1.0, proposal: tuple | None = None):
-    """One see-saw sweep of the pointer product at the Gaussian ``overlap``
-    (1 in the weak limit) over (B, n, d) projector kets and (B, d) states,
-    updated in place, with psi's update weighing a ``proposal``
-    (``_state_update``); yields the values after each update. The moment is
-    2^(1-n) Tr(rho N_1) with the right environments N_j of
-    ``_environments``. With the left environments L_1 = rho and
-    L_(j+1) = step_j(L_j), it equals 2^(1-n) Tr(L_j step_j(N_(j+1))), so
-    k_j minimizes 2^(1-n) f_j(k) with f_j(k) = c <k|{N_(j+1), L_j}|k>
-    + 2 (1 - c) <k|N_(j+1)|k> <k|L_j|k>, and k_n has the block 2^(1-n) L_n.
-    At c = 1, f_j is the block M_j = {N_(j+1), L_j} and its update is the
-    least eigenvector; below 1 it is quartic (``_circle_update``).
-    N_(j+1) holds only kets that the sweep has not yet updated. Each f_j is
-    linear in L_j, so the left environments carry the factor 2^(1-n)."""
-    scale = 2.0 ** (1 - kets.shape[1])
+def _sweep(kets: np.ndarray, states: np.ndarray, overlap: float | None = 1.0, proposal: tuple | None = None):
+    """One see-saw sweep of Re Tr(rho N_1), the right environments N_j of
+    ``_environments`` at ``overlap`` (the pointer product, 1 in the weak
+    limit; the weak value at None), over (B, n, d) projector kets and (B, d)
+    states, updated in place, with psi's update weighing a ``proposal``
+    (``_state_update``); yields the values after each update. With the left
+    environments L_1 = rho and L_(j+1) = step_j(L_j), the objective equals
+    Re Tr(N_(j+1)^H step_j(L_j)), so each block is a Hermitian part: psi's
+    of N_1, k_j's of N_(j+1) L_j^H and k_n's of L_n, and its update is the
+    least eigenvector. Below overlap 1 the pointer product is quartic in
+    each k_j but the last: f_j(k) = c <k|M_j|k> + (1 - c) <k|N_(j+1)|k>
+    <k|L_j|k>, with M_j that Hermitian part (``_circle_update``). N_(j+1)
+    holds only kets that the sweep has not yet updated."""
     weighed = kets if proposal is None else np.concatenate([kets, proposal[1]])
     right = list(_environments(qm.projectors_from_kets(weighed), overlap))[::-1]
-    values, taken = _state_update(scale * right[0], kets, states, proposal)
+    values, taken = _state_update(_hermitian(right[0]), kets, states, proposal)
     yield values
     right = right[1:] if taken is None else [_taken(environment, taken) for environment in right[1:]]
-    left = scale * qm.projectors_from_kets(states)
+    left = qm.projectors_from_kets(states)
     for j, following in enumerate(right):
-        joint = following @ left
-        if overlap < 1.0:
+        block = _hermitian(following @ left.conj().swapaxes(1, 2))
+        if overlap is not None and overlap < 1.0:
             blocks = np.empty((len(kets), 3, *left.shape[1:]), dtype=complex)
-            blocks[:, 1], blocks[:, 2] = following, left
-            np.add(joint, joint.conj().swapaxes(1, 2), out=blocks[:, 0])
+            blocks[:, 0], blocks[:, 1], blocks[:, 2] = block, following, left
             yield _circle_update(blocks, kets[:, j], overlap)
         else:
-            yield _least_eigenpairs(joint + joint.conj().swapaxes(1, 2), kets[:, j])
+            yield _least_eigenpairs(block, kets[:, j])
         left = _step(qm.projectors_from_kets(kets[:, j]), left, overlap)
-    yield _least_eigenpairs(left, kets[:, -1])
-
-
-def _hermitian_parts(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(|u><v| + |v><u|)/2 over (B, d) vectors u (``columns``) and v (``rows``)."""
-    half = 0.5 * columns[:, :, np.newaxis] * rows.conj()[:, np.newaxis, :]
-    return half + half.conj().swapaxes(1, 2)
-
-
-def _project(kets: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """A v = |k> <k|v> over (B, d) kets and vectors."""
-    return kets * (kets.conj() * vectors).sum(axis=1, keepdims=True)
-
-
-def _weak_value_sweep(kets: np.ndarray, states: np.ndarray, proposal: tuple | None = None):
-    """One see-saw sweep of Re <psi|A_n ... A_1|psi> over (B, n, d)
-    projector kets and (B, d) states, updated in place, with psi's update
-    weighing a ``proposal`` (``_state_update``); yields the values after
-    each update. The whole operator is the Hermitian part of
-    A_n ... A_1 = c |k_n><k_1|, c = <k_n|k_(n-1)> ... <k_2|k_1>. The
-    block of k_j is the Hermitian part of |a_j><b_j|, with the running
-    prefix a_j = A_(j-1) ... A_1 psi and the suffix b_j = A_(j+1) ... A_n psi,
-    which holds only kets that the sweep has not yet updated."""
-    weighed = kets if proposal is None else np.concatenate([kets, proposal[1]])
-    overlaps = (weighed[:, 1:].conj() * weighed[:, :-1]).sum(axis=2)
-    last = overlaps.prod(axis=1)[:, np.newaxis] * weighed[:, -1]
-    yield _state_update(_hermitian_parts(last, weighed[:, 0]), kets, states, proposal)[0]
-    suffixes = [states]
-    for j in range(kets.shape[1] - 1, 0, -1):
-        suffixes.append(_project(kets[:, j], suffixes[-1]))
-    prefix = states
-    for j, suffix in enumerate(reversed(suffixes)):
-        yield _least_eigenpairs(_hermitian_parts(prefix, suffix), kets[:, j])
-        prefix = _project(kets[:, j], prefix)
+    yield _least_eigenpairs(_hermitian(left), kets[:, -1])
 
 
 def _extrapolate(start: np.ndarray, end: np.ndarray, ratios: np.ndarray) -> np.ndarray:
@@ -362,16 +334,15 @@ def _search_footprint(n: int, d: int, restarts: int) -> int:
     Each restart holds its kets and their working copies (ten per ket
     entry: the start normals, the kets built from them, the start-of-sweep
     copy, the proposed kets and the temporaries of their extrapolation, the
-    kets a sweep weighs with them, the weak value's suffixes), the n
-    projectors of its kets and of its proposed kets with their n right
-    environments, and 20 d x d operators of one block update. The
-    finite-width block is the largest: its (3, d, d) stack and the three
-    operators it is built from, the linearization and its temporaries, the
-    copies and eigenvectors of eigh, and the next left environment with its
-    projector and temporaries; psi's update adds the proposed kets' whole
-    operator and its eigenvectors. Add 64 units for the restart's seed and
-    generator, and 64 for the block's products with k and w and its
-    values on the circle grid."""
+    kets a sweep weighs with them), the n projectors of its kets and of its
+    proposed kets with their n right environments, and 20 d x d operators
+    of one block update. The finite-width block is the largest: its
+    (3, d, d) stack and the three operators it is built from, the
+    linearization and its temporaries, the copies and eigenvectors of eigh,
+    and the next left environment with its projector and temporaries; psi's
+    update adds the proposed kets' whole operator and its eigenvectors. Add
+    64 units for the restart's seed and generator, and 64 for the block's
+    products with k and w and its values on the circle grid."""
     per_restart = 4 * n * d * d + 10 * n * d + 20 * d * d + 128
     return (restarts * per_restart + 1024) * 16
 
@@ -427,20 +398,20 @@ def minimize_pointer_product(
     what it has where it finds nothing lower, no update raises the value.
     Each restart's path, proposals included, depends on its own seed alone.
     """
-    if sigma is None:
-        sweep = _pointer_sweep
-    else:
+    overlap = 1.0
+    if sigma is not None:
+        if np.ndim(sigma) or np.asarray(sigma).dtype.kind not in "fiu":
+            raise InputError(f"sigma must be a single pointer width, got {sigma!r}")
         check_widths(sigma)
         # c is the overlap of the pointers centred at 0 and 1. A subnormal
         # sigma^2 overflows the exponent to -inf: overlap 0.
         with np.errstate(over="ignore"):
             overlap = _overlap(np.float_power(sigma, 2), 1.0)
-        sweep = functools.partial(_pointer_sweep, overlap=overlap)
-    return _see_saw_search(sweep, n, d, restarts, seed, budget)
+    return _see_saw_search(functools.partial(_sweep, overlap=overlap), n, d, restarts, seed, budget)
 
 
 def minimize_weak_value_real(n: int, d: int, restarts: int, seed: int, budget: int) -> OptimizationResult:
     """Minimize Re of the no-post-selection sequential weak value over
     projector sequences of length ``n`` in dimension ``d`` and over
     initial states, by see-saw sweeps."""
-    return _see_saw_search(_weak_value_sweep, n, d, restarts, seed, budget)
+    return _see_saw_search(functools.partial(_sweep, overlap=None), n, d, restarts, seed, budget)

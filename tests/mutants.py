@@ -141,6 +141,24 @@ MUTANTS = (
         ("tests/test_optimize.py::TestSeeSaw::test_restart_ignores_its_neighbours",),
     ),
     Mutant(
+        # The weak value's step keeps only the Hermitian part of AY, so its
+        # environments no longer carry the chain's phases.
+        "weak-value-step-hermitized",
+        "optimize.py",
+        "if overlap is None:\n        return product",
+        "if overlap is None:\n        return _hermitian(product)",
+        ("tests/test_optimize.py::TestBatchedObjectives::test_match_one_point_references",),
+    ),
+    Mutant(
+        # k_j's block reads N_(j+1) L_j, not N_(j+1) L_j^H: the same at
+        # Hermitian L_j, the pointer product's, but not the weak value's.
+        "block-adjoint-dropped",
+        "optimize.py",
+        "_hermitian(following @ left.conj().swapaxes(1, 2))",
+        "_hermitian(following @ left)",
+        ("tests/test_optimize.py::TestSeeSaw::test_no_block_update_raises_the_value",),
+    ),
+    Mutant(
         "sampler-slot-2-noise-wide",
         "simulator.py",
         "rng.standard_normal(out=rows[j])",

@@ -98,9 +98,9 @@ OPERATORS = {
 }
 
 SWEEPS = {
-    "product": optimize._pointer_sweep,
-    "weak-value": optimize._weak_value_sweep,
-    "finite-sigma": functools.partial(optimize._pointer_sweep, overlap=math.exp(-1.0 / (8.0 * 0.8**2))),
+    "product": optimize._sweep,
+    "weak-value": functools.partial(optimize._sweep, overlap=None),
+    "finite-sigma": functools.partial(optimize._sweep, overlap=math.exp(-1.0 / (8.0 * 0.8**2))),
 }
 
 ORACLES = {
@@ -124,11 +124,11 @@ class TestBatchedObjectives:
                 overlap = math.exp(-1.0 / (8.0 * sigma**2))
                 states = np.zeros((6, d), dtype=complex)
                 # a sweep's first update is the state's: the least eigenvalue there
-                least = lambda c: next(optimize._pointer_sweep(kets.copy(), states, c))
+                least = lambda c: next(optimize._sweep(kets.copy(), states, c))
                 pairs = (
                     (least(1.0), pointer_product_reference, ()),
                     (least(overlap), finite_sigma_reference, (sigma,)),
-                    (next(optimize._weak_value_sweep(kets.copy(), states)), weak_value_real_reference, ()),
+                    (least(None), weak_value_real_reference, ()),
                 )
                 for got, reference, extra in pairs:
                     want = [reference(point, *extra) for point in kets]
@@ -159,11 +159,11 @@ class TestPaddingInvariance:
 
     @staticmethod
     def objectives(kets, overlap):
-        """The pointer product 2^(1-n) <psi|N_1|psi> and Re of the weak value
-        at the (n + 1, d) kets psi, k_1, ..., k_n."""
+        """The pointer product <psi|N_1|psi> and Re of the weak value at the
+        (n + 1, d) kets psi, k_1, ..., k_n."""
         psi, projector_kets = kets[0], kets[1:]
         nested = list(optimize._environments(qm.projectors_from_kets(projector_kets[np.newaxis]), overlap))[-1][0]
-        product = 2.0 ** (1 - len(projector_kets)) * (psi.conj() @ nested @ psi).real
+        product = (psi.conj() @ nested @ psi).real
         state = wl.PureState(psi).to_density()
         weak_value = wl.seq_weak_value(unit_scenario(state, qm.projectors_from_kets(projector_kets)))
         return product, weak_value.real
@@ -183,9 +183,10 @@ class TestPaddingInvariance:
 
 class TestEnvironments:
     def test_projectors_of_every_rank_give_both_engines_moments(self):
-        # The step map holds for projectors of any rank: 2^(1-n) Tr(rho N_1)
-        # is the exact all-position moment at c = exp(-1/(8 sigma^2)) and
-        # the weak prediction at c = 1, on the same Scenario.
+        # The step maps hold for projectors of any rank: Re Tr(rho N_1) is
+        # the exact all-position moment at c = exp(-1/(8 sigma^2)), the weak
+        # prediction at c = 1 and Re of the weak value at None, on the same
+        # Scenario.
         rng = np.random.default_rng(46)
         for _ in range(300):
             d, n = int(rng.integers(2, 5)), int(rng.integers(1, 6))
@@ -195,10 +196,15 @@ class TestEnvironments:
             sigma = float(np.exp(rng.uniform(math.log(0.05), math.log(1e3))))
             scn = wl.Scenario(random_density(rng, d), projectors, np.full(n, sigma))
             pattern = wl.MomentPattern.all_position(n)
-            for engine, overlap in ((wl.exact_moment, math.exp(-1.0 / (8.0 * sigma**2))), (wl.weak_prediction, 1.0)):
+            wants = (
+                (math.exp(-1.0 / (8.0 * sigma**2)), wl.exact_moment(scn, pattern).value),
+                (1.0, wl.weak_prediction(scn, pattern).value),
+                (None, wl.seq_weak_value(scn).real),
+            )
+            for overlap, want in wants:
                 nested = list(optimize._environments(projectors[np.newaxis], overlap))[-1][0]
-                got = 2.0 ** (1 - n) * np.trace(scn.initial @ nested).real
-                assert got == pytest.approx(engine(scn, pattern).value, rel=0.0, abs=1e-12), (d, n, sigma)
+                got = np.trace(scn.initial @ nested).real
+                assert got == pytest.approx(want, rel=0.0, abs=1e-12), (d, n, sigma, overlap)
 
 
 class TestSeeSaw:
@@ -225,7 +231,7 @@ class TestSeeSaw:
             with np.errstate(over="ignore"):
                 overlap = float(np.exp(-1.0 / (8.0 * np.float64(sigma) ** 2)))
             operator = lambda k: finite_sigma_operator(k, sigma)
-            sweep = lambda proposal: optimize._pointer_sweep(kets, states, overlap, proposal=proposal)
+            sweep = lambda proposal: optimize._sweep(kets, states, overlap, proposal=proposal)
         else:
             operator = {"product": pointer_product_operator, "weak-value": weak_value_operator}[objective]
             sweep = lambda proposal: SWEEPS[objective](kets, states, proposal=proposal)
@@ -445,6 +451,16 @@ class TestPointerProductSearch:
         with pytest.raises(InputError, match="^budget must be at least 1, got 0$"):
             wl.minimize_pointer_product(n=2, d=2, restarts=1, seed=0, budget=0)
 
+    @pytest.mark.parametrize("sigma", [np.array([1.0, 2.0]), [1.0], "1.0", 1.0 + 0.0j, True])
+    def test_width_that_is_not_one_real_number_is_refused_before_work(self, monkeypatch, sigma):
+        def untouched(*args):
+            raise AssertionError("search drew start kets before checking its width")
+
+        monkeypatch.setattr(optimize, "_start_kets", untouched)
+        message = f"sigma must be a single pointer width, got {sigma!r}"
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            wl.minimize_pointer_product(n=2, d=2, restarts=1, seed=0, budget=5, sigma=sigma)
+
     def test_negative_seed(self):
         with pytest.raises(InputError, match="^seed must be at least 0, got -1$"):
             wl.minimize_pointer_product(n=2, d=2, restarts=2, seed=-1, budget=10)
@@ -459,14 +475,16 @@ class TestPointerProductSearch:
         assert peak <= optimize._search_footprint(n, d, restarts)
 
     @pytest.mark.parametrize(
-        "sigma,n,restarts,budget", [(4.0, 3, 16, 2000), (4.0, 3, 400, 400), (4.0, 20, 16, 2000), (None, 5, 100, 1600)]
+        "sigma,n,restarts,budget",
+        [(4.0, 3, 16, 2000), (4.0, 3, 400, 400), (4.0, 20, 16, 2000), (None, 5, 100, 1600), ("weak-value", 20, 16, 2000)],
     )
     def test_peak_memory_within_footprint_while_proposing(self, monkeypatch, sigma, n, restarts, budget):
-        # crawling restarts hold proposed kets and their environments too
+        # crawling restarts hold proposed kets and their environments too;
+        # sigma is the pointer product's width, or "weak-value" for that search
         proposals = []
         extrapolate = optimize._extrapolate
         monkeypatch.setattr(optimize, "_extrapolate", lambda *args: proposals.append(1) or extrapolate(*args))
-        minimize = functools.partial(wl.minimize_pointer_product, sigma=sigma)
+        minimize = SEARCHES[sigma] if sigma == "weak-value" else functools.partial(wl.minimize_pointer_product, sigma=sigma)
         assert self.peak_memory(minimize, n, 2, restarts, budget) <= optimize._search_footprint(n, 2, restarts)
         assert proposals
 
