@@ -3,12 +3,13 @@
 Two families matter to callers: ``InputError`` for malformed or
 inconsistent inputs (CLI exit code 2) and ``NumericError`` for
 computations that are undefined or failed at run time (exit code 1).
-``check_count`` is the one refusal of a count out of its range, and
-``check_footprint`` holds the one memory limit that the sampler and the
-searches refuse work beyond.
+``check_count`` is the one refusal of a count that is no integer or is
+out of its range, and ``check_footprint`` holds the one memory limit
+that the sampler and the searches refuse work beyond.
 """
 
 import math
+import operator
 
 
 class WeakLabError(Exception):
@@ -48,10 +49,16 @@ def check_footprint(footprint: int, what: str) -> None:
         )
 
 
-def check_count(name: str, value: int, least: int, most: float = math.inf) -> None:
-    """Refuses a count below ``least`` or above ``most``; ``name`` is the
-    CLI flag or the library parameter that gave it, as in "--shots" or "d"."""
+def check_count(name: str, value: int, least: int, most: float = math.inf) -> int:
+    """Refuses a count that is a bool or no integer, or is below ``least``
+    or above ``most``; ``name`` is the CLI flag or the library parameter
+    that gave it, as in "--shots" or "d". Returns the count as a Python int."""
+    try:
+        value = operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
     if value < least:
         raise InputError(f"{name} must be at least {least}, got {value}")
     if value > most:
         raise InputError(f"{name} must be at most {most}, got {value}")
+    return value

@@ -21,11 +21,10 @@ Pal & Vertesi, PRA 82, 022116 (2010)): psi from the whole operator first,
 then k_1, ..., k_n in turn.
 
 At a finite width the pointer product is quadratic in each A_j, so the
-block of each k_j but the last is a quartic in the ket. Its update moves
-k_j along one great circle, toward the least eigenvector of the block's
-linearization at k_j, to the least value on that circle, and keeps k_j
-where the circle offers nothing lower; psi and k_n keep their exact
-eigenvector updates. So at any width no update can raise the value.
+block of each k_j but the last is a quartic in the ket. Its update takes
+the least eigenvector of the block's linearization at k_j, and only where
+the quartic is lower there; psi and k_n keep their exact eigenvector
+updates. So at any width no update can raise the value.
 
 Near an optimum the see-saw can crawl: each sweep moves the kets a
 little further along nearly the same line, and lowers the value by a
@@ -56,7 +55,6 @@ change with the number of restarts beside it.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,15 +67,17 @@ VALUE_SPREAD_TOL = 1e-14
 # A restart proposes when its last sweep's gain is more than PROPOSAL_RATE
 # times the sweep before; its step is r/(1 - r) times that sweep's change,
 # r the square root of the gain ratio capped at RATIO_CAP, and at most
-# STEP_CAP. Over rates 0.3-0.7 and caps 16-256 (d = 2, 16 restarts, seed 1),
-# 0.5 and 64 reached the n = 3 finite-width floor in 1,724 (sigma = 2) and
-# 3,200 (sigma = 4) evaluations and the n = 6 one at sigma = 4 in 7,063,
-# against 5,908, 20,096 and 51,954 without proposals; the weak-limit n = 5
-# worst case over seeds 0-19 took 426, against 432 at 0.3, 660 at 0.7 and
-# 1,260 without proposals.
+# STEP_CAP. Rates 0.3-0.7 and caps 16-256 were scanned with the great-circle
+# k_j update that the quartic one replaced (d = 2, 16 restarts, seed 1). At
+# 0.5 and 64 the n = 3 finite-width floor takes 1,688 (sigma = 2) and 3,080
+# (sigma = 4) evaluations and the n = 6 one at sigma = 4 takes 7,049; the
+# great-circle update took 5,908, 20,096 and 51,947 without proposals. The
+# weak-limit n = 5 worst case over seeds 0-19 took 426, against 432 at 0.3,
+# 660 at 0.7 and 1,260 without proposals.
 PROPOSAL_RATE = 0.5
 RATIO_CAP = 0.999
 STEP_CAP = 64.0
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,83 +139,33 @@ def _least_eigenpairs(operators: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return values[:, 0]
 
 
-# Along a great circle each block expectation is q0 + q1 cos s + q2 sin s
-# in s = 2t, so f(s) is a trigonometric polynomial of degree 2, kept as
-# coefficients of the harmonics cos(m s - phase): (1, cos s, cos 2s, sin s,
-# sin 2s). _PRODUCT maps the nine products N_i L_j of the q's of N and L
-# to them; its first three rows, N_0 L_j, also map the q's of P.
-_ORDERS = np.array([0.0, 1.0, 2.0, 1.0, 2.0])
-_PHASES = np.array([0.0, 0.0, 0.0, 0.5, 0.5]) * math.pi
-_PRODUCT = np.array(
-    [
-        [1.0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0],
-        [0, 1, 0, 0, 0], [0.5, 0, 0.5, 0, 0], [0, 0, 0, 0, 0.5],
-        [0, 0, 0, 1, 0], [0, 0, 0, 0, 0.5], [0.5, 0, -0.5, 0, 0],
-    ]
-)
-# The Gram entries (<k|X|k>, <k|X|w>, <w|X|k>, <w|X|w>) -> (q0, q1, q2).
-_GRAM_TO_CIRCLE = np.array([[0.5, 0.5, 0], [0, 0, 0.5], [0, 0, 0.5], [0.5, -0.5, 0]])
-# The grid of s on which f is first minimized: its harmonics and their
-# first and second derivatives in s, (3, 64, 5).
-_CIRCLE = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-_CIRCLE_ROWS = np.array(
-    [
-        np.cos(_CIRCLE[:, np.newaxis] * _ORDERS - _PHASES),
-        -_ORDERS * np.sin(_CIRCLE[:, np.newaxis] * _ORDERS - _PHASES),
-        -(_ORDERS**2) * np.cos(_CIRCLE[:, np.newaxis] * _ORDERS - _PHASES),
-    ]
-)
-_TINY = np.finfo(float).tiny
-
-
-def _circle_update(blocks: np.ndarray, kets: np.ndarray, overlap: float) -> np.ndarray:
+def _quartic_update(blocks: np.ndarray, kets: np.ndarray, overlap: float) -> np.ndarray:
     """Lowers f(k) = c <k|P|k> + (1 - c) <k|N|k> <k|L|k> at the overlap
     c < 1 for the (B, 3, d, d) ``blocks`` (P, N, L) over the (B, d) kets,
     updated in place; returns the values f after the update.
 
     f is quartic in k, so no eigenvector minimizes it. Its linearization
-    G = c P + (1 - c)(<L> N + <N> L) at k has f's gradient there, and its
-    least eigenvector v names a direction: w, the part of v orthogonal to
-    k, phased so that the great circle k(t) = cos t k + sin t w passes
-    through v. Along that circle f is a trigonometric polynomial of degree
-    2 in s = 2t. Its least value on a 64-point grid of s, or one Newton step
-    from there where that is lower, replaces k only where it is below f(k):
-    no update raises f."""
+    G = c P + (1 - c)(<L> N + <N> L) at k has f's gradient there, and G's
+    least eigenvector v replaces k only where f(v) is below f(k): no update
+    raises f."""
     count, d = kets.shape
     quartic = 1 - overlap
-    # <k|N|k> and <k|L|k>; f(k) itself is the circle's value at s = 0
-    here = (kets.conj()[:, np.newaxis, np.newaxis, :] @ blocks[:, 1:] @ kets[:, np.newaxis, :, np.newaxis]).real
+
+    def expectations(vectors):
+        """(<v|P|v>, <v|N|v>, <v|L|v>) of each (B, d) ket v, (B, 3), and f(v)."""
+        terms = (vectors.conj()[:, np.newaxis, np.newaxis, :] @ blocks @ vectors[:, np.newaxis, :, np.newaxis])[..., 0, 0].real
+        return terms, overlap * terms[:, 0] + quartic * terms[:, 1] * terms[:, 2]
+
+    here, values = expectations(kets)
     weights = np.full((count, 1, 3), overlap)
-    weights[:, 0, 1:] = quartic * here[:, ::-1, 0, 0]
+    weights[:, 0, 1:] = quartic * here[:, :0:-1]
     linearized = (weights @ blocks.reshape(count, 3, d * d)).reshape(count, d, d)
-    direction = np.linalg.eigh(linearized)[1][:, :, :1]
-    frame = np.empty((count, d, 2), dtype=complex)
-    frame[:, :, 0] = kets
-    bras = frame[:, :, :1].conj().swapaxes(1, 2)
-    inner = bras @ direction
-    across = direction - frame[:, :, :1] * inner
-    # a second projection keeps w orthogonal to k when v is close to k
-    across -= frame[:, :, :1] * (bras @ across)
-    length = np.sqrt((abs(across) ** 2).sum(axis=1, keepdims=True))
-    frame[:, :, 1:] = across * (np.exp(-1j * np.angle(inner)) / np.maximum(length, _TINY))
-    gram = frame.conj().swapaxes(1, 2)[:, np.newaxis] @ blocks @ frame[:, np.newaxis]
-    terms = gram.real.reshape(count, 3, 4) @ _GRAM_TO_CIRCLE
-    products = (terms[:, 1, :, np.newaxis] * terms[:, 2, np.newaxis, :]).reshape(count, 9)
-    coefficients = overlap * (terms[:, 0] @ _PRODUCT[:3]) + quartic * (products @ _PRODUCT)
-    # one product per restart: a 2-D product's rows depend on how many it holds
-    grid = (coefficients[:, np.newaxis, :] @ _CIRCLE_ROWS[0].T)[:, 0]
-    values, least = grid[:, 0], grid.argmin(axis=1)
-    level, slope, bend = (_CIRCLE_ROWS[:, least] * coefficients).sum(axis=2)
-    angles = _CIRCLE[least]
-    stepped = angles - slope / np.where(bend > 0, bend, np.inf)
-    stepped_level = (np.cos(stepped[:, np.newaxis] * _ORDERS - _PHASES) * coefficients).sum(axis=1)
-    angles = np.where(stepped_level < level, stepped, angles)
-    level = np.minimum(stepped_level, level)
-    moved = (level < values) & (length[:, 0, 0] >= _TINY)
-    half = 0.5 * angles[:, np.newaxis]
-    turned = np.cos(half) * kets + np.sin(half) * frame[:, :, 1]
-    kets[moved] = (turned / np.sqrt((abs(turned) ** 2).sum(axis=1, keepdims=True)))[moved]
-    return np.where(moved, level, values)
+    proposed = np.empty_like(kets)
+    _least_eigenpairs(linearized, proposed)
+    lowered = expectations(proposed)[1]
+    lower = lowered < values
+    kets[lower] = proposed[lower]
+    return np.where(lower, lowered, values)
 
 
 def _taken(rows: np.ndarray, taken: np.ndarray) -> np.ndarray:
@@ -257,7 +207,7 @@ def _sweep(kets: np.ndarray, states: np.ndarray, overlap: float | None = 1.0, pr
     of N_1, k_j's of N_(j+1) L_j^H and k_n's of L_n, and its update is the
     least eigenvector. Below overlap 1 the pointer product is quartic in
     each k_j but the last: f_j(k) = c <k|M_j|k> + (1 - c) <k|N_(j+1)|k>
-    <k|L_j|k>, with M_j that Hermitian part (``_circle_update``). N_(j+1)
+    <k|L_j|k>, with M_j that Hermitian part (``_quartic_update``). N_(j+1)
     holds only kets that the sweep has not yet updated."""
     weighed = kets if proposal is None else np.concatenate([kets, proposal[1]])
     right = list(_environments(qm.projectors_from_kets(weighed), overlap))[::-1]
@@ -270,7 +220,7 @@ def _sweep(kets: np.ndarray, states: np.ndarray, overlap: float | None = 1.0, pr
         if overlap is not None and overlap < 1.0:
             blocks = np.empty((len(kets), 3, *left.shape[1:]), dtype=complex)
             blocks[:, 0], blocks[:, 1], blocks[:, 2] = block, following, left
-            yield _circle_update(blocks, kets[:, j], overlap)
+            yield _quartic_update(blocks, kets[:, j], overlap)
         else:
             yield _least_eigenpairs(block, kets[:, j])
         left = _step(qm.projectors_from_kets(kets[:, j]), left, overlap)
@@ -339,20 +289,20 @@ def _search_footprint(n: int, d: int, restarts: int) -> int:
     of one block update. The finite-width block is the largest: its
     (3, d, d) stack and the three operators it is built from, the
     linearization and its temporaries, the copies and eigenvectors of eigh,
-    and the next left environment with its projector and temporaries; psi's
-    update adds the proposed kets' whole operator and its eigenvectors. Add
-    64 units for the restart's seed and generator, and 64 for the block's
-    products with k and w and its values on the circle grid."""
-    per_restart = 4 * n * d * d + 10 * n * d + 20 * d * d + 128
+    the least eigenvector with its products with the stack, and the next
+    left environment with its projector and temporaries; psi's update adds
+    the proposed kets' whole operator and its eigenvectors. Add 64 units
+    for the restart's seed and generator and the block's expectations."""
+    per_restart = 4 * n * d * d + 10 * n * d + 20 * d * d + 64
     return (restarts * per_restart + 1024) * 16
 
 
 def _start_kets(n: int, d: int, restarts: int, seed: int, budget: int) -> np.ndarray:
     """Checks a search's arguments and memory bound, then draws each
     restart's Haar-random start kets from its own seed: (restarts, n, d)."""
-    for name, value, least in (("n", n, 2), ("d", d, 2), ("restarts", restarts, 1), ("budget", budget, 1)):
-        check_count(name, value, least)
-    check_count("seed", seed, 0)
+    n, d, restarts = check_count("n", n, 2), check_count("d", d, 2), check_count("restarts", restarts, 1)
+    check_count("budget", budget, 1)
+    seed = check_count("seed", seed, 0)
     check_footprint(_search_footprint(n, d, restarts), f"{restarts} restarts at n={n}, d={d}")
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     return qm.kets_from_normals(np.array([np.random.default_rng(s).standard_normal((n, 2, d)) for s in seeds]))
@@ -387,8 +337,8 @@ def minimize_pointer_product(
     landscape exploration; the default (None) is the weak-limit objective
     the -1/8 conjecture is about. The finite-width sweep keeps the exact
     least-eigenvector updates of psi and k_n, but each other k_j meets a
-    quartic block, which it lowers along one great circle
-    (``_circle_update``).
+    quartic block, whose linearization's least eigenvector it takes only
+    where that lowers the value (``_quartic_update``).
 
     At every width an evaluation is one block update with one batched eigh,
     and ``budget`` caps each restart's evaluations. A restart whose sweeps

@@ -41,7 +41,7 @@ def build_pauli_xy(sigma1: float, sigma2: float) -> Scenario:
 def build_projector_chain(n: int, sigma: float) -> Scenario:
     """n rank-1 projectors onto cos(j pi/(n+1)) |0> + sin(j pi/(n+1)) |1>,
     j = 1 ... n, all with the same pointer width, measured on |0>."""
-    check_count("n", n, 1)
+    n = check_count("n", n, 1)
     angles = [j * math.pi / (n + 1) for j in range(1, n + 1)]
     kets = np.array([[math.cos(a), math.sin(a)] for a in angles], dtype=complex)
     return Scenario(qm.KET_0.amplitudes, qm.projectors_from_kets(kets), [sigma] * n)

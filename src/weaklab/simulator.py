@@ -418,7 +418,9 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
     halved, first half first; a single point that fails reruns alone through
     both engines, in a copy of the scenario with that width, which
     ``Scenario`` checks, so the error is the one a loop over the widths
-    meets first; a point that passes alone keeps the values it gets there."""
+    meets first; a point that passes alone keeps the values it gets there.
+    An ``index`` outside [0, n) is refused before any work."""
+    index = check_count("index", index, 0, scn.n_steps - 1)
     eigenvalues, bases = scn.spectrum
     turns, unswept = _turns(bases), np.arange(scn.n_steps) != index
     values, passes = np.empty((2, len(widths))), []
@@ -635,8 +637,7 @@ def sample_outcomes(scn: Scenario, shots: int, seed: int) -> tuple[np.ndarray, S
     with it, the identity chain gives Tr(eta), and a value at or below the
     threshold raises ZeroPostSelectionProbability before any shot is drawn.
     """
-    check_count("shots", shots, 1)
-    check_count("seed", seed, 0)
+    shots, seed = check_count("shots", shots, 1), check_count("seed", seed, 0)
     check_footprint(sample_footprint(scn, shots), f"{shots} shots")
     eigenvalues, bases = scn.spectrum
     probability = 1.0

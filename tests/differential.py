@@ -78,14 +78,8 @@ class Allowance:
     tolerance: float | None = None
 
 
-PARENT = "de1eea4a44c1a0afa6101cecec1c2c88d946d7d7"  # the commit these allowances were written against
-ALLOWED: tuple[Allowance, ...] = (
-    # Both searches run one sweep on projector stacks: the weak value's
-    # blocks come from its environments, not from ket prefixes and suffixes,
-    # and the pointer product's first block reads L_1^H where it read L_1,
-    # Hermitian only to the last bit: last-bit moves in the values found.
-    Allowance("optimize-one-sweep-rounding", PARENT, "optimize", "stdout", "best_value|converged_value", 1e-12),
-)
+PARENT = "ac0ccb452630c476ef8327ce114d1430904ccab3"  # the commit these allowances were written against
+ALLOWED: tuple[Allowance, ...] = ()
 
 # Where a named value lies in a report: a quantity's value in CSV and in
 # JSON, a summary entry in CSV, a field of a JSON object, and the value of

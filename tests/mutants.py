@@ -15,7 +15,8 @@ contains one of the arguments:
     python tests/mutants.py
     python tests/mutants.py conj overlap
 
-The exit status is 1 when a snippet does not match exactly once, when a
+The exit status is 2, before any test runs, when an argument is in no
+mutant's name, and 1 when a snippet does not match exactly once, when a
 named test fails unmutated, or when a mutant that is not a known gap
 survives. Standard library only; pytest does not collect this file.
 """
@@ -132,13 +133,22 @@ MUTANTS = (
         ("tests/test_optimize.py::TestEnvironments",),
     ),
     Mutant(
-        # The circle grid as one 2-D product over the batch, whose rows
-        # change in the last bit with the number of restarts left in it.
-        "circle-grid-batched",
+        # The finite-width k_j update takes its linearization's least
+        # eigenvector even where the quartic is higher there.
+        "quartic-update-takes-higher",
         "optimize.py",
-        "(coefficients[:, np.newaxis, :] @ _CIRCLE_ROWS[0].T)[:, 0]",
-        "coefficients @ _CIRCLE_ROWS[0].T",
-        ("tests/test_optimize.py::TestSeeSaw::test_restart_ignores_its_neighbours",),
+        "lower = lowered < values",
+        "lower = lowered < np.inf",
+        ("tests/test_optimize.py::TestSeeSaw::test_no_block_update_raises_the_value",),
+    ),
+    Mutant(
+        # The linearization loses its quartic weights: G = c P, no longer
+        # the gradient of the block at k_j.
+        "linearization-drops-quartic",
+        "optimize.py",
+        "weights[:, 0, 1:] = quartic * here[:, :0:-1]",
+        "weights[:, 0, 1:] = 0.0",
+        ("tests/test_optimize.py::TestPointerProductSearch::test_wide_pointers_need_half_the_crawling_evaluations",),
     ),
     Mutant(
         # The weak value's step keeps only the Hermitian part of AY, so its
@@ -314,6 +324,10 @@ def run_tests(source: Path, tests) -> tuple[int, str]:
 
 def main(names: list[str]) -> int:
     started = time.perf_counter()
+    unmatched = [name for name in names if not any(name in m.name for m in MUTANTS)]
+    if unmatched:
+        print(f"no mutant name contains {', '.join(map(repr, unmatched))}")
+        return 2
     chosen = [m for m in MUTANTS if not names or any(name in m.name for name in names)]
     for mutant in chosen:
         mutated_text(ROOT / "src", mutant)

@@ -219,6 +219,7 @@ class TestSeeSaw:
     )
     @settings(max_examples=150, deadline=None)
     @example(objective="finite-sigma", n=3, d=2, seed=0, sigma=1e-160)
+    @example(objective="finite-sigma", n=3, d=2, seed=0, sigma=0.3)
     def test_no_block_update_raises_the_value(self, objective, n, d, seed, sigma):
         # Every value a sweep yields is the objective at the updated point,
         # and none is above the value before its update. The first sweep
@@ -417,7 +418,8 @@ class TestPointerProductSearch:
         assert result.best_value == pytest.approx(floor, rel=0, abs=1e-9)
 
     # Evaluations that 16 restarts at n = 3 needed to reach the floor without
-    # proposals, where wide pointers make the see-saw crawl.
+    # proposals, where wide pointers make the see-saw crawl, measured with
+    # the great-circle k_j update that the quartic one replaced.
     @pytest.mark.parametrize("sigma,crawling", [(2.0, 5_908), (4.0, 20_104)])
     def test_wide_pointers_need_half_the_crawling_evaluations(self, sigma, crawling):
         search = lambda: wl.minimize_pointer_product(n=3, d=2, restarts=16, seed=1, budget=40_000, sigma=sigma)
@@ -466,11 +468,30 @@ class TestPointerProductSearch:
             wl.minimize_pointer_product(n=2, d=2, restarts=2, seed=-1, budget=10)
 
     @pytest.mark.parametrize("search", ["product", "weak-value", "finite-sigma"])
+    def test_numpy_integer_arguments_give_the_python_ints_bits(self, search):
+        want = SEARCHES[search](n=3, d=2, restarts=4, seed=5, budget=200)
+        got = SEARCHES[search](n=np.int64(3), d=np.int32(2), restarts=np.int64(4), seed=np.uint32(5), budget=np.int64(200))
+        assert (got.trace, got.evaluations) == (want.trace, want.evaluations)
+        assert got.best_point.projector_kets.tobytes() == want.best_point.projector_kets.tobytes()
+        assert got.best_point.state.tobytes() == want.best_point.state.tobytes()
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("n", 2.0), ("d", np.float64(2.0)), ("restarts", 1.0), ("restarts", True), ("seed", 1.5), ("budget", 2.5)],
+    )
+    def test_counts_that_are_not_integers_are_refused(self, name, value):
+        counts = {"n": 2, "d": 2, "restarts": 1, "seed": 0, "budget": 5} | {name: value}
+        message = f"{name} must be an integer, got {value!r}"
+        for minimize in (wl.minimize_pointer_product, wl.minimize_weak_value_real):
+            with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+                minimize(**counts)
+
+    @pytest.mark.parametrize("search", ["product", "weak-value", "finite-sigma"])
     @pytest.mark.parametrize(
         "n,d,restarts", [(2, 2, 400), (5, 2, 100), (2, 5, 60), (3, 8, 10), (2, 2, 1), (20, 2, 16), (8, 6, 16)]
     )
     def test_peak_memory_within_footprint(self, search, n, d, restarts):
-        # several full sweeps, through the finite-width circle updates too
+        # several full sweeps, through the finite-width quartic updates too
         peak = self.peak_memory(SEARCHES[search], n, d, restarts, 4 * (n + 1))
         assert peak <= optimize._search_footprint(n, d, restarts)
 

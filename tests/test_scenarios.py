@@ -103,6 +103,13 @@ class TestProjectorChain:
         with pytest.raises(InputError):
             wl.build_projector_chain(0, 1.0)
 
+    def test_length_must_be_an_integer(self):
+        with pytest.raises(InputError, match=r"^n must be an integer, got 2\.5$"):
+            wl.build_projector_chain(2.5, 1.0)
+        with pytest.raises(InputError, match="^n must be an integer, got True$"):
+            wl.build_projector_chain(True, 1.0)
+        assert np.array_equal(wl.build_projector_chain(np.int64(3), 1.0).observables, wl.build_projector_chain(3, 1.0).observables)
+
 
 class TestCommonCause:
     def test_product_state_aligned_projectors(self):

@@ -924,6 +924,25 @@ class TestSweepMoments:
         simulator.sweep_moments(scn, wl.MomentPattern.from_string("xpix"), 1, grid)
         assert calls == {"_forward": 1, "_backward": 1, "_slot": 3, "_checked": 3, "_values": 3, "_moment": 0}
 
+    @pytest.mark.parametrize(
+        "index,message",
+        [(-1, "index must be at least 0, got -1"), (2, "index must be at most 1, got 2"),
+         (5, "index must be at most 1, got 5"), (1.0, "index must be an integer, got 1.0")],
+    )
+    def test_step_index_out_of_range_is_refused_before_work(self, monkeypatch, index, message):
+        def untouched(*args):
+            raise AssertionError("sweep started work before checking its step index")
+
+        monkeypatch.setattr(simulator, "_forward", untouched)
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            simulator.sweep_moments(wl.build_illustrative(1.0, 1.0), wl.MomentPattern.all_position(2), index, np.ones(3))
+
+    def test_numpy_integer_index_sweeps_the_same_step(self):
+        scn, pattern, widths = wl.build_illustrative(1.0, 1.0), wl.MomentPattern.from_string("xp"), np.geomspace(0.5, 5.0, 7)
+        want = simulator.sweep_moments(scn, pattern, 1, widths)
+        got = simulator.sweep_moments(scn, pattern, np.int64(1), widths)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
 
 @st.composite
 def random_cases(draw, with_post):
@@ -1184,6 +1203,22 @@ class TestSampler:
     def test_negative_seed_raises_input_error(self):
         with pytest.raises(InputError, match="^seed must be at least 0, got -1$"):
             wl.sample_outcomes(wl.build_illustrative(5.0, 1.0), 10, seed=-1)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_counts_draw_the_python_ints_bits(self, integer):
+        scn = wl.build_illustrative(5.0, 1.0)
+        want, _ = wl.sample_outcomes(scn, 3, 7)
+        got, _ = wl.sample_outcomes(scn, integer(3), integer(7))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "name,value", [("shots", 3.0), ("shots", True), ("shots", np.float64(3.0)), ("seed", 1.5), ("seed", np.True_)]
+    )
+    def test_counts_that_are_not_integers_are_refused(self, name, value):
+        counts = {"shots": 3, "seed": 0} | {name: value}
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            wl.sample_outcomes(wl.build_illustrative(5.0, 1.0), counts["shots"], counts["seed"])
 
     def test_no_post_selection_runs_no_identity_chain(self, monkeypatch):
         # Nothing is discarded, so Tr(eta) is 1 without a chain.
