@@ -16,7 +16,6 @@ from .qm import (
     KET_0,
     SIGMA_X,
     SIGMA_Y,
-    PureState,
     projector_from_ket,
     qubit_ket,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "MomentResult",
     "OptimizationResult",
     "PointerOperatorKind",
-    "PureState",
     "SampleStatistics",
     "Scenario",
     "SearchSpacePoint",

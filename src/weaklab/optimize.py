@@ -81,6 +81,16 @@ _TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
+class _State:
+    """A search point's state ket, unchecked: ``Scenario`` checks its density."""
+
+    ket: np.ndarray
+
+    def to_density(self) -> np.ndarray:
+        return qm.projector_from_ket(self.ket)
+
+
+@dataclass(frozen=True, eq=False)
 class SearchSpacePoint:
     """The initial state and each measured projector, as unit kets:
     ``state`` has shape (d,) and ``projector_kets`` (n, d)."""
@@ -88,8 +98,8 @@ class SearchSpacePoint:
     state: np.ndarray
     projector_kets: np.ndarray
 
-    def decode(self) -> tuple[qm.PureState, np.ndarray]:
-        return qm.PureState(self.state), qm._freeze(qm.projectors_from_kets(self.projector_kets))
+    def decode(self) -> tuple[_State, np.ndarray]:
+        return _State(self.state), qm._freeze(qm.projectors_from_kets(self.projector_kets))
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,17 +2,15 @@
 
 States, observables and effects are plain complex arrays. The stacked
 checks here serve ``simulator.Scenario``, which checks each input once
-and holds it frozen. ``PureState`` is a checked ket; the stacks of
-random instances below are valid by construction.
+and holds it frozen; the stacks of random instances below are valid by
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, check_count
+from .errors import DimensionMismatch, InputError
 
 HERMITICITY_TOL = 1e-12   # max entry deviation, relative to max(1, the matrix's largest entry)
 NORM_TOL = 1e-12          # absolute: states and effects are unit-scale
@@ -94,40 +92,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Normalized state vector of dimension d >= 2."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        vec = np.array(self.amplitudes, dtype=complex)
-        if vec.ndim != 1:
-            raise DimensionMismatch(f"state vector must be one-dimensional, got shape {vec.shape}")
-        check_count("state dimension", vec.size, 2)
-        check_kets(vec)
-        object.__setattr__(self, "amplitudes", _freeze(vec))
-
-    def to_density(self) -> np.ndarray:
-        """|psi><psi|, frozen; it passes ``check_densities`` exactly when
-        the ket passed ``check_kets``."""
-        return projector_from_ket(self)
-
-
-def projector_from_ket(ket: PureState) -> np.ndarray:
-    """Rank-1 projector onto a normalized state, frozen."""
-    return _freeze(projectors_from_kets(ket.amplitudes))
+def projector_from_ket(ket: np.ndarray) -> np.ndarray:
+    """Rank-1 projector |k><k| of a (d,) unit ket, frozen."""
+    return _freeze(projectors_from_kets(np.asarray(ket, dtype=complex)))
 
 
 # Shared qubit constants.
-KET_0 = PureState(np.array([1.0, 0.0]))
+KET_0 = _freeze(np.array([1.0, 0.0], dtype=complex))
 SIGMA_X = _freeze(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 SIGMA_Y = _freeze(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
 
 
-def qubit_ket(theta: float) -> PureState:
-    """cos(theta)|0> + sin(theta)|1>."""
-    return PureState(np.array([np.cos(theta), np.sin(theta)]))
+def qubit_ket(theta: float) -> np.ndarray:
+    """cos(theta)|0> + sin(theta)|1>, frozen; a complex theta raises TypeError."""
+    theta = float(theta)
+    return _freeze(np.array([np.cos(theta), np.sin(theta)], dtype=complex))
 
 
 # Stacks of random instances, made from standard normals laid out as the

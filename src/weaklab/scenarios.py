@@ -30,12 +30,12 @@ def build_illustrative(sigma1: float, sigma2: float) -> Scenario:
     half = 0.5
     root3_half = math.sqrt(3.0) / 2.0
     kets = np.array([[half, root3_half], [half, -root3_half]], dtype=complex)
-    return Scenario(qm.KET_0.amplitudes, qm.projectors_from_kets(kets), [sigma1, sigma2])
+    return Scenario(qm.KET_0, qm.projectors_from_kets(kets), [sigma1, sigma2])
 
 
 def build_pauli_xy(sigma1: float, sigma2: float) -> Scenario:
     """sigma_y then sigma_x on |0>: weak value i, visible in p1*x2."""
-    return Scenario(qm.KET_0.amplitudes, [qm.SIGMA_Y, qm.SIGMA_X], [sigma1, sigma2])
+    return Scenario(qm.KET_0, [qm.SIGMA_Y, qm.SIGMA_X], [sigma1, sigma2])
 
 
 def build_projector_chain(n: int, sigma: float) -> Scenario:
@@ -44,7 +44,7 @@ def build_projector_chain(n: int, sigma: float) -> Scenario:
     n = check_count("n", n, 1)
     angles = [j * math.pi / (n + 1) for j in range(1, n + 1)]
     kets = np.array([[math.cos(a), math.sin(a)] for a in angles], dtype=complex)
-    return Scenario(qm.KET_0.amplitudes, qm.projectors_from_kets(kets), [sigma] * n)
+    return Scenario(qm.KET_0, qm.projectors_from_kets(kets), [sigma] * n)
 
 
 def chain_weak_value(n: int) -> float:

@@ -172,7 +172,7 @@ class MomentPattern:
     def __post_init__(self):
         try:
             kinds = tuple(PointerOperatorKind(kind) for kind in self.kinds)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad pattern {self.kinds!r}: {exc}; use i/x/X/p/P") from None
         object.__setattr__(self, "kinds", kinds)
 
@@ -419,8 +419,11 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
     both engines, in a copy of the scenario with that width, which
     ``Scenario`` checks, so the error is the one a loop over the widths
     meets first; a point that passes alone keeps the values it gets there.
-    An ``index`` outside [0, n) is refused before any work."""
+    An ``index`` outside [0, n) and ``widths`` not 1-D are refused first."""
     index = check_count("index", index, 0, scn.n_steps - 1)
+    widths = np.asarray(widths, dtype=float)
+    if widths.ndim != 1:
+        raise DimensionMismatch(f"swept widths must be one-dimensional, got shape {widths.shape}")
     eigenvalues, bases = scn.spectrum
     turns, unswept = _turns(bases), np.arange(scn.n_steps) != index
     values, passes = np.empty((2, len(widths))), []

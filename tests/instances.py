@@ -11,9 +11,9 @@ import weaklab as wl
 
 
 def random_ket(rng, d):
-    """Haar-random pure state: d real parts, then d imaginary parts."""
+    """Haar-random unit ket (d,): d real parts, then d imaginary parts."""
     vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return wl.PureState(vec / np.linalg.norm(vec))
+    return vec / np.linalg.norm(vec)
 
 
 def random_density(rng, d):
@@ -55,7 +55,7 @@ def random_scenario(rng, d, n, with_post, sigma_range=(0.5, 5.0)):
     post = None
     if with_post:
         ket = random_ket(rng, d)
-        post = np.outer(ket.amplitudes, ket.amplitudes.conj())
+        post = np.outer(ket, ket.conj())
     return wl.Scenario(initial=random_density(rng, d), steps=steps, post=post)
 
 

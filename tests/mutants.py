@@ -175,7 +175,8 @@ MUTANTS = (
         "rng.standard_normal(out=rows[j])\n        rows[j] *= 1.02 if j == 1 else 1.0",
         # The sampler's checks against the exact engine; a pinned stream
         # digest fails on any change to the draws, right or wrong. Only the
-        # second moments see a noise scale: the noise has mean zero.
+        # second moments and the marginal laws see a noise scale: the noise
+        # has mean zero.
         tuple(
             f"tests/test_simulator.py::TestSampler::{name}"
             for name in (
@@ -186,6 +187,7 @@ MUTANTS = (
                 "test_random_scenarios_match_exact",
                 "test_six_step_chain_sampling",
                 "test_second_moments_match_exact",
+                "test_position_marginals_follow_the_exact_law",
             )
         ),
     ),
@@ -269,6 +271,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # A pattern of something that is not iterable escapes as a bare TypeError.
+        "pattern-type-error-escapes",
+        "simulator.py",
+        "except (TypeError, ValueError) as exc:",
+        "except ValueError as exc:",
+        ("tests/test_simulator.py::TestScenarioTypes::test_pattern_refuses_other_kinds_when_built",),
+    ),
+    Mutant(
+        # A sweep takes widths of any shape, and a grid that is not one
+        # row of widths fails inside the work, or not at all.
+        "sweep-widths-any-shape",
+        "simulator.py",
+        "if widths.ndim != 1:",
+        "if False:",
+        ("tests/test_simulator.py::TestSweepMoments::test_widths_that_are_not_one_dimensional_are_refused_before_work",),
+    ),
+    Mutant(
         "scenario-effect-unchecked",
         "simulator.py",
         "float(qm.check_effects(post))",
@@ -281,6 +300,15 @@ MUTANTS = (
         "qm.check_densities(initial)",
         "None",
         ("tests/test_qm.py::TestScenarioInputs",),
+    ),
+    Mutant(
+        # A complex angle gives a ket of any norm, whose projector passes
+        # as an observable.
+        "qubit-ket-complex-angle",
+        "qm.py",
+        "theta = float(theta)",
+        "theta = theta",
+        ("tests/test_qm.py::TestStates::test_ket_norm_enforced",),
     ),
     Mutant(
         "hermiticity-absolute",

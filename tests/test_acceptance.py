@@ -145,7 +145,7 @@ def test_criterion_6_bound_suites():
         d = 2 + index % 2
         psi = random_ket(rng, d)
         pair = [random_projector(rng, d), random_projector(rng, d)]
-        worst_pair = min(worst_pair, wl.seq_weak_value(unit_scenario(psi.to_density(), stack(pair))).real)
+        worst_pair = min(worst_pair, wl.seq_weak_value(unit_scenario(psi, stack(pair))).real)
 
     worst_excess = -math.inf
     seq_trials = 10_000
@@ -227,7 +227,7 @@ def test_criterion_8_common_cause_hull_and_witness():
     witnessed = 0
     for _ in range(1000):
         scn = wl.build_common_cause(
-            random_ket(rng, 4).amplitudes,
+            random_ket(rng, 4),
             random_projector(rng, 2),
             random_projector(rng, 2),
             float(rng.uniform(0.2, 8.0)),

@@ -160,7 +160,7 @@ class TestSimulateCommand:
 
     def test_numeric_failure_exit_code(self, capsys, write_scenario):
         scn = wl.Scenario(
-            initial=wl.KET_0.to_density(),
+            initial=wl.KET_0,
             steps=(wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(1.0)),),
             post=np.diag([0.0, 1.0]),
         )
@@ -792,7 +792,7 @@ class TestSampleCommand:
         # One kept shot has no standard error. JSON has no NaN, so a strict
         # parser must read null there; CSV keeps nan.
         scn = wl.Scenario(
-            initial=wl.KET_0.to_density(),
+            initial=wl.KET_0,
             steps=[
                 wl.MeasurementStep(np.diag([1.0, 0.0]), wl.GaussianPointer(1.0)),
                 wl.MeasurementStep(wl.SIGMA_X, wl.GaussianPointer(1.0)),
@@ -928,7 +928,7 @@ def per_trial_bounds(trials, seed):
         d = int(rng.integers(2, 4))
         psi = random_ket(rng, d)
         pair = [wl.projector_from_ket(random_ket(rng, d)) for _ in range(2)]
-        value = ordered_trace(psi.to_density(), pair).real
+        value = ordered_trace(wl.projector_from_ket(psi), pair).real
         worst_pair = min(worst_pair, value)
         pair_violations += value < cli.PROJECTOR_PAIR_FLOOR - 1e-12
     worst_excess, magnitude_violations = -math.inf, 0
@@ -943,7 +943,7 @@ def per_trial_bounds(trials, seed):
     worst_low, worst_high, hull_violations = math.inf, -math.inf, 0
     hull_trials = max(1, trials // 10)
     for _ in range(hull_trials):
-        shared = random_ket(rng, 4).amplitudes
+        shared = random_ket(rng, 4)
         scn = wl.build_common_cause(
             shared,
             wl.projector_from_ket(random_ket(rng, 2)),
@@ -1124,7 +1124,7 @@ class TestNonFiniteInputs:
             argv = ["simulate", "pauli-xy", "--pattern", "px", "--sigma", "1e-160"]
         else:
             huge = np.diag([1e308, -1e308])
-            scn = wl.Scenario(initial=wl.KET_0.to_density(), steps=(wl.MeasurementStep(huge, wl.GaussianPointer(1.0)),) * 2)
+            scn = wl.Scenario(initial=wl.KET_0, steps=(wl.MeasurementStep(huge, wl.GaussianPointer(1.0)),) * 2)
             argv = ["simulate", str(write_scenario(scn)), "--pattern", "xx"]
         code = main(argv)
         captured = capsys.readouterr()

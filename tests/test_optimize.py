@@ -53,9 +53,9 @@ def operator_from_moments(moment, d):
 
 
 def finite_sigma_operator(kets, sigma):
-    steps = [wl.MeasurementStep(wl.projector_from_ket(wl.PureState(ket)), wl.GaussianPointer(sigma)) for ket in kets]
+    steps = [wl.MeasurementStep(wl.projector_from_ket(ket), wl.GaussianPointer(sigma)) for ket in kets]
     pattern = wl.MomentPattern.all_position(len(kets))
-    moment = lambda psi: wl.exact_moment(wl.Scenario(wl.PureState(psi).to_density(), steps=steps), pattern).value
+    moment = lambda psi: wl.exact_moment(wl.Scenario(wl.projector_from_ket(psi), steps=steps), pattern).value
     return operator_from_moments(moment, kets.shape[1])
 
 
@@ -164,7 +164,7 @@ class TestPaddingInvariance:
         psi, projector_kets = kets[0], kets[1:]
         nested = list(optimize._environments(qm.projectors_from_kets(projector_kets[np.newaxis]), overlap))[-1][0]
         product = (psi.conj() @ nested @ psi).real
-        state = wl.PureState(psi).to_density()
+        state = wl.projector_from_ket(psi)
         weak_value = wl.seq_weak_value(unit_scenario(state, qm.projectors_from_kets(projector_kets)))
         return product, weak_value.real
 

@@ -180,13 +180,13 @@ def test_the_file_path_builds_no_per_step_objects(tmp_path):
     # The reader and the builders fill Scenario's stacks, which it checks
     # once per kind; a value object per step would check every step again.
     package = SRC / "weaklab"
-    assert constructed(package / "scenario_io.py") & {"PureState", "GaussianPointer", "MeasurementStep"} == set()
+    assert constructed(package / "scenario_io.py") & {"GaussianPointer", "MeasurementStep"} == set()
     assert constructed(package / "scenarios.py") & {"GaussianPointer", "MeasurementStep"} == set()
     (tmp_path / "steps.py").write_text(
-        "steps = [wl.MeasurementStep(qm.PureState(a), GaussianPointer(s)) for a, s in pairs]\n"
+        "steps = [wl.MeasurementStep(a, GaussianPointer(s)) for a, s in pairs]\n"
         "pointer = GaussianPointer\n"
     )
-    assert constructed(tmp_path / "steps.py") == {"MeasurementStep", "PureState", "GaussianPointer"}
+    assert constructed(tmp_path / "steps.py") == {"MeasurementStep", "GaussianPointer"}
 
 
 def unpassed_defaults(modules: list[Path], names, callers: list[Path]) -> list[str]:
@@ -223,12 +223,12 @@ def test_every_public_default_is_passed_outside_the_tests(tmp_path):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: wl.PureState(np.array([1.0, 0.0])),
+        lambda: wl.SearchSpacePoint(np.array([1.0, 0.0]), np.array([[0.0, 1.0]])).decode()[0],
         lambda: wl.build_illustrative(1.0, 1.0),
         lambda: wl.SearchSpacePoint(np.array([1.0, 0.0]), np.array([[0.0, 1.0]])),
         lambda: wl.OptimizationResult(-0.125, wl.SearchSpacePoint(np.ones(2), np.ones((1, 2))), 7, ((7, -0.125),)),
     ],
-    ids=["PureState", "Scenario", "SearchSpacePoint", "OptimizationResult"],
+    ids=["decoded state", "Scenario", "SearchSpacePoint", "OptimizationResult"],
 )
 def test_array_holding_values_compare_by_identity(make):
     # Field equality on arrays could only raise ValueError, and a field hash TypeError.

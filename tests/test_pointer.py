@@ -39,7 +39,7 @@ def one_step(sigma):
     """A one-step scenario whose pointer has width ``sigma``: the pointer
     holds its width as given, and the scenario checks it."""
     step = wl.MeasurementStep(np.diag([1.0, -1.0]), wl.GaussianPointer(sigma))
-    return wl.Scenario(wl.KET_0.amplitudes, steps=[step])
+    return wl.Scenario(wl.KET_0, steps=[step])
 
 
 def wavefunction(ptr, center, x):
@@ -119,7 +119,7 @@ class TestWidthArrays:
         # narrowest accepted width the tables build, and the stack's other
         # widths keep their own tables.
         with pytest.raises(InputError, match=re.escape(f"{WIDTH_RULE}, got 1e-170")):
-            wl.Scenario(wl.KET_0.amplitudes, np.stack([np.diag([1.0, -1.0])] * 3), [1.0, 1e-170, 2.0])
+            wl.Scenario(wl.KET_0, np.stack([np.diag([1.0, -1.0])] * 3), [1.0, 1e-170, 2.0])
         widths, eigenvalues = np.array([1.0, NARROWEST, 2.0]), np.array([0.0, 1.0])
         with np.errstate(all="ignore"):
             tables = _step_tables(eigenvalues, widths, (PointerOperatorKind.MOMENTUM,))

@@ -13,42 +13,41 @@ from weaklab.scenario_io import scenario_from_dict
 
 from instances import random_density, random_ket, random_observable
 
-KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
+KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 SIGMA_Z = np.diag([1.0, -1.0])
 
 
-def scenario_with(initial=wl.KET_0.amplitudes, observable=SIGMA_Z, post=None):
+def scenario_with(initial=wl.KET_0, observable=SIGMA_Z, post=None):
     """A one-step scenario around the input under test."""
     return wl.Scenario(initial, [observable], [1.0], post)
 
 
 class TestStates:
-    def test_pure_state_norm_enforced(self):
+    def test_ket_norm_enforced(self):
+        for theta in (0.0, 0.3, -2.0):
+            qm.check_kets(wl.qubit_ket(theta))
+        qm.check_kets(wl.KET_0)
         with pytest.raises(InputError, match=re.escape("state squared norm is 2.0, expected 1")):
-            wl.PureState(np.array([1.0, 1.0]))
-
-    @pytest.mark.parametrize("shape", [(2, 2), (2, 1)])
-    def test_pure_state_refuses_amplitudes_that_are_not_one_dimensional(self, shape):
-        # A (2, 2) array of entries 1/2 has unit squared norm as four amplitudes.
-        amplitudes = np.full(shape, 1.0) / math.sqrt(math.prod(shape))
-        with pytest.raises(DimensionMismatch, match=re.escape(f"state vector must be one-dimensional, got shape {shape}")):
-            wl.PureState(amplitudes)
+            scenario_with(np.array([1.0, 1.0]))
+        # cos and sin of a complex angle make a Hermitian |k><k| of any norm
+        with pytest.raises(TypeError):
+            wl.qubit_ket(1.0 + 1.0j)
 
     def test_a_ket_passes_exactly_when_its_density_does(self):
         # |psi|^2 = 1 + 0.8e-12 passes both checks, 1 + 1.8e-12 fails both;
         # a rule on |psi| itself once passed the second and failed its density.
-        qm.check_densities(wl.PureState(np.array([1 + 0.4e-12, 0.0])).to_density())
+        qm.check_densities(wl.projector_from_ket(np.array([1 + 0.4e-12, 0.0])))
         too_long = np.array([1 + 0.9e-12, 0.0])
         with pytest.raises(InputError, match=re.escape("state squared norm is 1.0000000000018, expected 1")):
-            wl.PureState(too_long)
+            scenario_with(too_long)
         with pytest.raises(InputError, match=re.escape("density matrix trace is 1.0000000000018, expected 1")):
             scenario_with(np.outer(too_long, too_long))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_to_density_needs_no_second_check(self, d):
-        # to_density skips check_densities, and Scenario checks a ket by
-        # check_kets alone: around the norm bound, a ket and its density
-        # matrix must pass or fail together.
+        # A search point's to_density skips check_densities, and Scenario
+        # checks a ket by check_kets alone: around the norm bound, a ket and
+        # its density matrix must pass or fail together.
         rng = np.random.default_rng(d)
         for _ in range(400):
             ket = qm.kets_from_normals(rng.standard_normal((2, d))) * math.sqrt(1 + rng.uniform(-2e-12, 2e-12))
@@ -61,29 +60,30 @@ class TestStates:
                     verdicts.append(False)
             assert verdicts[0] == verdicts[1]
 
-    def test_pure_state_min_dimension(self):
-        with pytest.raises(InputError, match="^state dimension must be at least 2, got 1$"):
-            wl.PureState(np.array([1.0]))
-
     def test_to_density(self):
-        rho = KET_PLUS.to_density()
+        # a real ket gives the complex projector that a complex one does
+        rho = wl.projector_from_ket(KET_PLUS)
         assert np.allclose(rho, np.full((2, 2), 0.5))
         assert rho.dtype == complex and not rho.flags.writeable
+        assert np.array_equal(rho, wl.projector_from_ket(KET_PLUS.astype(complex)))
 
     def test_immutability(self):
-        ket = wl.PureState(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            ket.amplitudes[0] = 2.0
+        for ket in (wl.KET_0, wl.qubit_ket(0.3)):
+            with pytest.raises(ValueError):
+                ket[0] = 2.0
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 3, -2.0])
     def test_qubit_ket(self, theta):
-        amplitudes = wl.qubit_ket(theta).amplitudes
-        assert np.array_equal(amplitudes, [math.cos(theta), math.sin(theta)])
-        assert np.linalg.norm(amplitudes) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+        ket = wl.qubit_ket(theta)
+        assert ket.shape == (2,) and ket.dtype == complex
+        assert np.array_equal(ket, [math.cos(theta), math.sin(theta)])
+        assert np.linalg.norm(ket) == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
     def test_qubit_constants_are_frozen_arrays(self):
-        for matrix in (wl.SIGMA_X, wl.SIGMA_Y):
-            assert matrix.dtype == complex and not matrix.flags.writeable
+        for array in (wl.KET_0, wl.SIGMA_X, wl.SIGMA_Y):
+            assert array.dtype == complex and not array.flags.writeable
+        assert np.array_equal(wl.KET_0, [1.0, 0.0]) and wl.KET_0.shape == (2,)
+        assert wl.Scenario(wl.KET_0, [wl.SIGMA_X], [1.0]).dim == 2
         assert np.array_equal(wl.SIGMA_Y @ wl.SIGMA_X, np.diag([-1j, 1j]))
 
 
@@ -96,7 +96,6 @@ class TestScenarioInputs:
     @pytest.mark.parametrize(
         "make,message",
         [
-            (lambda z: wl.PureState(np.array([1.0, z])), "state vector has a non-finite entry"),
             (lambda z: scenario_with(np.array([1.0, z])), "state vector has a non-finite entry"),
             (lambda z: scenario_with(np.array([[1.0, 0.0], [0.0, z]])), "density matrix has a non-finite entry"),
             (lambda z: scenario_with(observable=np.array([[z, 0.0], [0.0, 1.0]])), "observable has a non-finite entry"),
@@ -132,8 +131,8 @@ class TestScenarioInputs:
             scenario_with(post=np.zeros(shape))
 
     def test_a_ket_and_its_density_give_the_same_scenario(self):
-        from_ket = scenario_with(KET_PLUS.amplitudes)
-        from_density = scenario_with(KET_PLUS.to_density())
+        from_ket = scenario_with(KET_PLUS)
+        from_density = scenario_with(wl.projector_from_ket(KET_PLUS))
         assert np.array_equal(from_ket.initial, from_density.initial)
         assert from_ket.dim == from_density.dim == 2
 
@@ -258,7 +257,7 @@ class TestStackedInstances:
     def test_kets_match_random_ket_to_the_last_bit(self):
         for d in (2, 3, 4, 5):
             rng = np.random.default_rng(d)
-            expected = np.array([random_ket(rng, d).amplitudes for _ in range(40)])
+            expected = np.array([random_ket(rng, d) for _ in range(40)])
             normals = np.random.default_rng(d).standard_normal((40, 2, d))
             assert np.array_equal(qm.kets_from_normals(normals), expected)
 
@@ -270,7 +269,7 @@ class TestStackedInstances:
         assert np.array_equal(qm.observables_from_normals(normals[:, 1]), [obs for _, obs in expected])
 
     def test_projectors_from_kets(self):
-        kets = np.array([wl.KET_0.amplitudes, KET_PLUS.amplitudes])
+        kets = np.array([wl.KET_0, KET_PLUS])
         expected = [wl.projector_from_ket(wl.KET_0), wl.projector_from_ket(KET_PLUS)]
         assert np.array_equal(qm.projectors_from_kets(kets), expected)
 
@@ -310,7 +309,7 @@ class TestProjectorFromKet:
 
     def test_tilted_state_corner_entry(self):
         # amplitudes (1/2, sqrt(3)/2): top-left entry is |1/2|^2 = 1/4
-        ket = wl.PureState(np.array([0.5, np.sqrt(3.0) / 2.0]))
+        ket = np.array([0.5, np.sqrt(3.0) / 2.0])
         assert wl.projector_from_ket(ket)[0, 0] == pytest.approx(0.25)
 
     def test_idempotent(self):

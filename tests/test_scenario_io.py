@@ -11,7 +11,7 @@ import weaklab as wl
 from weaklab.errors import ScenarioFileError, WeakLabError
 from weaklab.scenario_io import scenario_from_dict
 
-KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
+KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
 def pair(z):
@@ -298,7 +298,7 @@ class TestReaderContract:
             pairs.append((scn.initial, self.oracle(doc["initial"])))
         else:
             ket = np.array([complex(re, im) for re, im in doc["initial"]])
-            pairs.append((scn.initial, wl.PureState(ket).to_density()))
+            pairs.append((scn.initial, wl.projector_from_ket(ket)))
         if doc["postselect"] is not None:
             pairs.append((scn.post, self.oracle(doc["postselect"])))
         for got, want in pairs:
@@ -317,7 +317,7 @@ class TestReaderContract:
         self.assert_bitwise_equal(observable, self.oracle(doc["steps"][0]["observable"]))
         assert np.signbit(observable.real).tolist() == [[False, True], [True, False]]
         assert np.signbit(observable.imag).tolist() == [[True, False], [True, True]]
-        want = wl.PureState(np.array([complex(1.0, -0.0), complex(-0.0, 0.0)])).to_density()
+        want = wl.projector_from_ket(np.array([complex(1.0, -0.0), complex(-0.0, 0.0)]))
         self.assert_bitwise_equal(scn.initial, want)
 
 
@@ -379,14 +379,14 @@ class TestRoundTrip:
         )
 
     def test_roundtrip_with_postselection(self, write_scenario):
-        ket = wl.PureState(np.array([np.cos(0.3), np.exp(0.8j) * np.sin(0.3)]))
+        ket = np.array([np.cos(0.3), np.exp(0.8j) * np.sin(0.3)])
         scn = wl.Scenario(
-            initial=KET_PLUS.to_density(),
+            initial=KET_PLUS,
             steps=(
                 wl.MeasurementStep(wl.SIGMA_Y, wl.GaussianPointer(2.0)),
                 wl.MeasurementStep(wl.SIGMA_X, wl.GaussianPointer(3.0)),
             ),
-            post=np.outer(ket.amplitudes, ket.amplitudes.conj()),
+            post=np.outer(ket, ket.conj()),
         )
         loaded = wl.load_scenario(write_scenario(scn, "post.json"))
         for text in ("xx", "px", "pp", "XX"):
@@ -466,7 +466,7 @@ class TestEachInputCheckedOnce:
         assert calls == {"check_kets": 1, "check_observables": 1, "check_widths": 1}
 
     def test_density_file_with_post_selection(self, write_scenario, calls):
-        scn = wl.Scenario(KET_PLUS.to_density(), [wl.SIGMA_Y, wl.SIGMA_X], [2.0, 3.0], np.diag([1.0, 0.0]))
+        scn = wl.Scenario(wl.projector_from_ket(KET_PLUS), [wl.SIGMA_Y, wl.SIGMA_X], [2.0, 3.0], np.diag([1.0, 0.0]))
         path = write_scenario(scn)
         calls.clear()
         wl.load_scenario(path)
@@ -489,17 +489,28 @@ class TestEachInputCheckedOnce:
         assert calls == {"check_kets": 1, "check_observables": 1, "check_widths": 1}
 
     def test_search_point_through_steps(self, calls):
-        # The path of bench/run.py: a search point's state, checked as a
-        # ket, and its projectors and widths, checked only in the
-        # Scenario's stacks; the pointers hold their widths unchecked.
+        # The path of bench/run.py: a search point's state, checked only as
+        # the Scenario's density matrix, and its projectors and widths,
+        # checked only in the Scenario's stacks; the pointers hold their
+        # widths unchecked.
         kets = wl.qm.kets_from_normals(np.random.default_rng(3).standard_normal((5, 2, 3)))
         state, projectors = wl.SearchSpacePoint(kets[0], kets[1:]).decode()
         steps = [wl.MeasurementStep(p, wl.GaussianPointer(0.7)) for p in projectors]
         wl.Scenario(initial=state.to_density(), steps=steps)
-        assert calls == {"check_kets": 1, "check_densities": 1, "check_observables": 1, "check_widths": 1}
+        assert calls == {"check_densities": 1, "check_observables": 1, "check_widths": 1}
+
+    def test_decode_checks_nothing(self, calls):
+        # decode() holds the state ket unchecked; its density matrix is the
+        # ket's frozen projector, bit for bit, for the Scenario to check.
+        kets = wl.qm.kets_from_normals(np.random.default_rng(4).standard_normal((4, 2, 3)))
+        point = wl.SearchSpacePoint(kets[0], kets[1:])
+        density = point.decode()[0].to_density()
+        assert calls == {}
+        assert density.tobytes() == wl.projector_from_ket(point.state).tobytes()
+        assert density.dtype == complex and not density.flags.writeable
 
     def test_engines_check_nothing_again(self, calls):
-        scn = wl.Scenario(KET_PLUS.amplitudes, [wl.SIGMA_Y, wl.SIGMA_X], [20.0, 30.0], np.diag([1.0, 0.0]))
+        scn = wl.Scenario(KET_PLUS, [wl.SIGMA_Y, wl.SIGMA_X], [20.0, 30.0], np.diag([1.0, 0.0]))
         calls.clear()
         assert wl.steps_outside_weak_regime(scn) == ()
         wl.exact_moment(scn, wl.MomentPattern.from_string("xx"))

@@ -113,7 +113,7 @@ class TestProjectorChain:
 
 class TestCommonCause:
     def test_product_state_aligned_projectors(self):
-        shared = np.kron(wl.KET_0.amplitudes, wl.KET_0.amplitudes)
+        shared = np.kron(wl.KET_0, wl.KET_0)
         proj = wl.projector_from_ket(wl.KET_0)
         scn = wl.build_common_cause(shared, proj, proj, 1.0, 1.0)
         got = wl.exact_moment(scn, wl.MomentPattern.from_string("xx")).value
@@ -131,7 +131,7 @@ class TestCommonCause:
         rng = np.random.default_rng(23)
         pattern = wl.MomentPattern.from_string("xx")
         for _ in range(25):
-            shared = random_ket(rng, 4).amplitudes
+            shared = random_ket(rng, 4)
             first = wl.projector_from_ket(random_ket(rng, 2))
             second = wl.projector_from_ket(random_ket(rng, 2))
             scn = wl.build_common_cause(
@@ -153,7 +153,7 @@ class TestCommonCause:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match=r"are not \(n, 2, 2\) and \(n,\) for state dimension 2"):
-            wl.build_common_cause(wl.KET_0.amplitudes, wl.SIGMA_X, wl.SIGMA_Y, 1.0, 1.0)
+            wl.build_common_cause(wl.KET_0, wl.SIGMA_X, wl.SIGMA_Y, 1.0, 1.0)
 
     def test_a_shared_density_matrix_serves_as_well(self):
         shared = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
@@ -195,7 +195,7 @@ class TestCausalWitness:
         rng = np.random.default_rng(29)
         pattern = wl.MomentPattern.from_string("xx")
         for _ in range(50):
-            shared = random_ket(rng, 4).amplitudes
+            shared = random_ket(rng, 4)
             scn = wl.build_common_cause(
                 shared,
                 wl.projector_from_ket(random_ket(rng, 2)),
@@ -213,9 +213,9 @@ class TestCausalWitness:
         with its <x1 x2> and <x1^2 x2^2>."""
         def projector(degrees):
             angle = math.radians(degrees)
-            return wl.projector_from_ket(wl.PureState(np.array([math.cos(angle), math.sin(angle)])))
+            return wl.projector_from_ket(np.array([math.cos(angle), math.sin(angle)]))
 
-        scn = wl.Scenario(wl.KET_0.to_density(), np.array([projector(58.2), projector(116.5)]), np.array([0.81, 8e-9]))
+        scn = wl.Scenario(wl.KET_0, np.array([projector(58.2), projector(116.5)]), np.array([0.81, 8e-9]))
         xx, XX = (wl.exact_moment(scn, wl.MomentPattern.from_string(letters)).value for letters in ("xx", "XX"))
         return scn, xx, XX
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import kolmogi, ndtr
 
 import weaklab as wl
 from weaklab import errors, pointer, qm, simulator
@@ -40,7 +41,7 @@ from instances import (
 X = PointerOperatorKind.POSITION
 P = PointerOperatorKind.MOMENTUM
 I = PointerOperatorKind.IDENTITY
-KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
+KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 SIGMA_Z = np.diag([1.0, -1.0])
 WIDEST = math.sqrt(sys.float_info.max)  # the widest pointer width accepted
 
@@ -173,11 +174,11 @@ class TestScenarioTypes:
     def test_steps_refused_beside_stacks(self, given):
         steps = (wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(1.0)),)
         with pytest.raises(InputError, match="give a scenario's steps or its observables and widths, not both"):
-            wl.Scenario(wl.KET_0.to_density(), steps=steps, **given)
+            wl.Scenario(wl.KET_0, steps=steps, **given)
 
     def test_scenario_needs_a_step(self):
         with pytest.raises(InputError, match="needs at least one measurement step"):
-            wl.Scenario(wl.KET_0.to_density(), [])
+            wl.Scenario(wl.KET_0, [])
 
     def test_post_selection_dimension_check(self):
         scn = wl.build_illustrative(1.0, 1.0)
@@ -202,12 +203,17 @@ class TestScenarioTypes:
         assert wl.exact_moment(scn, wl.MomentPattern(["x", "x"])) == wl.exact_moment(scn, wl.MomentPattern([X, X]))
 
     @pytest.mark.parametrize(
-        "build, shown",
-        [(lambda: wl.MomentPattern(["q"]), "['q']"), (lambda: wl.MomentPattern.from_string("xq"), "'xq'")],
-        ids=["constructor", "from-string"],
+        "build, shown, reason",
+        [
+            (lambda: wl.MomentPattern(["q"]), "['q']", "'q' is not a valid PointerOperatorKind"),
+            (lambda: wl.MomentPattern.from_string("xq"), "'xq'", "'q' is not a valid PointerOperatorKind"),
+            (lambda: wl.MomentPattern(None), "None", "'NoneType' object is not iterable"),
+            (lambda: wl.MomentPattern(5), "5", "'int' object is not iterable"),
+        ],
+        ids=["constructor", "from-string", "none", "integer"],
     )
-    def test_pattern_refuses_other_kinds_when_built(self, build, shown):
-        message = f"bad pattern {shown}: 'q' is not a valid PointerOperatorKind; use i/x/X/p/P"
+    def test_pattern_refuses_other_kinds_when_built(self, build, shown, reason):
+        message = f"bad pattern {shown}: {reason}; use i/x/X/p/P"
         with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
             build()
 
@@ -292,7 +298,7 @@ class TestExactEngine:
 
     def test_postselection_probability_reported(self):
         scn = wl.Scenario(
-            initial=KET_PLUS.to_density(),
+            initial=KET_PLUS,
             steps=(wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(100.0)),),
             post=np.diag([1.0, 0.0]),
         )
@@ -346,7 +352,7 @@ class TestExactEngine:
             n = int(rng.integers(1, 9))
             scn = random_scenario(rng, d, n, with_post=trial % 2 == 1, sigma_range=(0.3, 300.0))
             if trial % 4 < 2:
-                scn = dataclasses.replace(scn, initial=random_ket(rng, d).to_density())
+                scn = dataclasses.replace(scn, initial=wl.projector_from_ket(random_ket(rng, d)))
             try:
                 expected = self.single_slot_oracle(scn)
             except ZeroPostSelectionProbability:
@@ -415,7 +421,7 @@ class TestExactEngine:
 
     def test_orthogonal_postselection_raises(self):
         scn = wl.Scenario(
-            initial=wl.KET_0.to_density(),
+            initial=wl.KET_0,
             steps=(wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(1.0)),),
             post=np.diag([0.0, 1.0]),
         )
@@ -505,23 +511,23 @@ class TestWeakEngine:
         for _ in range(20):
             psi = random_ket(rng, 2)
             phi = random_ket(rng, 2)
-            if abs(psi.amplitudes.conj() @ phi.amplitudes) < 1e-3:
+            if abs(psi.conj() @ phi) < 1e-3:
                 continue
             first = random_observable(rng, 2)
             second = random_observable(rng, 2)
             scn = wl.Scenario(
-                initial=psi.to_density(),
+                initial=psi,
                 steps=(
                     wl.MeasurementStep(first, wl.GaussianPointer(3.0)),
                     wl.MeasurementStep(second, wl.GaussianPointer(4.0)),
                 ),
-                post=np.outer(phi.amplitudes, phi.amplitudes.conj()),
+                post=np.outer(phi, phi.conj()),
             )
             got = wl.weak_prediction(scn, wl.MomentPattern([X, X])).value
-            overlap = phi.amplitudes.conj() @ psi.amplitudes
-            wv_seq = (phi.amplitudes.conj() @ second @ first @ psi.amplitudes) / overlap
-            wv_a = (phi.amplitudes.conj() @ first @ psi.amplitudes) / overlap
-            wv_b = (phi.amplitudes.conj() @ second @ psi.amplitudes) / overlap
+            overlap = phi.conj() @ psi
+            wv_seq = (phi.conj() @ second @ first @ psi) / overlap
+            wv_a = (phi.conj() @ first @ psi) / overlap
+            wv_b = (phi.conj() @ second @ psi) / overlap
             want = 0.5 * (wv_seq.real + (wv_a * wv_b.conjugate()).real)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -539,7 +545,7 @@ class TestWeakEngine:
             scn = wl.Scenario(
                 initial=random_density(rng, 2),
                 steps=steps,
-                post=np.outer(ket.amplitudes, ket.amplitudes.conj()),
+                post=np.outer(ket, ket.conj()),
             )
             if wl.exact_moment(scn, wl.MomentPattern([X, X, X])).postselection_probability < 0.05:
                 continue
@@ -575,7 +581,7 @@ class TestWeakEngine:
         # shrink it at least 8 x.
         rng = np.random.default_rng(seed)
         steps = tuple(wl.MeasurementStep(random_unit_hermitian(rng, d), wl.GaussianPointer(40.0)) for _ in range(n))
-        post = qm.projectors_from_kets(random_ket(rng, d).amplitudes) if with_post else None
+        post = qm.projectors_from_kets(random_ket(rng, d)) if with_post else None
         scn = wl.Scenario(initial=random_density(rng, d), steps=steps, post=post)
         pattern = wl.MomentPattern.from_string("".join(letters[:n]))
         gaps = []
@@ -937,6 +943,22 @@ class TestSweepMoments:
         with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
             simulator.sweep_moments(wl.build_illustrative(1.0, 1.0), wl.MomentPattern.all_position(2), index, np.ones(3))
 
+    @pytest.mark.parametrize("widths", [np.ones((2, 2)), np.ones((1, 3)), 1.0], ids=["2x2", "1x3", "scalar"])
+    def test_widths_that_are_not_one_dimensional_are_refused_before_work(self, monkeypatch, widths):
+        def untouched(*args):
+            raise AssertionError("sweep started work before checking its widths")
+
+        monkeypatch.setattr(simulator, "_forward", untouched)
+        message = f"swept widths must be one-dimensional, got shape {np.shape(widths)}"
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            simulator.sweep_moments(wl.build_illustrative(1.0, 1.0), wl.MomentPattern.all_position(2), 0, widths)
+
+    def test_a_list_of_widths_sweeps_as_its_array(self):
+        scn, pattern = wl.build_illustrative(1.0, 1.0), wl.MomentPattern.from_string("xp")
+        want = simulator.sweep_moments(scn, pattern, 0, np.array([1.0, 2.0, 3.0]))
+        got = simulator.sweep_moments(scn, pattern, 0, [1.0, 2, 3.0])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
     def test_numpy_integer_index_sweeps_the_same_step(self):
         scn, pattern, widths = wl.build_illustrative(1.0, 1.0), wl.MomentPattern.from_string("xp"), np.geomspace(0.5, 5.0, 7)
         want = simulator.sweep_moments(scn, pattern, 1, widths)
@@ -1011,7 +1033,7 @@ class TestNestedAnticommutator:
 class TestSampler:
     def test_eigenstate_single_measurement(self):
         scn = wl.Scenario(
-            initial=wl.KET_0.to_density(),
+            initial=wl.KET_0,
             steps=(wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(1.0)),),
         )
         samples, stats = wl.sample_outcomes(scn, 20000, seed=3)
@@ -1108,9 +1130,44 @@ class TestSampler:
             z = (readout.mean() - exact) / (readout.std(ddof=1) / math.sqrt(readout.size))
             assert abs(z) < 4.0, (text, z)
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: wl.build_illustrative(2.0, 0.7),
+            lambda: wl.build_pauli_xy(1.0, 1.0),
+            lambda: wl.build_projector_chain(5, 1.0),
+            lambda: wl.Scenario([1, 0], [wl.SIGMA_Y, wl.SIGMA_X], [0.8, 1.3], post=[[1, 0], [0, 0]]),
+        ],
+        ids=["illustrative-2-0.7", "pauli-xy", "chain-5", "pauli-yx-post"],
+    )
+    def test_position_marginals_follow_the_exact_law(self, build, seed):
+        # Slot j's exact CDF is P(x_j <= t) = Tr(E_j (F(t) o rho_j)) / Tr(eta),
+        # F(t)[k, l] = ov_kl Phi((t - m_kl) / sigma_j) with m_kl = (a_k + a_l)/2,
+        # between the identity-table passes, as position_moments contracts
+        # slot j. The largest sqrt(m) D_KS of the k slots is held to the
+        # family-wise 5% Kolmogorov quantile.
+        scn = build()
+        samples = wl.sample_outcomes(scn, 200_000, seed=seed)[0]
+        eigenvalues, bases = scn.spectrum
+        turns = simulator._turns(bases)
+        tables = pointer._step_tables(eigenvalues, scn.widths, (I,))
+        *states, after = simulator._forward(scn.initial, turns, tables)
+        effects = list(simulator._backward(simulator._last_effect(bases, scn.post), turns, tables))[::-1]
+        probability = simulator._close(after, bases, scn.post)[0].real
+        bound = kolmogi(1 - 0.95 ** (1 / scn.n_steps))
+        for j, (state, effect) in enumerate(zip(states, effects)):
+            readings = np.sort(samples[:, j])[:, np.newaxis, np.newaxis]
+            mean = 0.5 * (eigenvalues[j, :, np.newaxis] + eigenvalues[j, np.newaxis, :])
+            table = tables[j, 0] * ndtr((readings - mean) / scn.widths[j])
+            cdf = simulator._slot(effect[0], table, state[0]).real / probability
+            m = len(cdf)
+            distance = max((np.arange(1, m + 1) / m - cdf).max(), (cdf - np.arange(m) / m).max())
+            assert math.sqrt(m) * distance < bound, (j, math.sqrt(m) * distance, bound)
+
     def test_postselection_retention(self):
         scn = wl.Scenario(
-            initial=KET_PLUS.to_density(),
+            initial=KET_PLUS,
             steps=(wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(3.0)),),
             post=np.diag([1.0, 0.0]),
         )
@@ -1235,7 +1292,7 @@ class TestSampler:
             raise AssertionError("sampler drew shots for a zero post-selection probability")
 
         monkeypatch.setattr(np.random, "default_rng", undrawn)
-        scn = wl.Scenario(qm.KET_0.amplitudes, [SIGMA_Z], [1.0], np.diag([0.0, 1.0]))
+        scn = wl.Scenario(qm.KET_0, [SIGMA_Z], [1.0], np.diag([0.0, 1.0]))
         with pytest.raises(ZeroPostSelectionProbability):
             wl.sample_outcomes(scn, 100, seed=1)
 
@@ -1343,7 +1400,7 @@ class TestProbabilityScale:
         assert stats.postselection_probability == wl.position_moments(scn)[0].postselection_probability
 
     def test_orthogonal_effect_is_refused(self):
-        scn = wl.Scenario(qm.KET_0.amplitudes, [SIGMA_Z], [1.0], np.diag([0.0, 1.0]))
+        scn = wl.Scenario(qm.KET_0, [SIGMA_Z], [1.0], np.diag([0.0, 1.0]))
         message = "^" + re.escape("post-selection probability 0.000e+00 is at or below 1e-14") + "$"
         for engine in (
             lambda: wl.exact_moment(scn, wl.MomentPattern.from_string("x")),

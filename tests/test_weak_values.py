@@ -27,13 +27,13 @@ from instances import (
     unit_scenario,
 )
 
-KET_PLUS = wl.PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
+KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 SIGMA_Z = np.diag([1.0, -1.0])
 
 
 def illustrative_pair():
-    psi_1 = wl.PureState(np.array([0.5, math.sqrt(3.0) / 2.0]))
-    psi_2 = wl.PureState(np.array([0.5, -math.sqrt(3.0) / 2.0]))
+    psi_1 = np.array([0.5, math.sqrt(3.0) / 2.0])
+    psi_2 = np.array([0.5, -math.sqrt(3.0) / 2.0])
     return wl.projector_from_ket(psi_1), wl.projector_from_ket(psi_2)
 
 
@@ -52,13 +52,13 @@ def norm_product(observables):
 
 def pair_value(psi, first, second):
     """Re <psi| second first |psi>, the no-post-selection weak value of a pair."""
-    return wl.seq_weak_value(unit_scenario(psi.to_density(), stack([first, second]))).real
+    return wl.seq_weak_value(unit_scenario(psi, stack([first, second]))).real
 
 
 class TestSequence:
     def test_empty_rejected(self):
         with pytest.raises(InputError, match="^a scenario needs at least one measurement step$"):
-            wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), np.empty((0, 2, 2))))
+            wl.seq_weak_value(unit_scenario(wl.KET_0, np.empty((0, 2, 2))))
 
     @pytest.mark.parametrize(
         "observables",
@@ -67,11 +67,11 @@ class TestSequence:
     )
     def test_wrong_shape_stack_rejected(self, observables):
         with pytest.raises(DimensionMismatch, match=r"are not \(n, 2, 2\)"):
-            wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), observables))
+            wl.seq_weak_value(unit_scenario(wl.KET_0, observables))
 
     def test_effect_dimension_rejected(self):
         with pytest.raises(DimensionMismatch, match="^post-selection dimension 3 != state dimension 2$"):
-            wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), stack([SIGMA_Z]), np.eye(3)))
+            wl.seq_weak_value(unit_scenario(wl.KET_0, stack([SIGMA_Z]), np.eye(3)))
 
     @pytest.mark.parametrize(
         "rho,post,message",
@@ -94,12 +94,12 @@ class TestSequence:
         with pytest.raises(DimensionMismatch, match=re.escape("density matrix must be a square matrix, got shape (2, 3)")):
             wl.seq_weak_value(unit_scenario(np.zeros((2, 3)), stack([SIGMA_Z])))
         with pytest.raises(DimensionMismatch, match=re.escape("POVM element must be a square matrix, got shape (2, 3)")):
-            wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), stack([SIGMA_Z]), np.zeros((2, 3))))
+            wl.seq_weak_value(unit_scenario(wl.KET_0, stack([SIGMA_Z]), np.zeros((2, 3))))
 
     def test_ordered_product_order(self):
         # Tr(E X Y rho), not Tr(E Y X rho): the first factor acts first, and
         # the effect E is the last.
-        rho = wl.KET_0.to_density()
+        rho = wl.projector_from_ket(wl.KET_0)
         post = wl.projector_from_ket(KET_PLUS)
         factors = np.array([wl.SIGMA_Y, wl.SIGMA_X, post])
         want = np.trace(post @ wl.SIGMA_X @ wl.SIGMA_Y @ rho)
@@ -109,12 +109,12 @@ class TestSequence:
 class TestSeqWeakValues:
     def test_illustrative_pair_value(self):
         first, second = illustrative_pair()
-        wv = wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), stack([first, second])))
+        wv = wl.seq_weak_value(unit_scenario(wl.KET_0, stack([first, second])))
         assert wv == pytest.approx(-0.125, abs=1e-15)
         assert type(wv) is complex
 
     def test_pauli_pair_imaginary(self):
-        wv = wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), stack([wl.SIGMA_Y, wl.SIGMA_X])))
+        wv = wl.seq_weak_value(unit_scenario(wl.KET_0, stack([wl.SIGMA_Y, wl.SIGMA_X])))
         assert wv == pytest.approx(1.0j, abs=1e-15)
 
     def test_chain_of_two(self):
@@ -124,21 +124,21 @@ class TestSeqWeakValues:
 
     def test_single_observable_postselected(self):
         post = np.diag([1.0, 0.0])
-        wv = wl.seq_weak_value(unit_scenario(KET_PLUS.to_density(), stack([SIGMA_Z]), post))
+        wv = wl.seq_weak_value(unit_scenario(KET_PLUS, stack([SIGMA_Z]), post))
         assert wv == pytest.approx(1.0)
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
     def test_amplification_scaling(self, eps):
         vec = np.array([eps, 1.0])
-        psi = wl.PureState(vec / np.linalg.norm(vec))
+        psi = vec / np.linalg.norm(vec)
         post = np.diag([1.0, 0.0])
-        wv = wl.seq_weak_value(unit_scenario(psi.to_density(), stack([wl.SIGMA_X]), post))
+        wv = wl.seq_weak_value(unit_scenario(psi, stack([wl.SIGMA_X]), post))
         assert wv == pytest.approx(1.0 / eps, rel=1e-9)
 
     def test_orthogonal_postselection_rejected(self):
         post = np.diag([0.0, 1.0])
         with pytest.raises(ZeroPostSelectionProbability):
-            wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), stack([wl.SIGMA_X]), post))
+            wl.seq_weak_value(unit_scenario(wl.KET_0, stack([wl.SIGMA_X]), post))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -226,7 +226,7 @@ class TestBounds:
         seq = [wl.SIGMA_Y, wl.SIGMA_X]
         bound = norm_product(seq)
         assert bound == pytest.approx(1.0)
-        wv = wl.seq_weak_value(unit_scenario(wl.KET_0.to_density(), stack(seq)))
+        wv = wl.seq_weak_value(unit_scenario(wl.KET_0, stack(seq)))
         assert abs(wv) == pytest.approx(bound)
 
     def test_scaled_paulis(self):
@@ -249,9 +249,9 @@ class TestBounds:
             seq = [random_observable(rng, 3) for _ in range(3)]
             kets = [random_ket(rng, 3) for _ in range(3)]
             q = rng.dirichlet(np.ones(3))
-            mixed = sum(w * k.to_density() for w, k in zip(q, kets))
+            mixed = sum(w * wl.projector_from_ket(k) for w, k in zip(q, kets))
             direct = wl.seq_weak_value(unit_scenario(mixed, stack(seq)))
-            combined = sum(w * wl.seq_weak_value(unit_scenario(k.to_density(), stack(seq))) for w, k in zip(q, kets))
+            combined = sum(w * wl.seq_weak_value(unit_scenario(k, stack(seq))) for w, k in zip(q, kets))
             assert direct == pytest.approx(combined, abs=1e-12)
 
     def test_reselection_matches_no_postselection(self):
@@ -259,8 +259,8 @@ class TestBounds:
         for _ in range(20):
             psi = random_ket(rng, 3)
             seq = [random_observable(rng, 3) for _ in range(2)]
-            no_post = wl.seq_weak_value(unit_scenario(psi.to_density(), stack(seq)))
-            reselect = wl.seq_weak_value(unit_scenario(psi.to_density(), stack(seq), psi.to_density()))
+            no_post = wl.seq_weak_value(unit_scenario(psi, stack(seq)))
+            reselect = wl.seq_weak_value(unit_scenario(psi, stack(seq), wl.projector_from_ket(psi)))
             assert no_post == pytest.approx(reselect, abs=1e-12)
 
     def test_commuting_sequence_stays_in_hull(self):
@@ -285,7 +285,7 @@ class TestBounds:
                 basis = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
                 pair.append(basis @ np.diag([1.0, -1.0]) @ basis.conj().T)
             psi = random_ket(rng, 2)
-            wv = wl.seq_weak_value(unit_scenario(psi.to_density(), stack(pair)))
+            wv = wl.seq_weak_value(unit_scenario(psi, stack(pair)))
             assert abs(wv) <= 1.0 + 1e-12
 
     def test_chain_closed_form_and_monotonicity(self):
