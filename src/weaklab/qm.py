@@ -1,9 +1,9 @@
 """Finite-dimensional complex Hilbert-space algebra.
 
-States, observables and effects are plain complex arrays. The stacked
-checks here serve ``simulator.Scenario``, which checks each input once
-and holds it frozen; the stacks of random instances below are valid by
-construction.
+States, observables and effects are plain complex arrays. The rules and
+checks here serve ``simulator.Scenario``, which checks its inputs in one
+pass and holds them frozen; the stacks of random instances below are
+valid by construction.
 """
 
 from __future__ import annotations
@@ -17,8 +17,29 @@ NORM_TOL = 1e-12          # absolute: states and effects are unit-scale
 PSD_TOL = 1e-12           # absolute eigenvalue floor for states / POVM elements
 
 
-# The checks take one instance or a stack along leading axes and report a
-# stack's worst entry; near the float limit, an overflow to inf is refused.
+# Each rule is a mask over a stack's leading axes, which ``Scenario`` runs
+# once over all of its inputs, with overflow warnings off: an overflow to inf
+# is refused. The checks wrap the rules, raise on the first that refuses, and
+# report a stack's worst entry.
+
+def refused_hermitian(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermiticity rule on finite matrices: each one's largest entry
+    deviation from its adjoint, and the mask of those past
+    ``HERMITICITY_TOL`` times max(1, the matrix's largest entry)."""
+    deviations = np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return deviations, deviations > HERMITICITY_TOL * np.fmax(1.0, np.abs(matrices).max(axis=(-2, -1)))
+
+
+def refused_norms(values: np.ndarray) -> np.ndarray:
+    """The normalization rule, on kets' squared norms or on traces."""
+    return abs(values - 1.0) > NORM_TOL
+
+
+def refused_spectra(eigenvalues: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
+    """The spectrum rule on ``eigh``'s ascending eigenvalues (..., d): the
+    least below -``PSD_TOL``, or the largest above ``ceiling`` + ``PSD_TOL``."""
+    return (eigenvalues[..., 0] < -PSD_TOL) | (eigenvalues[..., -1] > ceiling + PSD_TOL)
+
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
@@ -27,8 +48,8 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
 
 @np.errstate(over="ignore")
 def _check_hermitian(matrix: np.ndarray, name: str) -> None:
-    deviations = np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    refused = deviations > HERMITICITY_TOL * np.fmax(1.0, np.abs(matrix).max(axis=(-2, -1)))
+    _check_finite(matrix, name)
+    deviations, refused = refused_hermitian(matrix)
     if refused.any():
         raise InputError(f"{name} deviates from Hermiticity by {deviations[refused].max():.3e}")
 
@@ -40,42 +61,45 @@ def check_kets(kets: np.ndarray) -> None:
     passes exactly when its density matrix passes ``check_densities``."""
     _check_finite(kets, "state vector")
     squared = (kets * kets.conj()).sum(axis=-1).real
-    deviation = abs(squared - 1.0)
-    if deviation.max() > NORM_TOL:
-        raise InputError(f"state squared norm is {float(np.ravel(squared)[deviation.argmax()])!r}, expected 1")
+    if refused_norms(squared).any():
+        raise InputError(f"state squared norm is {float(np.ravel(squared)[abs(squared - 1.0).argmax()])!r}, expected 1")
 
 
 @np.errstate(over="ignore")
 def check_densities(matrices: np.ndarray) -> None:
     """The state checks on (..., d, d) density matrices: finite, Hermitian,
     positive semidefinite, unit trace."""
-    _check_finite(matrices, "density matrix")
     _check_hermitian(matrices, "density matrix")
-    lowest = np.linalg.eigvalsh(matrices)[..., 0].min()
-    if lowest < -PSD_TOL:
-        raise InputError(f"density matrix has negative eigenvalue {lowest:.3e}")
+    eigenvalues = np.linalg.eigh(matrices)[0]
+    if refused_spectra(eigenvalues).any():
+        raise InputError(f"density matrix has negative eigenvalue {eigenvalues[..., 0].min():.3e}")
     traces = np.trace(matrices, axis1=-2, axis2=-1).real
-    deviation = abs(traces - 1.0)
-    if deviation.max() > NORM_TOL:
-        raise InputError(f"density matrix trace is {float(np.ravel(traces)[deviation.argmax()])!r}, expected 1")
+    if refused_norms(traces).any():
+        raise InputError(f"density matrix trace is {float(np.ravel(traces)[abs(traces - 1.0).argmax()])!r}, expected 1")
 
 
 def check_observables(matrices: np.ndarray) -> None:
     """The observable checks on (..., d, d) matrices: finite, Hermitian."""
-    _check_finite(matrices, "observable")
     _check_hermitian(matrices, "observable")
 
 
-def check_effects(matrices: np.ndarray) -> np.ndarray:
+def check_effects(matrices: np.ndarray) -> None:
     """The effect checks on (..., d, d) matrices: finite, Hermitian,
-    spectrum in [0, 1]. Returns each effect's largest eigenvalue, its norm."""
-    _check_finite(matrices, "POVM element")
+    spectrum in [0, 1]."""
     _check_hermitian(matrices, "POVM element")
-    eigenvalues = np.linalg.eigvalsh(matrices)
-    lowest, highest = eigenvalues[..., 0].min(), eigenvalues[..., -1].max()
-    if lowest < -PSD_TOL or highest > 1.0 + PSD_TOL:
+    eigenvalues = np.linalg.eigh(matrices)[0]
+    if refused_spectra(eigenvalues, 1.0).any():
+        lowest, highest = eigenvalues[..., 0].min(), eigenvalues[..., -1].max()
         raise InputError(f"POVM element spectrum must lie in [0, 1], got [{lowest:.3e}, {highest:.3e}]")
-    return eigenvalues[..., -1]
+
+
+def read_array(value, dtype: type, name: str) -> np.ndarray:
+    """``value`` as an array of ``dtype``, float or complex; an unreadable
+    value, such as a string or a ragged list, raises InputError naming ``name``."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} is not an array of {dtype.__name__} numbers: {exc}") from None
 
 
 def square_matrix(matrix, name: str) -> np.ndarray:
@@ -93,8 +117,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def projector_from_ket(ket: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |k><k| of a (d,) unit ket, frozen."""
-    return _freeze(projectors_from_kets(np.asarray(ket, dtype=complex)))
+    """Rank-1 projector |k><k| of a (d,) unit ket, frozen; any other shape
+    raises DimensionMismatch."""
+    ket = read_array(ket, complex, "ket")
+    if ket.ndim != 1:
+        raise DimensionMismatch(f"ket must be one-dimensional, got shape {ket.shape}")
+    return _freeze(projectors_from_kets(ket))
 
 
 # Shared qubit constants.

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import json
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
@@ -136,11 +135,12 @@ def _step_fields(step_doc, where: str):
     return step_doc["observable"], _double(sigma, f"{where}.sigma")
 
 
-def _raise_first_fault_in_order(initial: np.ndarray, steps_data, post_data, dim: int) -> None:
+def _raise_first_fault_in_order(initial_data, steps_data, post_data, dim: int, matrix: bool) -> None:
     """Raises the first fault that a reading one field at a time meets: the
     state's; each step's fields, observable and width; the post-selection's."""
+    initial = _parse_complex(initial_data, dim, "initial", matrix)
     with _field("initial"):
-        (qm.check_kets if initial.ndim == 1 else qm.check_densities)(initial)
+        (qm.check_densities if matrix else qm.check_kets)(initial)
     if not isinstance(steps_data, list) or not steps_data:
         raise ScenarioFileError("steps: expected a nonempty array")
     for index, step_doc in enumerate(steps_data):
@@ -158,10 +158,11 @@ def _raise_first_fault_in_order(initial: np.ndarray, steps_data, post_data, dim:
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a validated Scenario from a parsed JSON document.
 
-    One level walk reads the observables into an (n, d, d) stack, and
-    ``Scenario`` checks each parsed input once. A refused document is
-    walked again one field at a time, so the error is the first that such
-    a reading meets: the state's, then each step's in turn, then the
+    One level walk reads the document's matrices into one (m, d, d) stack:
+    the state when it is a matrix, the observables, then the effect; and
+    ``Scenario`` checks them in its one pass. A refused document is walked
+    again one field at a time, so the error is the first that such a
+    reading meets: the state's, then each step's in turn, then the
     post-selection's."""
     _check_object(doc, "", ("dimension", "initial", "steps"), ("postselect",))
     dim = doc["dimension"]
@@ -173,26 +174,31 @@ def scenario_from_dict(doc: dict) -> Scenario:
     # pairs. The first leaf decides which.
     if not (isinstance(initial_data, list) and initial_data and isinstance(initial_data[0], list) and initial_data[0]):
         raise ScenarioFileError("initial: expected a ket or a matrix")
-    initial = _parse_complex(initial_data, dim, "initial", matrix=isinstance(initial_data[0][0], list))
+    matrix = isinstance(initial_data[0][0], list)
 
     steps_data, post_data = doc["steps"], doc.get("postselect")
     try:
         if not isinstance(steps_data, list) or not steps_data:
             raise ScenarioFileError("steps: expected a nonempty array")
         fields = [_step_fields(step_doc, f"steps[{index}]") for index, step_doc in enumerate(steps_data)]
-        observables = _level_walk([observable for observable, _ in fields], (len(fields), dim, dim))
-        if observables is None:
-            raise ScenarioFileError("steps: an observable is not a matrix of [re, im] pairs")
-        post = None if post_data is None else _parse_complex(post_data, dim, "postselect", matrix=True)
-        return Scenario(initial, observables, [sigma for _, sigma in fields], post)
+        lead, n = int(matrix), len(fields)
+        matrices = [initial_data] * lead + [observable for observable, _ in fields]
+        matrices += [] if post_data is None else [post_data]
+        stack = _level_walk(matrices, (len(matrices), dim, dim))
+        initial = stack if matrix else _level_walk(initial_data, (dim,))
+        if stack is None or initial is None:
+            raise ScenarioFileError("a matrix or the ket is not an array of [re, im] pairs")
+        post = None if post_data is None else stack[-1]
+        return Scenario(stack[0] if matrix else initial, stack[lead:lead + n], [sigma for _, sigma in fields], post)
     except WeakLabError:
-        _raise_first_fault_in_order(initial, steps_data, post_data, dim)
+        _raise_first_fault_in_order(initial_data, steps_data, post_data, dim, matrix)
         raise
 
 
 def load_scenario(path) -> Scenario:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFileError(f"cannot read {str(path)!r}: {exc}") from exc
     try:

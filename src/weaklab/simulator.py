@@ -1,6 +1,6 @@
 """Joint pointer moments for sequences of weak measurements.
 
-A ``Scenario`` holds its four inputs as frozen arrays, each checked once
+A ``Scenario`` holds its four inputs as frozen arrays, checked in one pass
 on the way in: the state as a density matrix rho, the observables and
 pointer widths as stacks, and the post-selection effect E or None.
 
@@ -30,7 +30,7 @@ Moments are linear in each slot's readout: ``recover_weak_value`` sums
 momentum-subset moments beside the x moment, both engines in one pass.
 
 One forward-backward core carries these engines, over the eigenvalues
-and eigenbases that ``Scenario.spectrum`` takes from one batched eigh.
+and eigenbases, ``Scenario.spectrum``, that its one eigh gives.
 The forward pass carries a stack of rows, one chain each, and yields the
 state before each step's table; the backward pass carries the effect the
 other way and yields the effect after each step. ``_chain``, the forward
@@ -61,7 +61,6 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -97,10 +96,14 @@ class Scenario:
     matrix. ``steps``, a sequence of ``MeasurementStep``s, is another way
     to give the two stacks.
 
-    Each input is checked once, in this order, then held as a frozen copy:
-    the state by ``qm.check_kets`` or ``qm.check_densities``; the stacks'
-    shapes against its dimension, ``qm.check_observables`` and
-    ``pointer.check_widths``; the effect's shape and ``qm.check_effects``."""
+    Each input is read as an array, or refused naming its argument, then
+    checked in one pass and held frozen: finiteness and Hermiticity over the
+    stack [rho, A_1 ... A_n, E], rho if given as a matrix, the width rule,
+    and one eigh of the stack for the state's and the effect's spectrum
+    rules and ``spectrum``, the observables' eigenvalues (n, d), ascending,
+    and eigenvector columns (n, d, d), any orthonormal basis of a degenerate
+    subspace. A refusal, or shapes that do not fit, raise the first fault
+    that ``_raise_first_fault`` meets."""
 
     initial: np.ndarray
     observables: np.ndarray = None
@@ -108,42 +111,46 @@ class Scenario:
     post: np.ndarray | None = None
     steps: InitVar[Sequence[MeasurementStep] | None] = None
     post_norm: float = field(init=False, default=1.0)  # E's largest eigenvalue; 1 for E = I
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, default=None, repr=False)
 
+    @np.errstate(over="ignore")
     def __post_init__(self, steps):
-        initial = np.array(self.initial, dtype=complex)
-        if initial.ndim == 1:
-            qm.check_kets(initial)
-            initial = qm.projectors_from_kets(initial)
-        else:
-            initial = qm.square_matrix(self.initial, "density matrix")
-            qm.check_densities(initial)
         observables, widths = self.observables, self.widths
         if steps is not None:
             if observables is not None or widths is not None:
                 raise InputError("give a scenario's steps or its observables and widths, not both")
             steps = tuple(steps)
-            observables = [step.observable for step in steps]
-            widths = [step.pointer.sigma for step in steps]
-        observables, widths = np.array(observables, dtype=complex), np.array(widths, dtype=float)
-        if not observables.size:
-            raise InputError("a scenario needs at least one measurement step")
-        d = len(initial)
-        if widths.ndim != 1 or observables.shape != (len(widths), d, d):
-            raise DimensionMismatch(
-                f"observables of shape {observables.shape} and widths of shape {widths.shape} "
-                f"are not (n, {d}, {d}) and (n,) for state dimension {d}"
-            )
-        qm.check_observables(observables)
-        check_widths(widths)
-        if self.post is not None:
-            post = qm.square_matrix(self.post, "POVM element")
-            if len(post) != d:
-                raise DimensionMismatch(f"post-selection dimension {len(post)} != state dimension {d}")
-            object.__setattr__(self, "post_norm", float(qm.check_effects(post)))
-            object.__setattr__(self, "post", qm._freeze(post))
-        object.__setattr__(self, "initial", qm._freeze(initial))
-        object.__setattr__(self, "observables", qm._freeze(observables))
-        object.__setattr__(self, "widths", qm._freeze(widths))
+            observables, widths = [step.observable for step in steps], [step.pointer.sigma for step in steps]
+        initial = qm.read_array(self.initial, complex, "initial")
+        observables = qm.read_array(observables, complex, "observables")
+        widths = qm.read_array(widths, float, "widths")
+        post = None if self.post is None else qm.read_array(self.post, complex, "post")
+        if initial.ndim == 1:
+            qm.check_kets(initial)
+        d, lead = initial.shape[-1] if initial.ndim else 0, int(initial.ndim == 2)
+        faults = not (
+            observables.size and initial.shape in ((d,), (d, d)) and widths.ndim == 1
+            and observables.shape == (len(widths), d, d) and (post is None or post.shape == (d, d))
+        )
+        if not faults:
+            parts = [observables] if post is None else [observables, post[np.newaxis]]
+            stack = np.concatenate([initial[np.newaxis], *parts] if lead else parts)
+            faults = not np.isfinite(stack).all() or qm.refused_hermitian(stack)[1].any()
+            faults = faults or refused_widths(widths).any()
+        if not faults:
+            values, vectors = np.linalg.eigh(stack)
+            faults = lead and (qm.refused_spectra(values[0]) or qm.refused_norms(np.trace(initial).real))
+            faults = faults or post is not None and qm.refused_spectra(values[-1], 1.0)
+        if faults:
+            _raise_first_fault(initial, observables, widths, post)
+        stack, rows = qm._freeze(stack), slice(lead, lead + len(widths))
+        object.__setattr__(self, "initial", stack[0] if lead else qm._freeze(qm.projectors_from_kets(initial)))
+        object.__setattr__(self, "observables", stack[rows])
+        object.__setattr__(self, "widths", qm._freeze(np.array(widths)))
+        object.__setattr__(self, "spectrum", (qm._freeze(values)[rows], qm._freeze(vectors)[rows]))
+        if post is not None:
+            object.__setattr__(self, "post", stack[-1])
+            object.__setattr__(self, "post_norm", float(values[-1, -1]))
 
     @property
     def dim(self) -> int:
@@ -153,13 +160,29 @@ class Scenario:
     def n_steps(self) -> int:
         return len(self.widths)
 
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (n, d), ascending, and eigenvector columns (n, d, d) of
-        the observables, from one batched eigh on first use; in a degenerate
-        subspace any orthonormal basis serves, as engines read projectors."""
-        eigenvalues, bases = np.linalg.eigh(self.observables)
-        return qm._freeze(eigenvalues), qm._freeze(bases)
+
+def _raise_first_fault(initial, observables, widths, post) -> None:
+    """Raises the first fault of a scenario's inputs, read as arrays, a ket
+    state checked, in this order: the density matrix's shape and check; the
+    stacks' shapes, ``qm.check_observables`` and ``pointer.check_widths``;
+    the effect's shape and ``qm.check_effects``."""
+    if initial.ndim != 1:
+        qm.check_densities(qm.square_matrix(initial, "density matrix"))
+    if not observables.size:
+        raise InputError("a scenario needs at least one measurement step")
+    d = len(initial)
+    if widths.ndim != 1 or observables.shape != (len(widths), d, d):
+        raise DimensionMismatch(
+            f"observables of shape {observables.shape} and widths of shape {widths.shape} "
+            f"are not (n, {d}, {d}) and (n,) for state dimension {d}"
+        )
+    qm.check_observables(observables)
+    check_widths(widths)
+    if post is not None:
+        post = qm.square_matrix(post, "POVM element")
+        if len(post) != d:
+            raise DimensionMismatch(f"post-selection dimension {len(post)} != state dimension {d}")
+        qm.check_effects(post)
 
 
 @dataclass(frozen=True)
@@ -419,9 +442,10 @@ def sweep_moments(scn: Scenario, pat: MomentPattern, index: int, widths: np.ndar
     both engines, in a copy of the scenario with that width, which
     ``Scenario`` checks, so the error is the one a loop over the widths
     meets first; a point that passes alone keeps the values it gets there.
-    An ``index`` outside [0, n) and ``widths`` not 1-D are refused first."""
+    An ``index`` outside [0, n) and ``widths`` unreadable or not 1-D are
+    refused first."""
     index = check_count("index", index, 0, scn.n_steps - 1)
-    widths = np.asarray(widths, dtype=float)
+    widths = qm.read_array(widths, float, "widths")
     if widths.ndim != 1:
         raise DimensionMismatch(f"swept widths must be one-dimensional, got shape {widths.shape}")
     eigenvalues, bases = scn.spectrum
@@ -566,7 +590,11 @@ def _draw_index(uniforms: np.ndarray, populations: np.ndarray) -> np.ndarray:
 def _realify(matrix: np.ndarray) -> np.ndarray:
     """The real (2d, 2d) matrix acting on stacked [Re psi; Im psi] as
     ``matrix`` acts on psi."""
-    return np.block([[matrix.real, -matrix.imag], [matrix.imag, matrix.real]])
+    d = len(matrix)
+    real = np.empty((2 * d, 2 * d))
+    real[:d, :d] = real[d:, d:] = matrix.real
+    real[:d, d:], real[d:, :d] = -matrix.imag, matrix.imag
+    return real
 
 
 def _redraw(rng, inc: int, start: int, offset: int, out: np.ndarray) -> None:

@@ -46,6 +46,39 @@ class Mutant:
     gap: str | None = None  # the ROADMAP item that closes a known gap
 
 
+# The body of ``simulator._raise_first_fault``, and the same checks with the
+# four inputs' own in reverse order, after the shape checks they need.
+_FIRST_FAULT_ORDER = """\
+    if initial.ndim != 1:
+        qm.check_densities(qm.square_matrix(initial, "density matrix"))
+    if not observables.size:
+        raise InputError("a scenario needs at least one measurement step")
+    d = len(initial)
+    if widths.ndim != 1 or observables.shape != (len(widths), d, d):
+        raise DimensionMismatch(
+            f"observables of shape {observables.shape} and widths of shape {widths.shape} "
+            f"are not (n, {d}, {d}) and (n,) for state dimension {d}"
+        )
+    qm.check_observables(observables)
+    check_widths(widths)
+    if post is not None:
+        post = qm.square_matrix(post, "POVM element")
+        if len(post) != d:
+            raise DimensionMismatch(f"post-selection dimension {len(post)} != state dimension {d}")
+        qm.check_effects(post)
+"""
+_LAST_FAULT_ORDER = """\
+    d = len(initial)
+    if post is not None:
+        if qm.square_matrix(post, "POVM element").shape == (d, d):
+            qm.check_effects(post)
+    check_widths(widths)
+    if observables.shape == (len(widths), d, d):
+        qm.check_observables(observables)
+    if initial.ndim != 1:
+        qm.check_densities(qm.square_matrix(initial, "density matrix"))
+"""
+
 MUTANTS = (
     Mutant(
         "momentum-sign",
@@ -288,18 +321,38 @@ MUTANTS = (
         ("tests/test_simulator.py::TestSweepMoments::test_widths_that_are_not_one_dimensional_are_refused_before_work",),
     ),
     Mutant(
+        # The one pass skips the effect's spectrum rule.
         "scenario-effect-unchecked",
         "simulator.py",
-        "float(qm.check_effects(post))",
-        "1.0",
+        "qm.refused_spectra(values[-1], 1.0)",
+        "False",
         ("tests/test_qm.py::TestScenarioInputs",),
     ),
     Mutant(
+        # The one pass skips the density matrix's spectrum and trace rules.
         "scenario-density-unchecked",
         "simulator.py",
-        "qm.check_densities(initial)",
-        "None",
+        "qm.refused_spectra(values[0]) or qm.refused_norms(np.trace(initial).real)",
+        "False",
         ("tests/test_qm.py::TestScenarioInputs",),
+    ),
+    Mutant(
+        # The spectrum reads the stacked eigh one row off: from the second
+        # observable on, then the effect's row or past the stack's end.
+        "stacked-spectrum-wrong-slice",
+        "simulator.py",
+        "(qm._freeze(values)[rows], qm._freeze(vectors)[rows])",
+        "(qm._freeze(values)[rows.start + 1:rows.stop + 1], qm._freeze(vectors)[rows.start + 1:rows.stop + 1])",
+        ("tests/test_qm.py::TestScenarioSpectrum::test_spectrum_is_the_observables_own_eigh",),
+    ),
+    Mutant(
+        # A refused scenario raises the last refused input's fault: the
+        # checks run effect, widths, observables, then the density matrix.
+        "stacked-fault-order-reversed",
+        "simulator.py",
+        _FIRST_FAULT_ORDER,
+        _LAST_FAULT_ORDER,
+        ("tests/test_qm.py::TestFaultOrder",),
     ),
     Mutant(
         # A complex angle gives a ket of any norm, whose projector passes
@@ -313,7 +366,7 @@ MUTANTS = (
     Mutant(
         "hermiticity-absolute",
         "qm.py",
-        "HERMITICITY_TOL * np.fmax(1.0, np.abs(matrix).max(axis=(-2, -1)))",
+        "HERMITICITY_TOL * np.fmax(1.0, np.abs(matrices).max(axis=(-2, -1)))",
         "HERMITICITY_TOL",
         ("tests/test_qm.py::TestHermiticityScale",),
     ),

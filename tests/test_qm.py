@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -155,6 +156,66 @@ class TestScenarioInputs:
             dataclasses.replace(scn, initial=np.diag([np.nan, 1.0]))
 
 
+# A scenario's valid inputs, and refused values of each, in the documented
+# order of its inputs, with the message each raises alone, as checking one
+# input at a time gives it.
+VALID = {"initial": wl.KET_0, "observables": [SIGMA_Z, SIGMA_Z], "widths": [1.0, 2.0], "post": None}
+FAULTS = {
+    "initial": [
+        (np.array([1.0, 1.0]), "state squared norm is 2.0, expected 1"),
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), "density matrix deviates from Hermiticity by 1.000e+00"),
+        (np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -5.000e-01"),
+        (np.diag([0.7, 0.7]), "density matrix trace is 1.4, expected 1"),
+    ],
+    "observables": [
+        ([np.array([[0.0, 1.0], [0.0, 0.0]]), SIGMA_Z], "observable deviates from Hermiticity by 1.000e+00"),
+        ([SIGMA_Z, np.diag([np.nan, 0.0])], "observable has a non-finite entry"),
+        ([np.eye(3), np.eye(3)],
+         "observables of shape (2, 3, 3) and widths of shape (2,) are not (n, 2, 2) and (n,) for state dimension 2"),
+    ],
+    "widths": [
+        ([1.0, -1.0], "pointer width must be positive and its square a positive finite float, got -1.0"),
+        ([1e-170, 1.0], "pointer width must be positive and its square a positive finite float, got 1e-170"),
+        ([np.inf, 1.0], "pointer width must be positive and its square a positive finite float, got inf"),
+    ],
+    "post": [
+        (np.diag([1.5, 0.0]), "POVM element spectrum must lie in [0, 1], got [0.000e+00, 1.500e+00]"),
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), "POVM element deviates from Hermiticity by 1.000e+00"),
+        (np.diag([np.nan, 0.0]), "POVM element has a non-finite entry"),
+        (np.eye(3), "post-selection dimension 3 != state dimension 2"),
+    ],
+}
+
+
+class TestFaultOrder:
+    """Of several refused inputs, the first in the documented order raises,
+    state, observables, widths, effect, with the message it raises alone."""
+
+    @pytest.mark.parametrize(
+        "faulty", [names for size in range(1, 5) for names in itertools.combinations(FAULTS, size)], ids="+".join
+    )
+    def test_the_first_refused_input_raises(self, faulty):
+        for refusals in itertools.product(*(FAULTS[name] for name in faulty)):
+            inputs = dict(VALID, **{name: value for name, (value, _) in zip(faulty, refusals)})
+            with pytest.raises(InputError, match="^" + re.escape(refusals[0][1]) + "$"):
+                wl.Scenario(**inputs)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("widths", ["a"]), ("widths", [1j]), ("observables", "x"), ("initial", "ab"), ("post", "a"),
+         ("observables", [SIGMA_Z, [[1.0]]])],
+        ids=["string-width", "complex-width", "string-observables", "string-state", "string-effect", "ragged"],
+    )
+    def test_unreadable_values_are_refused_before_any_check(self, name, value):
+        # Beside a refused state, or a refused effect for the state itself,
+        # the value that cannot be read as an array raises first.
+        other = ("post", np.diag([1.5, 0.0])) if name == "initial" else ("initial", np.diag([1.5, -0.5]))
+        inputs = dict(VALID, **dict([other]), **{name: value})
+        kind = "float" if name == "widths" else "complex"
+        with pytest.raises(InputError, match=f"^{name} is not an array of {kind} numbers: "):
+            wl.Scenario(**inputs)
+
+
 class TestHermiticityScale:
     """The Hermiticity check's tolerance is relative to each matrix's
     largest entry, floored at 1, so rounding passes at any scale."""
@@ -224,6 +285,23 @@ class TestScenarioSpectrum:
                 assert np.max(np.abs((v * values) @ v.conj().T - obs)) < 1e-10
                 assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-10
                 assert np.all(np.diff(values) >= -1e-12)
+
+    @pytest.mark.parametrize("with_post", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_spectrum_is_the_observables_own_eigh(self, d, with_post):
+        # The one eigh runs on the stack [rho, A_1 ... A_n, E]; its
+        # observables' rows are those of an eigh on the observables alone.
+        rng = np.random.default_rng(d)
+        for trial in range(50):
+            n = int(rng.integers(1, 6))
+            initial = random_density(rng, d) if trial % 2 else random_ket(rng, d)
+            post = None
+            if with_post:
+                effect = random_density(rng, d)
+                post = effect / np.linalg.eigh(effect)[0][-1]
+            scn = wl.Scenario(initial, [random_observable(rng, d) for _ in range(n)], np.ones(n), post)
+            for got, want in zip(scn.spectrum, np.linalg.eigh(scn.observables)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_spectrum_cached_and_frozen(self):
         scn = scenario_of(np.diag([1.0, 2.0]))
@@ -299,6 +377,11 @@ class TestStackedInstances:
 
 
 class TestProjectorFromKet:
+    @pytest.mark.parametrize("ket", [np.eye(2), np.array(1.0), np.ones((1, 2))], ids=["matrix", "scalar", "row"])
+    def test_only_a_ket_is_taken(self, ket):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"ket must be one-dimensional, got shape {ket.shape}")):
+            wl.projector_from_ket(ket)
+
     def test_ket_zero(self):
         projector = wl.projector_from_ket(wl.KET_0)
         assert np.allclose(projector, np.diag([1.0, 0.0]))

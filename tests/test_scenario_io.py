@@ -432,12 +432,18 @@ class TestRoundTrip:
 
 
 class TestEachInputCheckedOnce:
-    """Each path into a Scenario checks each input once: one call of each
-    check that it needs, counted as ``simulator`` and ``scenario_io`` call
-    them, through the ``qm`` module and through the ``check_widths`` of
-    ``pointer`` and of both callers."""
+    """Each path into a Scenario checks its inputs in one pass: one call of
+    each rule over the stack [rho, A_1 ... A_n, E] and the widths, and one
+    eigh, counted through ``qm``, ``pointer`` and ``simulator``; a ket state
+    adds its own ``qm.check_kets``. No ``check_*`` runs on a valid input
+    beyond that, and no engine decomposes or checks anything again."""
 
-    QM_CHECKS = ("check_kets", "check_densities", "check_observables", "check_effects")
+    QM_NAMES = ("check_kets", "check_densities", "check_observables", "check_effects",
+                "refused_hermitian", "refused_norms", "refused_spectra")
+    # The stack's Hermiticity, the widths' rule and the one eigh.
+    ONE_PASS = collections.Counter(refused_hermitian=1, refused_widths=1, eigh=1)
+    # A ket's own check, with its squared norm.
+    KET = collections.Counter(check_kets=1, refused_norms=1)
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -452,10 +458,14 @@ class TestEachInputCheckedOnce:
 
             return counted
 
-        for name in self.QM_CHECKS:
+        for name in self.QM_NAMES:
             monkeypatch.setattr(qm, name, counting(name, getattr(qm, name)))
         for module in (pointer, simulator, scenario_io):
             monkeypatch.setattr(module, "check_widths", counting("check_widths", module.check_widths))
+        for module in (pointer, simulator):
+            monkeypatch.setattr(module, "refused_widths", counting("refused_widths", module.refused_widths))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         return counts
 
     def test_ket_file(self, tmp_path, calls):
@@ -463,14 +473,15 @@ class TestEachInputCheckedOnce:
         path.write_text(json.dumps(illustrative_doc()))
         calls.clear()
         wl.load_scenario(path)
-        assert calls == {"check_kets": 1, "check_observables": 1, "check_widths": 1}
+        assert calls == self.ONE_PASS + self.KET
 
     def test_density_file_with_post_selection(self, write_scenario, calls):
         scn = wl.Scenario(wl.projector_from_ket(KET_PLUS), [wl.SIGMA_Y, wl.SIGMA_X], [2.0, 3.0], np.diag([1.0, 0.0]))
         path = write_scenario(scn)
         calls.clear()
         wl.load_scenario(path)
-        assert calls == {"check_densities": 1, "check_observables": 1, "check_widths": 1, "check_effects": 1}
+        # The state's and the effect's spectrum rules, and the state's trace.
+        assert calls == self.ONE_PASS + collections.Counter(refused_spectra=2, refused_norms=1)
 
     @pytest.mark.parametrize(
         "build",
@@ -486,7 +497,7 @@ class TestEachInputCheckedOnce:
     )
     def test_builders(self, build, calls):
         build()
-        assert calls == {"check_kets": 1, "check_observables": 1, "check_widths": 1}
+        assert calls == self.ONE_PASS + self.KET
 
     def test_search_point_through_steps(self, calls):
         # The path of bench/run.py: a search point's state, checked only as
@@ -497,7 +508,7 @@ class TestEachInputCheckedOnce:
         state, projectors = wl.SearchSpacePoint(kets[0], kets[1:]).decode()
         steps = [wl.MeasurementStep(p, wl.GaussianPointer(0.7)) for p in projectors]
         wl.Scenario(initial=state.to_density(), steps=steps)
-        assert calls == {"check_densities": 1, "check_observables": 1, "check_widths": 1}
+        assert calls == self.ONE_PASS + collections.Counter(refused_spectra=1, refused_norms=1)
 
     def test_decode_checks_nothing(self, calls):
         # decode() holds the state ket unchecked; its density matrix is the
@@ -517,3 +528,10 @@ class TestEachInputCheckedOnce:
         wl.recover_weak_value(scn)
         wl.seq_weak_value(scn)
         assert calls == {}
+
+    @pytest.mark.parametrize("post", [None, np.diag([1.0, 0.0])])
+    @pytest.mark.parametrize("initial", [KET_PLUS, np.eye(2) / 2])
+    def test_one_eigh_for_a_scenario_and_an_engine_call(self, calls, initial, post):
+        scn = wl.Scenario(initial, [wl.SIGMA_Y, wl.SIGMA_X], [2.0, 3.0], post)
+        wl.exact_moment(scn, wl.MomentPattern.from_string("xp"))
+        assert calls["eigh"] == 1 and calls["eigvalsh"] == 0

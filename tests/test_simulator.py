@@ -953,6 +953,15 @@ class TestSweepMoments:
         with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
             simulator.sweep_moments(wl.build_illustrative(1.0, 1.0), wl.MomentPattern.all_position(2), 0, widths)
 
+    @pytest.mark.parametrize("widths", [["a"], [1 + 2j]], ids=["string", "complex"])
+    def test_unreadable_widths_are_refused_before_work(self, monkeypatch, widths):
+        def untouched(*args):
+            raise AssertionError("sweep started work before reading its widths")
+
+        monkeypatch.setattr(simulator, "_forward", untouched)
+        with pytest.raises(InputError, match="^widths is not an array of float numbers: "):
+            simulator.sweep_moments(wl.build_illustrative(1.0, 1.0), wl.MomentPattern.all_position(2), 0, widths)
+
     def test_a_list_of_widths_sweeps_as_its_array(self):
         scn, pattern = wl.build_illustrative(1.0, 1.0), wl.MomentPattern.from_string("xp")
         want = simulator.sweep_moments(scn, pattern, 0, np.array([1.0, 2.0, 3.0]))
