@@ -95,8 +95,10 @@ def check_effects(matrices: np.ndarray) -> None:
 
 def read_array(value, dtype: type, name: str) -> np.ndarray:
     """``value`` as an array of ``dtype``, float or complex; an unreadable
-    value, such as a string or a ragged list, raises InputError naming ``name``."""
+    value, such as a string, a ragged list or complex read as float, raises InputError naming ``name``."""
     try:
+        if dtype is float and np.iscomplexobj(value):  # numpy would drop the imaginary parts, with a warning
+            raise TypeError("it holds complex numbers")
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name} is not an array of {dtype.__name__} numbers: {exc}") from None

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -36,30 +37,29 @@ def _double(value, where: str) -> float:
         raise ScenarioFileError(f"{where}: number too large for a double") from None
 
 
-def _check_entry(entry, where: str) -> None:
-    if not (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
-    ):
-        raise ScenarioFileError(f"{where}: expected an [re, im] pair, got {entry!r}")
-    for part in entry:
-        _double(part, where)
-
-
-def _raise_first_fault(data, dim: int, where: str, matrix: bool) -> None:
-    """Raise the error naming the first fault of ``data`` in row-major order."""
+def _entry_walk(data, dim: int, where: str, matrix: bool) -> np.ndarray:
+    """Read a ket (``matrix`` false) or a row-major matrix of [re, im]
+    pairs one entry at a time, each entry ``complex(re, im)`` of two ints or
+    floats, not bools; the first fault in row-major order raises a
+    ScenarioFileError naming it."""
     if not isinstance(data, list) or len(data) != dim:
         expected = f"{dim} rows" if matrix else f"an array of {dim} entries"
         raise ScenarioFileError(f"{where}: expected {expected}")
-    for i, item in enumerate(data):
-        if not matrix:
-            _check_entry(item, f"{where}[{i}]")
-        elif not isinstance(item, list) or len(item) != dim:
-            raise ScenarioFileError(f"{where}[{i}]: expected a row of {dim} entries")
-        else:
-            for j, entry in enumerate(item):
-                _check_entry(entry, f"{where}[{i}][{j}]")
+    rows = []
+    for i, row in enumerate(data if matrix else [data]):
+        at = f"{where}[{i}]" if matrix else where
+        if not isinstance(row, list) or len(row) != dim:
+            raise ScenarioFileError(f"{at}: expected a row of {dim} entries")
+        rows.append([])
+        for j, entry in enumerate(row):
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
+            ):
+                raise ScenarioFileError(f"{at}[{j}]: expected an [re, im] pair, got {entry!r}")
+            rows[-1].append(complex(*(_double(part, f"{at}[{j}]") for part in entry)))
+    return np.array(rows if matrix else rows[0], dtype=complex)
 
 
 def _level_walk(data, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -68,7 +68,7 @@ def _level_walk(data, shape: tuple[int, ...]) -> np.ndarray | None:
 
     The nesting is checked one level at a time, each level in one pass:
     the array, then its rows, then its entries must be lists of the right
-    length, and the leaves ints or floats, not bools, as ``_check_entry``
+    length, and the leaves ints or floats, not bools, as ``_entry_walk``
     asks. The leaves then become one float array viewed as complex numbers,
     which keeps every entry bit-for-bit ``complex(re, im)``, signed zeros
     included.
@@ -86,17 +86,6 @@ def _level_walk(data, shape: tuple[int, ...]) -> np.ndarray | None:
         except OverflowError:
             pass
     return None
-
-
-def _parse_complex(data, dim: int, where: str, matrix: bool) -> np.ndarray:
-    """Read a ket (``matrix`` false) or a row-major matrix of [re, im]
-    pairs by ``_level_walk``. Only refused data is walked entry by entry,
-    to name its first fault."""
-    parsed = _level_walk(data, (dim, dim) if matrix else (dim,))
-    if parsed is None:
-        _raise_first_fault(data, dim, where, matrix)
-        raise AssertionError(f"{where}: the entry walk passed data the level check refused")
-    return parsed
 
 
 @contextmanager
@@ -138,7 +127,7 @@ def _step_fields(step_doc, where: str):
 def _raise_first_fault_in_order(initial_data, steps_data, post_data, dim: int, matrix: bool) -> None:
     """Raises the first fault that a reading one field at a time meets: the
     state's; each step's fields, observable and width; the post-selection's."""
-    initial = _parse_complex(initial_data, dim, "initial", matrix)
+    initial = _entry_walk(initial_data, dim, "initial", matrix)
     with _field("initial"):
         (qm.check_densities if matrix else qm.check_kets)(initial)
     if not isinstance(steps_data, list) or not steps_data:
@@ -147,12 +136,12 @@ def _raise_first_fault_in_order(initial_data, steps_data, post_data, dim: int, m
         where = f"steps[{index}]"
         observable, sigma = _step_fields(step_doc, where)
         with _field(f"{where}.observable"):
-            qm.check_observables(_parse_complex(observable, dim, f"{where}.observable", matrix=True))
+            qm.check_observables(_entry_walk(observable, dim, f"{where}.observable", matrix=True))
         with _field(f"{where}.sigma"):
             check_widths(sigma)
     if post_data is not None:
         with _field("postselect"):
-            qm.check_effects(_parse_complex(post_data, dim, "postselect", matrix=True))
+            qm.check_effects(_entry_walk(post_data, dim, "postselect", matrix=True))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -160,10 +149,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     One level walk reads the document's matrices into one (m, d, d) stack:
     the state when it is a matrix, the observables, then the effect; and
-    ``Scenario`` checks them in its one pass. A refused document is walked
-    again one field at a time, so the error is the first that such a
-    reading meets: the state's, then each step's in turn, then the
-    post-selection's."""
+    ``Scenario`` checks them in its one pass. A refused document is read
+    again one field at a time, each matrix and the ket by ``_entry_walk``
+    alone, so the error is the first that such a reading meets: the
+    state's, then each step's in turn, then the post-selection's."""
     _check_object(doc, "", ("dimension", "initial", "steps"), ("postselect",))
     dim = doc["dimension"]
     if not isinstance(dim, int) or dim < 2:
@@ -197,9 +186,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     try:
-        with open(path, encoding="utf-8") as file:
+        with open(os.fspath(path), encoding="utf-8") as file:  # not a file descriptor, which open() would close
             text = file.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # ValueError: text not UTF-8, or a NUL in the path
         raise ScenarioFileError(f"cannot read {str(path)!r}: {exc}") from exc
     try:
         doc = json.loads(text)

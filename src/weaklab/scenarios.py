@@ -49,6 +49,7 @@ def build_projector_chain(n: int, sigma: float) -> Scenario:
 
 def chain_weak_value(n: int) -> float:
     """-(cos(pi/(n+1)))^(n+1), the chain's no-post-selection weak value."""
+    n = check_count("n", n, 1)
     return -math.cos(math.pi / (n + 1)) ** (n + 1)
 
 

@@ -166,6 +166,8 @@ def _raise_first_fault(initial, observables, widths, post) -> None:
     state checked, in this order: the density matrix's shape and check; the
     stacks' shapes, ``qm.check_observables`` and ``pointer.check_widths``;
     the effect's shape and ``qm.check_effects``."""
+    if initial.shape == (0, 0):
+        raise DimensionMismatch("density matrix must be nonempty, got shape (0, 0)")
     if initial.ndim != 1:
         qm.check_densities(qm.square_matrix(initial, "density matrix"))
     if not observables.size:
@@ -206,7 +208,7 @@ class MomentPattern:
 
     @classmethod
     def all_position(cls, n: int) -> "MomentPattern":
-        return cls([PointerOperatorKind.POSITION] * n)
+        return cls([PointerOperatorKind.POSITION] * check_count("n", n, 1))
 
     def __str__(self) -> str:
         return "".join(kind.value for kind in self.kinds)
@@ -336,6 +338,8 @@ def _pattern_tables(eigenvalues, widths, pat: MomentPattern, engine: str = "exac
     ``_step_tables`` ``engine`` (on its leading axis for "both"), after the
     pattern checks each engine makes first. One ``_step_tables`` call builds the pattern's distinct kinds and
     the identity on every step, gathered unless already in that order."""
+    if not isinstance(pat, MomentPattern):
+        raise InputError(f"pat must be a MomentPattern, got {pat!r}")
     n = eigenvalues.shape[-2]
     if len(pat) != n:
         raise InputError(f"pattern has {len(pat)} slots for {n} measurement steps")

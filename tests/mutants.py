@@ -355,6 +355,66 @@ MUTANTS = (
         ("tests/test_qm.py::TestFaultOrder",),
     ),
     Mutant(
+        # An empty density matrix reaches the checks, whose reductions
+        # raise numpy's bare ValueError.
+        "empty-state-matrix-checked",
+        "simulator.py",
+        "if initial.shape == (0, 0):",
+        "if False:",
+        ("tests/test_qm.py::TestScenarioInputs::test_empty_state_matrix",),
+    ),
+    Mutant(
+        # A string pattern reaches the engines: its length is checked, then
+        # its missing kinds raise a bare AttributeError.
+        "engines-take-any-pattern",
+        "simulator.py",
+        "if not isinstance(pat, MomentPattern):",
+        "if False:",
+        ("tests/test_simulator.py::TestScenarioTypes::test_engines_take_only_a_pattern",),
+    ),
+    Mutant(
+        # A negative count gives an empty pattern, a float or a string a bare TypeError.
+        "all-position-count-unchecked",
+        "simulator.py",
+        '[PointerOperatorKind.POSITION] * check_count("n", n, 1)',
+        "[PointerOperatorKind.POSITION] * n",
+        ("tests/test_simulator.py::TestScenarioTypes::test_all_position_reads_a_count",),
+    ),
+    Mutant(
+        # chain_weak_value(2.5) returns a number, and -1 divides by zero.
+        "chain-weak-value-count-unchecked",
+        "scenarios.py",
+        '    n = check_count("n", n, 1)\n    return -math.cos',
+        "    return -math.cos",
+        ("tests/test_scenarios.py::TestProjectorChain::test_weak_value_reads_a_count",),
+    ),
+    Mutant(
+        # Complex widths in a numpy array lose their imaginary parts, with
+        # only numpy's warning.
+        "float-read-keeps-complex",
+        "qm.py",
+        "if dtype is float and np.iscomplexobj(value):",
+        "if False:",
+        ("tests/test_qm.py::TestFaultOrder::test_unreadable_values_are_refused_before_any_check",),
+    ),
+    Mutant(
+        # The entry walk takes a bool as a number, so a refused document
+        # whose only fault is a bool leaf is named by no field.
+        "entry-walk-takes-bool",
+        "scenario_io.py",
+        "and not isinstance(part, bool) for part in entry",
+        "for part in entry",
+        ("tests/test_scenario_io.py::TestReaderContract::test_bad_matrix_entry",),
+    ),
+    Mutant(
+        # open() takes a file descriptor, and closes it.
+        "load-scenario-opens-descriptor",
+        "scenario_io.py",
+        "open(os.fspath(path),",
+        "open(path,",
+        ("tests/test_scenario_io.py::TestRoundTrip::test_a_file_descriptor_is_refused_and_left_open",),
+    ),
+    Mutant(
         # A complex angle gives a ket of any norm, whose projector passes
         # as an observable.
         "qubit-ket-complex-angle",

@@ -5,8 +5,9 @@ Each tree gets a directory of its own, holding its ``src/`` and a copy of
 the checkout's ``bench/`` without ``bench/.work``, so both sides run the
 same benchmark. For each seed, one timed run per side (``--trace 0``)
 makes a pair, and the side that goes first alternates from pair to pair;
-after the pairs, one traced run per side (``--trace 1``) at the first
-seed. A run is one ``bench/run.py`` process with no ``PYTHONPATH``,
+after the pairs, one traced run per side (``--trace 1``) at each of the
+first three seeds makes a traced pair, alternating likewise. A
+run is one ``bench/run.py`` process with no ``PYTHONPATH``,
 started from its tree moved to a directory that every run shares, so the
 two sides differ in no path: run from their own directories, ``base`` and
 ``new``, two copies of one commit read ``peak_rss_mb`` apart by 0.15 MB in
@@ -14,7 +15,10 @@ the median, the same side lower in 17 of 20 pairs.
 
 The record holds each run's last line and ``# env`` line; per workload and
 metric, each side's median, quartiles and quartile spread, and the pairs
-that each side wins by ``BENCHMARK.json``'s sense of better; both commits,
+that each side wins by ``BENCHMARK.json``'s sense of better, for the
+end-to-end metrics over the timed pairs and for the per-layer rows over
+the traced pairs, where one traced run is as noisy as the effect a row
+is meant to locate; both commits,
 the last commit that changed ``bench/``, and the record's wall time.
 
 Run from the repository root:
@@ -79,6 +83,21 @@ def run(directory: Path, workload: str, seed: int, seconds: int, trace: int) -> 
             "stderr": done.stderr[-2000:] if done.returncode else ""}
 
 
+def alternating_pairs(trees: dict[str, Path], workload: str, seeds: list[int], seconds: int, trace: int) -> list[dict]:
+    """One run per side at each seed, the side that goes first alternating from pair to pair."""
+    pairs = []
+    for k, seed in enumerate(seeds):
+        order = tuple(trees) if k % 2 == 0 else tuple(trees)[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run(trees[side], workload, seed, seconds, trace)
+            last = pair[side]["last"]
+            shown = f"correct {last and last['correct']}, failed {last and last['failed']}" if trace else json.dumps(last)
+            print(f"{workload} seed {seed}{' traced' if trace else ''} {side}: {shown}", flush=True)
+        pairs.append(pair)
+    return pairs
+
+
 def sound(result: dict) -> bool:
     last = result["last"]
     return result["exit_code"] == 0 and last is not None and last["correct"] is True and last["failed"] == 0
@@ -125,7 +144,8 @@ def main(arguments: list[str]) -> int:
     args = parser.parse_args(arguments)
     specs = {"base": args.base, "new": args.new} if args.base else {"new": args.new}
     sides = tuple(specs)
-    better = {row["name"]: row["better"] for row in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better, layers = ({row["name"]: row["better"] for row in benchmark[kind]} for kind in ("end_to_end", "per_layer"))
     bench_commit = subprocess.run(["git", "log", "-1", "--format=%H", "--", "bench"], cwd=ROOT,
                                   capture_output=True, text=True, check=True).stdout.strip()
     bench_edited = bool(subprocess.run(["git", "status", "--porcelain", "--", "bench"], cwd=ROOT,
@@ -141,21 +161,12 @@ def main(arguments: list[str]) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         trees = {side: prepare(spec, Path(scratch) / side) for side, spec in specs.items()}
         for workload in args.workload:
-            pairs = []
-            for k, seed in enumerate(args.seeds):
-                order = sides if k % 2 == 0 else sides[::-1]
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run(trees[side], workload, seed, args.seconds, trace=0)
-                    print(f"{workload} seed {seed} {side}: {json.dumps(pair[side]['last'])}", flush=True)
-                pairs.append(pair)
-            traced = {side: run(trees[side], workload, args.seeds[0], args.seconds, trace=1) for side in sides}
-            for side, result in traced.items():
-                print(f"{workload} traced {side}: correct {result['last'] and result['last']['correct']}, "
-                      f"failed {result['last'] and result['last']['failed']}", flush=True)
-            results = [pair[side] for pair in pairs for side in sides] + list(traced.values())
+            pairs = alternating_pairs(trees, workload, args.seeds, args.seconds, trace=0)
+            traced = alternating_pairs(trees, workload, args.seeds[:3], args.seconds, trace=1)
+            results = [pair[side] for pair in pairs + traced for side in sides]
             unsound += [f"{workload} seed {r['seed']} trace {r['trace']}" for r in results if not sound(r)]
-            record["workloads"][workload] = {"metrics": compare(pairs, sides, better), "pairs": pairs, "traced": traced}
+            record["workloads"][workload] = {"metrics": compare(pairs, sides, better), "pairs": pairs,
+                                             "layers": compare(traced, sides, layers), "traced": traced}
     record["wall_s"] = round(time.perf_counter() - started, 1)
     record["unsound_runs"] = unsound
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weaklab as wl
 from weaklab import qm
@@ -131,6 +133,12 @@ class TestScenarioInputs:
         with pytest.raises(DimensionMismatch, match=re.escape(f"POVM element must be a square matrix, got shape {shape}")):
             scenario_with(post=np.zeros(shape))
 
+    @pytest.mark.parametrize("observables", [[SIGMA_Z], np.zeros((1, 0, 0))], ids=["qubit", "empty"])
+    @pytest.mark.parametrize("post", [None, np.zeros((0, 0))], ids=["no-post", "empty-post"])
+    def test_empty_state_matrix(self, observables, post):
+        with pytest.raises(DimensionMismatch, match=re.escape("density matrix must be nonempty, got shape (0, 0)")):
+            wl.Scenario(np.zeros((0, 0)), observables, [1.0], post)
+
     def test_a_ket_and_its_density_give_the_same_scenario(self):
         from_ket = scenario_with(KET_PLUS)
         from_density = scenario_with(wl.projector_from_ket(KET_PLUS))
@@ -202,9 +210,10 @@ class TestFaultOrder:
 
     @pytest.mark.parametrize(
         "name,value",
-        [("widths", ["a"]), ("widths", [1j]), ("observables", "x"), ("initial", "ab"), ("post", "a"),
-         ("observables", [SIGMA_Z, [[1.0]]])],
-        ids=["string-width", "complex-width", "string-observables", "string-state", "string-effect", "ragged"],
+        [("widths", ["a"]), ("widths", [1j]), ("widths", np.array([1.0 + 1.0j, 2.0])), ("observables", "x"),
+         ("initial", "ab"), ("post", "a"), ("observables", [SIGMA_Z, [[1.0]]])],
+        ids=["string-width", "complex-width", "complex-width-array", "string-observables", "string-state",
+             "string-effect", "ragged"],
     )
     def test_unreadable_values_are_refused_before_any_check(self, name, value):
         # Beside a refused state, or a refused effect for the state itself,
@@ -214,6 +223,47 @@ class TestFaultOrder:
         kind = "float" if name == "widths" else "complex"
         with pytest.raises(InputError, match=f"^{name} is not an array of {kind} numbers: "):
             wl.Scenario(**inputs)
+
+
+# Entries that no check should meet as a bare numpy error: non-finite,
+# overflowing when squared or summed, and complex where a float is read.
+HOSTILE = [np.nan, np.inf, -np.inf, 1e200, -1e308, 1e308, 1j, 1e308j]
+
+
+@st.composite
+def hostile_array(draw, shape, spares):
+    """An array of ``shape`` or of one of ``spares``: zeros but a 1 first,
+    a valid state, observable or effect at the right shape, with up to two
+    entries made hostile."""
+    shape = draw(st.sampled_from([shape] * len(spares) + spares))
+    array = np.zeros(shape, dtype=complex)
+    if array.size:
+        array.flat[0] = 1.0
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            array.flat[draw(st.integers(0, array.size - 1))] = draw(st.sampled_from(HOSTILE))
+    return array
+
+
+class TestHostileInputs:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_scenario_returns_or_raises_input_error(self, data):
+        """Whatever shapes and entries its inputs have, ``Scenario`` returns
+        a scenario or raises InputError: no numpy error or warning escapes."""
+        d, n = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        odd = [(0,), (0, 0), (d, d + 1), (), (1, d, d)]
+        initial = data.draw(hostile_array(data.draw(st.sampled_from([(d,), (d, d)])), odd))
+        observables = data.draw(hostile_array((n, d, d), [(n, d + 1, d + 1), (n, 0, 0), (d, d)]))
+        width = st.sampled_from([1.0] * 8 + [0.0, -1.0, 1e-170, *HOSTILE])
+        widths = data.draw(st.lists(width, min_size=n, max_size=n + 1))
+        if data.draw(st.booleans()):
+            widths = np.array(widths)
+        post = data.draw(st.none() | hostile_array((d, d), [(0, 0), (d + 1, d + 1), (d,)]))
+        try:
+            scn = wl.Scenario(initial, observables, widths, post)
+        except InputError:
+            return
+        assert isinstance(scn, wl.Scenario)
 
 
 class TestHermiticityScale:

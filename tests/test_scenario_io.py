@@ -1,6 +1,10 @@
 import collections
+import functools
 import json
 import math
+import operator
+import os
+import re
 
 import numpy as np
 import pytest
@@ -369,6 +373,44 @@ class TestArbitraryValues:
         assert isinstance(scn, wl.Scenario)
 
 
+# Fast-path refusal message that a refused document must never show: the
+# field-by-field reading names the fault instead.
+PLACEHOLDER = "a matrix or the ket is not an array of [re, im] pairs"
+
+
+class TestEntryWalk:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_a_broken_matrix_is_named_by_its_field(self, data):
+        """One matrix field of a valid document broken in its structure, by
+        a node replaced with any JSON value, or a list shortened or
+        lengthened: the reader returns a Scenario or raises a
+        ScenarioFileError that names that field."""
+        doc = illustrative_doc()
+        if data.draw(st.booleans()):
+            doc["initial"] = matrix_doc(np.diag([1.0, 0.0]))
+            doc["postselect"] = matrix_doc(np.diag([0.0, 1.0]))
+        names = ["initial", "steps[0].observable", "steps[1].observable"]
+        names += [] if doc["postselect"] is None else ["postselect"]
+        name = data.draw(st.sampled_from(names))
+        field = doc["steps"][int(name[6])]["observable"] if name.startswith("steps") else doc[name]
+        paths = list(node_paths(field))
+        change = data.draw(st.sampled_from(["replace", "shorten", "lengthen"]))
+        if change == "replace":
+            replace_at(field, data.draw(st.sampled_from(paths)), data.draw(JSON_VALUES))
+        else:
+            nodes = [functools.reduce(operator.getitem, path, field) for path in paths]
+            target = data.draw(st.sampled_from([field, *(node for node in nodes if isinstance(node, list))]))
+            if change == "shorten" and target:
+                target.pop(data.draw(st.integers(0, len(target) - 1)))
+            else:
+                target.append(data.draw(JSON_VALUES))
+        try:
+            scenario_from_dict(doc)
+        except ScenarioFileError as exc:
+            assert str(exc).startswith(name) and PLACEHOLDER not in str(exc)
+
+
 class TestRoundTrip:
     def test_save_load_preserves_moments(self, write_scenario):
         scn = wl.build_illustrative(1.7, 0.9)
@@ -423,6 +465,28 @@ class TestRoundTrip:
         for text in ("xxx", "".join(rng.choice(list("ixp"), size=n))):
             pattern = wl.MomentPattern.from_string(text)
             assert wl.weak_prediction(read, pattern) == wl.weak_prediction(built, pattern)
+
+    def test_a_file_descriptor_is_refused_and_left_open(self):
+        # A pipe's read end, its write end closed, so open() would read EOF
+        # at once; fds 0-2 are the test runner's own streams.
+        read_end, write_end = os.pipe()
+        os.close(write_end)
+        try:
+            with pytest.raises(ScenarioFileError, match=f"^cannot read '{read_end}': expected str, bytes or os.PathLike"):
+                wl.load_scenario(read_end)
+            os.fstat(read_end)
+        finally:
+            os.close(read_end)
+
+    @pytest.mark.parametrize(
+        "path,reason",
+        [(None, "expected str, bytes or os.PathLike object, not NoneType"),
+         (1.5, "expected str, bytes or os.PathLike object, not float"),
+         ("a\0b.json", "embedded null byte")],
+    )
+    def test_a_path_that_names_no_file_is_refused(self, path, reason):
+        with pytest.raises(ScenarioFileError, match="^" + re.escape(f"cannot read {str(path)!r}: {reason}") + "$"):
+            wl.load_scenario(path)
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"

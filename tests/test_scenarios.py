@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,15 @@ class TestProjectorChain:
     def test_rejects_bad_length(self):
         with pytest.raises(InputError):
             wl.build_projector_chain(0, 1.0)
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [(-1, "n must be at least 1, got -1"), (0, "n must be at least 1, got 0"),
+         (2.5, "n must be an integer, got 2.5"), ("a", "n must be an integer, got 'a'")],
+    )
+    def test_weak_value_reads_a_count(self, n, message):
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            wl.chain_weak_value(n)
 
     def test_length_must_be_an_integer(self):
         with pytest.raises(InputError, match=r"^n must be an integer, got 2\.5$"):

@@ -222,6 +222,30 @@ class TestScenarioTypes:
         with pytest.raises(InputError, match="pattern has 3 slots for 2 measurement steps"):
             wl.exact_moment(scn, wl.MomentPattern.from_string("xxx"))
 
+    @pytest.mark.parametrize("pat", ["xx", "xxx", ["x", "x"], None, X])
+    def test_engines_take_only_a_pattern(self, pat):
+        # Before the length check, so a string of any length gets one error.
+        scn = wl.build_illustrative(1.0, 1.0)
+        calls = (
+            lambda: wl.exact_moment(scn, pat),
+            lambda: wl.weak_prediction(scn, pat),
+            lambda: simulator.sweep_moments(scn, pat, 0, [1.0, 2.0]),
+            lambda: simulator.stacked_exact_moments(scn.initial, scn.observables, scn.widths, pat),
+        )
+        for call in calls:
+            with pytest.raises(InputError, match="^" + re.escape(f"pat must be a MomentPattern, got {pat!r}") + "$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [(-1, "n must be at least 1, got -1"), (0, "n must be at least 1, got 0"),
+         (2.5, "n must be an integer, got 2.5"), ("a", "n must be an integer, got 'a'")],
+    )
+    def test_all_position_reads_a_count(self, n, message):
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            wl.MomentPattern.all_position(n)
+        assert wl.MomentPattern.all_position(np.int64(3)) == wl.MomentPattern.from_string("xxx")
+
 
 class TestExactEngine:
     def test_matches_brute_force_sum(self):
