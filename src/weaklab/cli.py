@@ -31,12 +31,12 @@ import argparse
 import csv
 import functools
 import itertools
-import json
 import math
 import os
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -80,7 +80,7 @@ SWEEP_MAX_POINTS = 1_000_000
 # at 0.48-0.74 kB per step in CSV or JSON, sweep and scenario highest with
 # both engines' tables in one array; sample --shots 1 at 0.72-0.78 kB in CSV,
 # the sampler's note of where each step's uniforms start included, and at
-# 0.81-0.91 kB in JSON, written a batch of the encoder's chunks at a time
+# 0.74-1.03 kB in JSON, written 1,024 rows at a time
 # (tracemalloc, n = 2,000 and 20,000, after a warm-up call). So a million
 # steps stay under errors.MEMORY_LIMIT, the 2 GiB that sample and optimize
 # allow.
@@ -132,9 +132,23 @@ def _resolve_scenario(spec: str, args) -> tuple[Scenario, str]:
 # Report plumbing
 # ---------------------------------------------------------------------------
 
-def _json_object(pairs) -> dict:
-    """JSON has no NaN or infinity, so a float that is not finite reads null."""
-    return {key: None if isinstance(value, float) and not math.isfinite(value) else value for key, value in pairs}
+def _json_value(value) -> str:
+    """``value`` as json.dumps writes it, but JSON has no NaN or infinity, so
+    a float that is not finite reads null."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    return int.__repr__(value)
+
+
+def _json_fields(pairs, indent: str) -> str:
+    """The object of ``pairs``, whose keys are distinct strings, as
+    json.dumps(indent=2, sort_keys=True) writes it at ``indent``."""
+    fields = [f"\n{indent}  {encode_basestring_ascii(key)}: {_json_value(value)}" for key, value in sorted(pairs)]
+    return "{" + ",".join(fields) + f"\n{indent}}}" if fields else "{}"
 
 
 def _emit(args, config: dict, header: tuple[str, ...], rows, summary: dict | None = None) -> None:
@@ -143,26 +157,25 @@ def _emit(args, config: dict, header: tuple[str, ...], rows, summary: dict | Non
     values, one value per name in ``header``. A CSV report streams the rows
     straight to the writer, so it holds no copy of them, and writes a float
     that is not finite as ``nan`` or ``inf``; a JSON report builds each
-    row's object once and writes such a float as null."""
+    row's object as it goes and writes such a float as null. The JSON text
+    is json.dumps(indent=2, sort_keys=True) of the report's document and a
+    newline, its rows 1,024 to a write, so the whole text is never in memory."""
     command = "weaklab " + " ".join(args.raw_argv)
     summary = summary or {}
     versions = {"weaklab": __version__, "numpy": np.__version__}
-    if args.format == "json":
-        document = {
-            "command": command,
-            "config": _json_object(config.items()),
-            "summary": _json_object(summary.items()),
-            "results": [_json_object(zip(header, row)) for row in rows],
-            "versions": versions,
-        }
-        # The chunks of the encoder that json.dumps joins, 1,024 to a write, so
-        # the whole text is never in memory and a short report is one write.
-        encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-        chunks = itertools.chain(encoder.iterencode(document), ("\n",))
-        while batch := list(itertools.islice(chunks, 1024)):
-            sys.stdout.write("".join(batch))
-        return
     out = sys.stdout
+    if args.format == "json":
+        out.write(f'{{\n  "command": {_json_value(command)},\n')
+        out.write(f'  "config": {_json_fields(config.items(), "  ")},\n  "results": [')
+        objects = (_json_fields(zip(header, row), "    ") for row in rows)
+        separator = "\n    "
+        while batch := list(itertools.islice(objects, 1024)):
+            out.write(separator + ",\n    ".join(batch))
+            separator = ",\n    "
+        out.write("]" if separator == "\n    " else "\n  ]")
+        out.write(f',\n  "summary": {_json_fields(summary.items(), "  ")},\n')
+        out.write(f'  "versions": {_json_fields(versions.items(), "  ")}\n}}\n')
+        return
     out.write(f"# command: {command}\n")
     for key in sorted(config):
         out.write(f"# config {key} = {config[key]}\n")
@@ -419,6 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices  # each subcommand's own parser, by name, for main's one pass
 
     p_scn = sub.add_parser("scenario", help="evaluate a built-in scenario")
     p_scn.add_argument("name", choices=SCENARIO_NAMES)
@@ -466,10 +480,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)`` in one argparse pass where it can
+    be: an optional ``--format csv|json`` and a subcommand go to that
+    subcommand's own parser. Other shapes, and arguments it leaves, go to
+    the top-level parser, so every usage text and error is argparse's own."""
+    parser = _build_parser()
+    at = 2 if argv[:1] == ["--format"] and argv[1:2] in (["csv"], ["json"]) else 0
+    if at < len(argv) and argv[at] in parser.subcommands:
+        args, left = parser.subcommands[argv[at]].parse_known_args(argv[at + 1:])
+        if not left:
+            args.format, args.subcommand = argv[1] if at else "csv", argv[at]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     args.raw_argv = argv
     started = time.perf_counter()
     try:

@@ -4,11 +4,14 @@ Two families matter to callers: ``InputError`` for malformed or
 inconsistent inputs (CLI exit code 2) and ``NumericError`` for
 computations that are undefined or failed at run time (exit code 1).
 ``check_count`` is the one refusal of a count that is no integer or is
-out of its range, and ``check_footprint`` holds the one memory limit
-that the sampler and the searches refuse work beyond.
+out of its range, ``read_real`` the one reader of a real number, and
+``check_footprint`` holds the one memory limit that the sampler and the
+searches refuse work beyond.
 """
 
+import contextlib
 import math
+import numbers
 import operator
 
 
@@ -62,3 +65,13 @@ def check_count(name: str, value: int, least: int, most: float = math.inf) -> in
     if value > most:
         raise InputError(f"{name} must be at most {most}, got {value}")
     return value
+
+
+def read_real(name: str, value) -> float:
+    """Reads a real number as a Python float; a bool, a value that is no
+    real number, such as a string or a complex number, or one past the
+    float range raises InputError naming ``name``."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise InputError(f"{name} must be a real number, got {value!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError
+from .errors import DimensionMismatch, InputError, read_real
 
 HERMITICITY_TOL = 1e-12   # max entry deviation, relative to max(1, the matrix's largest entry)
 NORM_TOL = 1e-12          # absolute: states and effects are unit-scale
@@ -134,8 +134,10 @@ SIGMA_Y = _freeze(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
 
 
 def qubit_ket(theta: float) -> np.ndarray:
-    """cos(theta)|0> + sin(theta)|1>, frozen; a complex theta raises TypeError."""
-    theta = float(theta)
+    """cos(theta)|0> + sin(theta)|1>, frozen; theta must be a finite real number."""
+    theta = read_real("theta", theta)
+    if not np.isfinite(theta):
+        raise InputError(f"theta must be finite, got {theta!r}")
     return _freeze(np.array([np.cos(theta), np.sin(theta)], dtype=complex))
 
 

@@ -52,13 +52,14 @@ def _entry_walk(data, dim: int, where: str, matrix: bool) -> np.ndarray:
             raise ScenarioFileError(f"{at}: expected a row of {dim} entries")
         rows.append([])
         for j, entry in enumerate(row):
+            spot = f"{at}[{j}]"
             if not (
                 isinstance(entry, list)
                 and len(entry) == 2
                 and all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
             ):
-                raise ScenarioFileError(f"{at}[{j}]: expected an [re, im] pair, got {entry!r}")
-            rows[-1].append(complex(*(_double(part, f"{at}[{j}]") for part in entry)))
+                raise ScenarioFileError(f"{spot}: expected an [re, im] pair, got {entry!r}")
+            rows[-1].append(complex(_double(entry[0], spot), _double(entry[1], spot)))
     return np.array(rows if matrix else rows[0], dtype=complex)
 
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import qm
-from .errors import InputError, check_count
+from .errors import InputError, check_count, read_real
 from .simulator import Scenario
 
 
@@ -88,13 +88,17 @@ def causal_witness(moment: float, hull: tuple[float, float], margin: float) -> C
 
     A value inside the hull proves nothing (both structures can produce
     it), so the only verdicts are "witnessed" and "inconclusive". The
-    margin guards against statistical noise in estimated moments. A margin
-    that is not >= 0, a moment or hull end that is not finite, and hull
-    ends out of order raise InputError: none of them has a verdict.
+    margin guards against statistical noise in estimated moments. A value
+    that is no real number, a hull that is not a pair, a margin that is not
+    >= 0, a moment or hull end that is not finite, and hull ends out of
+    order raise InputError: none of them has a verdict.
     """
+    moment, margin = read_real("moment", moment), read_real("margin", margin)
     if not margin >= 0:
         raise InputError(f"margin must be nonnegative, got {margin!r}")
-    lo, hi = hull
+    if len(hull) != 2:
+        raise InputError(f"hull must be a pair (lo, hi), got {hull!r}")
+    lo, hi = (read_real("hull", end) for end in hull)
     if not all(map(math.isfinite, (moment, lo, hi))):
         raise InputError(f"moment {moment!r} and hull ({lo!r}, {hi!r}) must be finite")
     if lo > hi:

@@ -120,6 +120,8 @@ class Scenario:
             if observables is not None or widths is not None:
                 raise InputError("give a scenario's steps or its observables and widths, not both")
             steps = tuple(steps)
+            if wrong := [step for step in steps if not isinstance(step, MeasurementStep)]:
+                raise TypeError(f"steps must hold MeasurementSteps, got {type(wrong[0]).__name__}")
             observables, widths = [step.observable for step in steps], [step.pointer.sigma for step in steps]
         initial = qm.read_array(self.initial, complex, "initial")
         observables = qm.read_array(observables, complex, "observables")
@@ -612,10 +614,10 @@ def _redraw(rng, inc: int, start: int, offset: int, out: np.ndarray) -> None:
 
 
 def _read_pointer(
-    kets: np.ndarray, a: np.ndarray, sigma: float, uniforms: np.ndarray, x: np.ndarray, out: np.ndarray
+    kets: np.ndarray, a: np.ndarray, sigma: float, uniforms: np.ndarray, x: np.ndarray, out: np.ndarray | None
 ) -> None:
     """Read one pointer on a block of shots and write the Kraus-updated kets
-    into ``out``, which may be ``kets`` itself.
+    into ``out``, which may be ``kets`` itself; with no ``out``, only read.
 
     ``kets`` is the block's (2d, shots) stack of real and imaginary parts
     in the eigenbasis of the measured observable, whose eigenvalues are
@@ -626,6 +628,8 @@ def _read_pointer(
     populations = kets[0] ** 2
     populations += kets[1] ** 2
     np.add(a[_draw_index(uniforms, populations)], sigma * x, out=x)
+    if out is None:
+        return
     # Scaled before squaring, so the least term, about (z / 2)^2, stays finite.
     weights = np.subtract.outer(a, x)
     weights /= 2.0 * sigma
@@ -714,6 +718,7 @@ def sample_outcomes(scn: Scenario, shots: int, seed: int) -> tuple[np.ndarray, S
     # block and step doubled the page faults of a long run of mixed
     # requests, as glibc then trimmed its heap between them.
     buffer, drawn = np.empty(width * size), np.empty(size)
+    updated = scn.n_steps - (scn.post is None)  # only post-selection reads the last step's update
     for first in range(0, shots, size):
         span = slice(first, min(first + size, shots))
         count = span.stop - first
@@ -722,7 +727,8 @@ def sample_outcomes(scn: Scenario, shots: int, seed: int) -> tuple[np.ndarray, S
         np.take(turns[0], _draw_index(uniforms, weights), axis=1, out=block, mode="clip")
         for j, (a, turn, sigma) in enumerate(zip(eigenvalues, turns, scn.widths.tolist())):
             _redraw(rng, inc, starts[1 + j], first, uniforms)
-            _read_pointer(turn @ block if j else block, a, sigma, uniforms, rows[j, span], out=block)
+            out = block if j < updated else None
+            _read_pointer(turn @ block if j else block, a, sigma, uniforms, rows[j, span], out)
         if scn.post is not None:
             _redraw(rng, inc, starts[-1], first, uniforms)
             block *= effect @ block

@@ -255,13 +255,23 @@ MUTANTS = (
         ("tests/test_simulator.py::TestSampler::test_pinned_stream",),
     ),
     Mutant(
-        # The JSON writer drops its last batch, short of a whole batch.
+        # The JSON writer drops its last batch of rows, short of a whole batch.
         "json-last-batch-dropped",
         "cli.py",
-        "while batch := list(itertools.islice(chunks, 1024)):",
-        "while len(batch := list(itertools.islice(chunks, 1024))) == 1024:",
+        "while batch := list(itertools.islice(objects, 1024)):",
+        "while len(batch := list(itertools.islice(objects, 1024))) == 1024:",
         ("tests/test_cli.py::TestJsonBytes",
+         "tests/test_cli.py::TestJsonWriter",
          "tests/test_cli.py::TestSampleCommand::test_json_writes_null_where_csv_writes_nan"),
+    ),
+    Mutant(
+        # The one-pass parse keeps a line whose subcommand parser left
+        # arguments unread, so a stray argument is dropped, not refused.
+        "parse-ignores-leftovers",
+        "cli.py",
+        "if not left:",
+        "if True:",
+        ("tests/test_cli.py::TestOnePassParse::test_reads_as_the_top_level_parser",),
     ),
     Mutant(
         # Post-selected scenarios read without their effect.
@@ -381,6 +391,23 @@ MUTANTS = (
         ("tests/test_simulator.py::TestScenarioTypes::test_all_position_reads_a_count",),
     ),
     Mutant(
+        # A step that is no MeasurementStep lets a bare AttributeError escape.
+        "steps-read-unchecked",
+        "simulator.py",
+        "if wrong := [step for step in steps if not isinstance(step, MeasurementStep)]:",
+        "if wrong := []:",
+        ("tests/test_simulator.py::TestScenarioTypes::test_steps_must_be_measurement_steps",),
+    ),
+    Mutant(
+        # The sampler skips the last step's Kraus update under
+        # post-selection too, so the effect weighs the ket before it.
+        "sampler-post-update-skipped",
+        "simulator.py",
+        "updated = scn.n_steps - (scn.post is None)",
+        "updated = scn.n_steps - 1",
+        ("tests/test_simulator.py::TestSampler::test_pinned_stream",),
+    ),
+    Mutant(
         # chain_weak_value(2.5) returns a number, and -1 divides by zero.
         "chain-weak-value-count-unchecked",
         "scenarios.py",
@@ -419,9 +446,65 @@ MUTANTS = (
         # as an observable.
         "qubit-ket-complex-angle",
         "qm.py",
-        "theta = float(theta)",
+        'theta = read_real("theta", theta)',
         "theta = theta",
         ("tests/test_qm.py::TestStates::test_ket_norm_enforced",),
+    ),
+    Mutant(
+        # A NaN or infinite angle gives a NaN ket.
+        "qubit-ket-nonfinite-angle",
+        "qm.py",
+        "if not np.isfinite(theta):",
+        "if False:",
+        ("tests/test_qm.py::TestStates::test_qubit_ket_refuses_what_is_no_finite_angle",),
+    ),
+    Mutant(
+        # A bool reads as 0 or 1.
+        "read-real-takes-bool",
+        "errors.py",
+        "if not isinstance(value, bool) and isinstance(value, numbers.Real):",
+        "if isinstance(value, numbers.Real):",
+        ("tests/test_qm.py::TestStates::test_qubit_ket_refuses_what_is_no_finite_angle",),
+    ),
+    Mutant(
+        # An integer past the float range lets a bare OverflowError escape.
+        "read-real-overflow-escapes",
+        "errors.py",
+        "with contextlib.suppress(OverflowError):",
+        "with contextlib.suppress():",
+        ("tests/test_qm.py::TestStates::test_qubit_ket_refuses_what_is_no_finite_angle",),
+    ),
+    Mutant(
+        # A string moment reaches math.isfinite: a bare TypeError.
+        "witness-moment-unread",
+        "scenarios.py",
+        'moment, margin = read_real("moment", moment), read_real("margin", margin)',
+        'moment, margin = moment, read_real("margin", margin)',
+        ("tests/test_scenarios.py::TestCausalWitness::test_values_that_are_no_real_numbers_are_refused",),
+    ),
+    Mutant(
+        # A string margin reaches its comparison: a bare TypeError.
+        "witness-margin-unread",
+        "scenarios.py",
+        'moment, margin = read_real("moment", moment), read_real("margin", margin)',
+        'moment, margin = read_real("moment", moment), margin',
+        ("tests/test_scenarios.py::TestCausalWitness::test_values_that_are_no_real_numbers_are_refused",),
+    ),
+    Mutant(
+        # A string hull end reaches math.isfinite: a bare TypeError.
+        "witness-hull-unread",
+        "scenarios.py",
+        '(read_real("hull", end) for end in hull)',
+        "(end for end in hull)",
+        ("tests/test_scenarios.py::TestCausalWitness::test_values_that_are_no_real_numbers_are_refused",),
+    ),
+    Mutant(
+        # A hull of three ends lets unpacking's bare ValueError escape.
+        "witness-hull-pair-unchecked",
+        "scenarios.py",
+        "if len(hull) != 2:",
+        "if False:",
+        ("tests/test_scenarios.py::TestCausalWitness::test_values_that_are_no_real_numbers_are_refused",),
     ),
     Mutant(
         "hermiticity-absolute",

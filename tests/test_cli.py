@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -532,7 +533,7 @@ class TestChainLength:
     def test_memory_per_step(self, report, command):
         # The figures behind CHAIN_MAX_STEPS: a million steps stay under
         # errors.MEMORY_LIMIT at these peaks, 733, 540, 486, 744 and 781 B
-        # per step at n = 2,000, the JSON sample 808 (tracemalloc, after a
+        # per step at n = 2,000, the JSON sample 1,028 (tracemalloc, after a
         # warm-up call).
         def argv(n):
             pattern = ("--pattern", "x" * n) if command[0] in ("simulate", "sweep") else ()
@@ -679,8 +680,8 @@ class TestReportDigests:
 
 
 class TestJsonBytes:
-    """A JSON report is written in batches of the encoder's chunks, so its
-    bytes are checked as written, not re-dumped as ``TestReportDigests`` does."""
+    """A JSON report is written 1,024 rows at a time, so its bytes are
+    checked as written, not re-dumped as ``TestReportDigests`` does."""
 
     COMMANDS = [
         ("scenario", "chain-n", "--n", "4"),
@@ -689,8 +690,8 @@ class TestJsonBytes:
         ("optimize", "--n", "2", "--restarts", "2", "--budget", "100"),
         ("sample", "illustrative", "--shots", "200", "--seed", "1"),
         ("bounds", "--trials", "20", "--seed", "1"),
-        # Thousands of chunks, so several batches.
-        ("sample", "chain-n", "--n", "400", "--shots", "1"),
+        # 2,101 rows, so three writes, the last one short.
+        ("sample", "chain-n", "--n", "2100", "--shots", "1"),
     ]
 
     @pytest.mark.parametrize(
@@ -700,6 +701,136 @@ class TestJsonBytes:
         code, out = run_cli(capsys, "--format", "json", *command)
         assert code == 0
         assert_json_dumps_bytes(out)
+
+
+def json_null_for_nonfinite(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+JSON_VALUES = st.one_of(
+    st.text(),
+    st.sampled_from(['"\\\n\t\x00', "\u00e9\u2028\U0001f600", "\ud800"]),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf]),
+    st.integers(),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.none(),
+)
+
+
+class TestJsonWriter:
+    """``_emit``'s JSON text is json.dumps of the report's document with the
+    report's options, and a newline, whatever the values and row count."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        argv=st.lists(st.text(), max_size=3),
+        config=st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+        summary=st.none() | st.dictionaries(st.text(), JSON_VALUES, max_size=3),
+        header=st.lists(st.text(), min_size=1, max_size=4, unique=True),
+        drawn=st.lists(st.lists(JSON_VALUES, min_size=4, max_size=4), max_size=4),
+        count=st.sampled_from([0, 1, 2, 1023, 1024, 1025, 2049]),
+    )
+    def test_bytes_are_json_dumps(self, argv, config, summary, header, drawn, count):
+        # More than 1,024 rows by repeating the drawn ones, so several writes.
+        rows = [tuple(drawn[i % len(drawn)][: len(header)]) for i in range(count if drawn else 0)]
+        document = {
+            "command": "weaklab " + " ".join(argv),
+            "config": {key: json_null_for_nonfinite(value) for key, value in config.items()},
+            "summary": {key: json_null_for_nonfinite(value) for key, value in (summary or {}).items()},
+            "results": [{key: json_null_for_nonfinite(value) for key, value in zip(header, row)} for row in rows],
+            "versions": {"weaklab": wl.__version__, "numpy": np.__version__},
+        }
+        args = argparse.Namespace(format="json", raw_argv=argv)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(args, config, tuple(header), iter(rows), summary)
+        assert out.getvalue() == json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def parse_outcome(parse, argv):
+    """The namespace's fields, or the exit code, and what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# Tokens for command lines that the one-pass parse must read as the
+# top-level parser does: subcommands, their options and values, and the
+# shapes that fall back to the top-level parser.
+ARGV_TOKENS = [
+    "--format", "json", "csv", "--format=json", "--form", "-h", "--", "-1", "extra", "--bogus",
+    "simulate", "sweep", "sample", "optimize", "scenario", "bounds", "simul",
+    "illustrative", "chain-n", "--pattern", "xx", "--pat", "--method", "weak", "--sigma", "0.5", "--n", "3",
+    "--param", "sigma1", "--from", "--to", "2", "--steps", "--shots", "--seed", "--trials", "--restarts",
+]
+
+
+class TestOnePassParse:
+    """``main`` parses a well-formed command line with its subcommand's own
+    parser alone, and every other line with the top-level parser: either
+    way it reads what ``_build_parser().parse_args`` reads, and a malformed
+    line exits with that parser's code and message."""
+
+    ONE_PASS = [
+        ("simulate", "illustrative", "--pattern", "xx"),
+        ("--format", "json", "simulate", "illustrative", "--pattern", "xx", "--method", "weak", "--sigma1", "0.3"),
+        ("--format", "csv", "sweep", "illustrative", "--param", "sigma1", "--from", "0.5", "--to", "4", "--pattern", "xx"),
+        ("sweep", "chain-n", "--param", "sigma2", "--from", "-1", "--to", "-2.5", "--steps", "-3", "--pattern", "xx"),
+        ("optimize", "--n", "-2", "--restarts", "2"),
+        ("sample", "illustrative", "--shots", "50", "--seed", "4"),
+        ("scenario", "chain-n", "--n", "3"),
+        ("bounds",),
+        ("simulate", "--pat", "xx", "--", "illustrative"),
+        ("simulate", "illustrative", "--pattern=xx"),
+    ]
+    # Well-formed lines of other shapes, which the top-level parser reads.
+    TOP_LEVEL = [
+        ("--format=json", "bounds", "--trials", "20"),
+        ("--form", "json", "bounds"),
+        ("--format", "json", "--format", "csv", "bounds"),
+    ]
+    REFUSED = [
+        (),
+        ("--format", "json"),
+        ("--format",),
+        ("--format", "xml", "bounds"),
+        ("simul", "illustrative", "--pattern", "xx"),
+        ("bounds", "--format", "json"),
+        ("bounds", "--format"),
+        ("simulate", "illustrative", "--pattern", "xx", "extra"),
+        ("simulate", "illustrative", "--pattern", "xx", "--bogus", "1"),
+        ("simulate", "illustrative"),
+        ("sweep", "illustrative", "--param", "sigma1", "--from", "x", "--to", "2", "--pattern", "xx"),
+        ("sample", "illustrative", "--shots", "1", "--", "--seed", "2"),
+        ("--bogus", "bounds"),
+        ("-h",),
+        ("--format", "json", "-h"),
+        ("simulate", "-h"),
+        ("--format", "json", "sweep", "--help"),
+    ]
+
+    @pytest.mark.parametrize("argv", ONE_PASS + TOP_LEVEL + REFUSED)
+    def test_reads_as_the_top_level_parser(self, argv):
+        assert parse_outcome(cli._parse, argv) == parse_outcome(cli._build_parser().parse_args, argv)
+
+    def test_well_formed_lines_skip_the_top_level_parser(self, monkeypatch):
+        def refused(argv):
+            raise AssertionError(f"the top-level parser read {argv}")
+
+        monkeypatch.setattr(cli._build_parser(), "parse_args", refused)
+        for argv in self.ONE_PASS:
+            assert vars(cli._parse(list(argv)))["subcommand"] in argv
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=9))
+    def test_any_token_line_reads_as_the_top_level_parser(self, argv):
+        assert parse_outcome(cli._parse, argv) == parse_outcome(cli._build_parser().parse_args, argv)
 
 
 class TestOptimizeCommand:

@@ -33,8 +33,27 @@ class TestStates:
         with pytest.raises(InputError, match=re.escape("state squared norm is 2.0, expected 1")):
             scenario_with(np.array([1.0, 1.0]))
         # cos and sin of a complex angle make a Hermitian |k><k| of any norm
-        with pytest.raises(TypeError):
+        with pytest.raises(InputError, match="theta must be a real number"):
             wl.qubit_ket(1.0 + 1.0j)
+
+    @pytest.mark.parametrize(
+        "theta, message",
+        [
+            ("a", "theta must be a real number, got 'a'"),
+            (1j, "theta must be a real number, got 1j"),
+            (np.complex128(0.5), "theta must be a real number"),
+            (None, "theta must be a real number, got None"),
+            (True, "theta must be a real number, got True"),
+            (10**400, "theta must be a real number"),
+            (math.nan, "theta must be finite, got nan"),
+            (math.inf, "theta must be finite, got inf"),
+            (-math.inf, "theta must be finite, got -inf"),
+        ],
+        ids=["str", "complex", "numpy-complex", "none", "bool", "huge-int", "nan", "inf", "-inf"],
+    )
+    def test_qubit_ket_refuses_what_is_no_finite_angle(self, theta, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            wl.qubit_ket(theta)
 
     def test_a_ket_passes_exactly_when_its_density_does(self):
         # |psi|^2 = 1 + 0.8e-12 passes both checks, 1 + 1.8e-12 fails both;

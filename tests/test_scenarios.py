@@ -201,6 +201,27 @@ class TestCausalWitness:
         with pytest.raises(InputError):
             wl.causal_witness(moment, hull, margin)
 
+    @pytest.mark.parametrize(
+        "moment, hull, margin, message",
+        [
+            ("a", (0.0, 1.0), 1e-9, "moment must be a real number, got 'a'"),
+            (0.5j, (0.0, 1.0), 0.0, "moment must be a real number, got 0.5j"),
+            (True, (0.0, 1.0), 0.0, "moment must be a real number, got True"),
+            (0.5, (0.0, 1.0), "x", "margin must be a real number, got 'x'"),
+            (0.5, (0.0, 1.0), None, "margin must be a real number, got None"),
+            (0.5, ("a", 1.0), 0.0, "hull must be a real number, got 'a'"),
+            (0.5, (0.0, 1j), 0.0, "hull must be a real number, got 1j"),
+            (0.5, (0.0, 10**400), 0.0, "hull must be a real number"),
+            (0.5, (0.0, 1.0, 2.0), 0.0, "hull must be a pair (lo, hi), got (0.0, 1.0, 2.0)"),
+            (0.5, (0.0,), 0.0, "hull must be a pair (lo, hi), got (0.0,)"),
+        ],
+        ids=["str-moment", "complex-moment", "bool-moment", "str-margin", "none-margin", "str-hull", "complex-hull",
+             "huge-hull", "long-hull", "short-hull"],
+    )
+    def test_values_that_are_no_real_numbers_are_refused(self, moment, hull, margin, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            wl.causal_witness(moment, hull, margin)
+
     def test_never_witnesses_common_cause(self):
         rng = np.random.default_rng(29)
         pattern = wl.MomentPattern.from_string("xx")

@@ -176,6 +176,13 @@ class TestScenarioTypes:
         with pytest.raises(InputError, match="give a scenario's steps or its observables and widths, not both"):
             wl.Scenario(wl.KET_0, steps=steps, **given)
 
+    @pytest.mark.parametrize("steps, name", [([1], "int"), (("xx",), "str"), ([None], "NoneType")])
+    def test_steps_must_be_measurement_steps(self, steps, name):
+        step = wl.MeasurementStep(SIGMA_Z, wl.GaussianPointer(1.0))
+        for given in (steps, [step, *steps]):
+            with pytest.raises(TypeError, match=f"steps must hold MeasurementSteps, got {name}$"):
+                wl.Scenario(wl.KET_0, steps=given)
+
     def test_scenario_needs_a_step(self):
         with pytest.raises(InputError, match="needs at least one measurement step"):
             wl.Scenario(wl.KET_0, [])
